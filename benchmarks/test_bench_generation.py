@@ -3,10 +3,11 @@
 Generates the benchmark dataset (by default 200 synthetic functions x 6
 memory sizes x 120 invocations = 144 000 simulated invocations) once per
 backend variant and records the achieved invocations/second.  Variants:
-``serial`` (scalar reference), ``vectorized`` (fused cross-function
-mega-batches, the default path), ``vectorized-looped`` (one engine batch per
-(function, size) pair — the pre-fusion path, kept for the speedup ledger)
-and ``parallel`` (fused chunks fanned out over worker processes).  The final
+``serial`` (scalar reference), ``vectorized`` (cross-function mega-batches
+through the grouped kernel, the default path), ``vectorized-looped`` (one
+engine batch per (function, size) pair — the pre-fusion path, kept for the
+speedup ledger) and ``parallel`` (fused chunks fanned out over worker
+processes).  The final
 tests assert the engine's acceptance criteria: the default (fused
 vectorized) path generates the dataset at least 10x faster than serial, and
 measurably faster than its own looped schedule.
@@ -37,7 +38,6 @@ _VARIANTS = {
     "vectorized": dict(backend="vectorized", fused=True),
     "vectorized-looped": dict(backend="vectorized", fused=False),
     "parallel": dict(backend="parallel", fused=True),
-    "compiled": dict(backend="compiled", fused=True),
 }
 
 
@@ -83,11 +83,6 @@ def test_bench_generation_vectorized_looped(benchmark):
 def test_bench_generation_parallel(benchmark):
     """Fused chunks fanned out over worker processes."""
     _bench(benchmark, "parallel")
-
-
-def test_bench_generation_compiled(benchmark):
-    """Kernelized backend: cross-group instance walk + fused metric kernel."""
-    _bench(benchmark, "compiled")
 
 
 def test_vectorized_speedup_over_serial():

@@ -1,9 +1,9 @@
-"""Setuptools shim for environments without the ``wheel`` package.
+"""Setuptools packaging for the ``repro`` package.
 
-``pip install -e .`` on offline machines that lack ``wheel`` falls back to the
-legacy ``setup.py develop`` path, which this file enables.  All project
-metadata lives in ``pyproject.toml``; this shim only mirrors what the legacy
-path needs.
+This file holds all project metadata (the repository has no
+``pyproject.toml``), so ``pip install -e .`` works through the legacy
+``setup.py develop`` path on offline machines that lack ``wheel``.  The test
+suite and examples need no install: run them with ``PYTHONPATH=src``.
 """
 
 from setuptools import find_packages, setup
@@ -19,9 +19,4 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.10",
     install_requires=["numpy>=1.24", "scipy>=1.10"],
-    extras_require={
-        # Best-effort JIT acceleration for backend="compiled"; the backend
-        # falls back to its pure-NumPy kernels when numba is absent.
-        "compiled": ["numba"],
-    },
 )

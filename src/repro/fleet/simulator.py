@@ -169,11 +169,6 @@ class FleetConfig:
         Midpoint samples per window for the batched rate-matrix evaluations
         (cohort rate bucketing); see
         :func:`~repro.workloads.traffic.fleet_rate_matrix`.
-    dtype:
-        Compute dtype of the grouped execution hot path: ``"float64"``
-        (default; bit-exact parity across backends) or ``"float32"``
-        (~2x memory bandwidth, statistical parity; requires a backend with
-        ``supports_float32``, currently ``"compiled"``).
     noise:
         Noise-draw mode: ``"per-group"`` (default; every (function, window)
         pair draws from its own spawned stream, bit-exact across backends
@@ -181,7 +176,7 @@ class FleetConfig:
         window draw from one shared window stream — removes the per-group
         draw loop and the per-function stream spawns; statistical parity;
         requires ``fused=True``, no window sharding and a backend with
-        ``supports_pooled_noise``, currently ``"compiled"``).
+        ``supports_pooled_noise``, currently ``"vectorized"``).
     """
 
     window_s: float = 3600.0
@@ -200,7 +195,6 @@ class FleetConfig:
     cohort_rate_buckets_per_decade: int = 2
     window_shard_size: int | None = None
     rate_resolution: int = 64
-    dtype: str = "float64"
     noise: str = "per-group"
 
     def __post_init__(self) -> None:
@@ -233,10 +227,6 @@ class FleetConfig:
             raise ConfigurationError("window_shard_size must be at least 1 when given")
         if self.rate_resolution < 1:
             raise ConfigurationError("rate_resolution must be at least 1")
-        if self.dtype not in ("float64", "float32"):
-            raise ConfigurationError(
-                f"dtype must be 'float64' or 'float32', got {self.dtype!r}"
-            )
         if self.noise not in ("per-group", "pooled"):
             raise ConfigurationError(
                 f"noise must be 'per-group' or 'pooled', got {self.noise!r}"
@@ -453,7 +443,6 @@ class FleetSimulator:
         self.backend: ExecutionBackend = get_backend(
             self.config.backend,
             n_workers=self.config.n_workers,
-            dtype=self.config.dtype,
             noise=self.config.noise,
         )
         self._clock_s = 0.0

@@ -80,7 +80,7 @@ class ColdStartModel:
         """``(mu, sigma)`` of the unit-mean log-normal cold-start noise.
 
         Single source of the parameterization, so callers that hoist the
-        parameters out of per-group loops (the compiled execution backend)
+        parameters out of per-group loops (the grouped execution kernel)
         draw bit-identically to :meth:`noise_factors`.
         """
         sigma = float(np.sqrt(np.log(1.0 + self.noise_cv**2)))

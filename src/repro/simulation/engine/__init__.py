@@ -14,15 +14,13 @@ from repro.simulation.engine.base import (
     get_backend,
     register_backend,
 )
-from repro.simulation.engine.compiled import CompiledBackend
-from repro.simulation.engine.grouped import GroupedBatch, GroupRequest, run_grouped
+from repro.simulation.engine.grouped import GroupedBatch, GroupRequest
 from repro.simulation.engine.parallel import ParallelBackend
 from repro.simulation.engine.serial import SerialBackend
 from repro.simulation.engine.vectorized import VectorizedBackend
 
 __all__ = [
     "BatchResult",
-    "CompiledBackend",
     "ExecutionBackend",
     "GroupRequest",
     "GroupedBatch",
@@ -32,5 +30,4 @@ __all__ = [
     "available_backends",
     "get_backend",
     "register_backend",
-    "run_grouped",
 ]

@@ -9,14 +9,13 @@ infeasible, so the platform delegates batch execution to a pluggable
 - :class:`~repro.simulation.engine.serial.SerialBackend` — the original scalar
   path, kept as the reference implementation for white-box parity tests;
 - :class:`~repro.simulation.engine.vectorized.VectorizedBackend` — computes a
-  whole arrival batch in numpy, one noise draw batch per (function, size);
+  whole arrival batch in numpy, one noise draw batch per (function, size),
+  and owns the grouped kernel (cross-group instance walk, gather-based
+  metric evaluation, optional pooled noise) that every in-process grouped
+  batch runs through;
 - :class:`~repro.simulation.engine.parallel.ParallelBackend` — fans whole
   functions out over ``concurrent.futures`` workers, each running the
-  vectorized backend;
-- :class:`~repro.simulation.engine.compiled.CompiledBackend` — kernelized
-  grouped execution: one cross-group instance walk, gather-based
-  temporary-free metric evaluation, optional ``float32`` compute and pooled
-  noise modes, and optional numba JIT leaves.
+  vectorized backend.
 
 Backends are selected by name (a declarative config concern: harness, dataset
 generator, fleet simulator and pipeline all expose a ``backend=`` knob)
@@ -214,40 +213,22 @@ class ExecutionBackend(abc.ABC):
     #: Registry name of the backend (used by the ``backend=`` config knobs).
     name: str = "abstract"
 
-    #: Whether the backend implements the ``dtype="float32"`` compute mode.
-    supports_float32: bool = False
-
     #: Whether the backend implements the ``noise="pooled"`` draw mode.
     supports_pooled_noise: bool = False
 
-    def __init__(
-        self,
-        n_workers: int | None = None,
-        dtype: str = "float64",
-        noise: str = "per-group",
-    ) -> None:
+    def __init__(self, n_workers: int | None = None, noise: str = "per-group") -> None:
         if n_workers is not None and n_workers < 1:
             raise ConfigurationError("n_workers must be at least 1 when given")
-        if dtype not in ("float64", "float32"):
-            raise ConfigurationError(
-                f"dtype must be 'float64' or 'float32', got {dtype!r}"
-            )
         if noise not in ("per-group", "pooled"):
             raise ConfigurationError(
                 f"noise must be 'per-group' or 'pooled', got {noise!r}"
             )
-        if dtype == "float32" and not type(self).supports_float32:
-            raise ConfigurationError(
-                f"backend {type(self).name!r} does not support dtype='float32'"
-                " (use backend='compiled')"
-            )
         if noise == "pooled" and not type(self).supports_pooled_noise:
             raise ConfigurationError(
                 f"backend {type(self).name!r} does not support noise='pooled'"
-                " (use backend='compiled')"
+                " (use backend='vectorized')"
             )
         self.n_workers = n_workers
-        self.dtype = dtype
         self.noise = noise
 
     @abc.abstractmethod
@@ -269,11 +250,12 @@ class ExecutionBackend(abc.ABC):
         """Execute many (function, size) groups into one grouped result.
 
         The default schedules one :meth:`run_batch` call per group — the
-        *looped* reference path — and concatenates the per-group columns into
-        a :class:`~repro.simulation.engine.grouped.GroupedBatch`.  The
-        vectorized backend overrides this with the fused single-pass
-        executor; both produce bit-identical numbers because every group
-        draws its noise from its own request stream.
+        *looped* reference path, and the parity oracle of the grouped
+        kernel — and concatenates the per-group columns into a
+        :class:`~repro.simulation.engine.grouped.GroupedBatch`.  The
+        vectorized backend overrides this with the grouped kernel; both
+        produce bit-identical numbers because every group draws its noise
+        from its own request stream.
         """
         from repro.monitoring.metrics import METRIC_NAMES
         from repro.simulation.engine.grouped import GroupedBatch
@@ -287,7 +269,7 @@ class ExecutionBackend(abc.ABC):
             # a multi-size group list (the harness measuring one function at
             # several sizes) holds requests whose deployment is no longer
             # the platform's current one, so redeploy it before the batch
-            # (redeploying also drops warm instances, like the fused path's
+            # (redeploying also drops warm instances, like the kernel's
             # fresh_pool reset does).
             if platform._functions.get(request.function_name) is not request.deployment:
                 platform.deploy(
@@ -357,7 +339,7 @@ class ExecutionBackend(abc.ABC):
 
         Numbers are bit-identical to one fused mega-batch over the full
         request list: every group draws from its own request stream, the
-        grouped executor's noise draws, parameter columns and timing passes
+        grouped kernel's noise draws, parameter columns and timing passes
         are per-group independent, and the segmented reductions
         (:func:`repro.monitoring.aggregation.grouped_stat_blocks`) reduce
         each group in isolation.  The parallel backend overrides this to fan
@@ -471,7 +453,6 @@ def available_backends() -> list[str]:
 def get_backend(
     backend: str | ExecutionBackend,
     n_workers: int | None = None,
-    dtype: str = "float64",
     noise: str = "per-group",
 ) -> ExecutionBackend:
     """Resolve a backend name (or pass an instance through).
@@ -480,19 +461,15 @@ def get_backend(
     ----------
     backend:
         Registered backend name (``"serial"``, ``"vectorized"``,
-        ``"parallel"``, ``"compiled"``) or an already-constructed backend
-        instance (returned as-is; the other arguments are then ignored).
+        ``"parallel"``) or an already-constructed backend instance (returned
+        as-is; the other arguments are then ignored).
     n_workers:
         Worker count forwarded to backends that parallelize (ignored by the
         single-threaded ones).
-    dtype:
-        Compute dtype of the grouped hot path, ``"float64"`` (default,
-        bit-exact parity) or ``"float32"`` (statistical parity, ~2× memory
-        bandwidth; compiled backend only).
     noise:
         Noise-draw mode, ``"per-group"`` (default: one independent stream
         per group, bit-exact across backends and scheduling orders) or
-        ``"pooled"`` (one window stream for all groups; compiled backend
+        ``"pooled"`` (one window stream for all groups; vectorized backend
         only, statistical parity).
     """
     if isinstance(backend, ExecutionBackend):
@@ -503,4 +480,4 @@ def get_backend(
         raise ConfigurationError(
             f"unknown execution backend {backend!r}; available: {available_backends()}"
         ) from None
-    return cls(n_workers=n_workers, dtype=dtype, noise=noise)
+    return cls(n_workers=n_workers, noise=noise)

@@ -1,30 +1,30 @@
-"""Fused cross-function execution: one columnar mega-batch for many groups.
+"""Grouped execution: request/result containers and the instance walks.
 
 The offline sweep measures every function at six memory sizes and the online
 fleet re-monitors hundreds of deployed functions every window — both are
 embarrassingly batchable, yet a per-(function, size) loop pays the full
-numpy dispatch overhead of a whole batch pipeline for every group.  This
-module fuses those loops: all invocations of many (function, size) *groups*
-are flattened into single columnar arrays carrying a group-id structure
-(``offsets``), executed in one vectorized pass, and reduced straight to
-per-group ``(n_groups, n_metrics, n_stats)`` stat blocks with segmented
-reductions (:func:`repro.monitoring.aggregation.grouped_stat_blocks`) — no
-per-group :class:`~repro.simulation.engine.base.BatchResult` objects on the
-hot path.
+numpy dispatch overhead of a whole batch pipeline for every group.  Grouped
+execution flattens all invocations of many (function, size) *groups* into
+single columnar arrays carrying a group-id structure (``offsets``), executes
+them in one pass and reduces them straight to per-group
+``(n_groups, n_metrics, n_stats)`` stat blocks with segmented reductions
+(:func:`repro.monitoring.aggregation.grouped_stat_blocks`) — no per-group
+:class:`~repro.simulation.engine.base.BatchResult` objects on the hot path.
 
-Determinism survives fusion because every group carries its own random
-stream (spawned via :mod:`repro.simulation.seeding`): the fused pass draws
-each group's noise from that stream in exactly the order the looped
-per-group path would, so fused and looped execution produce bit-identical
+This module holds the pieces every grouped executor shares: the
+:class:`GroupRequest` input and :class:`GroupedBatch` output containers, the
+per-group parameter column, and the exact warm/cold instance walks
+(:func:`walk_instances`, the hybrid :func:`walk_group` and the closed-form
+cold-chain solver).  The kernel itself is
+:meth:`repro.simulation.engine.vectorized.VectorizedBackend.run_grouped`.
+
+Determinism survives grouping because every group carries its own random
+stream (spawned via :mod:`repro.simulation.seeding`): the kernel draws each
+group's noise from that stream in exactly the order the looped per-group
+path would, so grouped and looped execution produce bit-identical
 per-invocation values and therefore bit-identical stats (enforced by the
-parity tests in ``tests/test_engine_grouped.py``).
-
-Only two parts of the pipeline remain per-group Python: the noise draws
-(independent streams cannot be fused into one draw call) and the warm/cold
-instance walk (inherently sequential per function).  Everything else — the
-resource-scaling arithmetic, all 25 Table-1 metric formulas, billing, and
-the stat reduction — runs once over the concatenated arrays with per-group
-parameters gathered through ``np.repeat``.
+parity tests in ``tests/test_engine_grouped.py`` and
+``tests/test_engine_compiled.py``).
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ class GroupRequest:
         Sorted non-negative arrival timestamps of the group (may be empty).
     rng:
         The group's private noise stream (see
-        :mod:`repro.simulation.seeding`); both the fused and the looped path
-        draw this group's noise from it, in the same order.
+        :mod:`repro.simulation.seeding`); both the grouped kernel and the
+        looped path draw this group's noise from it, in the same order.
     fresh_pool:
         Reset the function's warm-instance pool before walking this group's
         arrivals — set by callers whose groups each represent a fresh
@@ -382,7 +382,7 @@ def solve_cold_recurrence(
     ``abs_mask[0]`` must be true (run heads are always absolute).  Positions
     may span many concatenated groups at once: marking every group head
     absolute confines anchors and flip parity to their own group, which is
-    how the compiled backend resolves all groups' chains in one call.
+    how the grouped kernel resolves all groups' chains in one call.
 
     Returns the resolved boolean array (a new array; inputs are not
     modified).
@@ -407,46 +407,24 @@ def _worker_instance_cls():
     return _WORKER_INSTANCE_CLS
 
 
-#: Rows of a group parameter column: 4 timing bases (cpu, fs, network, cold
-#: init) followed by the 19 :class:`~repro.simulation.runtime
-#: .RuntimeBatchInputs` fields in declaration order.
-_N_PARAM_ROWS = 4 + 19
+def param_column(profile, memory_mb: float, model, cold_model) -> np.ndarray:
+    """Compute one group's scalar parameter column.
 
-#: Cache of group parameter columns keyed by (profile, models, memory size)
-#: identity; bounded so paper-scale sweeps cannot grow it without limit (a
-#: fleet needs one entry per deployed function, a harness sweep none of the
-#: reuse, so the cap is sized for fleets and kept small for memory bounds).
-_PARAM_CACHE: dict[tuple[int, int, int, float], tuple] = {}
-_PARAM_CACHE_MAX = 1024
-
-
-def _param_column(profile, memory_mb: float, model, cold_model) -> np.ndarray:
-    """Compute (or fetch) one group's scalar parameter column.
-
-    The column holds every profile/size-derived scalar the fused pass needs:
-    the noise-free timing bases (CPU, file system, network, cold-start init)
-    and the 19 metric-formula inputs of
+    The column holds every profile/size-derived scalar the grouped kernel
+    needs: 4 noise-free timing bases (CPU, file system, network, cold-start
+    init) followed by the 19 metric-formula inputs of
     :class:`~repro.simulation.runtime.RuntimeBatchInputs`, in field order.
     All values are pure functions of (profile, execution model, cold-start
-    model, memory size), so they are cached on object identity — a fleet
-    whose deployments are stable hits the cache every window.
+    model, memory size), so callers may cache them on object identity — a
+    fleet whose deployments are stable then hits the cache every window.
     """
-    key = (id(profile), id(model), id(cold_model), float(memory_mb))
-    entry = _PARAM_CACHE.get(key)
-    if (
-        entry is not None
-        and entry[0] is profile
-        and entry[1] is model
-        and entry[2] is cold_model
-    ):
-        return entry[3]
     scaling = model.scaling
     cpu_share = scaling.cpu_share(memory_mb)
     pressure = scaling.memory_pressure_factor(profile.memory_working_set_mb, memory_mb)
     calls = profile.service_calls
     service_bytes = sum((c.request_bytes + c.response_bytes) * c.calls for c in calls)
     network_bytes = profile.network_bytes_in + profile.network_bytes_out + service_bytes
-    column = np.array(
+    return np.array(
         [
             (profile.cpu_user_ms + profile.cpu_system_ms) / cpu_share * pressure,
             scaling.fs_transfer_ms(profile.total_fs_bytes, memory_mb),
@@ -473,10 +451,6 @@ def _param_column(profile, memory_mb: float, model, cold_model) -> np.ndarray:
             sum(c.request_bytes * c.calls for c in calls),
         ]
     )
-    if len(_PARAM_CACHE) >= _PARAM_CACHE_MAX:
-        _PARAM_CACHE.clear()
-    _PARAM_CACHE[key] = (profile, model, cold_model, column)
-    return column
 
 
 def _segment_sums_1d(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -549,16 +523,6 @@ class GroupedBatch:
     def n_groups(self) -> int:
         """Number of (function, size) groups in the batch."""
         return len(self.function_names)
-
-    @property
-    def dtype(self) -> np.dtype:
-        """Compute dtype of the execution columns and metric arrays.
-
-        ``float64`` for every backend except the compiled backend in its
-        ``dtype="float32"`` mode, where the timing/metric hot path runs in
-        single precision (pool bookkeeping stays ``float64`` either way).
-        """
-        return self.execution_time_ms.dtype
 
     @property
     def n_invocations(self) -> int:
@@ -637,8 +601,7 @@ def validate_group_timestamps(
     """One batched validation pass over all groups' concatenated arrivals.
 
     Checks that timestamps are non-negative and non-decreasing inside every
-    group (decreases across group boundaries are fine).  Shared by the fused
-    executor here and the compiled backend.
+    group (decreases across group boundaries are fine).
     """
     if not timestamps.shape[0]:
         return
@@ -655,160 +618,3 @@ def validate_group_timestamps(
             f"group {g} ({requests[g].function_name!r}): arrivals must be "
             "sorted and non-negative"
         )
-
-
-def run_grouped(
-    platform: "ServerlessPlatform", requests: list[GroupRequest]
-) -> GroupedBatch:
-    """Execute many (function, size) groups as one fused columnar pass.
-
-    For every request the group's noise is drawn from its private stream in
-    exactly the order the looped per-group path
-    (:meth:`~repro.simulation.engine.vectorized.VectorizedBackend.run_batch`
-    with the same ``rng``) would draw it; the timing model, the 25 Table-1
-    metric formulas and billing then run once over the concatenated columns
-    with per-group parameters gathered via ``np.repeat``.  The result is
-    bit-identical to executing each group as its own vectorized batch.
-
-    Parameters
-    ----------
-    platform:
-        The platform whose deployments, noise models and instance pools the
-        groups execute against.  Billing totals are updated per group;
-        instance pools are walked exactly like the per-batch path.
-    requests:
-        The groups to execute, in order (see :class:`GroupRequest`).
-
-    Returns
-    -------
-    GroupedBatch
-        The fused columnar result, ready for
-        :meth:`GroupedBatch.aggregate_stats`.
-    """
-    from repro.simulation.execution import _HANDLER_OVERHEAD_MS
-    from repro.simulation.runtime import RuntimeBatchInputs
-
-    if not requests:
-        raise SimulationError("run_grouped needs at least one group request")
-    model = platform.execution_model
-    variability = model.variability
-    cold_model = platform.cold_start_model
-    runtime = model.runtime
-
-    n_groups = len(requests)
-    sizes = np.empty(n_groups, dtype=np.int64)
-
-    # Per-group scalar parameters and noise packs (one Python pass; the noise
-    # draws cannot be fused because every group owns an independent stream).
-    # Parameter columns are cached per (profile, models, size) — a fleet hits
-    # the cache every window after the first.
-    columns = np.empty((_N_PARAM_ROWS, n_groups))
-    cpu_noise_parts: list[np.ndarray] = []
-    service_parts: list[np.ndarray] = []
-    tail_parts: list[np.ndarray] = []
-    jitter_parts: list[np.ndarray] = []
-    cold_noise_parts: list[np.ndarray | None] = []
-    services = model.services
-    counter_cv = variability.counter_noise_cv
-    draw_cold = cold_model.noise_cv > 0
-    draw_jitters = runtime.draw_jitters
-
-    for g, request in enumerate(requests):
-        arrivals = request.arrivals
-        n = arrivals.shape[0]
-        sizes[g] = n
-        profile = request.deployment.profile
-        columns[:, g] = _param_column(profile, request.memory_mb, model, cold_model)
-
-        # The group's noise pack, in the exact draw order of the looped path:
-        # cpu factors, service latencies, tail factors, counter jitters, then
-        # cold-start factors.
-        rng = request.rng
-        cpu_noise_parts.append(variability.cpu_factors(rng, n))
-        service_parts.append(
-            services.sample_latency_batch_ms(profile.service_calls, rng, n)
-        )
-        tail_parts.append(variability.tail_factors(rng, n))
-        jitter_parts.append(draw_jitters(rng, n, counter_cv))
-        cold_noise_parts.append(cold_model.noise_factors(rng, n) if draw_cold else None)
-
-    offsets = np.zeros(n_groups + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    n_total = int(offsets[-1])
-
-    timestamps = np.concatenate([r.arrivals for r in requests])
-    validate_group_timestamps(timestamps, offsets, requests)
-    cpu_noise = np.concatenate(cpu_noise_parts)
-    service_ms = np.concatenate(service_parts)
-    tail = np.concatenate(tail_parts)
-    jitters = np.hstack(jitter_parts)
-
-    # One fused timing pass: identical op order to execute_batch per element.
-    expanded = np.repeat(columns, sizes, axis=1)
-    cpu_ms = expanded[0] * cpu_noise
-    fs_ms = expanded[1] * cpu_noise
-    network_ms = expanded[2] * cpu_noise
-    total_factor = tail * variability.drift_factors(timestamps)
-    cpu_ms = cpu_ms * total_factor
-    fs_ms = fs_ms * total_factor
-    network_ms = network_ms * total_factor
-    service_ms = service_ms * total_factor
-    execution_time_ms = cpu_ms + fs_ms + network_ms + service_ms + _HANDLER_OVERHEAD_MS
-
-    inputs = RuntimeBatchInputs(*expanded[4:])
-    metrics = runtime.metrics_batch_inputs(
-        inputs,
-        cpu_ms=cpu_ms,
-        fs_ms=fs_ms,
-        network_ms=network_ms,
-        service_ms=service_ms,
-        total_ms=execution_time_ms,
-        jitters=jitters,
-    )
-
-    # Sequential warm/cold walk per group (pool state is per function).
-    cold_start = np.zeros(n_total, dtype=bool)
-    init_ms = np.zeros(n_total)
-    instance_ids = np.zeros(n_total, dtype=np.int64)
-    for g, request in enumerate(requests):
-        a, b = int(offsets[g]), int(offsets[g + 1])
-        if request.fresh_pool:
-            platform._instances[request.function_name] = []
-        if a == b:
-            continue
-        cold_g, init_g, ids_g = walk_group(
-            platform,
-            request.function_name,
-            request.memory_mb,
-            request.arrivals,
-            execution_time_ms[a:b],
-            float(columns[3, g]),
-            cold_noise_parts[g],
-        )
-        cold_start[a:b] = cold_g
-        init_ms[a:b] = init_g
-        instance_ids[a:b] = ids_g
-        request.deployment.invocation_count += b - a
-
-    billed_ms = platform.pricing_model.billed_duration_batch_ms(execution_time_ms)
-    cost_usd = platform.pricing_model.execution_cost_batch(
-        execution_time_ms, expanded[4]
-    )
-
-    batch = GroupedBatch(
-        function_names=tuple(r.function_name for r in requests),
-        memory_mb=columns[4].copy(),
-        offsets=offsets,
-        timestamps_s=timestamps,
-        execution_time_ms=execution_time_ms,
-        init_duration_ms=init_ms,
-        cold_start=cold_start,
-        instance_ids=instance_ids,
-        cost_usd=cost_usd,
-        billed_duration_ms=billed_ms,
-        metrics=metrics,
-    )
-    for g, (name, cost) in enumerate(zip(batch.function_names, batch.cost_per_group())):
-        if sizes[g]:
-            platform._note_cost(name, float(cost))
-    return batch

@@ -7,9 +7,10 @@ operates one level up, where a harness measures many functions:
   functions (all memory sizes) out over ``concurrent.futures`` worker
   processes;
 - the fused columnar path (:meth:`ParallelBackend.measure_stat_chunks`) fans
-  *group chunks* out: every worker executes one fused cross-function
-  mega-batch (:mod:`repro.simulation.engine.grouped`) for its slice of
-  functions and ships back only the dense stat blocks.
+  *group chunks* out: every worker executes one cross-function mega-batch
+  through the grouped kernel
+  (:meth:`~repro.simulation.engine.vectorized.VectorizedBackend.run_grouped`)
+  for its slice of functions and ships back only the dense stat blocks.
 
 Every (function, size) group draws its noise from a stream spawned from the
 parent's seeds and the function's *absolute* index
@@ -27,7 +28,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 from repro.simulation.engine.base import ExecutionBackend, register_backend
-from repro.simulation.engine.grouped import GroupRequest, run_grouped
+from repro.simulation.engine.grouped import GroupRequest
 from repro.simulation.engine.vectorized import VectorizedBackend
 
 
@@ -87,7 +88,7 @@ def _run_shard_task(payload):
     The shard ships the parent's platform models plus, per group, the
     deployment coordinates, the window arrivals, the group's private noise
     stream and the function's warm-instance pool.  The worker rebuilds a
-    platform around exactly that state, runs the fused grouped executor and
+    platform around exactly that state, runs the grouped kernel and
     returns dense per-group reductions plus the evolved pools, so the parent
     can keep warm-state continuity across windows.
     """
@@ -114,7 +115,7 @@ def _run_shard_task(payload):
         platform.deploy(name, profile, memory_mb, at_time_s=deployed_at_s)
         platform._instances[name] = pool
         requests.append(GroupRequest.for_deployed(platform, name, arrivals, rng))
-    batch = run_grouped(platform, requests)
+    batch = VectorizedBackend().run_grouped(platform, requests)
     stats, counts = batch.aggregate_stats(
         warmup_s=0.0, exclude_cold_starts=exclude_cold_starts
     )
@@ -155,20 +156,15 @@ class ParallelBackend(ExecutionBackend):
 
     name = "parallel"
 
-    def __init__(
-        self,
-        n_workers: int | None = None,
-        dtype: str = "float64",
-        noise: str = "per-group",
-    ) -> None:
+    def __init__(self, n_workers: int | None = None, noise: str = "per-group") -> None:
         """Create the backend with an optional worker count (None = CPUs).
 
-        ``dtype``/``noise`` are validated by the base class: the parallel
-        backend only runs the bit-exact float64/per-group configuration (its
-        workers must reproduce the sequential schedule's numbers exactly),
-        so anything else raises.
+        ``noise`` is validated by the base class: the parallel backend only
+        runs the bit-exact per-group configuration (its workers must
+        reproduce the sequential schedule's numbers exactly), so
+        ``"pooled"`` raises.
         """
-        super().__init__(n_workers, dtype=dtype, noise=noise)
+        super().__init__(n_workers, noise=noise)
         self._vectorized = VectorizedBackend()
 
     def run_batch(self, platform, function_name, arrivals, rng=None):
@@ -176,8 +172,8 @@ class ParallelBackend(ExecutionBackend):
         return self._vectorized.run_batch(platform, function_name, arrivals, rng=rng)
 
     def run_grouped(self, platform, requests):
-        """A single mega-batch shares one platform; run it fused in-process."""
-        return run_grouped(platform, requests)
+        """A single mega-batch shares one platform; run the kernel in-process."""
+        return self._vectorized.run_grouped(platform, requests)
 
     def _max_workers(self, n_tasks: int) -> int:
         return self.n_workers or min(n_tasks, os.cpu_count() or 1)

@@ -358,23 +358,24 @@ class ServerlessPlatform:
             raise SimulationError("at_time_s must be non-negative")
         return resolved.run_batch(self, name, arrivals, rng=rng)
 
-    def invoke_grouped(self, requests):
-        """Execute many (function, size) groups as one fused columnar pass.
-
-        Thin convenience wrapper around the fused executor
-        (:func:`repro.simulation.engine.grouped.run_grouped`); see there for
-        semantics.  Returns a
-        :class:`~repro.simulation.engine.grouped.GroupedBatch`.
-        """
-        from repro.simulation.engine.grouped import run_grouped
-
-        return run_grouped(self, requests)
-
     # ---------------------------------------------------------------- billing
     def _note_cost(self, name: str, cost_usd: float) -> None:
         """Add an amount to the per-function and global billing totals."""
         self._cost_by_function[name] = self._cost_by_function.get(name, 0.0) + cost_usd
         self._cost_total += cost_usd
+
+    def book_costs(self, names: list[str], costs_usd: list[float]) -> None:
+        """Add one amount per function to the billing totals, in order.
+
+        The batch form of one :meth:`_note_cost` call per pair: the same
+        float additions in the same order, without a method call each.
+        """
+        by_function = self._cost_by_function
+        total = self._cost_total
+        for name, cost_usd in zip(names, costs_usd):
+            by_function[name] = by_function.get(name, 0.0) + cost_usd
+            total += cost_usd
+        self._cost_total = total
 
     def total_cost_usd(self, name: str | None = None) -> float:
         """Total billed cost, optionally restricted to one function.

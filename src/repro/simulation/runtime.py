@@ -299,9 +299,7 @@ class NodeRuntimeModel:
 
         One row per jittered metric formula, clipped at 0.5 exactly like the
         scalar path's per-invocation draws.  With ``counter_noise <= 0`` the
-        generator is not consumed and unit factors are returned.  Exposed so
-        the fused grouped executor can pre-draw each group's jitters from its
-        own stream in the same order the per-batch path would.
+        generator is not consumed and unit factors are returned.
         """
         if counter_noise > 0:
             return np.maximum(rng.normal(1.0, counter_noise, size=(13, n)), 0.5)
@@ -492,7 +490,7 @@ class NodeRuntimeModel:
         """Temporary-free grouped evaluation of the Table-1 metric formulas.
 
         The gather-based counterpart of :meth:`metrics_batch_inputs` used by
-        the compiled execution backend: ``inputs`` holds one value per
+        the grouped execution kernel: ``inputs`` holds one value per
         *group* (``(n_groups,)`` arrays) and ``group_ids`` maps each of the
         ``n`` invocations to its group, so the expensive
         ``np.repeat(columns, sizes)`` expansion never materializes.  Every

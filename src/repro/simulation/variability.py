@@ -63,7 +63,7 @@ class VariabilityModel:
 
         This is the single source of the parameterization used by every noise
         factory here; callers that hoist the parameters out of per-group loops
-        (the compiled execution backend) must use this helper so their raw
+        (the grouped execution kernel) must use this helper so their raw
         ``rng.lognormal(mu, sigma, n)`` draws stay bit-identical to
         :meth:`cpu_factors`.
         """

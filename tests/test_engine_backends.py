@@ -98,9 +98,7 @@ def _arrivals(n: int, duration_s: float = 300.0, seed: int = 7) -> np.ndarray:
 
 class TestRegistry:
     def test_available_backends(self):
-        assert {"serial", "vectorized", "parallel", "compiled"} <= set(
-            available_backends()
-        )
+        assert {"serial", "vectorized", "parallel"} <= set(available_backends())
 
     def test_get_backend_by_name(self):
         assert isinstance(get_backend("serial"), SerialBackend)

@@ -1,23 +1,24 @@
-"""Parity, mode and fallback tests for the compiled (kernelized) backend.
+"""Parity, pooled-noise and registry tests for the grouped execution kernel.
 
-The compiled backend's contract has three tiers:
+The kernel grew up as a separate ``compiled`` backend and is now the body of
+:meth:`~repro.simulation.engine.vectorized.VectorizedBackend.run_grouped`.
+Its contract has two tiers:
 
-- **Bit-exact** in the default ``float64`` / ``per-group`` configuration:
-  every stat, cold-start flag, instance id and the platform pool state must
-  match the vectorized backend (and therefore the serial reference) bit for
-  bit, across warm-pool carryover, resizes, duplicate-name batches, fresh
-  pools and overlapping (unsafe) arrivals.
-- **Statistical** in the opt-in ``dtype="float32"`` and ``noise="pooled"``
-  modes: fleet-level aggregates stay within tight tolerance of the default
-  configuration while arrival streams are untouched.
-- **Graceful** around the optional numba dependency: present, broken or
-  absent numba must all yield the same results, never an import error.
+- **Bit-exact** in the default ``per-group`` noise mode: every stat,
+  cold-start flag, instance id and the platform pool state must match the
+  looped per-group oracle — the base
+  :meth:`~repro.simulation.engine.base.ExecutionBackend.run_grouped` over
+  :meth:`~repro.simulation.engine.vectorized.VectorizedBackend.run_batch`,
+  which ``FleetConfig(fused=False)`` schedules — across warm-pool carryover,
+  resizes, duplicate-name batches, fresh pools and overlapping (unsafe)
+  arrivals.
+- **Statistical** in the opt-in ``noise="pooled"`` mode: fleet-level
+  aggregates stay within tight tolerance of the default configuration while
+  arrival streams are untouched.
 """
 
 from __future__ import annotations
 
-import sys
-import types
 from dataclasses import replace
 
 import numpy as np
@@ -27,12 +28,11 @@ from repro.errors import ConfigurationError
 from repro.fleet import FleetConfig, FleetSimulator
 from repro.simulation.coldstart import ColdStartModel
 from repro.simulation.engine import (
-    CompiledBackend,
+    ExecutionBackend,
     GroupRequest,
     available_backends,
     get_backend,
 )
-from repro.simulation.engine import compiled as compiled_mod
 from repro.simulation.engine import grouped as grouped_mod
 from repro.simulation.execution import ExecutionModel
 from repro.simulation.platform import PlatformConfig, ServerlessPlatform
@@ -46,6 +46,23 @@ from repro.workloads.traffic import (
     RampTraffic,
     TraceTraffic,
 )
+
+
+def run_looped(platform, requests):
+    """The looped per-group oracle: one ``run_batch`` per group."""
+    return ExecutionBackend.run_grouped(get_backend("vectorized"), platform, requests)
+
+
+def pool_state(platform, names):
+    """Every pool's instances as comparable tuples, plus the id counter."""
+    pools = {
+        name: [
+            (i.instance_id, i.created_at_s, i.busy_until_s, i.last_used_s, i.invocations)
+            for i in platform._instances.get(name, [])
+        ]
+        for name in names
+    }
+    return pools, platform._next_instance_id
 
 
 def _functions(n, seed=11, prefix="cmp"):
@@ -84,31 +101,48 @@ TRAFFIC_FACTORIES = {
 
 
 class TestFleetWindowParity:
-    """Compiled fleet windows are bit-identical to vectorized, per traffic model."""
+    """Kernel fleet windows equal the looped vectorized path, per traffic model.
+
+    ``compiled`` names the kernel here (its former backend name), and
+    ``vectorized`` the looped per-function ``run_batch`` schedule of
+    ``FleetConfig(fused=False)``; beyond the windows, billing, invocation
+    counters and the warm pools must end in the same state.
+    """
 
     @pytest.mark.parametrize("model_name", sorted(TRAFFIC_FACTORIES))
     def test_compiled_equals_vectorized(self, model_name):
         factory = TRAFFIC_FACTORIES[model_name]
         functions = _functions(12, seed=31, prefix=f"cfleet-{model_name}")
         traffic = [factory(i) for i in range(len(functions))]
+        names = [f.name for f in functions]
 
-        def run(backend):
+        def run(fused):
             simulator = FleetSimulator(
                 functions,
                 traffic,
-                FleetConfig(window_s=3600.0, seed=17, fused=True, backend=backend),
+                FleetConfig(window_s=3600.0, seed=17, fused=fused, backend="vectorized"),
             )
             windows = [simulator.run_window() for _ in range(2)]
             simulator.resize(0, 1024)  # warm pools drop for fn 0 only
             windows.append(simulator.run_window())
-            return windows
+            return windows, simulator.platform
 
-        for compiled_window, vectorized_window in zip(run("compiled"), run("vectorized")):
-            assert_windows_equal(compiled_window, vectorized_window)
+        (kernel_windows, kp), (looped_windows, lp) = run(True), run(False)
+        for kernel_window, looped_window in zip(kernel_windows, looped_windows):
+            assert_windows_equal(kernel_window, looped_window)
+        assert pool_state(kp, names) == pool_state(lp, names)
+        for name in names:
+            assert (
+                kp.get_function(name).invocation_count
+                == lp.get_function(name).invocation_count
+            )
+            assert kp.total_cost_usd(name) == pytest.approx(
+                lp.total_cost_usd(name), rel=1e-12
+            )
 
 
 class TestGroupedEdgeParity:
-    """Direct run_grouped parity on the walk kernel's fallback-triggering shapes."""
+    """Kernel vs looped ``run_grouped`` on the walk's fallback-triggering shapes."""
 
     def _build_requests(self, platform, funcs, seed=23):
         reqs = [
@@ -149,15 +183,24 @@ class TestGroupedEdgeParity:
                 child_rng(seed, STREAM_EXECUTION, 0, 5),
             ),
         ]
+        # one function at two sizes with fresh pools (the harness shape):
+        # each request keeps the deployment captured when it was built
+        for j, size in enumerate((128, 1024)):
+            platform.deploy(funcs[5].name, funcs[5].profile, size)
+            reqs.append(
+                GroupRequest.for_deployed(
+                    platform, funcs[5].name, 500.0 * np.arange(4) + j,
+                    child_rng(seed, STREAM_EXECUTION, 0, 6 + j), fresh_pool=True,
+                )
+            )
         return reqs
 
-    def _run(self, backend_name):
+    def _run(self, execute):
         funcs = _functions(6, seed=7, prefix="edge")
         platform = ServerlessPlatform(PlatformConfig(seed=23))
         for f in funcs:
             platform.deploy(f.name, f.profile, 512)
-        backend = get_backend(backend_name)
-        first = backend.run_grouped(platform, self._build_requests(platform, funcs))
+        first = execute(platform, self._build_requests(platform, funcs))
         # second window: warm pools carried over, same names again
         shifted = [
             GroupRequest.for_deployed(
@@ -166,12 +209,12 @@ class TestGroupedEdgeParity:
             )
             for i, r in enumerate(self._build_requests(platform, funcs))
         ]
-        second = backend.run_grouped(platform, shifted)
+        second = execute(platform, shifted)
         return platform, funcs, first, second
 
     def test_batches_and_pool_state_bit_identical(self):
-        pa, funcs, a1, a2 = self._run("vectorized")
-        pb, _, b1, b2 = self._run("compiled")
+        pa, funcs, a1, a2 = self._run(run_looped)
+        pb, _, b1, b2 = self._run(get_backend("vectorized").run_grouped)
         for a, b in ((a1, b1), (a2, b2)):
             (blk_a, cnt_a), (blk_b, cnt_b) = a.aggregate_stats(), b.aggregate_stats()
             np.testing.assert_array_equal(blk_a, blk_b)
@@ -180,36 +223,13 @@ class TestGroupedEdgeParity:
             np.testing.assert_array_equal(a.instance_ids, b.instance_ids)
             np.testing.assert_array_equal(a.init_duration_ms, b.init_duration_ms)
             np.testing.assert_allclose(a.cost_usd, b.cost_usd, rtol=1e-12)
-        assert pa._next_instance_id == pb._next_instance_id
-        for f in funcs:
-            pool_a = [
-                (i.instance_id, i.created_at_s, i.busy_until_s, i.last_used_s, i.invocations)
-                for i in pa._instances[f.name]
-            ]
-            pool_b = [
-                (i.instance_id, i.created_at_s, i.busy_until_s, i.last_used_s, i.invocations)
-                for i in pb._instances[f.name]
-            ]
-            assert pool_a == pool_b
+        names = [f.name for f in funcs]
+        assert pool_state(pa, names) == pool_state(pb, names)
+        for name in names:
             assert (
-                pa._functions[f.name].invocation_count
-                == pb._functions[f.name].invocation_count
+                pa._functions[name].invocation_count
+                == pb._functions[name].invocation_count
             )
-
-    def test_grouped_batch_dtype_property(self):
-        funcs = _functions(2, seed=8, prefix="dt")
-        platform = ServerlessPlatform(PlatformConfig(seed=5))
-        for f in funcs:
-            platform.deploy(f.name, f.profile, 512)
-        reqs = [
-            GroupRequest.for_deployed(
-                platform, f.name, np.array([10.0 * i]),
-                child_rng(5, STREAM_EXECUTION, 0, i),
-            )
-            for i, f in enumerate(funcs)
-        ]
-        batch = get_backend("compiled").run_grouped(platform, reqs)
-        assert batch.dtype == np.float64
 
 
 class TestDisagreementPath:
@@ -220,7 +240,8 @@ class TestDisagreementPath:
     pair's right arrival then depends on the left arrival's own (recursive)
     state.  With noise disabled the execution/init durations are exact, so
     the geometry below provably produces such pairs, and the resolved chains
-    must agree bit for bit across serial, vectorized and compiled backends.
+    must agree bit for bit across the serial path, the looped vectorized
+    oracle, the grouped kernel's flat walk and its ``walk_group`` fallback.
     """
 
     def _platform(self, seed=0):
@@ -271,28 +292,38 @@ class TestDisagreementPath:
         gap = exec_s + 1.0 + 0.5
         arrivals = np.cumsum(np.full(12, gap))
 
-        def run(backend):
+        def run(execute):
             platform = self._platform()
             platform.deploy("dis-fn", profile, 512)
             request = GroupRequest.for_deployed(
                 platform, "dis-fn", arrivals, child_rng(0, STREAM_EXECUTION, 0, 0)
             )
-            return get_backend(backend).run_grouped(platform, [request])
+            return execute(platform, [request])
 
-        serial = run("serial")
-        vectorized = run("vectorized")
-        compiled = run("compiled")
+        serial = run(get_backend("serial").run_grouped)
+        looped = run(run_looped)
+        kernel = run(get_backend("vectorized").run_grouped)
         # the disagreement branch must actually fire: runs re-warm behind
         # cold starts, so the chain is neither all-cold nor all-warm
         np.testing.assert_array_equal(
             serial.cold_start, np.arange(12) % 2 == 0
         )
-        for other in (vectorized, compiled):
+        for other in (looped, kernel):
             np.testing.assert_array_equal(serial.cold_start, other.cold_start)
             np.testing.assert_array_equal(serial.instance_ids, other.instance_ids)
             np.testing.assert_array_equal(
                 serial.init_duration_ms, other.init_duration_ms
             )
+        # the per-group fallback walk resolves the same chain on its own
+        platform = self._platform()
+        platform.deploy("dis-fn", profile, 512)
+        cold, init, ids = grouped_mod.walk_group(
+            platform, "dis-fn", 512.0, arrivals, serial.execution_time_ms,
+            float(serial.init_duration_ms[0]), None,
+        )
+        np.testing.assert_array_equal(serial.cold_start, cold)
+        np.testing.assert_array_equal(serial.instance_ids, ids)
+        np.testing.assert_array_equal(serial.init_duration_ms, init)
 
     def test_solve_cold_recurrence_matches_scalar_loop(self):
         rng = np.random.default_rng(5)
@@ -313,48 +344,6 @@ class TestDisagreementPath:
             )
 
 
-class TestFloat32Mode:
-    """Opt-in single-precision compute: statistical parity, dtype plumbing."""
-
-    def _windows(self, **knobs):
-        functions = _functions(16, seed=5, prefix="f32")
-        traffic = [
-            DiurnalTraffic(mean_rate_rps=0.02, amplitude=0.5, phase_s=500.0 * i)
-            for i in range(len(functions))
-        ]
-        simulator = FleetSimulator(
-            functions,
-            traffic,
-            FleetConfig(window_s=3600.0, seed=13, fused=True, **knobs),
-        )
-        return [simulator.run_window() for _ in range(3)]
-
-    def test_float32_statistical_parity(self):
-        base = self._windows(backend="compiled")
-        f32 = self._windows(backend="compiled", dtype="float32")
-        for wa, wb in zip(base, f32):
-            np.testing.assert_array_equal(wa.n_arrivals, wb.n_arrivals)
-            a = np.asarray(wa.stats, dtype=np.float64)
-            b = np.asarray(wb.stats, dtype=np.float64)
-            mask = np.abs(a) > 1e-9
-            rel = np.abs(a[mask] - b[mask]) / np.abs(a[mask])
-            # single-precision arithmetic: per-cell agreement at ~1e-6
-            assert float(np.quantile(rel, 0.99)) < 1e-4
-
-    def test_float32_requires_compiled(self):
-        with pytest.raises(ConfigurationError, match="float32"):
-            get_backend("vectorized", dtype="float32")
-        with pytest.raises(ConfigurationError, match="float32"):
-            get_backend("serial", dtype="float32")
-        assert get_backend("compiled", dtype="float32").dtype == "float32"
-
-    def test_invalid_dtype_rejected(self):
-        with pytest.raises(ConfigurationError, match="dtype"):
-            get_backend("compiled", dtype="float16")
-        with pytest.raises(ConfigurationError, match="dtype"):
-            FleetConfig(window_s=3600.0, dtype="float16")
-
-
 class TestPooledNoise:
     """Opt-in pooled noise stream: statistical parity, config coupling."""
 
@@ -372,8 +361,8 @@ class TestPooledNoise:
         return [simulator.run_window() for _ in range(3)]
 
     def test_pooled_statistical_parity(self):
-        base = self._windows(backend="compiled")
-        pooled = self._windows(backend="compiled", noise="pooled")
+        base = self._windows(backend="vectorized")
+        pooled = self._windows(backend="vectorized", noise="pooled")
         for wa, wb in zip(base, pooled):
             # arrivals are drawn from the traffic streams, not the noise
             # streams: pooling must leave them untouched
@@ -383,120 +372,48 @@ class TestPooledNoise:
         assert abs(a - b) / abs(a) < 0.05
 
     def test_default_stays_bit_exact_per_group(self):
-        # the pooled mode is opt-in: a default-config compiled simulator
-        # must still match vectorized bit for bit (regression guard for the
+        # the pooled mode is opt-in: a default-config kernel simulator must
+        # still match the looped path bit for bit (regression guard for the
         # draw-order contract)
         functions = _functions(6, seed=9, prefix="defg")
         traffic = [ConstantTraffic(rate_rps=0.01)] * len(functions)
         runs = {}
-        for backend in ("vectorized", "compiled"):
+        for fused in (True, False):
             simulator = FleetSimulator(
                 functions,
                 traffic,
-                FleetConfig(window_s=3600.0, seed=21, fused=True, backend=backend),
+                FleetConfig(window_s=3600.0, seed=21, fused=fused),
             )
-            runs[backend] = [simulator.run_window() for _ in range(2)]
-        for a, b in zip(runs["vectorized"], runs["compiled"]):
+            runs[fused] = [simulator.run_window() for _ in range(2)]
+        for a, b in zip(runs[True], runs[False]):
             assert_windows_equal(a, b)
 
-    def test_pooled_requires_compiled_and_fused(self):
-        with pytest.raises(ConfigurationError, match="pooled"):
-            get_backend("vectorized", noise="pooled")
+    def test_pooled_requires_vectorized_and_fused(self):
+        assert get_backend("vectorized", noise="pooled").noise == "pooled"
+        for backend in ("serial", "parallel"):
+            with pytest.raises(ConfigurationError, match="pooled"):
+                get_backend(backend, noise="pooled")
         with pytest.raises(ConfigurationError, match="fused"):
-            FleetConfig(window_s=3600.0, noise="pooled", fused=False, backend="compiled")
+            FleetConfig(window_s=3600.0, noise="pooled", fused=False)
         with pytest.raises(ConfigurationError, match="window_shard_size"):
-            FleetConfig(
-                window_s=3600.0, noise="pooled", backend="compiled",
-                window_shard_size=8,
-            )
+            FleetConfig(window_s=3600.0, noise="pooled", window_shard_size=8)
         with pytest.raises(ConfigurationError, match="noise"):
-            get_backend("compiled", noise="per-request")
-
-
-class TestNumbaFallback:
-    """Present, broken or absent numba must never change results."""
-
-    @pytest.fixture(autouse=True)
-    def _reset(self):
-        had = sys.modules.pop("numba", None)
-        compiled_mod._reset_numba_kernels()
-        yield
-        if had is not None:
-            sys.modules["numba"] = had
-        else:
-            sys.modules.pop("numba", None)
-        compiled_mod._reset_numba_kernels()
-
-    def _windows(self):
-        functions = _functions(8, seed=3, prefix="nb")
-        traffic = [
-            BurstyTraffic(
-                base_rate_rps=0.004, burst_rate_rps=0.3,
-                burst_every_s=1800.0, burst_duration_s=120.0, burst_seed=i,
-            )
-            for i in range(len(functions))
-        ]
-        simulator = FleetSimulator(
-            functions,
-            traffic,
-            FleetConfig(window_s=3600.0, seed=9, fused=True, backend="compiled"),
-        )
-        return [simulator.run_window() for _ in range(2)]
-
-    def test_without_numba_pure_numpy(self):
-        backend = CompiledBackend()
-        assert not backend.uses_numba
-        assert backend.warmup() == 0.0
-
-    def test_with_monkeypatched_numba_same_results(self):
-        base = self._windows()
-        fake = types.ModuleType("numba")
-        fake.njit = lambda f=None, **kw: f if f is not None else (lambda g: g)
-        sys.modules["numba"] = fake
-        compiled_mod._reset_numba_kernels()
-        backend = CompiledBackend()
-        assert backend.uses_numba
-        assert backend.warmup() >= 0.0
-        for a, b in zip(base, self._windows()):
-            assert_windows_equal(a, b)
-
-    def test_broken_numba_degrades_gracefully(self):
-        class Broken(types.ModuleType):
-            def __getattr__(self, name):
-                raise ImportError("broken install")
-
-        sys.modules["numba"] = Broken("numba")
-        compiled_mod._reset_numba_kernels()
-        assert not CompiledBackend().uses_numba
+            get_backend("vectorized", noise="per-request")
 
 
 class TestRegistryErrorPaths:
-    """Satellite: registry error paths and name stability."""
+    """Registry error paths and name stability."""
 
     def test_unknown_backend_lists_available_names(self):
-        with pytest.raises(ConfigurationError, match="compiled"):
+        with pytest.raises(ConfigurationError, match="vectorized"):
             get_backend("gpu")
 
-    def test_compiled_registered_and_sorted(self):
+    def test_registry_sorted_without_compiled(self):
         names = available_backends()
-        assert "compiled" in names
+        # the kernel is the vectorized backend's run_grouped, not a backend
+        assert "compiled" not in names
+        with pytest.raises(ConfigurationError, match="unknown execution backend"):
+            get_backend("compiled")
         assert names == sorted(names)
         # stable across calls (no registration side effects)
         assert available_backends() == names
-
-    def test_compiled_resolves_with_and_without_numba(self):
-        had = sys.modules.pop("numba", None)
-        try:
-            compiled_mod._reset_numba_kernels()
-            assert isinstance(get_backend("compiled"), CompiledBackend)
-            fake = types.ModuleType("numba")
-            fake.njit = lambda f=None, **kw: f if f is not None else (lambda g: g)
-            sys.modules["numba"] = fake
-            compiled_mod._reset_numba_kernels()
-            assert isinstance(get_backend("compiled"), CompiledBackend)
-        finally:
-            if had is not None:
-                sys.modules["numba"] = had
-            else:
-                sys.modules.pop("numba", None)
-            compiled_mod._reset_numba_kernels()

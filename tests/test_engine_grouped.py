@@ -1,6 +1,6 @@
 """Parity and error-path tests for the fused cross-function execution path.
 
-The fused grouped executor (``repro.simulation.engine.grouped``) must be
+The grouped kernel (``VectorizedBackend.run_grouped``) must be
 bit-identical to the looped per-group schedule: every (function, size) or
 (function, window) group owns its own spawned random streams, both paths draw
 each group's noise in the same order, and both reduce through the same
@@ -28,7 +28,7 @@ from repro.monitoring.aggregation import (
 )
 from repro.monitoring.metrics import METRIC_NAMES
 from repro.simulation.coldstart import ColdStartModel
-from repro.simulation.engine import GroupedBatch, GroupRequest, get_backend, run_grouped
+from repro.simulation.engine import GroupedBatch, GroupRequest, get_backend
 from repro.simulation.platform import PlatformConfig, ServerlessPlatform
 from repro.simulation.seeding import (
     STREAM_ARRIVALS,
@@ -271,6 +271,7 @@ class TestGroupedBatchErrors:
 
     def test_run_grouped_rejects_empty_and_malformed(self, cpu_function):
         platform = ServerlessPlatform.noise_free(seed=0)
+        run_grouped = get_backend("vectorized").run_grouped
         with pytest.raises(SimulationError):
             run_grouped(platform, [])
         with pytest.raises(SimulationError):

@@ -9,10 +9,10 @@ throughput and peak-memory trajectory of the two hot paths:
   path (windows/s, invocations/s, tracemalloc peak bytes), plus the
   fleet-scale ``sparse`` section (sparse / cohort / sharded window variants
   vs the dense O(fleet) reference on a mostly-idle fleet), the ``compiled``
-  execution-backend section (compiled / pooled / float32 variants vs
-  vectorized on the sparse active groups, with numba JIT compile time
-  reported separately) and the ``fleet_scale`` endurance run (one million
-  functions through 24 virtual hours at ``--scale full``);
+  section (the grouped kernel with per-group and pooled noise vs the looped
+  per-group schedule on the sparse active groups) and the ``fleet_scale``
+  endurance run (one million functions through 24 virtual hours at
+  ``--scale full``);
 - **generation** — training-dataset generation per execution-backend variant
   (invocations/s, tracemalloc peak bytes).
 
@@ -194,27 +194,24 @@ def bench_fleet_sparse(bench) -> dict:
 
 
 def bench_fleet_compiled(bench) -> dict:
-    """Execution-backend variants on the sparse scenario's active groups.
+    """Grouped-kernel noise modes on the sparse scenario's active groups.
 
-    The timed region is the contested kernel work (``run_grouped`` + stat
-    reduction over pre-built requests), exactly the region
+    The timed region is the contested execution work (grouped execution +
+    stat reduction over pre-built requests), exactly the region
     ``test_bench_compiled_backend_speedup`` asserts, and timings are the
     best of repeated fresh runs (the benchmark's noise discipline); peak
-    bytes come from one separately traced run.  The compiled default must
-    agree bit for bit with vectorized (asserted); pooled noise and float32
-    are the explicitly statistical variants.  Numba availability and its
-    one-off JIT compile time are recorded separately so interpreter-only
-    environments stay comparable.
+    bytes come from one separately traced run.  ``looped`` is the per-group
+    reference schedule (one ``run_batch`` per group), ``per-group`` the
+    kernel with bit-exact per-group streams (must agree with ``looped`` bit
+    for bit, asserted) and ``pooled`` the kernel with the explicitly
+    statistical shared window stream.
     """
-    from repro.simulation.engine import get_backend
-
     functions, traffic = bench._sparse_scenario()
     window_arrivals = bench._sparse_active_arrivals(functions, traffic)
     variants = {
-        "vectorized": {},
-        "compiled": {"backend": "compiled"},
-        "compiled-pooled": {"backend": "compiled", "noise": "pooled"},
-        "compiled-float32": {"backend": "compiled", "dtype": "float32"},
+        "looped": {"looped": True},
+        "per-group": {},
+        "pooled": {"noise": "pooled"},
     }
     results = {}
     reference = None
@@ -226,13 +223,13 @@ def bench_fleet_compiled(bench) -> dict:
 
         (_, invocations, stats), wall_seconds, peak = _traced(run)
         seconds, _, _ = bench._best_of(3, run)
-        if label == "vectorized":
+        if label == "looped":
             reference = stats
-        elif label == "compiled" and not all(
+        elif label == "per-group" and not all(
             np.array_equal(ref_window, window)
             for ref_window, window in zip(reference, stats)
         ):
-            raise AssertionError("compiled default stats diverged from vectorized")
+            raise AssertionError("grouped kernel stats diverged from the looped path")
         results[label] = {
             "windows_per_second": round(bench.SPARSE_WINDOWS / seconds, 3),
             "seconds": round(seconds, 4),
@@ -240,15 +237,6 @@ def bench_fleet_compiled(bench) -> dict:
             "invocations": invocations,
             "peak_bytes": int(peak),
         }
-    from repro.simulation.engine.compiled import numba_unavailable_reason
-
-    warm_backend = get_backend("compiled")
-    numba = {
-        "available": warm_backend.uses_numba,
-        "compile_seconds": round(warm_backend.warmup(), 3),
-    }
-    if not numba["available"]:
-        numba["reason"] = numba_unavailable_reason()
     return {
         "config": {
             "n_functions": bench.SPARSE_FUNCTIONS,
@@ -257,14 +245,14 @@ def bench_fleet_compiled(bench) -> dict:
             "mean_rate_range_rps": list(bench.SPARSE_RATE_RANGE),
         },
         "results": results,
-        "numba": numba,
         "speedup": round(
-            results["vectorized"]["seconds"] / results["compiled"]["seconds"], 2
+            results["looped"]["seconds"] / results["per-group"]["seconds"], 2
         ),
         "pooled_speedup": round(
-            results["vectorized"]["seconds"]
-            / results["compiled-pooled"]["seconds"],
-            2,
+            results["looped"]["seconds"] / results["pooled"]["seconds"], 2
+        ),
+        "pooled_over_per_group": round(
+            results["per-group"]["seconds"] / results["pooled"]["seconds"], 2
         ),
     }
 
@@ -422,8 +410,8 @@ def main(argv=None) -> int:
             f"looped {report['results']['looped']['ops_per_second']:,.0f} inv/s "
             f"({report['speedup']}x); sparse {report['sparse']['speedup']}x over "
             f"dense at {report['sparse']['config']['n_functions']:,} functions; "
-            f"compiled {report['compiled']['speedup']}x / pooled "
-            f"{report['compiled']['pooled_speedup']}x over vectorized; "
+            f"kernel {report['compiled']['speedup']}x / pooled "
+            f"{report['compiled']['pooled_speedup']}x over looped; "
             f"fleet-scale {report['fleet_scale']['config']['n_functions']:,} "
             f"functions x {report['fleet_scale']['config']['n_windows']} windows "
             f"in {scale_row['seconds']:.1f} s "
