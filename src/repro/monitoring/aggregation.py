@@ -268,8 +268,13 @@ def grouped_stat_blocks(
     safe = np.abs(means_ne) > 1e-12
     cvs_ne = np.divide(stds_ne, means_ne, out=np.zeros_like(stds_ne), where=safe)
 
+    # One contiguous (groups, metrics, stats) copy; scattered into a zero
+    # block only when some groups are empty.
+    stats_ne = np.stack([means_ne.T, stds_ne.T, cvs_ne.T], axis=-1)
+    if stats_ne.shape[0] == n_groups:
+        return stats_ne, counts
     blocks = np.zeros((n_groups, len(METRIC_NAMES), len(STAT_NAMES)))
-    blocks[nonempty] = np.stack([means_ne, stds_ne, cvs_ne], axis=-1).transpose(1, 0, 2)
+    blocks[nonempty] = stats_ne
     return blocks, counts
 
 

@@ -91,8 +91,16 @@ class BatchResult:
 
     @property
     def total_cost_usd(self) -> float:
-        """Total billed cost of the batch."""
-        return float(np.sum(self.cost_usd))
+        """Total billed cost of the batch.
+
+        Summed with the segmented reduction of
+        :meth:`~repro.simulation.engine.grouped.GroupedBatch.cost_per_group`,
+        so a group billed alone and the same group billed inside a grouped
+        batch book exactly the same float.
+        """
+        if not self.cost_usd.shape[0]:
+            return 0.0
+        return float(np.add.reduceat(self.cost_usd, [0])[0])
 
     def aggregate(
         self, warmup_s: float = 0.0, exclude_cold_starts: bool = True

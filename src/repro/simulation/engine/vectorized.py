@@ -69,10 +69,76 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.simulation.platform import ServerlessPlatform
 
 
-#: Bound of the per-backend parameter-column cache keyed by (profile, memory
-#: size): a fleet needs one entry per distinct deployed shape, a harness
+#: Shapes the per-backend shape table holds before it is rebuilt: a fleet
+#: needs one row per distinct deployed (profile, memory size), a harness
 #: sweep reuses none, so the cap is sized for fleets and kept small.
-_PARAM_CACHE_MAX = 1024
+_SHAPE_TABLE_MAX = 1024
+
+#: Columns of a shape-table row after :func:`param_column`'s 23: the fixed
+#: (never drawn) service latency, the width of the drawn service-call row and
+#: that row's rank among the stacked rows of its width.
+_FIXED_MS, _WIDTH, _RANK = 23, 24, 25
+
+
+class _ShapeTable:
+    """Kernel inputs of every (profile, memory size) shape, kept across batches.
+
+    Each shape is one table row: its :func:`param_column` followed by its
+    service calls' fixed latency, draw width and rank.  The drawn calls'
+    mean and sigma rows are stacked per width, so a batch gathers all its
+    groups' inputs with one fancy index and post-processes the service draws
+    of each width together.  Rows are pure functions of the profile, the
+    memory size and the two models the table was built for.
+    """
+
+    def __init__(self, model, cold_model) -> None:
+        self.model = model
+        self.cold_model = cold_model
+        # (id(profile), memory size) -> (profile, table row, draw width)
+        self.entries: dict[tuple, tuple] = {}
+        self.n_rows = 0
+        self.table = np.empty((64, _RANK + 1))
+        self._services: dict[tuple, tuple[float, int, int]] = {}
+        self._rows_by_width: dict[int, tuple[list, list]] = {}
+        self._stacked: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def add(self, profile, memory_mb) -> tuple:
+        """Append the row of one shape and return its entry."""
+        calls = profile.service_calls
+        service = self._services.get(calls)
+        if service is None:
+            fixed, mean_row, sigma_row = self.model.services.batch_rows(calls)
+            if mean_row is None:
+                service = (fixed, 0, 0)
+            else:
+                width = mean_row.shape[0]
+                means, sigmas = self._rows_by_width.setdefault(width, ([], []))
+                service = (fixed, width, len(means))
+                means.append(mean_row)
+                sigmas.append(sigma_row)
+                self._stacked.pop(width, None)
+            self._services[calls] = service
+        row = self.n_rows
+        if row == self.table.shape[0]:
+            grown = np.empty((2 * row, self.table.shape[1]))
+            grown[:row] = self.table
+            self.table = grown
+        self.table[row, :_FIXED_MS] = param_column(
+            profile, float(memory_mb), self.model, self.cold_model
+        )
+        self.table[row, _FIXED_MS:] = service
+        self.n_rows = row + 1
+        entry = (profile, row, service[1])
+        self.entries[(id(profile), memory_mb)] = entry
+        return entry
+
+    def width_rows(self, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """The stacked ``(ranks, width)`` mean and sigma rows of one width."""
+        stacked = self._stacked.get(width)
+        if stacked is None:
+            means, sigmas = self._rows_by_width[width]
+            stacked = self._stacked[width] = (np.array(means), np.array(sigmas))
+        return stacked
 
 
 def _classify_pairs(t, exec_ms, init_worst, gid, keep_alive):
@@ -105,10 +171,7 @@ class VectorizedBackend(ExecutionBackend):
     def __init__(self, n_workers: int | None = None, noise: str = "per-group") -> None:
         super().__init__(n_workers=n_workers, noise=noise)
         self._scratch: dict[str, np.ndarray] = {}
-        # (id(profile), memory size) -> (profile, column), valid for the
-        # execution and cold-start models in ``_param_models``.
-        self._param_cache: dict[tuple, tuple] = {}
-        self._param_models: tuple = ()
+        self._shapes: _ShapeTable | None = None
 
     def run_batch(
         self,
@@ -181,6 +244,18 @@ class VectorizedBackend(ExecutionBackend):
             self._scratch[key] = buf
         return buf[:n]
 
+    def _shape_table(self, model, cold_model) -> _ShapeTable:
+        """The shape table for these models, rebuilt when they change or it fills."""
+        shapes = self._shapes
+        if (
+            shapes is None
+            or shapes.model is not model
+            or shapes.cold_model is not cold_model
+            or shapes.n_rows >= _SHAPE_TABLE_MAX
+        ):
+            shapes = self._shapes = _ShapeTable(model, cold_model)
+        return shapes
+
     def run_grouped(
         self, platform: "ServerlessPlatform", requests: list["GroupRequest"]
     ) -> GroupedBatch:
@@ -200,21 +275,12 @@ class VectorizedBackend(ExecutionBackend):
         variability = model.variability
         cold_model = platform.cold_start_model
         runtime = model.runtime
-        services = model.services
         pooled = self.noise == "pooled"
-
-        n_groups = len(requests)
-        sizes_l: list[int] = []
-        names_l: list[str] = []
-        cols_l: list[np.ndarray] = []
-        # Parameter columns are pure functions of (profile, models, memory
-        # size): cached on profile identity for the platform's current
-        # models, so a fleet hits the cache every window after the first.
-        param_cache = self._param_cache
-        models = self._param_models
-        if len(models) != 2 or models[0] is not model or models[1] is not cold_model:
-            param_cache.clear()
-            self._param_models = (model, cold_model)
+        # Group inputs are cached per (profile, memory size) shape, keyed on
+        # profile identity, so a fleet hits the table every window after the
+        # first and a batch gathers them with one fancy index.
+        shapes = self._shape_table(model, cold_model)
+        entries = shapes.entries
 
         # Hoisted noise-distribution parameters: the per-group loop below
         # only issues raw generator calls, in the exact stream order of the
@@ -227,89 +293,80 @@ class VectorizedBackend(ExecutionBackend):
         counter_cv = variability.counter_noise_cv
         draw_cold = cold_model.noise_cv > 0
         cold_mu, cold_sigma = cold_model.noise_params()
-        batch_rows = services.batch_rows
 
+        n_groups = len(requests)
+        sizes_l: list[int] = []
+        names_l: list[str] = []
+        rows_l: list[int] = []
         cpu_parts: list[np.ndarray] = []
         tail_parts: list[np.ndarray] = []
         jitter_parts: list[np.ndarray] = []
         cold_parts: list[np.ndarray] = []
-        # Service-latency draws are grouped by distinct call tuple so the row
-        # arithmetic (exp / row sums) runs once per distinct profile shape;
-        # ``key_by_id`` resolves a tuple object once, so each group costs an
-        # identity lookup instead of hashing its calls.
-        key_index: dict = {}
-        key_by_id: dict[int, int] = {}
-        key_rows: list[tuple] = []
-        key_groups: list[list[int]] = []  # per key: the groups drawing for it
-        key_draws: list[list[np.ndarray]] = []  # per key: their z-draws
-        group_fixed_l: list[float] = []
-
-        # Per-group pool scan for the cross-group walk: the flat pass only
-        # handles groups whose pool is empty or one idle instance; everything
-        # else (and duplicate non-fresh names, whose pool state depends on
-        # earlier groups in this very batch) falls back to walk_group.  The
-        # scan keeps flat lists of existing objects: a tuple per group would
-        # be tracked by the cyclic GC and, alive across the batch, promoted
-        # until it forces full collections over the whole fleet's objects.
-        instances_map = platform._instances
+        # Service-call z-draws by draw width, in group order: the row
+        # arithmetic then runs once per distinct width.
+        service_parts: dict[int, list[np.ndarray]] = {}
+        # Pool scan for the cross-group walk: the flat pass only handles
+        # groups whose pool is empty or one idle instance; everything else
+        # (and duplicate non-fresh names, whose pool state depends on earlier
+        # groups in this very batch) falls back to walk_group.  The scan keeps
+        # flat lists of existing objects and floats: a new tuple per group,
+        # alive across the batch, would be promoted by the cyclic GC until it
+        # forces full collections over the whole fleet's objects.
+        instances_get = platform._instances.get
+        deployments: list = []
+        any_fresh = False
         singles: list = []  # the pool's single instance, or None
         pool_empty_l: list[bool] = []
-
-        for g, request in enumerate(requests):
-            arrivals = request.arrivals
-            n = arrivals.shape[0]
-            sizes_l.append(n)
+        single_busy_l: list[float] = []
+        single_last_l: list[float] = []
+        single_ids_l: list[int] = []
+        for request in requests:
             deployment = request.deployment
+            deployments.append(deployment)
             name = deployment.name
             names_l.append(name)
-            profile = deployment.profile
-            key = (id(profile), deployment.memory_mb)
-            entry = param_cache.get(key)
-            if entry is None or entry[0] is not profile:
-                entry = (
-                    profile,
-                    param_column(profile, float(deployment.memory_mb), model, cold_model),
-                )
-                if len(param_cache) >= _PARAM_CACHE_MAX:
-                    param_cache.clear()
-                param_cache[key] = entry
-            cols_l.append(entry[1])
-
-            calls = profile.service_calls
-            k = key_by_id.get(id(calls))
-            if k is None:
-                k = key_index.get(calls)
-                if k is None:
-                    k = len(key_rows)
-                    key_index[calls] = k
-                    key_rows.append(batch_rows(calls))
-                    key_groups.append([])
-                    key_draws.append([])
-                key_by_id[id(calls)] = k
-            rows = key_rows[k]
-            group_fixed_l.append(rows[0])
-            if rows[1] is not None:
-                key_groups[k].append(g)
-            if not pooled:
-                rng = request.rng
-                if cpu_cv > 0:
-                    cpu_parts.append(rng.lognormal(cpu_mu, cpu_sigma, n))
-                if rows[1] is not None:
-                    key_draws[k].append(rng.standard_normal((n, rows[1].shape[0])))
-                if tail_p > 0:
-                    tail_parts.append(rng.random(n))
-                if counter_cv > 0:
-                    jitter_parts.append(rng.normal(1.0, counter_cv, (13, n)))
-                if draw_cold:
-                    cold_parts.append(rng.lognormal(cold_mu, cold_sigma, n))
-
-            pool = () if request.fresh_pool else instances_map.get(name, ())
-            singles.append(pool[0] if len(pool) == 1 else None)
+            if request.fresh_pool:
+                any_fresh = True
+                pool = ()
+            else:
+                pool = instances_get(name, ())
             pool_empty_l.append(not pool)
+            if len(pool) == 1:
+                single = pool[0]
+                singles.append(single)
+                single_busy_l.append(single.busy_until_s)
+                single_last_l.append(single.last_used_s)
+                single_ids_l.append(single.instance_id)
+            else:
+                singles.append(None)
+                single_busy_l.append(0.0)
+                single_last_l.append(0.0)
+                single_ids_l.append(0)
+            profile = deployment.profile
+            entry = entries.get((id(profile), deployment.memory_mb))
+            if entry is None or entry[0] is not profile:
+                entry = shapes.add(profile, deployment.memory_mb)
+            rows_l.append(entry[1])
+            n = request.arrivals.shape[0]
+            sizes_l.append(n)
+            if pooled:
+                continue
+            rng = request.rng
+            if cpu_cv > 0:
+                cpu_parts.append(rng.lognormal(cpu_mu, cpu_sigma, n))
+            width = entry[2]
+            if width:
+                service_parts.setdefault(width, []).append(rng.standard_normal((n, width)))
+            if tail_p > 0:
+                tail_parts.append(rng.random(n))
+            if counter_cv > 0:
+                jitter_parts.append(rng.normal(1.0, counter_cv, (13, n)))
+            if draw_cold:
+                cold_parts.append(rng.lognormal(cold_mu, cold_sigma, n))
 
         sizes = np.asarray(sizes_l, dtype=np.int64)
-        columns = np.array(cols_l).T  # (param rows, n_groups), one column per group
-        group_fixed = np.asarray(group_fixed_l)
+        # (table columns, n_groups): one column of shape inputs per group.
+        columns = shapes.table[np.asarray(rows_l, dtype=np.intp)].T
         offsets = np.zeros(n_groups + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
         n_total = int(offsets[-1])
@@ -321,18 +378,13 @@ class VectorizedBackend(ExecutionBackend):
         if pooled:
             # One shared window stream for all groups (opt-in, statistical
             # parity): each noise source is one bulk draw, service draws run
-            # per distinct call tuple in first-appearance order.
+            # per draw width below.
             rng = requests[0].rng
             cpu_noise = (
                 rng.lognormal(cpu_mu, cpu_sigma, n_total)
                 if cpu_cv > 0
                 else np.ones(n_total)
             )
-            for k, groups in enumerate(key_groups):
-                if groups:
-                    width = key_rows[k][1].shape[0]
-                    n_rows = sum([sizes_l[g] for g in groups])
-                    key_draws[k] = [rng.standard_normal((n_rows, width))]
             tail_raw = rng.random(n_total) if tail_p > 0 else None
             jitters = (
                 rng.normal(1.0, counter_cv, (13, n_total))
@@ -342,6 +394,7 @@ class VectorizedBackend(ExecutionBackend):
             cold_noise = (
                 rng.lognormal(cold_mu, cold_sigma, n_total) if draw_cold else None
             )
+            widths = [int(w) for w in np.unique(columns[_WIDTH]) if w > 0]
         else:
             cpu_noise = (
                 np.concatenate(cpu_parts) if cpu_cv > 0 else np.ones(n_total)
@@ -353,6 +406,7 @@ class VectorizedBackend(ExecutionBackend):
                 else np.ones((13, n_total))
             )
             cold_noise = np.concatenate(cold_parts) if draw_cold else None
+            widths = sorted(service_parts)
         tail = (
             np.where(tail_raw < tail_p, tail_mult, 1.0)
             if tail_raw is not None
@@ -360,27 +414,25 @@ class VectorizedBackend(ExecutionBackend):
         )
         if counter_cv > 0:
             np.maximum(jitters, 0.5, out=jitters)
-        service_ms = np.take(group_fixed, gid)
-        for k, groups in enumerate(key_groups):
-            if not groups:
-                continue
-            _, mean_row, sigma_row = key_rows[k]
-            draws = key_draws[k]
-            z = np.concatenate(draws, axis=0) if len(draws) > 1 else draws[0]
-            factors = np.exp(-0.5 * sigma_row * sigma_row + sigma_row * z)
-            sums = (mean_row * factors).sum(axis=1)
-            # Scatter back as one fancy-index add: every group's rows are a
-            # disjoint contiguous slice of ``service_ms``, so the concatenated
-            # aranges of those slices address each element exactly once.
-            bg = np.asarray(groups, dtype=np.int64)
-            reps = sizes[bg]
-            stops = np.cumsum(reps)
-            flat = (
-                np.arange(int(stops[-1]), dtype=np.int64)
-                - np.repeat(stops - reps, reps)
-                + np.repeat(offsets[bg], reps)
-            )
-            service_ms[flat] += sums
+        service_ms = np.take(columns[_FIXED_MS], gid)
+        if widths:
+            inv_width = np.take(columns[_WIDTH], gid)
+            inv_rank = np.take(columns[_RANK], gid).astype(np.intp)
+        for width in widths:
+            # The invocations of every group drawing this width, in group
+            # order — the row order of the concatenated draws.  Elementwise
+            # arithmetic and row sums match sample_latency_batch_ms per row.
+            mask = inv_width == width
+            if pooled:
+                z = rng.standard_normal((int(np.count_nonzero(mask)), width))
+            else:
+                parts = service_parts[width]
+                z = np.concatenate(parts) if len(parts) > 1 else parts[0]
+            means, sigmas = shapes.width_rows(width)
+            rank = inv_rank[mask]
+            sigma = sigmas[rank]
+            factors = np.exp(-0.5 * sigma * sigma + sigma * z)
+            service_ms[mask] += (means[rank] * factors).sum(axis=1)
 
         # ---- timing kernel (scratch in, execute_batch op order) -----------
         sg = self._buffer("gather", n_total)
@@ -406,7 +458,7 @@ class VectorizedBackend(ExecutionBackend):
         execution_time_ms = np.add(sg, _HANDLER_OVERHEAD_MS)
 
         metrics = runtime.metrics_batch_grouped(
-            RuntimeBatchInputs(*columns[4:]),
+            RuntimeBatchInputs(*columns[4:_FIXED_MS]),
             gid,
             cpu_ms=s_cpu,
             fs_ms=s_fs,
@@ -420,6 +472,7 @@ class VectorizedBackend(ExecutionBackend):
         cold_start, init_ms, instance_ids = self._walk_all_groups(
             platform,
             requests,
+            deployments,
             names_l,
             offsets,
             sizes,
@@ -430,6 +483,10 @@ class VectorizedBackend(ExecutionBackend):
             cold_noise,
             pool_empty=np.asarray(pool_empty_l, dtype=bool),
             singles=singles,
+            single_busy=np.asarray(single_busy_l),
+            single_last=np.asarray(single_last_l),
+            single_ids=single_ids_l,
+            any_fresh=any_fresh,
         )
 
         billed_ms = platform.pricing_model.billed_duration_batch_ms(execution_time_ms)
@@ -449,18 +506,19 @@ class VectorizedBackend(ExecutionBackend):
             billed_duration_ms=billed_ms,
             metrics=metrics,
         )
-        costs = batch.cost_per_group()
-        if np.all(sizes):
-            platform.book_costs(names_l, costs.tolist())
-        else:
-            active = np.flatnonzero(sizes).tolist()
-            platform.book_costs([names_l[g] for g in active], costs[active].tolist())
+        # Billing in group order, one amount per non-empty group: the looped
+        # path's run_batch calls exactly.
+        note_cost = platform._note_cost
+        for name, n, cost in zip(names_l, sizes_l, batch.cost_per_group().tolist()):
+            if n:
+                note_cost(name, cost)
         return batch
 
     def _walk_all_groups(
         self,
         platform: "ServerlessPlatform",
         requests: list["GroupRequest"],
+        deployments: list,
         names: list[str],
         offsets: np.ndarray,
         sizes: np.ndarray,
@@ -471,6 +529,10 @@ class VectorizedBackend(ExecutionBackend):
         cold_noise: np.ndarray | None,
         pool_empty: np.ndarray,
         singles: list,
+        single_busy: np.ndarray,
+        single_last: np.ndarray,
+        single_ids: list[int],
+        any_fresh: bool,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One vectorized instance walk over all groups' flat columns.
 
@@ -490,15 +552,6 @@ class VectorizedBackend(ExecutionBackend):
         pool_single = np.fromiter(
             (s is not None for s in singles), dtype=bool, count=n_groups
         )
-        single_busy = np.fromiter(
-            (0.0 if s is None else s.busy_until_s for s in singles),
-            dtype=float, count=n_groups,
-        )
-        single_last = np.fromiter(
-            (0.0 if s is None else s.last_used_s for s in singles),
-            dtype=float, count=n_groups,
-        )
-        single_ids = [0 if s is None else s.instance_id for s in singles]
         forced_unsafe = np.zeros(n_groups, dtype=bool)
         if len(set(names)) < n_groups:
             seen: set[str] = set()
@@ -597,37 +650,40 @@ class VectorizedBackend(ExecutionBackend):
         # so one vectorized select replaces the per-group id writes and the
         # remaining loop only touches pool objects.
         all_safe = n_total > 0 and bool(np.all(safe))
-        if all_safe and not any(r.fresh_pool for r in requests):
+        if all_safe and not any_fresh:
             instance_ids = np.where(
                 seg > 0,
                 next_id + cum,
                 np.take(np.asarray(single_ids, dtype=np.int64), gid),
             )
-            cum_end_l = cum[ends_ne].tolist()
-            sizes_l = sizes.tolist()
-            for g, request in enumerate(requests):
-                deployment = request.deployment
-                busy = busy_l[g]
-                if n_cold_l[g]:
-                    # The last cold start's worker serves the group's tail
-                    # (fields in _WorkerInstance declaration order).
-                    instance = worker_cls(
-                        next_id + cum_end_l[g],
-                        mem_l[g],
-                        created_l[g],
-                        busy,
-                        busy,
-                        off_l[g + 1] - last_cold_l[g],
+            # Per group: the last cold start's id and the invocations its
+            # worker serves (the group's tail).
+            tail_ids = (next_id + cum[ends_ne]).tolist()
+            tail_sizes = (offsets[1:] - last_cold_g).tolist()
+            for deployment, instance, n, n_cold, busy, tail_id, tail, memory, created in zip(
+                deployments, singles, sizes.tolist(), n_cold_l, busy_l,
+                tail_ids, tail_sizes, mem_l, created_l,
+            ):
+                if not n_cold:
+                    instance.invocations += n
+                elif instance is None:
+                    # Fields in _WorkerInstance declaration order.
+                    instances_map[deployment.name].append(
+                        worker_cls(tail_id, memory, created, busy, busy, tail)
                     )
+                    deployment.invocation_count += n
+                    continue
                 else:
-                    instance = singles[g]
-                    instance.invocations += sizes_l[g]
-                    instance.busy_until_s = busy
-                    instance.last_used_s = busy
-                # In place: a fresh list per group and window would pile up
-                # long-lived containers for the cyclic GC to scan.
-                instances_map[deployment.name][:] = (instance,)
-                deployment.invocation_count += sizes_l[g]
+                    # A cold start means the pool's single worker expired:
+                    # the tail's worker takes its place in the pool, so the
+                    # object is reset in place instead of replaced.
+                    instance.instance_id = tail_id
+                    instance.memory_mb = memory
+                    instance.created_at_s = created
+                    instance.invocations = tail
+                instance.busy_until_s = busy
+                instance.last_used_s = busy
+                deployment.invocation_count += n
             platform._next_instance_id = next_id + int(cum[-1])
             return cold_start, init_ms, instance_ids
         for g, request in enumerate(requests):

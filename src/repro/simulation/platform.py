@@ -84,7 +84,7 @@ class DeployedFunction:
     invocation_count: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class _WorkerInstance:
     """A warm worker instance that can serve one request at a time."""
 
@@ -363,19 +363,6 @@ class ServerlessPlatform:
         """Add an amount to the per-function and global billing totals."""
         self._cost_by_function[name] = self._cost_by_function.get(name, 0.0) + cost_usd
         self._cost_total += cost_usd
-
-    def book_costs(self, names: list[str], costs_usd: list[float]) -> None:
-        """Add one amount per function to the billing totals, in order.
-
-        The batch form of one :meth:`_note_cost` call per pair: the same
-        float additions in the same order, without a method call each.
-        """
-        by_function = self._cost_by_function
-        total = self._cost_total
-        for name, cost_usd in zip(names, costs_usd):
-            by_function[name] = by_function.get(name, 0.0) + cost_usd
-            total += cost_usd
-        self._cost_total = total
 
     def total_cost_usd(self, name: str | None = None) -> float:
         """Total billed cost, optionally restricted to one function.

@@ -136,9 +136,8 @@ class TestFleetWindowParity:
                 kp.get_function(name).invocation_count
                 == lp.get_function(name).invocation_count
             )
-            assert kp.total_cost_usd(name) == pytest.approx(
-                lp.total_cost_usd(name), rel=1e-12
-            )
+            assert kp.total_cost_usd(name) == lp.total_cost_usd(name)
+        assert kp.total_cost_usd() == lp.total_cost_usd()
 
 
 class TestGroupedEdgeParity:
@@ -222,7 +221,7 @@ class TestGroupedEdgeParity:
             np.testing.assert_array_equal(a.cold_start, b.cold_start)
             np.testing.assert_array_equal(a.instance_ids, b.instance_ids)
             np.testing.assert_array_equal(a.init_duration_ms, b.init_duration_ms)
-            np.testing.assert_allclose(a.cost_usd, b.cost_usd, rtol=1e-12)
+            np.testing.assert_array_equal(a.cost_usd, b.cost_usd)
         names = [f.name for f in funcs]
         assert pool_state(pa, names) == pool_state(pb, names)
         for name in names:
@@ -230,6 +229,8 @@ class TestGroupedEdgeParity:
                 pa._functions[name].invocation_count
                 == pb._functions[name].invocation_count
             )
+            assert pa.total_cost_usd(name) == pb.total_cost_usd(name)
+        assert pa.total_cost_usd() == pb.total_cost_usd()
 
 
 class TestDisagreementPath:
