@@ -428,52 +428,66 @@ def execute_backend_windows(
     agree bit for bit; pooled noise hands every group one shared window
     stream, mirroring ``FleetSimulator._execution_rngs``.  Shared with
     ``tools/bench_report.py`` so the asserted and the reported scenario can
-    never drift apart.
+    never drift apart.  Returns ``(seconds, invocations, stats)``.
     """
-    simulator = FleetSimulator(
-        functions,
-        traffic,
-        FleetConfig(window_s=WINDOW_S, seed=seed, noise=noise),
-    )
-    backend = simulator.backend
-    execute = (
-        partial(ExecutionBackend.run_grouped, backend) if looped else backend.run_grouped
-    )
-    seconds = 0.0
-    invocations = 0
-    per_window_stats = []
+    return execute_noise_windows(
+        functions, traffic, window_arrivals, (noise,), seed=seed, looped=looped
+    )[noise]
+
+
+def execute_noise_windows(
+    functions, traffic, window_arrivals, noises, seed=99, looped=False
+):
+    """:func:`execute_backend_windows` for several noise modes, interleaved.
+
+    Each mode runs on its own simulator, window by window: window ``k`` of
+    every mode runs before window ``k + 1`` of any, so a slow stretch of a
+    shared host hits all modes alike.  Returns one
+    ``(seconds, invocations, stats)`` tuple per mode, keyed by mode.
+    """
+    simulators = {
+        noise: FleetSimulator(
+            functions, traffic, FleetConfig(window_s=WINDOW_S, seed=seed, noise=noise)
+        )
+        for noise in noises
+    }
+    seconds = dict.fromkeys(noises, 0.0)
+    invocations = dict.fromkeys(noises, 0)
+    stats = {noise: [] for noise in noises}
     for window_index, active in enumerate(window_arrivals):
-        if noise == "pooled":
-            shared = child_rng(seed, STREAM_EXECUTION, window_index)
-            requests = [
-                GroupRequest.for_deployed(
-                    simulator.platform, functions[i].name, arrivals, shared
-                )
-                for i, arrivals in active
-            ]
-        else:
-            # O(active) keyed derivation: only the active functions' streams
-            # are constructed (bit-identical to spawning the full fleet and
-            # indexing), so idle functions never cost a stream here either.
-            rngs = keyed_child_rngs(
-                seed,
-                STREAM_EXECUTION,
-                window_index,
-                indices=np.array([i for i, _ in active], dtype=np.int64),
+        for noise, simulator in simulators.items():
+            backend = simulator.backend
+            execute = (
+                partial(ExecutionBackend.run_grouped, backend)
+                if looped
+                else backend.run_grouped
             )
+            if noise == "pooled":
+                shared = child_rng(seed, STREAM_EXECUTION, window_index)
+                rngs = [shared] * len(active)
+            else:
+                # O(active) keyed derivation: only the active functions'
+                # streams are constructed (bit-identical to spawning the full
+                # fleet and indexing), so idle functions never cost a stream.
+                rngs = keyed_child_rngs(
+                    seed,
+                    STREAM_EXECUTION,
+                    window_index,
+                    indices=np.array([i for i, _ in active], dtype=np.int64),
+                )
             requests = [
                 GroupRequest.for_deployed(
-                    simulator.platform, functions[i].name, arrivals, rngs[j]
+                    simulator.platform, functions[i].name, arrivals, rng
                 )
-                for j, (i, arrivals) in enumerate(active)
+                for (i, arrivals), rng in zip(active, rngs)
             ]
-        start = time.perf_counter()
-        batch = execute(simulator.platform, requests)
-        stats, _ = batch.aggregate_stats(0.0, True)
-        seconds += time.perf_counter() - start
-        invocations += batch.n_invocations
-        per_window_stats.append(stats)
-    return seconds, invocations, per_window_stats
+            start = time.perf_counter()
+            batch = execute(simulator.platform, requests)
+            window_stats, _ = batch.aggregate_stats(0.0, True)
+            seconds[noise] += time.perf_counter() - start
+            invocations[noise] += batch.n_invocations
+            stats[noise].append(window_stats)
+    return {noise: (seconds[noise], invocations[noise], stats[noise]) for noise in noises}
 
 
 def _best_of(n_runs, *runs):
@@ -499,23 +513,27 @@ def test_bench_compiled_backend_speedup():
     The grouped kernel (``VectorizedBackend.run_grouped``) executes the same
     active sparse groups with per-group noise streams (the fleet default)
     and with pooled noise (one shared window stream instead of per-group
-    draw calls).  Both arms are timed best-of-5, alternating, and pooled
-    must be at least 2x faster.  The per-group arm must reproduce the
-    looped per-group schedule (one ``run_batch`` per group, the kernel's
-    parity oracle) bit for bit, checked on an untimed looped run.  Peak
-    memory of the per-group kernel is bounded by the fused column budget in
-    a separate untimed pass.
+    draw calls).  Both arms run window by window, interleaved, in five
+    fresh runs; each arm's best run counts, and pooled must be at least 2x
+    faster.  The per-group arm must reproduce the looped per-group schedule
+    (one ``run_batch`` per group, the kernel's parity oracle) bit for bit,
+    checked on an untimed looped run.  Peak memory of the per-group kernel
+    is bounded by the fused column budget in a separate untimed pass.
     """
     functions, traffic = _sparse_scenario()
     window_arrivals = _sparse_active_arrivals(functions, traffic)
-
-    def run(**knobs):
-        return execute_backend_windows(functions, traffic, window_arrivals, **knobs)
-
-    (kernel_seconds, invocations, kernel_stats), (pooled_seconds, _, _) = _best_of(
-        5, run, lambda: run(noise="pooled")
+    runs = [
+        execute_noise_windows(
+            functions, traffic, window_arrivals, ("per-group", "pooled")
+        )
+        for _ in range(5)
+    ]
+    kernel_seconds = min(run["per-group"][0] for run in runs)
+    pooled_seconds = min(run["pooled"][0] for run in runs)
+    _, invocations, kernel_stats = runs[0]["per-group"]
+    _, _, looped_stats = execute_backend_windows(
+        functions, traffic, window_arrivals, looped=True
     )
-    _, _, looped_stats = run(looped=True)
     for looped_window, kernel_window in zip(looped_stats, kernel_stats):
         np.testing.assert_array_equal(looped_window, kernel_window)
 

@@ -167,8 +167,10 @@ def validate_group_offsets(offsets: np.ndarray, n_invocations: int) -> np.ndarra
     return offsets
 
 
-def _segment_sums(matrix: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Sum contiguous column segments of ``matrix`` starting at ``starts``.
+def _segment_sums(
+    matrix: np.ndarray, starts: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """Sum contiguous column segments of ``matrix`` (``counts`` columns from ``starts``).
 
     The single summation primitive of the aggregation layer (a thin wrapper
     over :func:`numpy.add.reduceat`).  Both the one-group
@@ -177,10 +179,28 @@ def _segment_sums(matrix: np.ndarray, starts: np.ndarray) -> np.ndarray:
     (per-function) aggregation bit-identical: ``reduceat`` reduces each
     segment independently, so a segment inside a larger concatenated array
     sums to exactly the same float as the segment reduced on its own.
+
+    A one-column segment sums to its column, so when most segments are
+    single columns (a sparse fleet window) only the longer ones go through
+    ``reduceat``, each as a ``[start, stop)`` pair whose gap results are
+    dropped; the per-segment cost of ``reduceat`` would otherwise dominate.
     """
     if starts.shape[0] == 0:
         return np.zeros((matrix.shape[0], 0))
-    return np.add.reduceat(matrix, starts, axis=1)
+    multi = np.flatnonzero(counts > 1)
+    if 2 * multi.shape[0] >= starts.shape[0]:
+        return np.add.reduceat(matrix, starts, axis=1)
+    sums = matrix[:, starts]
+    if multi.shape[0]:
+        bounds = np.empty(2 * multi.shape[0], dtype=np.intp)
+        bounds[0::2] = starts[multi]
+        bounds[1::2] = starts[multi] + counts[multi]
+        # reduceat indices must be in range: a segment ending at the last
+        # column simply runs to the end.
+        if bounds[-1] == matrix.shape[1]:
+            bounds = bounds[:-1]
+        sums[:, multi] = np.add.reduceat(matrix, bounds, axis=1)[:, 0::2]
+    return sums
 
 
 def grouped_stat_blocks(
@@ -259,12 +279,15 @@ def grouped_stat_blocks(
     starts = np.zeros(n_groups, dtype=np.int64)
     starts[1:] = np.cumsum(counts)[:-1]
 
-    sums = _segment_sums(kept, starts[nonempty])
+    sums = _segment_sums(kept, starts[nonempty], counts[nonempty])
     means_ne = sums / counts[nonempty]
     means = np.zeros((len(METRIC_NAMES), n_groups))
     means[:, nonempty] = means_ne
     centered = kept - means[:, kept_ids]
-    stds_ne = np.sqrt(_segment_sums(centered * centered, starts[nonempty]) / counts[nonempty])
+    stds_ne = np.sqrt(
+        _segment_sums(centered * centered, starts[nonempty], counts[nonempty])
+        / counts[nonempty]
+    )
     safe = np.abs(means_ne) > 1e-12
     cvs_ne = np.divide(stds_ne, means_ne, out=np.zeros_like(stds_ne), where=safe)
 

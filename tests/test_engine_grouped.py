@@ -159,8 +159,15 @@ class TestGroupedStatBlocks:
         return {m: rng.uniform(0.5, 10.0, n) for m in METRIC_NAMES}
 
     def test_segments_match_per_group_stat_matrix(self):
+        self._assert_segments_match_stat_matrix([7, 0, 40, 1, 13])
+
+    def test_sparse_window_segments_match_per_group_stat_matrix(self):
+        # Mostly one-invocation groups (a sparse fleet window) with a longer
+        # group last: the singleton path of the segmented sums.
+        self._assert_segments_match_stat_matrix([1, 1, 0, 1, 1, 1, 3, 1, 1, 1, 1, 6])
+
+    def _assert_segments_match_stat_matrix(self, sizes):
         rng = np.random.default_rng(0)
-        sizes = [7, 0, 40, 1, 13]
         offsets = np.concatenate([[0], np.cumsum(sizes)])
         n = int(offsets[-1])
         metrics = self._metrics(rng, n)
@@ -169,8 +176,8 @@ class TestGroupedStatBlocks:
         blocks, counts = grouped_stat_blocks(
             metrics, offsets, cold_start=cold, exclude_cold_starts=True, window=window
         )
-        assert blocks.shape == (5, len(METRIC_NAMES), len(STAT_NAMES))
-        for g in range(5):
+        assert blocks.shape == (len(sizes), len(METRIC_NAMES), len(STAT_NAMES))
+        for g in range(len(sizes)):
             a, b = int(offsets[g]), int(offsets[g + 1])
             if a == b:
                 assert counts[g] == 0

@@ -198,33 +198,37 @@ def bench_fleet_compiled(bench) -> dict:
     The timed region is the contested execution work (grouped execution +
     stat reduction over pre-built requests), exactly the region
     ``test_bench_compiled_backend_speedup`` asserts, and timings are the
-    best of five fresh runs per mode, alternating between the modes (the
-    benchmark's noise discipline); peak bytes come from one separately
-    traced run per mode.  ``per-group`` is the kernel with bit-exact
-    per-group streams (it must agree bit for bit with the looped per-group
-    schedule, asserted on an untimed run) and ``pooled`` the kernel with the
-    explicitly statistical shared window stream.
+    best of five fresh runs in which the two modes execute window by
+    window, interleaved (the benchmark's noise discipline); peak bytes come
+    from one separately traced run per mode.  ``per-group`` is the kernel
+    with bit-exact per-group streams (it must agree bit for bit with the
+    looped per-group schedule, asserted on an untimed run) and ``pooled``
+    the kernel with the explicitly statistical shared window stream.
     """
     functions, traffic = bench._sparse_scenario()
     window_arrivals = bench._sparse_active_arrivals(functions, traffic)
-
-    def run(**knobs):
-        return bench.execute_backend_windows(functions, traffic, window_arrivals, **knobs)
-
-    variants = {"per-group": {}, "pooled": {"noise": "pooled"}}
-    best = bench._best_of(
-        5, *[lambda knobs=knobs: run(**knobs) for knobs in variants.values()]
+    noises = ("per-group", "pooled")
+    runs = [
+        bench.execute_noise_windows(functions, traffic, window_arrivals, noises)
+        for _ in range(5)
+    ]
+    _, _, looped_stats = bench.execute_backend_windows(
+        functions, traffic, window_arrivals, looped=True
     )
-    _, _, looped_stats = run(looped=True)
     if not all(
         np.array_equal(looped_window, window)
-        for looped_window, window in zip(looped_stats, best[0][2])
+        for looped_window, window in zip(looped_stats, runs[0]["per-group"][2])
     ):
         raise AssertionError("grouped kernel stats diverged from the looped path")
     results = {}
-    for (label, knobs), (seconds, invocations, _) in zip(variants.items(), best):
-        _, wall_seconds, peak = _traced(lambda knobs=knobs: run(**knobs))
-        results[label] = {
+    for noise in noises:
+        seconds = min(run[noise][0] for run in runs)
+        (_, invocations, _), wall_seconds, peak = _traced(
+            lambda noise=noise: bench.execute_backend_windows(
+                functions, traffic, window_arrivals, noise=noise
+            )
+        )
+        results[noise] = {
             "windows_per_second": round(bench.SPARSE_WINDOWS / seconds, 3),
             "seconds": round(seconds, 4),
             "wall_seconds": round(wall_seconds, 4),
