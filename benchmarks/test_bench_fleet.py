@@ -40,7 +40,6 @@ from __future__ import annotations
 import os
 import time
 import tracemalloc
-from dataclasses import replace
 from functools import partial
 
 import numpy as np

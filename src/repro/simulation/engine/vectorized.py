@@ -302,7 +302,8 @@ class VectorizedBackend(ExecutionBackend):
         tail_parts: list[np.ndarray] = []
         jitter_parts: list[np.ndarray] = []
         cold_parts: list[np.ndarray] = []
-        # Service-call z-draws by draw width, in group order.
+        # Service-call z-draws by draw width, in group order: the row
+        # arithmetic then runs once per distinct width.
         service_parts: dict[int, list[np.ndarray]] = {}
         # Pool scan for the cross-group walk: the flat pass only handles
         # groups whose pool is empty or one idle instance; everything else
@@ -415,38 +416,23 @@ class VectorizedBackend(ExecutionBackend):
             np.maximum(jitters, 0.5, out=jitters)
         service_ms = np.take(columns[_FIXED_MS], gid)
         if widths:
-            # All drawn calls as one flat block, width by width (each
-            # width's rows in group order, the row order of its
-            # concatenated draws): the elementwise lognormal arithmetic runs
-            # once, and each width's row sums reduce a contiguous
-            # (rows, width) slice, exactly as sample_latency_batch_ms does.
             inv_width = np.take(columns[_WIDTH], gid)
             inv_rank = np.take(columns[_RANK], gid).astype(np.intp)
-            invocations_l, z_l, mean_l, sigma_l = [], [], [], []
-            for width in widths:
-                invocations = np.flatnonzero(inv_width == width)
-                if pooled:
-                    z = rng.standard_normal((invocations.shape[0], width))
-                else:
-                    parts = service_parts[width]
-                    z = np.concatenate(parts) if len(parts) > 1 else parts[0]
-                means, sigmas = shapes.width_rows(width)
-                rank = inv_rank[invocations]
-                invocations_l.append(invocations)
-                z_l.append(z.ravel())
-                mean_l.append(means[rank].ravel())
-                sigma_l.append(sigmas[rank].ravel())
-            sigma = np.concatenate(sigma_l)
-            products = np.concatenate(mean_l) * np.exp(
-                -0.5 * sigma * sigma + sigma * np.concatenate(z_l)
-            )
-            sums_l = []
-            start = 0
-            for invocations, width in zip(invocations_l, widths):
-                stop = start + invocations.shape[0] * width
-                sums_l.append(products[start:stop].reshape(-1, width).sum(axis=1))
-                start = stop
-            service_ms[np.concatenate(invocations_l)] += np.concatenate(sums_l)
+        for width in widths:
+            # The invocations of every group drawing this width, in group
+            # order — the row order of the concatenated draws.  Elementwise
+            # arithmetic and row sums match sample_latency_batch_ms per row.
+            mask = inv_width == width
+            if pooled:
+                z = rng.standard_normal((int(np.count_nonzero(mask)), width))
+            else:
+                parts = service_parts[width]
+                z = np.concatenate(parts) if len(parts) > 1 else parts[0]
+            means, sigmas = shapes.width_rows(width)
+            rank = inv_rank[mask]
+            sigma = sigmas[rank]
+            factors = np.exp(-0.5 * sigma * sigma + sigma * z)
+            service_ms[mask] += (means[rank] * factors).sum(axis=1)
 
         # ---- timing kernel (scratch in, execute_batch op order) -----------
         sg = self._buffer("gather", n_total)
