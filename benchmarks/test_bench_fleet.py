@@ -57,7 +57,11 @@ from repro.simulation.seeding import (
     spawn_child_rngs,
 )
 from repro.workloads.generator import GeneratorConfig, SyntheticFunctionGenerator
-from repro.workloads.traffic import DiurnalTraffic, sample_fleet_traffic
+from repro.workloads.traffic import (
+    DiurnalTraffic,
+    FleetTrafficSchedule,
+    sample_fleet_traffic,
+)
 
 N_FUNCTIONS = int(os.environ.get("REPRO_BENCH_FLEET_FUNCTIONS", "300"))
 N_WINDOWS = int(os.environ.get("REPRO_BENCH_FLEET_WINDOWS", "8"))
@@ -103,8 +107,8 @@ def _min_sparse_speedup() -> float:
     return float(os.environ.get("REPRO_BENCH_FLEET_SPARSE_MIN_SPEEDUP", "10.0"))
 
 
-def _min_compiled_speedup() -> float:
-    return float(os.environ.get("REPRO_BENCH_FLEET_COMPILED_MIN_SPEEDUP", "2.0"))
+def _min_pooled_speedup() -> float:
+    return float(os.environ.get("REPRO_BENCH_FLEET_POOLED_MIN_SPEEDUP", "2.0"))
 
 
 def _orchestration_factor() -> float:
@@ -292,7 +296,9 @@ def _sparse_scenario(n_functions=None):
     return functions, traffic
 
 
-def execute_dense_reference_windows(functions, traffic, n_windows=SPARSE_WINDOWS, seed=97):
+def execute_dense_reference_windows(
+    functions, traffic, n_windows=SPARSE_WINDOWS, seed=97, fleet_traffic=False
+):
     """The pre-sparse window body: O(fleet) work regardless of activity.
 
     One spawned traffic stream and one ``arrivals()`` call per function, one
@@ -300,27 +306,43 @@ def execute_dense_reference_windows(functions, traffic, n_windows=SPARSE_WINDOWS
     exactly what ``FleetSimulator.run_window`` did before sparse scheduling.
     Used as the dense baseline of the sparse speedup and by
     ``tools/bench_report.py``.
+
+    With ``fleet_traffic=True`` the functions' arrivals come instead from
+    the simulator's own window draw (``FleetTrafficSchedule.sample_window``
+    on the window's traffic stream), so the reference executes exactly the
+    arrivals a fleet window of the same seed executes: the dense full-fleet
+    parity oracle of the sparse window body.
     """
     simulator = FleetSimulator(
         functions, traffic, FleetConfig(window_s=WINDOW_S, seed=seed)
     )
     n = len(functions)
+    schedule = FleetTrafficSchedule(traffic) if fleet_traffic else None
     seconds = 0.0
     invocations = 0
     per_window_stats = []
     for window_index in range(n_windows):
         start = time.perf_counter()
         start_s = window_index * WINDOW_S
-        traffic_rngs = spawn_child_rngs(seed, STREAM_TRAFFIC, window_index, n=n)
+        if fleet_traffic:
+            sampled = schedule.sample_window(
+                start_s,
+                start_s + WINDOW_S,
+                child_rng(seed, STREAM_TRAFFIC, window_index),
+            )
+            arrivals = [sampled.arrivals_of(i) for i in range(n)]
+        else:
+            traffic_rngs = spawn_child_rngs(seed, STREAM_TRAFFIC, window_index, n=n)
+            arrivals = [
+                model.arrivals(start_s, start_s + WINDOW_S, rng)
+                for model, rng in zip(traffic, traffic_rngs)
+            ]
         execution_rngs = spawn_child_rngs(seed, STREAM_EXECUTION, window_index, n=n)
         requests = [
             GroupRequest.for_deployed(
-                simulator.platform,
-                fn.name,
-                model.arrivals(start_s, start_s + WINDOW_S, rng),
-                execution_rngs[i],
+                simulator.platform, fn.name, arrivals[i], execution_rngs[i]
             )
-            for i, (fn, model, rng) in enumerate(zip(functions, traffic, traffic_rngs))
+            for i, fn in enumerate(functions)
         ]
         batch = simulator.backend.run_grouped(simulator.platform, requests)
         stats, _ = batch.aggregate_stats(0.0, True)
@@ -335,7 +357,7 @@ def execute_sparse_windows(functions, traffic, n_windows=SPARSE_WINDOWS, seed=97
     simulator = FleetSimulator(
         functions,
         traffic,
-        FleetConfig(window_s=WINDOW_S, seed=seed, sparse=True, **knobs),
+        FleetConfig(window_s=WINDOW_S, seed=seed, **knobs),
     )
     seconds = 0.0
     invocations = 0
@@ -349,23 +371,35 @@ def execute_sparse_windows(functions, traffic, n_windows=SPARSE_WINDOWS, seed=97
     return seconds, invocations, windows
 
 
+def assert_sparse_window_parity(n_functions):
+    """One sparse window equals the dense full-fleet reference, bit for bit.
+
+    The reference runs one engine group per function (empty or not) on the
+    simulator's own window arrivals; the sparse window's rows must equal the
+    reference rows of its active functions, and every other reference row
+    must be empty.
+    """
+    functions, traffic = _sparse_scenario(n_functions)
+    _, _, dense_stats = execute_dense_reference_windows(
+        functions, traffic, n_windows=1, fleet_traffic=True
+    )
+    _, _, sparse_windows = execute_sparse_windows(functions, traffic, n_windows=1)
+    window, dense = sparse_windows[0], dense_stats[0]
+    assert window.n_active > 0
+    np.testing.assert_array_equal(window.stats, dense[window.active])
+    idle = np.ones(len(functions), dtype=bool)
+    idle[window.active] = False
+    assert not np.any(dense[idle])
+
+
 def test_bench_sparse_window_speedup():
     """Acceptance criterion: sparse windows >= 10x the dense reference at scale.
 
-    Parity is gated first at a sub-scale under per-function traffic (where
-    sparse and dense consume identical streams and must agree bit for bit),
-    then the speedup is measured at full scale under fused traffic sampling.
+    Parity is gated first at a sub-scale (the sparse window against the dense
+    reference fed the same arrivals, bit for bit), then the speedup is
+    measured at full scale.
     """
-    parity_functions, parity_traffic = _sparse_scenario(
-        min(2_000, SPARSE_FUNCTIONS)
-    )
-    _, _, dense_stats = execute_dense_reference_windows(
-        parity_functions, parity_traffic, n_windows=1
-    )
-    _, _, sparse_windows = execute_sparse_windows(
-        parity_functions, parity_traffic, n_windows=1, traffic_mode="per-function"
-    )
-    np.testing.assert_array_equal(sparse_windows[0].to_dense().stats, dense_stats[0])
+    assert_sparse_window_parity(min(2_000, SPARSE_FUNCTIONS))
 
     functions, traffic = _sparse_scenario()
     sparse_seconds, sparse_invocations, sparse_windows = execute_sparse_windows(
@@ -506,7 +540,7 @@ def _best_of(n_runs, *runs):
     return best[0] if len(runs) == 1 else best
 
 
-def test_bench_compiled_backend_speedup():
+def test_bench_pooled_noise_speedup():
     """Acceptance criterion: pooled noise >= 2x the per-group kernel.
 
     The grouped kernel (``VectorizedBackend.run_grouped``) executes the same
@@ -547,7 +581,7 @@ def test_bench_compiled_backend_speedup():
         f"({pooled_speedup:.2f}x)"
     )
     assert invocations > 0
-    assert pooled_speedup >= _min_compiled_speedup()
+    assert pooled_speedup >= _min_pooled_speedup()
 
     # Untimed memory pass: the default mode's peak over the window bodies
     # stays within the fused column budget of the ACTIVE invocations plus the
@@ -603,21 +637,12 @@ def test_bench_default_orchestration_overhead():
     times the pooled wall — the fast path must scale with *active* work,
     not fleet size (the former full-fleet spawn made this ~16x).
 
-    Parity is gated first at sub-scale under per-function traffic: the
-    default path must reproduce the pre-fast-path reference (full-fleet
-    spawned streams, one engine group per function) bit for bit, so the
+    Parity is gated first at sub-scale: the default path must reproduce the
+    pre-fast-path reference (full-fleet spawned execution streams, one
+    engine group per function) on the same arrivals bit for bit, so the
     measured factor is pure orchestration cost — identical statistics.
     """
-    parity_functions, parity_traffic = _sparse_scenario(min(2_000, SPARSE_FUNCTIONS))
-    _, _, dense_stats = execute_dense_reference_windows(
-        parity_functions, parity_traffic, n_windows=1
-    )
-    _, _, default_windows = execute_sparse_windows(
-        parity_functions, parity_traffic, n_windows=1, traffic_mode="per-function"
-    )
-    np.testing.assert_array_equal(
-        default_windows[0].to_dense().stats, dense_stats[0]
-    )
+    assert_sparse_window_parity(min(2_000, SPARSE_FUNCTIONS))
 
     functions, traffic = _sparse_scenario()
     default_seconds, default_invocations, _ = _best_of(
@@ -653,7 +678,7 @@ def test_bench_fleet_window_memory_bounded_by_active():
     simulator = FleetSimulator(
         functions,
         traffic,
-        FleetConfig(window_s=WINDOW_S, seed=98, sparse=True),
+        FleetConfig(window_s=WINDOW_S, seed=98),
     )
 
     tracemalloc.start()

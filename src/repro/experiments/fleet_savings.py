@@ -120,7 +120,6 @@ def run(
             default_memory_mb=base_size,
             memory_sizes_mb=context.scale.memory_sizes_mb,
             backend=context.scale.backend,
-            n_workers=context.scale.n_workers,
             seed=seed + 2,
         ),
     )

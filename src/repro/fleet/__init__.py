@@ -7,8 +7,7 @@ windows, continuously rightsized through the batch prediction API, with
 realized savings accounted against the default deployment:
 
 - :mod:`repro.fleet.simulator`  -- :class:`FleetSimulator` / windowed
-  columnar monitoring (:class:`FleetWindow`, active-rows-only
-  :class:`SparseFleetWindow`).
+  columnar monitoring (:class:`FleetWindow`, one row per active function).
 - :mod:`repro.fleet.controller` -- :class:`RightsizingController` with
   warm-up, hysteresis, cooldown and rollback guardrails.
 - :mod:`repro.fleet.ledger`     -- :class:`SavingsLedger`, the longitudinal
@@ -27,18 +26,12 @@ from repro.fleet.controller import (
 )
 from repro.fleet.ledger import SavingsLedger, WindowAccount
 from repro.fleet.service import FleetRightsizingService, FleetRunReport
-from repro.fleet.simulator import (
-    FleetConfig,
-    FleetSimulator,
-    FleetWindow,
-    SparseFleetWindow,
-)
+from repro.fleet.simulator import FleetConfig, FleetSimulator, FleetWindow
 
 __all__ = [
     "FleetConfig",
     "FleetSimulator",
     "FleetWindow",
-    "SparseFleetWindow",
     "ControllerConfig",
     "RightsizingController",
     "ResizeEvent",

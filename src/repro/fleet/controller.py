@@ -38,7 +38,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.core.predictor import SizelessPredictor
 from repro.dataset.table import MeasurementTable
-from repro.fleet.simulator import FleetSimulator, FleetWindow, SparseFleetWindow
+from repro.fleet.simulator import FleetSimulator, FleetWindow
 from repro.monitoring.aggregation import STAT_NAMES, merge_stat_blocks
 from repro.monitoring.metrics import METRIC_NAMES
 
@@ -193,37 +193,28 @@ class RightsizingController:
         self._windows_observed[indices] = 0
 
     # ---------------------------------------------------------------- observe
-    def _observe(self, window: FleetWindow | SparseFleetWindow) -> None:
-        """Merge one window into the running accumulators (vectorized).
+    def _observe(self, window: FleetWindow) -> None:
+        """Merge one window's active rows into the running accumulators.
 
-        Sparse windows merge only their active rows — because zero-count
-        sides of :func:`merge_stat_blocks` pass the populated side through
-        untouched, this is bit-identical to the dense merge while costing
-        O(active) instead of O(fleet).
+        Idle functions have no row and keep their accumulators untouched, so
+        the merge costs O(active) instead of O(fleet).
         """
-        if isinstance(window, SparseFleetWindow):
-            rows = window.active
-            merged, counts = merge_stat_blocks(
-                self._acc_stats[rows],
-                self._acc_counts[rows],
-                window.stats,
-                window.n_invocations,
-            )
-            self._acc_stats[rows] = merged
-            self._acc_counts[rows] = counts
-            self._acc_cost[rows] += window.cost_usd
-            self._windows_observed[rows] += window.n_invocations > 0
-        else:
-            self._acc_stats, self._acc_counts = merge_stat_blocks(
-                self._acc_stats, self._acc_counts, window.stats, window.n_invocations
-            )
-            self._acc_cost += window.cost_usd
-            self._windows_observed += window.n_invocations > 0
+        rows = window.active
+        merged, counts = merge_stat_blocks(
+            self._acc_stats[rows],
+            self._acc_counts[rows],
+            window.stats,
+            window.n_invocations,
+        )
+        self._acc_stats[rows] = merged
+        self._acc_counts[rows] = counts
+        self._acc_cost[rows] += window.cost_usd
+        self._windows_observed[rows] += window.n_invocations > 0
         np.maximum(self._cooldown - 1, 0, out=self._cooldown)
 
     # --------------------------------------------------------------- rollback
     def _check_rollbacks(
-        self, simulator: FleetSimulator, window: FleetWindow | SparseFleetWindow
+        self, simulator: FleetSimulator, window: FleetWindow
     ) -> list[ResizeEvent]:
         """Evaluate resized functions and revert realized regressions."""
         events: list[ResizeEvent] = []
@@ -289,7 +280,7 @@ class RightsizingController:
         )
 
     def _decide(
-        self, simulator: FleetSimulator, window: FleetWindow | SparseFleetWindow
+        self, simulator: FleetSimulator, window: FleetWindow
     ) -> list[ResizeEvent]:
         """Batch-predict eligible cohorts and apply guarded resizes."""
         events: list[ResizeEvent] = []
@@ -346,7 +337,7 @@ class RightsizingController:
 
     # ------------------------------------------------------------------- step
     def step(
-        self, simulator: FleetSimulator, window: FleetWindow | SparseFleetWindow
+        self, simulator: FleetSimulator, window: FleetWindow
     ) -> list[ResizeEvent]:
         """Process one monitoring window: observe, roll back, decide.
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.fleet.controller import ResizeEvent
-from repro.fleet.simulator import FleetWindow, SparseFleetWindow
+from repro.fleet.simulator import FleetWindow
 
 
 @dataclass(frozen=True)
@@ -103,33 +103,29 @@ class SavingsLedger:
         self._baseline_time_ms = np.zeros(n_functions, dtype=float)
 
     # ---------------------------------------------------------------- observe
-    def observe(
-        self, window: FleetWindow | SparseFleetWindow, events: list[ResizeEvent]
-    ) -> WindowAccount:
+    def observe(self, window: FleetWindow, events: list[ResizeEvent]) -> WindowAccount:
         """Account one window and the deployment changes that followed it.
 
-        All per-function arithmetic is vectorized; the only loop is over the
-        (few) resize events, which freeze baselines.  Sparse windows take the
-        O(active) path: per-function baseline state updates are bit-identical
-        to the dense path (inactive rows contribute exactly zero there), and
-        the window totals agree to floating-point summation order — summing k
-        active terms groups additions differently than summing the same terms
-        padded with zeros, so totals match to ~1e-12 relative, not bit for
-        bit.
+        Only the window's active rows are touched: idle functions have no
+        row, so they refine no baseline and add nothing to any windowed
+        sum.  ``functions_resized`` still scans the dense ``memory_mb``
+        (deployment state is a fleet-wide fact, one comparison per
+        function).  The only loop is over the (few) resize events, which
+        freeze baselines.
         """
-        if isinstance(window, SparseFleetWindow):
-            return self._observe_sparse(window, events)
         self._ensure_state(window.n_functions)
+        rows = window.active
         counts = window.n_invocations.astype(float)
         mean_time = window.mean_execution_time_ms()
-        at_default = window.memory_mb == self.default_memory_mb
+        at_default = window.memory_mb[rows] == self.default_memory_mb
 
         # Keep refining the baseline while a function still runs (and has
         # always run) at the default size.
-        refine = at_default & ~self._frozen
-        self._default_cost[refine] += window.cost_usd[refine]
-        self._default_time_weighted[refine] += (mean_time * counts)[refine]
-        self._default_count[refine] += window.n_invocations[refine]
+        refine = at_default & ~self._frozen[rows]
+        r = rows[refine]
+        self._default_cost[r] += window.cost_usd[refine]
+        self._default_time_weighted[r] += (mean_time * counts)[refine]
+        self._default_count[r] += window.n_invocations[refine]
 
         # Freeze baselines for functions resized away for the first time.
         for event in events:
@@ -149,12 +145,12 @@ class SavingsLedger:
         # everything running at the default size (including functions rolled
         # back to it) is billed at realized numbers — their deployment is
         # the baseline, so their delta is zero by construction.
-        use_baseline = self._frozen & ~at_default
+        use_baseline = self._frozen[rows] & ~at_default
         baseline_cost = np.where(
-            use_baseline, self._baseline_cost_per_inv * counts, window.cost_usd
+            use_baseline, self._baseline_cost_per_inv[rows] * counts, window.cost_usd
         )
         baseline_time_weighted = np.where(
-            use_baseline, self._baseline_time_ms * counts, mean_time * counts
+            use_baseline, self._baseline_time_ms[rows] * counts, mean_time * counts
         )
         account = WindowAccount(
             window_index=window.index,
@@ -165,66 +161,6 @@ class SavingsLedger:
             baseline_cost_usd=float(np.sum(baseline_cost)),
             actual_time_weighted_ms=float(np.sum(mean_time * counts)),
             baseline_time_weighted_ms=float(np.sum(baseline_time_weighted)),
-            resizes=sum(1 for e in events if e.reason == "recommendation"),
-            rollbacks=sum(1 for e in events if e.reason == "rollback"),
-            functions_resized=int(np.sum(~at_default)),
-        )
-        self.windows.append(account)
-        self.events.extend(events)
-        return account
-
-    def _observe_sparse(
-        self, window: SparseFleetWindow, events: list[ResizeEvent]
-    ) -> WindowAccount:
-        """Account one sparse window touching only its active rows.
-
-        Inactive functions have zero counts, cost and stats, so they refine
-        no baseline and contribute zero to every windowed sum — restricting
-        the dense arithmetic to ``window.active`` changes no per-function
-        state.  ``functions_resized`` still scans the dense ``memory_mb``
-        (deployment state is a fleet-wide fact, one comparison per function).
-        """
-        self._ensure_state(window.n_functions)
-        rows = window.active
-        counts_k = window.n_invocations.astype(float)
-        mean_time_k = window.mean_execution_time_ms()
-        at_default_k = window.memory_mb[rows] == self.default_memory_mb
-
-        refine_k = at_default_k & ~self._frozen[rows]
-        r = rows[refine_k]
-        self._default_cost[r] += window.cost_usd[refine_k]
-        self._default_time_weighted[r] += (mean_time_k * counts_k)[refine_k]
-        self._default_count[r] += window.n_invocations[refine_k]
-
-        for event in events:
-            i = event.function_index
-            if self._frozen[i] or self._default_count[i] == 0:
-                continue
-            self._baseline_cost_per_inv[i] = (
-                self._default_cost[i] / self._default_count[i]
-            )
-            self._baseline_time_ms[i] = (
-                self._default_time_weighted[i] / self._default_count[i]
-            )
-            self._frozen[i] = True
-
-        use_baseline_k = self._frozen[rows] & ~at_default_k
-        baseline_cost_k = np.where(
-            use_baseline_k, self._baseline_cost_per_inv[rows] * counts_k, window.cost_usd
-        )
-        baseline_time_weighted_k = np.where(
-            use_baseline_k, self._baseline_time_ms[rows] * counts_k,
-            mean_time_k * counts_k,
-        )
-        account = WindowAccount(
-            window_index=window.index,
-            start_s=window.start_s,
-            end_s=window.end_s,
-            invocations=window.total_invocations,
-            actual_cost_usd=float(np.sum(window.cost_usd)),
-            baseline_cost_usd=float(np.sum(baseline_cost_k)),
-            actual_time_weighted_ms=float(np.sum(mean_time_k * counts_k)),
-            baseline_time_weighted_ms=float(np.sum(baseline_time_weighted_k)),
             resizes=sum(1 for e in events if e.reason == "recommendation"),
             rollbacks=sum(1 for e in events if e.reason == "rollback"),
             functions_resized=int(

@@ -12,14 +12,12 @@ to a whole production fleet::
                       ▼
                 SavingsLedger.observe() ──> realized savings vs default
 
-Each iteration holds only one window's arrays, so a multi-day run over
-thousands of functions is bounded by one window's statistics plus the
-fleet's deployment state (asserted by ``benchmarks/test_bench_fleet.py``).
-With ``FleetConfig(sparse=True)`` the windows flowing through the loop are
-:class:`~repro.fleet.simulator.SparseFleetWindow` instances — the controller
-and the ledger both consume them natively, so at fleet scale (10^5–10^6
-mostly-idle functions) each iteration is bounded by the *active* function
-count instead.
+Each iteration holds only one window's arrays, so a multi-day run is
+bounded by one window's statistics plus the fleet's deployment state
+(asserted by ``benchmarks/test_bench_fleet.py``).  A window holds rows only
+for its active functions, and the controller's observation merge and the
+ledger touch only those rows, so at fleet scale (10^5–10^6 mostly-idle
+functions) their per-window cost follows the *active* function count.
 """
 
 from __future__ import annotations

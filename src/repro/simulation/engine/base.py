@@ -327,51 +327,6 @@ class ExecutionBackend(abc.ABC):
             },
         )
 
-    def run_stat_shards(
-        self,
-        platform: "ServerlessPlatform",
-        requests,
-        shard_size: int,
-        exclude_cold_starts: bool = True,
-        on_shard: Callable | None = None,
-    ) -> None:
-        """Execute grouped requests shard-wise, delivering stat blocks in order.
-
-        The window-execution counterpart of :meth:`measure_stat_chunks`:
-        instead of holding one mega-batch over *all* groups, the request list
-        is cut into shards of ``shard_size`` groups, each shard runs as its
-        own :meth:`run_grouped` mega-batch, and only its dense per-group
-        reductions flow to ``on_shard(shard_start, stats, counts,
-        group_sizes, cold_starts, costs)`` — strictly in request order.  Peak
-        memory is bounded by one shard's columns.
-
-        Numbers are bit-identical to one fused mega-batch over the full
-        request list: every group draws from its own request stream, the
-        grouped kernel's noise draws, parameter columns and timing passes
-        are per-group independent, and the segmented reductions
-        (:func:`repro.monitoring.aggregation.grouped_stat_blocks`) reduce
-        each group in isolation.  The parallel backend overrides this to fan
-        shards out over worker processes with the same in-order delivery.
-        """
-        if int(shard_size) < 1:
-            raise ConfigurationError("shard_size must be at least 1")
-        shard_size = int(shard_size)
-        for start in range(0, len(requests), shard_size):
-            shard = requests[start : start + shard_size]
-            batch = self.run_grouped(platform, shard)
-            stats, counts = batch.aggregate_stats(
-                warmup_s=0.0, exclude_cold_starts=exclude_cold_starts
-            )
-            if on_shard is not None:
-                on_shard(
-                    start,
-                    stats,
-                    counts,
-                    batch.group_sizes(),
-                    batch.cold_starts_per_group(),
-                    batch.cost_per_group(),
-                )
-
     def measure_stat_chunks(
         self,
         harness,

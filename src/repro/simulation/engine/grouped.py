@@ -24,7 +24,7 @@ group's noise from that stream in exactly the order the looped per-group
 path would, so grouped and looped execution produce bit-identical
 per-invocation values and therefore bit-identical stats (enforced by the
 parity tests in ``tests/test_engine_grouped.py`` and
-``tests/test_engine_compiled.py``).
+``tests/test_engine_kernel.py``).
 """
 
 from __future__ import annotations

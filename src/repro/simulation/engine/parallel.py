@@ -28,7 +28,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 from repro.simulation.engine.base import ExecutionBackend, register_backend
-from repro.simulation.engine.grouped import GroupRequest
 from repro.simulation.engine.vectorized import VectorizedBackend
 
 
@@ -82,55 +81,6 @@ def _measure_function_task(payload):
     return measurement, harness.platform.total_cost_usd(function.name)
 
 
-def _run_shard_task(payload):
-    """Execute one window shard as a fused mega-batch (worker process).
-
-    The shard ships the parent's platform models plus, per group, the
-    deployment coordinates, the window arrivals, the group's private noise
-    stream and the function's warm-instance pool.  The worker rebuilds a
-    platform around exactly that state, runs the grouped kernel and
-    returns dense per-group reductions plus the evolved pools, so the parent
-    can keep warm-state continuity across windows.
-    """
-    from repro.simulation.platform import ServerlessPlatform
-
-    (
-        platform_config,
-        execution_model,
-        cold_start_model,
-        pricing_model,
-        groups,
-        exclude_cold_starts,
-        next_instance_id,
-    ) = payload
-    platform = ServerlessPlatform(
-        config=platform_config,
-        execution_model=execution_model,
-        cold_start_model=cold_start_model,
-        pricing_model=pricing_model,
-    )
-    platform._next_instance_id = next_instance_id
-    requests = []
-    for name, profile, memory_mb, deployed_at_s, arrivals, rng, pool in groups:
-        platform.deploy(name, profile, memory_mb, at_time_s=deployed_at_s)
-        platform._instances[name] = pool
-        requests.append(GroupRequest.for_deployed(platform, name, arrivals, rng))
-    batch = VectorizedBackend().run_grouped(platform, requests)
-    stats, counts = batch.aggregate_stats(
-        warmup_s=0.0, exclude_cold_starts=exclude_cold_starts
-    )
-    pools = {group[0]: platform._instances[group[0]] for group in groups}
-    return (
-        stats,
-        counts,
-        batch.group_sizes(),
-        batch.cold_starts_per_group(),
-        batch.cost_per_group(),
-        pools,
-        platform._next_instance_id,
-    )
-
-
 def _measure_chunk_stats_task(payload):
     """Measure one function chunk as a fused mega-batch (worker process).
 
@@ -177,126 +127,6 @@ class ParallelBackend(ExecutionBackend):
 
     def _max_workers(self, n_tasks: int) -> int:
         return self.n_workers or min(n_tasks, os.cpu_count() or 1)
-
-    def run_stat_shards(
-        self,
-        platform,
-        requests,
-        shard_size,
-        exclude_cold_starts=True,
-        on_shard=None,
-    ):
-        """Fan window shards out over worker processes, delivered in order.
-
-        Requests must reference *distinct* functions (the fleet-window case):
-        each worker owns its shard's warm-instance pools for the duration of
-        the shard, which is only race-free when no function is split across
-        shards.  Per-group numbers are bit-identical to the sequential
-        default — every group draws from its own request stream and warm
-        pools travel with their shard — though worker-local instance ids may
-        differ from the sequential schedule (ids never enter any metric,
-        stat, cost or cold-start number).  Delivery to ``on_shard`` is
-        strictly in request order with a bounded submission window, mirroring
-        :meth:`measure_stat_chunks`.
-        """
-        from repro.errors import ConfigurationError
-
-        if int(shard_size) < 1:
-            raise ConfigurationError("shard_size must be at least 1")
-        shard_size = int(shard_size)
-        total = len(requests)
-        if total == 0:
-            return
-        starts = list(range(0, total, shard_size))
-
-        def payload_for(start):
-            groups = [
-                (
-                    request.function_name,
-                    request.deployment.profile,
-                    request.deployment.memory_mb,
-                    request.deployment.deployed_at_s,
-                    request.arrivals,
-                    request.rng,
-                    platform._instances.get(request.function_name, []),
-                )
-                for request in requests[start : start + shard_size]
-            ]
-            return (
-                platform.config,
-                platform.execution_model,
-                platform.cold_start_model,
-                platform.pricing_model,
-                groups,
-                exclude_cold_starts,
-                platform._next_instance_id,
-            )
-
-        def flush(start, result):
-            stats, counts, sizes, cold, costs, pools, next_id = result
-            shard = requests[start : start + shard_size]
-            for request, size, cost in zip(shard, sizes, costs):
-                platform._instances[request.function_name] = pools[
-                    request.function_name
-                ]
-                platform._note_cost(request.function_name, float(cost))
-                request.deployment.invocation_count += int(size)
-            platform._next_instance_id = max(platform._next_instance_id, next_id)
-            if on_shard is not None:
-                on_shard(start, stats, counts, sizes, cold, costs)
-
-        remaining = set(starts)
-        buffered: dict[int, tuple] = {}
-        max_workers = self._max_workers(len(starts))
-        if len(starts) > 1 and max_workers > 1:
-            pointer = 0
-            submit_window = max_workers + 2
-            try:
-                with ProcessPoolExecutor(max_workers=max_workers) as executor:
-                    futures: dict = {}
-                    next_submit = 0
-
-                    def submit_up_to_window():
-                        nonlocal next_submit
-                        while (
-                            next_submit < len(starts)
-                            and len(futures) + len(buffered) < submit_window
-                        ):
-                            start = starts[next_submit]
-                            futures[
-                                executor.submit(_run_shard_task, payload_for(start))
-                            ] = start
-                            next_submit += 1
-
-                    submit_up_to_window()
-                    while futures:
-                        done, _ = wait(futures, return_when=FIRST_COMPLETED)
-                        for future in done:
-                            buffered[futures.pop(future)] = future.result()
-                        while pointer < len(starts) and starts[pointer] in buffered:
-                            start = starts[pointer]
-                            flush(start, buffered.pop(start))
-                            remaining.discard(start)
-                            pointer += 1
-                        submit_up_to_window()
-            except BrokenProcessPool:
-                warnings.warn(
-                    "parallel backend: worker pool broke, finishing "
-                    f"{len(remaining)} of {len(starts)} window shards in-process "
-                    "(results are unaffected, throughput is)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        # In-order tail: buffered out-of-order shards flush from the buffer;
-        # shards the pool never finished run in-process through the same task.
-        for start in starts:
-            if start not in remaining:
-                continue
-            result = buffered.pop(start, None)
-            if result is None:
-                result = _run_shard_task(payload_for(start))
-            flush(start, result)
-            remaining.discard(start)
 
     def measure_functions(
         self,

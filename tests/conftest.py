@@ -13,12 +13,22 @@ from repro.core.model import SizelessModel, SizelessModelConfig
 from repro.core.training import build_training_matrices
 from repro.dataset.generation import DatasetGenerationConfig, TrainingDatasetGenerator
 from repro.dataset.harness import HarnessConfig, MeasurementHarness
+from repro.fleet import FleetSimulator
 from repro.ml.network import NetworkConfig
+from repro.simulation.engine import ExecutionBackend, VectorizedBackend
 from repro.simulation.execution import ExecutionModel
 from repro.simulation.platform import PlatformConfig, ServerlessPlatform
 from repro.simulation.profile import ResourceProfile, ServiceCall
 from repro.simulation.variability import VariabilityModel
 from repro.workloads.function import FunctionSpec
+from repro.workloads.generator import GeneratorConfig, SyntheticFunctionGenerator
+from repro.workloads.traffic import (
+    BurstyTraffic,
+    ConstantTraffic,
+    DiurnalTraffic,
+    RampTraffic,
+    TraceTraffic,
+)
 
 
 @pytest.fixture()
@@ -130,3 +140,195 @@ def trained_model(small_matrices, tiny_network_config) -> SizelessModel:
 def sample_summary(small_dataset):
     """A monitoring summary at 256 MB for one function of the session dataset."""
     return small_dataset.measurements[0].summary_at(256)
+
+
+def _mixed_fleet(n_functions: int, seed: int = 31, window_s: float = 1800.0):
+    """A small fleet exercising every traffic model class, some idle.
+
+    Traffic is laid out against ``window_s``: ramps span three windows,
+    bursts recur every window, traces replay inside the first two windows,
+    and every sixth function never sees an arrival.
+    """
+    functions = SyntheticFunctionGenerator(
+        config=GeneratorConfig(seed=seed, name_prefix="sparse")
+    ).generate(n_functions)
+    rng = np.random.default_rng(seed + 1)
+    traffic = []
+    for i in range(n_functions):
+        kind = i % 6
+        if kind == 0:
+            traffic.append(ConstantTraffic(rate_rps=float(rng.uniform(0.01, 0.05))))
+        elif kind == 1:
+            traffic.append(
+                DiurnalTraffic(
+                    mean_rate_rps=float(rng.uniform(0.01, 0.04)),
+                    amplitude=float(rng.uniform(0.4, 0.8)),
+                    phase_s=float(rng.uniform(0.0, 86_400.0)),
+                )
+            )
+        elif kind == 2:
+            traffic.append(
+                RampTraffic(
+                    start_rate_rps=0.005,
+                    end_rate_rps=float(rng.uniform(0.02, 0.05)),
+                    ramp_start_s=0.0,
+                    ramp_duration_s=3 * window_s,
+                )
+            )
+        elif kind == 3:
+            traffic.append(
+                BurstyTraffic(
+                    base_rate_rps=float(rng.uniform(0.005, 0.02)),
+                    burst_rate_rps=float(rng.uniform(0.1, 0.3)),
+                    burst_every_s=window_s,
+                    burst_duration_s=120.0,
+                )
+            )
+        elif kind == 4:
+            # Replays inside the first two windows, then goes silent.
+            stamps = tuple(np.sort(rng.uniform(0.0, 2 * window_s, size=20)))
+            traffic.append(TraceTraffic(timestamps_s=stamps))
+        else:
+            # Idle forever within the simulated horizon.
+            traffic.append(TraceTraffic(timestamps_s=(1e9,)))
+    return functions, traffic
+
+
+@pytest.fixture()
+def mixed_fleet():
+    """Factory ``(n_functions, seed, window_s) -> (functions, traffic)`` of the mixed fleet."""
+    return _mixed_fleet
+
+
+def _assert_windows_equal(a, b) -> None:
+    """Exact fleet-window comparison: ``active`` and every column, bit for bit."""
+    assert (a.index, a.start_s, a.end_s) == (b.index, b.start_s, b.end_s)
+    for column in (
+        "active",
+        "memory_mb",
+        "stats",
+        "n_invocations",
+        "n_arrivals",
+        "n_cold_starts",
+        "cost_usd",
+    ):
+        np.testing.assert_array_equal(
+            getattr(a, column), getattr(b, column), err_msg=column
+        )
+
+
+@pytest.fixture()
+def assert_windows_equal():
+    """The exact fleet-window comparison, shared by the parity tests."""
+    return _assert_windows_equal
+
+
+class _LoopedBackend(VectorizedBackend):
+    """The looped per-group oracle: one vectorized ``run_batch`` per group.
+
+    Its ``run_grouped`` is the base
+    :meth:`~repro.simulation.engine.base.ExecutionBackend.run_grouped`;
+    assigned as ``simulator.backend`` it runs a fleet's windows group by group.
+    """
+
+    run_grouped = ExecutionBackend.run_grouped
+
+
+@pytest.fixture()
+def looped_backend():
+    """A fresh looped per-group oracle backend."""
+    return _LoopedBackend()
+
+
+def _pool_state(platform, names):
+    """Every pool's instances as comparable tuples, plus the id counter."""
+    pools = {
+        name: [
+            (i.instance_id, i.created_at_s, i.busy_until_s, i.last_used_s, i.invocations)
+            for i in platform._instances.get(name, [])
+        ]
+        for name in names
+    }
+    return pools, platform._next_instance_id
+
+
+@pytest.fixture()
+def pool_state():
+    """``(platform, names) -> state``: the warm pools, comparable with ``==``."""
+    return _pool_state
+
+
+_TRAFFIC_FACTORIES = {
+    "constant": lambda i: ConstantTraffic(rate_rps=0.01 + 0.002 * i),
+    "diurnal": lambda i: DiurnalTraffic(
+        mean_rate_rps=0.01, amplitude=0.6, phase_s=1000.0 * i
+    ),
+    "bursty": lambda i: BurstyTraffic(
+        base_rate_rps=0.004, burst_rate_rps=0.3,
+        burst_every_s=1800.0, burst_duration_s=120.0, burst_seed=i,
+    ),
+    "ramp": lambda i: RampTraffic(
+        start_rate_rps=0.002, end_rate_rps=0.03,
+        ramp_start_s=0.0, ramp_duration_s=7200.0,
+    ),
+    "trace": lambda i: TraceTraffic(
+        timestamps_s=tuple(np.sort(np.random.default_rng(i).uniform(0, 7200, 50)))
+    ),
+}
+
+
+def _traffic_model_fleet(model: str, prefix: str):
+    """Twelve synthetic functions (seed 31), all on one traffic model class.
+
+    ``model`` is one of ``bursty``, ``constant``, ``diurnal``, ``ramp`` and
+    ``trace``; the functions are named ``{prefix}-{model}...``.
+    """
+    functions = SyntheticFunctionGenerator(
+        config=GeneratorConfig(seed=31, name_prefix=f"{prefix}-{model}")
+    ).generate(12)
+    factory = _TRAFFIC_FACTORIES[model]
+    return functions, [factory(i) for i in range(len(functions))]
+
+
+@pytest.fixture()
+def traffic_model_fleet():
+    """Factory ``(model, prefix) -> (functions, traffic)`` of a one-model fleet."""
+    return _traffic_model_fleet
+
+
+def _assert_fleet_matches_looped(functions, traffic, config) -> None:
+    """Kernel fleet runs equal the looped oracle's, bit for bit.
+
+    The fleet runs two windows, resizes function 0 (its warm pool drops) and
+    runs a third, once through ``config``'s backend and once through the
+    looped oracle.  Windows, warm pools, invocation counters and billing
+    must all match exactly.
+    """
+    names = [f.name for f in functions]
+
+    def run(looped):
+        simulator = FleetSimulator(functions, traffic, config)
+        if looped:
+            simulator.backend = _LoopedBackend()
+        windows = [simulator.run_window() for _ in range(2)]
+        simulator.resize(0, 1024)
+        windows.append(simulator.run_window())
+        return windows, simulator.platform
+
+    (kernel_windows, kp), (looped_windows, lp) = run(False), run(True)
+    for kernel_window, looped_window in zip(kernel_windows, looped_windows):
+        _assert_windows_equal(kernel_window, looped_window)
+    assert _pool_state(kp, names) == _pool_state(lp, names)
+    for name in names:
+        assert (
+            kp.get_function(name).invocation_count
+            == lp.get_function(name).invocation_count
+        )
+        assert kp.total_cost_usd(name) == lp.total_cost_usd(name)
+    assert kp.total_cost_usd() == lp.total_cost_usd()
+
+
+@pytest.fixture()
+def assert_fleet_matches_looped():
+    """The fleet-level kernel-vs-looped comparison, shared by the parity tests."""
+    return _assert_fleet_matches_looped

@@ -4,11 +4,12 @@ The grouped kernel (``VectorizedBackend.run_grouped``) must be
 bit-identical to the looped per-group schedule: every (function, size) or
 (function, window) group owns its own spawned random streams, both paths draw
 each group's noise in the same order, and both reduce through the same
-segmented-summation primitive.  These tests enforce that for fleet windows
-(all traffic models), for ``measure_table`` across backends and sinks, and
-for stressed instance-pool dynamics (overlaps, keep-alive expiry); plus the
-malformed-offset / malformed-request error paths and the seeding helper's
-determinism.
+segmented-summation primitive.  These tests enforce that for
+``measure_table`` across backends and sinks and for stressed instance-pool
+dynamics (overlaps, keep-alive expiry), check the fleet window's arrival
+cap and record streaming, and cover the malformed-offset /
+malformed-request error paths and the seeding helper's determinism.  The
+fleet-window kernel-vs-looped parity lives in ``tests/test_engine_kernel.py``.
 """
 
 from __future__ import annotations
@@ -39,28 +40,12 @@ from repro.simulation.seeding import (
     spawn_child_rngs,
 )
 from repro.workloads.generator import GeneratorConfig, SyntheticFunctionGenerator
-from repro.workloads.traffic import (
-    BurstyTraffic,
-    ConstantTraffic,
-    DiurnalTraffic,
-    RampTraffic,
-    TraceTraffic,
-)
+from repro.workloads.traffic import ConstantTraffic
 
 def _functions(n, seed=11, prefix="grp"):
     return SyntheticFunctionGenerator(
         config=GeneratorConfig(seed=seed, name_prefix=prefix)
     ).generate(n)
-
-
-def assert_windows_equal(a, b):
-    """Bit-identical window comparison (cost compared to float tolerance)."""
-    np.testing.assert_array_equal(a.stats, b.stats)
-    np.testing.assert_array_equal(a.n_invocations, b.n_invocations)
-    np.testing.assert_array_equal(a.n_arrivals, b.n_arrivals)
-    np.testing.assert_array_equal(a.n_cold_starts, b.n_cold_starts)
-    np.testing.assert_array_equal(a.memory_mb, b.memory_mb)
-    np.testing.assert_allclose(a.cost_usd, b.cost_usd, rtol=1e-12)
 
 
 class TestSeeding:
@@ -443,45 +428,36 @@ class TestFusedVersusLooped:
 
 
 class TestFleetWindowParity:
-    """Fused and looped fleet windows are bit-identical, per traffic model."""
+    """Fleet windows through the grouped kernel: oracle, backends, arrival cap, records."""
 
-    TRAFFIC_FACTORIES = {
-        "constant": lambda i: ConstantTraffic(rate_rps=0.01 + 0.002 * i),
-        "diurnal": lambda i: DiurnalTraffic(
-            mean_rate_rps=0.01, amplitude=0.6, phase_s=1000.0 * i
-        ),
-        "bursty": lambda i: BurstyTraffic(
-            base_rate_rps=0.004, burst_rate_rps=0.3,
-            burst_every_s=1800.0, burst_duration_s=120.0, burst_seed=i,
-        ),
-        "ramp": lambda i: RampTraffic(
-            start_rate_rps=0.002, end_rate_rps=0.03,
-            ramp_start_s=0.0, ramp_duration_s=7200.0,
-        ),
-        "trace": lambda i: TraceTraffic(
-            timestamps_s=tuple(np.sort(np.random.default_rng(i).uniform(0, 7200, 50)))
-        ),
-    }
+    @pytest.mark.parametrize(
+        "model_name", ["bursty", "constant", "diurnal", "ramp", "trace"]
+    )
+    def test_fused_equals_looped(
+        self, model_name, traffic_model_fleet, assert_fleet_matches_looped
+    ):
+        """Fused traffic sampling plus one grouped kernel call per window equal
+        the looped per-group oracle, per traffic model."""
+        functions, traffic = traffic_model_fleet(model_name, "fleet")
+        assert_fleet_matches_looped(
+            functions, traffic, FleetConfig(window_s=3600.0, seed=17)
+        )
 
-    @pytest.mark.parametrize("model_name", sorted(TRAFFIC_FACTORIES))
-    def test_fused_equals_looped(self, model_name):
-        factory = self.TRAFFIC_FACTORIES[model_name]
-        functions = _functions(12, seed=31, prefix=f"fleet-{model_name}")
-        traffic = [factory(i) for i in range(len(functions))]
-
-        def run(fused):
+    def test_parallel_backend_windows_equal_vectorized(
+        self, mixed_fleet, assert_windows_equal
+    ):
+        """``backend="parallel"`` runs fleet windows in-process, same kernel."""
+        functions, traffic = mixed_fleet(12)
+        runs = {}
+        for backend in ("vectorized", "parallel"):
             simulator = FleetSimulator(
                 functions,
                 traffic,
-                FleetConfig(window_s=3600.0, seed=17, fused=fused),
+                FleetConfig(window_s=1800.0, seed=9, backend=backend),
             )
-            windows = [simulator.run_window() for _ in range(2)]
-            simulator.resize(0, 1024)  # warm pools drop for fn 0 only
-            windows.append(simulator.run_window())
-            return windows
-
-        for fused_window, looped_window in zip(run(True), run(False)):
-            assert_windows_equal(fused_window, looped_window)
+            runs[backend] = [simulator.run_window() for _ in range(2)]
+        for vectorized, parallel in zip(runs["vectorized"], runs["parallel"]):
+            assert_windows_equal(vectorized, parallel)
 
     def test_fused_window_respects_arrival_cap(self, cpu_function):
         simulator = FleetSimulator(

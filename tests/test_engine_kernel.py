@@ -1,15 +1,17 @@
 """Parity, pooled-noise and registry tests for the grouped execution kernel.
 
-The kernel grew up as a separate ``compiled`` backend and is now the body of
+The kernel is the body of
 :meth:`~repro.simulation.engine.vectorized.VectorizedBackend.run_grouped`.
 Its contract has two tiers:
 
 - **Bit-exact** in the default ``per-group`` noise mode: every stat,
-  cold-start flag, instance id and the platform pool state must match the
-  looped per-group oracle — the base
+  cold-start flag, instance id, billed cost and the platform pool state must
+  match the looped per-group oracle — the base
   :meth:`~repro.simulation.engine.base.ExecutionBackend.run_grouped` over
-  :meth:`~repro.simulation.engine.vectorized.VectorizedBackend.run_batch`,
-  which ``FleetConfig(fused=False)`` schedules — across warm-pool carryover,
+  :meth:`~repro.simulation.engine.vectorized.VectorizedBackend.run_batch`
+  (the ``looped_backend`` fixture of ``tests/conftest.py``, which a fleet
+  simulator runs its windows through when assigned as
+  ``simulator.backend``) — across warm-pool carryover,
   resizes, duplicate-name batches, fresh pools and overlapping (unsafe)
   arrivals.
 - **Statistical** in the opt-in ``noise="pooled"`` mode: fleet-level
@@ -27,42 +29,14 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.fleet import FleetConfig, FleetSimulator
 from repro.simulation.coldstart import ColdStartModel
-from repro.simulation.engine import (
-    ExecutionBackend,
-    GroupRequest,
-    available_backends,
-    get_backend,
-)
+from repro.simulation.engine import GroupRequest, available_backends, get_backend
 from repro.simulation.engine import grouped as grouped_mod
 from repro.simulation.execution import ExecutionModel
 from repro.simulation.platform import PlatformConfig, ServerlessPlatform
 from repro.simulation.seeding import STREAM_EXECUTION, child_rng
 from repro.simulation.variability import VariabilityModel
 from repro.workloads.generator import GeneratorConfig, SyntheticFunctionGenerator
-from repro.workloads.traffic import (
-    BurstyTraffic,
-    ConstantTraffic,
-    DiurnalTraffic,
-    RampTraffic,
-    TraceTraffic,
-)
-
-
-def run_looped(platform, requests):
-    """The looped per-group oracle: one ``run_batch`` per group."""
-    return ExecutionBackend.run_grouped(get_backend("vectorized"), platform, requests)
-
-
-def pool_state(platform, names):
-    """Every pool's instances as comparable tuples, plus the id counter."""
-    pools = {
-        name: [
-            (i.instance_id, i.created_at_s, i.busy_until_s, i.last_used_s, i.invocations)
-            for i in platform._instances.get(name, [])
-        ]
-        for name in names
-    }
-    return pools, platform._next_instance_id
+from repro.workloads.traffic import ConstantTraffic, DiurnalTraffic
 
 
 def _functions(n, seed=11, prefix="cmp"):
@@ -71,73 +45,40 @@ def _functions(n, seed=11, prefix="cmp"):
     ).generate(n)
 
 
-def assert_windows_equal(a, b):
-    """Bit-identical window comparison (cost compared to float tolerance)."""
-    np.testing.assert_array_equal(a.stats, b.stats)
-    np.testing.assert_array_equal(a.n_invocations, b.n_invocations)
-    np.testing.assert_array_equal(a.n_arrivals, b.n_arrivals)
-    np.testing.assert_array_equal(a.n_cold_starts, b.n_cold_starts)
-    np.testing.assert_array_equal(a.memory_mb, b.memory_mb)
-    np.testing.assert_allclose(a.cost_usd, b.cost_usd, rtol=1e-12)
-
-
-TRAFFIC_FACTORIES = {
-    "constant": lambda i: ConstantTraffic(rate_rps=0.01 + 0.002 * i),
-    "diurnal": lambda i: DiurnalTraffic(
-        mean_rate_rps=0.01, amplitude=0.6, phase_s=1000.0 * i
-    ),
-    "bursty": lambda i: BurstyTraffic(
-        base_rate_rps=0.004, burst_rate_rps=0.3,
-        burst_every_s=1800.0, burst_duration_s=120.0, burst_seed=i,
-    ),
-    "ramp": lambda i: RampTraffic(
-        start_rate_rps=0.002, end_rate_rps=0.03,
-        ramp_start_s=0.0, ramp_duration_s=7200.0,
-    ),
-    "trace": lambda i: TraceTraffic(
-        timestamps_s=tuple(np.sort(np.random.default_rng(i).uniform(0, 7200, 50)))
-    ),
-}
-
-
 class TestFleetWindowParity:
-    """Kernel fleet windows equal the looped vectorized path, per traffic model.
+    """Kernel fleet windows equal the looped oracle's, bit for bit.
 
-    ``compiled`` names the kernel here (its former backend name), and
-    ``vectorized`` the looped per-function ``run_batch`` schedule of
-    ``FleetConfig(fused=False)``; beyond the windows, billing, invocation
-    counters and the warm pools must end in the same state.
+    One fleet per traffic model, the mixed fleet (every model class, idle
+    functions, trace replays) and a fleet sharing one constant traffic
+    object run through the default simulator and through the looped oracle
+    (``assert_fleet_matches_looped`` in ``tests/conftest.py``); a mid-run
+    resize drops function 0's warm pool.  Beyond the windows, billing,
+    invocation counters and the warm pools must end in the same state.
     """
 
-    @pytest.mark.parametrize("model_name", sorted(TRAFFIC_FACTORIES))
-    def test_compiled_equals_vectorized(self, model_name):
-        factory = TRAFFIC_FACTORIES[model_name]
-        functions = _functions(12, seed=31, prefix=f"cfleet-{model_name}")
-        traffic = [factory(i) for i in range(len(functions))]
-        names = [f.name for f in functions]
+    @staticmethod
+    def _fleet(name, mixed_fleet, traffic_model_fleet):
+        """``(functions, traffic, config)`` of one parity fleet."""
+        if name == "mixed":
+            functions, traffic = mixed_fleet(18)
+            return functions, traffic, FleetConfig(window_s=1800.0, seed=9)
+        if name == "shared-constant":
+            functions = _functions(6, seed=9, prefix="defg")
+            traffic = [ConstantTraffic(rate_rps=0.01)] * len(functions)
+            return functions, traffic, FleetConfig(window_s=3600.0, seed=21)
+        functions, traffic = traffic_model_fleet(name, "cfleet")
+        return functions, traffic, FleetConfig(window_s=3600.0, seed=17)
 
-        def run(fused):
-            simulator = FleetSimulator(
-                functions,
-                traffic,
-                FleetConfig(window_s=3600.0, seed=17, fused=fused, backend="vectorized"),
-            )
-            windows = [simulator.run_window() for _ in range(2)]
-            simulator.resize(0, 1024)  # warm pools drop for fn 0 only
-            windows.append(simulator.run_window())
-            return windows, simulator.platform
-
-        (kernel_windows, kp), (looped_windows, lp) = run(True), run(False)
-        for kernel_window, looped_window in zip(kernel_windows, looped_windows):
-            assert_windows_equal(kernel_window, looped_window)
-        assert pool_state(kp, names) == pool_state(lp, names)
-        for name in names:
-            assert (
-                kp.get_function(name).invocation_count
-                == lp.get_function(name).invocation_count
-            )
-            assert kp.total_cost_usd(name) == lp.total_cost_usd(name)
-        assert kp.total_cost_usd() == lp.total_cost_usd()
+    @pytest.mark.parametrize(
+        "fleet",
+        ["bursty", "constant", "diurnal", "ramp", "trace", "mixed", "shared-constant"],
+    )
+    def test_kernel_equals_looped(
+        self, fleet, mixed_fleet, traffic_model_fleet, assert_fleet_matches_looped
+    ):
+        assert_fleet_matches_looped(
+            *self._fleet(fleet, mixed_fleet, traffic_model_fleet)
+        )
 
 
 class TestGroupedEdgeParity:
@@ -211,8 +152,8 @@ class TestGroupedEdgeParity:
         second = execute(platform, shifted)
         return platform, funcs, first, second
 
-    def test_batches_and_pool_state_bit_identical(self):
-        pa, funcs, a1, a2 = self._run(run_looped)
+    def test_batches_and_pool_state_bit_identical(self, looped_backend, pool_state):
+        pa, funcs, a1, a2 = self._run(looped_backend.run_grouped)
         pb, _, b1, b2 = self._run(get_backend("vectorized").run_grouped)
         for a, b in ((a1, b1), (a2, b2)):
             (blk_a, cnt_a), (blk_b, cnt_b) = a.aggregate_stats(), b.aggregate_stats()
@@ -272,7 +213,7 @@ class TestDisagreementPath:
             blocking_fraction=0.9,
         )
 
-    def test_disagreement_pairs_resolve_identically(self):
+    def test_disagreement_pairs_resolve_identically(self, looped_backend):
         profile = self._profile()
 
         # probe the deterministic per-invocation execution and cold-init
@@ -302,7 +243,7 @@ class TestDisagreementPath:
             return execute(platform, [request])
 
         serial = run(get_backend("serial").run_grouped)
-        looped = run(run_looped)
+        looped = run(looped_backend.run_grouped)
         kernel = run(get_backend("vectorized").run_grouped)
         # the disagreement branch must actually fire: runs re-warm behind
         # cold starts, so the chain is neither all-cold nor all-warm
@@ -357,7 +298,7 @@ class TestPooledNoise:
         simulator = FleetSimulator(
             functions,
             traffic,
-            FleetConfig(window_s=3600.0, seed=13, fused=True, **knobs),
+            FleetConfig(window_s=3600.0, seed=13, **knobs),
         )
         return [simulator.run_window() for _ in range(3)]
 
@@ -372,32 +313,11 @@ class TestPooledNoise:
         b = np.mean([np.asarray(w.stats, dtype=np.float64).mean() for w in pooled])
         assert abs(a - b) / abs(a) < 0.05
 
-    def test_default_stays_bit_exact_per_group(self):
-        # the pooled mode is opt-in: a default-config kernel simulator must
-        # still match the looped path bit for bit (regression guard for the
-        # draw-order contract)
-        functions = _functions(6, seed=9, prefix="defg")
-        traffic = [ConstantTraffic(rate_rps=0.01)] * len(functions)
-        runs = {}
-        for fused in (True, False):
-            simulator = FleetSimulator(
-                functions,
-                traffic,
-                FleetConfig(window_s=3600.0, seed=21, fused=fused),
-            )
-            runs[fused] = [simulator.run_window() for _ in range(2)]
-        for a, b in zip(runs[True], runs[False]):
-            assert_windows_equal(a, b)
-
-    def test_pooled_requires_vectorized_and_fused(self):
+    def test_pooled_requires_vectorized(self):
         assert get_backend("vectorized", noise="pooled").noise == "pooled"
         for backend in ("serial", "parallel"):
             with pytest.raises(ConfigurationError, match="pooled"):
                 get_backend(backend, noise="pooled")
-        with pytest.raises(ConfigurationError, match="fused"):
-            FleetConfig(window_s=3600.0, noise="pooled", fused=False)
-        with pytest.raises(ConfigurationError, match="window_shard_size"):
-            FleetConfig(window_s=3600.0, noise="pooled", window_shard_size=8)
         with pytest.raises(ConfigurationError, match="noise"):
             get_backend("vectorized", noise="per-request")
 

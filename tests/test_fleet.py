@@ -59,6 +59,7 @@ def _stats_for(mean_exec_ms: float) -> np.ndarray:
 
 
 def _window(index, sizes, counts, costs, exec_means, window_s=3600.0) -> FleetWindow:
+    """A window in which every function is active."""
     n = len(sizes)
     stats = np.zeros((n, len(METRIC_NAMES), len(STAT_NAMES)))
     stats[:, _EXEC, _MEAN] = exec_means
@@ -68,6 +69,7 @@ def _window(index, sizes, counts, costs, exec_means, window_s=3600.0) -> FleetWi
         start_s=index * window_s,
         end_s=(index + 1) * window_s,
         memory_mb=np.asarray(sizes, dtype=int),
+        active=np.arange(n),
         stats=stats,
         n_invocations=counts,
         n_arrivals=counts.copy(),
@@ -184,9 +186,10 @@ class TestFleetSimulator:
             FleetConfig(window_s=600.0, seed=2),
         )
         window = simulator.run_window()
-        assert window.n_invocations[1] == 0
-        assert np.all(window.stats[1] == 0.0)
-        assert window.cost_usd[1] == 0.0
+        assert window.active.tolist() == [0]
+        assert window.stats.shape[0] == 1
+        assert window.n_invocations[0] > 0
+        assert window.cost_usd[0] > 0.0
 
     def test_resize_redeploys_at_new_size(self, cpu_function):
         simulator = FleetSimulator(

@@ -82,21 +82,16 @@ class TestWindowPhaseProfiler:
 
 
 class TestSimulatorWiring:
-    @pytest.mark.parametrize("fused", [True, False])
-    def test_run_window_books_the_simulator_phases(self, fused):
+    def test_run_window_books_the_simulator_phases(self):
         functions, traffic = _fleet()
         simulator = FleetSimulator(
-            functions,
-            traffic,
-            config=FleetConfig(window_s=WINDOW_S, seed=5, fused=fused),
+            functions, traffic, config=FleetConfig(window_s=WINDOW_S, seed=5)
         )
         for _ in range(3):
             simulator.run_window()
         profiler = simulator.profiler
         assert profiler.windows == 3
         for phase in ("traffic", "seeding", "group-build", "execute", "reduce"):
-            if phase == "group-build" and not fused:
-                continue  # the looped reference path builds no group requests
             assert profiler.seconds[phase] > 0.0, phase
         # The service stages have not run.
         assert profiler.seconds["decide"] == 0.0

@@ -2,22 +2,33 @@
 
 These cover the arithmetic cores that every experiment depends on: the pricing
 scheme, the resource scaling model, the trade-off optimizer, profile
-composition, and the regression metrics.
+composition, and the regression metrics; plus the conservation identities of
+fleet windows (billing, invocation counters, ledger totals).
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.optimizer import MemorySizeOptimizer
+from repro.fleet import FleetConfig, FleetSimulator, SavingsLedger
 from repro.ml.metrics import explained_variance_score, mean_squared_error, r2_score
 from repro.simulation.execution import ExecutionModel
 from repro.simulation.pricing import PricingModel
 from repro.simulation.profile import ResourceProfile
 from repro.simulation.scaling import ResourceScalingModel
 from repro.simulation.variability import VariabilityModel
+from repro.workloads.generator import GeneratorConfig, SyntheticFunctionGenerator
+from repro.workloads.traffic import (
+    BurstyTraffic,
+    ConstantTraffic,
+    DiurnalTraffic,
+    RampTraffic,
+    TraceTraffic,
+)
 
 MEMORY_SIZES = [128, 256, 512, 1024, 2048, 3008]
 
@@ -180,3 +191,96 @@ class TestMetricProperties:
         y = np.array(data[0])
         assert mean_squared_error(y, y) == 0.0
         assert r2_score(y, y) == 1.0
+
+
+FLEET_WINDOW_S = 1800.0
+
+#: Traffic model factories of the conservation fleets, keyed by kind; each
+#: takes a mean rate (rps) and a time shift (s).
+FLEET_TRAFFIC = {
+    "constant": lambda rate, shift: ConstantTraffic(rate_rps=rate),
+    "diurnal": lambda rate, shift: DiurnalTraffic(
+        mean_rate_rps=rate, amplitude=0.6, phase_s=shift
+    ),
+    "ramp": lambda rate, shift: RampTraffic(
+        start_rate_rps=rate / 4,
+        end_rate_rps=rate,
+        ramp_start_s=shift,
+        ramp_duration_s=2 * FLEET_WINDOW_S,
+    ),
+    "bursty": lambda rate, shift: BurstyTraffic(
+        base_rate_rps=rate / 4,
+        burst_rate_rps=10 * rate,
+        burst_every_s=FLEET_WINDOW_S,
+        burst_duration_s=120.0,
+    ),
+    "trace": lambda rate, shift: TraceTraffic(
+        timestamps_s=tuple(shift + np.arange(int(rate * 1000)) * 60.0)
+    ),
+}
+
+
+class TestFleetConservation:
+    """Window columns, platform billing and the ledger tell one story.
+
+    Small random fleets replicate two base profiles (so the statistical
+    cohort mode really forms cohorts) under a random mix of traffic models,
+    with random resizes between windows.  Every window is fed to a
+    :class:`SavingsLedger` with no controller.
+    """
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        traffic=st.lists(
+            st.tuples(
+                st.sampled_from(sorted(FLEET_TRAFFIC)),
+                st.floats(0.002, 0.04),
+                st.floats(0.0, 3 * FLEET_WINDOW_S),
+            ),
+            min_size=2,
+            max_size=8,
+        ),
+        seed=st.integers(0, 2**16),
+        cohort_mode=st.sampled_from(["off", "statistical"]),
+        resizes=st.lists(
+            st.tuples(
+                st.integers(0, 2), st.integers(0, 7), st.sampled_from(MEMORY_SIZES)
+            ),
+            max_size=4,
+        ),
+    )
+    def test_window_totals_conserve_billing_and_counts(
+        self, traffic, seed, cohort_mode, resizes
+    ):
+        n = len(traffic)
+        bases = SyntheticFunctionGenerator(
+            config=GeneratorConfig(seed=seed, name_prefix="conserve")
+        ).generate(2)
+        functions = [bases[i % 2].with_name(f"conserve-{i}") for i in range(n)]
+        models = [FLEET_TRAFFIC[kind](rate, shift) for kind, rate, shift in traffic]
+        simulator = FleetSimulator(
+            functions,
+            models,
+            FleetConfig(window_s=FLEET_WINDOW_S, seed=seed, cohort_mode=cohort_mode),
+        )
+        ledger = SavingsLedger()
+        windows = []
+        since_resize = np.zeros(n, dtype=np.int64)
+        for index in range(4):
+            window = simulator.run_window()
+            ledger.observe(window, [])
+            windows.append(window)
+            assert np.all(window.n_invocations <= window.n_arrivals)
+            since_resize[window.active] += window.n_arrivals
+            for at, function, size in resizes:
+                if at == index:
+                    # A resize redeploys the function: its counter restarts.
+                    simulator.resize(function % n, size)
+                    since_resize[function % n] = 0
+        platform = simulator.platform
+        window_cost = sum(w.total_cost_usd for w in windows)
+        assert platform.total_cost_usd() == pytest.approx(window_cost, rel=1e-9)
+        for i, function in enumerate(functions):
+            assert platform.get_function(function.name).invocation_count == since_resize[i]
+        assert ledger.total_invocations == sum(w.total_invocations for w in windows)
+        assert ledger.total_actual_cost_usd == window_cost

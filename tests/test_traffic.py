@@ -284,35 +284,40 @@ class TestFleetTrafficSchedule:
         expected = fleet_mean_rates(models, 0.0, 3_600.0) * 3_600.0
         np.testing.assert_allclose(totals / n_rounds, expected, rtol=0.05)
 
-    def test_sample_window_keyed_matches_per_model_arrivals(self):
-        models = _one_of_each_model()
-        schedule = FleetTrafficSchedule(models)
-        start_s, end_s = self.WINDOW
-        rngs = [np.random.default_rng(1000 + i) for i in range(len(models))]
-        arrivals = schedule.sample_window_keyed(start_s, end_s, rngs)
-        for i, model in enumerate(models):
-            expected = model.arrivals(
-                start_s, end_s, np.random.default_rng(1000 + i)
-            )
-            np.testing.assert_array_equal(arrivals.arrivals_of(i), expected)
+    def test_candidate_rates_bit_identical_to_per_model_rate(self):
+        """The batched thinning rates equal ``TrafficModel.rate`` bit for bit.
 
-    def test_sample_window_keyed_cap_matches_reference_subsampling(self):
-        models = [
-            ConstantTraffic(rate_rps=1.0),
-            TraceTraffic(timestamps_s=tuple(float(t) for t in range(50))),
+        Covers every indexing route of the schedule: the attrgetter columns
+        of the built-in kernel classes (two diurnal models, so the ``_rank``
+        gather picks a non-zero column), the per-model indexing loop that
+        exact subclasses take, and the per-model rate fallback of models
+        without a kernel (bursty).
+        """
+
+        class ShiftedDiurnal(DiurnalTraffic):
+            """A subclass: indexed by the per-model loop, rated by its kernel."""
+
+        models = _one_of_each_model() + [
+            DiurnalTraffic(mean_rate_rps=0.1, amplitude=0.2, phase_s=0.0),
+            ShiftedDiurnal(mean_rate_rps=0.03, amplitude=0.5, phase_s=9_000.0),
+            ShiftedDiurnal(mean_rate_rps=0.05, amplitude=0.3, phase_s=100.0),
         ]
         schedule = FleetTrafficSchedule(models)
-        rngs = [np.random.default_rng(3), np.random.default_rng(4)]
-        arrivals = schedule.sample_window_keyed(0.0, 600.0, rngs, max_per_function=25)
-        assert np.array_equal(arrivals.counts(), [25, 25])
-        full = models[0].arrivals(0.0, 600.0, np.random.default_rng(3))
-        keep = np.linspace(0, full.shape[0] - 1, 25).astype(int)
-        np.testing.assert_array_equal(arrivals.arrivals_of(0), full[keep])
-
-    def test_sample_window_keyed_validates_stream_count(self):
-        schedule = FleetTrafficSchedule([ConstantTraffic(rate_rps=1.0)])
-        with pytest.raises(ConfigurationError):
-            schedule.sample_window_keyed(0.0, 10.0, [])
+        start_s, end_s = self.WINDOW
+        rng = np.random.default_rng(12)
+        # Trace replays are spliced in outside thinning and get no candidates.
+        counts = np.array(
+            [0 if isinstance(m, TraceTraffic) else 40 for m in models], dtype=np.int64
+        )
+        gids = np.repeat(np.arange(len(models), dtype=np.int64), counts)
+        times = np.concatenate(
+            [np.sort(rng.uniform(start_s, end_s, int(c))) for c in counts]
+        )
+        rates = schedule._candidate_rates(gids, times, counts)
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        for i, model in enumerate(models):
+            segment = slice(offsets[i], offsets[i + 1])
+            np.testing.assert_array_equal(rates[segment], model.rate(times[segment]))
 
     def test_from_arrays_round_trips(self):
         per_function = [

@@ -7,8 +7,8 @@ throughput and peak-memory trajectory of the two hot paths:
 
 - **fleet** — fused cross-function window execution vs the per-function-batch
   path (windows/s, invocations/s, tracemalloc peak bytes), plus the
-  fleet-scale ``sparse`` section (sparse / cohort / sharded window variants
-  vs the dense O(fleet) reference on a mostly-idle fleet), the ``compiled``
+  fleet-scale ``sparse`` section (the fleet window and its cohort variant vs
+  the dense O(fleet) reference on a mostly-idle fleet), the ``noise``
   section (the grouped kernel with per-group vs pooled noise on the sparse
   active groups) and the ``fleet_scale`` endurance run (one million
   functions through 24 virtual hours at ``--scale full``);
@@ -128,24 +128,22 @@ def bench_fleet() -> dict:
             results["looped"]["seconds"] / results["fused"]["seconds"], 2
         ),
         "sparse": bench_fleet_sparse(bench),
-        "compiled": bench_fleet_compiled(bench),
+        "noise": bench_fleet_noise(bench),
     }
 
 
 def bench_fleet_sparse(bench) -> dict:
-    """Sparse / cohort / sharded fleet window variants vs the dense reference.
+    """Fleet window variants vs the dense reference.
 
     The mostly-idle fleet-scale scenario (``_sparse_scenario``, ~1 % active
-    per window).  ``dense`` is the pre-sparse O(fleet) window body; the
-    three lever variants all run through ``FleetSimulator.run_window``.
-    Sparse and sharded must agree bit for bit (asserted); cohort is the
-    explicitly statistical mode.
+    per window).  ``dense`` is the pre-sparse O(fleet) window body; both
+    variants run through ``FleetSimulator.run_window``: ``sparse`` is the
+    default window, ``cohort`` the explicitly statistical cohort mode.
     """
     functions, traffic = bench._sparse_scenario()
     variants = {
         "sparse": {},
         "cohort": {"cohort_mode": "statistical"},
-        "sharded": {"window_shard_size": 256},
     }
     results = {}
     (seconds, invocations, _), wall_seconds, peak = _traced(
@@ -158,18 +156,12 @@ def bench_fleet_sparse(bench) -> dict:
         "invocations": invocations,
         "peak_bytes": int(peak),
     }
-    reference = None
     for label, knobs in variants.items():
         (seconds, invocations, windows), wall_seconds, peak = _traced(
             lambda knobs=knobs: bench.execute_sparse_windows(
                 functions, traffic, **knobs
             )
         )
-        stacked = np.concatenate([w.stats.ravel() for w in windows])
-        if label == "sparse":
-            reference = stacked
-        elif label == "sharded" and not np.array_equal(reference, stacked):
-            raise AssertionError("sharded window stats diverged from sparse")
         results[label] = {
             "windows_per_second": round(bench.SPARSE_WINDOWS / seconds, 3),
             "seconds": round(seconds, 4),
@@ -192,12 +184,12 @@ def bench_fleet_sparse(bench) -> dict:
     }
 
 
-def bench_fleet_compiled(bench) -> dict:
+def bench_fleet_noise(bench) -> dict:
     """Grouped-kernel noise modes on the sparse scenario's active groups.
 
     The timed region is the contested execution work (grouped execution +
     stat reduction over pre-built requests), exactly the region
-    ``test_bench_compiled_backend_speedup`` asserts, and timings are the
+    ``test_bench_pooled_noise_speedup`` asserts, and timings are the
     best of five fresh runs in which the two modes execute window by
     window, interleaved (the benchmark's noise discipline); peak bytes come
     from one separately traced run per mode.  ``per-group`` is the kernel
@@ -279,7 +271,7 @@ def bench_fleet_scale(scale: str) -> dict:
         simulator = FleetSimulator(
             functions,
             traffic,
-            FleetConfig(window_s=bench.WINDOW_S, seed=99, sparse=True),
+            FleetConfig(window_s=bench.WINDOW_S, seed=99),
         )
         setup_seconds = time.perf_counter() - setup_start
     finally:
@@ -402,7 +394,7 @@ def main(argv=None) -> int:
             f"looped {report['results']['looped']['ops_per_second']:,.0f} inv/s "
             f"({report['speedup']}x); sparse {report['sparse']['speedup']}x over "
             f"dense at {report['sparse']['config']['n_functions']:,} functions; "
-            f"pooled noise {report['compiled']['pooled_speedup']}x over per-group; "
+            f"pooled noise {report['noise']['pooled_speedup']}x over per-group; "
             f"fleet-scale {report['fleet_scale']['config']['n_functions']:,} "
             f"functions x {report['fleet_scale']['config']['n_windows']} windows "
             f"in {scale_row['seconds']:.1f} s "
