@@ -37,7 +37,7 @@ import numpy as np
 from repro.core.training import build_training_matrices
 from repro.core.features import feature_superset
 from repro.dataset.generation import DatasetGenerationConfig, TrainingDatasetGenerator
-from repro.dataset.harness import _DEFAULT_FUSED_CHUNK
+from repro.dataset.harness import _CHUNK_FUNCTIONS
 from repro.monitoring.aggregation import STAT_NAMES
 from repro.monitoring.metrics import METRIC_NAMES
 
@@ -53,11 +53,11 @@ _VALUES_NBYTES = (
     N_FUNCTIONS * len(MEMORY_SIZES) * len(METRIC_NAMES) * len(STAT_NAMES) * 8
 )
 
-#: Bytes of one fused measurement chunk's invocation columns (~130 float64
+#: Bytes of one measurement chunk's invocation columns (~130 float64
 #: slots per invocation: metric columns, timing/noise intermediates and the
 #: segmented-aggregation working set).
 _CHUNK_COLUMN_NBYTES = (
-    _DEFAULT_FUSED_CHUNK * len(MEMORY_SIZES) * INVOCATIONS_PER_SIZE * 130 * 8
+    _CHUNK_FUNCTIONS * len(MEMORY_SIZES) * INVOCATIONS_PER_SIZE * 130 * 8
 )
 
 _INVOCATIONS = N_FUNCTIONS * len(MEMORY_SIZES) * INVOCATIONS_PER_SIZE
@@ -137,7 +137,7 @@ def test_sharded_generation_memory_bounded():
 
     The in-memory path's peak must exceed the sharded path's by at least the
     dense array size (it stacks a second copy on build), and the sharded
-    peak must stay within a small multiple of ONE fused measurement chunk's
+    peak must stay within a small multiple of ONE measurement chunk's
     invocation columns — its table-related residency is one 100-function
     shard buffer (~0.36 MB of the 7.2 MB total) plus the current
     64-function mega-batch, both independent of ``N_FUNCTIONS``.
@@ -149,7 +149,7 @@ def test_sharded_generation_memory_bounded():
         f"\ngeneration peak memory: in-memory {peak_inmemory / 1e6:.1f} MB, "
         f"sharded {peak_sharded / 1e6:.1f} MB "
         f"(dense array {_VALUES_NBYTES / 1e6:.1f} MB, "
-        f"one fused chunk {_CHUNK_COLUMN_NBYTES / 1e6:.1f} MB, "
+        f"one chunk {_CHUNK_COLUMN_NBYTES / 1e6:.1f} MB, "
         f"one shard {_VALUES_NBYTES / 1e6 * SHARD_SIZE / N_FUNCTIONS:.2f} MB)"
     )
     assert peak_sharded < peak_inmemory

@@ -3,10 +3,11 @@
 :class:`SizelessPipeline` wires the whole approach of paper Figure 2 together:
 
 1. **Offline phase** — generate synthetic functions, measure them across all
-   memory sizes on the (simulated) platform, and train the multi-target
-   regression model(s).
+   memory sizes on the (simulated) platform in grouped chunks, and train
+   the multi-target regression model(s).
 2. **Online phase** — monitor a production function at a single memory size
-   and recommend the optimal size.
+   (a one-function chunk of the same harness path) and recommend the
+   optimal size.
 
 The defaults are laptop-scale (a few hundred synthetic functions, a light
 network); every knob can be raised to the paper's full scale.
@@ -69,10 +70,6 @@ class PipelineConfig:
         ``"parallel"``.
     n_workers:
         Worker count for the parallel backend (``None`` = CPU count).
-    fused:
-        Measure the offline sweep through the fused cross-function path
-        (one columnar mega-batch per chunk/shard); ``False`` issues one
-        engine batch per (function, size) pair.  Bit-identical either way.
     shard_size:
         When set, the offline phase generates a sharded out-of-core training
         table with this many functions per on-disk shard (``None`` keeps the
@@ -94,7 +91,6 @@ class PipelineConfig:
     seed: int = 42
     backend: str = "vectorized"
     n_workers: int | None = None
-    fused: bool = True
     shard_size: int | None = None
     shard_directory: str | None = None
 
@@ -168,7 +164,6 @@ class SizelessPipeline:
             seed=self.config.seed,
             backend=self.config.backend,
             n_workers=self.config.n_workers,
-            fused=self.config.fused,
             shard_size=self.config.shard_size,
             shard_directory=self.config.shard_directory,
         )
@@ -245,7 +240,6 @@ class SizelessPipeline:
                 seed=self.config.seed + 2000,
                 backend=self.config.backend,
                 n_workers=self.config.n_workers,
-                fused=self.config.fused,
             ),
         )
         measurement = harness.measure_function(function, memory_sizes_mb=(base_size,))

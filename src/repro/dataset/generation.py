@@ -2,7 +2,8 @@
 
 Combines the synthetic function generator, the measurement harness and the
 monitoring aggregation into one call: generate N unique synthetic functions,
-measure each at all six memory sizes, and return a
+measure them at all six memory sizes in grouped chunks (the harness's one
+path, :mod:`repro.dataset.harness`), and return a table or a
 :class:`~repro.dataset.schema.MeasurementDataset`.  The paper's full scale is
 2 000 functions x 6 sizes x 18 000 invocations; the defaults below produce a
 smaller (but structurally identical) dataset suitable for laptop runs, and
@@ -65,11 +66,6 @@ class DatasetGenerationConfig:
         (vectorized batches fanned out over worker processes).
     n_workers:
         Worker count for the parallel backend (``None`` = CPU count).
-    fused:
-        Measure through the fused cross-function path (one columnar
-        mega-batch per chunk/shard) on the batch backends; ``False`` issues
-        one engine batch per (function, size) pair.  Bit-identical numbers
-        either way.
     shard_size:
         When set, generate a sharded out-of-core table with this many
         functions per on-disk shard instead of one in-memory table
@@ -90,7 +86,6 @@ class DatasetGenerationConfig:
     generator_config: GeneratorConfig | None = field(default=None)
     backend: str = "vectorized"
     n_workers: int | None = None
-    fused: bool = True
     shard_size: int | None = None
     shard_directory: str | None = None
 
@@ -131,7 +126,6 @@ class TrainingDatasetGenerator:
             seed=self.config.seed + 2,
             backend=self.config.backend,
             n_workers=self.config.n_workers,
-            fused=self.config.fused,
         )
         self.harness = MeasurementHarness(platform=platform, config=harness_config)
 
@@ -144,7 +138,6 @@ class TrainingDatasetGenerator:
             "duration_s": self.config.duration_s,
             "seed": self.config.seed,
             "backend": self.config.backend,
-            "fused": self.config.fused,
         }
 
     def _description(self) -> str:

@@ -9,24 +9,29 @@ invocations per size so that the full 2 000-function dataset can be generated
 in seconds; the cap preserves the arrival-process shape (see
 :meth:`repro.workloads.loadgen.LoadGenerator.arrival_times`).
 
-Invocation batches run through a pluggable execution backend
-(:mod:`repro.simulation.engine`): the default ``"serial"`` backend reproduces
-the original scalar path invocation for invocation, ``"vectorized"`` computes
-whole arrival batches in numpy, and ``"parallel"`` additionally fans work out
-over worker processes.  Measurement windows are aggregated straight from the
-batch columns — no per-invocation metric dictionaries are materialized — and
-each function's records are discarded from the platform log once aggregated,
-so memory stays bounded during paper-scale runs.
+Every harness call takes one path into the engine.  Functions are measured
+in chunks: all ``functions x sizes`` (function, size) groups of a chunk run
+as one grouped batch (:meth:`MeasurementHarness.measure_chunk_stats` →
+:meth:`~repro.simulation.engine.ExecutionBackend.run_grouped`), reduced
+straight to dense stat blocks with segmented reductions — no per-invocation
+metric dictionaries and no per-invocation records are left behind.
+:meth:`~MeasurementHarness.measure_function` is a one-function chunk;
+:meth:`~MeasurementHarness.measure_many` and
+:meth:`~MeasurementHarness.measure_table` run their lists through
+:meth:`~repro.simulation.engine.ExecutionBackend.measure_stat_chunks`, which
+the ``"parallel"`` backend fans out over worker processes.  A chunk holds at
+most 64 functions and, for long measurement windows, fewer, so peak memory
+stays at one chunk's metric columns even at paper scale.  The backend
+decides only how a chunk executes: ``"serial"`` runs one scalar batch per
+group (the reference path), ``"vectorized"`` and ``"parallel"`` run the
+grouped kernel.
 
 Every (function, size) experiment owns two private random streams — one for
 its arrival trace, one for its execution noise — spawned from the base seeds
-and the function's absolute index (:mod:`repro.simulation.seeding`).  All
-schedules therefore produce bit-identical numbers: the sequential loop, the
-chunked sharded run, the process-parallel fan-out, and the **fused** path
-(``fused=True``, the default for the batch backends), which flattens all
-(function, size) pairs of a chunk into one columnar mega-batch
-(:mod:`repro.simulation.engine.grouped`) instead of issuing
-``functions x sizes`` separate engine batches.
+and the function's absolute index (:mod:`repro.simulation.seeding`).  The
+numbers therefore depend neither on chunking nor on worker count, and
+``measure_function(f, index=k)`` equals row ``k`` of ``measure_table`` and
+``measure_many()[k]`` bit for bit.
 """
 
 from __future__ import annotations
@@ -36,14 +41,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.monitoring.aggregation import STAT_NAMES, MonitoringSummary
+from repro.monitoring.aggregation import STAT_NAMES, summary_from_stats
 from repro.monitoring.metrics import METRIC_NAMES
 from repro.dataset.schema import FunctionMeasurement
-from repro.dataset.table import MeasurementTableBuilder, measurement_stat_block
+from repro.dataset.table import MeasurementTableBuilder
 from repro.simulation.engine import (
     ExecutionBackend,
     GroupRequest,
-    SerialBackend,
     available_backends,
     get_backend,
 )
@@ -52,9 +56,33 @@ from repro.simulation.seeding import STREAM_ARRIVALS, STREAM_EXECUTION, child_rn
 from repro.workloads.function import FunctionSpec
 from repro.workloads.loadgen import LoadGenerator, Workload
 
-#: Functions per fused mega-batch when no sharded sink dictates a shard size;
-#: bounds peak memory at one chunk's metric columns.
-_DEFAULT_FUSED_CHUNK = 64
+#: Most functions in one grouped chunk.
+_CHUNK_FUNCTIONS = 64
+
+#: Most simulated invocations in one grouped chunk (64 functions x 6 sizes x
+#: 120 invocations, the largest capped window any caller uses).  Paper-scale
+#: windows (18 000 invocations per size) would otherwise put ~7 GB of metric
+#: columns into one 64-function chunk.
+_CHUNK_INVOCATIONS = 64 * 6 * 120
+
+
+def _function_measurement(
+    function: FunctionSpec,
+    memory_sizes: tuple[int, ...],
+    stats: np.ndarray,
+    counts: np.ndarray,
+) -> FunctionMeasurement:
+    """Wrap one function's stat block into a measurement, in ``memory_sizes`` order."""
+    measurement = FunctionMeasurement(
+        function_name=function.name,
+        application=function.application,
+        segments=function.segments,
+    )
+    for j, memory_mb in enumerate(memory_sizes):
+        measurement.add_summary(
+            memory_mb, summary_from_stats(function.name, memory_mb, stats[j], counts[j])
+        )
+    return measurement
 
 
 @dataclass(frozen=True)
@@ -77,20 +105,10 @@ class HarnessConfig:
         Base seed of the per-experiment arrival streams.
     backend:
         Execution backend name (``"serial"``, ``"vectorized"``,
-        ``"parallel"``) used for invocation batches.
+        ``"parallel"``) that executes the grouped chunks.
     n_workers:
         Worker-process count for the parallel backend (``None`` = CPU count;
         ignored by the single-process backends).
-    stream_records:
-        Discard each function's per-invocation records from the platform log
-        once its measurement window has been aggregated, keeping memory
-        bounded during large generation runs (billing totals are preserved).
-    fused:
-        Measure tables through the fused cross-function path: one columnar
-        mega-batch per chunk instead of one engine batch per (function,
-        size) pair.  Bit-identical to the looped path (every experiment owns
-        its own streams) and much faster for the batch backends; ignored by
-        the serial backend, which stays the scalar reference.
     """
 
     memory_sizes_mb: tuple[int, ...] = (128, 256, 512, 1024, 2048, 3008)
@@ -100,8 +118,6 @@ class HarnessConfig:
     seed: int = 0
     backend: str = "serial"
     n_workers: int | None = None
-    stream_records: bool = True
-    fused: bool = True
 
     def __post_init__(self) -> None:
         if not self.memory_sizes_mb:
@@ -172,6 +188,18 @@ class MeasurementHarness:
         self._auto_index += 1
         return index
 
+    def _memory_sizes(self, memory_sizes_mb: tuple[int, ...] | None) -> tuple[int, ...]:
+        sizes = memory_sizes_mb if memory_sizes_mb is not None else self.config.memory_sizes_mb
+        return tuple(int(size) for size in sizes)
+
+    def _chunk_size(self, n_sizes: int, workload: Workload | None) -> int:
+        """Functions per chunk: at most 64, and at most 46 080 invocations."""
+        per_size = self.config.max_invocations_per_size
+        if per_size is None:
+            load = workload if workload is not None else self.config.workload
+            per_size = max(load.expected_requests, 1)
+        return max(1, min(_CHUNK_FUNCTIONS, _CHUNK_INVOCATIONS // (n_sizes * per_size)))
+
     def measure_function(
         self,
         function: FunctionSpec,
@@ -187,26 +215,18 @@ class MeasurementHarness:
         function.  When omitted, the harness assigns the next auto-index —
         successive standalone calls on one harness therefore draw from
         successive independent streams (the first standalone call equals
-        measuring the function first in a list).  Returns a
+        measuring the function first in a list).  The function runs as a
+        one-function chunk on the harness's own platform, whatever the
+        backend.  Returns a
         :class:`~repro.dataset.schema.FunctionMeasurement` holding one
-        aggregated summary per memory size.
+        aggregated summary per memory size, in the requested size order.
         """
         index = self._next_index(index)
-        memory_sizes = memory_sizes_mb if memory_sizes_mb is not None else self.config.memory_sizes_mb
-        load = workload if workload is not None else self.config.workload
-        measurement = FunctionMeasurement(
-            function_name=function.name,
-            application=function.application,
-            segments=function.segments,
+        memory_sizes = self._memory_sizes(memory_sizes_mb)
+        stats, counts = self.measure_chunk_stats(
+            [function], index_offset=index, memory_sizes_mb=memory_sizes, workload=workload
         )
-        for size_index, memory_mb in enumerate(memory_sizes):
-            summary = self._measure_at_size(
-                function, int(memory_mb), load, index, size_index
-            )
-            measurement.add_summary(int(memory_mb), summary)
-        if self.config.stream_records:
-            self.platform.discard_function_records(function.name)
-        return measurement
+        return _function_measurement(function, memory_sizes, stats[0], counts[0])
 
     def measure_many(
         self,
@@ -217,53 +237,34 @@ class MeasurementHarness:
     ) -> list[FunctionMeasurement]:
         """Measure a list of functions through the configured backend.
 
-        The serial and vectorized backends measure sequentially (like the
-        paper's interleaved trials); the parallel backend fans whole functions
-        out over worker processes — with identical numbers, since every
-        (function, size) experiment draws from its own index-derived streams.
+        The functions run chunk by chunk (the parallel backend fans the
+        chunks out over worker processes); function ``k`` draws from the
+        streams of index ``k``, so the result equals calling
+        ``measure_function(functions[k], index=k)`` for every ``k``.
         ``progress_callback(done, total, name)`` is invoked after each
         completed function.
         """
-        return self.backend.measure_functions(
+        memory_sizes = self._memory_sizes(memory_sizes_mb)
+        measurements: list[FunctionMeasurement] = []
+
+        def on_chunk(chunk_start, chunk, stats, counts):
+            measurements.extend(
+                _function_measurement(function, memory_sizes, stats[k], counts[k])
+                for k, function in enumerate(chunk)
+            )
+
+        self.backend.measure_stat_chunks(
             self,
             functions,
-            memory_sizes_mb=memory_sizes_mb,
+            memory_sizes_mb=memory_sizes,
             workload=workload,
+            chunk_size=self._chunk_size(len(memory_sizes), workload),
+            on_chunk=on_chunk,
             progress_callback=progress_callback,
         )
+        return measurements
 
     # ----------------------------------------------------------- columnar path
-    def measure_function_stats(
-        self,
-        function: FunctionSpec,
-        memory_sizes_mb: tuple[int, ...] | None = None,
-        workload: Workload | None = None,
-        index: int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Measure one function into a bare ``(n_sizes, n_metrics, n_stats)`` block.
-
-        The dict-free row producer of the columnar measurement table: each
-        memory size's batch is aggregated straight from the engine's batch
-        columns (:meth:`BatchResult.aggregate_stats`) without materializing a
-        :class:`MonitoringSummary` or any per-invocation dictionary.  Returns
-        the stat block plus the per-size invocation counts.  ``index``
-        behaves as in :meth:`measure_function`.
-        """
-        index = self._next_index(index)
-        memory_sizes = memory_sizes_mb if memory_sizes_mb is not None else self.config.memory_sizes_mb
-        load = workload if workload is not None else self.config.workload
-        stats = np.zeros((len(memory_sizes), len(METRIC_NAMES), len(STAT_NAMES)))
-        counts = np.zeros(len(memory_sizes), dtype=np.int64)
-        for j, memory_mb in enumerate(memory_sizes):
-            batch = self._run_batch_at_size(function, int(memory_mb), load, index, j)
-            stats[j], counts[j] = batch.aggregate_stats(
-                warmup_s=load.warmup_s,
-                exclude_cold_starts=self.config.exclude_cold_starts,
-            )
-        if self.config.stream_records:
-            self.platform.discard_function_records(function.name)
-        return stats, counts
-
     def measure_chunk_stats(
         self,
         functions: list[FunctionSpec],
@@ -271,14 +272,13 @@ class MeasurementHarness:
         memory_sizes_mb: tuple[int, ...] | None = None,
         workload: Workload | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Measure a function chunk as ONE fused cross-function mega-batch.
+        """Measure a function chunk as ONE grouped cross-function batch.
 
         All ``len(functions) x n_sizes`` (function, size) groups are
         flattened into a single columnar pass through the engine
         (:meth:`ExecutionBackend.run_grouped`) and reduced to dense stat
         blocks with segmented reductions — no per-group batches or objects.
-        Bit-identical to :meth:`measure_function_stats` per function because
-        every group draws from the same index-derived streams.
+        ``functions[k]`` draws from the streams of index ``index_offset + k``.
 
         Returns
         -------
@@ -286,13 +286,13 @@ class MeasurementHarness:
             ``(n_functions, n_sizes, n_metrics, n_stats)`` stats and
             ``(n_functions, n_sizes)`` surviving invocation counts.
         """
-        memory_sizes = memory_sizes_mb if memory_sizes_mb is not None else self.config.memory_sizes_mb
+        memory_sizes = self._memory_sizes(memory_sizes_mb)
         load = workload if workload is not None else self.config.workload
         requests = []
         for k, function in enumerate(functions):
             index = index_offset + k
             for j, memory_mb in enumerate(memory_sizes):
-                self.platform.deploy(function.name, function.profile, int(memory_mb))
+                self.platform.deploy(function.name, function.profile, memory_mb)
                 requests.append(
                     GroupRequest.for_deployed(
                         self.platform,
@@ -328,14 +328,9 @@ class MeasurementHarness:
     ):
         """Measure a list of functions into a columnar measurement table.
 
-        The array-first counterpart of :meth:`measure_many`.  With the batch
-        backends and ``fused=True`` (the default) the run executes one fused
-        cross-function mega-batch per chunk — one chunk per shard when
-        streaming into a sharded sink, :data:`_DEFAULT_FUSED_CHUNK` functions
-        otherwise — instead of ``functions x sizes`` separate engine batches;
-        the parallel backend fans whole chunks out over worker processes.
-        The serial backend (and ``fused=False``) measures one batch per
-        (function, size) pair.  All schedules produce bit-identical tables.
+        The array-first counterpart of :meth:`measure_many`, with the same
+        chunks and the same numbers: each chunk's stat blocks go straight
+        into the sink.  A chunk never exceeds a sharded sink's shard size.
 
         ``sink`` selects where the stat blocks land.  By default a fresh
         :class:`~repro.dataset.table.MeasurementTableBuilder` collects them
@@ -346,12 +341,7 @@ class MeasurementHarness:
         apply and this method's ``description`` / ``metadata`` arguments are
         ignored.  Returns whatever ``sink.build()`` returns.
         """
-        memory_sizes = tuple(
-            int(size)
-            for size in (
-                memory_sizes_mb if memory_sizes_mb is not None else self.config.memory_sizes_mb
-            )
-        )
+        memory_sizes = self._memory_sizes(memory_sizes_mb)
         if sink is None:
             sink = MeasurementTableBuilder(
                 memory_sizes_mb=memory_sizes, description=description, metadata=metadata
@@ -365,118 +355,30 @@ class MeasurementHarness:
                     f"sink expects memory sizes {sink_sizes}, harness measures "
                     f"{memory_sizes}"
                 )
+        # The sink buffers rows until a shard fills, so chunks below the
+        # shard size never change its output; they bound memory to a shard.
+        chunk_size = self._chunk_size(len(memory_sizes), workload)
         shard_size = int(getattr(sink, "shard_size", 0) or 0)
-        if self.config.fused and not isinstance(self.backend, SerialBackend):
-            # Fused path: one columnar mega-batch per chunk.  The chunk is
-            # capped at the memory-bounding default even when a sharded sink
-            # uses larger shards (the sink buffers rows until a shard fills,
-            # so chunking below the shard size never changes the output).
-            chunk_size = min(
-                shard_size or _DEFAULT_FUSED_CHUNK,
-                _DEFAULT_FUSED_CHUNK,
-                len(functions) or _DEFAULT_FUSED_CHUNK,
-            )
+        if shard_size:
+            chunk_size = min(chunk_size, shard_size)
 
-            def on_chunk(chunk_start, chunk, stats, counts):
-                for k, function in enumerate(chunk):
-                    sink.add_function(
-                        function.name,
-                        application=function.application,
-                        segments=function.segments,
-                        stats=stats[k],
-                        counts=counts[k],
-                    )
-
-            self.backend.measure_stat_chunks(
-                self,
-                functions,
-                memory_sizes_mb=memory_sizes,
-                workload=workload,
-                chunk_size=chunk_size,
-                on_chunk=on_chunk,
-                progress_callback=progress_callback,
-            )
-            return sink.build()
-        overridden = (
-            type(self.backend).measure_functions is not ExecutionBackend.measure_functions
-        )
-        if overridden:
-            # Scheduling backends return whole FunctionMeasurement lists, so
-            # a sharding sink would otherwise see the entire run materialized
-            # at once.  Chunk the run by the sink's shard size instead —
-            # per-group streams derive from absolute indices (index_offset),
-            # so the chunked numbers equal the single-call numbers — keeping
-            # the peak at one shard's worth of measurement objects.
-            chunk_size = shard_size or len(functions) or 1
-            for chunk_start in range(0, len(functions), chunk_size):
-                chunk = functions[chunk_start : chunk_start + chunk_size]
-                measurements = self.backend.measure_functions(
-                    self,
-                    chunk,
-                    memory_sizes_mb=memory_sizes,
-                    workload=workload,
-                    progress_callback=(
-                        None
-                        if progress_callback is None
-                        else lambda done, _total, name, base=chunk_start: (
-                            progress_callback(base + done, len(functions), name)
-                        )
-                    ),
-                    index_offset=chunk_start,
+        def on_chunk(chunk_start, chunk, stats, counts):
+            for k, function in enumerate(chunk):
+                sink.add_function(
+                    function.name,
+                    application=function.application,
+                    segments=function.segments,
+                    stats=stats[k],
+                    counts=counts[k],
                 )
-                for measurement in measurements:
-                    stats, counts = measurement_stat_block(measurement, memory_sizes)
-                    sink.add_function(
-                        measurement.function_name,
-                        application=measurement.application,
-                        segments=measurement.segments,
-                        stats=stats,
-                        counts=counts,
-                    )
-            return sink.build()
-        for index, function in enumerate(functions):
-            stats, counts = self.measure_function_stats(
-                function, memory_sizes_mb=memory_sizes, workload=workload, index=index
-            )
-            sink.add_function(
-                function.name,
-                application=function.application,
-                segments=function.segments,
-                stats=stats,
-                counts=counts,
-            )
-            if progress_callback is not None:
-                progress_callback(index + 1, len(functions), function.name)
+
+        self.backend.measure_stat_chunks(
+            self,
+            functions,
+            memory_sizes_mb=memory_sizes,
+            workload=workload,
+            chunk_size=chunk_size,
+            on_chunk=on_chunk,
+            progress_callback=progress_callback,
+        )
         return sink.build()
-
-    # ------------------------------------------------------------------ internal
-    def _run_batch_at_size(
-        self,
-        function: FunctionSpec,
-        memory_mb: int,
-        workload: Workload,
-        index: int,
-        size_index: int,
-    ):
-        """Deploy at one size and run the arrival batch through the backend."""
-        self.platform.deploy(function.name, function.profile, memory_mb)
-        return self.platform.invoke_batch(
-            function.name,
-            self._arrivals_for(workload, index, size_index),
-            backend=self.backend,
-            rng=self._execution_rng(index, size_index),
-        )
-
-    def _measure_at_size(
-        self,
-        function: FunctionSpec,
-        memory_mb: int,
-        workload: Workload,
-        index: int,
-        size_index: int,
-    ) -> MonitoringSummary:
-        batch = self._run_batch_at_size(function, memory_mb, workload, index, size_index)
-        return batch.aggregate(
-            warmup_s=workload.warmup_s,
-            exclude_cold_starts=self.config.exclude_cold_starts,
-        )

@@ -55,7 +55,6 @@ class ExperimentScale:
     seed: int = 42
     backend: str = "vectorized"
     n_workers: int | None = None
-    fused: bool = True
     shard_size: int | None = None
     shard_directory: str | None = None
 
@@ -133,7 +132,6 @@ class ExperimentContext:
                     seed=self.scale.seed,
                     backend=self.scale.backend,
                     n_workers=self.scale.n_workers,
-                    fused=self.scale.fused,
                     shard_size=self.scale.shard_size,
                     shard_directory=self.scale.shard_directory,
                 )
@@ -205,7 +203,6 @@ class ExperimentContext:
                             seed=seed + 1,
                             backend=self.scale.backend,
                             n_workers=self.scale.n_workers,
-                            fused=self.scale.fused,
                         ),
                     )
                     repetitions.append(

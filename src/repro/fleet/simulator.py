@@ -29,9 +29,9 @@ The result is one :class:`FleetWindow`, holding rows only for the window's
 active functions, which the rightsizing controller
 (:mod:`repro.fleet.controller`) and the savings ledger
 (:mod:`repro.fleet.ledger`) consume.  Memory stays bounded by one window:
-batch columns are transient, per-invocation records are discarded from the
-platform log after aggregation, and the simulator retains only the fleet's
-deployment state.
+batch columns are transient, a grouped run leaves no per-invocation records
+in the platform log, and the simulator retains only the fleet's deployment
+state.
 
 **Cohort deduplication** (``cohort_mode="statistical"``) is the one opt-in
 approximation: active functions sharing (profile, memory size, mean-rate
@@ -80,6 +80,13 @@ _MEAN = STAT_NAMES.index("mean")
 #: Metric-axis row of the execution time (Table-1 order).
 _EXECUTION_TIME = METRIC_NAMES.index("execution_time")
 
+#: Midpoint samples per window of the cohort rate evaluation (see
+#: :func:`~repro.workloads.traffic.fleet_mean_rates`).
+_COHORT_RATE_RESOLUTION = 64
+
+#: Cohort rate buckets per decade of the log10 mean-rate grid.
+_COHORT_RATE_BUCKETS_PER_DECADE = 2
+
 
 @dataclass(frozen=True)
 class FleetConfig:
@@ -108,9 +115,6 @@ class FleetConfig:
         Optional per-function cap on simulated arrivals per window; the
         arrival *pattern* is preserved by uniform subsampling, exactly like
         the offline harness cap.
-    stream_records:
-        Discard per-invocation records from the platform log after each
-        window (keeps memory bounded; billing totals are preserved).
     seed:
         Base seed of the per-window traffic streams and the
         per-(function, window) noise streams.
@@ -121,14 +125,8 @@ class FleetConfig:
         ``"statistical"`` deduplicates active functions into (profile,
         memory size, mean-rate bucket) cohorts, executes one representative
         each and broadcasts its stat block to the members scaled by their
-        own arrival counts (representatives stay bit-exact).
-    cohort_rate_buckets_per_decade:
-        Resolution of the cohort rate bucketing: mean window rates are
-        bucketed on a log10 grid with this many buckets per decade.
-    rate_resolution:
-        Midpoint samples per window for the batched rate-matrix evaluations
-        (cohort rate bucketing); see
-        :func:`~repro.workloads.traffic.fleet_rate_matrix`.
+        own arrival counts (representatives stay bit-exact).  Mean window
+        rates are bucketed on a log10 grid, two buckets per decade.
     noise:
         Noise-draw mode: ``"per-group"`` (default; every (function, window)
         pair draws from its own spawned stream, bit-exact across backends
@@ -145,11 +143,8 @@ class FleetConfig:
     backend: str = "vectorized"
     exclude_cold_starts: bool = True
     max_arrivals_per_window: int | None = None
-    stream_records: bool = True
     seed: int = 0
     cohort_mode: str = "off"
-    cohort_rate_buckets_per_decade: int = 2
-    rate_resolution: int = 64
     noise: str = "per-group"
 
     def __post_init__(self) -> None:
@@ -172,10 +167,6 @@ class FleetConfig:
             raise ConfigurationError(
                 f"cohort_mode must be 'off' or 'statistical', got {self.cohort_mode!r}"
             )
-        if self.cohort_rate_buckets_per_decade < 1:
-            raise ConfigurationError("cohort_rate_buckets_per_decade must be at least 1")
-        if self.rate_resolution < 1:
-            raise ConfigurationError("rate_resolution must be at least 1")
         if self.noise not in ("per-group", "pooled"):
             raise ConfigurationError(
                 f"noise must be 'per-group' or 'pooled', got {self.noise!r}"
@@ -404,13 +395,12 @@ class FleetSimulator:
             [self.traffic[int(i)] for i in active],
             start_s,
             end_s,
-            resolution=self.config.rate_resolution,
+            resolution=_COHORT_RATE_RESOLUTION,
         )
-        per_decade = self.config.cohort_rate_buckets_per_decade
         bucketable = np.isfinite(rates) & (rates > 0.0)
         buckets = np.zeros(active.shape[0], dtype=np.int64)
         buckets[bucketable] = np.floor(
-            np.log10(rates[bucketable]) * per_decade
+            np.log10(rates[bucketable]) * _COHORT_RATE_BUCKETS_PER_DECADE
         ).astype(np.int64)
         seen: dict[object, int] = {}
         rep_of = np.empty(active.shape[0], dtype=np.int64)
@@ -487,12 +477,6 @@ class FleetSimulator:
         cold_e = batch.cold_starts_per_group()
         cost_e = batch.cost_per_group()
         self.profiler.add("reduce", perf_counter() - tick)
-        if self.config.stream_records:
-            # The batch backends materialize no records, but the serial
-            # backend's scalar path appends every invocation to the platform
-            # log — drop the window's records in one pass so memory stays
-            # bounded by one window regardless of backend.
-            self.platform.discard_all_records()
         if plan is None:
             return active, stats_e, ninv_e, cold_e, cost_e
         tick = perf_counter()

@@ -13,9 +13,9 @@ infeasible, so the platform delegates batch execution to a pluggable
   and owns the grouped kernel (cross-group instance walk, gather-based
   metric evaluation, optional pooled noise) that every in-process grouped
   batch runs through;
-- :class:`~repro.simulation.engine.parallel.ParallelBackend` — fans whole
-  functions out over ``concurrent.futures`` workers, each running the
-  vectorized backend.
+- :class:`~repro.simulation.engine.parallel.ParallelBackend` — fans a
+  harness's function chunks out over ``concurrent.futures`` workers, each
+  running the vectorized grouped kernel.
 
 Backends are selected by name (a declarative config concern: harness, dataset
 generator, fleet simulator and pipeline all expose a ``backend=`` knob)
@@ -213,9 +213,10 @@ class ExecutionBackend(abc.ABC):
     """Strategy interface for executing invocation batches.
 
     Backends implement :meth:`run_batch` — execute one (function, size)
-    arrival batch against a platform — and may override
-    :meth:`measure_functions` to change how a harness schedules whole
-    functions (the parallel backend fans them out over worker processes).
+    arrival batch against a platform — and may override :meth:`run_grouped`
+    (the vectorized backend's grouped kernel) and :meth:`measure_stat_chunks`
+    (how a harness schedules its function chunks; the parallel backend fans
+    them out over worker processes).
     """
 
     #: Registry name of the backend (used by the ``backend=`` config knobs).
@@ -263,7 +264,10 @@ class ExecutionBackend(abc.ABC):
         :class:`~repro.simulation.engine.grouped.GroupedBatch`.  The
         vectorized backend overrides this with the grouped kernel; both
         produce bit-identical numbers because every group draws its noise
-        from its own request stream.
+        from its own request stream.  Records a group's :meth:`run_batch`
+        logged (only the serial backend's scalar path logs any) are dropped
+        once its columns are taken, so no grouped run leaves records behind;
+        billing totals are kept.
         """
         from repro.monitoring.metrics import METRIC_NAMES
         from repro.simulation.engine.grouped import GroupedBatch
@@ -296,6 +300,7 @@ class ExecutionBackend(abc.ABC):
                     platform, request.function_name, request.arrivals, rng=request.rng
                 )
             )
+            platform.discard_function_records(request.function_name)
 
         def column(attribute, empty):
             parts = [
@@ -336,17 +341,17 @@ class ExecutionBackend(abc.ABC):
         chunk_size: int | None = None,
         on_chunk: Callable | None = None,
         progress_callback: Callable[[int, int, str], None] | None = None,
-        index_offset: int = 0,
     ) -> None:
-        """Measure functions chunk-wise through the fused grouped path.
+        """Measure functions chunk-wise through the grouped path.
 
-        The default runs each chunk as one in-process fused mega-batch
+        The default runs each chunk as one in-process grouped batch
         (:meth:`repro.dataset.harness.MeasurementHarness.measure_chunk_stats`)
         and hands its dense stat blocks to ``on_chunk(chunk_start, chunk,
         stats, counts)`` in order; the parallel backend overrides this to fan
         chunks out over worker processes.  ``chunk_size`` bounds peak memory
-        (one chunk's metric columns); per-group streams derive from absolute
-        indices, so chunking never changes the numbers.
+        (one chunk's metric columns); ``functions[k]`` draws from the streams
+        of index ``k`` whatever its chunk, so chunking never changes the
+        numbers.
         """
         total = len(functions)
         step = int(chunk_size) if chunk_size else total
@@ -355,7 +360,7 @@ class ExecutionBackend(abc.ABC):
             chunk = functions[start : start + step]
             stats, counts = harness.measure_chunk_stats(
                 chunk,
-                index_offset=index_offset + start,
+                index_offset=start,
                 memory_sizes_mb=memory_sizes_mb,
                 workload=workload,
             )
@@ -364,37 +369,6 @@ class ExecutionBackend(abc.ABC):
             if progress_callback is not None:
                 for k, function in enumerate(chunk):
                     progress_callback(start + k + 1, total, function.name)
-
-    def measure_functions(
-        self,
-        harness,
-        functions: list["FunctionSpec"],
-        memory_sizes_mb: tuple[int, ...] | None = None,
-        workload: "Workload | None" = None,
-        progress_callback: Callable[[int, int, str], None] | None = None,
-        index_offset: int = 0,
-    ):
-        """Measure a list of functions through a harness (sequential default).
-
-        ``index_offset`` is the absolute position of ``functions[0]`` within
-        the overall measurement run.  Every per-group random stream derives
-        from that absolute position (:mod:`repro.simulation.seeding`), so a
-        chunked caller (the harness streaming into a sharded sink), a worker
-        process and this sequential default all reproduce the same numbers.
-        """
-        measurements = []
-        for index, function in enumerate(functions):
-            measurements.append(
-                harness.measure_function(
-                    function,
-                    memory_sizes_mb=memory_sizes_mb,
-                    workload=workload,
-                    index=index_offset + index,
-                )
-            )
-            if progress_callback is not None:
-                progress_callback(index + 1, len(functions), function.name)
-        return measurements
 
 
 _BACKENDS: dict[str, type[ExecutionBackend]] = {}

@@ -2,15 +2,13 @@
 
 Per-batch execution is delegated to the vectorized backend; the parallelism
 operates one level up, where a harness measures many functions:
-
-- the object path (:meth:`ParallelBackend.measure_functions`) fans whole
-  functions (all memory sizes) out over ``concurrent.futures`` worker
-  processes;
-- the fused columnar path (:meth:`ParallelBackend.measure_stat_chunks`) fans
-  *group chunks* out: every worker executes one cross-function mega-batch
-  through the grouped kernel
-  (:meth:`~repro.simulation.engine.vectorized.VectorizedBackend.run_grouped`)
-  for its slice of functions and ships back only the dense stat blocks.
+:meth:`ParallelBackend.measure_stat_chunks` fans the harness's *function
+chunks* out over ``concurrent.futures`` worker processes.  Every worker
+executes its chunk as one cross-function grouped batch through the kernel
+(:meth:`~repro.simulation.engine.vectorized.VectorizedBackend.run_grouped`)
+on a fresh platform and ships back only the dense stat blocks and billing
+totals.  A single grouped batch (``harness.measure_function``, a fleet
+window) shares one platform and runs in-process.
 
 Every (function, size) group draws its noise from a stream spawned from the
 parent's seeds and the function's *absolute* index
@@ -23,7 +21,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, as_completed, wait
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
@@ -67,22 +65,8 @@ def _build_worker_harness(payload_configs):
     return MeasurementHarness(platform=platform, config=harness_config)
 
 
-def _measure_function_task(payload):
-    """Measure one function on a fresh platform (runs in a worker process).
-
-    Returns the measurement together with the function's billed cost so the
-    parent can fold worker billing into its own platform totals.
-    """
-    function, index, configs, memory_sizes_mb, workload = payload
-    harness = _build_worker_harness(configs)
-    measurement = harness.measure_function(
-        function, memory_sizes_mb=memory_sizes_mb, workload=workload, index=index
-    )
-    return measurement, harness.platform.total_cost_usd(function.name)
-
-
 def _measure_chunk_stats_task(payload):
-    """Measure one function chunk as a fused mega-batch (worker process).
+    """Measure one function chunk as a grouped batch (worker process).
 
     Returns the chunk's dense stat blocks, invocation counts and per-function
     billed costs — arrays only, no measurement objects cross the process
@@ -102,7 +86,7 @@ def _measure_chunk_stats_task(payload):
 
 @register_backend
 class ParallelBackend(ExecutionBackend):
-    """Fans whole functions out over worker processes (vectorized per batch)."""
+    """Fans function chunks out over worker processes (vectorized per chunk)."""
 
     name = "parallel"
 
@@ -128,86 +112,6 @@ class ParallelBackend(ExecutionBackend):
     def _max_workers(self, n_tasks: int) -> int:
         return self.n_workers or min(n_tasks, os.cpu_count() or 1)
 
-    def measure_functions(
-        self,
-        harness,
-        functions,
-        memory_sizes_mb=None,
-        workload=None,
-        progress_callback=None,
-        index_offset=0,
-    ):
-        """Measure every function on its own worker platform (object path).
-
-        All platform state (deployments, warm instances, retained records)
-        lives in the per-function worker platforms and is discarded with
-        them; only measurements and billing totals flow back to the parent,
-        so ``stream_records=False`` has no effect here and post-measurement
-        platform queries on the parent see no deployments.  Because every
-        (function, size) group draws from a stream derived from the
-        function's *absolute* index (``index_offset`` + position), the
-        numbers are identical across worker counts, chunkings and the
-        sequential vectorized schedule.
-        """
-        if not functions:
-            return []
-        platform = harness.platform
-        configs = _worker_configs(harness)
-        payloads = [
-            (function, index_offset + index, configs, memory_sizes_mb, workload)
-            for index, function in enumerate(functions)
-        ]
-        results: list = [None] * len(functions)
-        done = 0
-
-        def finish_sequentially():
-            # Runs the same per-group-seeded tasks in-process, so results are
-            # identical whether a function was measured by a pool worker, a
-            # single-worker schedule, or this fallback.
-            nonlocal done
-            for index, payload in enumerate(payloads):
-                if results[index] is not None:
-                    continue
-                measurement, cost_usd = _measure_function_task(payload)
-                results[index] = measurement
-                platform._note_cost(functions[index].name, cost_usd)
-                done += 1
-                if progress_callback is not None:
-                    progress_callback(done, len(functions), functions[index].name)
-
-        max_workers = self._max_workers(len(functions))
-        if len(functions) == 1 or max_workers == 1:
-            finish_sequentially()
-            return results
-        try:
-            with ProcessPoolExecutor(max_workers=max_workers) as executor:
-                futures = {
-                    executor.submit(_measure_function_task, payload): index
-                    for index, payload in enumerate(payloads)
-                }
-                for future in as_completed(futures):
-                    index = futures[future]
-                    measurement, cost_usd = future.result()
-                    results[index] = measurement
-                    platform._note_cost(functions[index].name, cost_usd)
-                    done += 1
-                    if progress_callback is not None:
-                        progress_callback(done, len(functions), functions[index].name)
-        except BrokenProcessPool:
-            # Worker processes unavailable (restricted environments kill the
-            # pool at spawn time): finish the remaining functions in-process,
-            # keeping measurements and billing already collected.  Task-level
-            # exceptions propagate instead.
-            warnings.warn(
-                "parallel backend: worker pool broke, finishing "
-                f"{sum(r is None for r in results)} of {len(functions)} functions "
-                "in-process (results are unaffected, throughput is)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            finish_sequentially()
-        return results
-
     def measure_stat_chunks(
         self,
         harness,
@@ -217,19 +121,20 @@ class ParallelBackend(ExecutionBackend):
         chunk_size=None,
         on_chunk=None,
         progress_callback=None,
-        index_offset=0,
     ):
-        """Fan fused group chunks out over worker processes.
+        """Fan function chunks out over worker processes.
 
-        Each worker executes one fused cross-function mega-batch per chunk
-        and returns only dense stat arrays; chunks are delivered to
-        ``on_chunk`` strictly in order (out-of-order completions are buffered
-        so a streaming sharded sink sees functions in sequence).  Submission
-        is windowed a few chunks ahead of the in-order flush pointer, so the
-        buffer — and with it the parent's peak memory — stays bounded by a
-        handful of chunks even when an early chunk lands on a slow worker.
-        Numbers are bit-identical to the in-process fused schedule because
-        every group's stream derives from its absolute index.
+        Each worker executes one cross-function grouped batch per chunk and
+        returns only dense stat arrays and billing totals, which are folded
+        into the parent platform's totals (the deployments stay in the
+        workers).  Chunks are delivered to ``on_chunk`` strictly in order
+        (out-of-order completions are buffered so a streaming sharded sink
+        sees functions in sequence).  Submission is windowed a few chunks
+        ahead of the in-order flush pointer, so the buffer — and with it the
+        parent's peak memory — stays bounded by a handful of chunks even when
+        an early chunk lands on a slow worker.
+        Numbers are bit-identical to the in-process schedule because every
+        group's stream derives from its absolute index.
         """
         total = len(functions)
         if total == 0:
@@ -241,7 +146,7 @@ class ParallelBackend(ExecutionBackend):
         payloads = {
             start: (
                 functions[start : start + step],
-                index_offset + start,
+                start,
                 configs,
                 memory_sizes_mb,
                 workload,

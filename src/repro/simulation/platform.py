@@ -391,26 +391,14 @@ class ServerlessPlatform:
         self._cost_by_function.clear()
         self._cost_total = 0.0
 
-    def discard_all_records(self) -> int:
-        """Drop every retained invocation record, keeping all billing totals.
-
-        The bulk counterpart of :meth:`discard_function_records`, used by
-        window-oriented callers (the fleet simulator's fused path) after
-        aggregating a whole window: clearing once is O(records) instead of
-        one log rebuild per function.  Returns the number of records
-        discarded.
-        """
-        dropped = len(self.invocation_log)
-        self.invocation_log.clear()
-        self._records_by_function.clear()
-        return dropped
-
     def discard_function_records(self, name: str) -> int:
         """Drop one function's retained records, keeping its billing totals.
 
-        Harnesses call this after aggregating a measurement window so that the
-        log stays bounded during large generation runs.  Returns the number of
-        records discarded.
+        The looped grouped path
+        (:meth:`~repro.simulation.engine.ExecutionBackend.run_grouped`) calls
+        this once it has taken a group's columns, so the log stays bounded
+        during large measurement runs and fleet simulations.  Returns the
+        number of records discarded.
         """
         dropped = self._records_by_function.pop(name, None)
         if not dropped:

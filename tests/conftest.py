@@ -31,6 +31,13 @@ from repro.workloads.traffic import (
 )
 
 
+def pytest_configure(config) -> None:
+    """Register the suite's markers."""
+    config.addinivalue_line(
+        "markers", "slow: builds a full experiment context (deselect with -m 'not slow')"
+    )
+
+
 @pytest.fixture()
 def rng() -> np.random.Generator:
     """A deterministic random generator."""

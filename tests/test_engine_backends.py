@@ -345,7 +345,7 @@ class TestBatchBookkeeping:
         )
         function = FunctionSpec(name="streamed", profile=PROFILES["cpu_bound"])
         harness.measure_function(function)
-        # serial backend materializes records, the harness then discards them
+        # the serial backend logs records; the looped run_grouped drops them
         assert harness.platform.records_for("streamed") == []
         assert harness.platform.total_cost_usd("streamed") > 0.0
 

@@ -20,6 +20,7 @@ import pytest
 from repro.errors import ConfigurationError, MonitoringError, SimulationError
 from repro.dataset.generation import DatasetGenerationConfig, TrainingDatasetGenerator
 from repro.dataset.harness import HarnessConfig, MeasurementHarness
+from repro.dataset.table import measurement_stat_block
 from repro.fleet import FleetConfig, FleetSimulator
 from repro.monitoring.aggregation import (
     STAT_NAMES,
@@ -29,7 +30,12 @@ from repro.monitoring.aggregation import (
 )
 from repro.monitoring.metrics import METRIC_NAMES
 from repro.simulation.coldstart import ColdStartModel
-from repro.simulation.engine import GroupedBatch, GroupRequest, get_backend
+from repro.simulation.engine import (
+    GroupedBatch,
+    GroupRequest,
+    VectorizedBackend,
+    get_backend,
+)
 from repro.simulation.platform import PlatformConfig, ServerlessPlatform
 from repro.simulation.seeding import (
     STREAM_ARRIVALS,
@@ -40,6 +46,7 @@ from repro.simulation.seeding import (
     spawn_child_rngs,
 )
 from repro.workloads.generator import GeneratorConfig, SyntheticFunctionGenerator
+from repro.workloads.loadgen import Workload
 from repro.workloads.traffic import ConstantTraffic
 
 def _functions(n, seed=11, prefix="grp"):
@@ -484,42 +491,45 @@ class TestFleetWindowParity:
 
 
 class TestMeasureTableParity:
-    """measure_table: fused == looped == parallel == sharded, bit-identical."""
+    """measure_table: kernel == looped oracle == parallel == sharded, bit-identical."""
 
     SIZES = (128, 512, 2048)
 
-    def _table(self, functions, backend, fused, n_workers=None, **kwargs):
-        harness = MeasurementHarness(
+    def _harness(self, backend, n_workers=None):
+        return MeasurementHarness(
             config=HarnessConfig(
                 memory_sizes_mb=self.SIZES,
                 max_invocations_per_size=25,
                 seed=13,
                 backend=backend,
-                fused=fused,
                 n_workers=n_workers,
             )
         )
-        return harness.measure_table(functions, **kwargs)
 
-    def test_fused_equals_looped_vectorized(self):
+    def _table(self, functions, backend, n_workers=None, **kwargs):
+        return self._harness(backend, n_workers).measure_table(functions, **kwargs)
+
+    def test_fused_equals_looped_vectorized(self, looped_backend):
         functions = _functions(7, seed=41)
-        fused = self._table(functions, "vectorized", True)
-        looped = self._table(functions, "vectorized", False)
+        fused = self._table(functions, "vectorized")
+        harness = self._harness("vectorized")
+        harness.backend = looped_backend
+        looped = harness.measure_table(functions)
         np.testing.assert_array_equal(fused.values, looped.values)
         np.testing.assert_array_equal(fused.n_invocations, looped.n_invocations)
         assert fused.function_names == looped.function_names
 
     def test_parallel_chunks_equal_vectorized_fused(self):
         functions = _functions(5, seed=42)
-        fused = self._table(functions, "vectorized", True)
-        parallel = self._table(functions, "parallel", True, n_workers=2)
+        fused = self._table(functions, "vectorized")
+        parallel = self._table(functions, "parallel", n_workers=2)
         np.testing.assert_array_equal(fused.values, parallel.values)
         np.testing.assert_array_equal(fused.n_invocations, parallel.n_invocations)
 
     def test_serial_looped_matches_fused_statistically(self):
         functions = _functions(3, seed=43)
-        serial = self._table(functions, "serial", True)  # fused ignored
-        fused = self._table(functions, "vectorized", True)
+        serial = self._table(functions, "serial")
+        fused = self._table(functions, "vectorized")
         exec_serial = serial.execution_time_ms()
         exec_fused = fused.execution_time_ms()
         np.testing.assert_allclose(exec_fused, exec_serial, rtol=0.15)
@@ -537,7 +547,7 @@ class TestMeasureTableParity:
         from repro.dataset.table import MeasurementTable
 
         measured = harness.measure_many(functions)
-        table = self._table(functions, "vectorized", True)
+        table = self._table(functions, "vectorized")
         from_objects = MeasurementTable.from_measurements(
             measured, memory_sizes_mb=self.SIZES
         )
@@ -561,17 +571,15 @@ class TestMeasureTableParity:
         np.testing.assert_array_equal(in_memory.n_invocations, sharded.n_invocations)
         assert in_memory.function_names == sharded.function_names
 
-    def test_looped_generation_equals_fused(self):
-        base = dict(
+    def test_looped_generation_equals_fused(self, looped_backend):
+        config = DatasetGenerationConfig(
             n_functions=6, memory_sizes_mb=self.SIZES,
             invocations_per_size=15, seed=78, backend="vectorized",
         )
-        fused = TrainingDatasetGenerator(
-            DatasetGenerationConfig(**base, fused=True)
-        ).generate_table()
-        looped = TrainingDatasetGenerator(
-            DatasetGenerationConfig(**base, fused=False)
-        ).generate_table()
+        fused = TrainingDatasetGenerator(config).generate_table()
+        generator = TrainingDatasetGenerator(config)
+        generator.harness.backend = looped_backend
+        looped = generator.generate_table()
         np.testing.assert_array_equal(fused.values, looped.values)
 
     def test_standalone_measurements_use_independent_streams(self, cpu_function):
@@ -616,3 +624,96 @@ class TestMeasureTableParity:
         )
         with pytest.raises(ConfigurationError):
             harness.measure_table([cpu_function], sink=writer)
+
+
+class TestOneMeasurementPath:
+    """Every harness call runs grouped chunks through ``run_grouped``."""
+
+    @pytest.mark.parametrize(
+        "sizes", [(256,), (128, 1024), (3008, 128, 512)], ids=lambda s: "-".join(map(str, s))
+    )
+    @pytest.mark.parametrize("backend", ["serial", "vectorized", "parallel"])
+    def test_function_many_and_table_rows_agree(self, backend, sizes, monkeypatch):
+        """``measure_function(f, index=k)`` is row ``k`` of ``measure_table``
+        and ``measure_many()[k]``: same stats, counts, size order and billing;
+        no per-size ``run_batch`` and no records left in the platform log."""
+        batch_calls = []
+        run_batch = VectorizedBackend.run_batch
+
+        def spy(self, platform, function_name, arrivals, rng=None):
+            batch_calls.append(function_name)
+            return run_batch(self, platform, function_name, arrivals, rng=rng)
+
+        monkeypatch.setattr(VectorizedBackend, "run_batch", spy)
+        functions = _functions(3, seed=45)
+
+        def harness():
+            return MeasurementHarness(
+                config=HarnessConfig(
+                    memory_sizes_mb=sizes,
+                    max_invocations_per_size=12,
+                    seed=21,
+                    backend=backend,
+                    n_workers=2,
+                )
+            )
+
+        table_harness, many_harness = harness(), harness()
+        table = table_harness.measure_table(functions)
+        many = many_harness.measure_many(functions)
+        harnesses = [table_harness, many_harness]
+        for k, function in enumerate(functions):
+            single_harness = harness()
+            harnesses.append(single_harness)
+            single = single_harness.measure_function(function, index=k)
+            assert list(single.summaries) == list(sizes)
+            assert list(many[k].summaries) == list(sizes)
+            # The table keeps its columns in ascending size order.
+            stats, counts = measurement_stat_block(single, table.memory_sizes_mb)
+            np.testing.assert_array_equal(table.values[k], stats)
+            np.testing.assert_array_equal(table.n_invocations[k], counts)
+            for got, expected in zip(
+                measurement_stat_block(many[k], sizes), measurement_stat_block(single, sizes)
+            ):
+                np.testing.assert_array_equal(got, expected)
+            billed = single_harness.platform.total_cost_usd(function.name)
+            assert billed > 0.0
+            assert table_harness.platform.total_cost_usd(function.name) == billed
+            assert many_harness.platform.total_cost_usd(function.name) == billed
+        assert batch_calls == []
+        for measured in harnesses:
+            assert measured.platform.invocation_log == []
+
+    def test_long_windows_chunk_by_invocations(self, monkeypatch):
+        """Paper-scale windows shrink the chunk below 64 functions
+        (46 080 invocations at most), with unchanged numbers."""
+        chunks = []
+        measure_chunk_stats = MeasurementHarness.measure_chunk_stats
+
+        def spy(self, functions, *args, **kwargs):
+            chunks.append(len(functions))
+            return measure_chunk_stats(self, functions, *args, **kwargs)
+
+        monkeypatch.setattr(MeasurementHarness, "measure_chunk_stats", spy)
+        # The chunk follows the cap; a short window keeps the run itself small.
+        config = HarnessConfig(
+            memory_sizes_mb=(128,),
+            workload=Workload(requests_per_second=2.0, duration_s=60.0, warmup_s=5.0),
+            max_invocations_per_size=20_000,
+            backend="vectorized",
+        )
+        functions = _functions(5, seed=46)
+        table = MeasurementHarness(config=config).measure_table(functions)
+        assert chunks == [2, 2, 1]
+        single = MeasurementHarness(config=config)
+        for k, function in enumerate(functions):
+            stats, counts = measurement_stat_block(
+                single.measure_function(function, index=k), (128,)
+            )
+            np.testing.assert_array_equal(table.values[k], stats)
+            np.testing.assert_array_equal(table.n_invocations[k], counts)
+        # Without a cap the workload's expected requests bound the chunk:
+        # 18 000 per size at paper scale leaves one function per chunk.
+        uncapped = MeasurementHarness(config=HarnessConfig(max_invocations_per_size=None))
+        assert uncapped._chunk_size(6, None) == 1
+        assert MeasurementHarness()._chunk_size(6, None) == 64

@@ -274,7 +274,3 @@ class TestConfigValidation:
     def test_new_knobs_validated(self):
         with pytest.raises(ConfigurationError):
             FleetConfig(cohort_mode="always")
-        with pytest.raises(ConfigurationError):
-            FleetConfig(cohort_rate_buckets_per_decade=0)
-        with pytest.raises(ConfigurationError):
-            FleetConfig(rate_resolution=0)

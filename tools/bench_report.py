@@ -13,7 +13,8 @@ throughput and peak-memory trajectory of the two hot paths:
   active groups) and the ``fleet_scale`` endurance run (one million
   functions through 24 virtual hours at ``--scale full``);
 - **generation** — training-dataset generation per execution-backend variant
-  (invocations/s, tracemalloc peak bytes).
+  (invocations/s from the median of 3 untraced runs, tracemalloc peak bytes
+  from a separate traced run).
 
 The scenarios are not re-defined here: this tool loads the benchmark
 modules (``benchmarks/test_bench_fleet.py`` / ``test_bench_generation.py``)
@@ -40,6 +41,7 @@ import importlib.util
 import json
 import os
 import platform as platform_module
+import statistics
 import time
 import tracemalloc
 from pathlib import Path
@@ -71,6 +73,10 @@ FLEET_SCALE = {
     "quick": (50_000, 6),
     "full": (1_000_000, 24),
 }
+
+
+#: Untraced runs per generation variant; the report keeps their median.
+GENERATION_REPEATS = 3
 
 
 def _load_benchmark(name: str):
@@ -326,22 +332,34 @@ def bench_fleet_scale(scale: str) -> dict:
 
 
 def bench_generation() -> dict:
-    """Dataset-generation throughput per execution-backend variant."""
-    from repro.dataset.generation import DatasetGenerationConfig, TrainingDatasetGenerator
+    """Dataset-generation throughput per execution-backend variant.
 
+    ``seconds`` is the median of :data:`GENERATION_REPEATS` untraced runs,
+    each on a fresh generator, with the variants interleaved so host drift
+    spreads over all of them; ``peak_bytes`` comes from one separate
+    ``tracemalloc`` run (tracing inflates time, and unevenly between the
+    variants).
+    """
     bench = _load_benchmark("test_bench_generation")
     n_functions = bench.N_FUNCTIONS
     invocations = bench._INVOCATIONS
+    runs = {label: [] for label in bench._VARIANTS}
+    for _ in range(GENERATION_REPEATS):
+        for label in bench._VARIANTS:
+            generator = bench._generator(label)
+            gc.collect()
+            start = time.perf_counter()
+            table = generator.generate_table()
+            runs[label].append(time.perf_counter() - start)
+            assert table.n_functions == n_functions
     results = {}
-    for label, overrides in bench._VARIANTS.items():
-        generator = TrainingDatasetGenerator(
-            DatasetGenerationConfig(n_functions=n_functions, **overrides)
-        )
-        table, seconds, peak = _traced(generator.generate_table)
-        assert table.n_functions == n_functions
+    for label in bench._VARIANTS:
+        _, _, peak = _traced(bench._generator(label).generate_table)
+        seconds = statistics.median(runs[label])
         results[label] = {
             "ops_per_second": round(invocations / seconds, 1),
             "seconds": round(seconds, 4),
+            "seconds_runs": [round(t, 4) for t in runs[label]],
             "invocations": invocations,
             "peak_bytes": int(peak),
         }
@@ -350,6 +368,7 @@ def bench_generation() -> dict:
             "n_functions": n_functions,
             "memory_sizes": 6,
             "invocations_per_size": 120,
+            "repeats": GENERATION_REPEATS,
         },
         "results": results,
         "speedup": round(
@@ -366,6 +385,8 @@ def _report(name: str, scale: str, payload: dict) -> dict:
             "scale": scale,
             "python": platform_module.python_version(),
             "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+            "processor": platform_module.processor() or platform_module.machine(),
         }
     )
     return payload
