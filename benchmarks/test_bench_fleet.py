@@ -40,7 +40,6 @@ from __future__ import annotations
 import os
 import time
 import tracemalloc
-from functools import partial
 
 import numpy as np
 
@@ -48,7 +47,7 @@ from repro.core.predictor import SizelessPredictor
 from repro.fleet import ControllerConfig, FleetConfig, FleetRightsizingService, FleetSimulator
 from repro.monitoring.aggregation import STAT_NAMES
 from repro.monitoring.metrics import METRIC_NAMES
-from repro.simulation.engine import ExecutionBackend, GroupRequest
+from repro.simulation.engine import GroupRequest
 from repro.simulation.seeding import (
     STREAM_EXECUTION,
     STREAM_TRAFFIC,
@@ -62,6 +61,8 @@ from repro.workloads.traffic import (
     FleetTrafficSchedule,
     sample_fleet_traffic,
 )
+
+from looped_oracle import LoopedBackend
 
 N_FUNCTIONS = int(os.environ.get("REPRO_BENCH_FLEET_FUNCTIONS", "300"))
 N_WINDOWS = int(os.environ.get("REPRO_BENCH_FLEET_WINDOWS", "8"))
@@ -196,8 +197,9 @@ def execute_windows(functions, traffic, fused, n_windows=SPEEDUP_WINDOWS):
 
     Traffic sampling and stream spawning (identical for both paths) happen
     outside the timer; the timed region is exactly the contested work — the
-    fused mega-batch + one segmented reduction, or one engine batch + one
-    stat reduction per function.  Returns ``(seconds, invocations, stats)``
+    fused mega-batch + one segmented reduction, or one batch of the looped
+    per-batch oracle (``tests/looped_oracle.py``) + one stat reduction per
+    function.  Returns ``(seconds, invocations, stats)``
     where ``stats`` is one ``(n_functions, n_metrics, n_stats)`` array per
     window.  Shared by ``test_bench_fused_window_speedup`` and
     ``tools/bench_report.py`` so the asserted and the reported scenario can
@@ -206,6 +208,7 @@ def execute_windows(functions, traffic, fused, n_windows=SPEEDUP_WINDOWS):
     simulator = FleetSimulator(
         functions, traffic, FleetConfig(window_s=WINDOW_S, seed=94)
     )
+    oracle = LoopedBackend()
     seconds = 0.0
     invocations = 0
     per_window_stats = []
@@ -229,7 +232,7 @@ def execute_windows(functions, traffic, fused, n_windows=SPEEDUP_WINDOWS):
                 if arrivals[i].shape[0] == 0:
                     continue
                 batch = simulator.platform.invoke_batch(
-                    function.name, arrivals[i], backend=simulator.backend, rng=rngs[i]
+                    function.name, arrivals[i], backend=oracle, rng=rngs[i]
                 )
                 stats[i], _ = batch.aggregate_stats(0.0, True)
             seconds += time.perf_counter() - start
@@ -454,8 +457,8 @@ def execute_backend_windows(
     Request construction and stream spawning happen outside the timer; the
     timed region is exactly the contested execution work: the grouped
     kernel (``VectorizedBackend.run_grouped``) or, with ``looped=True``, the
-    looped per-group reference schedule (the base
-    ``ExecutionBackend.run_grouped``, one ``run_batch`` per group).
+    looped per-batch oracle's ``run_grouped`` (``tests/looped_oracle.py``,
+    one batch per group).
     Per-group noise indexes the fleet's per-function spawned streams, so
     the kernel and the looped schedule consume identical streams and must
     agree bit for bit; pooled noise hands every group one shared window
@@ -484,17 +487,13 @@ def execute_noise_windows(
         )
         for noise in noises
     }
+    oracle = LoopedBackend()
     seconds = dict.fromkeys(noises, 0.0)
     invocations = dict.fromkeys(noises, 0)
     stats = {noise: [] for noise in noises}
     for window_index, active in enumerate(window_arrivals):
         for noise, simulator in simulators.items():
-            backend = simulator.backend
-            execute = (
-                partial(ExecutionBackend.run_grouped, backend)
-                if looped
-                else backend.run_grouped
-            )
+            execute = oracle.run_grouped if looped else simulator.backend.run_grouped
             if noise == "pooled":
                 shared = child_rng(seed, STREAM_EXECUTION, window_index)
                 rngs = [shared] * len(active)
@@ -548,9 +547,9 @@ def test_bench_pooled_noise_speedup():
     and with pooled noise (one shared window stream instead of per-group
     draw calls).  Both arms run window by window, interleaved, in five
     fresh runs; each arm's best run counts, and pooled must be at least 2x
-    faster.  The per-group arm must reproduce the looped per-group schedule
-    (one ``run_batch`` per group, the kernel's parity oracle) bit for bit,
-    checked on an untimed looped run.  Peak memory of the per-group kernel
+    faster.  The per-group arm must reproduce the looped per-batch oracle
+    (``tests/looped_oracle.py``, one batch per group) bit for bit, checked
+    on an untimed looped run.  Peak memory of the per-group kernel
     is bounded by the fused column budget in a separate untimed pass.
     """
     functions, traffic = _sparse_scenario()

@@ -5,12 +5,13 @@ memory sizes x 120 invocations = 144 000 simulated invocations) once per
 backend variant and records the achieved invocations/second.  Variants:
 ``serial`` (scalar reference), ``vectorized`` (cross-function grouped
 batches through the kernel, the default path), ``vectorized-looped`` (the
-same chunks through the looped per-group oracle, one vectorized batch per
-(function, size) pair, as in ``tests/conftest.py``; kept for the speedup
-ledger) and ``parallel`` (chunks fanned out over worker processes).  The
-final tests assert the engine's acceptance criteria: the default
-(vectorized kernel) path generates the dataset at least 10x faster than
-serial, and measurably faster than its own looped schedule.
+same chunks through the looped per-batch oracle of
+``tests/looped_oracle.py``, one numpy batch per (function, size) pair; kept
+for the speedup ledger) and ``parallel`` (chunks fanned out over worker
+processes).  The final tests assert the engine's acceptance criteria: the
+default (vectorized kernel) path generates the dataset at least 10x faster
+than serial, and measurably faster than the looped oracle (timed by
+:func:`generation_seconds`, the runner ``tools/bench_report.py`` uses too).
 
 Unlike the other benchmarks this one deliberately ignores ``REPRO_BENCH_SCALE``
 — the comparison is defined on the default generation configuration
@@ -23,11 +24,14 @@ acceptance criterion, 10x) and ``REPRO_BENCH_GEN_FUSED_SPEEDUP`` (default
 
 from __future__ import annotations
 
+import gc
 import os
+import statistics
 import time
 
 from repro.dataset.generation import DatasetGenerationConfig, TrainingDatasetGenerator
-from repro.simulation.engine import ExecutionBackend, VectorizedBackend
+
+from looped_oracle import LoopedBackend
 
 N_FUNCTIONS = int(os.environ.get("REPRO_BENCH_GEN_FUNCTIONS", "200"))
 
@@ -42,11 +46,8 @@ _VARIANTS = {
     "parallel": "parallel",
 }
 
-
-class _LoopedBackend(VectorizedBackend):
-    """The looped per-group oracle: one vectorized ``run_batch`` per group."""
-
-    run_grouped = ExecutionBackend.run_grouped
+#: Interleaved runs per variant in :func:`generation_seconds`.
+GENERATION_REPEATS = 3
 
 
 def _generator(variant: str) -> TrainingDatasetGenerator:
@@ -55,8 +56,28 @@ def _generator(variant: str) -> TrainingDatasetGenerator:
         DatasetGenerationConfig(n_functions=N_FUNCTIONS, backend=_VARIANTS[variant])
     )
     if variant == "vectorized-looped":
-        generator.harness.backend = _LoopedBackend()
+        generator.harness.backend = LoopedBackend()
     return generator
+
+
+def generation_seconds(variants):
+    """Untraced generation seconds of each variant, :data:`GENERATION_REPEATS` runs each.
+
+    Every run gets a fresh generator and a ``gc.collect()`` before its timer
+    starts, and the variants alternate within each repeat, so heap state and
+    host drift hit all of them.  Shared by :func:`test_fused_speedup_over_looped`
+    and ``tools/bench_report.py``, so asserted and reported numbers agree.
+    """
+    runs = {variant: [] for variant in variants}
+    for _ in range(GENERATION_REPEATS):
+        for variant in variants:
+            generator = _generator(variant)
+            gc.collect()
+            start = time.perf_counter()
+            table = generator.generate_table()
+            runs[variant].append(time.perf_counter() - start)
+            assert table.n_functions == N_FUNCTIONS
+    return runs
 
 
 def _generate(variant: str):
@@ -92,7 +113,7 @@ def test_bench_generation_vectorized(benchmark):
 
 
 def test_bench_generation_vectorized_looped(benchmark):
-    """Looped oracle: one numpy batch per (function, size) pair."""
+    """Looped per-batch oracle: one numpy batch per (function, size) pair."""
     _bench(benchmark, "vectorized-looped")
 
 
@@ -115,10 +136,12 @@ def test_vectorized_speedup_over_serial():
 
 
 def test_fused_speedup_over_looped():
-    """The grouped kernel beats the looped per-group oracle on the same chunks."""
+    """The grouped kernel beats the looped oracle on the same chunks (medians
+    of :func:`generation_seconds`, not the single benchmark runs above)."""
     minimum = float(os.environ.get("REPRO_BENCH_GEN_FUSED_SPEEDUP", "1.2"))
-    looped = _throughput("vectorized-looped")
-    fused = _throughput("vectorized")
+    runs = generation_seconds(("vectorized-looped", "vectorized"))
+    looped = _INVOCATIONS / statistics.median(runs["vectorized-looped"])
+    fused = _INVOCATIONS / statistics.median(runs["vectorized"])
     speedup = fused / looped
     print(
         f"\ngeneration throughput: looped {looped:,.0f} inv/s, "

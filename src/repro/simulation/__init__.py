@@ -23,7 +23,7 @@ The entry points are :class:`~repro.simulation.platform.ServerlessPlatform`
 """
 
 from repro.simulation.coldstart import ColdStartModel
-from repro.simulation.execution import BatchExecution, ExecutionResult, simulate_execution
+from repro.simulation.execution import ExecutionResult, simulate_execution
 from repro.simulation.platform import (
     DeployedFunction,
     InvocationRecord,
@@ -59,7 +59,6 @@ __all__ = [
     "ServiceModel",
     "ServiceCatalog",
     "ExecutionResult",
-    "BatchExecution",
     "simulate_execution",
     "ServerlessPlatform",
     "PlatformConfig",

@@ -79,23 +79,12 @@ class ColdStartModel:
     def noise_params(self) -> tuple[float, float]:
         """``(mu, sigma)`` of the unit-mean log-normal cold-start noise.
 
-        Single source of the parameterization, so callers that hoist the
-        parameters out of per-group loops (the grouped execution kernel)
-        draw bit-identically to :meth:`noise_factors`.
+        Single source of the parameterization: :meth:`duration_ms` draws
+        with it, and so does the grouped execution kernel, which hoists the
+        parameters out of its per-group loop.
         """
         sigma = float(np.sqrt(np.log(1.0 + self.noise_cv**2)))
         return -0.5 * sigma * sigma, sigma
-
-    def noise_factors(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Batch of unit-mean multiplicative noise factors for ``n`` cold starts.
-
-        The batch counterpart of the noise applied inside :meth:`duration_ms`,
-        kept here so the cold-start noise shape is owned by one class.
-        """
-        if self.noise_cv <= 0:
-            return np.ones(n)
-        mu, sigma = self.noise_params()
-        return rng.lognormal(mean=mu, sigma=sigma, size=n)
 
     def is_expired(self, idle_time_s: float) -> bool:
         """Whether a warm instance idle for ``idle_time_s`` has been reclaimed."""

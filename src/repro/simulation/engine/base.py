@@ -8,14 +8,13 @@ infeasible, so the platform delegates batch execution to a pluggable
 
 - :class:`~repro.simulation.engine.serial.SerialBackend` — the original scalar
   path, kept as the reference implementation for white-box parity tests;
-- :class:`~repro.simulation.engine.vectorized.VectorizedBackend` — computes a
-  whole arrival batch in numpy, one noise draw batch per (function, size),
-  and owns the grouped kernel (cross-group instance walk, gather-based
-  metric evaluation, optional pooled noise) that every in-process grouped
-  batch runs through;
-- :class:`~repro.simulation.engine.parallel.ParallelBackend` — fans a
-  harness's function chunks out over ``concurrent.futures`` workers, each
-  running the vectorized grouped kernel.
+- :class:`~repro.simulation.engine.vectorized.VectorizedBackend` — the grouped
+  kernel (batched noise post-processing, gather-based metric evaluation,
+  cross-group instance walk, optional pooled noise) that every in-process
+  batch runs through, a single arrival batch being a one-group call;
+- :class:`~repro.simulation.engine.parallel.ParallelBackend` — the vectorized
+  backend, with a harness's function chunks fanned out over
+  ``concurrent.futures`` workers, each running the kernel.
 
 Backends are selected by name (a declarative config concern: harness, dataset
 generator, fleet simulator and pipeline all expose a ``backend=`` knob)
@@ -214,7 +213,8 @@ class ExecutionBackend(abc.ABC):
 
     Backends implement :meth:`run_batch` — execute one (function, size)
     arrival batch against a platform — and may override :meth:`run_grouped`
-    (the vectorized backend's grouped kernel) and :meth:`measure_stat_chunks`
+    (the vectorized backend's grouped kernel, of which its
+    :meth:`run_batch` is a one-group call) and :meth:`measure_stat_chunks`
     (how a harness schedules its function chunks; the parallel backend fans
     them out over worker processes).
     """
@@ -259,15 +259,16 @@ class ExecutionBackend(abc.ABC):
         """Execute many (function, size) groups into one grouped result.
 
         The default schedules one :meth:`run_batch` call per group — the
-        *looped* reference path, and the parity oracle of the grouped
-        kernel — and concatenates the per-group columns into a
+        *looped* path the serial backend runs, and the schedule of the test
+        suite's per-batch oracle (``tests/looped_oracle.py``) — and
+        concatenates the per-group columns into a
         :class:`~repro.simulation.engine.grouped.GroupedBatch`.  The
-        vectorized backend overrides this with the grouped kernel; both
-        produce bit-identical numbers because every group draws its noise
-        from its own request stream.  Records a group's :meth:`run_batch`
-        logged (only the serial backend's scalar path logs any) are dropped
-        once its columns are taken, so no grouped run leaves records behind;
-        billing totals are kept.
+        vectorized backend overrides this with the grouped kernel; the
+        kernel and the oracle produce bit-identical numbers because every
+        group draws its noise from its own request stream.  Records a
+        group's :meth:`run_batch` logged (only the serial backend's scalar
+        path logs any) are dropped once its columns are taken, so no grouped
+        run leaves records behind; billing totals are kept.
         """
         from repro.monitoring.metrics import METRIC_NAMES
         from repro.simulation.engine.grouped import GroupedBatch

@@ -20,11 +20,11 @@ cold-chain solver).  The kernel itself is
 
 Determinism survives grouping because every group carries its own random
 stream (spawned via :mod:`repro.simulation.seeding`): the kernel draws each
-group's noise from that stream in exactly the order the looped per-group
-path would, so grouped and looped execution produce bit-identical
-per-invocation values and therefore bit-identical stats (enforced by the
-parity tests in ``tests/test_engine_grouped.py`` and
-``tests/test_engine_kernel.py``).
+group's noise from that stream in exactly the order a batch-at-a-time
+schedule would, so grouped and looped execution produce bit-identical
+per-invocation values and therefore bit-identical stats (enforced against
+the test suite's per-batch oracle, ``tests/looped_oracle.py``, by the parity
+tests in ``tests/test_engine_grouped.py`` and ``tests/test_engine_kernel.py``).
 """
 
 from __future__ import annotations
@@ -55,9 +55,9 @@ class GroupRequest:
     arrivals:
         Sorted non-negative arrival timestamps of the group (may be empty).
     rng:
-        The group's private noise stream (see
-        :mod:`repro.simulation.seeding`); both the grouped kernel and the
-        looped path draw this group's noise from it, in the same order.
+        The group's noise stream, private (see :mod:`repro.simulation.seeding`)
+        or, for a single batch run without one, the platform's shared
+        generator; every schedule draws the group's noise from it.
     fresh_pool:
         Reset the function's warm-instance pool before walking this group's
         arrivals — set by callers whose groups each represent a fresh
@@ -570,10 +570,11 @@ class GroupedBatch:
         )
 
     def group(self, index: int) -> BatchResult:
-        """Materialize one group as a plain :class:`BatchResult` (debug path).
+        """Materialize one group as a plain :class:`BatchResult`.
 
-        Slices are views into the fused columns; used by tests and debugging
-        tools, not by the hot path.
+        Slices are views into the fused columns.  A single arrival batch
+        (:meth:`~repro.simulation.engine.vectorized.VectorizedBackend.run_batch`)
+        is group 0 of a one-group batch.
         """
         index = int(index)
         if not 0 <= index < self.n_groups:

@@ -1,14 +1,15 @@
 """Process-parallel execution backend.
 
-Per-batch execution is delegated to the vectorized backend; the parallelism
-operates one level up, where a harness measures many functions:
+:class:`ParallelBackend` is the vectorized backend with one change, one
+level up, where a harness measures many functions:
 :meth:`ParallelBackend.measure_stat_chunks` fans the harness's *function
 chunks* out over ``concurrent.futures`` worker processes.  Every worker
 executes its chunk as one cross-function grouped batch through the kernel
 (:meth:`~repro.simulation.engine.vectorized.VectorizedBackend.run_grouped`)
 on a fresh platform and ships back only the dense stat blocks and billing
-totals.  A single grouped batch (``harness.measure_function``, a fleet
-window) shares one platform and runs in-process.
+totals.  Everything else — a single batch, a single grouped batch
+(``harness.measure_function``, a fleet window) — shares one platform and
+runs the inherited kernel in-process.
 
 Every (function, size) group draws its noise from a stream spawned from the
 parent's seeds and the function's *absolute* index
@@ -25,7 +26,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
-from repro.simulation.engine.base import ExecutionBackend, register_backend
+from repro.simulation.engine.base import register_backend
 from repro.simulation.engine.vectorized import VectorizedBackend
 
 
@@ -85,32 +86,16 @@ def _measure_chunk_stats_task(payload):
 
 
 @register_backend
-class ParallelBackend(ExecutionBackend):
-    """Fans function chunks out over worker processes (vectorized per chunk)."""
+class ParallelBackend(VectorizedBackend):
+    """The vectorized backend, with function chunks fanned out over processes.
+
+    Only the noise-exact ``"per-group"`` mode is supported (workers must
+    reproduce the sequential schedule's numbers exactly), so
+    ``noise="pooled"`` raises.
+    """
 
     name = "parallel"
-
-    def __init__(self, n_workers: int | None = None, noise: str = "per-group") -> None:
-        """Create the backend with an optional worker count (None = CPUs).
-
-        ``noise`` is validated by the base class: the parallel backend only
-        runs the bit-exact per-group configuration (its workers must
-        reproduce the sequential schedule's numbers exactly), so
-        ``"pooled"`` raises.
-        """
-        super().__init__(n_workers, noise=noise)
-        self._vectorized = VectorizedBackend()
-
-    def run_batch(self, platform, function_name, arrivals, rng=None):
-        """A single batch has no function-level parallelism; run it vectorized."""
-        return self._vectorized.run_batch(platform, function_name, arrivals, rng=rng)
-
-    def run_grouped(self, platform, requests):
-        """A single mega-batch shares one platform; run the kernel in-process."""
-        return self._vectorized.run_grouped(platform, requests)
-
-    def _max_workers(self, n_tasks: int) -> int:
-        return self.n_workers or min(n_tasks, os.cpu_count() or 1)
+    supports_pooled_noise = False
 
     def measure_stat_chunks(
         self,
@@ -167,7 +152,7 @@ class ParallelBackend(ExecutionBackend):
 
         remaining = set(starts)
         buffered: dict[int, tuple] = {}
-        max_workers = self._max_workers(len(starts))
+        max_workers = self.n_workers or min(len(starts), os.cpu_count() or 1)
         if len(starts) > 1 and max_workers > 1:
             pointer = 0
             submit_window = max_workers + 2

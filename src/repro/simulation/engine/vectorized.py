@@ -1,30 +1,25 @@
-"""Numpy-vectorized execution backend: per-batch path and the grouped kernel.
+"""Numpy-vectorized execution backend: the grouped execution kernel.
 
-:meth:`VectorizedBackend.run_batch` computes one arrival batch — timing
-noise, resource scaling, managed service latencies, all 25 monitor metrics
-and billing — as numpy array operations with one random draw batch per noise
-source, instead of one scalar model evaluation per invocation.  Only the
-cold-start/instance bookkeeping remains a (cheap, arithmetic-only)
-sequential walk, because whether invocation ``i`` cold-starts depends on how
-long earlier invocations kept their workers busy.  Statistical behaviour
-matches the serial backend; with every noise source disabled the two agree
-invocation for invocation (see ``tests/test_engine_backends.py``).
-
-:meth:`VectorizedBackend.run_grouped` is the grouped execution kernel: it
-runs many (function, size) groups — a fleet window, a dataset-generation
-chunk — as one columnar mega-batch in three flat passes:
+:meth:`VectorizedBackend.run_grouped` is the one batch execution path of the
+simulator: it runs many (function, size) groups — a fleet window, a
+dataset-generation chunk, or a single arrival batch — as one columnar
+mega-batch, computing timing noise, resource scaling, managed service
+latencies, all 25 monitor metrics and billing as numpy array operations.
+:meth:`VectorizedBackend.run_batch` is a one-group call of it.  The kernel
+makes three flat passes:
 
 1. **Raw noise draws** — per group only the raw generator calls remain
-   (``lognormal``/``standard_normal``/``random``/``normal`` in the exact
-   stream order of :meth:`run_batch`); all post-draw arithmetic (tail
-   thresholding, jitter clamping, the service latency row math) runs batched
-   over the concatenated draws, which is bit-identical because the ops are
-   elementwise or row-local.
+   (``lognormal``/``standard_normal``/``random``/``normal``, in the fixed
+   stream order cpu, service, tail, jitters, cold); all post-draw arithmetic
+   (tail thresholding, jitter clamping, the service latency row math) runs
+   batched over the concatenated draws, which is bit-identical to drawing
+   and post-processing group by group because the ops are elementwise or
+   row-local.
 2. **Gather-by-group metric kernel** — the group-level subexpressions of the
    timing model and the Table-1 formulas are evaluated once per group and
    gathered by group index through scratch buffers held on the backend
-   (:meth:`~repro.simulation.runtime.NodeRuntimeModel.metrics_batch_grouped`,
-   bit-identical op order); no ``(n_params, n)`` expansion materializes.
+   (:meth:`~repro.simulation.runtime.NodeRuntimeModel.metrics_batch_grouped`);
+   no ``(n_params, n)`` expansion materializes.
 3. **Cross-group instance walk** — the single-server-run classification of
    :func:`~repro.simulation.engine.grouped.walk_group` evaluated once over
    the flat group-major columns: pair completion/idle arrays, expiry masks
@@ -37,13 +32,14 @@ chunk — as one columnar mega-batch in three flat passes:
    ``walk_group``.
 
 Every group draws its noise from its own request stream, so the kernel is
-bit-identical to the looped per-group schedule (the base
-:meth:`~repro.simulation.engine.base.ExecutionBackend.run_grouped` over
-:meth:`run_batch`), which the test suite keeps as its oracle.  The opt-in
-``noise="pooled"`` mode draws all groups' noise from one shared window
-stream instead, removing the per-group draw calls (statistical parity only;
-the caller provides the shared stream, see
-:class:`~repro.fleet.simulator.FleetConfig`).
+bit-identical to executing the groups one batch at a time in group order.
+The test suite keeps that per-batch schedule as an independent oracle
+(``tests/looped_oracle.py``).  With every noise source disabled the kernel
+also agrees invocation for invocation with the serial backend's scalar path
+(see ``tests/test_engine_backends.py``).  The opt-in ``noise="pooled"``
+mode draws all groups' noise from one shared window stream instead,
+removing the per-group draw calls (statistical parity only; the caller
+provides the shared stream, see :class:`~repro.fleet.simulator.FleetConfig`).
 """
 
 from __future__ import annotations
@@ -56,16 +52,15 @@ from repro.errors import SimulationError
 from repro.simulation.engine.base import BatchResult, ExecutionBackend, register_backend
 from repro.simulation.engine.grouped import (
     GroupedBatch,
+    GroupRequest,
     _worker_instance_cls,
     param_column,
     solve_cold_recurrence,
     validate_group_timestamps,
     walk_group,
-    walk_instances,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.simulation.engine.grouped import GroupRequest
     from repro.simulation.platform import ServerlessPlatform
 
 
@@ -163,7 +158,7 @@ def _classify_pairs(t, exec_ms, init_worst, gid, keep_alive):
 
 @register_backend
 class VectorizedBackend(ExecutionBackend):
-    """Numpy batch execution: per-batch path plus the grouped kernel."""
+    """Numpy batch execution: every batch runs the grouped kernel."""
 
     name = "vectorized"
     supports_pooled_noise = True
@@ -182,6 +177,9 @@ class VectorizedBackend(ExecutionBackend):
     ) -> BatchResult:
         """Execute one sorted arrival batch of a deployed function.
 
+        A one-group :meth:`run_grouped` call, so a single batch runs exactly
+        the kernel every fleet window and measurement chunk runs.
+
         Parameters
         ----------
         platform:
@@ -189,51 +187,18 @@ class VectorizedBackend(ExecutionBackend):
         function_name:
             Name of the deployed function.
         arrivals:
-            Sorted arrival timestamps (seconds).
+            Sorted non-negative arrival timestamps (seconds); anything else
+            raises :class:`~repro.errors.SimulationError` before any pool,
+            counter or bill changes.
         rng:
             Optional group-private noise stream
             (:mod:`repro.simulation.seeding`); defaults to the platform's
             shared generator.
         """
-        function = platform.get_function(function_name)
-        profile = function.profile
-        memory_mb = function.memory_mb
-        model = platform.execution_model
-        rng = rng if rng is not None else platform.rng
-        n = int(arrivals.shape[0])
-
-        execution = model.execute_batch(profile, memory_mb, rng, arrivals)
-        exec_ms = execution.execution_time_ms
-
-        # Cold-start durations: deterministic base, one batched noise draw.
-        cpu_share = model.scaling.cpu_share(memory_mb)
-        cold_model = platform.cold_start_model
-        init_base_ms = cold_model.duration_ms(
-            memory_mb, profile.code_size_kb, cpu_share, rng=None
+        request = GroupRequest.for_deployed(
+            platform, function_name, arrivals, rng if rng is not None else platform.rng
         )
-        cold_noise = cold_model.noise_factors(rng, n) if cold_model.noise_cv > 0 else None
-
-        cold_start, init_ms, instance_ids = walk_instances(
-            platform, function_name, memory_mb, arrivals, exec_ms, init_base_ms, cold_noise
-        )
-        function.invocation_count += n
-
-        billed_ms = platform.pricing_model.billed_duration_batch_ms(exec_ms)
-        cost_usd = platform.pricing_model.execution_cost_batch(exec_ms, memory_mb)
-        batch = BatchResult(
-            function_name=function_name,
-            memory_mb=float(memory_mb),
-            timestamps_s=np.asarray(arrivals, dtype=float),
-            execution_time_ms=exec_ms,
-            init_duration_ms=init_ms,
-            cold_start=cold_start,
-            instance_ids=instance_ids,
-            cost_usd=cost_usd,
-            billed_duration_ms=billed_ms,
-            metrics=execution.metrics,
-        )
-        platform._note_cost(function_name, batch.total_cost_usd)
-        return batch
+        return self.run_grouped(platform, [request]).group(0)
 
     def _buffer(self, key: str, n: int) -> np.ndarray:
         """A reusable float64 scratch buffer of at least ``n`` elements (view)."""
@@ -261,8 +226,8 @@ class VectorizedBackend(ExecutionBackend):
     ) -> GroupedBatch:
         """Execute many groups as one columnar mega-batch (see module doc).
 
-        Bit-identical to the looped per-group default: each group's noise is
-        drawn from its own request stream in :meth:`run_batch` order, and
+        Bit-identical to executing the groups one batch at a time in group
+        order: each group's noise is drawn from its own request stream, and
         billing totals, invocation counters and instance pools end in the
         same state.
         """
@@ -283,9 +248,9 @@ class VectorizedBackend(ExecutionBackend):
         entries = shapes.entries
 
         # Hoisted noise-distribution parameters: the per-group loop below
-        # only issues raw generator calls, in the exact stream order of the
-        # looped path (cpu, service, tail, jitters, cold), so per-group
-        # streams stay bit-exact; all post-draw arithmetic runs batched.
+        # only issues raw generator calls, in the fixed stream order (cpu,
+        # service, tail, jitters, cold), so per-group streams stay bit-exact;
+        # all post-draw arithmetic runs batched.
         cpu_cv = variability.cpu_noise_cv
         cpu_mu, cpu_sigma = variability.lognormal_params(cpu_cv)
         tail_p = float(variability.tail_probability)
@@ -421,7 +386,8 @@ class VectorizedBackend(ExecutionBackend):
         for width in widths:
             # The invocations of every group drawing this width, in group
             # order — the row order of the concatenated draws.  Elementwise
-            # arithmetic and row sums match sample_latency_batch_ms per row.
+            # arithmetic and row sums keep every row's value independent of
+            # which other rows share the pass.
             mask = inv_width == width
             if pooled:
                 z = rng.standard_normal((int(np.count_nonzero(mask)), width))
@@ -434,7 +400,7 @@ class VectorizedBackend(ExecutionBackend):
             factors = np.exp(-0.5 * sigma * sigma + sigma * z)
             service_ms[mask] += (means[rank] * factors).sum(axis=1)
 
-        # ---- timing kernel (scratch in, execute_batch op order) -----------
+        # ---- timing kernel (scratch in, fixed op order) -------------------
         sg = self._buffer("gather", n_total)
         s_cpu = self._buffer("cpu", n_total)
         s_fs = self._buffer("fs", n_total)
@@ -506,8 +472,8 @@ class VectorizedBackend(ExecutionBackend):
             billed_duration_ms=billed_ms,
             metrics=metrics,
         )
-        # Billing in group order, one amount per non-empty group: the looped
-        # path's run_batch calls exactly.
+        # Billing in group order, one amount per non-empty group: the amounts
+        # a batch-at-a-time schedule books.
         note_cost = platform._note_cost
         for name, n, cost in zip(names_l, sizes_l, batch.cost_per_group().tolist()):
             if n:
@@ -539,7 +505,7 @@ class VectorizedBackend(ExecutionBackend):
         Safe groups (empty or idle single-instance pool, no overlapping
         arrival pairs, name not executed earlier in this batch) are resolved
         entirely from the flat pair masks; the rest run the per-group hybrid
-        :func:`walk_group`, preserving bit-identity with the looped path.
+        :func:`walk_group`, preserving bit-identity with the sequential walk.
         """
         n_groups = len(requests)
         n_total = int(offsets[-1])

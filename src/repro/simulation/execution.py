@@ -72,30 +72,6 @@ class ExecutionResult:
         return self.execution_time_ms + self.init_duration_ms
 
 
-@dataclass(frozen=True)
-class BatchExecution:
-    """Outcome of simulating one arrival batch (all arrays are ``(n,)``).
-
-    Produced by :meth:`ExecutionModel.execute_batch`: the per-invocation inner
-    execution times, the (noise-applied) wall-clock components, and the full
-    Table-1 metric arrays.  Cold-start bookkeeping is *not* part of this
-    object — it depends on platform instance state and is added by the
-    execution backends in :mod:`repro.simulation.engine`.
-    """
-
-    execution_time_ms: np.ndarray
-    cpu_ms: np.ndarray
-    fs_ms: np.ndarray
-    network_ms: np.ndarray
-    service_ms: np.ndarray
-    metrics: dict[str, np.ndarray] = field(default_factory=dict)
-
-    @property
-    def n_invocations(self) -> int:
-        """Number of simulated invocations in the batch."""
-        return int(self.execution_time_ms.shape[0])
-
-
 class ExecutionModel:
     """Reusable execution simulator bundling scaling, services, noise and runtime."""
 
@@ -157,86 +133,6 @@ class ExecutionModel:
             breakdown=timing,
             cold_start=cold_start,
             init_duration_ms=init_duration_ms,
-        )
-
-    # ------------------------------------------------------------------ batch
-    def execute_batch(
-        self,
-        profile: ResourceProfile,
-        memory_mb: float,
-        rng: np.random.Generator,
-        timestamps_s: np.ndarray,
-    ) -> BatchExecution:
-        """Simulate a whole arrival batch of one function at one memory size.
-
-        Computes what :meth:`execute` computes per invocation, but for every
-        timestamp at once, drawing each noise source as one batched sample
-        instead of per invocation.  When every noise source is disabled the
-        result is identical (to floating-point accuracy) to calling
-        :meth:`execute` per timestamp; with noise enabled the per-invocation
-        values follow the same distributions but pair draws with invocations
-        in a different order, so only aggregates are comparable.
-        """
-        if memory_mb <= 0:
-            raise SimulationError("memory_mb must be positive")
-        timestamps_s = np.asarray(timestamps_s, dtype=float)
-        n = int(timestamps_s.shape[0])
-
-        cpu_share = self.scaling.cpu_share(memory_mb)
-        pressure = self.scaling.memory_pressure_factor(
-            profile.memory_working_set_mb, memory_mb
-        )
-
-        # One batched draw per noise source, in a fixed order.
-        cpu_noise = self.variability.cpu_factors(rng, n)
-        base_cpu_ms = (profile.cpu_user_ms + profile.cpu_system_ms) / cpu_share * pressure
-        cpu_ms = base_cpu_ms * cpu_noise
-        fs_ms = self.scaling.fs_transfer_ms(profile.total_fs_bytes, memory_mb) * cpu_noise
-
-        service_bytes = sum(
-            (call.request_bytes + call.response_bytes) * call.calls
-            for call in profile.service_calls
-        )
-        network_bytes = profile.network_bytes_in + profile.network_bytes_out + service_bytes
-        network_ms = self.scaling.network_transfer_ms(network_bytes, memory_mb) * cpu_noise
-
-        service_ms = self.services.sample_latency_batch_ms(
-            profile.service_calls, rng, n
-        )
-
-        total_factor = self.variability.tail_factors(rng, n) * self.variability.drift_factors(
-            timestamps_s
-        )
-        cpu_ms = cpu_ms * total_factor
-        fs_ms = fs_ms * total_factor
-        network_ms = network_ms * total_factor
-        service_ms = service_ms * total_factor
-        execution_time_ms = cpu_ms + fs_ms + network_ms + service_ms + _HANDLER_OVERHEAD_MS
-
-        service_bytes_in = sum(call.response_bytes * call.calls for call in profile.service_calls)
-        service_bytes_out = sum(call.request_bytes * call.calls for call in profile.service_calls)
-        metrics = self.runtime.metrics_batch(
-            profile=profile,
-            memory_mb=memory_mb,
-            cpu_ms=cpu_ms,
-            fs_ms=fs_ms,
-            network_ms=network_ms,
-            service_ms=service_ms,
-            total_ms=execution_time_ms,
-            cpu_share=cpu_share,
-            pressure_factor=pressure,
-            service_bytes_in=service_bytes_in,
-            service_bytes_out=service_bytes_out,
-            rng=rng,
-            counter_noise=self.variability.counter_noise_cv,
-        )
-        return BatchExecution(
-            execution_time_ms=execution_time_ms,
-            cpu_ms=cpu_ms,
-            fs_ms=fs_ms,
-            network_ms=network_ms,
-            service_ms=service_ms,
-            metrics=metrics,
         )
 
     # ----------------------------------------------------------------- timing

@@ -345,9 +345,10 @@ class ServerlessPlatform:
             platform's shared generator.
 
         Returns a :class:`~repro.simulation.engine.BatchResult` with one column
-        per invocation attribute.  The serial backend also appends every
-        invocation to the log (exactly like :meth:`invoke`); the vectorized
-        and parallel backends only update billing totals and instance state,
+        per invocation attribute.  The serial backend calls :meth:`invoke`
+        once per arrival, so it also appends every invocation to the log; the
+        vectorized and parallel backends run the batch as one group of the
+        grouped kernel and only update billing totals and instance state,
         keeping memory bounded during large runs.
         """
         from repro.simulation.engine import get_backend
@@ -426,7 +427,14 @@ class ServerlessPlatform:
 
     @staticmethod
     def noise_free(seed: int = 0, provider: str = "aws") -> "ServerlessPlatform":
-        """Platform without run-to-run noise (deterministic unit tests)."""
+        """Platform whose execution model has :meth:`VariabilityModel.none`.
+
+        Not free of all run-to-run noise: managed-service latencies keep
+        their per-service ``latency_cv`` and cold starts the default
+        :class:`ColdStartModel` noise (see :meth:`VariabilityModel.none`).
+        Set ``cold_start_model`` to a zero-``noise_cv`` model for
+        deterministic cold starts.
+        """
         return ServerlessPlatform(
             config=PlatformConfig(provider=provider, seed=seed),
             execution_model=ExecutionModel(variability=VariabilityModel.none()),

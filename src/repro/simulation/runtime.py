@@ -83,69 +83,34 @@ class TimingBreakdown:
 
 @dataclass(frozen=True)
 class RuntimeBatchInputs:
-    """Profile/platform inputs of the Table-1 metric formulas.
+    """Per-group profile/platform inputs of the Table-1 metric formulas.
 
-    Every field may be a scalar (one function at one memory size — the
-    per-batch path of :meth:`NodeRuntimeModel.metrics_batch`) or a
-    per-invocation array (many groups flattened into one columnar mega-batch
-    — the fused path of :mod:`repro.simulation.engine.grouped`).  The metric
-    formulas are pure elementwise arithmetic, so both parameterizations run
-    through one implementation and produce bit-identical values.
+    One ``(n_groups,)`` array per field, one entry per (function, memory
+    size) group of a grouped batch, in field order of the grouped kernel's
+    parameter column (:func:`~repro.simulation.engine.grouped.param_column`).
+    :meth:`NodeRuntimeModel.metrics_batch_grouped` evaluates the formulas
+    over them and gathers per invocation by group index.
     """
 
-    memory_mb: float | np.ndarray
-    cpu_share: float | np.ndarray
-    pressure_factor: float | np.ndarray
-    cpu_user_ms: float | np.ndarray
-    cpu_system_ms: float | np.ndarray
-    fs_read_ops: float | np.ndarray
-    fs_write_ops: float | np.ndarray
-    fs_read_bytes: float | np.ndarray
-    fs_write_bytes: float | np.ndarray
-    total_service_calls: float | np.ndarray
-    has_network: float | np.ndarray
-    network_bytes_in: float | np.ndarray
-    network_bytes_out: float | np.ndarray
-    heap_allocated_mb: float | np.ndarray
-    memory_working_set_mb: float | np.ndarray
-    code_size_kb: float | np.ndarray
-    blocking_fraction: float | np.ndarray
-    service_bytes_in: float | np.ndarray
-    service_bytes_out: float | np.ndarray
-
-    @staticmethod
-    def from_profile(
-        profile: ResourceProfile,
-        memory_mb: float,
-        cpu_share: float,
-        pressure_factor: float,
-        service_bytes_in: float,
-        service_bytes_out: float,
-    ) -> "RuntimeBatchInputs":
-        """Build the scalar inputs of one (function, memory size) batch."""
-        return RuntimeBatchInputs(
-            memory_mb=float(memory_mb),
-            cpu_share=float(cpu_share),
-            pressure_factor=float(pressure_factor),
-            cpu_user_ms=profile.cpu_user_ms,
-            cpu_system_ms=profile.cpu_system_ms,
-            fs_read_ops=profile.fs_read_ops,
-            fs_write_ops=profile.fs_write_ops,
-            fs_read_bytes=profile.fs_read_bytes,
-            fs_write_bytes=profile.fs_write_bytes,
-            total_service_calls=profile.total_service_calls,
-            has_network=(
-                1.0 if profile.network_bytes_in + profile.network_bytes_out > 0 else 0.0
-            ),
-            network_bytes_in=profile.network_bytes_in,
-            network_bytes_out=profile.network_bytes_out,
-            heap_allocated_mb=profile.heap_allocated_mb,
-            memory_working_set_mb=profile.memory_working_set_mb,
-            code_size_kb=profile.code_size_kb,
-            blocking_fraction=profile.blocking_fraction,
-            service_bytes_in=float(service_bytes_in),
-            service_bytes_out=float(service_bytes_out),
-        )
+    memory_mb: np.ndarray
+    cpu_share: np.ndarray
+    pressure_factor: np.ndarray
+    cpu_user_ms: np.ndarray
+    cpu_system_ms: np.ndarray
+    fs_read_ops: np.ndarray
+    fs_write_ops: np.ndarray
+    fs_read_bytes: np.ndarray
+    fs_write_bytes: np.ndarray
+    total_service_calls: np.ndarray
+    has_network: np.ndarray
+    network_bytes_in: np.ndarray
+    network_bytes_out: np.ndarray
+    heap_allocated_mb: np.ndarray
+    memory_working_set_mb: np.ndarray
+    code_size_kb: np.ndarray
+    blocking_fraction: np.ndarray
+    service_bytes_in: np.ndarray
+    service_bytes_out: np.ndarray
 
 
 class NodeRuntimeModel:
@@ -291,190 +256,6 @@ class NodeRuntimeModel:
             raise SimulationError(f"runtime model missed metrics: {sorted(missing)}")
         return metrics
 
-    @staticmethod
-    def draw_jitters(
-        rng: np.random.Generator, n: int, counter_noise: float
-    ) -> np.ndarray:
-        """Draw the ``(13, n)`` counter-jitter factors of one metric batch.
-
-        One row per jittered metric formula, clipped at 0.5 exactly like the
-        scalar path's per-invocation draws.  With ``counter_noise <= 0`` the
-        generator is not consumed and unit factors are returned.
-        """
-        if counter_noise > 0:
-            return np.maximum(rng.normal(1.0, counter_noise, size=(13, n)), 0.5)
-        return np.ones((13, n))
-
-    def metrics_batch(
-        self,
-        profile: ResourceProfile,
-        memory_mb: float,
-        cpu_ms: np.ndarray,
-        fs_ms: np.ndarray,
-        network_ms: np.ndarray,
-        service_ms: np.ndarray,
-        total_ms: np.ndarray,
-        cpu_share: float,
-        pressure_factor: float,
-        service_bytes_in: float,
-        service_bytes_out: float,
-        rng: np.random.Generator,
-        counter_noise: float = 0.02,
-    ) -> dict[str, np.ndarray]:
-        """Vectorized counterpart of :meth:`metrics` for a whole arrival batch.
-
-        The timing arguments are per-invocation arrays (with all multiplicative
-        noise already applied, exactly like the :class:`TimingBreakdown` the
-        scalar path receives).  Returns one ``(n,)`` array per Table-1 metric.
-        With ``counter_noise <= 0`` the output matches the scalar path value
-        for value; with noise it matches in distribution (the batch draws the
-        same number of jitter factors, in metric-major instead of
-        invocation-major order).
-        """
-        if memory_mb <= 0:
-            raise SimulationError("memory_mb must be positive")
-        if cpu_share <= 0:
-            raise SimulationError("cpu_share must be positive")
-        n = int(np.asarray(total_ms).shape[0])
-        inputs = RuntimeBatchInputs.from_profile(
-            profile, memory_mb, cpu_share, pressure_factor,
-            service_bytes_in, service_bytes_out,
-        )
-        return self.metrics_batch_inputs(
-            inputs,
-            cpu_ms=cpu_ms,
-            fs_ms=fs_ms,
-            network_ms=network_ms,
-            service_ms=service_ms,
-            total_ms=total_ms,
-            jitters=self.draw_jitters(rng, n, counter_noise),
-        )
-
-    def metrics_batch_inputs(
-        self,
-        inputs: RuntimeBatchInputs,
-        cpu_ms: np.ndarray,
-        fs_ms: np.ndarray,
-        network_ms: np.ndarray,
-        service_ms: np.ndarray,
-        total_ms: np.ndarray,
-        jitters: np.ndarray,
-    ) -> dict[str, np.ndarray]:
-        """Metric formulas over explicit scalar-or-array inputs.
-
-        The single implementation behind :meth:`metrics_batch` (scalar inputs
-        of one function at one size) and the fused cross-function path
-        (per-invocation input arrays gathered over a group-id column): all
-        formulas are elementwise, so the two parameterizations are
-        bit-identical where their expanded input values agree.
-
-        Parameters
-        ----------
-        inputs:
-            Profile/platform formula inputs (scalars or per-invocation
-            arrays), see :class:`RuntimeBatchInputs`.
-        cpu_ms / fs_ms / network_ms / service_ms / total_ms:
-            Per-invocation wall-clock components with all multiplicative
-            noise applied.
-        jitters:
-            Pre-drawn ``(13, n)`` counter-jitter factors
-            (:meth:`draw_jitters`).
-        """
-        if np.any(np.asarray(inputs.memory_mb) <= 0):
-            raise SimulationError("memory_mb must be positive")
-        if np.any(np.asarray(inputs.cpu_share) <= 0):
-            raise SimulationError("cpu_share must be positive")
-        n = int(np.asarray(total_ms).shape[0])
-        memory_mb = inputs.memory_mb
-
-        user_cpu = inputs.cpu_user_ms * inputs.pressure_factor * jitters[0]
-        system_cpu = (
-            inputs.cpu_system_ms
-            + 0.08 * fs_ms
-            + 0.05 * network_ms
-            + 0.02 * service_ms
-        ) * jitters[1]
-
-        io_waits = (
-            inputs.fs_read_ops
-            + inputs.fs_write_ops
-            + inputs.total_service_calls
-            + inputs.has_network
-        )
-        vol_switches = (8.0 + 2.5 * io_waits) * jitters[2]
-        throttle_rate = np.maximum(1.0 / inputs.cpu_share - 1.0, 0.0)
-        invol_switches = (
-            2.0 + 0.6 * user_cpu * throttle_rate / 10.0 + 0.02 * user_cpu
-        ) * jitters[3]
-
-        fs_reads = (inputs.fs_read_ops + inputs.fs_read_bytes / 4096.0) * jitters[4]
-        fs_writes = (inputs.fs_write_ops + inputs.fs_write_bytes / 4096.0) * jitters[5]
-
-        heap_limit = self.heap_fraction_of_memory * memory_mb
-        heap_used = np.minimum(inputs.heap_allocated_mb, heap_limit) * jitters[6]
-        total_heap = np.minimum(heap_used * 1.35 + 6.0, heap_limit)
-        physical_heap = total_heap * 0.95
-        available_heap = np.maximum(heap_limit - total_heap, 0.0)
-        resident_set = np.minimum(
-            _RUNTIME_BASELINE_MB + inputs.memory_working_set_mb, memory_mb
-        ) * jitters[7]
-        max_resident_set = np.minimum(resident_set * 1.08, memory_mb)
-        allocated_memory = (inputs.memory_working_set_mb * 1.05 + 4.0) * jitters[8]
-        external_memory = (
-            1.5 + 0.4 * (inputs.fs_read_bytes + inputs.network_bytes_in) / 1e6
-        ) * jitters[9]
-        bytecode_metadata = (0.4 + inputs.code_size_kb / 1024.0 * 0.8) * jitters[10]
-
-        bytes_received = (inputs.network_bytes_in + inputs.service_bytes_in) * jitters[11]
-        bytes_transmitted = (
-            inputs.network_bytes_out + inputs.service_bytes_out
-        ) * jitters[12]
-        packages_received = (
-            np.ceil(bytes_received / _PACKET_BYTES) + inputs.total_service_calls
-        )
-        packages_transmitted = (
-            np.ceil(bytes_transmitted / _PACKET_BYTES) + inputs.total_service_calls
-        )
-
-        async_boundaries = np.maximum(io_waits, 1.0)
-        blocking_wall_ms = cpu_ms * inputs.blocking_fraction
-        mean_lag = blocking_wall_ms / (async_boundaries + 1.0) + 0.05
-        max_lag = mean_lag * 3.0 + 0.1
-        min_lag = np.full(n, 0.02)
-        std_lag = mean_lag * 0.8
-
-        metrics = {
-            "execution_time": np.asarray(total_ms, dtype=float),
-            "user_cpu_time": user_cpu,
-            "system_cpu_time": system_cpu,
-            "vol_context_switches": vol_switches,
-            "invol_context_switches": invol_switches,
-            "fs_reads": fs_reads,
-            "fs_writes": fs_writes,
-            "resident_set_size": resident_set,
-            "max_resident_set_size": max_resident_set,
-            "total_heap": total_heap,
-            "heap_used": heap_used,
-            "physical_heap": physical_heap,
-            "available_heap": available_heap,
-            "heap_limit": heap_limit * np.ones(n),
-            "allocated_memory": allocated_memory,
-            "external_memory": external_memory,
-            "bytecode_metadata": bytecode_metadata,
-            "bytes_received": bytes_received,
-            "bytes_transmitted": bytes_transmitted,
-            "packages_received": packages_received,
-            "packages_transmitted": packages_transmitted,
-            "min_event_loop_lag": min_lag,
-            "max_event_loop_lag": max_lag,
-            "mean_event_loop_lag": mean_lag,
-            "std_event_loop_lag": std_lag,
-        }
-        missing = set(METRIC_NAMES) - set(metrics)
-        if missing:  # defensive: keep the metric list and the dict in sync
-            raise SimulationError(f"runtime model missed metrics: {sorted(missing)}")
-        return metrics
-
     def metrics_batch_grouped(
         self,
         inputs: RuntimeBatchInputs,
@@ -489,10 +270,9 @@ class NodeRuntimeModel:
     ) -> dict[str, np.ndarray]:
         """Temporary-free grouped evaluation of the Table-1 metric formulas.
 
-        The gather-based counterpart of :meth:`metrics_batch_inputs` used by
-        the grouped execution kernel: ``inputs`` holds one value per
-        *group* (``(n_groups,)`` arrays) and ``group_ids`` maps each of the
-        ``n`` invocations to its group, so the expensive
+        The metric kernel of the grouped execution kernel: ``inputs`` holds
+        one value per *group* (``(n_groups,)`` arrays) and ``group_ids``
+        maps each of the ``n`` invocations to its group, so the expensive
         ``np.repeat(columns, sizes)`` expansion never materializes.  Every
         purely profile/size-derived subexpression is evaluated once per group
         and gathered; per-invocation chains run through the two ``scratch``
@@ -500,13 +280,27 @@ class NodeRuntimeModel:
         the 25 result arrays themselves.
 
         Elementwise formula evaluation is length-independent, and the op
-        order below matches :meth:`metrics_batch_inputs` operation for
-        operation, so the result is bit-identical to expanding ``inputs`` to
-        per-invocation columns and calling :meth:`metrics_batch_inputs`.
+        order below matches the per-batch formulas of the test suite's
+        oracle (``tests/looped_oracle.py``) operation for operation, so the
+        result is bit-identical to evaluating them one group at a time.
+        The same formulas, per invocation with scalar noise draws, are
+        :meth:`metrics`.
 
-        Parameters match :meth:`metrics_batch_inputs` except ``group_ids``
-        (the ``(n,)`` int gather index) and ``scratch`` (two ``(n,)``
-        buffers of the compute dtype; allocated here when ``None``).
+        Parameters
+        ----------
+        inputs:
+            Per-group formula inputs, see :class:`RuntimeBatchInputs`.
+        group_ids:
+            The ``(n,)`` int index of each invocation's group.
+        cpu_ms / fs_ms / network_ms / service_ms / total_ms:
+            Per-invocation wall-clock components with all multiplicative
+            noise applied.
+        jitters:
+            ``(13, n)`` counter-jitter factors, clipped at 0.5 (all ones
+            without counter noise).
+        scratch:
+            Two ``(n,)`` buffers of the compute dtype; allocated here when
+            ``None``.
         """
         if np.any(np.asarray(inputs.memory_mb) <= 0):
             raise SimulationError("memory_mb must be positive")

@@ -96,8 +96,8 @@ class ServiceCatalog:
 
     def __init__(self, models: dict[str, ServiceModel] | None = None) -> None:
         self._models = dict(_default_services() if models is None else models)
-        # Batch-draw rows per distinct service-call tuple (see
-        # sample_latency_batch_ms); invalidated when models change.
+        # Batch-draw rows per distinct service-call tuple (see batch_rows);
+        # invalidated when models change.
         self._batch_rows: dict[tuple[ServiceCall, ...], tuple] = {}
 
     @property
@@ -132,32 +132,6 @@ class ServiceCatalog:
         model = self.get(call.service)
         return float(sum(model.sample_latency_ms(call, rng) for _ in range(call.calls)))
 
-    def sample_latency_batch_ms(
-        self,
-        calls: tuple[ServiceCall, ...],
-        rng: np.random.Generator,
-        n: int,
-    ) -> np.ndarray:
-        """Sample the total service-side latency of ``n`` invocations at once.
-
-        Each invocation performs every call in ``calls``; the result is the
-        per-invocation sum over all of them.  Draws happen invocation-major
-        (all calls of invocation 0, then invocation 1, ...), the same order the
-        scalar path uses, so a noise-free-otherwise simulation produces
-        identical per-invocation latencies with either path.  The per-call
-        mean/sigma rows are cached per distinct call tuple — the fused
-        cross-function path samples hundreds of small batches per window.
-        """
-        fixed, mean_row, sigma_row = self.batch_rows(calls)
-        total = np.full(n, fixed) if fixed else np.zeros(n)
-        if mean_row is not None:
-            # lognormal(mu, sigma) == exp(mu + sigma * z): drawing the standard
-            # normals row-major reproduces the scalar per-call draw sequence.
-            z = rng.standard_normal((n, mean_row.shape[0]))
-            factors = np.exp(-0.5 * sigma_row * sigma_row + sigma_row * z)
-            total += (mean_row * factors).sum(axis=1)
-        return total
-
     def batch_rows(
         self, calls: tuple[ServiceCall, ...]
     ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
@@ -166,10 +140,11 @@ class ServiceCatalog:
         ``fixed_ms`` sums the calls the scalar sampler never draws for (zero
         CV or zero mean); ``mean_row``/``sigma_row`` hold one entry per drawn
         call, repeated ``call.calls`` times, or ``None`` when every call is
-        fixed.  Exposed (and cached) so batched executors can draw the standard
-        normals themselves — ``rng.standard_normal((n, len(mean_row)))`` — and
-        defer the arithmetic, while staying bit-identical to
-        :meth:`sample_latency_batch_ms`.
+        fixed.  The grouped execution kernel draws the standard normals
+        itself, invocation-major like the scalar sampler, and adds
+        ``(mean_row * exp(-sigma_row**2 / 2 + sigma_row * z)).sum(axis=1)``
+        to ``fixed_ms`` (``lognormal(mu, sigma) == exp(mu + sigma * z)``).
+        Cached per distinct call tuple.
         """
         rows = self._batch_rows.get(calls)
         if rows is None:

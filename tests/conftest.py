@@ -15,7 +15,6 @@ from repro.dataset.generation import DatasetGenerationConfig, TrainingDatasetGen
 from repro.dataset.harness import HarnessConfig, MeasurementHarness
 from repro.fleet import FleetSimulator
 from repro.ml.network import NetworkConfig
-from repro.simulation.engine import ExecutionBackend, VectorizedBackend
 from repro.simulation.execution import ExecutionModel
 from repro.simulation.platform import PlatformConfig, ServerlessPlatform
 from repro.simulation.profile import ResourceProfile, ServiceCall
@@ -29,6 +28,8 @@ from repro.workloads.traffic import (
     RampTraffic,
     TraceTraffic,
 )
+
+from looped_oracle import LoopedBackend, assert_identical
 
 
 def pytest_configure(config) -> None:
@@ -73,7 +74,7 @@ def service_profile() -> ResourceProfile:
 
 @pytest.fixture()
 def noise_free_model() -> ExecutionModel:
-    """An execution model without run-to-run noise."""
+    """An execution model with ``VariabilityModel.none()`` (service latencies stay noisy)."""
     return ExecutionModel(variability=VariabilityModel.none())
 
 
@@ -207,44 +208,20 @@ def mixed_fleet():
     return _mixed_fleet
 
 
-def _assert_windows_equal(a, b) -> None:
-    """Exact fleet-window comparison: ``active`` and every column, bit for bit."""
-    assert (a.index, a.start_s, a.end_s) == (b.index, b.start_s, b.end_s)
-    for column in (
-        "active",
-        "memory_mb",
-        "stats",
-        "n_invocations",
-        "n_arrivals",
-        "n_cold_starts",
-        "cost_usd",
-    ):
-        np.testing.assert_array_equal(
-            getattr(a, column), getattr(b, column), err_msg=column
-        )
-
-
 @pytest.fixture()
 def assert_windows_equal():
-    """The exact fleet-window comparison, shared by the parity tests."""
-    return _assert_windows_equal
-
-
-class _LoopedBackend(VectorizedBackend):
-    """The looped per-group oracle: one vectorized ``run_batch`` per group.
-
-    Its ``run_grouped`` is the base
-    :meth:`~repro.simulation.engine.base.ExecutionBackend.run_grouped`;
-    assigned as ``simulator.backend`` it runs a fleet's windows group by group.
-    """
-
-    run_grouped = ExecutionBackend.run_grouped
+    """The exact fleet-window comparison (every field), shared by the parity tests."""
+    return assert_identical
 
 
 @pytest.fixture()
 def looped_backend():
-    """A fresh looped per-group oracle backend."""
-    return _LoopedBackend()
+    """A fresh looped per-batch oracle backend (``tests/looped_oracle.py``).
+
+    Assigned as ``simulator.backend`` it runs a fleet's windows group by
+    group.
+    """
+    return LoopedBackend()
 
 
 def _pool_state(platform, names):
@@ -316,7 +293,7 @@ def _assert_fleet_matches_looped(functions, traffic, config) -> None:
     def run(looped):
         simulator = FleetSimulator(functions, traffic, config)
         if looped:
-            simulator.backend = _LoopedBackend()
+            simulator.backend = LoopedBackend()
         windows = [simulator.run_window() for _ in range(2)]
         simulator.resize(0, 1024)
         windows.append(simulator.run_window())
@@ -324,7 +301,7 @@ def _assert_fleet_matches_looped(functions, traffic, config) -> None:
 
     (kernel_windows, kp), (looped_windows, lp) = run(False), run(True)
     for kernel_window, looped_window in zip(kernel_windows, looped_windows):
-        _assert_windows_equal(kernel_window, looped_window)
+        assert_identical(kernel_window, looped_window)
     assert _pool_state(kp, names) == _pool_state(lp, names)
     for name in names:
         assert (

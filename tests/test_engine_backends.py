@@ -8,14 +8,19 @@ backend's behaviour:
 - *statistically* (aggregates over a measurement window within tight
   tolerance) when the default noise models are active, for CPU-bound,
   service-bound and pure API-call profiles, warm and cold.
+
+Their ``run_batch`` is a one-group kernel call (``TestOneBatchPath``), so
+these comparisons exercise the kernel directly.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.dataset.harness import HarnessConfig, MeasurementHarness
 from repro.monitoring.aggregation import aggregate_records
 from repro.monitoring.collector import ResourceConsumptionMonitor
@@ -23,6 +28,7 @@ from repro.monitoring.metrics import METRIC_NAMES
 from repro.simulation.coldstart import ColdStartModel
 from repro.simulation.engine import (
     ExecutionBackend,
+    GroupRequest,
     ParallelBackend,
     SerialBackend,
     VectorizedBackend,
@@ -32,8 +38,11 @@ from repro.simulation.engine import (
 from repro.simulation.execution import ExecutionModel
 from repro.simulation.platform import PlatformConfig, ServerlessPlatform
 from repro.simulation.profile import ResourceProfile, ServiceCall
+from repro.simulation.runtime import NodeRuntimeModel
 from repro.simulation.variability import VariabilityModel
 from repro.workloads.function import FunctionSpec
+
+from looped_oracle import LoopedBackend, assert_identical
 
 PROFILES = {
     "cpu_bound": ResourceProfile(
@@ -72,13 +81,16 @@ def _platform(
     noise_free: bool = False,
     keep_alive_s: float = 600.0,
     variability: VariabilityModel | None = None,
+    max_instances: int = 1000,
 ):
     if noise_free:
         execution_model = ExecutionModel(variability=VariabilityModel.none())
     else:
         execution_model = ExecutionModel(variability=variability)
     return ServerlessPlatform(
-        config=PlatformConfig(allowed_memory_sizes_mb=None, seed=seed),
+        config=PlatformConfig(
+            allowed_memory_sizes_mb=None, seed=seed, max_instances_per_function=max_instances
+        ),
         execution_model=execution_model,
         cold_start_model=ColdStartModel(
             noise_cv=0.0 if noise_free else 0.2, keep_alive_s=keep_alive_s
@@ -384,3 +396,116 @@ class TestBatchBookkeeping:
         platform.deploy("f", PROFILES["api_call"], 512)
         platform.invoke_batch("f", [1.0, 2.0, 3.0], backend=backend)
         assert CountingBackend.calls == 1
+
+
+def _one_group(platform, name, arrivals, rng):
+    """One-group ``run_grouped`` on the platform's stream when ``rng`` is None."""
+    request = GroupRequest.for_deployed(
+        platform, name, arrivals, rng if rng is not None else platform.rng
+    )
+    return VectorizedBackend().run_grouped(platform, [request]).group(0)
+
+
+class TestOneBatchPath:
+    """``run_batch`` is one kernel call, bit-identical to the looped oracle."""
+
+    #: Arrival shapes of batch ``b`` (0, 1, 2) of the parity grid.
+    ARRIVALS = {
+        "sparse": lambda b: _arrivals(30, 3600.0, seed=b) + 3600.0 * b,
+        "dense": lambda b: _arrivals(200, 60.0, seed=b) + 60.0 * b,
+        "tiny": lambda b: 100.0 * b + np.array([1.0, 2.5, 40.0]),
+        "empty": lambda b: np.empty(0),
+    }
+
+    @pytest.mark.parametrize("stream", ["group", "shared"])
+    @pytest.mark.parametrize("noise", [True, False], ids=["noise", "noise-free"])
+    def test_batch_paths_bit_identical(self, noise, stream, pool_state):
+        """``run_batch`` on both vectorized backends and one-group
+        ``run_grouped`` equal the oracle over three consecutive batches:
+        every column and metric, the pool, the id counter, the invocation
+        count, billing and the shared generator's state."""
+
+        def run(execute, profile, size, kind, limits):
+            keep_alive_s, max_instances = limits
+            platform = _platform(5, not noise, keep_alive_s, max_instances=max_instances)
+            platform.deploy("f", profile, size)
+            rngs = [np.random.default_rng([7, b]) if stream == "group" else None for b in range(3)]
+            batches = [execute(platform, "f", self.ARRIVALS[kind](b), rngs[b]) for b in range(3)]
+            return batches, (
+                pool_state(platform, ["f"]),
+                platform.get_function("f").invocation_count,
+                platform.total_cost_usd("f"),
+                platform.total_cost_usd(),
+                platform.rng.bit_generator.state,
+            )
+
+        paths = (get_backend("vectorized").run_batch, get_backend("parallel").run_batch, _one_group)
+        for case in itertools.product(
+            PROFILES.values(), (128, 1024), self.ARRIVALS, ((600.0, 1000), (2.0, 2))
+        ):
+            expected, expected_state = run(LoopedBackend().run_batch, *case)
+            for execute in paths:
+                batches, state = run(execute, *case)
+                assert state == expected_state
+                for got, want in zip(batches, expected):
+                    assert_identical(got, want)
+
+    @pytest.mark.parametrize(
+        "arrivals", [[5.0, 1.0, 3.0], [-1.0, 2.0]], ids=["unsorted", "negative"]
+    )
+    @pytest.mark.parametrize("backend", ["vectorized", "parallel"])
+    def test_run_batch_rejects_unsorted_and_negative(self, backend, arrivals, pool_state):
+        """Such arrivals would walk the pool backwards in time; the kernel
+        refuses them before the pool, the counter or the bill changes."""
+        platform = _platform()
+        platform.deploy("f", PROFILES["api_call"], 512)
+        platform.invoke_batch("f", [1.0, 2.0], backend=backend)
+        function = platform.get_function("f")
+
+        def state():
+            return pool_state(platform, ["f"]), function.invocation_count, platform.total_cost_usd()
+
+        before = state()
+        with pytest.raises(SimulationError, match="sorted and non-negative"):
+            get_backend(backend).run_batch(platform, "f", np.array(arrivals))
+        assert state() == before
+        # invoke_batch keeps sorting its input and refusing negative arrivals.
+        platform.invoke_batch("f", [9.0, 4.0, 6.0], backend=backend)
+        assert function.invocation_count == before[1] + 3
+        with pytest.raises(SimulationError):
+            platform.invoke_batch("f", [12.0, -1.0], backend=backend)
+
+    def test_run_batch_is_one_run_grouped_call(self, monkeypatch):
+        calls = []
+        run_grouped = VectorizedBackend.run_grouped
+
+        def spy(self, platform, requests):
+            calls.append((self.name, len(requests)))
+            return run_grouped(self, platform, requests)
+
+        monkeypatch.setattr(VectorizedBackend, "run_grouped", spy)
+        for backend in ("vectorized", "parallel"):
+            platform = _platform()
+            platform.deploy("f", PROFILES["service_bound"], 512)
+            assert platform.invoke_batch("f", _arrivals(50), backend=backend).n_invocations == 50
+        assert calls == [("vectorized", 1), ("parallel", 1)]
+
+    def test_oracle_never_enters_the_kernel(self, monkeypatch, looped_backend):
+        """Were the oracle to reach the grouped kernel or its metric kernel,
+        every parity test would compare the kernel with itself."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the looped oracle entered the grouped kernel")
+
+        monkeypatch.setattr(VectorizedBackend, "run_grouped", forbidden)
+        monkeypatch.setattr(NodeRuntimeModel, "metrics_batch_grouped", forbidden)
+        platform = _platform()
+        requests = []
+        for i, (name, profile) in enumerate(PROFILES.items()):
+            platform.deploy(name, profile, 512)
+            requests.append(
+                GroupRequest.for_deployed(
+                    platform, name, _arrivals(40, seed=i), np.random.default_rng(i)
+                )
+            )
+        assert looped_backend.run_grouped(platform, requests).n_invocations == 120

@@ -49,6 +49,9 @@ from repro.workloads.generator import GeneratorConfig, SyntheticFunctionGenerato
 from repro.workloads.loadgen import Workload
 from repro.workloads.traffic import ConstantTraffic
 
+from looped_oracle import LoopedBackend, assert_identical
+
+
 def _functions(n, seed=11, prefix="grp"):
     return SyntheticFunctionGenerator(
         config=GeneratorConfig(seed=seed, name_prefix=prefix)
@@ -289,58 +292,32 @@ class TestGroupedBatchErrors:
 class TestFusedVersusLooped:
     """Bit-identical fused-vs-looped execution on shared group streams."""
 
-    def _grouped_requests(self, platform, functions, rngs, arrivals):
-        return [
-            GroupRequest.for_deployed(platform, fn.name, arr, rng)
-            for fn, arr, rng in zip(functions, arrivals, rngs)
-        ]
-
     def _compare(self, functions, arrival_sets, seed=0, keep_alive_s=600.0):
-        """Run the same groups fused and looped; assert bit-identity."""
+        """Run the same groups through the kernel and the looped oracle;
+        assert bit-identity of every batch and of each group's stats."""
 
-        def platform():
-            p = ServerlessPlatform(
+        def run(backend):
+            platform = ServerlessPlatform(
                 config=PlatformConfig(allowed_memory_sizes_mb=None, seed=seed),
                 cold_start_model=ColdStartModel(keep_alive_s=keep_alive_s),
             )
             for fn in functions:
-                p.deploy(fn.name, fn.profile, 512)
-            return p
+                platform.deploy(fn.name, fn.profile, 512)
+            batches = []
+            for round_index, arrivals in enumerate(arrival_sets):
+                rngs = spawn_child_rngs(seed, STREAM_EXECUTION, round_index, n=len(functions))
+                requests = [
+                    GroupRequest.for_deployed(platform, fn.name, arr, rng)
+                    for fn, arr, rng in zip(functions, arrivals, rngs)
+                ]
+                batches.append(backend.run_grouped(platform, requests))
+            return batches
 
-        fused_platform, looped_platform = platform(), platform()
-        backend = get_backend("vectorized")
-        for round_index, arrivals in enumerate(arrival_sets):
-            rngs = spawn_child_rngs(seed, STREAM_EXECUTION, round_index, n=len(functions))
-            fused = backend.run_grouped(
-                fused_platform,
-                self._grouped_requests(fused_platform, functions, rngs, arrivals),
-            )
-            rngs = spawn_child_rngs(seed, STREAM_EXECUTION, round_index, n=len(functions))
-            for g, (fn, arr) in enumerate(zip(functions, arrivals)):
-                if arr.shape[0] == 0:
-                    assert int(fused.group_sizes()[g]) == 0
-                    continue
-                looped = looped_platform.invoke_batch(
-                    fn.name, arr, backend=backend, rng=rngs[g]
-                )
-                group = fused.group(g)
-                np.testing.assert_array_equal(
-                    group.execution_time_ms, looped.execution_time_ms
-                )
-                np.testing.assert_array_equal(group.cold_start, looped.cold_start)
-                np.testing.assert_array_equal(group.instance_ids, looped.instance_ids)
-                np.testing.assert_array_equal(
-                    group.init_duration_ms, looped.init_duration_ms
-                )
-                np.testing.assert_array_equal(
-                    group.billed_duration_ms, looped.billed_duration_ms
-                )
-                for metric in METRIC_NAMES:
-                    np.testing.assert_array_equal(
-                        group.metrics[metric], looped.metrics[metric], err_msg=metric
-                    )
-                fused_stats, fused_counts = fused.aggregate_stats()
-                stats, count = looped.aggregate_stats()
+        for fused, looped in zip(run(get_backend("vectorized")), run(LoopedBackend())):
+            assert_identical(fused, looped)
+            fused_stats, fused_counts = fused.aggregate_stats()
+            for g in np.flatnonzero(looped.group_sizes()):
+                stats, count = looped.group(g).aggregate_stats()
                 np.testing.assert_array_equal(fused_stats[g], stats)
                 assert int(fused_counts[g]) == count
 

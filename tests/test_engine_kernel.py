@@ -6,12 +6,12 @@ Its contract has two tiers:
 
 - **Bit-exact** in the default ``per-group`` noise mode: every stat,
   cold-start flag, instance id, billed cost and the platform pool state must
-  match the looped per-group oracle — the base
-  :meth:`~repro.simulation.engine.base.ExecutionBackend.run_grouped` over
-  :meth:`~repro.simulation.engine.vectorized.VectorizedBackend.run_batch`
-  (the ``looped_backend`` fixture of ``tests/conftest.py``, which a fleet
-  simulator runs its windows through when assigned as
-  ``simulator.backend``) — across warm-pool carryover,
+  match the looped per-batch oracle — ``LoopedBackend`` of
+  ``tests/looped_oracle.py``, the base
+  :meth:`~repro.simulation.engine.base.ExecutionBackend.run_grouped` over a
+  per-batch implementation of its own (the ``looped_backend`` fixture of
+  ``tests/conftest.py``, which a fleet simulator runs its windows through
+  when assigned as ``simulator.backend``) — across warm-pool carryover,
   resizes, duplicate-name batches, fresh pools and overlapping (unsafe)
   arrivals.
 - **Statistical** in the opt-in ``noise="pooled"`` mode: fleet-level
@@ -37,6 +37,8 @@ from repro.simulation.seeding import STREAM_EXECUTION, child_rng
 from repro.simulation.variability import VariabilityModel
 from repro.workloads.generator import GeneratorConfig, SyntheticFunctionGenerator
 from repro.workloads.traffic import ConstantTraffic, DiurnalTraffic
+
+from looped_oracle import assert_identical
 
 
 def _functions(n, seed=11, prefix="cmp"):
@@ -156,13 +158,7 @@ class TestGroupedEdgeParity:
         pa, funcs, a1, a2 = self._run(looped_backend.run_grouped)
         pb, _, b1, b2 = self._run(get_backend("vectorized").run_grouped)
         for a, b in ((a1, b1), (a2, b2)):
-            (blk_a, cnt_a), (blk_b, cnt_b) = a.aggregate_stats(), b.aggregate_stats()
-            np.testing.assert_array_equal(blk_a, blk_b)
-            np.testing.assert_array_equal(cnt_a, cnt_b)
-            np.testing.assert_array_equal(a.cold_start, b.cold_start)
-            np.testing.assert_array_equal(a.instance_ids, b.instance_ids)
-            np.testing.assert_array_equal(a.init_duration_ms, b.init_duration_ms)
-            np.testing.assert_array_equal(a.cost_usd, b.cost_usd)
+            assert_identical(b, a)
         names = [f.name for f in funcs]
         assert pool_state(pa, names) == pool_state(pb, names)
         for name in names:

@@ -123,7 +123,6 @@ class TestVariabilityModel:
     def test_none_model_is_deterministic(self, rng):
         model = VariabilityModel.none()
         assert model.cpu_factor(rng) == 1.0
-        assert model.service_factor(rng) == 1.0
         assert model.tail_factor(rng) == 1.0
         assert model.drift_factor(12345.0) == 1.0
 

@@ -42,6 +42,7 @@ import json
 import os
 import platform as platform_module
 import statistics
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -51,6 +52,8 @@ import numpy as np
 SCHEMA_VERSION = 1
 
 _BENCHMARKS_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
+# The benchmark modules import the looped oracle from tests/looped_oracle.py.
+sys.path.insert(0, str(_BENCHMARKS_DIR.parent / "tests"))
 
 #: Environment knobs (shared with the benchmarks) applied per --scale.
 SCALES = {
@@ -73,10 +76,6 @@ FLEET_SCALE = {
     "quick": (50_000, 6),
     "full": (1_000_000, 24),
 }
-
-
-#: Untraced runs per generation variant; the report keeps their median.
-GENERATION_REPEATS = 3
 
 
 def _load_benchmark(name: str):
@@ -334,24 +333,17 @@ def bench_fleet_scale(scale: str) -> dict:
 def bench_generation() -> dict:
     """Dataset-generation throughput per execution-backend variant.
 
-    ``seconds`` is the median of :data:`GENERATION_REPEATS` untraced runs,
-    each on a fresh generator, with the variants interleaved so host drift
-    spreads over all of them; ``peak_bytes`` comes from one separate
+    ``seconds`` is the median of the benchmark's ``GENERATION_REPEATS``
+    untraced runs (``generation_seconds``: a fresh generator and
+    ``gc.collect()`` per run, the variants interleaved so host drift spreads
+    over all of them); ``peak_bytes`` comes from one separate
     ``tracemalloc`` run (tracing inflates time, and unevenly between the
     variants).
     """
     bench = _load_benchmark("test_bench_generation")
     n_functions = bench.N_FUNCTIONS
     invocations = bench._INVOCATIONS
-    runs = {label: [] for label in bench._VARIANTS}
-    for _ in range(GENERATION_REPEATS):
-        for label in bench._VARIANTS:
-            generator = bench._generator(label)
-            gc.collect()
-            start = time.perf_counter()
-            table = generator.generate_table()
-            runs[label].append(time.perf_counter() - start)
-            assert table.n_functions == n_functions
+    runs = bench.generation_seconds(bench._VARIANTS)
     results = {}
     for label in bench._VARIANTS:
         _, _, peak = _traced(bench._generator(label).generate_table)
@@ -368,7 +360,7 @@ def bench_generation() -> dict:
             "n_functions": n_functions,
             "memory_sizes": 6,
             "invocations_per_size": 120,
-            "repeats": GENERATION_REPEATS,
+            "repeats": bench.GENERATION_REPEATS,
         },
         "results": results,
         "speedup": round(
