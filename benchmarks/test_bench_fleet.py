@@ -1,6 +1,6 @@
 """Benchmark: fleet rightsizing throughput, fused speedup and memory bound.
 
-Three contracts of the online subsystem are asserted here:
+These contracts of the online subsystem are asserted here:
 
 1. **Service throughput** — the continuous observe -> batch-predict -> resize
    loop advances a fleet at a usable pace (windows/second and simulated
@@ -26,6 +26,13 @@ Three contracts of the online subsystem are asserted here:
 5. **Sparse memory bound** — peak traced memory of sparse windows at fleet
    scale is bounded by the *active* invocations plus a small per-function
    bookkeeping allowance, never by dense per-function stat blocks.
+6. **Sparse kernel exactness and memory** — on the fleet-scale scenario's
+   active groups the grouped kernel reproduces the looped per-batch oracle
+   bit for bit, and its peak traced memory stays within the same budget.
+7. **Orchestration overhead** — in the simulator's own phase profile, the
+   work around the engine (traffic, seeding, group-build, reduce) stays
+   within ``REPRO_BENCH_FLEET_ORCH_FACTOR`` (default 2) times the execute
+   phase.
 
 Scale knobs for CI smoke runs: ``REPRO_BENCH_FLEET_FUNCTIONS`` /
 ``REPRO_BENCH_FLEET_WINDOWS`` shrink the service run,
@@ -37,6 +44,7 @@ on noisy interpreters (a multiplier, default 1).
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 import tracemalloc
@@ -108,12 +116,8 @@ def _min_sparse_speedup() -> float:
     return float(os.environ.get("REPRO_BENCH_FLEET_SPARSE_MIN_SPEEDUP", "10.0"))
 
 
-def _min_pooled_speedup() -> float:
-    return float(os.environ.get("REPRO_BENCH_FLEET_POOLED_MIN_SPEEDUP", "2.0"))
-
-
 def _orchestration_factor() -> float:
-    return float(os.environ.get("REPRO_BENCH_FLEET_ORCH_FACTOR", "3.0"))
+    return float(os.environ.get("REPRO_BENCH_FLEET_ORCH_FACTOR", "2.0"))
 
 
 def _build_service(context) -> FleetRightsizingService:
@@ -430,8 +434,8 @@ def test_bench_sparse_window_speedup():
 def _sparse_active_arrivals(functions, traffic, n_windows=SPARSE_WINDOWS, seed=99):
     """Per-window ``(function_index, arrivals)`` lists of the active groups.
 
-    Sampled once under per-function traffic streams and shared by every
-    backend variant (and every repetition), so all timed runs execute
+    Sampled once under per-function traffic streams and shared by the
+    kernel, the looped oracle and the memory pass, so all three execute
     identical work on identical arrivals.
     """
     windows = []
@@ -449,86 +453,38 @@ def _sparse_active_arrivals(functions, traffic, n_windows=SPARSE_WINDOWS, seed=9
     return windows
 
 
-def execute_backend_windows(
-    functions, traffic, window_arrivals, seed=99, noise="per-group", looped=False
-):
-    """Time grouped execution + stat reduction over the active sparse groups.
+def _active_requests(simulator, functions, window_arrivals, seed=99):
+    """Per-window group requests of the active sparse groups on ``simulator``.
 
-    Request construction and stream spawning happen outside the timer; the
-    timed region is exactly the contested execution work: the grouped
-    kernel (``VectorizedBackend.run_grouped``) or, with ``looped=True``, the
-    looped per-batch oracle's ``run_grouped`` (``tests/looped_oracle.py``,
-    one batch per group).
-    Per-group noise indexes the fleet's per-function spawned streams, so
-    the kernel and the looped schedule consume identical streams and must
-    agree bit for bit; pooled noise hands every group one shared window
-    stream, mirroring ``FleetSimulator._execution_rngs``.  Shared with
-    ``tools/bench_report.py`` so the asserted and the reported scenario can
-    never drift apart.  Returns ``(seconds, invocations, stats)``.
+    Execution streams are keyed by function index (bit-identical to
+    spawning the full fleet and indexing), so the kernel and the looped
+    oracle consume identical streams and must agree bit for bit.
     """
-    return execute_noise_windows(
-        functions, traffic, window_arrivals, (noise,), seed=seed, looped=looped
-    )[noise]
-
-
-def execute_noise_windows(
-    functions, traffic, window_arrivals, noises, seed=99, looped=False
-):
-    """:func:`execute_backend_windows` for several noise modes, interleaved.
-
-    Each mode runs on its own simulator, window by window: window ``k`` of
-    every mode runs before window ``k + 1`` of any, so a slow stretch of a
-    shared host hits all modes alike.  Returns one
-    ``(seconds, invocations, stats)`` tuple per mode, keyed by mode.
-    """
-    simulators = {
-        noise: FleetSimulator(
-            functions, traffic, FleetConfig(window_s=WINDOW_S, seed=seed, noise=noise)
-        )
-        for noise in noises
-    }
-    oracle = LoopedBackend()
-    seconds = dict.fromkeys(noises, 0.0)
-    invocations = dict.fromkeys(noises, 0)
-    stats = {noise: [] for noise in noises}
+    windows = []
     for window_index, active in enumerate(window_arrivals):
-        for noise, simulator in simulators.items():
-            execute = oracle.run_grouped if looped else simulator.backend.run_grouped
-            if noise == "pooled":
-                shared = child_rng(seed, STREAM_EXECUTION, window_index)
-                rngs = [shared] * len(active)
-            else:
-                # O(active) keyed derivation: only the active functions'
-                # streams are constructed (bit-identical to spawning the full
-                # fleet and indexing), so idle functions never cost a stream.
-                rngs = keyed_child_rngs(
-                    seed,
-                    STREAM_EXECUTION,
-                    window_index,
-                    indices=np.array([i for i, _ in active], dtype=np.int64),
-                )
-            requests = [
+        rngs = keyed_child_rngs(
+            seed,
+            STREAM_EXECUTION,
+            window_index,
+            indices=np.array([i for i, _ in active], dtype=np.int64),
+        )
+        windows.append(
+            [
                 GroupRequest.for_deployed(
                     simulator.platform, functions[i].name, arrivals, rng
                 )
                 for (i, arrivals), rng in zip(active, rngs)
             ]
-            start = time.perf_counter()
-            batch = execute(simulator.platform, requests)
-            window_stats, _ = batch.aggregate_stats(0.0, True)
-            seconds[noise] += time.perf_counter() - start
-            invocations[noise] += batch.n_invocations
-            stats[noise].append(window_stats)
-    return {noise: (seconds[noise], invocations[noise], stats[noise]) for noise in noises}
+        )
+    return windows
 
 
 def _best_of(n_runs, *runs):
     """Repeat fresh timed runs, keeping each one's fastest (noise-robust) result.
 
-    Each run returns a tuple whose first entry is its timed seconds.  With
-    several runs the repetitions alternate between them (a, b, a, b, ...)
-    and one best result per run is returned, in order; with a single run its
-    best result is returned directly.
+    Each run returns a tuple whose first entry is its timed seconds.  The
+    repetitions alternate between the runs (a, b, a, b, ...) and one best
+    result per run is returned, in order.
     """
     best = [None] * len(runs)
     for _ in range(n_runs):
@@ -536,77 +492,42 @@ def _best_of(n_runs, *runs):
             result = run()
             if best[k] is None or result[0] < best[k][0]:
                 best[k] = result
-    return best[0] if len(runs) == 1 else best
+    return best
 
 
-def test_bench_pooled_noise_speedup():
-    """Acceptance criterion: pooled noise >= 2x the per-group kernel.
+def test_bench_sparse_kernel_matches_oracle_and_memory():
+    """The grouped kernel on the sparse active groups: exact and bounded.
 
-    The grouped kernel (``VectorizedBackend.run_grouped``) executes the same
-    active sparse groups with per-group noise streams (the fleet default)
-    and with pooled noise (one shared window stream instead of per-group
-    draw calls).  Both arms run window by window, interleaved, in five
-    fresh runs; each arm's best run counts, and pooled must be at least 2x
-    faster.  The per-group arm must reproduce the looped per-batch oracle
-    (``tests/looped_oracle.py``, one batch per group) bit for bit, checked
-    on an untimed looped run.  Peak memory of the per-group kernel
-    is bounded by the fused column budget in a separate untimed pass.
+    On the fleet-scale scenario's active groups the grouped kernel
+    (``VectorizedBackend.run_grouped``) reproduces the looped per-batch
+    oracle (``tests/looped_oracle.py``, one batch per group) bit for bit,
+    window after window.  In a separate pass over pre-built requests, the
+    kernel's peak traced memory stays within the fused column budget of the
+    ACTIVE invocations plus the platform's O(1)-per-function bookkeeping
+    allowance.
     """
     functions, traffic = _sparse_scenario()
     window_arrivals = _sparse_active_arrivals(functions, traffic)
-    runs = [
-        execute_noise_windows(
-            functions, traffic, window_arrivals, ("per-group", "pooled")
-        )
-        for _ in range(5)
-    ]
-    kernel_seconds = min(run["per-group"][0] for run in runs)
-    pooled_seconds = min(run["pooled"][0] for run in runs)
-    _, invocations, kernel_stats = runs[0]["per-group"]
-    _, _, looped_stats = execute_backend_windows(
-        functions, traffic, window_arrivals, looped=True
-    )
-    for looped_window, kernel_window in zip(looped_stats, kernel_stats):
+
+    def simulator():
+        return FleetSimulator(functions, traffic, FleetConfig(window_s=WINDOW_S, seed=99))
+
+    stats = {}
+    for label in ("kernel", "looped"):
+        sim = simulator()
+        execute = sim.backend.run_grouped if label == "kernel" else LoopedBackend().run_grouped
+        stats[label] = [
+            execute(sim.platform, requests).aggregate_stats(0.0, True)[0]
+            for requests in _active_requests(sim, functions, window_arrivals)
+        ]
+    for looped_window, kernel_window in zip(stats["looped"], stats["kernel"]):
         np.testing.assert_array_equal(looped_window, kernel_window)
 
-    pooled_speedup = kernel_seconds / pooled_seconds
-    print()
-    print(
-        f"grouped kernel: {SPARSE_FUNCTIONS:,} functions x {SPARSE_WINDOWS} "
-        f"windows ({invocations:,} active invocations): "
-        f"per-group {kernel_seconds * 1e3 / SPARSE_WINDOWS:.1f} ms/window "
-        f"(bit-identical to looped), "
-        f"pooled {pooled_seconds * 1e3 / SPARSE_WINDOWS:.1f} ms/window "
-        f"({pooled_speedup:.2f}x)"
-    )
-    assert invocations > 0
-    assert pooled_speedup >= _min_pooled_speedup()
-
-    # Untimed memory pass: the default mode's peak over the window bodies
-    # stays within the fused column budget of the ACTIVE invocations plus the
-    # platform's O(1)-per-function bookkeeping allowance.
-    simulator = FleetSimulator(
-        functions, traffic, FleetConfig(window_s=WINDOW_S, seed=99)
-    )
-    prebuilt = []
-    for window_index, active in enumerate(window_arrivals):
-        rngs = keyed_child_rngs(
-            99,
-            STREAM_EXECUTION,
-            window_index,
-            indices=np.array([i for i, _ in active], dtype=np.int64),
-        )
-        prebuilt.append(
-            [
-                GroupRequest.for_deployed(
-                    simulator.platform, functions[i].name, arrivals, rngs[j]
-                )
-                for j, (i, arrivals) in enumerate(active)
-            ]
-        )
+    sim = simulator()
+    prebuilt = _active_requests(sim, functions, window_arrivals)
     tracemalloc.start()
     for requests in prebuilt:
-        batch = simulator.backend.run_grouped(simulator.platform, requests)
+        batch = sim.backend.run_grouped(sim.platform, requests)
         batch.aggregate_stats(0.0, True)
     _, peak_bytes = tracemalloc.get_traced_memory()
     tracemalloc.stop()
@@ -615,51 +536,65 @@ def test_bench_pooled_noise_speedup():
         sum(arrivals.shape[0] for _, arrivals in active)
         for active in window_arrivals
     )
-    column_bytes = max(active_invocations, 1) * 8 * _COLUMN_SLOTS
+    assert active_invocations > 0
+    column_bytes = active_invocations * 8 * _COLUMN_SLOTS
     bound = (3 * column_bytes + 128 * len(functions)) * _mem_factor()
+    print()
     print(
-        f"grouped kernel memory: {active_invocations:,} active "
+        f"grouped kernel: {SPARSE_FUNCTIONS:,} functions x {SPARSE_WINDOWS} "
+        f"windows, bit-identical to looped; {active_invocations:,} active "
         f"invocations/window -> peak {peak_bytes / 1e6:.2f} MB "
         f"(bound {bound / 1e6:.2f} MB)"
     )
     assert peak_bytes < bound
 
 
+#: Window phases around the engine call (see ``WindowPhaseProfiler``).
+ORCHESTRATION_PHASES = ("traffic", "seeding", "group-build", "reduce")
+
+
 def test_bench_default_orchestration_overhead():
-    """Acceptance criterion: default windows within ORCH_FACTOR x pooled wall.
+    """Acceptance criterion: orchestration within ORCH_FACTOR x execute.
 
-    The pooled-noise mode is the fleet's orchestration floor: one shared
-    window stream, no per-function stream derivation.  The default
-    per-function-deterministic mode pays keyed O(active) stream derivation
-    and per-group request construction on top.  This guard bounds that
-    orchestration overhead at ``REPRO_BENCH_FLEET_ORCH_FACTOR`` (default 3)
-    times the pooled wall — the fast path must scale with *active* work,
-    not fleet size (the former full-fleet spawn made this ~16x).
+    The simulator's own phase profile splits its sparse windows into the
+    engine call (``execute``) and the work around it: traffic sampling,
+    keyed O(active) stream derivation, group-request construction and the
+    stat reductions.  That orchestration must stay within
+    ``REPRO_BENCH_FLEET_ORCH_FACTOR`` (default 2) times ``execute`` over
+    the same windows, so it scales with *active* work, not fleet size:
+    spawning every function's execution stream each window reads ~37x at
+    5 000 functions and ~113x at 100 000.  One warm-up window (shape
+    table, the seeding self-check) and a ``gc.collect()`` run before the
+    profile is reset: a full collection over the fleet's objects landing
+    in one measured window reads ~2.5x at 100 000 on its own.
 
-    Parity is gated first at sub-scale: the default path must reproduce the
+    Parity is gated first at sub-scale: the window must reproduce the
     pre-fast-path reference (full-fleet spawned execution streams, one
     engine group per function) on the same arrivals bit for bit, so the
-    measured factor is pure orchestration cost — identical statistics.
+    measured ratio is pure orchestration cost — identical statistics.
     """
     assert_sparse_window_parity(min(2_000, SPARSE_FUNCTIONS))
 
     functions, traffic = _sparse_scenario()
-    default_seconds, default_invocations, _ = _best_of(
-        2, lambda: execute_sparse_windows(functions, traffic)
-    )
-    pooled_seconds, pooled_invocations, _ = _best_of(
-        2, lambda: execute_sparse_windows(functions, traffic, noise="pooled")
-    )
-    factor = default_seconds / pooled_seconds
+    simulator = FleetSimulator(functions, traffic, FleetConfig(window_s=WINDOW_S, seed=97))
+    simulator.run_window()
+    gc.collect()
+    simulator.profiler.reset()
+    windows = [simulator.run_window() for _ in range(SPARSE_WINDOWS)]
+    phases = simulator.profiler.seconds
+    orchestration = sum(phases[name] for name in ORCHESTRATION_PHASES)
+    factor = orchestration / phases["execute"]
     print()
     print(
         f"orchestration overhead: {SPARSE_FUNCTIONS:,} functions x "
-        f"{SPARSE_WINDOWS} windows: default "
-        f"{default_seconds * 1e3 / SPARSE_WINDOWS:.1f} ms/window vs pooled "
-        f"{pooled_seconds * 1e3 / SPARSE_WINDOWS:.1f} ms/window "
-        f"({factor:.2f}x, bound {_orchestration_factor():.1f}x)"
+        f"{SPARSE_WINDOWS} windows: "
+        + ", ".join(
+            f"{name} {phases[name] * 1e3 / SPARSE_WINDOWS:.1f}"
+            for name in ORCHESTRATION_PHASES + ("execute",)
+        )
+        + f" ms/window ({factor:.2f}x execute, bound {_orchestration_factor():.1f}x)"
     )
-    assert default_invocations > 0 and pooled_invocations > 0
+    assert sum(w.total_invocations for w in windows) > 0
     assert factor <= _orchestration_factor()
 
 

@@ -23,7 +23,7 @@ WINDOW_PHASES = (
     "seeding",      # per-group execution-noise stream derivation
     "group-build",  # GroupRequest construction for the active groups
     "execute",      # engine run_grouped over the active groups
-    "reduce",       # stat reductions, cohort broadcast, window assembly
+    "reduce",       # stat reductions, window assembly
     "decide",       # controller step: predict, guardrails, resizes
     "ledger",       # savings accounting
 )

@@ -31,14 +31,8 @@ active functions, which the rightsizing controller
 (:mod:`repro.fleet.ledger`) consume.  Memory stays bounded by one window:
 batch columns are transient, a grouped run leaves no per-invocation records
 in the platform log, and the simulator retains only the fleet's deployment
-state.
-
-**Cohort deduplication** (``cohort_mode="statistical"``) is the one opt-in
-approximation: active functions sharing (profile, memory size, mean-rate
-bucket) execute one representative group, and members receive the
-representative's stat block scaled by their own arrival count.  Per-function
-noise streams make exact cohorting impossible, so it is off by default
-(representatives stay bit-exact).
+state.  Every window runs this one exact path, so a function's row depends
+only on the seed, the window and the function's own arrivals and state.
 """
 
 from __future__ import annotations
@@ -70,7 +64,6 @@ from repro.workloads.traffic import (
     FleetArrivals,
     FleetTrafficSchedule,
     TrafficModel,
-    fleet_mean_rates,
 )
 
 #: Stat-axis column of the mean (column order of
@@ -79,13 +72,6 @@ _MEAN = STAT_NAMES.index("mean")
 
 #: Metric-axis row of the execution time (Table-1 order).
 _EXECUTION_TIME = METRIC_NAMES.index("execution_time")
-
-#: Midpoint samples per window of the cohort rate evaluation (see
-#: :func:`~repro.workloads.traffic.fleet_mean_rates`).
-_COHORT_RATE_RESOLUTION = 64
-
-#: Cohort rate buckets per decade of the log10 mean-rate grid.
-_COHORT_RATE_BUCKETS_PER_DECADE = 2
 
 
 @dataclass(frozen=True)
@@ -108,47 +94,19 @@ class FleetConfig:
         Execution backend for the window batches (``"serial"``,
         ``"vectorized"``, ``"parallel"``; the parallel backend runs a
         window's single mega-batch in-process).
-    exclude_cold_starts:
-        Drop cold-start invocations from window aggregation (the monitoring
-        wrapper only measures warm executions).
-    max_arrivals_per_window:
-        Optional per-function cap on simulated arrivals per window; the
-        arrival *pattern* is preserved by uniform subsampling, exactly like
-        the offline harness cap.
     seed:
         Base seed of the per-window traffic streams and the
         per-(function, window) noise streams.
-    cohort_mode:
-        ``"off"`` (default) executes every active function — the exactness
-        escape hatch: per-function noise streams force per-function draws,
-        so only this mode is bit-reproducible function by function.
-        ``"statistical"`` deduplicates active functions into (profile,
-        memory size, mean-rate bucket) cohorts, executes one representative
-        each and broadcasts its stat block to the members scaled by their
-        own arrival counts (representatives stay bit-exact).  Mean window
-        rates are bucketed on a log10 grid, two buckets per decade.
-    noise:
-        Noise-draw mode: ``"per-group"`` (default; every (function, window)
-        pair draws from its own spawned stream, bit-exact across backends
-        and scheduling orders) or ``"pooled"`` (all active functions of a
-        window draw from one shared window stream — removes the per-group
-        draw loop and the per-function stream spawns; statistical parity;
-        requires a backend with ``supports_pooled_noise``, currently
-        ``"vectorized"``).
     """
 
     window_s: float = 3600.0
     default_memory_mb: int = 256
     memory_sizes_mb: tuple[int, ...] = (128, 256, 512, 1024, 2048, 3008)
     backend: str = "vectorized"
-    exclude_cold_starts: bool = True
-    max_arrivals_per_window: int | None = None
     seed: int = 0
-    cohort_mode: str = "off"
-    noise: str = "per-group"
 
     def __post_init__(self) -> None:
-        """Validate window geometry, sizes, backend and scaling knobs."""
+        """Validate window geometry, sizes and backend."""
         if not np.isfinite(self.window_s) or self.window_s <= 0:
             raise ConfigurationError("window_s must be a positive finite number")
         if not self.memory_sizes_mb:
@@ -160,16 +118,6 @@ class FleetConfig:
         if self.backend not in available_backends():
             raise ConfigurationError(
                 f"unknown backend {self.backend!r}; available: {available_backends()}"
-            )
-        if self.max_arrivals_per_window is not None and self.max_arrivals_per_window < 1:
-            raise ConfigurationError("max_arrivals_per_window must be at least 1 when given")
-        if self.cohort_mode not in ("off", "statistical"):
-            raise ConfigurationError(
-                f"cohort_mode must be 'off' or 'statistical', got {self.cohort_mode!r}"
-            )
-        if self.noise not in ("per-group", "pooled"):
-            raise ConfigurationError(
-                f"noise must be 'per-group' or 'pooled', got {self.noise!r}"
             )
 
 
@@ -291,9 +239,7 @@ class FleetSimulator:
                 )
             )
         self.platform = platform
-        self.backend: ExecutionBackend = get_backend(
-            self.config.backend, noise=self.config.noise
-        )
+        self.backend: ExecutionBackend = get_backend(self.config.backend)
         self._clock_s = 0.0
         self._window_index = 0
         self._memory_mb = np.full(
@@ -336,22 +282,30 @@ class FleetSimulator:
 
     # ----------------------------------------------------------------- resize
     def resize(self, function_index: int, memory_mb: int) -> None:
-        """Redeploy one function at a new memory size (drops warm instances)."""
+        """Redeploy one function at a new memory size (drops warm instances).
+
+        ``function_index`` must lie in ``[0, n_functions)``: a negative index
+        would wrap to another function.  Bad indices and sizes raise
+        :class:`~repro.errors.SimulationError` before any state changes.
+        """
+        index = int(function_index)
+        if not 0 <= index < self.n_functions:
+            raise SimulationError(
+                f"function index {index} out of range for {self.n_functions} functions"
+            )
         memory_mb = int(memory_mb)
         if memory_mb not in tuple(int(s) for s in self.config.memory_sizes_mb):
             raise SimulationError(
                 f"memory size {memory_mb} MB not among fleet sizes "
                 f"{list(self.config.memory_sizes_mb)}"
             )
-        function = self.functions[int(function_index)]
+        function = self.functions[index]
         self.platform.set_memory_size(
             function.name, float(memory_mb), at_time_s=self._clock_s
         )
         # Redeployment replaced the platform record; refresh the cached row.
-        self._deployments[int(function_index)] = self.platform.get_function(
-            function.name
-        )
-        self._memory_mb[int(function_index)] = memory_mb
+        self._deployments[index] = self.platform.get_function(function.name)
+        self._memory_mb[index] = memory_mb
 
     # ----------------------------------------------------------------- window
     def _execution_rngs(self, indices: np.ndarray) -> list[np.random.Generator]:
@@ -361,62 +315,13 @@ class FleetSimulator:
         constructs exactly the requested streams in one vectorized batch —
         bit-identical to spawning the full fleet and indexing, but O(active)
         regardless of fleet size, so idle functions never cost a stream.
-
-        In the pooled-noise mode every group shares one window-scoped
-        stream (keyed by window only, no per-function children), so the
-        cost is O(1) regardless of how many functions are active.
         """
-        seed = self.platform.config.seed
-        if self.config.noise == "pooled":
-            shared = child_rng(seed, STREAM_EXECUTION, self._window_index)
-            return [shared] * indices.shape[0]
         return keyed_child_rngs(
-            seed, STREAM_EXECUTION, self._window_index, indices=indices
+            self.platform.config.seed,
+            STREAM_EXECUTION,
+            self._window_index,
+            indices=indices,
         )
-
-    def _cohort_plan(
-        self, active: np.ndarray, start_s: float, end_s: float
-    ) -> np.ndarray | None:
-        """Map each active position to its cohort representative's position.
-
-        Cohort key: (profile value, deployed memory size, log10 bucket of
-        the mean window rate).  The profile participates by *value* —
-        :class:`~repro.simulation.profile.ResourceProfile` is frozen and
-        hashable — so cohort assignment is deterministic across processes
-        and runs, and equal-valued profiles cohort together even when
-        they are distinct objects.  Functions whose mean rate is not
-        bucketable (zero / non-finite) stay solo.  Returns ``None`` when
-        cohorting is off or degenerate (every cohort a singleton) so callers
-        keep the exact path.
-        """
-        if self.config.cohort_mode != "statistical" or active.shape[0] < 2:
-            return None
-        rates = fleet_mean_rates(
-            [self.traffic[int(i)] for i in active],
-            start_s,
-            end_s,
-            resolution=_COHORT_RATE_RESOLUTION,
-        )
-        bucketable = np.isfinite(rates) & (rates > 0.0)
-        buckets = np.zeros(active.shape[0], dtype=np.int64)
-        buckets[bucketable] = np.floor(
-            np.log10(rates[bucketable]) * _COHORT_RATE_BUCKETS_PER_DECADE
-        ).astype(np.int64)
-        seen: dict[object, int] = {}
-        rep_of = np.empty(active.shape[0], dtype=np.int64)
-        for position, index in enumerate(active):
-            if bucketable[position]:
-                key: object = (
-                    self.functions[int(index)].profile,
-                    int(self._memory_mb[int(index)]),
-                    int(buckets[position]),
-                )
-            else:
-                key = ("solo", int(index))
-            rep_of[position] = seen.setdefault(key, position)
-        if np.array_equal(rep_of, np.arange(active.shape[0])):
-            return None
-        return rep_of
 
     def _execute_active(
         self, arrivals: FleetArrivals
@@ -429,9 +334,8 @@ class FleetSimulator:
         no group request is built for them, they cost O(1) here.
         """
         active = arrivals.active()
-        k = active.shape[0]
         n_metrics, n_stats = len(METRIC_NAMES), len(STAT_NAMES)
-        if k == 0:
+        if not active.shape[0]:
             return (
                 active,
                 np.zeros((0, n_metrics, n_stats), dtype=float),
@@ -440,15 +344,7 @@ class FleetSimulator:
                 np.zeros(0, dtype=float),
             )
         tick = perf_counter()
-        plan = self._cohort_plan(active, arrivals.start_s, arrivals.end_s)
-        if plan is None:
-            execute_positions = np.arange(k)
-        else:
-            execute_positions = np.unique(plan)
-        execute = active[execute_positions]
-        self.profiler.add("group-build", perf_counter() - tick)
-        tick = perf_counter()
-        exec_rngs = self._execution_rngs(execute)
+        exec_rngs = self._execution_rngs(active)
         self.profiler.add("seeding", perf_counter() - tick)
         # Build group requests straight from the cached deployment rows and
         # the columnar arrival buffers: no platform name-registry lookups, no
@@ -464,47 +360,22 @@ class FleetSimulator:
                 arrivals=times_s[offsets[i] : offsets[i + 1]],
                 rng=exec_rngs[j],
             )
-            for j, i in enumerate(execute.tolist())
+            for j, i in enumerate(active.tolist())
         ]
         self.profiler.add("group-build", perf_counter() - tick)
         tick = perf_counter()
         batch = self.backend.run_grouped(self.platform, requests)
         self.profiler.add("execute", perf_counter() - tick)
         tick = perf_counter()
-        stats_e, ninv_e = batch.aggregate_stats(
-            warmup_s=0.0, exclude_cold_starts=self.config.exclude_cold_starts
+        # Cold starts are always excluded: the paper's monitoring wrapper
+        # measures warm executions only.
+        stats, n_invocations = batch.aggregate_stats(
+            warmup_s=0.0, exclude_cold_starts=True
         )
-        cold_e = batch.cold_starts_per_group()
-        cost_e = batch.cost_per_group()
+        n_cold = batch.cold_starts_per_group()
+        cost = batch.cost_per_group()
         self.profiler.add("reduce", perf_counter() - tick)
-        if plan is None:
-            return active, stats_e, ninv_e, cold_e, cost_e
-        tick = perf_counter()
-        # Broadcast each representative's stat block to its cohort members,
-        # scaled by the member's own arrival count.  Representatives map to
-        # themselves with scale exactly 1.0, so their rows stay bit-exact.
-        rep_idx = np.searchsorted(execute_positions, plan)
-        counts_all = arrivals.counts()
-        scale = (
-            counts_all[active].astype(float)
-            / counts_all[execute].astype(float)[rep_idx]
-        )
-        stats_k = stats_e[rep_idx]
-        ninv_k = np.rint(ninv_e[rep_idx] * scale).astype(np.int64)
-        cold_k = np.rint(cold_e[rep_idx] * scale).astype(np.int64)
-        cost_k = cost_e[rep_idx] * scale
-        members = np.flatnonzero(plan != np.arange(k))
-        for position in members:
-            # Members never touched the engine: book their scaled cost and
-            # invocation count on the platform so billing totals stay
-            # consistent with the window's columns.
-            name = self.functions[int(active[position])].name
-            self.platform._note_cost(name, float(cost_k[position]))
-            self.platform._functions[name].invocation_count += int(
-                counts_all[active[position]]
-            )
-        self.profiler.add("reduce", perf_counter() - tick)
-        return active, stats_k, ninv_k, cold_k, cost_k
+        return active, stats, n_invocations, n_cold, cost
 
     def run_window(self) -> FleetWindow:
         """Simulate the next monitoring window for the whole fleet.
@@ -522,7 +393,6 @@ class FleetSimulator:
             start_s,
             end_s,
             child_rng(self.config.seed, STREAM_TRAFFIC, self._window_index),
-            max_per_function=self.config.max_arrivals_per_window,
         )
         self.profiler.add("traffic", perf_counter() - tick)
         active, stats, n_invocations, n_cold, cost = self._execute_active(arrivals)

@@ -10,8 +10,8 @@ infeasible, so the platform delegates batch execution to a pluggable
   path, kept as the reference implementation for white-box parity tests;
 - :class:`~repro.simulation.engine.vectorized.VectorizedBackend` — the grouped
   kernel (batched noise post-processing, gather-based metric evaluation,
-  cross-group instance walk, optional pooled noise) that every in-process
-  batch runs through, a single arrival batch being a one-group call;
+  cross-group instance walk) that every in-process batch runs through, a
+  single arrival batch being a one-group call;
 - :class:`~repro.simulation.engine.parallel.ParallelBackend` — the vectorized
   backend, with a harness's function chunks fanned out over
   ``concurrent.futures`` workers, each running the kernel.
@@ -222,23 +222,10 @@ class ExecutionBackend(abc.ABC):
     #: Registry name of the backend (used by the ``backend=`` config knobs).
     name: str = "abstract"
 
-    #: Whether the backend implements the ``noise="pooled"`` draw mode.
-    supports_pooled_noise: bool = False
-
-    def __init__(self, n_workers: int | None = None, noise: str = "per-group") -> None:
+    def __init__(self, n_workers: int | None = None) -> None:
         if n_workers is not None and n_workers < 1:
             raise ConfigurationError("n_workers must be at least 1 when given")
-        if noise not in ("per-group", "pooled"):
-            raise ConfigurationError(
-                f"noise must be 'per-group' or 'pooled', got {noise!r}"
-            )
-        if noise == "pooled" and not type(self).supports_pooled_noise:
-            raise ConfigurationError(
-                f"backend {type(self).name!r} does not support noise='pooled'"
-                " (use backend='vectorized')"
-            )
         self.n_workers = n_workers
-        self.noise = noise
 
     @abc.abstractmethod
     def run_batch(
@@ -389,9 +376,7 @@ def available_backends() -> list[str]:
 
 
 def get_backend(
-    backend: str | ExecutionBackend,
-    n_workers: int | None = None,
-    noise: str = "per-group",
+    backend: str | ExecutionBackend, n_workers: int | None = None
 ) -> ExecutionBackend:
     """Resolve a backend name (or pass an instance through).
 
@@ -404,11 +389,6 @@ def get_backend(
     n_workers:
         Worker count forwarded to backends that parallelize (ignored by the
         single-threaded ones).
-    noise:
-        Noise-draw mode, ``"per-group"`` (default: one independent stream
-        per group, bit-exact across backends and scheduling orders) or
-        ``"pooled"`` (one window stream for all groups; vectorized backend
-        only, statistical parity).
     """
     if isinstance(backend, ExecutionBackend):
         return backend
@@ -418,4 +398,4 @@ def get_backend(
         raise ConfigurationError(
             f"unknown execution backend {backend!r}; available: {available_backends()}"
         ) from None
-    return cls(n_workers=n_workers, noise=noise)
+    return cls(n_workers=n_workers)

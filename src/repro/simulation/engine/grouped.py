@@ -601,8 +601,9 @@ def validate_group_timestamps(
 ) -> None:
     """One batched validation pass over all groups' concatenated arrivals.
 
-    Checks that timestamps are non-negative and non-decreasing inside every
-    group (decreases across group boundaries are fine).
+    Checks that timestamps are finite, non-negative and non-decreasing inside
+    every group (decreases across group boundaries are fine).  NaN compares
+    false both ways, so only the finiteness check catches it.
     """
     if not timestamps.shape[0]:
         return
@@ -610,12 +611,12 @@ def validate_group_timestamps(
     boundaries = offsets[1:-1] - 1
     boundaries = boundaries[(boundaries >= 0) & (boundaries < decreasing.shape[0])]
     decreasing[boundaries] = False
-    if np.any(timestamps < 0) or np.any(decreasing):
-        bad = np.nonzero(decreasing)[0]
-        g = int(np.searchsorted(offsets, bad[0], side="right") - 1) if bad.size else (
-            int(np.searchsorted(offsets, np.nonzero(timestamps < 0)[0][0], side="right") - 1)
-        )
+    valid = np.isfinite(timestamps) & (timestamps >= 0)
+    if not np.all(valid) or np.any(decreasing):
+        bad = np.flatnonzero(decreasing)
+        first = int(bad[0]) if bad.size else int(np.argmin(valid))
+        g = int(np.searchsorted(offsets, first, side="right") - 1)
         raise SimulationError(
             f"group {g} ({requests[g].function_name!r}): arrivals must be "
-            "sorted and non-negative"
+            "finite, sorted and non-negative"
         )

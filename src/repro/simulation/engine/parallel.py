@@ -87,15 +87,9 @@ def _measure_chunk_stats_task(payload):
 
 @register_backend
 class ParallelBackend(VectorizedBackend):
-    """The vectorized backend, with function chunks fanned out over processes.
-
-    Only the noise-exact ``"per-group"`` mode is supported (workers must
-    reproduce the sequential schedule's numbers exactly), so
-    ``noise="pooled"`` raises.
-    """
+    """The vectorized backend, with function chunks fanned out over processes."""
 
     name = "parallel"
-    supports_pooled_noise = False
 
     def measure_stat_chunks(
         self,

@@ -36,10 +36,7 @@ bit-identical to executing the groups one batch at a time in group order.
 The test suite keeps that per-batch schedule as an independent oracle
 (``tests/looped_oracle.py``).  With every noise source disabled the kernel
 also agrees invocation for invocation with the serial backend's scalar path
-(see ``tests/test_engine_backends.py``).  The opt-in ``noise="pooled"``
-mode draws all groups' noise from one shared window stream instead,
-removing the per-group draw calls (statistical parity only; the caller
-provides the shared stream, see :class:`~repro.fleet.simulator.FleetConfig`).
+(see ``tests/test_engine_backends.py``).
 """
 
 from __future__ import annotations
@@ -161,10 +158,9 @@ class VectorizedBackend(ExecutionBackend):
     """Numpy batch execution: every batch runs the grouped kernel."""
 
     name = "vectorized"
-    supports_pooled_noise = True
 
-    def __init__(self, n_workers: int | None = None, noise: str = "per-group") -> None:
-        super().__init__(n_workers=n_workers, noise=noise)
+    def __init__(self, n_workers: int | None = None) -> None:
+        super().__init__(n_workers=n_workers)
         self._scratch: dict[str, np.ndarray] = {}
         self._shapes: _ShapeTable | None = None
 
@@ -187,9 +183,9 @@ class VectorizedBackend(ExecutionBackend):
         function_name:
             Name of the deployed function.
         arrivals:
-            Sorted non-negative arrival timestamps (seconds); anything else
-            raises :class:`~repro.errors.SimulationError` before any pool,
-            counter or bill changes.
+            Sorted, finite, non-negative arrival timestamps (seconds);
+            anything else raises :class:`~repro.errors.SimulationError`
+            before any pool, counter or bill changes.
         rng:
             Optional group-private noise stream
             (:mod:`repro.simulation.seeding`); defaults to the platform's
@@ -240,7 +236,6 @@ class VectorizedBackend(ExecutionBackend):
         variability = model.variability
         cold_model = platform.cold_start_model
         runtime = model.runtime
-        pooled = self.noise == "pooled"
         # Group inputs are cached per (profile, memory size) shape, keyed on
         # profile identity, so a fleet hits the table every window after the
         # first and a batch gathers them with one fancy index.
@@ -314,8 +309,6 @@ class VectorizedBackend(ExecutionBackend):
             rows_l.append(entry[1])
             n = request.arrivals.shape[0]
             sizes_l.append(n)
-            if pooled:
-                continue
             rng = request.rng
             if cpu_cv > 0:
                 cpu_parts.append(rng.lognormal(cpu_mu, cpu_sigma, n))
@@ -340,38 +333,11 @@ class VectorizedBackend(ExecutionBackend):
         gid = np.repeat(np.arange(n_groups), sizes)
 
         # ---- batched noise post-processing --------------------------------
-        if pooled:
-            # One shared window stream for all groups (opt-in, statistical
-            # parity): each noise source is one bulk draw, service draws run
-            # per draw width below.
-            rng = requests[0].rng
-            cpu_noise = (
-                rng.lognormal(cpu_mu, cpu_sigma, n_total)
-                if cpu_cv > 0
-                else np.ones(n_total)
-            )
-            tail_raw = rng.random(n_total) if tail_p > 0 else None
-            jitters = (
-                rng.normal(1.0, counter_cv, (13, n_total))
-                if counter_cv > 0
-                else np.ones((13, n_total))
-            )
-            cold_noise = (
-                rng.lognormal(cold_mu, cold_sigma, n_total) if draw_cold else None
-            )
-            widths = [int(w) for w in np.unique(columns[_WIDTH]) if w > 0]
-        else:
-            cpu_noise = (
-                np.concatenate(cpu_parts) if cpu_cv > 0 else np.ones(n_total)
-            )
-            tail_raw = np.concatenate(tail_parts) if tail_p > 0 else None
-            jitters = (
-                np.hstack(jitter_parts)
-                if counter_cv > 0
-                else np.ones((13, n_total))
-            )
-            cold_noise = np.concatenate(cold_parts) if draw_cold else None
-            widths = sorted(service_parts)
+        cpu_noise = np.concatenate(cpu_parts) if cpu_cv > 0 else np.ones(n_total)
+        tail_raw = np.concatenate(tail_parts) if tail_p > 0 else None
+        jitters = np.hstack(jitter_parts) if counter_cv > 0 else np.ones((13, n_total))
+        cold_noise = np.concatenate(cold_parts) if draw_cold else None
+        widths = sorted(service_parts)
         tail = (
             np.where(tail_raw < tail_p, tail_mult, 1.0)
             if tail_raw is not None
@@ -389,11 +355,8 @@ class VectorizedBackend(ExecutionBackend):
             # arithmetic and row sums keep every row's value independent of
             # which other rows share the pass.
             mask = inv_width == width
-            if pooled:
-                z = rng.standard_normal((int(np.count_nonzero(mask)), width))
-            else:
-                parts = service_parts[width]
-                z = np.concatenate(parts) if len(parts) > 1 else parts[0]
+            parts = service_parts[width]
+            z = np.concatenate(parts) if len(parts) > 1 else parts[0]
             means, sigmas = shapes.width_rows(width)
             rank = inv_rank[mask]
             sigma = sigmas[rank]

@@ -20,6 +20,7 @@ passing invocation timestamps (the open-loop load generator in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -275,9 +276,14 @@ class ServerlessPlatform:
         return instance, True
 
     def invoke(self, name: str, at_time_s: float = 0.0) -> InvocationRecord:
-        """Invoke a deployed function at virtual time ``at_time_s``."""
-        if at_time_s < 0:
-            raise SimulationError("at_time_s must be non-negative")
+        """Invoke a deployed function at virtual time ``at_time_s``.
+
+        A negative or non-finite time raises
+        :class:`~repro.errors.SimulationError` before any pool, counter or
+        bill changes.
+        """
+        if at_time_s < 0 or not math.isfinite(at_time_s):
+            raise SimulationError("at_time_s must be finite and non-negative")
         function = self.get_function(name)
         instance, is_cold = self._acquire_instance(name, function.memory_mb, at_time_s)
 
@@ -334,7 +340,9 @@ class ServerlessPlatform:
         name:
             Deployed function to invoke.
         timestamps_s:
-            Arrival timestamps (seconds, need not be sorted).
+            Arrival timestamps (seconds, need not be sorted); a negative or
+            non-finite one raises :class:`~repro.errors.SimulationError`
+            before any arrival runs.
         backend:
             Backend name (``"serial"``, ``"vectorized"``, ``"parallel"``) or an
             :class:`~repro.simulation.engine.ExecutionBackend` instance;
@@ -355,8 +363,11 @@ class ServerlessPlatform:
 
         resolved = get_backend(backend if backend is not None else "serial")
         arrivals = np.sort(np.asarray(timestamps_s, dtype=float))
-        if np.any(arrivals < 0):
-            raise SimulationError("at_time_s must be non-negative")
+        # The whole batch is checked before any arrival runs, so a serial
+        # batch fails before its first invoke.  Sorting puts the minimum
+        # first and +inf and NaN last, so the two ends decide.
+        if arrivals.shape[0] and not (arrivals[0] >= 0 and math.isfinite(arrivals[-1])):
+            raise SimulationError("at_time_s must be finite and non-negative")
         return resolved.run_batch(self, name, arrivals, rng=rng)
 
     # ---------------------------------------------------------------- billing

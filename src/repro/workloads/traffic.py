@@ -28,13 +28,13 @@ placement and cycle phase); the sampled arrivals themselves consume the
 shared random stream per window, so changing the window boundaries redraws
 them (:class:`TraceTraffic` replay is exact and chunking-independent).
 
-Fleet-scale sampling lives here too.  :func:`fleet_rate_matrix` evaluates the
-rates of many models in float64 blocks (one batched kernel call per model
-*class* via :meth:`TrafficModel.batch_rate`, bit-identical to the per-model
-path), and :class:`FleetTrafficSchedule` fuses the Lewis–Shedler thinning of
-a whole fleet into one Poisson draw, one uniform pass and one thinning pass
-per window, producing columnar :class:`FleetArrivals` whose cost scales with
-the window's *candidates*, not with fleet size.
+Fleet-scale sampling lives here too.  :class:`FleetTrafficSchedule` fuses
+the Lewis–Shedler thinning of a whole fleet into one Poisson draw, one
+uniform pass and one thinning pass per window, evaluating candidate rates
+with one batched kernel call per model *class*
+(:meth:`TrafficModel.batch_rate`, bit-identical to the per-model path), and
+produces columnar :class:`FleetArrivals` whose cost scales with the window's
+*candidates*, not with fleet size.
 """
 
 from __future__ import annotations
@@ -62,15 +62,6 @@ def _require_window(start_s: float, end_s: float) -> tuple[float, float]:
     if not np.isfinite(end_s) or end_s <= start_s:
         raise ConfigurationError("window end must be finite and after its start")
     return start_s, end_s
-
-
-def _window_midpoints(start_s: float, end_s: float, resolution: int) -> np.ndarray:
-    """Midpoint-rule sample times of a window at a given resolution."""
-    resolution = int(resolution)
-    if resolution < 1:
-        raise ConfigurationError("resolution must be at least 1")
-    step = (end_s - start_s) / resolution
-    return start_s + step * (np.arange(resolution) + 0.5)
 
 
 class TrafficModel(abc.ABC):
@@ -139,22 +130,23 @@ class TrafficModel(abc.ABC):
     def mean_rate(self, start_s: float, end_s: float, resolution: int = 256) -> float:
         """Approximate mean rate over a window (midpoint rule, for reports).
 
-        ``resolution`` is the number of midpoint samples; the fleet-level
-        :func:`fleet_mean_rates` evaluates the same quadrature for many
-        models in one float64 block and is bit-identical at equal resolution.
+        ``resolution`` is the number of midpoint samples.
         """
         start_s, end_s = _require_window(start_s, end_s)
-        midpoints = _window_midpoints(start_s, end_s, resolution)
+        resolution = int(resolution)
+        if resolution < 1:
+            raise ConfigurationError("resolution must be at least 1")
+        step = (end_s - start_s) / resolution
+        midpoints = start_s + step * (np.arange(resolution) + 0.5)
         return float(np.mean(self.rate(midpoints)))
 
     def batch_params(self) -> tuple[float, ...] | None:
         """Parameters feeding the class-level batched rate kernel.
 
         Models whose rate is a closed-form elementwise function of a fixed
-        parameter tuple return it here; :func:`fleet_rate_matrix` and
-        :meth:`FleetTrafficSchedule.sample_window` then evaluate ONE
-        :meth:`batch_rate` call per model *class* instead of one Python
-        :meth:`rate` call per model.  Returning ``None`` (the default) opts
+        parameter tuple return it here; :meth:`FleetTrafficSchedule.sample_window`
+        then evaluates ONE :meth:`batch_rate` call per model *class* instead
+        of one Python :meth:`rate` call per model.  Returning ``None`` (the default) opts
         out of batching — the per-model :meth:`rate` fallback is used
         (:class:`BurstyTraffic` needs its per-interval placement loop;
         :class:`TraceTraffic` replay never evaluates a rate).
@@ -610,72 +602,6 @@ def sample_fleet_traffic(
     return models
 
 
-def fleet_rate_matrix(
-    models: list[TrafficModel],
-    start_s: float,
-    end_s: float,
-    resolution: int = 256,
-) -> np.ndarray:
-    """Evaluate many models' rates over one window as a float64 block.
-
-    Models sharing a class with a batched kernel
-    (:meth:`TrafficModel.batch_rate`) are evaluated in ONE call per class;
-    the rest fall back to their per-model :meth:`~TrafficModel.rate`.  Rows
-    are bit-identical to ``model.rate(midpoints)`` either way, and the
-    midpoint grid is exactly the one :meth:`TrafficModel.mean_rate` uses, so
-    ``fleet_rate_matrix(...).mean(axis=1)`` reproduces per-model
-    ``mean_rate`` calls bit for bit (see :func:`fleet_mean_rates`).
-
-    Parameters
-    ----------
-    models:
-        The fleet's traffic models in function-index order.
-    start_s / end_s:
-        The evaluated window.
-    resolution:
-        Number of midpoint samples per model (time resolution of the
-        quadrature; 256 matches :meth:`TrafficModel.mean_rate`).
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(n_models, resolution)`` float64 rate matrix.
-    """
-    start_s, end_s = _require_window(start_s, end_s)
-    midpoints = _window_midpoints(start_s, end_s, resolution)
-    matrix = np.empty((len(models), midpoints.shape[0]), dtype=np.float64)
-    grouped: dict[type, list[int]] = {}
-    fallback: list[int] = []
-    for index, model in enumerate(models):
-        if model.batch_params() is None:
-            fallback.append(index)
-        else:
-            grouped.setdefault(type(model), []).append(index)
-    for cls, indices in grouped.items():
-        columns = np.array(
-            [models[i].batch_params() for i in indices], dtype=np.float64
-        ).T
-        matrix[np.asarray(indices)] = cls.batch_rate(columns[:, :, None], midpoints)
-    for index in fallback:
-        matrix[index] = models[index].rate(midpoints)
-    return matrix
-
-
-def fleet_mean_rates(
-    models: list[TrafficModel],
-    start_s: float,
-    end_s: float,
-    resolution: int = 256,
-) -> np.ndarray:
-    """Window-mean rate of many models at once (batched ``mean_rate``).
-
-    Bit-identical to ``[m.mean_rate(start_s, end_s, resolution) for m in
-    models]`` — same midpoint grid, same elementwise kernels, and numpy's
-    row-wise pairwise mean reduces each row exactly like the 1-D case.
-    """
-    return fleet_rate_matrix(models, start_s, end_s, resolution).mean(axis=1)
-
-
 @dataclass(frozen=True)
 class FleetArrivals:
     """One window's arrivals for a whole fleet, in columnar group-major form.
@@ -871,7 +797,6 @@ class FleetTrafficSchedule:
         start_s: float,
         end_s: float,
         rng: np.random.Generator,
-        max_per_function: int | None = None,
     ) -> FleetArrivals:
         """Sample one window of the whole fleet's arrivals from one stream.
 
@@ -882,10 +807,6 @@ class FleetTrafficSchedule:
         rng:
             The window's fused traffic stream; equal state reproduces the
             window exactly.
-        max_per_function:
-            Optional per-function arrival cap, applied by uniform
-            subsampling with the same ``linspace`` semantics as the dense
-            per-function path.
 
         Returns
         -------
@@ -916,8 +837,7 @@ class FleetTrafficSchedule:
             if replay.shape[0]:
                 special[i] = replay
         return self._assemble(
-            start_s, end_s, kept_times, kept_gids, kept_counts, special,
-            max_per_function,
+            start_s, end_s, kept_times, kept_gids, kept_counts, special
         )
 
     def _candidate_rates(
@@ -955,28 +875,12 @@ class FleetTrafficSchedule:
         kept_gids: np.ndarray,
         kept_counts: np.ndarray,
         special: dict[int, np.ndarray],
-        max_per_function: int | None,
     ) -> FleetArrivals:
         """Assemble the window's columnar arrivals from the thinned candidates.
 
-        Applies the optional per-function cap (``linspace`` subsampling) and
-        splices the special segments (trace replays, capped functions) into
-        the thinned stream's columnar layout.
+        Splices the trace replays into the thinned stream's columnar layout.
         """
         n = self.n_functions
-        cap = max_per_function
-        if cap is not None:
-            kept_offsets = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(kept_counts, out=kept_offsets[1:])
-            for i in np.flatnonzero(kept_counts > cap):
-                segment = kept_times[kept_offsets[i] : kept_offsets[i + 1]]
-                keep = np.linspace(0, segment.shape[0] - 1, cap).astype(int)
-                special[int(i)] = segment[keep]
-            for i, replay in list(special.items()):
-                if replay.shape[0] > cap:
-                    keep = np.linspace(0, replay.shape[0] - 1, cap).astype(int)
-                    special[i] = replay[keep]
-
         if not special:
             offsets = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(kept_counts, out=offsets[1:])
@@ -985,7 +889,7 @@ class FleetTrafficSchedule:
             )
 
         # General path: scatter the untouched thinned functions in one
-        # vectorized pass and splice the few special (trace / capped) ones.
+        # vectorized pass and splice the few trace replays.
         final_counts = kept_counts.copy()
         for i, replay in special.items():
             final_counts[i] = replay.shape[0]

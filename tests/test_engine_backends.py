@@ -451,12 +451,15 @@ class TestOneBatchPath:
                     assert_identical(got, want)
 
     @pytest.mark.parametrize(
-        "arrivals", [[5.0, 1.0, 3.0], [-1.0, 2.0]], ids=["unsorted", "negative"]
+        "arrivals",
+        [[5.0, 1.0, 3.0], [-1.0, 2.0], [1.0, np.nan], [1.0, np.inf]],
+        ids=["unsorted", "negative", "nan", "inf"],
     )
     @pytest.mark.parametrize("backend", ["vectorized", "parallel"])
     def test_run_batch_rejects_unsorted_and_negative(self, backend, arrivals, pool_state):
-        """Such arrivals would walk the pool backwards in time; the kernel
-        refuses them before the pool, the counter or the bill changes."""
+        """Such arrivals would walk the pool backwards in time or bill NaN;
+        the kernel refuses them before the pool, the counter or the bill
+        changes."""
         platform = _platform()
         platform.deploy("f", PROFILES["api_call"], 512)
         platform.invoke_batch("f", [1.0, 2.0], backend=backend)
@@ -474,6 +477,35 @@ class TestOneBatchPath:
         assert function.invocation_count == before[1] + 3
         with pytest.raises(SimulationError):
             platform.invoke_batch("f", [12.0, -1.0], backend=backend)
+
+    @pytest.mark.parametrize("backend", ["vectorized", "parallel", "serial"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_arrivals_change_nothing(self, bad, backend, pool_state):
+        """NaN and +inf pass a sign check, so without a finiteness check they
+        are billed as NaN (or leave a worker busy until NaN).  Both
+        ``invoke_batch`` (the whole batch, before its first arrival runs) and
+        ``invoke`` refuse them before any pool, counter, bill or log entry
+        changes."""
+        platform = _platform()
+        platform.deploy("f", PROFILES["api_call"], 512)
+        platform.invoke_batch("f", [1.0, 2.0], backend="serial")
+        function = platform.get_function("f")
+
+        def state():
+            return (
+                pool_state(platform, ["f"]),
+                function.invocation_count,
+                platform.total_cost_usd(),
+                len(platform.invocation_log),
+            )
+
+        before = state()
+        with pytest.raises(SimulationError, match="finite"):
+            platform.invoke_batch("f", [3.0, bad, 4.0], backend=backend)
+        assert state() == before
+        with pytest.raises(SimulationError, match="finite"):
+            platform.invoke("f", at_time_s=bad)
+        assert state() == before
 
     def test_run_batch_is_one_run_grouped_call(self, monkeypatch):
         calls = []

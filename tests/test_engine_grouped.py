@@ -443,15 +443,6 @@ class TestFleetWindowParity:
         for vectorized, parallel in zip(runs["vectorized"], runs["parallel"]):
             assert_windows_equal(vectorized, parallel)
 
-    def test_fused_window_respects_arrival_cap(self, cpu_function):
-        simulator = FleetSimulator(
-            [cpu_function],
-            [ConstantTraffic(rate_rps=1.0)],
-            FleetConfig(window_s=600.0, max_arrivals_per_window=25, seed=5),
-        )
-        window = simulator.run_window()
-        assert window.n_arrivals[0] == 25
-
     def test_fused_serial_windows_stream_records(self, cpu_function):
         """The serial backend's scalar path logs every invocation; the fused
         window must still discard them so memory stays bounded."""

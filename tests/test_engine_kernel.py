@@ -1,22 +1,15 @@
-"""Parity, pooled-noise and registry tests for the grouped execution kernel.
+"""Parity and registry tests for the grouped execution kernel.
 
 The kernel is the body of
 :meth:`~repro.simulation.engine.vectorized.VectorizedBackend.run_grouped`.
-Its contract has two tiers:
-
-- **Bit-exact** in the default ``per-group`` noise mode: every stat,
-  cold-start flag, instance id, billed cost and the platform pool state must
-  match the looped per-batch oracle — ``LoopedBackend`` of
-  ``tests/looped_oracle.py``, the base
-  :meth:`~repro.simulation.engine.base.ExecutionBackend.run_grouped` over a
-  per-batch implementation of its own (the ``looped_backend`` fixture of
-  ``tests/conftest.py``, which a fleet simulator runs its windows through
-  when assigned as ``simulator.backend``) — across warm-pool carryover,
-  resizes, duplicate-name batches, fresh pools and overlapping (unsafe)
-  arrivals.
-- **Statistical** in the opt-in ``noise="pooled"`` mode: fleet-level
-  aggregates stay within tight tolerance of the default configuration while
-  arrival streams are untouched.
+It is bit-exact: every stat, cold-start flag, instance id, billed cost and
+the platform pool state must match the looped per-batch oracle —
+``LoopedBackend`` of ``tests/looped_oracle.py``, the base
+:meth:`~repro.simulation.engine.base.ExecutionBackend.run_grouped` over a
+per-batch implementation of its own (the ``looped_backend`` fixture of
+``tests/conftest.py``, which a fleet simulator runs its windows through when
+assigned as ``simulator.backend``) — across warm-pool carryover, resizes,
+duplicate-name batches, fresh pools and overlapping (unsafe) arrivals.
 """
 
 from __future__ import annotations
@@ -27,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.fleet import FleetConfig, FleetSimulator
+from repro.fleet import FleetConfig
 from repro.simulation.coldstart import ColdStartModel
 from repro.simulation.engine import GroupRequest, available_backends, get_backend
 from repro.simulation.engine import grouped as grouped_mod
@@ -36,7 +29,7 @@ from repro.simulation.platform import PlatformConfig, ServerlessPlatform
 from repro.simulation.seeding import STREAM_EXECUTION, child_rng
 from repro.simulation.variability import VariabilityModel
 from repro.workloads.generator import GeneratorConfig, SyntheticFunctionGenerator
-from repro.workloads.traffic import ConstantTraffic, DiurnalTraffic
+from repro.workloads.traffic import ConstantTraffic
 
 from looped_oracle import assert_identical
 
@@ -280,42 +273,6 @@ class TestDisagreementPath:
             np.testing.assert_array_equal(
                 grouped_mod.solve_cold_recurrence(abs_mask, abs_vals, flip), expected
             )
-
-
-class TestPooledNoise:
-    """Opt-in pooled noise stream: statistical parity, config coupling."""
-
-    def _windows(self, **knobs):
-        functions = _functions(16, seed=5, prefix="pool")
-        traffic = [
-            DiurnalTraffic(mean_rate_rps=0.02, amplitude=0.5, phase_s=500.0 * i)
-            for i in range(len(functions))
-        ]
-        simulator = FleetSimulator(
-            functions,
-            traffic,
-            FleetConfig(window_s=3600.0, seed=13, **knobs),
-        )
-        return [simulator.run_window() for _ in range(3)]
-
-    def test_pooled_statistical_parity(self):
-        base = self._windows(backend="vectorized")
-        pooled = self._windows(backend="vectorized", noise="pooled")
-        for wa, wb in zip(base, pooled):
-            # arrivals are drawn from the traffic streams, not the noise
-            # streams: pooling must leave them untouched
-            np.testing.assert_array_equal(wa.n_arrivals, wb.n_arrivals)
-        a = np.mean([np.asarray(w.stats, dtype=np.float64).mean() for w in base])
-        b = np.mean([np.asarray(w.stats, dtype=np.float64).mean() for w in pooled])
-        assert abs(a - b) / abs(a) < 0.05
-
-    def test_pooled_requires_vectorized(self):
-        assert get_backend("vectorized", noise="pooled").noise == "pooled"
-        for backend in ("serial", "parallel"):
-            with pytest.raises(ConfigurationError, match="pooled"):
-                get_backend(backend, noise="pooled")
-        with pytest.raises(ConfigurationError, match="noise"):
-            get_backend("vectorized", noise="per-request")
 
 
 class TestRegistryErrorPaths:

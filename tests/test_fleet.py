@@ -132,8 +132,6 @@ class TestFleetConfig:
             FleetConfig(default_memory_mb=384)
         with pytest.raises(ConfigurationError):
             FleetConfig(backend="gpu")
-        with pytest.raises(ConfigurationError):
-            FleetConfig(max_arrivals_per_window=0)
 
     def test_controller_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -203,20 +201,20 @@ class TestFleetSimulator:
         assert window.memory_mb[0] == 1024
 
     def test_resize_to_unknown_size_raises(self, cpu_function):
+        functions = [cpu_function.with_name(f"resize-{i}") for i in range(3)]
         simulator = FleetSimulator(
-            [cpu_function], [ConstantTraffic(0.05)], FleetConfig(seed=4)
+            functions, [ConstantTraffic(0.05)] * 3, FleetConfig(seed=4)
         )
         with pytest.raises(SimulationError):
             simulator.resize(0, 384)
-
-    def test_arrival_cap_bounds_batch(self, cpu_function):
-        simulator = FleetSimulator(
-            [cpu_function],
-            [ConstantTraffic(rate_rps=1.0)],
-            FleetConfig(window_s=600.0, max_arrivals_per_window=25, seed=5),
-        )
-        window = simulator.run_window()
-        assert window.n_arrivals[0] == 25
+        # A negative index would wrap to another function, and one past the
+        # end would escape as a bare IndexError.
+        for index in (-1, 3):
+            with pytest.raises(SimulationError, match="out of range"):
+                simulator.resize(index, 512)
+        assert simulator.current_memory_mb().tolist() == [256, 256, 256]
+        for function in functions:
+            assert simulator.platform.get_function(function.name).memory_mb == 256.0
 
     def test_seeded_runs_reproduce(self, cpu_function):
         results = []

@@ -1,29 +1,22 @@
-"""Active-rows windows, keyed seeding and cohort deduplication.
+"""Active-rows windows and keyed seeding.
 
 Contracts of the fleet-scale window body:
 
 - a window holds rows only for its active functions, across mid-run
   resizes;
 - zero-arrival functions never reach the execution engine (no group request
-  is built for them) and never cost an execution stream;
-- cohort deduplication keeps representatives bit-exact and fleet totals
-  statistically close.
+  is built for them) and never cost an execution stream.
 
 The kernel-vs-looped window parity lives in ``tests/test_engine_kernel.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
-import pytest
 
-from repro.errors import ConfigurationError
 from repro.fleet import FleetConfig, FleetSimulator
 from repro.simulation.seeding import STREAM_EXECUTION, STREAM_TRAFFIC
-from repro.workloads.generator import GeneratorConfig, SyntheticFunctionGenerator
-from repro.workloads.traffic import ConstantTraffic, DiurnalTraffic, TraceTraffic
+from repro.workloads.traffic import ConstantTraffic, TraceTraffic
 
 WINDOW_S = 1800.0
 
@@ -170,107 +163,3 @@ class TestKeyedSeedingCost:
         execution_calls = [idx for stream, idx in calls if stream == STREAM_EXECUTION]
         assert len(execution_calls) == 1
         np.testing.assert_array_equal(execution_calls[0], window.active)
-
-
-class TestCohortDeduplication:
-    def _replicated_fleet(self, n_functions: int, n_bases: int = 3):
-        """A fleet of a few profiles replicated many times at similar rates."""
-        bases = SyntheticFunctionGenerator(
-            config=GeneratorConfig(seed=51, name_prefix="cohort")
-        ).generate(n_bases)
-        functions = [
-            replace(bases[i % n_bases], name=f"cohort-{i}") for i in range(n_functions)
-        ]
-        rng = np.random.default_rng(52)
-        traffic = [
-            DiurnalTraffic(
-                mean_rate_rps=float(rng.uniform(0.02, 0.03)),
-                amplitude=0.5,
-                phase_s=1000.0,
-            )
-            for _ in range(n_functions)
-        ]
-        return functions, traffic
-
-    def test_cohort_off_is_the_exact_path(self, assert_windows_equal):
-        functions, traffic = self._replicated_fleet(12)
-        _, exact = _run_windows(functions, traffic, FleetConfig(window_s=WINDOW_S, seed=9))
-        _, off = _run_windows(
-            functions, traffic, FleetConfig(window_s=WINDOW_S, seed=9, cohort_mode="off")
-        )
-        for ew, ow in zip(exact, off):
-            assert_windows_equal(ew, ow)
-
-    def test_representatives_bit_exact_members_scaled(self):
-        functions, traffic = self._replicated_fleet(12)
-        exact_sim = FleetSimulator(
-            functions, traffic, FleetConfig(window_s=WINDOW_S, seed=9)
-        )
-        cohort_sim = FleetSimulator(
-            functions,
-            traffic,
-            FleetConfig(window_s=WINDOW_S, seed=9, cohort_mode="statistical"),
-        )
-        exact = exact_sim.run_window()
-        cohort = cohort_sim.run_window()
-        # Cohorting never changes which functions are active.
-        assert np.array_equal(cohort.active, exact.active)
-        # With 3 profiles at one size and one rate bucket there are at most 3
-        # executed representatives; the first active row is one of them and
-        # must be bit-exact.
-        distinct_rows = {tuple(np.round(row.ravel(), 12)) for row in cohort.stats}
-        assert len(distinct_rows) <= 3
-        assert np.array_equal(cohort.stats[0], exact.stats[0])
-        assert cohort.n_invocations[0] == exact.n_invocations[0]
-        assert cohort.cost_usd[0] == exact.cost_usd[0]
-        # Members carry their own arrival counts and scaled statistics.
-        assert np.array_equal(cohort.n_arrivals, exact.n_arrivals)
-        assert cohort.total_invocations == pytest.approx(
-            exact.total_invocations, rel=0.2
-        )
-        assert cohort.total_cost_usd == pytest.approx(exact.total_cost_usd, rel=0.2)
-        # Platform billing stays consistent with the window columns.
-        assert cohort_sim.platform.total_cost_usd() == pytest.approx(
-            cohort.total_cost_usd, rel=1e-9
-        )
-
-    def test_equal_valued_distinct_profile_objects_cohort_together(
-        self, assert_windows_equal
-    ):
-        # Regression: the cohort key once used id(profile), so value-equal
-        # profiles rebuilt as distinct objects (fresh processes, shards,
-        # deserialized fleets) silently fell out of their cohorts.
-        import copy
-
-        functions, traffic = self._replicated_fleet(12)
-        rebuilt = [
-            replace(fn, profile=copy.deepcopy(fn.profile)) for fn in functions
-        ]
-        assert all(
-            a.profile is not b.profile and a.profile == b.profile
-            for a, b in zip(functions, rebuilt)
-        )
-        config = FleetConfig(window_s=WINDOW_S, seed=9, cohort_mode="statistical")
-        shared_sim = FleetSimulator(functions, traffic, config)
-        rebuilt_sim = FleetSimulator(rebuilt, traffic, config)
-        for _ in range(2):
-            assert_windows_equal(shared_sim.run_window(), rebuilt_sim.run_window())
-
-    def test_distinct_profiles_never_cohorted(self, mixed_fleet, assert_windows_equal):
-        functions, traffic = mixed_fleet(12)
-        _, exact = _run_windows(functions, traffic, FleetConfig(window_s=WINDOW_S, seed=9))
-        _, cohort = _run_windows(
-            functions,
-            traffic,
-            FleetConfig(window_s=WINDOW_S, seed=9, cohort_mode="statistical"),
-        )
-        # Every function has a distinct profile object, so every cohort is a
-        # singleton and the statistical mode degenerates to the exact path.
-        for ew, cw in zip(exact, cohort):
-            assert_windows_equal(ew, cw)
-
-
-class TestConfigValidation:
-    def test_new_knobs_validated(self):
-        with pytest.raises(ConfigurationError):
-            FleetConfig(cohort_mode="always")

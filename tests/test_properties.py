@@ -223,10 +223,9 @@ FLEET_TRAFFIC = {
 class TestFleetConservation:
     """Window columns, platform billing and the ledger tell one story.
 
-    Small random fleets replicate two base profiles (so the statistical
-    cohort mode really forms cohorts) under a random mix of traffic models,
-    with random resizes between windows.  Every window is fed to a
-    :class:`SavingsLedger` with no controller.
+    Small random fleets replicate two base profiles under a random mix of
+    traffic models, with random resizes between windows.  Every window is
+    fed to a :class:`SavingsLedger` with no controller.
     """
 
     @settings(max_examples=15, deadline=None)
@@ -241,7 +240,6 @@ class TestFleetConservation:
             max_size=8,
         ),
         seed=st.integers(0, 2**16),
-        cohort_mode=st.sampled_from(["off", "statistical"]),
         resizes=st.lists(
             st.tuples(
                 st.integers(0, 2), st.integers(0, 7), st.sampled_from(MEMORY_SIZES)
@@ -249,9 +247,7 @@ class TestFleetConservation:
             max_size=4,
         ),
     )
-    def test_window_totals_conserve_billing_and_counts(
-        self, traffic, seed, cohort_mode, resizes
-    ):
+    def test_window_totals_conserve_billing_and_counts(self, traffic, seed, resizes):
         n = len(traffic)
         bases = SyntheticFunctionGenerator(
             config=GeneratorConfig(seed=seed, name_prefix="conserve")
@@ -261,7 +257,7 @@ class TestFleetConservation:
         simulator = FleetSimulator(
             functions,
             models,
-            FleetConfig(window_s=FLEET_WINDOW_S, seed=seed, cohort_mode=cohort_mode),
+            FleetConfig(window_s=FLEET_WINDOW_S, seed=seed),
         )
         ledger = SavingsLedger()
         windows = []

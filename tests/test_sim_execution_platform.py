@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import re
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.errors import ConfigurationError, SimulationError
 from repro.monitoring.metrics import METRIC_NAMES
 from repro.simulation.execution import ExecutionModel, simulate_execution
@@ -211,3 +216,32 @@ class TestServerlessPlatform:
         a = platform.invoke(cpu_function.name, 1000.0).result.execution_time_ms
         b = platform.invoke(cpu_function.name, 2000.0).result.execution_time_ms
         assert a == pytest.approx(b)
+
+
+#: Every ``platform._<attribute>`` reach outside ``simulation/platform.py``,
+#: counted per (module, attribute).  Platform state should change only
+#: through its API, so this list may shrink but never grow.
+PRIVATE_PLATFORM_REACHES = {
+    ("simulation/engine/base.py", "_functions"): 1,
+    ("simulation/engine/base.py", "_instances"): 1,
+    ("simulation/engine/vectorized.py", "_instances"): 2,
+    ("simulation/engine/vectorized.py", "_note_cost"): 1,
+    ("simulation/engine/vectorized.py", "_next_instance_id"): 5,
+    ("simulation/engine/grouped.py", "_acquire_instance"): 2,
+    ("simulation/engine/grouped.py", "_instances"): 1,
+    ("simulation/engine/grouped.py", "_next_instance_id"): 2,
+    ("simulation/engine/parallel.py", "_note_cost"): 1,
+    ("simulation/engine/serial.py", "_rng"): 3,
+}
+
+
+def test_private_platform_reaches_match_the_allowlist():
+    root = Path(repro.__file__).parent
+    reaches = Counter()
+    for path in sorted(root.rglob("*.py")):
+        module = path.relative_to(root).as_posix()
+        if module == "simulation/platform.py":
+            continue
+        for attribute in re.findall(r"\bplatform\.(_\w+)", path.read_text()):
+            reaches[module, attribute] += 1
+    assert dict(reaches) == PRIVATE_PLATFORM_REACHES

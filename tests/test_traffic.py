@@ -14,8 +14,6 @@ from repro.workloads.traffic import (
     FleetTrafficSchedule,
     RampTraffic,
     TraceTraffic,
-    fleet_mean_rates,
-    fleet_rate_matrix,
     sample_fleet_traffic,
 )
 
@@ -74,6 +72,8 @@ class TestValidation:
             model.arrivals(10.0, 10.0, rng)
         with pytest.raises(ConfigurationError):
             model.arrivals(-1.0, 5.0, rng)
+        with pytest.raises(ConfigurationError):
+            model.mean_rate(0.0, 10.0, resolution=0)
 
 
 class TestArrivalGeneration:
@@ -201,32 +201,6 @@ def _one_of_each_model():
     ]
 
 
-class TestFleetRateMatrix:
-    def test_rows_bit_identical_to_per_model_rate(self):
-        models = _one_of_each_model() + [
-            ConstantTraffic(rate_rps=0.8),
-            DiurnalTraffic(mean_rate_rps=0.1, amplitude=0.2, phase_s=0.0),
-        ]
-        start_s, end_s, resolution = 500.0, 4_100.0, 48
-        matrix = fleet_rate_matrix(models, start_s, end_s, resolution=resolution)
-        assert matrix.shape == (len(models), resolution)
-        assert matrix.dtype == np.float64
-        step = (end_s - start_s) / resolution
-        midpoints = start_s + step * (np.arange(resolution) + 0.5)
-        for row, model in zip(matrix, models):
-            assert np.array_equal(row, model.rate(midpoints))
-
-    def test_mean_rates_bit_identical_to_mean_rate(self):
-        models = _one_of_each_model()
-        means = fleet_mean_rates(models, 0.0, 7_200.0)
-        for value, model in zip(means, models):
-            assert value == model.mean_rate(0.0, 7_200.0)
-
-    def test_resolution_validated(self):
-        with pytest.raises(ConfigurationError):
-            fleet_rate_matrix([ConstantTraffic(1.0)], 0.0, 10.0, resolution=0)
-
-
 class TestFleetTrafficSchedule:
     WINDOW = (1_000.0, 4_600.0)
 
@@ -259,15 +233,6 @@ class TestFleetTrafficSchedule:
             arrivals.arrivals_of(1), trace.arrivals(0.0, 3_600.0, None)
         )
 
-    def test_per_function_cap_applies(self):
-        models = [ConstantTraffic(1.0), TraceTraffic(timestamps_s=tuple(range(50)))]
-        schedule = FleetTrafficSchedule(models)
-        arrivals = schedule.sample_window(
-            0.0, 600.0, np.random.default_rng(7), max_per_function=25
-        )
-        assert np.array_equal(arrivals.counts(), [25, 25])
-        assert np.array_equal(arrivals.active(), [0, 1])
-
     def test_rates_statistically_faithful(self):
         models = [
             ConstantTraffic(0.5),
@@ -281,7 +246,7 @@ class TestFleetTrafficSchedule:
                 0.0, 3_600.0, np.random.default_rng(100 + round_index)
             )
             totals += arrivals.counts()
-        expected = fleet_mean_rates(models, 0.0, 3_600.0) * 3_600.0
+        expected = np.array([m.mean_rate(0.0, 3_600.0) for m in models]) * 3_600.0
         np.testing.assert_allclose(totals / n_rounds, expected, rtol=0.05)
 
     def test_candidate_rates_bit_identical_to_per_model_rate(self):

@@ -6,12 +6,11 @@ documented in ``docs/PERFORMANCE.md``) so successive PRs can track the
 throughput and peak-memory trajectory of the two hot paths:
 
 - **fleet** — fused cross-function window execution vs the per-function-batch
-  path (windows/s, invocations/s, tracemalloc peak bytes), plus the
-  fleet-scale ``sparse`` section (the fleet window and its cohort variant vs
-  the dense O(fleet) reference on a mostly-idle fleet), the ``noise``
-  section (the grouped kernel with per-group vs pooled noise on the sparse
-  active groups) and the ``fleet_scale`` endurance run (one million
-  functions through 24 virtual hours at ``--scale full``);
+  path (windows/s, invocations/s), plus the fleet-scale ``sparse`` section
+  (the fleet window vs the dense O(fleet) reference on a mostly-idle fleet),
+  both timed as the median of 3 untraced interleaved runs with tracemalloc
+  peak bytes from a separate traced run, and the ``fleet_scale`` endurance
+  run (one million functions through 24 virtual hours at ``--scale full``);
 - **generation** — training-dataset generation per execution-backend variant
   (invocations/s from the median of 3 untraced runs, tracemalloc peak bytes
   from a separate traced run).
@@ -97,30 +96,60 @@ def _traced(fn):
     return result, seconds, peak
 
 
-def bench_fleet() -> dict:
-    """Fused vs looped fleet window execution (the asserted speedup scenario)."""
-    bench = _load_benchmark("test_bench_fleet")
-    functions, traffic = bench._speedup_scenario()
+#: Untraced timing runs per fleet variant (their median is reported).
+FLEET_REPEATS = 3
 
-    results = {}
-    reference = None
-    for label, fused in (("fused", True), ("looped", False)):
-        (seconds, invocations, stats), wall_seconds, peak = _traced(
-            lambda fused=fused: bench.execute_windows(functions, traffic, fused=fused)
-        )
-        stacked = np.stack(stats)
-        if reference is None:
-            reference = stacked
-        elif not np.array_equal(reference, stacked):
-            raise AssertionError("fused and looped window stats diverged")
-        results[label] = {
+
+def _fleet_rows(variants: dict, n_windows: int) -> tuple[dict, dict]:
+    """Time fleet variants untraced, then trace each once for its peak.
+
+    ``variants`` maps a label to a zero-argument run returning
+    ``(seconds, invocations, extra)`` with ``seconds`` its own timed region.
+    The variants run ``FLEET_REPEATS`` times, interleaved and after a
+    ``gc.collect()`` each, so host drift spreads over all of them; tracing
+    inflates time unevenly, so ``peak_bytes`` and ``wall_seconds`` come
+    from one separate traced run.  Returns the report rows and each
+    variant's first untraced result; later results are dropped at once (a
+    dense run's stat blocks hold ~180 MB at 100 000 functions).
+    """
+    runs = {label: [] for label in variants}
+    first = {}
+    for _ in range(FLEET_REPEATS):
+        for label, run in variants.items():
+            gc.collect()
+            result = run()
+            runs[label].append(result[0])
+            first.setdefault(label, result)
+    rows = {}
+    for label, run in variants.items():
+        _, wall_seconds, peak = _traced(run)
+        seconds = statistics.median(runs[label])
+        invocations = first[label][1]
+        rows[label] = {
             "ops_per_second": round(invocations / seconds, 1),
-            "windows_per_second": round(bench.SPEEDUP_WINDOWS / seconds, 3),
+            "windows_per_second": round(n_windows / seconds, 3),
             "seconds": round(seconds, 4),
+            "seconds_runs": [round(t, 4) for t in runs[label]],
             "wall_seconds": round(wall_seconds, 4),
             "invocations": invocations,
             "peak_bytes": int(peak),
         }
+    return rows, first
+
+
+def bench_fleet() -> dict:
+    """Fused vs looped fleet window execution (the asserted speedup scenario)."""
+    bench = _load_benchmark("test_bench_fleet")
+    functions, traffic = bench._speedup_scenario()
+    results, first = _fleet_rows(
+        {
+            label: lambda fused=fused: bench.execute_windows(functions, traffic, fused=fused)
+            for label, fused in (("fused", True), ("looped", False))
+        },
+        bench.SPEEDUP_WINDOWS,
+    )
+    if not np.array_equal(np.stack(first["fused"][2]), np.stack(first["looped"][2])):
+        raise AssertionError("fused and looped window stats diverged")
     return {
         "config": {
             "n_functions": bench.SPEEDUP_FUNCTIONS,
@@ -133,48 +162,27 @@ def bench_fleet() -> dict:
             results["looped"]["seconds"] / results["fused"]["seconds"], 2
         ),
         "sparse": bench_fleet_sparse(bench),
-        "noise": bench_fleet_noise(bench),
     }
 
 
 def bench_fleet_sparse(bench) -> dict:
-    """Fleet window variants vs the dense reference.
+    """The fleet window vs the dense reference.
 
     The mostly-idle fleet-scale scenario (``_sparse_scenario``, ~1 % active
-    per window).  ``dense`` is the pre-sparse O(fleet) window body; both
-    variants run through ``FleetSimulator.run_window``: ``sparse`` is the
-    default window, ``cohort`` the explicitly statistical cohort mode.
+    per window).  ``dense`` is the pre-sparse O(fleet) window body;
+    ``sparse`` is ``FleetSimulator.run_window``.
     """
     functions, traffic = bench._sparse_scenario()
-    variants = {
-        "sparse": {},
-        "cohort": {"cohort_mode": "statistical"},
-    }
-    results = {}
-    (seconds, invocations, _), wall_seconds, peak = _traced(
-        lambda: bench.execute_dense_reference_windows(functions, traffic)
+    results, first = _fleet_rows(
+        {
+            "dense": lambda: bench.execute_dense_reference_windows(functions, traffic),
+            "sparse": lambda: bench.execute_sparse_windows(functions, traffic),
+        },
+        bench.SPARSE_WINDOWS,
     )
-    results["dense"] = {
-        "windows_per_second": round(bench.SPARSE_WINDOWS / seconds, 3),
-        "seconds": round(seconds, 4),
-        "wall_seconds": round(wall_seconds, 4),
-        "invocations": invocations,
-        "peak_bytes": int(peak),
-    }
-    for label, knobs in variants.items():
-        (seconds, invocations, windows), wall_seconds, peak = _traced(
-            lambda knobs=knobs: bench.execute_sparse_windows(
-                functions, traffic, **knobs
-            )
-        )
-        results[label] = {
-            "windows_per_second": round(bench.SPARSE_WINDOWS / seconds, 3),
-            "seconds": round(seconds, 4),
-            "wall_seconds": round(wall_seconds, 4),
-            "invocations": invocations,
-            "active_per_window": int(np.mean([w.n_active for w in windows])),
-            "peak_bytes": int(peak),
-        }
+    results["sparse"]["active_per_window"] = int(
+        np.mean([w.n_active for w in first["sparse"][2]])
+    )
     return {
         "config": {
             "n_functions": bench.SPARSE_FUNCTIONS,
@@ -185,63 +193,6 @@ def bench_fleet_sparse(bench) -> dict:
         "results": results,
         "speedup": round(
             results["dense"]["seconds"] / results["sparse"]["seconds"], 2
-        ),
-    }
-
-
-def bench_fleet_noise(bench) -> dict:
-    """Grouped-kernel noise modes on the sparse scenario's active groups.
-
-    The timed region is the contested execution work (grouped execution +
-    stat reduction over pre-built requests), exactly the region
-    ``test_bench_pooled_noise_speedup`` asserts, and timings are the
-    best of five fresh runs in which the two modes execute window by
-    window, interleaved (the benchmark's noise discipline); peak bytes come
-    from one separately traced run per mode.  ``per-group`` is the kernel
-    with bit-exact per-group streams (it must agree bit for bit with the
-    looped per-group schedule, asserted on an untimed run) and ``pooled``
-    the kernel with the explicitly statistical shared window stream.
-    """
-    functions, traffic = bench._sparse_scenario()
-    window_arrivals = bench._sparse_active_arrivals(functions, traffic)
-    noises = ("per-group", "pooled")
-    runs = [
-        bench.execute_noise_windows(functions, traffic, window_arrivals, noises)
-        for _ in range(5)
-    ]
-    _, _, looped_stats = bench.execute_backend_windows(
-        functions, traffic, window_arrivals, looped=True
-    )
-    if not all(
-        np.array_equal(looped_window, window)
-        for looped_window, window in zip(looped_stats, runs[0]["per-group"][2])
-    ):
-        raise AssertionError("grouped kernel stats diverged from the looped path")
-    results = {}
-    for noise in noises:
-        seconds = min(run[noise][0] for run in runs)
-        (_, invocations, _), wall_seconds, peak = _traced(
-            lambda noise=noise: bench.execute_backend_windows(
-                functions, traffic, window_arrivals, noise=noise
-            )
-        )
-        results[noise] = {
-            "windows_per_second": round(bench.SPARSE_WINDOWS / seconds, 3),
-            "seconds": round(seconds, 4),
-            "wall_seconds": round(wall_seconds, 4),
-            "invocations": invocations,
-            "peak_bytes": int(peak),
-        }
-    return {
-        "config": {
-            "n_functions": bench.SPARSE_FUNCTIONS,
-            "n_windows": bench.SPARSE_WINDOWS,
-            "window_s": bench.WINDOW_S,
-            "mean_rate_range_rps": list(bench.SPARSE_RATE_RANGE),
-        },
-        "results": results,
-        "pooled_speedup": round(
-            results["per-group"]["seconds"] / results["pooled"]["seconds"], 2
         ),
     }
 
@@ -407,7 +358,6 @@ def main(argv=None) -> int:
             f"looped {report['results']['looped']['ops_per_second']:,.0f} inv/s "
             f"({report['speedup']}x); sparse {report['sparse']['speedup']}x over "
             f"dense at {report['sparse']['config']['n_functions']:,} functions; "
-            f"pooled noise {report['noise']['pooled_speedup']}x over per-group; "
             f"fleet-scale {report['fleet_scale']['config']['n_functions']:,} "
             f"functions x {report['fleet_scale']['config']['n_windows']} windows "
             f"in {scale_row['seconds']:.1f} s "
