@@ -43,7 +43,7 @@ class DenseLayer:
         self.weights = get_initializer(initializer)(rng, self.n_inputs, self.n_outputs)
         self.biases = np.zeros(self.n_outputs)
 
-        # Gradients populated by backward().
+        # Gradients written in place by backward().
         self.grad_weights = np.zeros_like(self.weights)
         self.grad_biases = np.zeros_like(self.biases)
 
@@ -81,24 +81,17 @@ class DenseLayer:
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         """Backpropagate ``grad_output`` and return the gradient w.r.t. the input.
 
-        Also stores ``grad_weights`` / ``grad_biases`` (averaged over the batch
-        is *not* applied here; the loss gradient is expected to already carry
-        the 1/n factor).
+        Also writes ``grad_weights`` / ``grad_biases`` in place, so a network
+        that bound them to views of its flat gradient buffer sees them there.
+        They are batch sums: no 1/n averaging happens here, because the loss
+        gradient already carries the 1/n factor.
         """
         if self._last_input is None or self._last_preactivation is None:
             raise ModelError("backward() called before a training forward() pass")
         grad_pre = self.activation.backward(self._last_preactivation, grad_output)
-        self.grad_weights = self._last_input.T @ grad_pre
-        self.grad_biases = grad_pre.sum(axis=0)
+        np.matmul(self._last_input.T, grad_pre, out=self.grad_weights)
+        np.sum(grad_pre, axis=0, out=self.grad_biases)
         return grad_pre @ self.weights.T
-
-    def parameters(self) -> list[np.ndarray]:
-        """Return the trainable parameter arrays (views, not copies)."""
-        return [self.weights, self.biases]
-
-    def gradients(self) -> list[np.ndarray]:
-        """Return the gradient arrays matching :meth:`parameters`."""
-        return [self.grad_weights, self.grad_biases]
 
     def __repr__(self) -> str:
         return (

@@ -22,6 +22,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import ConfigurationError, ModelError
+from repro.ml.activations import get_activation
 from repro.ml.layers import DenseLayer
 from repro.ml.losses import get_loss
 from repro.ml.optimizers import get_optimizer
@@ -60,6 +61,12 @@ class NetworkConfig:
             raise ConfigurationError("batch_size must be at least 1")
         if self.l2 < 0:
             raise ConfigurationError("l2 must be non-negative")
+        if not self.learning_rate > 0:
+            raise ConfigurationError("learning_rate must be positive")
+        # Unknown names fail here, not inside fit after the scaler has run.
+        get_activation(self.activation)
+        get_loss(self.loss)
+        get_optimizer(self.optimizer)
 
     def replace(self, **kwargs: Any) -> "NetworkConfig":
         """Return a copy of this config with the given fields overridden."""
@@ -114,14 +121,34 @@ class NeuralNetwork:
     # ------------------------------------------------------------------ build
     def _build(self, n_inputs: int, n_outputs: int) -> None:
         rng = np.random.default_rng(self.config.seed)
-        self.layers = []
+        layers = []
         fan_in = n_inputs
         for _ in range(self.config.n_layers):
-            self.layers.append(
+            layers.append(
                 DenseLayer(fan_in, self.config.n_neurons, self.config.activation, rng=rng)
             )
             fan_in = self.config.n_neurons
-        self.layers.append(DenseLayer(fan_in, n_outputs, "linear", rng=rng))
+        layers.append(DenseLayer(fan_in, n_outputs, "linear", rng=rng))
+        # One flat buffer holds every layer's weights, then every layer's
+        # biases, and a matching flat buffer their gradients; the layers keep
+        # views into both.  An optimizer step is then one set of passes over
+        # contiguous memory, and the L2 term one pass over the weight slice.
+        arrays = [layer.weights for layer in layers] + [layer.biases for layer in layers]
+        cuts = np.cumsum([array.size for array in arrays])[:-1]
+        self._params = np.concatenate([array.ravel() for array in arrays])
+        self._grads = np.zeros_like(self._params)
+        self._n_weights = int(cuts[len(layers) - 1])
+        self._l2_scratch = np.empty(self._n_weights)
+
+        def views(buffer: np.ndarray) -> list[np.ndarray]:
+            return [part.reshape(a.shape) for part, a in zip(np.split(buffer, cuts), arrays)]
+
+        params, grads = views(self._params), views(self._grads)
+        n = len(layers)
+        for i, layer in enumerate(layers):
+            layer.weights, layer.biases = params[i], params[n + i]
+            layer.grad_weights, layer.grad_biases = grads[i], grads[n + i]
+        self.layers = layers
         self._n_inputs = n_inputs
         self._n_outputs = n_outputs
 
@@ -144,8 +171,9 @@ class NeuralNetwork:
     def _apply_l2(self) -> None:
         if self.config.l2 <= 0:
             return
-        for layer in self.layers:
-            layer.grad_weights += self.config.l2 * layer.weights
+        n = self._n_weights
+        np.multiply(self.config.l2, self._params[:n], out=self._l2_scratch)
+        self._grads[:n] += self._l2_scratch
 
     # -------------------------------------------------------------------- fit
     def fit(
@@ -207,8 +235,7 @@ class NeuralNetwork:
                 grad = loss_fn.gradient(yb, pred)
                 self._backward(grad)
                 self._apply_l2()
-                for layer in self.layers:
-                    optimizer.step(layer.parameters(), layer.gradients())
+                optimizer.step([self._params], [self._grads])
             self.history.loss.append(float(np.mean(epoch_losses)))
             if validation_data is not None:
                 x_val, y_val = validation_data
@@ -248,16 +275,22 @@ class NeuralNetwork:
         return [(layer.weights.copy(), layer.biases.copy()) for layer in self.layers]
 
     def set_weights(self, weights: list[tuple[np.ndarray, np.ndarray]]) -> None:
-        """Load weights previously produced by :meth:`get_weights`."""
+        """Load weights previously produced by :meth:`get_weights`.
+
+        The values are copied into the layers' views of the flat parameter
+        buffer; nothing is loaded unless every shape matches.
+        """
         if len(weights) != len(self.layers):
             raise ModelError(
                 f"expected {len(self.layers)} layer weight pairs, got {len(weights)}"
             )
-        for layer, (w, b) in zip(self.layers, weights):
+        pairs = [(np.asarray(w, dtype=float), np.asarray(b, dtype=float)) for w, b in weights]
+        for layer, (w, b) in zip(self.layers, pairs):
             if layer.weights.shape != w.shape or layer.biases.shape != b.shape:
                 raise ModelError("weight shapes do not match the network architecture")
-            layer.weights = np.array(w, dtype=float)
-            layer.biases = np.array(b, dtype=float)
+        for layer, (w, b) in zip(self.layers, pairs):
+            layer.weights[...] = w
+            layer.biases[...] = b
 
     def __repr__(self) -> str:
         return (

@@ -2,7 +2,11 @@
 
 The grid considers SGD, Adam, and Adagrad; the grid search selects Adam.  Each
 optimizer holds per-parameter state keyed by the identity of the parameter
-array, so the same optimizer instance can drive all layers of a network.
+array, so the same optimizer instance can drive several arrays (a network
+passes its one flat parameter buffer).  Updates run in place through scratch
+arrays kept in that state, with the same ufuncs on the same operands in the
+same order as the textbook expressions quoted in each ``_update``, so every
+rounding matches them.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ class Optimizer:
     name = "optimizer"
 
     def __init__(self, learning_rate: float = 0.001) -> None:
-        if learning_rate <= 0:
+        if not learning_rate > 0:
             raise ConfigurationError("learning_rate must be positive")
         self.learning_rate = float(learning_rate)
         self._state: dict[int, dict[str, np.ndarray]] = {}
@@ -60,15 +64,20 @@ class SGD(Optimizer):
         self.momentum = float(momentum)
 
     def _update(self, param: np.ndarray, grad: np.ndarray) -> None:
-        if self.momentum == 0.0:
-            param -= self.learning_rate * grad
-            return
+        # param -= lr * grad, or with momentum:
+        # velocity = momentum * velocity - lr * grad; param += velocity
         state = self._param_state(param)
-        velocity = state.get("velocity")
-        if velocity is None:
-            velocity = np.zeros_like(param)
-        velocity = self.momentum * velocity - self.learning_rate * grad
-        state["velocity"] = velocity
+        if not state:
+            state["scratch"] = np.empty_like(param)
+            if self.momentum != 0.0:
+                state["velocity"] = np.zeros_like(param)
+        step = np.multiply(self.learning_rate, grad, out=state["scratch"])
+        if self.momentum == 0.0:
+            param -= step
+            return
+        velocity = state["velocity"]
+        velocity *= self.momentum
+        velocity -= step
         param += velocity
 
 
@@ -87,23 +96,38 @@ class Adam(Optimizer):
         super().__init__(learning_rate)
         if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
             raise ConfigurationError("beta1 and beta2 must be in [0, 1)")
+        if not epsilon > 0:  # a zero-gradient entry would step by 0 / 0
+            raise ConfigurationError("epsilon must be positive")
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.epsilon = float(epsilon)
 
     def _update(self, param: np.ndarray, grad: np.ndarray) -> None:
+        # m = beta1 * m + (1 - beta1) * grad
+        # v = beta2 * v + (1 - beta2) * grad * grad
+        # param -= lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + epsilon)
         state = self._param_state(param)
         if not state:
             state["m"] = np.zeros_like(param)
             state["v"] = np.zeros_like(param)
             state["t"] = np.zeros(1)
+            state["s1"], state["s2"] = np.empty_like(param), np.empty_like(param)
         state["t"] += 1
         t = float(state["t"][0])
-        state["m"] = self.beta1 * state["m"] + (1.0 - self.beta1) * grad
-        state["v"] = self.beta2 * state["v"] + (1.0 - self.beta2) * grad * grad
-        m_hat = state["m"] / (1.0 - self.beta1**t)
-        v_hat = state["v"] / (1.0 - self.beta2**t)
-        param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        m, v, s1, s2 = state["m"], state["v"], state["s1"], state["s2"]
+        m *= self.beta1
+        m += np.multiply(1.0 - self.beta1, grad, out=s1)
+        np.multiply(1.0 - self.beta2, grad, out=s1)
+        s1 *= grad
+        v *= self.beta2
+        v += s1
+        np.divide(m, 1.0 - self.beta1**t, out=s1)
+        s1 *= self.learning_rate
+        np.divide(v, 1.0 - self.beta2**t, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += self.epsilon
+        s1 /= s2
+        param -= s1
 
 
 class Adagrad(Optimizer):
@@ -113,16 +137,24 @@ class Adagrad(Optimizer):
 
     def __init__(self, learning_rate: float = 0.01, epsilon: float = 1e-8) -> None:
         super().__init__(learning_rate)
+        if not epsilon > 0:  # a zero-gradient entry would step by 0 / 0
+            raise ConfigurationError("epsilon must be positive")
         self.epsilon = float(epsilon)
 
     def _update(self, param: np.ndarray, grad: np.ndarray) -> None:
+        # accumulated = accumulated + grad * grad
+        # param -= lr * grad / (sqrt(accumulated) + epsilon)
         state = self._param_state(param)
-        accumulated = state.get("accumulated")
-        if accumulated is None:
-            accumulated = np.zeros_like(param)
-        accumulated = accumulated + grad * grad
-        state["accumulated"] = accumulated
-        param -= self.learning_rate * grad / (np.sqrt(accumulated) + self.epsilon)
+        if not state:
+            state["accumulated"] = np.zeros_like(param)
+            state["s1"], state["s2"] = np.empty_like(param), np.empty_like(param)
+        accumulated, s1, s2 = state["accumulated"], state["s1"], state["s2"]
+        accumulated += np.multiply(grad, grad, out=s1)
+        np.multiply(self.learning_rate, grad, out=s1)
+        np.sqrt(accumulated, out=s2)
+        s2 += self.epsilon
+        s1 /= s2
+        param -= s1
 
 
 _OPTIMIZERS: dict[str, type[Optimizer]] = {

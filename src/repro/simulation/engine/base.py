@@ -258,13 +258,19 @@ class ExecutionBackend(abc.ABC):
         run leaves records behind; billing totals are kept.
         """
         from repro.monitoring.metrics import METRIC_NAMES
-        from repro.simulation.engine.grouped import GroupedBatch
+        from repro.simulation.engine.grouped import GroupedBatch, validate_group_timestamps
 
         if not requests:
             raise SimulationError("run_grouped needs at least one group request")
+        # Every group is validated before the first redeploy or batch runs, so
+        # a refused call changes nothing and says what the kernel says.
         offsets = np.zeros(len(requests) + 1, dtype=np.int64)
+        np.cumsum([r.arrivals.shape[0] for r in requests], out=offsets[1:])
+        validate_group_timestamps(
+            np.concatenate([r.arrivals for r in requests]), offsets, requests
+        )
         batches = []
-        for g, request in enumerate(requests):
+        for request in requests:
             # Execute against the deployment captured at request-build time:
             # a multi-size group list (the harness measuring one function at
             # several sizes) holds requests whose deployment is no longer
@@ -279,7 +285,6 @@ class ExecutionBackend(abc.ABC):
                 )
             elif request.fresh_pool:
                 platform._instances[request.function_name] = []
-            offsets[g + 1] = offsets[g] + int(request.arrivals.shape[0])
             if request.arrivals.shape[0] == 0:
                 batches.append(None)
                 continue

@@ -254,8 +254,17 @@ class VectorizedBackend(ExecutionBackend):
         draw_cold = cold_model.noise_cv > 0
         cold_mu, cold_sigma = cold_model.noise_params()
 
+        # Validate every group's arrivals before the scan draws any noise: a
+        # refused batch leaves the generators, pools and bill untouched.
         n_groups = len(requests)
-        sizes_l: list[int] = []
+        sizes_l = [r.arrivals.shape[0] for r in requests]
+        sizes = np.asarray(sizes_l, dtype=np.int64)
+        offsets = np.zeros(n_groups + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        n_total = int(offsets[-1])
+        timestamps = np.concatenate([r.arrivals for r in requests])
+        validate_group_timestamps(timestamps, offsets, requests)
+
         names_l: list[str] = []
         rows_l: list[int] = []
         cpu_parts: list[np.ndarray] = []
@@ -280,7 +289,7 @@ class VectorizedBackend(ExecutionBackend):
         single_busy_l: list[float] = []
         single_last_l: list[float] = []
         single_ids_l: list[int] = []
-        for request in requests:
+        for request, n in zip(requests, sizes_l):
             deployment = request.deployment
             deployments.append(deployment)
             name = deployment.name
@@ -307,8 +316,6 @@ class VectorizedBackend(ExecutionBackend):
             if entry is None or entry[0] is not profile:
                 entry = shapes.add(profile, deployment.memory_mb)
             rows_l.append(entry[1])
-            n = request.arrivals.shape[0]
-            sizes_l.append(n)
             rng = request.rng
             if cpu_cv > 0:
                 cpu_parts.append(rng.lognormal(cpu_mu, cpu_sigma, n))
@@ -322,14 +329,8 @@ class VectorizedBackend(ExecutionBackend):
             if draw_cold:
                 cold_parts.append(rng.lognormal(cold_mu, cold_sigma, n))
 
-        sizes = np.asarray(sizes_l, dtype=np.int64)
         # (table columns, n_groups): one column of shape inputs per group.
         columns = shapes.table[np.asarray(rows_l, dtype=np.intp)].T
-        offsets = np.zeros(n_groups + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        n_total = int(offsets[-1])
-        timestamps = np.concatenate([r.arrivals for r in requests])
-        validate_group_timestamps(timestamps, offsets, requests)
         gid = np.repeat(np.arange(n_groups), sizes)
 
         # ---- batched noise post-processing --------------------------------

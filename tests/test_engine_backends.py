@@ -458,15 +458,21 @@ class TestOneBatchPath:
     @pytest.mark.parametrize("backend", ["vectorized", "parallel"])
     def test_run_batch_rejects_unsorted_and_negative(self, backend, arrivals, pool_state):
         """Such arrivals would walk the pool backwards in time or bill NaN;
-        the kernel refuses them before the pool, the counter or the bill
-        changes."""
+        the kernel refuses them before the pool, the counter, the bill or the
+        shared generator changes (a refused batch that had drawn its noise
+        would shift every later shared-stream batch)."""
         platform = _platform()
         platform.deploy("f", PROFILES["api_call"], 512)
         platform.invoke_batch("f", [1.0, 2.0], backend=backend)
         function = platform.get_function("f")
 
         def state():
-            return pool_state(platform, ["f"]), function.invocation_count, platform.total_cost_usd()
+            return (
+                pool_state(platform, ["f"]),
+                function.invocation_count,
+                platform.total_cost_usd(),
+                platform.rng.bit_generator.state,
+            )
 
         before = state()
         with pytest.raises(SimulationError, match="sorted and non-negative"):
@@ -506,6 +512,47 @@ class TestOneBatchPath:
         with pytest.raises(SimulationError, match="finite"):
             platform.invoke("f", at_time_s=bad)
         assert state() == before
+
+    @pytest.mark.parametrize(
+        "bad", [[1.0, np.nan], [3.0, 2.0], [-1.0, 1.0]], ids=["nan", "unsorted", "negative"]
+    )
+    @pytest.mark.parametrize("stream", ["group", "shared"])
+    def test_refused_run_grouped_changes_nothing(self, stream, bad, pool_state):
+        """A ``run_grouped`` with one bad group is refused before any group
+        runs: on every backend no pool, counter, bill or stream moves (the
+        looped path would otherwise have billed group 0), and all three
+        raise the same message."""
+        messages = set()
+        for backend in ("serial", "vectorized", "parallel"):
+            platform = _platform()
+            for name in ("f", "g"):
+                platform.deploy(name, PROFILES["api_call"], 512)
+                platform.invoke_batch(name, [1.0, 2.0], backend="serial")
+            rngs = [
+                np.random.default_rng([3, g]) if stream == "group" else platform.rng
+                for g in range(2)
+            ]
+            requests = [
+                GroupRequest.for_deployed(platform, "f", [0.5, 1.0], rngs[0]),
+                GroupRequest.for_deployed(platform, "g", bad, rngs[1]),
+            ]
+
+            def state():
+                return (
+                    pool_state(platform, ["f", "g"]),
+                    [platform.get_function(n).invocation_count for n in ("f", "g")],
+                    [platform.total_cost_usd(n) for n in ("f", "g")],
+                    platform.total_cost_usd(),
+                    len(platform.invocation_log),
+                    [r.bit_generator.state for r in rngs],
+                )
+
+            before = state()
+            with pytest.raises(SimulationError) as refused:
+                get_backend(backend).run_grouped(platform, requests)
+            assert state() == before, backend
+            messages.add(str(refused.value))
+        assert messages == {"group 1 ('g'): arrivals must be finite, sorted and non-negative"}
 
     def test_run_batch_is_one_run_grouped_call(self, monkeypatch):
         calls = []

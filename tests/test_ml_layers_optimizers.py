@@ -9,6 +9,8 @@ from repro.errors import ConfigurationError, ModelError
 from repro.ml.layers import DenseLayer
 from repro.ml.optimizers import SGD, Adagrad, Adam, get_optimizer
 
+from reference_trainer import ReferenceOptimizer
+
 
 class TestDenseLayer:
     def test_forward_shape(self, rng):
@@ -53,6 +55,20 @@ class TestDenseLayer:
     def test_n_parameters(self, rng):
         layer = DenseLayer(3, 5, rng=rng)
         assert layer.n_parameters == 3 * 5 + 5
+
+    def test_backward_writes_gradients_in_place(self, rng):
+        """A standalone layer keeps its own gradient arrays; backward fills
+        them with exactly the freshly allocated products."""
+        layer = DenseLayer(3, 4, rng=rng)
+        grad_weights, grad_biases = layer.grad_weights, layer.grad_biases
+        x = rng.normal(size=(7, 3))
+        grad_out = rng.normal(size=(7, 4))
+        layer.forward(x, training=True)
+        layer.backward(grad_out)
+        assert layer.grad_weights is grad_weights and layer.grad_biases is grad_biases
+        grad_pre = layer.activation.backward(x @ layer.weights + layer.biases, grad_out)
+        assert np.array_equal(grad_weights, x.T @ grad_pre)
+        assert np.array_equal(grad_biases, grad_pre.sum(axis=0))
 
 
 class TestOptimizers:
@@ -114,3 +130,35 @@ class TestOptimizers:
     def test_invalid_momentum_raises(self):
         with pytest.raises(ConfigurationError):
             SGD(momentum=1.5)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-8, float("nan")])
+    @pytest.mark.parametrize("cls", [Adam, Adagrad], ids=["adam", "adagrad"])
+    def test_invalid_epsilon_raises(self, cls, epsilon):
+        """With epsilon = 0 a zero-gradient weight would step by 0 / 0 = NaN."""
+        with pytest.raises(ConfigurationError):
+            cls(epsilon=epsilon)
+
+    @pytest.mark.parametrize(
+        "name, make",
+        [
+            ("sgd", lambda: (SGD(learning_rate=0.02), {})),
+            ("sgd", lambda: (SGD(learning_rate=0.02, momentum=0.9), {"momentum": 0.9})),
+            ("adam", lambda: (Adam(learning_rate=0.05), {})),
+            ("adagrad", lambda: (Adagrad(learning_rate=0.1), {})),
+        ],
+        ids=["sgd", "sgd-momentum", "adam", "adagrad"],
+    )
+    def test_step_matches_reference_update(self, name, make, rng):
+        """Stepped directly, the in-place updates equal the textbook
+        expressions bit for bit, array by array, zero gradients included."""
+        optimizer, options = make()
+        reference = ReferenceOptimizer(name, optimizer.learning_rate, **options)
+        params = [rng.normal(size=(5, 3)), rng.normal(size=4)]
+        expected = [p.copy() for p in params]
+        for step in range(12):
+            grads = [rng.normal(size=p.shape) for p in params]
+            grads[0][0] = 0.0
+            optimizer.step(params, grads)
+            reference.step(expected, [g.copy() for g in grads])
+            for got, want in zip(params, expected):
+                assert np.array_equal(got, want), step

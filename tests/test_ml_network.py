@@ -9,8 +9,11 @@ from repro.errors import ConfigurationError, ModelError
 from repro.ml.grid_search import GridSearch
 from repro.ml.linear import LinearRegression, PolynomialRegression
 from repro.ml.network import NetworkConfig, NeuralNetwork
+from repro.ml.optimizers import Optimizer
 from repro.ml.scaling import MinMaxScaler, StandardScaler
 from repro.ml.validation import KFold, RepeatedKFold, train_test_split
+
+from reference_trainer import reference_fit
 
 
 def _toy_regression(n=120, seed=0):
@@ -89,16 +92,115 @@ class TestNeuralNetwork:
             net.fit(np.zeros((0, 3)), np.zeros((0, 1)))
 
     def test_invalid_config_raises(self):
-        with pytest.raises(ConfigurationError):
-            NetworkConfig(n_layers=0)
-        with pytest.raises(ConfigurationError):
-            NetworkConfig(l2=-1.0)
+        """Invalid configs fail at construction, not inside ``fit``."""
+        for field in (
+            {"n_layers": 0},
+            {"l2": -1.0},
+            {"optimizer": "rmsprop"},
+            {"loss": "huber"},
+            {"activation": "gelu"},
+            {"learning_rate": -1.0},
+            {"learning_rate": 0.0},
+            {"learning_rate": float("nan")},
+        ):
+            with pytest.raises(ConfigurationError):
+                NetworkConfig(**field)
+            with pytest.raises(ConfigurationError):
+                NetworkConfig().replace(**field)
 
     def test_config_replace(self):
         config = NetworkConfig()
         modified = config.replace(epochs=42)
         assert modified.epochs == 42
         assert config.epochs != 42 or config.epochs == 200
+
+
+class TestFlatBufferTrainer:
+    """``fit`` trains one flat parameter buffer in place, bit-identical to the
+    allocate-per-step reference trainer (``tests/reference_trainer.py``)."""
+
+    #: 70 samples in batches of 16: the last mini-batch of each epoch has 6.
+    CONFIG = NetworkConfig(n_layers=2, n_neurons=12, epochs=5, batch_size=16, seed=5)
+
+    @staticmethod
+    def _problem():
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(90, 4))
+        # Positive targets away from zero keep MAPE's gradient well scaled.
+        y = np.abs(np.column_stack([x @ [1.0, -2.0, 0.5, 0.1], 2.0 * x[:, 1]])) + 0.5
+        return (x[:70], y[:70]), (x[70:], y[70:])
+
+    @pytest.mark.parametrize("l2", [0.0, 1e-4])
+    @pytest.mark.parametrize("loss", ["mse", "mae", "mape"])
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam", "adagrad"])
+    def test_matches_reference_trainer(self, optimizer, loss, l2):
+        (x, y), validation = self._problem()
+        config = self.CONFIG.replace(optimizer=optimizer, loss=loss, l2=l2, learning_rate=0.01)
+        net = NeuralNetwork(config)
+        history = net.fit(x, y, validation_data=validation)
+        reference = reference_fit(config, x, y, validation_data=validation)
+        assert len(net.get_weights()) == len(reference.weights) == 3
+        for (w, b), (ref_w, ref_b) in zip(net.get_weights(), reference.weights):
+            assert np.array_equal(w, ref_w)
+            assert np.array_equal(b, ref_b)
+        assert history.loss == reference.loss
+        assert history.validation_loss == reference.validation_loss
+        assert len(history.validation_loss) == config.epochs
+
+    def test_one_optimizer_step_per_mini_batch(self, monkeypatch):
+        """``fit`` steps the optimizer once per mini-batch, with one flat array
+        holding every parameter and one matching flat gradient array."""
+        calls = []
+        step = Optimizer.step
+
+        def spy(self, params, grads):
+            calls.append((params, grads))
+            return step(self, params, grads)
+
+        monkeypatch.setattr(Optimizer, "step", spy)
+        (x, y), _ = self._problem()
+        net = NeuralNetwork(self.CONFIG)
+        net.fit(x, y)
+        assert len(calls) == self.CONFIG.epochs * 5  # ceil(70 / 16) mini-batches
+        for params, grads in calls:
+            assert len(params) == len(grads) == 1
+            assert params[0] is net._params and grads[0] is net._grads
+        assert net._params.shape == net._grads.shape == (net.n_parameters,)
+        for layer in net.layers:
+            for view in (layer.weights, layer.biases):
+                assert np.shares_memory(view, net._params)
+            for view in (layer.grad_weights, layer.grad_biases):
+                assert np.shares_memory(view, net._grads)
+
+    def test_set_weights_copies_into_the_flat_buffer(self):
+        (x, y), _ = self._problem()
+        net = NeuralNetwork(self.CONFIG)
+        net.fit(x, y)
+        weights = net.get_weights()
+        prediction = net.predict(x)
+        other = NeuralNetwork(self.CONFIG.replace(seed=9))
+        other.fit(x, y)
+        net.set_weights(other.get_weights())
+        assert np.array_equal(net.predict(x), other.predict(x))
+        net.set_weights(weights)
+        for layer in net.layers:
+            assert np.shares_memory(layer.weights, net._params)
+            assert np.shares_memory(layer.biases, net._params)
+        assert np.array_equal(net.predict(x), prediction)
+        # Weights first, then biases, layer by layer.
+        flat = [w.ravel() for w, _ in weights] + [b for _, b in weights]
+        assert np.array_equal(net._params, np.concatenate(flat))
+
+    def test_set_weights_with_a_bad_shape_loads_nothing(self):
+        (x, y), _ = self._problem()
+        net = NeuralNetwork(self.CONFIG)
+        net.fit(x, y)
+        before = net._params.copy()
+        weights = [(w + 1.0, b + 1.0) for w, b in net.get_weights()]
+        weights[-1] = (weights[-1][0][:, :1], weights[-1][1])
+        with pytest.raises(ModelError):
+            net.set_weights(weights)
+        assert np.array_equal(net._params, before)
 
 
 class TestScalers:

@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Run the performance benchmark suite and emit machine-readable reports.
 
-Produces ``BENCH_fleet.json`` and ``BENCH_generation.json`` (schema
-documented in ``docs/PERFORMANCE.md``) so successive PRs can track the
-throughput and peak-memory trajectory of the two hot paths:
+Produces ``BENCH_fleet.json``, ``BENCH_generation.json`` and
+``BENCH_training.json`` (schema documented in ``docs/PERFORMANCE.md``) so
+successive PRs can track the throughput and peak-memory trajectory of the
+hot paths:
 
 - **fleet** — fused cross-function window execution vs the per-function-batch
   path (windows/s, invocations/s), plus the fleet-scale ``sparse`` section
@@ -13,23 +14,28 @@ throughput and peak-memory trajectory of the two hot paths:
   run (one million functions through 24 virtual hours at ``--scale full``);
 - **generation** — training-dataset generation per execution-backend variant
   (invocations/s from the median of 3 untraced runs, tracemalloc peak bytes
-  from a separate traced run).
+  from a separate traced run);
+- **training** — the default network's fit with the flat-buffer trainer vs
+  the allocate-per-step reference trainer (seconds from the median of 3
+  interleaved runs in a child process with BLAS pinned to one thread).
 
 The scenarios are not re-defined here: this tool loads the benchmark
-modules (``benchmarks/test_bench_fleet.py`` / ``test_bench_generation.py``)
-and reuses their scenario builders and variant tables, so the reported
-numbers always describe exactly the scenarios CI asserts.  Scale is applied
-through the same environment knobs the benchmarks honour.
+modules (``benchmarks/test_bench_fleet.py`` / ``test_bench_generation.py``
+/ ``test_bench_training.py``) and reuses their scenario builders and variant
+tables, so the reported numbers always describe exactly the scenarios CI
+asserts.  Scale is applied through the same environment knobs the
+benchmarks honour.
 
 Usage::
 
     PYTHONPATH=src python tools/bench_report.py [--out DIR] [--scale quick|full]
-                                                [--only fleet|generation]
+                                                [--only fleet|generation|training]
 
 The ``quick`` scale (default) finishes in a few minutes and is meant for CI
 trend lines; ``full`` runs the acceptance-criterion scale (500 fleet
 functions, 100 000 functions in the sparse scenario, one million in the
-fleet-scale endurance run, the 200-function default dataset).
+fleet-scale endurance run, the 200-function default dataset, the default
+network's 400 epochs).
 """
 
 from __future__ import annotations
@@ -60,11 +66,13 @@ SCALES = {
         "REPRO_BENCH_FLEET_SPEEDUP_FUNCTIONS": "120",
         "REPRO_BENCH_FLEET_SPARSE_FUNCTIONS": "5000",
         "REPRO_BENCH_GEN_FUNCTIONS": "60",
+        "REPRO_BENCH_TRAIN_EPOCHS": "100",
     },
     "full": {
         "REPRO_BENCH_FLEET_SPEEDUP_FUNCTIONS": "500",
         "REPRO_BENCH_FLEET_SPARSE_FUNCTIONS": "100000",
         "REPRO_BENCH_GEN_FUNCTIONS": "200",
+        "REPRO_BENCH_TRAIN_EPOCHS": "400",
     },
 }
 
@@ -320,6 +328,46 @@ def bench_generation() -> dict:
     }
 
 
+def bench_training() -> dict:
+    """Flat-buffer vs reference trainer on the default network config.
+
+    ``seconds`` is the median of ``TRAINING_REPEATS`` interleaved untraced
+    runs per trainer; ``bit_identical`` says both trained the same weights,
+    biases and loss history.
+    """
+    bench = _load_benchmark("test_bench_training")
+    from repro.core.model import default_network_config
+
+    measured = bench.training_seconds()
+    config = default_network_config().replace(epochs=measured["epochs"])
+    results = {}
+    for label, runs in measured["seconds_runs"].items():
+        results[label] = {
+            "seconds": round(statistics.median(runs), 4),
+            "seconds_runs": [round(t, 4) for t in runs],
+        }
+    return {
+        "config": {
+            "n_samples": bench.N_SAMPLES,
+            "n_features": bench.N_FEATURES,
+            "n_targets": bench.N_TARGETS,
+            "n_layers": config.n_layers,
+            "n_neurons": config.n_neurons,
+            "optimizer": config.optimizer,
+            "loss": config.loss,
+            "batch_size": config.batch_size,
+            "epochs": config.epochs,
+            "repeats": bench.TRAINING_REPEATS,
+            "blas_threads": 1,
+        },
+        "results": results,
+        "bit_identical": measured["bit_identical"],
+        "speedup": round(
+            results["reference"]["seconds"] / results["flat"]["seconds"], 2
+        ),
+    }
+
+
 def _report(name: str, scale: str, payload: dict) -> dict:
     payload.update(
         {
@@ -339,7 +387,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=".", help="output directory for the JSON files")
     parser.add_argument("--scale", choices=sorted(SCALES), default="quick")
-    parser.add_argument("--only", choices=("fleet", "generation"), default=None)
+    parser.add_argument("--only", choices=("fleet", "generation", "training"), default=None)
     args = parser.parse_args(argv)
 
     os.environ.update(SCALES[args.scale])
@@ -370,6 +418,15 @@ def main(argv=None) -> int:
         print(
             f"{path}: vectorized {report['results']['vectorized']['ops_per_second']:,.0f} "
             f"inv/s ({report['speedup']}x over serial)"
+        )
+    if args.only in (None, "training"):
+        report = _report("training", args.scale, bench_training())
+        path = out_dir / "BENCH_training.json"
+        path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        print(
+            f"{path}: flat {report['results']['flat']['seconds']:.2f} s, reference "
+            f"{report['results']['reference']['seconds']:.2f} s ({report['speedup']}x, "
+            f"{report['config']['epochs']} epochs, bit-identical: {report['bit_identical']})"
         )
     return 0
 
