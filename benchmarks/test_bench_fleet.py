@@ -33,13 +33,22 @@ These contracts of the online subsystem are asserted here:
    work around the engine (traffic, seeding, group-build, reduce) stays
    within ``REPRO_BENCH_FLEET_ORCH_FACTOR`` (default 2) times the execute
    phase.
+8. **Hot window speedup** — on an always-active fleet (600 functions at
+   0.01–0.05 rps, the shape of perfbench's ``fleet-hot``) most groups
+   overlap and walk their multi-instance pools in lockstep; the fused
+   window is at least ``REPRO_BENCH_FLEET_HOT_MIN_SPEEDUP`` (default 2)
+   times faster than the looped path, with bit-identical stats.
 
 Scale knobs for CI smoke runs: ``REPRO_BENCH_FLEET_FUNCTIONS`` /
 ``REPRO_BENCH_FLEET_WINDOWS`` shrink the service run,
 ``REPRO_BENCH_FLEET_SPEEDUP_FUNCTIONS`` shrinks the speedup scenario,
+``REPRO_BENCH_FLEET_HOT_FUNCTIONS`` the hot scenario,
 ``REPRO_BENCH_FLEET_SPARSE_FUNCTIONS`` shrinks the fleet-scale sparse
 scenarios, and ``REPRO_BENCH_FLEET_MEM_FACTOR`` loosens the memory ceilings
 on noisy interpreters (a multiplier, default 1).
+
+The instance-walk shapes of ``walk_shape_seconds`` (uniform, heavy-hitter,
+one-long, few-dense) are timed by ``tools/bench_report.py``, not asserted.
 """
 
 from __future__ import annotations
@@ -55,7 +64,8 @@ from repro.core.predictor import SizelessPredictor
 from repro.fleet import ControllerConfig, FleetConfig, FleetRightsizingService, FleetSimulator
 from repro.monitoring.aggregation import STAT_NAMES
 from repro.monitoring.metrics import METRIC_NAMES
-from repro.simulation.engine import GroupRequest
+from repro.simulation.engine import GroupRequest, get_backend
+from repro.simulation.platform import ServerlessPlatform
 from repro.simulation.seeding import (
     STREAM_EXECUTION,
     STREAM_TRAFFIC,
@@ -85,6 +95,13 @@ SPEEDUP_WINDOWS = 3
 #: long tail where most functions see a handful of requests per hour.
 SPEEDUP_RATE_RANGE = (0.0005, 0.003)
 
+#: Functions in the hot-window scenario (perfbench ``fleet-hot``'s size).
+HOT_FUNCTIONS = int(os.environ.get("REPRO_BENCH_FLEET_HOT_FUNCTIONS", "600"))
+
+#: Mean request-rate range of the hot scenario: every function active in
+#: every window, most of them overlapping their own invocations.
+HOT_RATE_RANGE = (0.01, 0.05)
+
 #: Functions in the fleet-scale sparse scenarios (the acceptance criterion
 #: is defined at 100 000 with ~1 % of the fleet active per window).
 SPARSE_FUNCTIONS = int(os.environ.get("REPRO_BENCH_FLEET_SPARSE_FUNCTIONS", "100000"))
@@ -110,6 +127,10 @@ def _mem_factor() -> float:
 
 def _min_speedup() -> float:
     return float(os.environ.get("REPRO_BENCH_FLEET_MIN_SPEEDUP", "5.0"))
+
+
+def _min_hot_speedup() -> float:
+    return float(os.environ.get("REPRO_BENCH_FLEET_HOT_MIN_SPEEDUP", "2.0"))
 
 
 def _min_sparse_speedup() -> float:
@@ -245,13 +266,8 @@ def execute_windows(functions, traffic, fused, n_windows=SPEEDUP_WINDOWS):
     return seconds, invocations, per_window_stats
 
 
-def test_bench_fused_window_speedup():
-    """Acceptance criterion: fused window execution >= 5x the looped path.
-
-    Both arms are timed best-of-3 with the repetitions alternating between
-    them, so a slow stretch of a shared host hits both arms alike.
-    """
-    functions, traffic = _speedup_scenario()
+def _timed_window_pair(functions, traffic):
+    """``(fused s, looped s, invocations)``, best of 3 alternating, stats asserted equal."""
     (fused_seconds, total_invocations, fused_stats), (looped_seconds, _, looped_stats) = (
         _best_of(
             3,
@@ -261,7 +277,18 @@ def test_bench_fused_window_speedup():
     )
     for fused_window, looped_window in zip(fused_stats, looped_stats):
         np.testing.assert_array_equal(looped_window, fused_window)
+    return fused_seconds, looped_seconds, total_invocations
 
+
+def test_bench_fused_window_speedup():
+    """Acceptance criterion: fused window execution >= 5x the looped path.
+
+    Both arms are timed best-of-3 with the repetitions alternating between
+    them, so a slow stretch of a shared host hits both arms alike.
+    """
+    fused_seconds, looped_seconds, total_invocations = _timed_window_pair(
+        *_speedup_scenario()
+    )
     speedup = looped_seconds / fused_seconds
     print()
     print(
@@ -272,6 +299,86 @@ def test_bench_fused_window_speedup():
         f"({speedup:.1f}x, bit-identical stats)"
     )
     assert speedup >= _min_speedup()
+
+
+def _hot_scenario():
+    functions = SyntheticFunctionGenerator(
+        config=GeneratorConfig(seed=101, name_prefix="bench-hot")
+    ).generate(HOT_FUNCTIONS)
+    traffic = sample_fleet_traffic(HOT_FUNCTIONS, seed=102, mean_rate_range=HOT_RATE_RANGE)
+    return functions, traffic
+
+
+def test_bench_hot_window_speedup():
+    """Fused windows of an always-active fleet >= HOT_MIN_SPEEDUP x looped.
+
+    Most groups overlap their own invocations, so the kernel walks their
+    multi-instance pools in lockstep instead of one arrival at a time; the
+    stats must still equal the looped oracle's bit for bit.  Both arms are
+    timed best-of-3, alternating.
+    """
+    fused_seconds, looped_seconds, total_invocations = _timed_window_pair(*_hot_scenario())
+    speedup = looped_seconds / fused_seconds
+    print()
+    print(
+        f"hot window execution: {HOT_FUNCTIONS} functions x {SPEEDUP_WINDOWS} "
+        f"windows ({total_invocations:,} invocations): "
+        f"fused {fused_seconds * 1e3 / SPEEDUP_WINDOWS:.1f} ms/window, "
+        f"looped {looped_seconds * 1e3 / SPEEDUP_WINDOWS:.1f} ms/window "
+        f"({speedup:.2f}x, bit-identical stats)"
+    )
+    assert speedup >= _min_hot_speedup()
+
+
+#: Instance-walk shapes: ``(groups, rate_rps, duration_s)`` parts of one
+#: grouped batch, plus whether its groups are one function's six sizes on
+#: fresh pools (the measurement harness) rather than distinct functions.
+WALK_SHAPES = {
+    "uniform": ([(600, 0.03, 3600.0)], False),
+    "heavy-hitter": ([(600, 0.03, 3600.0), (1, 5.0, 3600.0)], False),
+    "one-long": ([(1, 1.0, 3600.0)], False),
+    # The uncapped harness: the paper's 10-minute, 30 req/s experiment.
+    "few-dense": ([(6, 30.0, 600.0)], True),
+}
+
+
+def walk_shape_requests(shape, seed=103):
+    """A fresh platform and the Poisson-arrival group requests of one walk shape."""
+    parts, harness = WALK_SHAPES[shape]
+    n_groups = sum(count for count, _, _ in parts)
+    platform = ServerlessPlatform.with_default_noise(seed=seed)
+    sizes = platform.config.allowed_memory_sizes_mb
+    functions = SyntheticFunctionGenerator(
+        config=GeneratorConfig(seed=seed, name_prefix=f"walk-{shape}")
+    ).generate(1 if harness else n_groups)
+    rng = np.random.default_rng(seed)
+    requests = []
+    for count, rate, duration in parts:
+        for _ in range(count):
+            g = len(requests)
+            function = functions[0 if harness else g]
+            platform.deploy(function.name, function.profile, sizes[g] if harness else 256)
+            arrivals = np.sort(rng.uniform(0.0, duration, rng.poisson(rate * duration)))
+            requests.append(
+                GroupRequest.for_deployed(
+                    platform, function.name, arrivals,
+                    child_rng(seed, STREAM_EXECUTION, 0, g), fresh_pool=harness,
+                )
+            )
+    return platform, requests
+
+
+def walk_shape_seconds(shape, n_runs=3):
+    """Untraced ``run_grouped`` seconds of one walk shape, one fresh platform a run."""
+    runs = []
+    for _ in range(n_runs):
+        platform, requests = walk_shape_requests(shape)
+        backend = get_backend("vectorized")
+        gc.collect()
+        start = time.perf_counter()
+        batch = backend.run_grouped(platform, requests)
+        runs.append(time.perf_counter() - start)
+    return runs, batch.n_invocations, len(requests)
 
 
 def _sparse_scenario(n_functions=None):

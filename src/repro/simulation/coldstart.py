@@ -11,6 +11,7 @@ end-to-end latency experiments can include it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,11 @@ class ColdStartModel:
     noise_cv: float = 0.2
 
     def __post_init__(self) -> None:
+        # NaN compares False against every bound, so finiteness comes first.
+        for name in ("base_init_ms", "runtime_init_ms", "code_load_ms_per_mb",
+                     "keep_alive_s", "noise_cv"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be a finite number")
         if self.base_init_ms < 0 or self.runtime_init_ms < 0 or self.code_load_ms_per_mb < 0:
             raise ConfigurationError("cold-start durations must be non-negative")
         if self.keep_alive_s <= 0:

@@ -14,9 +14,9 @@ them in one pass and reduces them straight to per-group
 This module holds the pieces every grouped executor shares: the
 :class:`GroupRequest` input and :class:`GroupedBatch` output containers, the
 per-group parameter column, and the exact warm/cold instance walks
-(:func:`walk_instances`, the hybrid :func:`walk_group` and the closed-form
-cold-chain solver).  The kernel itself is
-:meth:`repro.simulation.engine.vectorized.VectorizedBackend.run_grouped`.
+(:func:`walk_instances`, the hybrid :func:`walk_group`, the many-group
+:func:`walk_lockstep` and the closed-form cold-chain solver).  The kernel
+itself is :meth:`repro.simulation.engine.vectorized.VectorizedBackend.run_grouped`.
 
 Determinism survives grouping because every group carries its own random
 stream (spawned via :mod:`repro.simulation.seeding`): the kernel draws each
@@ -171,6 +171,10 @@ def walk_group(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hybrid exact instance walk: vectorized runs, scalar tight spots.
 
+    The grouped kernel walks a group here when its pool depends on an
+    earlier group of the same batch, and for the arrivals the lockstep walk
+    (:func:`walk_lockstep`) hands off once few groups are left.
+
     Production fleet traffic is sparse relative to execution times: almost
     every function serves its arrivals strictly one after another on a
     single worker, and the per-arrival Python walk (:func:`walk_instances`)
@@ -189,9 +193,12 @@ def walk_group(
     - the run ends with exactly the last serving instance in the pool
       (earlier ones expired, which is what forced the later cold starts).
 
-    Arrivals at tight gaps, short runs and multi-instance pool states step
-    through the platform's own acquisition logic instead, one arrival at a
-    time, exactly like :func:`walk_instances`.  The combined result is
+    While a multi-instance pool is all idle, a run of arrivals that each
+    find the head worker free again (its exact warm busy-until) and within
+    its keep-alive is served by the head in one step.  Arrivals at tight
+    gaps, short runs and other multi-instance pool states step through the
+    platform's own acquisition logic instead, one arrival at a time, exactly
+    like :func:`walk_instances`.  The combined result is
     bit-identical to the sequential walk — same cold decisions, same float
     expressions for the pool's busy/idle state — it just skips the Python
     loop wherever the single-server regime holds.
@@ -221,7 +228,8 @@ def walk_group(
         # matches it bit for bit: the worst-case (cold) and warm completion
         # of arrival k, and the idle time arrival k+1 would observe.
         cold_completion = arrivals[:-1] + (exec_ms[:-1] + init_worst_ms[:-1]) / 1000.0
-        warm_idle = arrivals[1:] - (arrivals[:-1] + exec_s[:-1])
+        warm_completion = arrivals[:-1] + exec_s[:-1]
+        warm_idle = arrivals[1:] - warm_completion
         cold_idle = arrivals[1:] - cold_completion
         # unsafe[k]: arrival k+1 could reach a still-busy worker even after a
         # cold start at k — the pair needs the sequential logic.
@@ -254,12 +262,13 @@ def walk_group(
             # While every pooled worker is idle and the head instance stays
             # within its keep-alive, the first-idle scan always picks the
             # head — so a stretch of arrivals whose gaps rule out both
-            # overlap (pessimistically, with a worst-case cold start) and
-            # head expiry is served entirely warm by the head instance.
+            # overlap and head expiry is served entirely warm by the head.
+            # Every invocation of the run is warm, so the head's exact
+            # busy-until after arrival k is its warm completion.
             if warm_stop is None:
                 warm_stop = (
                     np.nonzero(
-                        (arrivals[1:] < cold_completion) | (warm_idle > keep_alive)
+                        (arrivals[1:] < warm_completion) | (warm_idle > keep_alive)
                     )[0]
                     if n > 1
                     else np.empty(0, dtype=np.int64)
@@ -361,6 +370,248 @@ def walk_group(
             ids[i] = instance.instance_id
             i += 1
     return cold, init_out, ids
+
+
+#: The lockstep walk hands its still-walking groups to :func:`walk_group`
+#: once they hold fewer than this many groups plus live pool slots: one
+#: numpy step then costs more than stepping their next arrivals one by one.
+#: Counting slots keeps a few groups with large pools in lockstep, where the
+#: scalar acquire scans the whole pool on every arrival.
+LOCKSTEP_HANDOFF = 48
+
+#: Steps before the lockstep walk first weighs a handoff (a fresh window or
+#: measurement chunk starts with empty pools, which fill within a few
+#: arrivals), and the interval between later checks while no group ends.
+_HANDOFF_CHECK_STEPS = 16
+
+
+def walk_lockstep(
+    arrivals: np.ndarray,
+    exec_ms: np.ndarray,
+    init_ms: np.ndarray,
+    starts: np.ndarray,
+    stops: np.ndarray,
+    pools: list,
+    memory_mb: list[float],
+    keep_alive_s: float,
+    max_instances: int,
+    cold_out: np.ndarray,
+    init_out: np.ndarray,
+    ids_out: np.ndarray,
+) -> list[tuple[int, list, list]]:
+    """Walk many groups through their instance pools, one arrival per group a step.
+
+    Row ``r`` walks the flat positions ``[starts[r], stops[r])`` of the
+    group-major columns from the worker list ``pools[r]`` (its pool in pool
+    order; the list is not modified).  Each step advances every still-walking
+    row by one arrival with numpy operations over a (pool slots, rows)
+    state of busy-until, last-used and live flags, slots kept in pool
+    order, and applies ``ServerlessPlatform._acquire_instance``'s rule with
+    :func:`walk_instances`' float expressions: reclaim idle workers past the
+    keep-alive, take the first idle worker in pool order, at
+    ``max_instances`` queue on the earliest-free one, else cold-start a
+    worker appended to the pool.  ``init_ms`` holds every position's
+    (noisy) cold-start init duration.
+
+    The cold flags and init durations of the walked positions are written
+    into ``cold_out`` and ``init_out``, which must hold ``False`` and ``0.0``
+    there on entry.  ``ids_out`` receives the serving worker's id, or ``~p``
+    for a worker cold-started at position ``p``: ids follow the platform's
+    running count in flat position order, which the caller resolves.  Once
+    the walking rows hold fewer than :data:`LOCKSTEP_HANDOFF` rows plus live
+    slots, the walk stops; the caller walks each row's remaining arrivals
+    with :func:`walk_group` from the state returned here.
+
+    Returns
+    -------
+    list of tuple
+        One ``(stop, pool, new)`` per row: the first position not walked,
+        the end pool in pool order (existing workers updated in place) and
+        the workers cold-started into it, whose ``instance_id`` holds their
+        creating position until the caller assigns the id.
+    """
+    n_rows = len(pools)
+    lengths = stops - starts
+    # Rows longest first, so the still-walking rows are always a prefix; the
+    # state is (slots, rows), so every step works on contiguous row runs.
+    order = np.argsort(-lengths, kind="stable")
+    first = starts[order]
+    length_l = lengths[order].tolist()
+    held = [len(pools[r]) for r in order.tolist()]
+    used = np.asarray(held, dtype=np.int64)  # slots each row has used
+    top = max(1, max(held))  # slots any walking row has used
+    state = _LockstepState(n_rows, 2 * top)
+    busy, last, live, code, served = state.arrays
+    existing = [inst for r in order.tolist() for inst in pools[r]]
+    if existing:
+        # Worker j of a row's pool goes to slot j.
+        row_of = np.repeat(np.arange(n_rows), held)
+        slot_of = np.arange(len(existing)) - np.repeat(np.cumsum(used) - used, held)
+        at = slot_of * n_rows + row_of
+        state.busy_f[at] = [inst.busy_until_s for inst in existing]
+        state.last_f[at] = [inst.last_used_s for inst in existing]
+        state.live_f[at] = True
+        state.code_f[at] = [inst.instance_id for inst in existing]
+    row_index = np.arange(n_rows)
+    active = n_rows
+    checked = n_rows
+    k = 0
+    while True:
+        while active and length_l[active - 1] <= k:
+            active -= 1
+        if not active:
+            break
+        if k >= _HANDOFF_CHECK_STEPS and (
+            active < checked or not k % _HANDOFF_CHECK_STEPS
+        ):
+            checked = active
+            if active + np.count_nonzero(live[:top, :active]) < LOCKSTEP_HANDOFF:
+                break
+        if top == state.width:
+            # A row may need a new slot: drop reclaimed slots (keeping pool
+            # order), and grow the state if a pool still fills it.
+            used[:active] = state.compact(active)
+            top = max(1, int(used[:active].max()))
+            if top > state.width // 2:
+                state = _LockstepState(n_rows, 2 * top, state)
+            busy, last, live, code, served = state.arrays
+        pos = first[:active] + k
+        t = arrivals[pos]
+        pool_live = live[:top, :active]
+        free = busy[:top, :active] <= t
+        idle = free & pool_live
+        countdown = state.countdown[-top:]
+        # top - slot of each row's first idle worker in pool order, 0 if none;
+        # a row without one points at slot `top`, which no row has used.
+        rank = (idle * countdown).max(axis=0)
+        rows = row_index[:active]
+        at = np.subtract(top, rank, dtype=np.int64) * n_rows + rows
+        if ((t - state.last_f[at]) > keep_alive_s).any():
+            # Idle workers past the keep-alive are reclaimed when one of them
+            # would be picked (and at the end): until then they cannot be
+            # picked, counted at the cap or move a later worker up the pool.
+            reclaim = (t - last[:top, :active]) > keep_alive_s
+            reclaim &= free
+            pool_live &= ~reclaim
+            idle &= pool_live
+            rank = (idle * countdown).max(axis=0)
+            at = np.subtract(top, rank, dtype=np.int64) * n_rows + rows
+        cold = None
+        if not rank.all():
+            cold = rank == 0
+            if max_instances <= top:
+                at_cap = cold & (np.count_nonzero(pool_live, axis=0) >= max_instances)
+                if at_cap.any():
+                    queue = np.where(pool_live, busy[:top, :active], np.inf).argmin(axis=0)
+                    at = np.where(at_cap, queue * n_rows + rows, at)
+                    cold &= ~at_cap
+            new = np.flatnonzero(cold)
+            if new.shape[0]:
+                new_slot = used[new]
+                at_new = new_slot * n_rows + new
+                at[new] = at_new
+                state.live_f[at_new] = True
+                state.code_f[at_new] = ~pos[new]
+                used[new] = new_slot + 1
+                top = max(top, int(new_slot.max()) + 1)
+            else:
+                cold = None
+        start = np.maximum(t, state.busy_f[at])
+        run_ms = exec_ms[pos]
+        if cold is not None:
+            init = np.where(cold, init_ms[pos], 0.0)
+            cold_out[pos] = cold
+            init_out[pos] = init
+            run_ms = run_ms + init
+        done = start + run_ms / 1000.0
+        state.busy_f[at] = done
+        state.last_f[at] = done
+        state.served_f[at] += 1
+        ids_out[pos] = state.code_f[at]
+        k += 1
+
+    stop = first + np.minimum(lengths[order], k)
+    # The reclaim each row's last walked arrival made.
+    t_last = arrivals[stop - 1]
+    live &= ~(((t_last - last) > keep_alive_s) & (busy <= t_last))
+    worker_cls = _worker_instance_cls()
+    stop_l = stop.tolist()
+    used_l = used.tolist()
+    live_l, code_l = live.T.tolist(), code.T.tolist()
+    busy_l, last_l = busy.T.tolist(), last.T.tolist()
+    served_l = served.T.tolist()
+    results: list = [None] * n_rows
+    for i, r in enumerate(order.tolist()):
+        by_id = {inst.instance_id: inst for inst in pools[r]}
+        pool, new = [], []
+        for c in range(used_l[i]):
+            if not live_l[i][c]:
+                continue
+            ident = code_l[i][c]
+            if ident >= 0:
+                instance = by_id[ident]
+                instance.busy_until_s = busy_l[i][c]
+                instance.last_used_s = last_l[i][c]
+                instance.invocations += served_l[i][c]
+            else:
+                # Fields in _WorkerInstance declaration order; the id is
+                # the creating position until the caller resolves it.
+                p = ~ident
+                instance = worker_cls(
+                    p, memory_mb[r], float(arrivals[p]),
+                    busy_l[i][c], last_l[i][c], served_l[i][c],
+                )
+                new.append(instance)
+            pool.append(instance)
+        results[r] = (stop_l[i], pool, new)
+    return results
+
+
+class _LockstepState:
+    """The (slots, rows) worker state of :func:`walk_lockstep`.
+
+    Per slot: busy-until, last-used, live, code (the worker's id, or ``~p``
+    for a worker cold-started at flat position ``p``) and invocations
+    served.  Slots a row has not used hold busy-until 0 and last-used +inf,
+    so a new worker starts at its arrival and an unused slot never reads as
+    expired.  The ``*_f`` attributes are flat views, indexed at
+    ``slot * n_rows + row``.
+    """
+
+    _DTYPES = (np.float64, np.float64, bool, np.int64, np.int64)
+
+    def __init__(self, n_rows: int, width: int, old: "_LockstepState | None" = None):
+        width = max(8, width)
+        self.width = width
+        self.arrays = tuple(np.zeros((width, n_rows), dtype=dtype) for dtype in self._DTYPES)
+        self.arrays[1].fill(np.inf)
+        if old is not None:
+            for array, previous in zip(self.arrays, old.arrays):
+                array[: old.width] = previous
+        self.busy_f, self.last_f, self.live_f, self.code_f, self.served_f = (
+            array.ravel() for array in self.arrays
+        )
+        # Descending slot weights: a (slots, rows) max over them finds each
+        # row's first flagged slot.
+        self.countdown = np.arange(
+            width, 0, -1, dtype=np.int16 if width < 2**15 else np.int64
+        )[:, None]
+
+    def compact(self, active: int) -> np.ndarray:
+        """Move the live slots of rows ``[0, active)`` to the front, in order.
+
+        Returns the rows' live-slot counts; their other slots are reset.
+        """
+        busy, last, live, _, served = self.arrays
+        kept = np.argsort(~live[:, :active], axis=0, kind="stable")
+        for array in self.arrays:
+            array[:, :active] = np.take_along_axis(array[:, :active], kept, axis=0)
+        n_live = np.count_nonzero(live[:, :active], axis=0)
+        unused = np.arange(self.width)[:, None] >= n_live
+        busy[:, :active][unused] = 0.0
+        last[:, :active][unused] = np.inf
+        served[:, :active][unused] = 0
+        return n_live
 
 
 def solve_cold_recurrence(

@@ -20,16 +20,21 @@ makes three flat passes:
    gathered by group index through scratch buffers held on the backend
    (:meth:`~repro.simulation.runtime.NodeRuntimeModel.metrics_batch_grouped`);
    no ``(n_params, n)`` expansion materializes.
-3. **Cross-group instance walk** — the single-server-run classification of
-   :func:`~repro.simulation.engine.grouped.walk_group` evaluated once over
-   the flat group-major columns: pair completion/idle arrays, expiry masks
-   and the cold-chain recurrence
-   (:func:`~repro.simulation.engine.grouped.solve_cold_recurrence`, with
-   every group head as an absolute anchor) for *all* groups in one pass;
+3. **Cross-group instance walk** — first a flat pass: the single-server-run
+   classification of :func:`~repro.simulation.engine.grouped.walk_group`
+   evaluated once over the flat group-major columns (pair completion/idle
+   arrays, expiry masks and the cold-chain recurrence
+   :func:`~repro.simulation.engine.grouped.solve_cold_recurrence`, with
+   every group head as an absolute anchor) for *all* groups at once;
    segmented reductions recover cold counts, instance ids and end-pool
-   state.  Groups the flat pass cannot prove safe — busy or multi-instance
-   pools, overlapping arrivals, duplicate non-fresh names — fall back to
-   ``walk_group``.
+   state.  The groups it cannot prove safe — busy or multi-instance pools,
+   overlapping arrivals — then walk in lockstep
+   (:func:`~repro.simulation.engine.grouped.walk_lockstep`): each numpy
+   step advances every such group by one arrival over a (pool slots,
+   groups) state.  Once few groups remain, their remaining arrivals go to
+   ``walk_group`` in group order, as does every group whose pool depends
+   on an earlier group of the batch (a repeated name without
+   ``fresh_pool``).  Instance ids follow the flat position order.
 
 Every group draws its noise from its own request stream, so the kernel is
 bit-identical to executing the groups one batch at a time in group order.
@@ -55,6 +60,7 @@ from repro.simulation.engine.grouped import (
     solve_cold_recurrence,
     validate_group_timestamps,
     walk_group,
+    walk_lockstep,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -464,19 +470,21 @@ class VectorizedBackend(ExecutionBackend):
         single_ids: list[int],
         any_fresh: bool,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One vectorized instance walk over all groups' flat columns.
+        """One instance walk over all groups' flat columns.
 
         Safe groups (empty or idle single-instance pool, no overlapping
         arrival pairs, name not executed earlier in this batch) are resolved
-        entirely from the flat pair masks; the rest run the per-group hybrid
-        :func:`walk_group`, preserving bit-identity with the sequential walk.
+        entirely from the flat pair masks.  The other groups walk their
+        pools in lockstep (:func:`walk_lockstep`), except a group whose pool
+        depends on an earlier group of the batch (a repeated name without
+        ``fresh_pool``): it runs the per-group hybrid :func:`walk_group`
+        from its first arrival, in group order, and so do the arrivals the
+        lockstep hands off.  Bit-identical to the sequential walk.
         """
         n_groups = len(requests)
         n_total = int(offsets[-1])
         keep_alive = platform.cold_start_model.keep_alive_s
-
-        cold_start = np.zeros(n_total, dtype=bool)
-        init_ms = np.zeros(n_total)
+        instances_map = platform._instances
         instance_ids = np.zeros(n_total, dtype=np.int64)
 
         pool_single = np.fromiter(
@@ -492,6 +500,7 @@ class VectorizedBackend(ExecutionBackend):
         nonempty = sizes > 0
         starts_ne = offsets[:-1][nonempty]
         ends_ne = offsets[1:][nonempty] - 1
+        walked: dict[int, tuple] = {}
         if n_total:
             first_t = np.where(
                 nonempty, t[np.minimum(offsets[:-1], n_total - 1)], 0.0
@@ -518,9 +527,9 @@ class VectorizedBackend(ExecutionBackend):
             # absolute anchors, so anchors and flip parity never leak across
             # group boundaries (see solve_cold_recurrence).
             disagree = (warm_expired != cold_expired) & internal
-            run_cold = np.empty(n_total, dtype=bool)
-            run_cold[1:] = warm_expired
-            run_cold[starts_ne] = head_cold[nonempty]
+            cold_start = np.empty(n_total, dtype=bool)
+            cold_start[1:] = warm_expired
+            cold_start[starts_ne] = head_cold[nonempty]
             if disagree.any():
                 abs_mask = np.empty(n_total, dtype=bool)
                 abs_mask[0] = True
@@ -529,16 +538,47 @@ class VectorizedBackend(ExecutionBackend):
                 flip = np.zeros(n_total, dtype=bool)
                 flip[1:] = disagree & warm_expired
                 flip[starts_ne] = False
-                run_cold = solve_cold_recurrence(abs_mask, run_cold, flip)
+                cold_start = solve_cold_recurrence(abs_mask, cold_start, flip)
+            init_ms = np.where(cold_start, init_worst, 0.0)
 
-            init_out = np.where(run_cold, init_worst, 0.0)
-            cum = np.cumsum(run_cold)
+            # Lockstep walk of the unsafe groups whose pools do not depend on
+            # an earlier group, into the flat columns (their flat-pass cold
+            # flags and init times cleared first).  A worker it cold-starts
+            # at position p serves as ~p until the ids are resolved below.
+            lockstep = nonempty & ~safe & ~forced_unsafe
+            if lockstep.any():
+                lock_groups = np.flatnonzero(lockstep).tolist()
+                in_lockstep = np.repeat(lockstep, sizes)
+                cold_start[in_lockstep] = False
+                init_ms[in_lockstep] = 0.0
+                del in_lockstep
+                rows = walk_lockstep(
+                    t,
+                    exec_ms,
+                    init_worst,
+                    offsets[:-1][lockstep],
+                    offsets[1:][lockstep],
+                    [
+                        () if requests[g].fresh_pool else instances_map.get(names[g], ())
+                        for g in lock_groups
+                    ],
+                    columns[4, lockstep].tolist(),
+                    keep_alive,
+                    platform.config.max_instances_per_function,
+                    cold_start,
+                    init_ms,
+                    instance_ids,
+                )
+                walked = dict(zip(lock_groups, rows))
+
+            # seg[p]: the cold starts of p's group up to and including p.
+            cum = np.cumsum(cold_start)
             seg_base = np.where(offsets[:-1] > 0, cum[np.maximum(offsets[:-1] - 1, 0)], 0)
             seg = cum - np.take(seg_base, gid)
 
             idx = np.arange(n_total)
-            pos_cold = np.where(run_cold, idx, -1)
-            first_pos = np.where(run_cold, idx, n_total)
+            pos_cold = np.where(cold_start, idx, -1)
+            first_pos = np.where(cold_start, idx, n_total)
             n_cold_g = np.zeros(n_groups, dtype=np.int64)
             last_cold_g = np.full(n_groups, -1, dtype=np.int64)
             first_cold_g = np.full(n_groups, n_total, dtype=np.int64)
@@ -551,20 +591,19 @@ class VectorizedBackend(ExecutionBackend):
                 # End-pool busy time: same float expression as walk_group's
                 # final busy_until update, vectorized over group tails.
                 busy_g[nonempty] = (
-                    t[ends_ne] + (exec_ms[ends_ne] + init_out[ends_ne]) / 1000.0
+                    t[ends_ne] + (exec_ms[ends_ne] + init_ms[ends_ne]) / 1000.0
                 )
                 created_g[nonempty] = t[np.maximum(last_cold_g[nonempty], 0)]
-            cold_start = run_cold
-            init_ms = init_out
         else:
+            cold_start = np.zeros(0, dtype=bool)
+            init_ms = np.zeros(0)
             safe = np.zeros(n_groups, dtype=bool)
             seg = np.zeros(0, dtype=np.int64)
             n_cold_g = last_cold_g = first_cold_g = np.zeros(n_groups, dtype=np.int64)
             busy_g = created_g = np.zeros(n_groups)
 
-        # ---- sequential per-group bookkeeping (id order, pools, fallback) -
+        # ---- sequential per-group bookkeeping (id order, pools, handoff) --
         worker_cls = _worker_instance_cls()
-        instances_map = platform._instances
         off_l = offsets.tolist()
         safe_l = safe.tolist()
         n_cold_l = n_cold_g.tolist()
@@ -616,6 +655,10 @@ class VectorizedBackend(ExecutionBackend):
                 deployment.invocation_count += n
             platform._next_instance_id = next_id + int(cum[-1])
             return cold_start, init_ms, instance_ids
+
+        # Id base of each group: the platform counter after every cold start
+        # at an earlier flat position, the id order of a sequential walk.
+        id_base = np.zeros(n_groups, dtype=np.int64)
         for g, request in enumerate(requests):
             a = off_l[g]
             b = off_l[g + 1]
@@ -645,21 +688,39 @@ class VectorizedBackend(ExecutionBackend):
                 instance.busy_until_s = busy_l[g]
                 instance.last_used_s = busy_l[g]
                 instances_map[name][:] = [instance]
-            else:
+                request.deployment.invocation_count += b - a
+                continue
+            start = a
+            if g in walked:
+                # The lockstep's end pool, with ids from this group's base;
+                # arrivals left at the handoff continue from that state.
+                start, pool, new = walked[g]
+                id_base[g] = next_id
+                for instance in new:
+                    instance.instance_id = next_id + int(seg[instance.instance_id])
+                instances_map[name][:] = pool
+                next_id += int(seg[start - 1])
+            if start < b:
                 platform._next_instance_id = next_id
                 cold_g, init_g, ids_g = walk_group(
                     platform,
                     name,
                     mem_l[g],
-                    request.arrivals,
-                    exec_ms[a:b],
+                    request.arrivals[start - a :],
+                    exec_ms[start:b],
                     float(columns[3, g]),
-                    cold_noise[a:b] if cold_noise is not None else None,
+                    cold_noise[start:b] if cold_noise is not None else None,
                 )
                 next_id = platform._next_instance_id
-                cold_start[a:b] = cold_g
-                init_ms[a:b] = init_g
-                instance_ids[a:b] = ids_g
+                cold_start[start:b] = cold_g
+                init_ms[start:b] = init_g
+                instance_ids[start:b] = ids_g
             request.deployment.invocation_count += b - a
         platform._next_instance_id = next_id
+        if walked:
+            # A lockstep worker cold-started at position p (served as ~p)
+            # has id base(group) + seg[p].
+            new_served = np.flatnonzero(instance_ids < 0)
+            created_at = ~instance_ids[new_served]
+            instance_ids[new_served] = id_base[gid[new_served]] + seg[created_at]
         return cold_start, init_ms, instance_ids

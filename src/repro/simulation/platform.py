@@ -21,6 +21,7 @@ passing invocation timestamps (the open-loop load generator in
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -61,8 +62,9 @@ class PlatformConfig:
     max_instances_per_function: int = 1000
 
     def __post_init__(self) -> None:
-        if self.max_instances_per_function < 1:
-            raise ConfigurationError("max_instances_per_function must be >= 1")
+        cap = self.max_instances_per_function
+        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
+            raise ConfigurationError("max_instances_per_function must be an integer >= 1")
         if self.allowed_memory_sizes_mb is not None:
             if not self.allowed_memory_sizes_mb:
                 raise ConfigurationError("allowed_memory_sizes_mb must not be empty")

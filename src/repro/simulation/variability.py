@@ -10,6 +10,7 @@ metrics over a measurement window *are* stable, mirroring Figure 3.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,11 @@ class VariabilityModel:
     drift_amplitude: float = 0.03
 
     def __post_init__(self) -> None:
+        # NaN compares False against every bound, so finiteness comes first.
+        for name in ("cpu_noise_cv", "counter_noise_cv", "tail_probability",
+                     "tail_multiplier", "drift_amplitude"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be a finite number")
         for name in ("cpu_noise_cv", "counter_noise_cv", "drift_amplitude"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be non-negative")

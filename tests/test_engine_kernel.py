@@ -18,20 +18,25 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.fleet import FleetConfig
 from repro.simulation.coldstart import ColdStartModel
 from repro.simulation.engine import GroupRequest, available_backends, get_backend
 from repro.simulation.engine import grouped as grouped_mod
+from repro.simulation.engine import vectorized as vectorized_mod
 from repro.simulation.execution import ExecutionModel
 from repro.simulation.platform import PlatformConfig, ServerlessPlatform
+from repro.simulation.profile import ResourceProfile
 from repro.simulation.seeding import STREAM_EXECUTION, child_rng
 from repro.simulation.variability import VariabilityModel
+from repro.workloads.function import FunctionSpec
 from repro.workloads.generator import GeneratorConfig, SyntheticFunctionGenerator
-from repro.workloads.traffic import ConstantTraffic
+from repro.workloads.traffic import ConstantTraffic, sample_fleet_traffic
 
-from looped_oracle import assert_identical
+from looped_oracle import LoopedBackend, assert_identical
 
 
 def _functions(n, seed=11, prefix="cmp"):
@@ -61,12 +66,18 @@ class TestFleetWindowParity:
             functions = _functions(6, seed=9, prefix="defg")
             traffic = [ConstantTraffic(rate_rps=0.01)] * len(functions)
             return functions, traffic, FleetConfig(window_s=3600.0, seed=21)
+        if name == "hot":
+            # perfbench fleet-hot's shape: every function active, most of
+            # them overlapping, so the windows walk in lockstep.
+            functions = _functions(40, seed=13, prefix="hot")
+            traffic = sample_fleet_traffic(40, seed=14, mean_rate_range=(0.01, 0.05))
+            return functions, traffic, FleetConfig(window_s=3600.0, seed=15)
         functions, traffic = traffic_model_fleet(name, "cfleet")
         return functions, traffic, FleetConfig(window_s=3600.0, seed=17)
 
     @pytest.mark.parametrize(
         "fleet",
-        ["bursty", "constant", "diurnal", "ramp", "trace", "mixed", "shared-constant"],
+        ["bursty", "constant", "diurnal", "ramp", "trace", "mixed", "shared-constant", "hot"],
     )
     def test_kernel_equals_looped(
         self, fleet, mixed_fleet, traffic_model_fleet, assert_fleet_matches_looped
@@ -273,6 +284,212 @@ class TestDisagreementPath:
             np.testing.assert_array_equal(
                 grouped_mod.solve_cold_recurrence(abs_mask, abs_vals, flip), expected
             )
+
+
+#: Arrival shapes of the lockstep property test: (count range, span in s).
+_ARRIVAL_KINDS = {
+    "empty": ((0, 0), 1.0),
+    "one": ((1, 1), 30.0),
+    "sparse": ((3, 12), 300.0),
+    "dense": ((10, 60), 20.0),
+    "long": ((150, 300), 120.0),
+}
+
+
+def _lockstep_platform(seed, max_instances, keep_alive_s, noise_free=False):
+    return ServerlessPlatform(
+        config=PlatformConfig(
+            allowed_memory_sizes_mb=None, seed=seed, max_instances_per_function=max_instances
+        ),
+        execution_model=ExecutionModel(
+            variability=VariabilityModel.none() if noise_free else VariabilityModel()
+        ),
+        cold_start_model=ColdStartModel(
+            keep_alive_s=keep_alive_s, noise_cv=0.0 if noise_free else 0.2
+        ),
+    )
+
+
+class TestLockstepWalk:
+    """The lockstep walk of the unsafe groups equals the looped oracle.
+
+    Groups the flat pass cannot prove single-server walk their pools in
+    lockstep (``walk_lockstep``), handing the arrivals left once few groups
+    remain, and every group whose pool depends on an earlier group of the
+    batch, to ``walk_group`` in group order.  Every ``GroupedBatch`` field,
+    the warm pools and the platform's id counter must equal the looped
+    oracle's, bit for bit.
+    """
+
+    @staticmethod
+    def _run_batches(execute, functions, batches, max_instances, keep_alive_s, seed=3,
+                     noise_free=False):
+        """Run ``batches`` of ``(function index, arrivals, fresh)`` groups in order."""
+        platform = _lockstep_platform(seed, max_instances, keep_alive_s, noise_free)
+        for function in functions:
+            platform.deploy(function.name, function.profile, 512)
+        results = []
+        for b, groups in enumerate(batches):
+            requests = [
+                GroupRequest.for_deployed(
+                    platform, functions[i].name, arrivals,
+                    child_rng(seed, STREAM_EXECUTION, b, g), fresh_pool=fresh,
+                )
+                for g, (i, arrivals, fresh) in enumerate(groups)
+            ]
+            results.append(execute(platform, requests))
+        return platform, results
+
+    def _assert_matches_looped(self, looped_backend, pool_state, functions, batches,
+                               max_instances=1000, keep_alive_s=600.0, noise_free=False):
+        runs = [
+            self._run_batches(
+                execute, functions, batches, max_instances, keep_alive_s,
+                noise_free=noise_free,
+            )
+            for execute in (get_backend("vectorized").run_grouped, looped_backend.run_grouped)
+        ]
+        (kernel, kernel_batches), (looped, looped_batches) = runs
+        for got, expected in zip(kernel_batches, looped_batches):
+            assert_identical(got, expected)
+        names = [f.name for f in functions]
+        assert pool_state(kernel, names) == pool_state(looped, names)
+        for name in names:
+            assert kernel.total_cost_usd(name) == looped.total_cost_usd(name)
+            assert (
+                kernel.get_function(name).invocation_count
+                == looped.get_function(name).invocation_count
+            )
+        return kernel, kernel_batches
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        groups=st.lists(
+            st.tuples(
+                st.integers(0, 7),
+                st.sampled_from(sorted(_ARRIVAL_KINDS)),
+                st.booleans(),
+                st.integers(0, 2**16),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        max_instances=st.sampled_from([1, 2, 3, 1000]),
+        keep_alive_s=st.sampled_from([2.0, 8.0, 600.0]),
+        gap_s=st.sampled_from([0.5, 5.0, 60.0]),
+    )
+    def test_two_batches_equal_looped(
+        self, looped_backend, pool_state, groups, max_instances, keep_alive_s, gap_s
+    ):
+        """The second batch starts from pools of idle, busy and expired workers."""
+        functions = _functions(8, seed=29, prefix="lock")
+        first, second = [], []
+        for i, kind, fresh, seed in groups:
+            (low, high), span = _ARRIVAL_KINDS[kind]
+            rng = np.random.default_rng(seed)
+            arrivals = np.sort(rng.uniform(0.0, span, int(rng.integers(low, high + 1))))
+            first.append((i, arrivals, fresh))
+            # Shifted past the first batch's arrivals by a short, keep-alive
+            # sized or long gap: a few workers are still busy, some expired.
+            second.append((i, arrivals + span + gap_s, fresh))
+        self._assert_matches_looped(
+            looped_backend, pool_state, functions, [first, second],
+            max_instances=max_instances, keep_alive_s=keep_alive_s,
+        )
+
+    def _tie_platform_state(self, keep_alive_s):
+        """Noise-free first batch: two overlapping arrivals leave two workers."""
+        # Pure CPU work and no noise source: exact, repeatable durations.
+        profile = ResourceProfile(
+            cpu_user_ms=250.0, cpu_system_ms=8.0, memory_working_set_mb=70.0,
+            heap_allocated_mb=50.0, blocking_fraction=0.9,
+        )
+        function = FunctionSpec(name="tie-fn", profile=profile)
+        first = [(0, np.array([0.0, 0.05]), False)]
+        platform, _ = self._run_batches(
+            LoopedBackend().run_grouped, [function], [first], 1000, keep_alive_s,
+            noise_free=True,
+        )
+        return function, first, platform._instances["tie-fn"]
+
+    def test_arrival_exactly_at_busy_until_equals_looped(self, looped_backend, pool_state):
+        """A worker free exactly at the arrival serves it warm."""
+        function, first, (head, spare) = self._tie_platform_state(600.0)
+        assert head.busy_until_s < spare.busy_until_s
+        second = [(0, np.array([head.busy_until_s]), False)]
+        _, (_, batch) = self._assert_matches_looped(
+            looped_backend, pool_state, [function], [first, second], noise_free=True
+        )
+        assert not batch.cold_start[0] and batch.instance_ids[0] == head.instance_id
+
+    @pytest.mark.parametrize("past_keep_alive", [False, True])
+    def test_idle_gap_exactly_keep_alive_equals_looped(
+        self, looped_backend, pool_state, past_keep_alive
+    ):
+        """An idle gap of exactly the keep-alive keeps the worker; one float more does not."""
+        _, _, (_, spare) = self._tie_platform_state(600.0)
+        # The keep-alive is the exact float gap from the spare's last use to
+        # a later arrival, so that arrival sees idle == keep_alive: the head
+        # (idle longer) is reclaimed and the spare serves warm.  The next
+        # float after it sees both past the keep-alive: a cold start.
+        tie_s = spare.last_used_s + 900.0
+        keep_alive_s = tie_s - spare.last_used_s
+        function, first, (_, spare) = self._tie_platform_state(keep_alive_s)
+        at_s = np.nextafter(tie_s, np.inf) if past_keep_alive else tie_s
+        second = [(0, np.array([at_s, at_s + 1.0]), False)]
+        _, (_, batch) = self._assert_matches_looped(
+            looped_backend, pool_state, [function], [first, second],
+            keep_alive_s=keep_alive_s, noise_free=True,
+        )
+        assert batch.cold_start[0] == past_keep_alive
+        if not past_keep_alive:
+            assert batch.instance_ids[0] == spare.instance_id
+
+    def test_heavy_hitter_hands_off_mid_walk(self, looped_backend, pool_state, monkeypatch):
+        """Short groups finish, and the long one's rest goes to walk_group."""
+        handed = []
+        walk = vectorized_mod.walk_group
+
+        def recording_walk(platform, name, memory_mb, arrivals, *rest):
+            handed.append((name, arrivals.shape[0]))
+            return walk(platform, name, memory_mb, arrivals, *rest)
+
+        monkeypatch.setattr(vectorized_mod, "walk_group", recording_walk)
+        functions = _functions(31, seed=37, prefix="heavy")
+        rng = np.random.default_rng(4)
+        batch = [(i, np.sort(rng.uniform(0.0, 30.0, 24)), False) for i in range(30)]
+        heavy = np.sort(rng.uniform(0.0, 600.0, 600))
+        batch.append((30, heavy, False))
+        self._assert_matches_looped(
+            looped_backend, pool_state, functions, [batch, batch[::-1]]
+        )
+        heavy_name = functions[30].name
+        assert any(
+            name == heavy_name and 0 < n < heavy.shape[0] for name, n in handed
+        ), handed
+
+    def test_repeated_name_between_group_and_fresh_group(self, looped_backend, pool_state):
+        """A non-fresh repeat walks after its predecessor; a fresh repeat starts empty."""
+        functions = _functions(3, seed=41, prefix="rep")
+        rng = np.random.default_rng(6)
+
+        def dense():
+            return np.sort(rng.uniform(0.0, 15.0, 30))
+
+        batch = [
+            (0, dense(), False),
+            (1, dense(), False),
+            (0, dense() + 20.0, False),  # depends on group 0's end pool
+            (2, dense(), True),
+            (0, dense() + 40.0, True),  # fresh: group 2's pool is dropped
+            (1, dense() + 40.0, False),
+        ]
+        later = [(i, arrivals + 100.0, False) for i, arrivals, _ in batch]
+        self._assert_matches_looped(looped_backend, pool_state, functions, [batch, later])
 
 
 class TestRegistryErrorPaths:

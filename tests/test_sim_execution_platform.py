@@ -130,6 +130,15 @@ class TestServerlessPlatform:
         late = platform.invoke(cpu_function.name, at_time_s=10_000.0)
         assert late.result.cold_start is True
 
+    @pytest.mark.parametrize("cap", [0, -1, 2.5, 2.0, float("nan"), True])
+    def test_instance_cap_must_be_a_positive_integer(self, cap):
+        with pytest.raises(ConfigurationError, match="max_instances_per_function"):
+            PlatformConfig(max_instances_per_function=cap)
+
+    def test_instance_cap_accepts_numpy_integers(self):
+        config = PlatformConfig(max_instances_per_function=np.int64(3))
+        assert config.max_instances_per_function == 3
+
     def test_memory_size_restriction(self):
         restricted = ServerlessPlatform(config=PlatformConfig(seed=0))
         profile = ResourceProfile(cpu_user_ms=10.0)

@@ -144,6 +144,15 @@ class TestVariabilityModel:
             VariabilityModel(tail_probability=1.5)
         with pytest.raises(ConfigurationError):
             VariabilityModel(tail_multiplier=0.5)
+        # NaN passes every range check, so each field is checked finite:
+        # a NaN CPU or straggler factor would otherwise reach the kernel.
+        for name in (
+            "cpu_noise_cv", "counter_noise_cv", "tail_probability",
+            "tail_multiplier", "drift_amplitude",
+        ):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ConfigurationError, match=name):
+                    VariabilityModel(**{name: value})
 
 
 class TestColdStartModel:
@@ -172,3 +181,12 @@ class TestColdStartModel:
             model.duration_ms(128, -1.0, 0.5)
         with pytest.raises(ConfigurationError):
             model.is_expired(-1.0)
+        # A NaN keep-alive would never expire a worker, and a NaN init or
+        # noise would reach every cold start.
+        for name in (
+            "base_init_ms", "runtime_init_ms", "code_load_ms_per_mb",
+            "keep_alive_s", "noise_cv",
+        ):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ConfigurationError, match=name):
+                    ColdStartModel(**{name: value})

@@ -7,10 +7,12 @@ successive PRs can track the throughput and peak-memory trajectory of the
 hot paths:
 
 - **fleet** — fused cross-function window execution vs the per-function-batch
-  path (windows/s, invocations/s), plus the fleet-scale ``sparse`` section
-  (the fleet window vs the dense O(fleet) reference on a mostly-idle fleet),
-  both timed as the median of 3 untraced interleaved runs with tracemalloc
-  peak bytes from a separate traced run, and the ``fleet_scale`` endurance
+  path (windows/s, invocations/s) on a long-tail fleet and, as ``hot``, on an
+  always-active one, plus the fleet-scale ``sparse`` section (the fleet
+  window vs the dense O(fleet) reference on a mostly-idle fleet), all timed
+  as the median of 3 untraced interleaved runs with tracemalloc peak bytes
+  from a separate traced run; the ``walk_shapes`` section (the grouped
+  kernel on four instance-walk shapes); and the ``fleet_scale`` endurance
   run (one million functions through 24 virtual hours at ``--scale full``);
 - **generation** — training-dataset generation per execution-backend variant
   (invocations/s from the median of 3 untraced runs, tracemalloc peak bytes
@@ -64,12 +66,14 @@ sys.path.insert(0, str(_BENCHMARKS_DIR.parent / "tests"))
 SCALES = {
     "quick": {
         "REPRO_BENCH_FLEET_SPEEDUP_FUNCTIONS": "120",
+        "REPRO_BENCH_FLEET_HOT_FUNCTIONS": "200",
         "REPRO_BENCH_FLEET_SPARSE_FUNCTIONS": "5000",
         "REPRO_BENCH_GEN_FUNCTIONS": "60",
         "REPRO_BENCH_TRAIN_EPOCHS": "100",
     },
     "full": {
         "REPRO_BENCH_FLEET_SPEEDUP_FUNCTIONS": "500",
+        "REPRO_BENCH_FLEET_HOT_FUNCTIONS": "600",
         "REPRO_BENCH_FLEET_SPARSE_FUNCTIONS": "100000",
         "REPRO_BENCH_GEN_FUNCTIONS": "200",
         "REPRO_BENCH_TRAIN_EPOCHS": "400",
@@ -169,8 +173,59 @@ def bench_fleet() -> dict:
         "speedup": round(
             results["looped"]["seconds"] / results["fused"]["seconds"], 2
         ),
+        "hot": bench_fleet_hot(bench),
         "sparse": bench_fleet_sparse(bench),
+        "walk_shapes": bench_walk_shapes(bench),
     }
+
+
+def bench_fleet_hot(bench) -> dict:
+    """Fused vs looped windows of the always-active fleet (``_hot_scenario``)."""
+    functions, traffic = bench._hot_scenario()
+    results, first = _fleet_rows(
+        {
+            label: lambda fused=fused: bench.execute_windows(functions, traffic, fused=fused)
+            for label, fused in (("fused", True), ("looped", False))
+        },
+        bench.SPEEDUP_WINDOWS,
+    )
+    if not np.array_equal(np.stack(first["fused"][2]), np.stack(first["looped"][2])):
+        raise AssertionError("fused and looped hot window stats diverged")
+    return {
+        "config": {
+            "n_functions": bench.HOT_FUNCTIONS,
+            "n_windows": bench.SPEEDUP_WINDOWS,
+            "window_s": bench.WINDOW_S,
+            "mean_rate_range_rps": list(bench.HOT_RATE_RANGE),
+        },
+        "results": results,
+        "speedup": round(
+            results["looped"]["seconds"] / results["fused"]["seconds"], 2
+        ),
+    }
+
+
+def bench_walk_shapes(bench) -> dict:
+    """The grouped kernel on the instance-walk shapes of ``WALK_SHAPES``.
+
+    Each row is one ``run_grouped`` call on a fresh platform: ``seconds`` is
+    the median of ``seconds_runs`` (3 untraced runs).
+    """
+    rows = {}
+    for shape, (parts, harness) in bench.WALK_SHAPES.items():
+        runs, invocations, n_groups = bench.walk_shape_seconds(shape)
+        rows[shape] = {
+            "groups": [
+                {"count": count, "rate_rps": rate, "duration_s": duration}
+                for count, rate, duration in parts
+            ],
+            "harness": harness,
+            "n_groups": n_groups,
+            "invocations": invocations,
+            "seconds": round(statistics.median(runs), 4),
+            "seconds_runs": [round(t, 4) for t in runs],
+        }
+    return rows
 
 
 def bench_fleet_sparse(bench) -> dict:
@@ -404,7 +459,8 @@ def main(argv=None) -> int:
         print(
             f"{path}: fused {report['results']['fused']['ops_per_second']:,.0f} inv/s, "
             f"looped {report['results']['looped']['ops_per_second']:,.0f} inv/s "
-            f"({report['speedup']}x); sparse {report['sparse']['speedup']}x over "
+            f"({report['speedup']}x); hot {report['hot']['speedup']}x; "
+            f"sparse {report['sparse']['speedup']}x over "
             f"dense at {report['sparse']['config']['n_functions']:,} functions; "
             f"fleet-scale {report['fleet_scale']['config']['n_functions']:,} "
             f"functions x {report['fleet_scale']['config']['n_windows']} windows "
