@@ -264,11 +264,7 @@ class ExecutionBackend(abc.ABC):
             raise SimulationError("run_grouped needs at least one group request")
         # Every group is validated before the first redeploy or batch runs, so
         # a refused call changes nothing and says what the kernel says.
-        offsets = np.zeros(len(requests) + 1, dtype=np.int64)
-        np.cumsum([r.arrivals.shape[0] for r in requests], out=offsets[1:])
-        validate_group_timestamps(
-            np.concatenate([r.arrivals for r in requests]), offsets, requests
-        )
+        _, offsets = validate_group_timestamps(requests)
         batches = []
         for request in requests:
             # Execute against the deployment captured at request-build time:

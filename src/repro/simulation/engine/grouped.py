@@ -13,10 +13,10 @@ them in one pass and reduces them straight to per-group
 
 This module holds the pieces every grouped executor shares: the
 :class:`GroupRequest` input and :class:`GroupedBatch` output containers, the
-per-group parameter column, and the exact warm/cold instance walks
-(:func:`walk_instances`, the hybrid :func:`walk_group`, the many-group
-:func:`walk_lockstep` and the closed-form cold-chain solver).  The kernel
-itself is :meth:`repro.simulation.engine.vectorized.VectorizedBackend.run_grouped`.
+per-group parameter column, and the exact warm/cold instance walks: the
+scalar :func:`walk_instances`, its array form :func:`walk_lockstep` and the
+closed-form cold-chain solver.  The kernel itself is
+:meth:`repro.simulation.engine.vectorized.VectorizedBackend.run_grouped`.
 
 Determinism survives grouping because every group carries its own random
 stream (spawned via :mod:`repro.simulation.seeding`): the kernel draws each
@@ -108,10 +108,14 @@ def walk_instances(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Walk one group's sorted arrivals through the platform's instance pool.
 
-    Reuses the platform's own acquisition logic (keep-alive reclaim, warm
-    reuse, concurrency limit) so warm/cold decisions are identical to the
-    scalar path; only the noise pairing differs when cold-start noise is
-    enabled.  Mutates the pool, so consecutive batches see warm workers.
+    The scalar walk: one ``ServerlessPlatform._acquire_instance`` call per
+    arrival (keep-alive reclaim, warm reuse, concurrency limit), so
+    warm/cold decisions are identical to the serial path's; only the noise
+    pairing differs when cold-start noise is enabled.  The grouped kernel
+    runs it for the arrivals :func:`walk_lockstep` hands off and for every
+    group whose pool depends on an earlier group of the batch; the looped
+    oracle runs it for every group.  Mutates the pool and advances the
+    platform's id counter, so consecutive batches see warm workers.
 
     Parameters
     ----------
@@ -160,219 +164,7 @@ def walk_instances(
     return cold_start, init_ms, instance_ids
 
 
-def walk_group(
-    platform: "ServerlessPlatform",
-    function_name: str,
-    memory_mb: float,
-    arrivals: np.ndarray,
-    exec_ms: np.ndarray,
-    init_base_ms: float,
-    cold_noise: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hybrid exact instance walk: vectorized runs, scalar tight spots.
-
-    The grouped kernel walks a group here when its pool depends on an
-    earlier group of the same batch, and for the arrivals the lockstep walk
-    (:func:`walk_lockstep`) hands off once few groups are left.
-
-    Production fleet traffic is sparse relative to execution times: almost
-    every function serves its arrivals strictly one after another on a
-    single worker, and the per-arrival Python walk (:func:`walk_instances`)
-    spends the whole window doing trivial bookkeeping.  This walk splits
-    each group's arrivals into maximal *single-server runs* — stretches
-    where the pool holds at most one idle instance and every inter-arrival
-    gap is (pessimistically, assuming a worst-case cold start) large enough
-    to absorb the previous invocation — and computes each run with array
-    operations:
-
-    - an invocation cold-starts iff the idle time since the previous
-      completion exceeds the keep-alive (strictly), with the previous
-      completion including its own cold-start init;
-    - instance ids advance by one per cold start, in arrival order, from
-      the platform's global counter;
-    - the run ends with exactly the last serving instance in the pool
-      (earlier ones expired, which is what forced the later cold starts).
-
-    While a multi-instance pool is all idle, a run of arrivals that each
-    find the head worker free again (its exact warm busy-until) and within
-    its keep-alive is served by the head in one step.  Arrivals at tight
-    gaps, short runs and other multi-instance pool states step through the
-    platform's own acquisition logic instead, one arrival at a time, exactly
-    like :func:`walk_instances`.  The combined result is
-    bit-identical to the sequential walk — same cold decisions, same float
-    expressions for the pool's busy/idle state — it just skips the Python
-    loop wherever the single-server regime holds.
-
-    Parameters and return value match :func:`walk_instances`.
-    """
-    n = int(arrivals.shape[0])
-    if n < 10:
-        # Tiny groups: the vectorized bookkeeping costs more than it saves.
-        return walk_instances(
-            platform, function_name, memory_mb, arrivals, exec_ms,
-            init_base_ms, cold_noise,
-        )
-    instances = platform._instances[function_name]
-    keep_alive = platform.cold_start_model.keep_alive_s
-    exec_s = exec_ms / 1000.0
-    if cold_noise is not None:
-        init_worst_ms = init_base_ms * cold_noise
-    else:
-        init_worst_ms = np.full(n, init_base_ms)
-    cold = np.zeros(n, dtype=bool)
-    init_out = np.zeros(n)
-    ids = np.empty(n, dtype=np.int64)
-    if n > 1:
-        # Exact per-pair bookkeeping, using the same float expressions the
-        # sequential walk uses for busy_until, so every comparison below
-        # matches it bit for bit: the worst-case (cold) and warm completion
-        # of arrival k, and the idle time arrival k+1 would observe.
-        cold_completion = arrivals[:-1] + (exec_ms[:-1] + init_worst_ms[:-1]) / 1000.0
-        warm_completion = arrivals[:-1] + exec_s[:-1]
-        warm_idle = arrivals[1:] - warm_completion
-        cold_idle = arrivals[1:] - cold_completion
-        # unsafe[k]: arrival k+1 could reach a still-busy worker even after a
-        # cold start at k — the pair needs the sequential logic.
-        unsafe = np.nonzero(arrivals[1:] < cold_completion)[0]
-    else:
-        warm_idle = cold_idle = np.empty(0)
-        unsafe = np.empty(0, dtype=np.int64)
-    u_ptr = 0
-    w_ptr = 0
-    warm_stop: np.ndarray | None = None
-    acquire = platform._acquire_instance
-    i = 0
-    while i < n:
-        single = instances[0] if len(instances) == 1 else None
-        idle = not instances or (
-            single is not None and single.busy_until_s <= arrivals[i]
-        )
-        j = i
-        if idle:
-            while u_ptr < unsafe.shape[0] and unsafe[u_ptr] < i:
-                u_ptr += 1
-            j = int(unsafe[u_ptr]) if u_ptr < unsafe.shape[0] else n - 1
-        elif (
-            len(instances) >= 2
-            and all(inst.busy_until_s <= arrivals[i] for inst in instances)
-            and arrivals[i] - instances[0].last_used_s <= keep_alive
-        ):
-            # --- vectorized warm run on a multi-instance pool -----------
-            # After an overlap the pool briefly holds a spare instance.
-            # While every pooled worker is idle and the head instance stays
-            # within its keep-alive, the first-idle scan always picks the
-            # head — so a stretch of arrivals whose gaps rule out both
-            # overlap and head expiry is served entirely warm by the head.
-            # Every invocation of the run is warm, so the head's exact
-            # busy-until after arrival k is its warm completion.
-            if warm_stop is None:
-                warm_stop = (
-                    np.nonzero(
-                        (arrivals[1:] < warm_completion) | (warm_idle > keep_alive)
-                    )[0]
-                    if n > 1
-                    else np.empty(0, dtype=np.int64)
-                )
-                w_ptr = 0
-            while w_ptr < warm_stop.shape[0] and warm_stop[w_ptr] < i:
-                w_ptr += 1
-            j = int(warm_stop[w_ptr]) if w_ptr < warm_stop.shape[0] else n - 1
-            if j - i + 1 >= 6:
-                m = j - i + 1
-                head = instances[0]
-                ids[i : j + 1] = head.instance_id
-                head.invocations += m
-                head.busy_until_s = float(arrivals[j]) + (float(exec_ms[j]) + 0.0) / 1000.0
-                head.last_used_s = head.busy_until_s
-                # Spares are reclaimed at the first scan that finds them
-                # expired; by the end of the run that is any spare idle
-                # longer than the keep-alive.
-                last_t = float(arrivals[j])
-                instances[:] = [head] + [
-                    spare
-                    for spare in instances[1:]
-                    if last_t - spare.last_used_s <= keep_alive
-                ]
-                i = j + 1
-                continue
-            j = i  # run too short: fall through to the scalar step
-        if idle and j - i + 1 >= 6:
-            # --- vectorized single-server run over [i..j] ---------------
-            m = j - i + 1
-            run_cold = np.empty(m, dtype=bool)
-            if single is not None:
-                run_cold[0] = (
-                    max(arrivals[i] - single.last_used_s, 0.0) > keep_alive
-                )
-            else:
-                run_cold[0] = True
-            warm_expired = warm_idle[i:j] > keep_alive
-            cold_expired = cold_idle[i:j] > keep_alive
-            # warm_expired is the answer when the previous invocation was
-            # warm, cold_expired when it was cold (its completion includes
-            # the init).  Where the two disagree the answer depends on the
-            # previous cold flag — resolve those rare positions with the
-            # closed-form scan (bit-identical to the sequential recurrence).
-            run_cold[1:] = warm_expired
-            disagree = warm_expired != cold_expired
-            if disagree.any():
-                abs_mask = np.empty(m, dtype=bool)
-                abs_mask[0] = True
-                abs_mask[1:] = ~disagree
-                flip = np.zeros(m, dtype=bool)
-                flip[1:] = disagree & warm_expired
-                run_cold[:] = solve_cold_recurrence(abs_mask, run_cold, flip)
-            run_init = np.where(run_cold, init_worst_ms[i : j + 1], 0.0)
-            segment = np.cumsum(run_cold)
-            n_cold = int(segment[-1])
-            start_id = platform._next_instance_id
-            if single is not None:
-                ids[i : j + 1] = np.where(
-                    segment == 0, single.instance_id, start_id + segment
-                )
-            else:
-                ids[i : j + 1] = start_id + segment
-            platform._next_instance_id = start_id + n_cold
-            cold[i : j + 1] = run_cold
-            init_out[i : j + 1] = run_init
-            if n_cold == 0:
-                instance = single
-                instance.invocations += m
-            else:
-                last_cold = j - int(np.argmax(run_cold[::-1]))
-                instance = _worker_instance_cls()(
-                    instance_id=int(start_id + n_cold),
-                    memory_mb=float(memory_mb),
-                    created_at_s=float(arrivals[last_cold]),
-                    invocations=j - last_cold + 1,
-                )
-            # Same float expression as the sequential walk busy_until update,
-            # so the pool end state is bit-identical too.
-            instance.busy_until_s = (
-                float(arrivals[j]) + (float(exec_ms[j]) + float(run_init[-1])) / 1000.0
-            )
-            instance.last_used_s = instance.busy_until_s
-            instances[:] = [instance]
-            i = j + 1
-        else:
-            # --- scalar step (identical to walk_instances) --------------
-            at_time_s = float(arrivals[i])
-            instance, is_cold = acquire(function_name, memory_mb, at_time_s)
-            init = 0.0
-            if is_cold:
-                init = float(init_worst_ms[i])
-                cold[i] = True
-                init_out[i] = init
-            start_s = max(at_time_s, instance.busy_until_s)
-            instance.busy_until_s = start_s + (float(exec_ms[i]) + init) / 1000.0
-            instance.last_used_s = instance.busy_until_s
-            instance.invocations += 1
-            ids[i] = instance.instance_id
-            i += 1
-    return cold, init_out, ids
-
-
-#: The lockstep walk hands its still-walking groups to :func:`walk_group`
+#: The lockstep walk hands its still-walking groups to :func:`walk_instances`
 #: once they hold fewer than this many groups plus live pool slots: one
 #: numpy step then costs more than stepping their next arrivals one by one.
 #: Counting slots keeps a few groups with large pools in lockstep, where the
@@ -401,6 +193,8 @@ def walk_lockstep(
 ) -> list[tuple[int, list, list]]:
     """Walk many groups through their instance pools, one arrival per group a step.
 
+    The array form of :func:`walk_instances`, bit-identical to it.
+
     Row ``r`` walks the flat positions ``[starts[r], stops[r])`` of the
     group-major columns from the worker list ``pools[r]`` (its pool in pool
     order; the list is not modified).  Each step advances every still-walking
@@ -419,8 +213,8 @@ def walk_lockstep(
     for a worker cold-started at position ``p``: ids follow the platform's
     running count in flat position order, which the caller resolves.  Once
     the walking rows hold fewer than :data:`LOCKSTEP_HANDOFF` rows plus live
-    slots, the walk stops; the caller walks each row's remaining arrivals
-    with :func:`walk_group` from the state returned here.
+    slots, the walk stops; the caller steps each row's remaining arrivals
+    through the scalar :func:`walk_instances` from the state returned here.
 
     Returns
     -------
@@ -619,9 +413,10 @@ def solve_cold_recurrence(
 ) -> np.ndarray:
     """Solve the cold-start recurrence ``x[i] = x[i-1] ^ flip[i]`` in one pass.
 
-    The hybrid walk classifies each arrival ``i`` as cold or warm.  Where the
-    warm-case and cold-case expiry tests agree (and at run heads), the value
-    is known *absolutely*: ``abs_mask[i]`` is true and ``x[i] =
+    The grouped kernel's flat pass classifies each arrival ``i`` of a
+    single-server run as cold or warm.  Where the warm-case and cold-case
+    expiry tests agree (and at run heads), the value is known
+    *absolutely*: ``abs_mask[i]`` is true and ``x[i] =
     abs_vals[i]``.  Where they disagree, the sequential rule ``x[i] =
     cold_expired if x[i-1] else warm_expired`` reduces to an XOR with the
     warm-case answer: ``x[i] = x[i-1] ^ warm_expired[i-1]`` (check both
@@ -847,17 +642,27 @@ class GroupedBatch:
         )
 
 
-def validate_group_timestamps(
-    timestamps: np.ndarray, offsets: np.ndarray, requests: list[GroupRequest]
-) -> None:
-    """One batched validation pass over all groups' concatenated arrivals.
+def validate_group_timestamps(requests: list[GroupRequest]) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate all groups' arrivals, validating them in one batched pass.
 
-    Checks that timestamps are finite, non-negative and non-decreasing inside
-    every group (decreases across group boundaries are fine).  NaN compares
-    false both ways, so only the finiteness check catches it.
+    Every group's arrivals must be one 1-D array, checked before they are
+    concatenated; the timestamps must be finite, non-negative and
+    non-decreasing inside every group (decreases across group boundaries are
+    fine).  NaN compares false both ways, so only the finiteness check
+    catches it.  Returns the group-major timestamps and the
+    ``(n_groups + 1,)`` group offsets.
     """
+    for g, request in enumerate(requests):
+        if request.arrivals.ndim != 1:
+            raise SimulationError(
+                f"group {g} ({request.function_name!r}): arrivals must be a 1-D "
+                f"array, not of shape {request.arrivals.shape}"
+            )
+    offsets = np.zeros(len(requests) + 1, dtype=np.int64)
+    np.cumsum([r.arrivals.shape[0] for r in requests], out=offsets[1:])
+    timestamps = np.concatenate([r.arrivals for r in requests])
     if not timestamps.shape[0]:
-        return
+        return timestamps, offsets
     decreasing = np.diff(timestamps) < 0
     boundaries = offsets[1:-1] - 1
     boundaries = boundaries[(boundaries >= 0) & (boundaries < decreasing.shape[0])]
@@ -871,3 +676,4 @@ def validate_group_timestamps(
             f"group {g} ({requests[g].function_name!r}): arrivals must be "
             "finite, sorted and non-negative"
         )
+    return timestamps, offsets

@@ -20,10 +20,11 @@ makes three flat passes:
    gathered by group index through scratch buffers held on the backend
    (:meth:`~repro.simulation.runtime.NodeRuntimeModel.metrics_batch_grouped`);
    no ``(n_params, n)`` expansion materializes.
-3. **Cross-group instance walk** — first a flat pass: the single-server-run
-   classification of :func:`~repro.simulation.engine.grouped.walk_group`
-   evaluated once over the flat group-major columns (pair completion/idle
-   arrays, expiry masks and the cold-chain recurrence
+3. **Cross-group instance walk** — one acquire rule, the scalar
+   :func:`~repro.simulation.engine.grouped.walk_instances`, applied in two
+   array forms.  First a flat pass, its closed form for single-server
+   runs, evaluated once over the flat group-major columns (pair
+   completion/idle arrays, expiry masks and the cold-chain recurrence
    :func:`~repro.simulation.engine.grouped.solve_cold_recurrence`, with
    every group head as an absolute anchor) for *all* groups at once;
    segmented reductions recover cold counts, instance ids and end-pool
@@ -31,9 +32,9 @@ makes three flat passes:
    overlapping arrivals — then walk in lockstep
    (:func:`~repro.simulation.engine.grouped.walk_lockstep`): each numpy
    step advances every such group by one arrival over a (pool slots,
-   groups) state.  Once few groups remain, their remaining arrivals go to
-   ``walk_group`` in group order, as does every group whose pool depends
-   on an earlier group of the batch (a repeated name without
+   groups) state.  Once few groups remain, their remaining arrivals step
+   through ``walk_instances`` in group order, as does every group whose
+   pool depends on an earlier group of the batch (a repeated name without
    ``fresh_pool``).  Instance ids follow the flat position order.
 
 Every group draws its noise from its own request stream, so the kernel is
@@ -59,7 +60,7 @@ from repro.simulation.engine.grouped import (
     param_column,
     solve_cold_recurrence,
     validate_group_timestamps,
-    walk_group,
+    walk_instances,
     walk_lockstep,
 )
 
@@ -145,10 +146,10 @@ def _classify_pairs(t, exec_ms, init_worst, gid, keep_alive):
     For every adjacent arrival pair ``(k, k+1)`` of the flat group-major
     columns: whether a *warm* (respectively *cold*) invocation at ``k``
     leaves the worker expired at ``k+1``, whether ``k+1`` could reach a
-    still-busy worker even after a worst-case cold start at ``k`` (the
-    unsafe-overlap test of ``walk_group``), and whether the pair lies inside
-    one group.  Same float expressions as ``walk_group``, so the masks are
-    bit-identical to its per-group arrays.
+    still-busy worker even after a worst-case cold start at ``k`` (then the
+    group is not a single-server run), and whether the pair lies inside one
+    group.  Same float expressions as ``walk_instances``' busy-until update,
+    so every comparison matches the scalar walk's bit for bit.
     """
     completion = t + (exec_ms + init_worst) / 1000.0
     warm_base = t + exec_ms / 1000.0
@@ -263,13 +264,10 @@ class VectorizedBackend(ExecutionBackend):
         # Validate every group's arrivals before the scan draws any noise: a
         # refused batch leaves the generators, pools and bill untouched.
         n_groups = len(requests)
-        sizes_l = [r.arrivals.shape[0] for r in requests]
-        sizes = np.asarray(sizes_l, dtype=np.int64)
-        offsets = np.zeros(n_groups + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
+        timestamps, offsets = validate_group_timestamps(requests)
+        sizes = np.diff(offsets)
+        sizes_l = sizes.tolist()
         n_total = int(offsets[-1])
-        timestamps = np.concatenate([r.arrivals for r in requests])
-        validate_group_timestamps(timestamps, offsets, requests)
 
         names_l: list[str] = []
         rows_l: list[int] = []
@@ -282,11 +280,12 @@ class VectorizedBackend(ExecutionBackend):
         service_parts: dict[int, list[np.ndarray]] = {}
         # Pool scan for the cross-group walk: the flat pass only handles
         # groups whose pool is empty or one idle instance; everything else
-        # (and duplicate non-fresh names, whose pool state depends on earlier
-        # groups in this very batch) falls back to walk_group.  The scan keeps
-        # flat lists of existing objects and floats: a new tuple per group,
-        # alive across the batch, would be promoted by the cyclic GC until it
-        # forces full collections over the whole fleet's objects.
+        # walks in lockstep, and duplicate non-fresh names, whose pool state
+        # depends on earlier groups in this very batch, step through
+        # walk_instances.  The scan keeps flat lists of existing objects and
+        # floats: a new tuple per group, alive across the batch, would be
+        # promoted by the cyclic GC until it forces full collections over
+        # the whole fleet's objects.
         instances_get = platform._instances.get
         deployments: list = []
         any_fresh = False
@@ -477,7 +476,7 @@ class VectorizedBackend(ExecutionBackend):
         entirely from the flat pair masks.  The other groups walk their
         pools in lockstep (:func:`walk_lockstep`), except a group whose pool
         depends on an earlier group of the batch (a repeated name without
-        ``fresh_pool``): it runs the per-group hybrid :func:`walk_group`
+        ``fresh_pool``): it steps through the scalar :func:`walk_instances`
         from its first arrival, in group order, and so do the arrivals the
         lockstep hands off.  Bit-identical to the sequential walk.
         """
@@ -588,8 +587,8 @@ class VectorizedBackend(ExecutionBackend):
                 n_cold_g[nonempty] = seg[ends_ne]
                 last_cold_g[nonempty] = np.maximum.reduceat(pos_cold, starts_ne)
                 first_cold_g[nonempty] = np.minimum.reduceat(first_pos, starts_ne)
-                # End-pool busy time: same float expression as walk_group's
-                # final busy_until update, vectorized over group tails.
+                # End-pool busy time: same float expression as
+                # walk_instances' busy_until update, over group tails.
                 busy_g[nonempty] = (
                     t[ends_ne] + (exec_ms[ends_ne] + init_ms[ends_ne]) / 1000.0
                 )
@@ -702,7 +701,7 @@ class VectorizedBackend(ExecutionBackend):
                 next_id += int(seg[start - 1])
             if start < b:
                 platform._next_instance_id = next_id
-                cold_g, init_g, ids_g = walk_group(
+                cold_g, init_g, ids_g = walk_instances(
                     platform,
                     name,
                     mem_l[g],

@@ -343,8 +343,8 @@ class ServerlessPlatform:
             Deployed function to invoke.
         timestamps_s:
             Arrival timestamps (seconds, need not be sorted); a negative or
-            non-finite one raises :class:`~repro.errors.SimulationError`
-            before any arrival runs.
+            non-finite one, or an array that is not 1-D, raises
+            :class:`~repro.errors.SimulationError` before any arrival runs.
         backend:
             Backend name (``"serial"``, ``"vectorized"``, ``"parallel"``) or an
             :class:`~repro.simulation.engine.ExecutionBackend` instance;
@@ -364,7 +364,12 @@ class ServerlessPlatform:
         from repro.simulation.engine import get_backend
 
         resolved = get_backend(backend if backend is not None else "serial")
-        arrivals = np.sort(np.asarray(timestamps_s, dtype=float))
+        arrivals = np.asarray(timestamps_s, dtype=float)
+        if arrivals.ndim != 1:
+            raise SimulationError(
+                f"timestamps_s must be a 1-D array, not of shape {arrivals.shape}"
+            )
+        arrivals = np.sort(arrivals)
         # The whole batch is checked before any arrival runs, so a serial
         # batch fails before its first invoke.  Sorting puts the minimum
         # first and +inf and NaN last, so the two ends decide.

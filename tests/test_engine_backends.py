@@ -451,12 +451,20 @@ class TestOneBatchPath:
                     assert_identical(got, want)
 
     @pytest.mark.parametrize(
-        "arrivals",
-        [[5.0, 1.0, 3.0], [-1.0, 2.0], [1.0, np.nan], [1.0, np.inf]],
-        ids=["unsorted", "negative", "nan", "inf"],
+        "arrivals, message",
+        [
+            ([5.0, 1.0, 3.0], "sorted and non-negative"),
+            ([-1.0, 2.0], "sorted and non-negative"),
+            ([1.0, np.nan], "sorted and non-negative"),
+            ([1.0, np.inf], "sorted and non-negative"),
+            ([[1.0, 2.0], [3.0, 4.0]], "must be a 1-D array"),
+        ],
+        ids=["unsorted", "negative", "nan", "inf", "2d"],
     )
     @pytest.mark.parametrize("backend", ["vectorized", "parallel"])
-    def test_run_batch_rejects_unsorted_and_negative(self, backend, arrivals, pool_state):
+    def test_run_batch_rejects_unsorted_and_negative(
+        self, backend, arrivals, message, pool_state
+    ):
         """Such arrivals would walk the pool backwards in time or bill NaN;
         the kernel refuses them before the pool, the counter, the bill or the
         shared generator changes (a refused batch that had drawn its noise
@@ -475,7 +483,7 @@ class TestOneBatchPath:
             )
 
         before = state()
-        with pytest.raises(SimulationError, match="sorted and non-negative"):
+        with pytest.raises(SimulationError, match=message):
             get_backend(backend).run_batch(platform, "f", np.array(arrivals))
         assert state() == before
         # invoke_batch keeps sorting its input and refusing negative arrivals.
@@ -513,11 +521,32 @@ class TestOneBatchPath:
             platform.invoke("f", at_time_s=bad)
         assert state() == before
 
+    @pytest.mark.parametrize("backend", ["vectorized", "parallel", "serial"])
+    def test_invoke_batch_refuses_2d_timestamps(self, backend, pool_state):
+        """Sorting a 2-D array sorts its rows, so ``invoke_batch`` refuses it
+        before it sorts: nothing runs and nothing is billed."""
+        platform = _platform()
+        platform.deploy("f", PROFILES["api_call"], 512)
+        before = pool_state(platform, ["f"])
+        with pytest.raises(SimulationError, match=r"1-D array, not of shape \(2, 2\)"):
+            platform.invoke_batch("f", [[1.0, 2.0], [3.0, 4.0]], backend=backend)
+        assert pool_state(platform, ["f"]) == before
+        assert platform.get_function("f").invocation_count == 0
+        assert platform.total_cost_usd() == 0.0
+        assert platform.invocation_log == []
+
     @pytest.mark.parametrize(
-        "bad", [[1.0, np.nan], [3.0, 2.0], [-1.0, 1.0]], ids=["nan", "unsorted", "negative"]
+        "bad, message",
+        [
+            ([1.0, np.nan], "finite, sorted and non-negative"),
+            ([3.0, 2.0], "finite, sorted and non-negative"),
+            ([-1.0, 1.0], "finite, sorted and non-negative"),
+            ([[1.0, 2.0]], "a 1-D array, not of shape (1, 2)"),
+        ],
+        ids=["nan", "unsorted", "negative", "2d"],
     )
     @pytest.mark.parametrize("stream", ["group", "shared"])
-    def test_refused_run_grouped_changes_nothing(self, stream, bad, pool_state):
+    def test_refused_run_grouped_changes_nothing(self, stream, bad, message, pool_state):
         """A ``run_grouped`` with one bad group is refused before any group
         runs: on every backend no pool, counter, bill or stream moves (the
         looped path would otherwise have billed group 0), and all three
@@ -552,7 +581,7 @@ class TestOneBatchPath:
                 get_backend(backend).run_grouped(platform, requests)
             assert state() == before, backend
             messages.add(str(refused.value))
-        assert messages == {"group 1 ('g'): arrivals must be finite, sorted and non-negative"}
+        assert messages == {f"group 1 ('g'): arrivals must be {message}"}
 
     def test_run_batch_is_one_run_grouped_call(self, monkeypatch):
         calls = []

@@ -97,7 +97,7 @@ class TestGroupedEdgeParity:
                 platform, funcs[0].name, np.array([]),
                 child_rng(seed, STREAM_EXECUTION, 0, 0),
             ),
-            # dense overlapping arrivals: unsafe, falls back to walk_group
+            # dense overlapping arrivals: unsafe, walks in lockstep
             GroupRequest.for_deployed(
                 platform, funcs[1].name,
                 np.sort(np.random.default_rng(1).uniform(0.0, 2.0, 40)),
@@ -183,7 +183,7 @@ class TestDisagreementPath:
     state.  With noise disabled the execution/init durations are exact, so
     the geometry below provably produces such pairs, and the resolved chains
     must agree bit for bit across the serial path, the looped vectorized
-    oracle, the grouped kernel's flat walk and its ``walk_group`` fallback.
+    oracle, the grouped kernel's flat walk and the scalar ``walk_instances``.
     """
 
     def _platform(self, seed=0):
@@ -256,10 +256,10 @@ class TestDisagreementPath:
             np.testing.assert_array_equal(
                 serial.init_duration_ms, other.init_duration_ms
             )
-        # the per-group fallback walk resolves the same chain on its own
+        # the scalar walk resolves the same chain on a fresh platform
         platform = self._platform()
         platform.deploy("dis-fn", profile, 512)
-        cold, init, ids = grouped_mod.walk_group(
+        cold, init, ids = grouped_mod.walk_instances(
             platform, "dis-fn", 512.0, arrivals, serial.execution_time_ms,
             float(serial.init_duration_ms[0]), None,
         )
@@ -310,15 +310,28 @@ def _lockstep_platform(seed, max_instances, keep_alive_s, noise_free=False):
     )
 
 
+def _record_scalar_walks(monkeypatch):
+    """Record ``(name, arrivals)`` of every kernel call of ``walk_instances``."""
+    handed = []
+    walk = vectorized_mod.walk_instances
+
+    def recording_walk(platform, name, memory_mb, arrivals, *rest):
+        handed.append((name, arrivals.shape[0]))
+        return walk(platform, name, memory_mb, arrivals, *rest)
+
+    monkeypatch.setattr(vectorized_mod, "walk_instances", recording_walk)
+    return handed
+
+
 class TestLockstepWalk:
     """The lockstep walk of the unsafe groups equals the looped oracle.
 
     Groups the flat pass cannot prove single-server walk their pools in
     lockstep (``walk_lockstep``), handing the arrivals left once few groups
     remain, and every group whose pool depends on an earlier group of the
-    batch, to ``walk_group`` in group order.  Every ``GroupedBatch`` field,
-    the warm pools and the platform's id counter must equal the looped
-    oracle's, bit for bit.
+    batch, to the scalar ``walk_instances`` in group order.  Every
+    ``GroupedBatch`` field, the warm pools and the platform's id counter
+    must equal the looped oracle's, bit for bit.
     """
 
     @staticmethod
@@ -450,15 +463,8 @@ class TestLockstepWalk:
             assert batch.instance_ids[0] == spare.instance_id
 
     def test_heavy_hitter_hands_off_mid_walk(self, looped_backend, pool_state, monkeypatch):
-        """Short groups finish, and the long one's rest goes to walk_group."""
-        handed = []
-        walk = vectorized_mod.walk_group
-
-        def recording_walk(platform, name, memory_mb, arrivals, *rest):
-            handed.append((name, arrivals.shape[0]))
-            return walk(platform, name, memory_mb, arrivals, *rest)
-
-        monkeypatch.setattr(vectorized_mod, "walk_group", recording_walk)
+        """Short groups finish, and the long one's rest goes to walk_instances."""
+        handed = _record_scalar_walks(monkeypatch)
         functions = _functions(31, seed=37, prefix="heavy")
         rng = np.random.default_rng(4)
         batch = [(i, np.sort(rng.uniform(0.0, 30.0, 24)), False) for i in range(30)]
@@ -472,8 +478,11 @@ class TestLockstepWalk:
             name == heavy_name and 0 < n < heavy.shape[0] for name, n in handed
         ), handed
 
-    def test_repeated_name_between_group_and_fresh_group(self, looped_backend, pool_state):
+    def test_repeated_name_between_group_and_fresh_group(
+        self, looped_backend, pool_state, monkeypatch
+    ):
         """A non-fresh repeat walks after its predecessor; a fresh repeat starts empty."""
+        handed = _record_scalar_walks(monkeypatch)
         functions = _functions(3, seed=41, prefix="rep")
         rng = np.random.default_rng(6)
 
@@ -490,6 +499,12 @@ class TestLockstepWalk:
         ]
         later = [(i, arrivals + 100.0, False) for i, arrivals, _ in batch]
         self._assert_matches_looped(looped_backend, pool_state, functions, [batch, later])
+        # Every non-fresh repeat steps through the scalar walk whole: groups 2
+        # and 5 of the first batch, and groups 2, 4 and 5 of the second, where
+        # group 4 is no longer fresh.  The lockstep's handoffs carry fewer.
+        whole = [name for name, n in handed if n == 30]
+        first, second = functions[0].name, functions[1].name
+        assert whole == [first, second, first, first, second], handed
 
 
 class TestRegistryErrorPaths:
