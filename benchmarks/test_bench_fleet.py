@@ -38,6 +38,13 @@ These contracts of the online subsystem are asserted here:
    overlap and walk their multi-instance pools in lockstep; the fused
    window is at least ``REPRO_BENCH_FLEET_HOT_MIN_SPEEDUP`` (default 2)
    times faster than the looped path, with bit-identical stats.
+9. **Hot window orchestration** — the same always-active fleet run through
+   ``FleetRightsizingService``: the work around the engine call (traffic,
+   seeding, group-build, reduce) stays within ``HOT_ORCHESTRATION_BOUND``
+   (0.6) times the execute phase.  It holds because windows reduce only
+   the metrics the predictor reads and the thinning candidates are sorted
+   with one key; reducing all 25 metrics behind a two-key lexsort read
+   0.93–1.08.
 
 Scale knobs for CI smoke runs: ``REPRO_BENCH_FLEET_FUNCTIONS`` /
 ``REPRO_BENCH_FLEET_WINDOWS`` shrink the service run,
@@ -119,6 +126,9 @@ SPARSE_BASE_SPECS = 64
 #: Float64 slots the fused window pipeline holds per invocation (metric
 #: columns, timing/noise intermediates, aggregation working set).
 _COLUMN_SLOTS = 130
+
+#: Window phases around the engine call (see ``WindowPhaseProfiler``).
+ORCHESTRATION_PHASES = ("traffic", "seeding", "group-build", "reduce")
 
 
 def _mem_factor() -> float:
@@ -328,6 +338,63 @@ def test_bench_hot_window_speedup():
         f"({speedup:.2f}x, bit-identical stats)"
     )
     assert speedup >= _min_hot_speedup()
+
+
+#: Measured windows of the hot service run, after one warm-up window.
+HOT_SERVICE_WINDOWS = 3
+
+#: Ceiling of the hot service run's orchestration over its execute phase.
+HOT_ORCHESTRATION_BOUND = 0.6
+
+
+def hot_service_run(predictor) -> tuple[float, dict[str, float]]:
+    """Run ``_hot_scenario`` through ``FleetRightsizingService``.
+
+    One warm-up window (shape table, first allocations) and a
+    ``gc.collect()`` precede the measured ``HOT_SERVICE_WINDOWS`` windows.
+    Returns their wall seconds and the simulator profiler's phase seconds
+    over them.  Shared with ``tools/bench_report.py``'s ``hot.service`` row.
+    """
+    functions, traffic = _hot_scenario()
+    simulator = FleetSimulator(functions, traffic, FleetConfig(window_s=WINDOW_S, seed=104))
+    service = FleetRightsizingService(simulator, predictor)
+    service.run_window()
+    gc.collect()
+    simulator.profiler.reset()
+    start = time.perf_counter()
+    for _ in range(HOT_SERVICE_WINDOWS):
+        service.run_window()
+    seconds = time.perf_counter() - start
+    return seconds, dict(simulator.profiler.seconds)
+
+
+def test_bench_hot_window_orchestration(warm_context):
+    """Orchestration of the always-active service window <= 0.6 x execute.
+
+    With every function active, traffic sampling and the stat reductions
+    scale with the window's ~85k invocations, as execute does.  The
+    service narrows its windows to the predictor's metrics (7 of 25), and
+    the ~155k thinning candidates are sorted with one argsort key; both
+    keep every output bit, so the ratio measures orchestration alone.
+    """
+    predictor = SizelessPredictor(
+        warm_context.model(warm_context.scale.default_base_size_mb),
+        pricing=warm_context.pricing,
+    )
+    _, phases = hot_service_run(predictor)
+    orchestration = sum(phases[name] for name in ORCHESTRATION_PHASES)
+    ratio = orchestration / phases["execute"]
+    print()
+    print(
+        f"hot service orchestration: {HOT_FUNCTIONS} functions x "
+        f"{HOT_SERVICE_WINDOWS} windows: "
+        + ", ".join(
+            f"{name} {phases[name] * 1e3 / HOT_SERVICE_WINDOWS:.1f}"
+            for name in ORCHESTRATION_PHASES + ("execute",)
+        )
+        + f" ms/window ({ratio:.2f}x execute, bound {HOT_ORCHESTRATION_BOUND}x)"
+    )
+    assert ratio <= HOT_ORCHESTRATION_BOUND
 
 
 #: Instance-walk shapes: ``(groups, rate_rps, duration_s)`` parts of one
@@ -654,10 +721,6 @@ def test_bench_sparse_kernel_matches_oracle_and_memory():
         f"(bound {bound / 1e6:.2f} MB)"
     )
     assert peak_bytes < bound
-
-
-#: Window phases around the engine call (see ``WindowPhaseProfiler``).
-ORCHESTRATION_PHASES = ("traffic", "seeding", "group-build", "reduce")
 
 
 def test_bench_default_orchestration_overhead():

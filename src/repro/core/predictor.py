@@ -34,6 +34,7 @@ from repro.core.optimizer import (
     TradeoffConfig,
 )
 from repro.monitoring.aggregation import MonitoringSummary
+from repro.monitoring.metrics import METRIC_NAMES
 from repro.simulation.pricing import PricingModel
 
 
@@ -127,6 +128,22 @@ class SizelessPredictor:
     def base_memory_sizes_mb(self) -> list[int]:
         """Base sizes for which a trained model is available."""
         return sorted(self._models)
+
+    def required_metrics(self) -> tuple[str, ...]:
+        """Table-1 metrics the predictor reads, in Table-1 order.
+
+        The union of every model's
+        :meth:`~repro.core.features.FeatureExtractor.required_metrics` plus
+        ``execution_time``, which :meth:`predict_table` reads as the
+        observed base time.  Monitoring these is enough to predict: with
+        the paper's F4 features they are the six production metrics of
+        :data:`~repro.monitoring.metrics.PRODUCTION_METRICS` and the
+        execution time.
+        """
+        needed = {"execution_time"}
+        for model in self._models.values():
+            needed.update(model.extractor.required_metrics())
+        return tuple(metric for metric in METRIC_NAMES if metric in needed)
 
     def model_for(self, base_memory_mb: int) -> SizelessModel:
         """Return the model trained for the given base size."""

@@ -12,7 +12,9 @@ by :class:`~repro.fleet.simulator.FleetSimulator`:
 
 1. **Observe** — every window's per-function stat rows are merged into
    running accumulators with a vectorized pooled mean/variance update
-   (:func:`merge_stat_blocks`); no per-function Python loops.
+   (:func:`merge_stat_blocks`); no per-function Python loops.  The
+   accumulator holds the metrics the windows carry (the window's
+   ``metric_names``), which must cover every metric the predictor reads.
 2. **Decide** — functions observed long enough at a size with a trained
    model are batch-predicted through
    :meth:`~repro.core.predictor.SizelessPredictor.recommend_table`: one
@@ -50,7 +52,6 @@ __all__ = [
 ]
 
 _MEAN = STAT_NAMES.index("mean")
-_EXECUTION_TIME = METRIC_NAMES.index("execution_time")
 
 
 @dataclass(frozen=True)
@@ -162,16 +163,35 @@ class RightsizingController:
         self._n: int | None = None
 
     # ------------------------------------------------------------------ state
-    def _ensure_state(self, n_functions: int) -> None:
-        """Allocate per-function state arrays on the first window."""
+    def _ensure_state(self, window: FleetWindow) -> None:
+        """Allocate per-function state arrays on the first window.
+
+        The accumulator's metric axis is the first window's
+        ``metric_names``; later windows must carry the same axis.
+        """
+        n_functions = window.n_functions
         if self._n is not None:
             if n_functions != self._n:
                 raise ConfigurationError(
                     f"controller was sized for {self._n} functions, got {n_functions}"
                 )
+            if window.metric_names != self._metric_names:
+                raise ConfigurationError(
+                    f"window metrics changed mid-run: {list(window.metric_names)} "
+                    f"after {list(self._metric_names)}"
+                )
             return
+        missing = set(self.predictor.required_metrics()).difference(window.metric_names)
+        if missing:
+            raise ConfigurationError(
+                f"windows lack metrics the predictor reads: {sorted(missing)}"
+            )
         self._n = n_functions
-        shape = (n_functions, len(METRIC_NAMES), len(STAT_NAMES))
+        self._metric_names = window.metric_names
+        # Table-1 rows of the carried metrics, for the predictor's table.
+        self._table_rows = [METRIC_NAMES.index(name) for name in window.metric_names]
+        self._time_row = window.metric_names.index("execution_time")
+        shape = (n_functions, len(window.metric_names), len(STAT_NAMES))
         self._acc_stats = np.zeros(shape, dtype=float)
         self._acc_counts = np.zeros(n_functions, dtype=np.int64)
         self._acc_cost = np.zeros(n_functions, dtype=float)
@@ -227,7 +247,7 @@ class RightsizingController:
         t = self.config.tradeoff
         current = simulator.current_memory_mb()
         for i in due:
-            realized_time = self._acc_stats[i, _EXECUTION_TIME, _MEAN]
+            realized_time = self._acc_stats[i, self._time_row, _MEAN]
             realized_cost = self._acc_cost[i] / self._acc_counts[i]
             prev_time = self._eval_prev_time_ms[i]
             prev_cost = self._eval_prev_cost_usd[i]
@@ -263,18 +283,25 @@ class RightsizingController:
             & (self._cooldown == 0)
             & (self._acc_counts >= self.config.min_invocations)
             & (self._windows_observed >= self.config.min_windows)
-            & (self._acc_stats[:, _EXECUTION_TIME, _MEAN] > 0)
+            & (self._acc_stats[:, self._time_row, _MEAN] > 0)
         )
         return np.flatnonzero(mask)
 
     def _stats_table(self, simulator: FleetSimulator, indices: np.ndarray, base: int):
-        """Wrap accumulated stats of a cohort into a single-size table."""
+        """Wrap accumulated stats of a cohort into a single-size table.
+
+        The table keeps the Table-1 metric axis: the carried rows are
+        scattered into a zero block, and the metrics no window carries stay
+        zero (the predictor never reads them).
+        """
+        values = np.zeros((indices.shape[0], 1, len(METRIC_NAMES), len(STAT_NAMES)))
+        values[:, 0, self._table_rows] = self._acc_stats[indices]
         return MeasurementTable(
             function_names=tuple(simulator.functions[i].name for i in indices),
             applications=tuple(simulator.functions[i].application for i in indices),
             segments=tuple(simulator.functions[i].segments for i in indices),
             memory_sizes_mb=(int(base),),
-            values=self._acc_stats[indices][:, None, :, :],
+            values=values,
             n_invocations=self._acc_counts[indices][:, None],
             description="fleet monitoring accumulator",
         )
@@ -314,7 +341,7 @@ class RightsizingController:
                 if target in self._abandoned.get(i, ()):
                     continue  # never flip back to an abandoned size
                 self._eval_prev_size[i] = base
-                self._eval_prev_time_ms[i] = self._acc_stats[i, _EXECUTION_TIME, _MEAN]
+                self._eval_prev_time_ms[i] = self._acc_stats[i, self._time_row, _MEAN]
                 self._eval_prev_cost_usd[i] = self._acc_cost[i] / self._acc_counts[i]
                 self._abandoned.setdefault(i, set()).add(int(base))
                 simulator.resize(i, target)
@@ -344,7 +371,7 @@ class RightsizingController:
         Returns the deployment changes applied to the simulator, rollbacks
         first (a rolled-back function is pinned and never re-decided).
         """
-        self._ensure_state(window.n_functions)
+        self._ensure_state(window)
         self._observe(window)
         events = self._check_rollbacks(simulator, window)
         events.extend(self._decide(simulator, window))

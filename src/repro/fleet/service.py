@@ -17,7 +17,10 @@ bounded by one window's statistics plus the fleet's deployment state
 (asserted by ``benchmarks/test_bench_fleet.py``).  A window holds rows only
 for its active functions, and the controller's observation merge and the
 ledger touch only those rows, so at fleet scale (10^5–10^6 mostly-idle
-functions) their per-window cost follows the *active* function count.
+functions) their per-window cost follows the *active* function count.  The
+windows carry only the metrics the predictor reads (7 of 25 with the
+paper's F4 features), so the reductions and the controller's accumulator
+skip the rest.
 """
 
 from __future__ import annotations
@@ -96,7 +99,12 @@ class FleetRightsizingService:
         ledger:
             Optional pre-existing ledger (defaults to a fresh one measuring
             against the simulator's default size).
+
+        The simulator is narrowed to the metrics the predictor reads
+        (:meth:`~repro.core.predictor.SizelessPredictor.required_metrics`),
+        so its windows reduce those rows only.
         """
+        simulator.carry_metrics(predictor.required_metrics())
         self.simulator = simulator
         self.controller = RightsizingController(predictor, config=controller_config)
         self.ledger = (

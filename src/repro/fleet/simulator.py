@@ -22,8 +22,12 @@ fleet size (10^5–10^6 functions, mostly idle under diurnal traffic):
    O(1) bookkeeping.
 3. **Execute** — the active groups run as one cross-function mega-batch
    (:meth:`~repro.simulation.engine.ExecutionBackend.run_grouped`).
-4. **Reduce** — segmented reductions turn the batch into one stat row per
-   active function.
+4. **Reduce** — segmented reductions turn the batch into one stat block
+   per active function, over the metrics the simulator carries: all 25
+   Table-1 metrics by default, or only those a predictor reads once
+   :meth:`FleetSimulator.carry_metrics` narrows them (the rightsizing
+   service does so).  The kernel still computes every metric and draws
+   every jitter, so a carried row is the same whichever set is carried.
 
 The result is one :class:`FleetWindow`, holding rows only for the window's
 active functions, which the rightsizing controller
@@ -37,6 +41,7 @@ only on the seed, the window and the function's own arrivals and state.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -69,9 +74,6 @@ from repro.workloads.traffic import (
 #: Stat-axis column of the mean (column order of
 #: :data:`~repro.monitoring.aggregation.STAT_NAMES`).
 _MEAN = STAT_NAMES.index("mean")
-
-#: Metric-axis row of the execution time (Table-1 order).
-_EXECUTION_TIME = METRIC_NAMES.index("execution_time")
 
 
 @dataclass(frozen=True)
@@ -145,8 +147,9 @@ class FleetWindow:
         ``(n_active,)`` sorted function indices with >0 arrivals this
         window; all remaining columns are parallel to it.
     stats:
-        ``(n_active, n_metrics, n_stats)`` aggregated statistics of the
-        active functions (Table-1 metric order, mean/std/cv stat order).
+        ``(n_active, len(metric_names), n_stats)`` aggregated statistics of
+        the active functions (metric axis labelled by ``metric_names``,
+        mean/std/cv stat order).
     n_invocations:
         ``(n_active,)`` invocations that survived the aggregation masks.
     n_arrivals:
@@ -155,6 +158,10 @@ class FleetWindow:
         ``(n_active,)`` cold-started invocations.
     cost_usd:
         ``(n_active,)`` total billed cost of the window.
+    metric_names:
+        Labels of the stats' metric axis: Table-1 metrics in Table-1 order,
+        always including ``execution_time`` (all 25 unless the simulator
+        was narrowed by :meth:`FleetSimulator.carry_metrics`).
     """
 
     index: int
@@ -167,6 +174,7 @@ class FleetWindow:
     n_arrivals: np.ndarray
     n_cold_starts: np.ndarray
     cost_usd: np.ndarray
+    metric_names: tuple[str, ...] = METRIC_NAMES
 
     @property
     def n_functions(self) -> int:
@@ -190,7 +198,7 @@ class FleetWindow:
 
     def mean_execution_time_ms(self) -> np.ndarray:
         """Mean execution time of the active rows (parallel to ``active``)."""
-        return self.stats[:, _EXECUTION_TIME, _MEAN]
+        return self.stats[:, self.metric_names.index("execution_time"), _MEAN]
 
 
 class FleetSimulator:
@@ -246,6 +254,7 @@ class FleetSimulator:
             len(self.functions), int(self.config.default_memory_mb), dtype=int
         )
         self._schedule = FleetTrafficSchedule(self.traffic)
+        self._metric_names: tuple[str, ...] = METRIC_NAMES
         # Deployment rows indexed by function, maintained across resizes, so
         # window request construction never round-trips through the
         # platform's name registry.
@@ -279,6 +288,28 @@ class FleetSimulator:
     def function_names(self) -> tuple[str, ...]:
         """Fleet function names in index order."""
         return tuple(function.name for function in self.functions)
+
+    @property
+    def metric_names(self) -> tuple[str, ...]:
+        """Metrics each window's stats carry (see :meth:`carry_metrics`)."""
+        return self._metric_names
+
+    def carry_metrics(self, names: Iterable[str]) -> None:
+        """Reduce only the given metrics in the windows that follow.
+
+        ``names`` must be Table-1 metrics and include ``execution_time``
+        (the ledger reads its mean); they are stored in Table-1 order, and
+        bad names raise :class:`~repro.errors.ConfigurationError` before any
+        state changes.  The rightsizing service passes its predictor's
+        :meth:`~repro.core.predictor.SizelessPredictor.required_metrics`.
+        """
+        wanted = set(names)
+        unknown = wanted.difference(METRIC_NAMES)
+        if unknown:
+            raise ConfigurationError(f"unknown metrics: {sorted(unknown)}")
+        if "execution_time" not in wanted:
+            raise ConfigurationError("carried metrics must include execution_time")
+        self._metric_names = tuple(name for name in METRIC_NAMES if name in wanted)
 
     # ----------------------------------------------------------------- resize
     def resize(self, function_index: int, memory_mb: int) -> None:
@@ -334,11 +365,10 @@ class FleetSimulator:
         no group request is built for them, they cost O(1) here.
         """
         active = arrivals.active()
-        n_metrics, n_stats = len(METRIC_NAMES), len(STAT_NAMES)
         if not active.shape[0]:
             return (
                 active,
-                np.zeros((0, n_metrics, n_stats), dtype=float),
+                np.zeros((0, len(self._metric_names), len(STAT_NAMES)), dtype=float),
                 np.zeros(0, dtype=np.int64),
                 np.zeros(0, dtype=np.int64),
                 np.zeros(0, dtype=float),
@@ -370,7 +400,7 @@ class FleetSimulator:
         # Cold starts are always excluded: the paper's monitoring wrapper
         # measures warm executions only.
         stats, n_invocations = batch.aggregate_stats(
-            warmup_s=0.0, exclude_cold_starts=True
+            warmup_s=0.0, exclude_cold_starts=True, metric_names=self._metric_names
         )
         n_cold = batch.cold_starts_per_group()
         cost = batch.cost_per_group()
@@ -408,6 +438,7 @@ class FleetSimulator:
             n_arrivals=arrivals.counts()[active],
             n_cold_starts=n_cold,
             cost_usd=cost,
+            metric_names=self._metric_names,
         )
         self._clock_s = end_s
         self._window_index += 1

@@ -209,6 +209,7 @@ def grouped_stat_blocks(
     cold_start: np.ndarray | None = None,
     exclude_cold_starts: bool = True,
     window: np.ndarray | None = None,
+    metric_names: tuple[str, ...] = METRIC_NAMES,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reduce a flat multi-group metric batch to per-group stat blocks.
 
@@ -222,8 +223,8 @@ def grouped_stat_blocks(
     Parameters
     ----------
     metrics:
-        One ``(n,)`` sample array per Table-1 metric, all groups concatenated
-        along the invocation axis in group order.
+        One ``(n,)`` sample array per metric, all groups concatenated along
+        the invocation axis in group order.
     offsets:
         ``(n_groups + 1,)`` group boundaries (see
         :func:`validate_group_offsets`).  Empty groups yield all-zero stat
@@ -237,17 +238,23 @@ def grouped_stat_blocks(
     window:
         Optional ``(n,)`` boolean measurement-window mask, per group falling
         back to the whole group when nothing survives.
+    metric_names:
+        The metrics to reduce, in the order of the result's metric axis
+        (all Table-1 metrics by default).  Each metric row is reduced on
+        its own, so a row of a subset equals the same row of the full
+        reduction bit for bit; a fleet window reduces only the metrics its
+        predictor reads.
 
     Returns
     -------
     tuple[numpy.ndarray, numpy.ndarray]
-        The ``(n_groups, n_metrics, n_stats)`` stat blocks and the
+        The ``(n_groups, len(metric_names), n_stats)`` stat blocks and the
         ``(n_groups,)`` surviving invocation counts.
     """
-    missing = set(METRIC_NAMES) - set(metrics)
+    missing = set(metric_names) - set(metrics)
     if missing:
         raise MonitoringError(f"missing metrics: {sorted(missing)}")
-    matrix = np.stack([np.asarray(metrics[metric], dtype=float) for metric in METRIC_NAMES])
+    matrix = np.stack([np.asarray(metrics[metric], dtype=float) for metric in metric_names])
     n = matrix.shape[1]
     offsets = validate_group_offsets(offsets, n)
     n_groups = offsets.shape[0] - 1
@@ -281,7 +288,7 @@ def grouped_stat_blocks(
 
     sums = _segment_sums(kept, starts[nonempty], counts[nonempty])
     means_ne = sums / counts[nonempty]
-    means = np.zeros((len(METRIC_NAMES), n_groups))
+    means = np.zeros((len(metric_names), n_groups))
     means[:, nonempty] = means_ne
     centered = kept - means[:, kept_ids]
     stds_ne = np.sqrt(
@@ -296,7 +303,7 @@ def grouped_stat_blocks(
     stats_ne = np.stack([means_ne.T, stds_ne.T, cvs_ne.T], axis=-1)
     if stats_ne.shape[0] == n_groups:
         return stats_ne, counts
-    blocks = np.zeros((n_groups, len(METRIC_NAMES), len(STAT_NAMES)))
+    blocks = np.zeros((n_groups, len(metric_names), len(STAT_NAMES)))
     blocks[nonempty] = stats_ne
     return blocks, counts
 

@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.simulation.engine.base import BatchResult
+from repro.simulation.runtime import METRIC_NAMES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.simulation.platform import DeployedFunction, ServerlessPlatform
@@ -590,18 +591,23 @@ class GroupedBatch:
         return _segment_sums_1d(self.cost_usd, self.offsets)
 
     def aggregate_stats(
-        self, warmup_s: float = 0.0, exclude_cold_starts: bool = True
+        self,
+        warmup_s: float = 0.0,
+        exclude_cold_starts: bool = True,
+        metric_names: tuple[str, ...] = METRIC_NAMES,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Reduce the mega-batch to per-group stat blocks in one pass.
 
         The fused counterpart of
         :meth:`~repro.simulation.engine.base.BatchResult.aggregate_stats`:
         segmented reductions over the group offsets produce the
-        ``(n_groups, n_metrics, n_stats)`` block and the per-group surviving
-        invocation counts without materializing any per-group objects.
-        Windowing semantics match the per-batch path per group (warm-up
-        discard with full-group fallback, cold-start exclusion with all-cold
-        fallback); empty groups yield zero rows.
+        ``(n_groups, len(metric_names), n_stats)`` block and the per-group
+        surviving invocation counts without materializing any per-group
+        objects.  Windowing semantics match the per-batch path per group
+        (warm-up discard with full-group fallback, cold-start exclusion with
+        all-cold fallback); empty groups yield zero rows.  ``metric_names``
+        selects the reduced metrics (all Table-1 metrics by default); their
+        rows equal the same rows of the full reduction bit for bit.
         """
         from repro.monitoring.aggregation import grouped_stat_blocks
 
@@ -613,6 +619,7 @@ class GroupedBatch:
             # Timestamps are validated non-negative, so a zero warm-up keeps
             # everything — skip the mask entirely.
             window=self.timestamps_s >= warmup_s if warmup_s > 0 else None,
+            metric_names=metric_names,
         )
 
     def group(self, index: int) -> BatchResult:

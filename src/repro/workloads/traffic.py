@@ -40,6 +40,7 @@ produces columnar :class:`FleetArrivals` whose cost scales with the window's
 from __future__ import annotations
 
 import abc
+import numbers
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -337,7 +338,8 @@ class BurstyTraffic(TrafficModel):
     burst_duration_s:
         Burst length (must fit inside an interval).
     burst_seed:
-        Seed of the deterministic per-interval burst placement.
+        Seed of the deterministic per-interval burst placement (an integer
+        >= 0).
     """
 
     base_rate_rps: float
@@ -347,7 +349,7 @@ class BurstyTraffic(TrafficModel):
     burst_seed: int = 0
 
     def __post_init__(self) -> None:
-        """Validate rates and burst geometry."""
+        """Validate rates, burst geometry and the placement seed."""
         _require_positive(self.base_rate_rps, "base_rate_rps")
         _require_positive(self.burst_rate_rps, "burst_rate_rps")
         _require_positive(self.burst_every_s, "burst_every_s")
@@ -356,6 +358,11 @@ class BurstyTraffic(TrafficModel):
             raise ConfigurationError("burst_rate_rps must exceed base_rate_rps")
         if self.burst_duration_s >= self.burst_every_s:
             raise ConfigurationError("burst_duration_s must be shorter than burst_every_s")
+        seed = self.burst_seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ConfigurationError(
+                f"burst_seed must be an integer >= 0, got {seed!r}"
+            )
 
     def _burst_start(self, interval: int) -> float:
         """Deterministic burst start offset within one interval."""
@@ -669,6 +676,28 @@ class FleetArrivals:
         )
 
 
+def _sort_within_groups(gids: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Sort ``values`` inside each group of the non-decreasing ``gids``.
+
+    Returns ``values[np.lexsort((values, gids))]`` bit for bit, from one
+    float sort key instead of lexsort's two passes.  ``values`` lie in
+    ``[0, 1)``, so ``gid + value`` orders by group, then by value, but at
+    large group ids it rounds away low bits: two values of one group can
+    share a key and come out in either order, and a value close to 1 can
+    round onto the next group's keys.  An O(n) check that every candidate
+    stayed in its group and every group ascends catches both, and lexsort
+    runs only then.  Ties need no check: a group's sorted values are the
+    same numbers whichever order equal values take.
+    """
+    order = np.argsort(gids + values)
+    if np.array_equal(gids[order], gids):
+        ordered = values[order]
+        descents = (ordered[1:] < ordered[:-1]) & (gids[1:] == gids[:-1])
+        if not np.any(descents):
+            return ordered
+    return values[np.lexsort((values, gids))]
+
+
 # Bulk parameter extraction for the kernel classes: the attribute sweep that
 # reproduces each class's ``batch_params()`` row order, and the columnwise
 # thinning envelope that reproduces ``peak_rate`` elementwise.  Keyed by
@@ -819,10 +848,10 @@ class FleetTrafficSchedule:
         counts = rng.poisson(self.thinning_peaks * duration)
         total = int(counts.sum())
         gids = np.repeat(np.arange(n, dtype=np.int64), counts)
-        times = start_s + duration * rng.random(total)
         # Sort candidates within each function; gids is already grouped, so
-        # the permutation only reorders inside groups and gids stays valid.
-        times = times[np.lexsort((times, gids))]
+        # only the uniforms move.  ``start + duration * u`` is monotone in
+        # ``u``, so sorting the uniforms sorts the times.
+        times = start_s + duration * _sort_within_groups(gids, rng.random(total))
         rates = self._candidate_rates(gids, times, counts)
         accept = rng.random(total) * self.thinning_peaks[gids] < rates
         kept_times = times[accept]

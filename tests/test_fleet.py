@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.core.features import EXTENDED_FEATURE_SET
 from repro.core.predictor import SizelessPredictor
+from repro.core.training import train_model
 from repro.fleet import (
     ControllerConfig,
     FleetConfig,
@@ -27,6 +29,7 @@ from repro.fleet import (
     SavingsLedger,
     merge_stat_blocks,
 )
+from repro.ml.network import NetworkConfig
 from repro.monitoring.aggregation import STAT_NAMES, stat_matrix
 from repro.monitoring.metrics import METRIC_NAMES
 from repro.workloads.generator import GeneratorConfig, SyntheticFunctionGenerator
@@ -365,6 +368,128 @@ class TestFleetService:
         service = FleetRightsizingService(simulator, SizelessPredictor(trained_model))
         with pytest.raises(ConfigurationError):
             service.run(0)
+
+
+#: The metrics an F4 predictor reads, in Table-1 order.
+F4_METRICS = (
+    "execution_time",
+    "user_cpu_time",
+    "system_cpu_time",
+    "vol_context_switches",
+    "fs_writes",
+    "heap_used",
+    "bytes_received",
+)
+
+
+class TestCarriedMetrics:
+    """Windows reduce only the metrics the service's predictor reads."""
+
+    def test_service_narrows_simulator_to_the_f4_metrics(self, trained_model):
+        functions, traffic = _make_fleet(6, seed=51)
+        simulator = FleetSimulator(functions, traffic, FleetConfig(window_s=3600.0, seed=13))
+        predictor = SizelessPredictor(trained_model)
+        assert predictor.required_metrics() == F4_METRICS
+        FleetRightsizingService(simulator, predictor)
+        assert simulator.metric_names == F4_METRICS
+        window = simulator.run_window()
+        assert window.metric_names == F4_METRICS
+        assert window.stats.shape == (window.n_active, len(F4_METRICS), len(STAT_NAMES))
+
+    def test_extended_predictor_also_carries_its_two_metrics(self, small_dataset):
+        model = train_model(
+            small_dataset,
+            base_memory_mb=256,
+            feature_names=EXTENDED_FEATURE_SET,
+            network_config=NetworkConfig(n_layers=1, n_neurons=4, epochs=2, seed=0),
+        )
+        functions, traffic = _make_fleet(3, seed=52)
+        simulator = FleetSimulator(functions, traffic, FleetConfig(seed=14))
+        FleetRightsizingService(simulator, SizelessPredictor(model))
+        extra = set(simulator.metric_names) - set(F4_METRICS)
+        assert extra == {"invol_context_switches", "resident_set_size"}
+        assert simulator.metric_names == tuple(
+            name for name in METRIC_NAMES if name in set(F4_METRICS) | extra
+        )
+
+    def test_standalone_simulator_carries_all_metrics(self, cpu_function):
+        simulator = FleetSimulator([cpu_function], [ConstantTraffic(0.05)], FleetConfig(seed=15))
+        assert simulator.metric_names == METRIC_NAMES
+        window = simulator.run_window()
+        assert window.metric_names == METRIC_NAMES
+        assert window.stats.shape == (1, len(METRIC_NAMES), len(STAT_NAMES))
+
+    def test_carry_metrics_validates_and_orders(self, cpu_function):
+        simulator = FleetSimulator([cpu_function], [ConstantTraffic(0.05)], FleetConfig(seed=16))
+        with pytest.raises(ConfigurationError, match="unknown"):
+            simulator.carry_metrics(["execution_time", "heap_size"])
+        with pytest.raises(ConfigurationError, match="execution_time"):
+            simulator.carry_metrics(["heap_used"])
+        assert simulator.metric_names == METRIC_NAMES
+        simulator.carry_metrics(reversed(F4_METRICS))
+        assert simulator.metric_names == F4_METRICS
+
+    def test_narrowed_rows_equal_the_full_rows(self):
+        """On one seed the carried rows are the full window's rows, bit for bit."""
+        functions, traffic = _make_fleet(24, seed=53)
+        rows = [METRIC_NAMES.index(name) for name in F4_METRICS]
+        full, narrow = (
+            FleetSimulator(functions, traffic, FleetConfig(window_s=3600.0, seed=17))
+            for _ in range(2)
+        )
+        narrow.carry_metrics(F4_METRICS)
+        for _ in range(3):
+            wide, thin = full.run_window(), narrow.run_window()
+            assert thin.n_active > 0
+            np.testing.assert_array_equal(thin.active, wide.active)
+            np.testing.assert_array_equal(
+                thin.stats.view(np.uint64), wide.stats[:, rows].view(np.uint64)
+            )
+            np.testing.assert_array_equal(thin.n_invocations, wide.n_invocations)
+            np.testing.assert_array_equal(thin.cost_usd, wide.cost_usd)
+            np.testing.assert_array_equal(
+                thin.mean_execution_time_ms(), wide.mean_execution_time_ms()
+            )
+
+    def test_narrowed_service_decides_as_the_full_one(self, trained_model):
+        """The same resizes and ledger with 7 carried metrics as with 25."""
+        reports = []
+        for widen in (False, True):
+            functions, traffic = _make_fleet(16, seed=41)
+            simulator = FleetSimulator(
+                functions, traffic, FleetConfig(window_s=7200.0, seed=11)
+            )
+            service = FleetRightsizingService(
+                simulator,
+                SizelessPredictor(trained_model),
+                controller_config=ControllerConfig(min_windows=2, min_invocations=30),
+            )
+            if widen:
+                simulator.carry_metrics(METRIC_NAMES)
+            reports.append(service.run(5))
+        narrow, full = reports
+        assert narrow.n_resizes > 0
+        assert narrow.events == full.events
+        np.testing.assert_array_equal(narrow.final_memory_mb, full.final_memory_mb)
+        assert narrow.ledger.total_actual_cost_usd == full.ledger.total_actual_cost_usd
+        assert narrow.ledger.speedup_percent() == full.ledger.speedup_percent()
+
+    def test_controller_rejects_window_without_a_predictor_metric(
+        self, trained_model, cpu_function
+    ):
+        simulator = FleetSimulator([cpu_function], [ConstantTraffic(0.2)], FleetConfig(seed=18))
+        simulator.carry_metrics(["execution_time", "heap_used"])
+        controller = RightsizingController(SizelessPredictor(trained_model))
+        with pytest.raises(ConfigurationError, match="lack metrics"):
+            controller.step(simulator, simulator.run_window())
+
+    def test_controller_rejects_a_metric_axis_change(self, trained_model, cpu_function):
+        simulator = FleetSimulator([cpu_function], [ConstantTraffic(0.2)], FleetConfig(seed=19))
+        controller = RightsizingController(SizelessPredictor(trained_model))
+        controller.step(simulator, simulator.run_window())
+        simulator.carry_metrics(F4_METRICS)
+        with pytest.raises(ConfigurationError, match="changed mid-run"):
+            controller.step(simulator, simulator.run_window())
 
 
 class TestFleetAcceptance:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.workloads import traffic as traffic_module
 from repro.workloads.traffic import (
     BurstyTraffic,
     ConstantTraffic,
@@ -14,6 +15,7 @@ from repro.workloads.traffic import (
     FleetTrafficSchedule,
     RampTraffic,
     TraceTraffic,
+    _sort_within_groups,
     sample_fleet_traffic,
 )
 
@@ -46,6 +48,17 @@ class TestValidation:
             )
         with pytest.raises(ConfigurationError):
             BurstyTraffic(base_rate_rps=0.0, burst_rate_rps=5.0)
+        # The placement seed must be an integer >= 0: numpy's default_rng
+        # would reject -3 only at the first rate() call, and silently
+        # truncate 2.7 to seed 2.
+        for bad_seed in (-3, 2.7, True, 2.0):
+            with pytest.raises(ConfigurationError, match="burst_seed"):
+                BurstyTraffic(
+                    base_rate_rps=0.01, burst_rate_rps=0.05, burst_seed=bad_seed
+                )
+        assert BurstyTraffic(
+            base_rate_rps=0.01, burst_rate_rps=0.05, burst_seed=np.int64(3)
+        ).burst_seed == 3
 
     def test_ramp_rejects_bad_parameters(self):
         with pytest.raises(ConfigurationError):
@@ -295,6 +308,99 @@ class TestFleetTrafficSchedule:
         assert np.array_equal(arrivals.active(), [0, 2])
         for i, expected in enumerate(per_function):
             assert np.array_equal(arrivals.arrivals_of(i), expected)
+
+
+def _lexsorted(gids: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The two-key reference: ``values`` sorted within each group."""
+    return values[np.lexsort((values, gids))]
+
+
+class TestSortWithinGroups:
+    """The one-key candidate sort equals the two-key lexsort bit for bit."""
+
+    @staticmethod
+    def _count_lexsorts(monkeypatch) -> list[int]:
+        """Count the calls of ``np.lexsort`` made while the test runs."""
+        calls = []
+        lexsort = np.lexsort
+
+        def counted(keys, *args, **kwargs):
+            calls.append(len(keys[0]))
+            return lexsort(keys, *args, **kwargs)
+
+        monkeypatch.setattr(traffic_module.np, "lexsort", counted)
+        return calls
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("first_gid", [0, 2**20])
+    def test_random_groups_equal_lexsort(self, seed, first_gid, monkeypatch):
+        """Empty, single-candidate and long groups, at small and large ids."""
+        calls = self._count_lexsorts(monkeypatch)
+        rng = np.random.default_rng(seed)
+        counts = rng.choice([0, 1, 2, 7, 300], size=60)
+        counts[:3] = (0, 1, 300)
+        gids = first_gid + np.repeat(np.arange(counts.shape[0], dtype=np.int64), counts)
+        values = rng.random(gids.shape[0])
+        result = _sort_within_groups(gids, values)
+        assert calls in ([], [gids.shape[0]])
+        expected = _lexsorted(gids, values)
+        assert result.dtype == expected.dtype
+        np.testing.assert_array_equal(result.view(np.uint64), expected.view(np.uint64))
+
+    def test_colliding_keys_fall_back_to_lexsort(self, monkeypatch):
+        """``2**20 + u`` keeps only 32 bits of ``u``: two values of one group
+        can share a key and leave the argsort out of order."""
+        calls = self._count_lexsorts(monkeypatch)
+        gid = 2**20
+        high, low = 0.5 + 2.0**-40, 0.5
+        assert gid + high == gid + low
+        gids = np.array([0, gid, gid, gid + 1], dtype=np.int64)
+        values = np.array([0.25, high, low, 0.75])
+        result = _sort_within_groups(gids, values)
+        assert calls == [4]
+        np.testing.assert_array_equal(result, [0.25, low, high, 0.75])
+        np.testing.assert_array_equal(result, _lexsorted(gids, values))
+
+    def test_descending_run_of_equal_keys_falls_back(self, monkeypatch):
+        """Whatever order the argsort gives ties, a descending run of 64
+        values that share one key cannot come out ascending."""
+        calls = self._count_lexsorts(monkeypatch)
+        values = 0.5 + np.arange(64)[::-1] * 2.0**-40
+        gids = np.full(64, 2**20, dtype=np.int64)
+        assert np.unique(gids + values).shape[0] == 1
+        result = _sort_within_groups(gids, values)
+        np.testing.assert_array_equal(result, np.sort(values))
+        assert calls == [64]
+
+    def test_zero_candidates(self):
+        empty = _sort_within_groups(np.empty(0, dtype=np.int64), np.empty(0))
+        assert empty.shape == (0,)
+        # A window whose envelope draws no candidate at all.
+        schedule = FleetTrafficSchedule([ConstantTraffic(1e-12), ConstantTraffic(1e-12)])
+        arrivals = schedule.sample_window(0.0, 1.0, np.random.default_rng(3))
+        assert arrivals.total == 0
+        np.testing.assert_array_equal(arrivals.offsets, [0, 0, 0])
+        assert arrivals.times_s.shape == (0,)
+
+    def test_sample_window_equals_the_lexsort_schedule(self, monkeypatch):
+        """A whole window through the one-key sort equals the window whose
+        candidate times are sorted by ``np.lexsort((times, gids))``."""
+        start_s, duration = 3_600.0, 3_600.0
+
+        def by_time(gids, uniforms):
+            times = start_s + duration * uniforms
+            return uniforms[np.lexsort((times, gids))]
+
+        schedule = FleetTrafficSchedule(sample_fleet_traffic(40, seed=8) + _one_of_each_model())
+        window = (start_s, start_s + duration)
+        one_key = schedule.sample_window(*window, np.random.default_rng(21))
+        monkeypatch.setattr(traffic_module, "_sort_within_groups", by_time)
+        two_key = schedule.sample_window(*window, np.random.default_rng(21))
+        assert one_key.total > 0
+        np.testing.assert_array_equal(one_key.offsets, two_key.offsets)
+        np.testing.assert_array_equal(
+            one_key.times_s.view(np.uint64), two_key.times_s.view(np.uint64)
+        )
 
 
 class TestWorkloadValidation:

@@ -11,9 +11,11 @@ hot paths:
   always-active one, plus the fleet-scale ``sparse`` section (the fleet
   window vs the dense O(fleet) reference on a mostly-idle fleet), all timed
   as the median of 3 untraced interleaved runs with tracemalloc peak bytes
-  from a separate traced run; the ``walk_shapes`` section (the grouped
-  kernel on four instance-walk shapes); and the ``fleet_scale`` endurance
-  run (one million functions through 24 virtual hours at ``--scale full``);
+  from a separate traced run; ``hot.service`` (the always-active fleet
+  through the rightsizing service, with its per-window phases); the
+  ``walk_shapes`` section (the grouped kernel on four instance-walk
+  shapes); and the ``fleet_scale`` endurance run (one million functions
+  through 24 virtual hours at ``--scale full``);
 - **generation** — training-dataset generation per execution-backend variant
   (invocations/s from the median of 3 untraced runs, tracemalloc peak bytes
   from a separate traced run);
@@ -202,6 +204,42 @@ def bench_fleet_hot(bench) -> dict:
         "speedup": round(
             results["looped"]["seconds"] / results["fused"]["seconds"], 2
         ),
+        "service": bench_hot_service(bench),
+    }
+
+
+def bench_hot_service(bench) -> dict:
+    """The hot fleet through ``FleetRightsizingService`` (``hot_service_run``).
+
+    The predictor is the quick experiment scale's 256 MB model, trained
+    here in-process.  ``seconds`` is the median of ``seconds_runs`` (3
+    untraced runs of ``HOT_SERVICE_WINDOWS`` windows after one warm-up
+    window, each on a fresh service); ``phases_ms`` is the median over the
+    runs of each profiler phase's milliseconds per window.
+    """
+    from repro.core.predictor import SizelessPredictor
+    from repro.experiments.context import ExperimentContext, ExperimentScale
+
+    context = ExperimentContext(ExperimentScale.quick())
+    predictor = SizelessPredictor(
+        context.model(context.scale.default_base_size_mb), pricing=context.pricing
+    )
+    runs = []
+    phases = []
+    for _ in range(FLEET_REPEATS):
+        gc.collect()
+        seconds, phase_seconds = bench.hot_service_run(predictor)
+        runs.append(seconds)
+        phases.append(phase_seconds)
+    per_window = 1e3 / bench.HOT_SERVICE_WINDOWS
+    return {
+        "n_windows": bench.HOT_SERVICE_WINDOWS,
+        "seconds": round(statistics.median(runs), 4),
+        "seconds_runs": [round(t, 4) for t in runs],
+        "phases_ms": {
+            phase: round(statistics.median(run[phase] for run in phases) * per_window, 2)
+            for phase in phases[0]
+        },
     }
 
 
