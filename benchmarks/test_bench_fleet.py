@@ -25,7 +25,10 @@ These contracts of the online subsystem are asserted here:
    function, the pre-sparse window body).
 5. **Sparse memory bound** — peak traced memory of sparse windows at fleet
    scale is bounded by the *active* invocations plus a small per-function
-   bookkeeping allowance, never by dense per-function stat blocks.
+   bookkeeping allowance, never by dense per-function stat blocks.  The
+   rightsizing service's controller and ledger state on the same fleet is
+   bounded by the functions ever active plus ``STATE_BYTES_PER_FUNCTION``
+   (one row map each) per fleet function.
 6. **Sparse kernel exactness and memory** — on the fleet-scale scenario's
    active groups the grouped kernel reproduces the looped per-batch oracle
    bit for bit, and its peak traced memory stays within the same budget.
@@ -67,6 +70,8 @@ import tracemalloc
 
 import numpy as np
 
+import repro.fleet.controller
+import repro.fleet.ledger
 from repro.core.predictor import SizelessPredictor
 from repro.fleet import ControllerConfig, FleetConfig, FleetRightsizingService, FleetSimulator
 from repro.monitoring.aggregation import STAT_NAMES
@@ -804,3 +809,75 @@ def test_bench_fleet_window_memory_bounded_by_active():
     )
     assert all(w.n_active < SPARSE_FUNCTIONS * 0.05 for w in windows)
     assert peak_bytes < bound
+
+
+#: Retained controller + ledger bytes allowed per function that has had
+#: traffic: a compact row holds ~250 B in the controller (the 7 x 3
+#: accumulator is 168 B) and ~60 B in the ledger, doubled for the growth
+#: slack, plus room for the events and abandoned sizes of a resize.
+STATE_BYTES_PER_ACTIVE = 1024
+
+#: Retained controller + ledger bytes allowed per fleet function: one int32
+#: row map each.  The dense state held ~275 B per function.
+STATE_BYTES_PER_FUNCTION = 8
+
+
+def test_bench_service_state_bounded_by_ever_active(warm_context):
+    """Controller and ledger state follow the functions ever active.
+
+    ``_sparse_scenario``'s fleet runs through ``FleetRightsizingService``
+    with a warm-up of one window and one invocation, so the whole decide
+    path runs and resizes.  The allocations still held afterwards by
+    ``repro/fleet/controller.py`` and ``repro/fleet/ledger.py`` lines (their
+    state, events and accounts) must stay within
+    ``STATE_BYTES_PER_ACTIVE`` per function that has had traffic plus
+    ``STATE_BYTES_PER_FUNCTION`` per fleet function.  Dense per-function
+    state fails it: the ``(n, 7, 3)`` float64 accumulator alone is 168 B per
+    fleet function.
+    """
+    functions, traffic = _sparse_scenario()
+    predictor = SizelessPredictor(
+        warm_context.model(warm_context.scale.default_base_size_mb),
+        pricing=warm_context.pricing,
+    )
+    simulator = FleetSimulator(functions, traffic, FleetConfig(window_s=WINDOW_S, seed=98))
+    service = FleetRightsizingService(
+        simulator, predictor, controller_config=ControllerConfig(min_windows=1, min_invocations=1)
+    )
+    ever_active = np.zeros(len(functions), dtype=bool)
+    n_events = 0
+
+    tracemalloc.start()
+    for _ in range(SPARSE_WINDOWS):
+        window = simulator.run_window()
+        ever_active[window.active] = True
+        events = service.controller.step(simulator, window)
+        service.ledger.observe(window, events)
+        n_events += len(events)
+    del window, events
+    snapshot = tracemalloc.take_snapshot()
+    _, peak_bytes = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+
+    state = snapshot.filter_traces(
+        [
+            tracemalloc.Filter(True, repro.fleet.controller.__file__),
+            tracemalloc.Filter(True, repro.fleet.ledger.__file__),
+        ]
+    )
+    state_bytes = sum(trace.size for trace in state.traces)
+    n_ever_active = int(np.count_nonzero(ever_active))
+    bound = (
+        STATE_BYTES_PER_ACTIVE * n_ever_active + STATE_BYTES_PER_FUNCTION * len(functions)
+    ) * _mem_factor()
+    print()
+    print(
+        f"service state: {len(functions):,} functions, {n_ever_active:,} ever active, "
+        f"{n_events} events over {SPARSE_WINDOWS} windows -> controller + ledger "
+        f"hold {state_bytes / 1e6:.3f} MB (bound {bound / 1e6:.3f} MB; "
+        f"{state_bytes / len(functions):.1f} B per fleet function); "
+        f"run peak {peak_bytes / 1e6:.2f} MB"
+    )
+    assert n_events > 0
+    assert n_ever_active < 0.1 * len(functions)
+    assert state_bytes <= bound

@@ -7,6 +7,8 @@ being able to distinguish configuration problems from runtime problems.
 
 from __future__ import annotations
 
+import numbers
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
@@ -14,6 +16,16 @@ class ReproError(Exception):
 
 class ConfigurationError(ReproError):
     """A configuration object contains invalid or inconsistent values."""
+
+
+def require_count(value, name: str, least: int) -> None:
+    """Raise :class:`ConfigurationError` unless ``value`` is an integer >= ``least``.
+
+    Python and numpy integers pass; bools and floats with an integral value
+    do not, since storing them would silently truncate or reinterpret them.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 class SimulationError(ReproError):

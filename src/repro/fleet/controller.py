@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_count
 from repro.core.predictor import SizelessPredictor
 from repro.dataset.table import MeasurementTable
 from repro.fleet.simulator import FleetSimulator, FleetWindow
@@ -94,20 +94,18 @@ class ControllerConfig:
     rollback_tolerance: float = 0.05
 
     def __post_init__(self) -> None:
-        """Validate guardrail ranges."""
+        """Validate guardrail ranges: counts are integers, no field is NaN."""
         if not 0.0 <= self.tradeoff <= 1.0:
             raise ConfigurationError("tradeoff must be in [0, 1]")
-        if self.min_invocations < 1:
-            raise ConfigurationError("min_invocations must be at least 1")
-        if self.min_windows < 1:
-            raise ConfigurationError("min_windows must be at least 1")
-        if self.hysteresis_margin < 0:
+        require_count(self.min_invocations, "min_invocations", 1)
+        require_count(self.min_windows, "min_windows", 1)
+        require_count(self.cooldown_windows, "cooldown_windows", 0)
+        require_count(self.evaluation_windows, "evaluation_windows", 1)
+        # Written so that NaN fails too: every comparison with NaN is false,
+        # so it would switch off every resize or every rollback.
+        if not self.hysteresis_margin >= 0:
             raise ConfigurationError("hysteresis_margin must be non-negative")
-        if self.cooldown_windows < 0:
-            raise ConfigurationError("cooldown_windows must be non-negative")
-        if self.evaluation_windows < 1:
-            raise ConfigurationError("evaluation_windows must be at least 1")
-        if self.rollback_tolerance < 0:
+        if not self.rollback_tolerance >= 0:
             raise ConfigurationError("rollback_tolerance must be non-negative")
 
 
@@ -140,8 +138,58 @@ class ResizeEvent:
     predicted_improvement: float = 0.0
 
 
+class FunctionRows:
+    """Row-indexed state for the functions that have appeared in a window.
+
+    ``row`` is one int32 map over the fleet: function ``i``'s row, or -1
+    until ``i`` first appears in a window's ``active``.  Rows are handed out
+    in order of first appearance and never reused; ``ids[r]`` is row ``r``'s
+    function.  The columns named at construction (``name=(dtype, trailing
+    shape)``) are attributes indexed by row.  They grow together by
+    amortized doubling, and a new row starts zeroed, as a dense array
+    would be before its function's first window.
+    """
+
+    def __init__(self, n_functions: int, **columns: tuple) -> None:
+        self.row = np.full(n_functions, -1, dtype=np.int32)
+        self.size = 0
+        self._columns = {"ids": (np.int64, ()), **columns}
+        self._grow(0)
+
+    def _grow(self, capacity: int) -> None:
+        for name, (dtype, shape) in self._columns.items():
+            grown = np.zeros((capacity, *shape), dtype=dtype)
+            if self.size:
+                grown[: self.size] = getattr(self, name)[: self.size]
+            setattr(self, name, grown)
+
+    def rows_of(self, functions: np.ndarray) -> np.ndarray:
+        """Return the rows of sorted, unique function indices, adding new ones."""
+        rows = self.row[functions]
+        new = rows < 0
+        if new.any():
+            fresh = functions[new]
+            stop = self.size + fresh.shape[0]
+            if stop > self.ids.shape[0]:
+                self._grow(max(stop, 2 * self.ids.shape[0]))
+            rows[new] = np.arange(self.size, stop, dtype=np.int32)
+            self.row[fresh] = rows[new]
+            self.ids[self.size : stop] = fresh
+            self.size = stop
+        return rows
+
+
 class RightsizingController:
-    """Drives continuous fleet rightsizing decisions from window statistics."""
+    """Drives continuous fleet rightsizing decisions from window statistics.
+
+    State is kept in :class:`FunctionRows`, one row per function that has
+    appeared in some window's ``active``: a function that never had traffic
+    can never be eligible, so it costs only its 4-byte slot in the row map.
+    Each step touches the window's active rows, the rows whose cooldown or
+    evaluation countdown is running, one invocation-count comparison per
+    row and the other guardrails on the rows that pass it; none makes a
+    pass over the fleet.
+    """
 
     def __init__(
         self,
@@ -164,7 +212,7 @@ class RightsizingController:
 
     # ------------------------------------------------------------------ state
     def _ensure_state(self, window: FleetWindow) -> None:
-        """Allocate per-function state arrays on the first window.
+        """Allocate the row map on the first window.
 
         The accumulator's metric axis is the first window's
         ``metric_names``; later windows must carry the same axis.
@@ -191,118 +239,150 @@ class RightsizingController:
         # Table-1 rows of the carried metrics, for the predictor's table.
         self._table_rows = [METRIC_NAMES.index(name) for name in window.metric_names]
         self._time_row = window.metric_names.index("execution_time")
-        shape = (n_functions, len(window.metric_names), len(STAT_NAMES))
-        self._acc_stats = np.zeros(shape, dtype=float)
-        self._acc_counts = np.zeros(n_functions, dtype=np.int64)
-        self._acc_cost = np.zeros(n_functions, dtype=float)
-        self._windows_observed = np.zeros(n_functions, dtype=np.int64)
-        self._cooldown = np.zeros(n_functions, dtype=np.int64)
-        self._pinned = np.zeros(n_functions, dtype=bool)
-        self._eval_active = np.zeros(n_functions, dtype=bool)
-        self._eval_windows_left = np.zeros(n_functions, dtype=np.int64)
-        self._eval_prev_size = np.zeros(n_functions, dtype=int)
-        self._eval_prev_time_ms = np.zeros(n_functions, dtype=float)
-        self._eval_prev_cost_usd = np.zeros(n_functions, dtype=float)
+        self._rows = FunctionRows(
+            n_functions,
+            acc_stats=(float, (len(window.metric_names), len(STAT_NAMES))),
+            acc_counts=(np.int64, ()),
+            acc_cost=(float, ()),
+            windows_observed=(np.int64, ()),
+            cooldown=(np.int64, ()),
+            pinned=(bool, ()),
+            eval_active=(bool, ()),
+            eval_windows_left=(np.int64, ()),
+            eval_prev_size=(int, ()),
+            eval_prev_time_ms=(float, ()),
+            eval_prev_cost_usd=(float, ()),
+        )
+        # The rows whose cooldown, and whose evaluation, is running.
+        self._cooling = np.zeros(0, dtype=np.intp)
+        self._evaluating = np.zeros(0, dtype=np.intp)
         self._abandoned: dict[int, set[int]] = {}
 
-    def _reset_observation(self, indices: np.ndarray) -> None:
+    def _reset_observation(self, rows) -> None:
         """Clear the accumulators of functions whose size just changed."""
-        self._acc_stats[indices] = 0.0
-        self._acc_counts[indices] = 0
-        self._acc_cost[indices] = 0.0
-        self._windows_observed[indices] = 0
+        state = self._rows
+        state.acc_stats[rows] = 0.0
+        state.acc_counts[rows] = 0
+        state.acc_cost[rows] = 0.0
+        state.windows_observed[rows] = 0
 
     # ---------------------------------------------------------------- observe
     def _observe(self, window: FleetWindow) -> None:
         """Merge one window's active rows into the running accumulators.
 
-        Idle functions have no row and keep their accumulators untouched, so
-        the merge costs O(active) instead of O(fleet).
+        Idle functions have no row in the window and keep their
+        accumulators untouched, so the merge costs O(active); cooldowns
+        tick only on the rows where one is running.
         """
-        rows = window.active
+        state = self._rows
+        rows = state.rows_of(window.active)
         merged, counts = merge_stat_blocks(
-            self._acc_stats[rows],
-            self._acc_counts[rows],
+            state.acc_stats[rows],
+            state.acc_counts[rows],
             window.stats,
             window.n_invocations,
         )
-        self._acc_stats[rows] = merged
-        self._acc_counts[rows] = counts
-        self._acc_cost[rows] += window.cost_usd
-        self._windows_observed[rows] += window.n_invocations > 0
-        np.maximum(self._cooldown - 1, 0, out=self._cooldown)
+        state.acc_stats[rows] = merged
+        state.acc_counts[rows] = counts
+        state.acc_cost[rows] += window.cost_usd
+        state.windows_observed[rows] += window.n_invocations > 0
+        cooling = self._cooling
+        state.cooldown[cooling] -= 1
+        self._cooling = cooling[state.cooldown[cooling] > 0]
 
     # --------------------------------------------------------------- rollback
     def _check_rollbacks(
         self, simulator: FleetSimulator, window: FleetWindow
     ) -> list[ResizeEvent]:
-        """Evaluate resized functions and revert realized regressions."""
+        """Evaluate resized functions and revert realized regressions.
+
+        A function's current size is the one it ran at in ``window``.
+        """
         events: list[ResizeEvent] = []
-        if not np.any(self._eval_active):
+        evaluating = self._evaluating
+        if not evaluating.size:
             return events
-        self._eval_windows_left[self._eval_active] -= 1
-        due = np.flatnonzero(
-            self._eval_active & (self._eval_windows_left <= 0) & (self._acc_counts > 0)
+        state = self._rows
+        state.eval_windows_left[evaluating] -= 1
+        is_due = (state.eval_windows_left[evaluating] <= 0) & (
+            state.acc_counts[evaluating] > 0
         )
+        self._evaluating = evaluating[~is_due]
+        due = evaluating[is_due]
+        due = due[np.argsort(state.ids[due])]
+        state.eval_active[due] = False
+        # The realized trade-off score against the previous size, one
+        # elementwise expression over the due rows; rows without a positive
+        # previous cost and latency are not scored.
         t = self.config.tradeoff
-        current = simulator.current_memory_mb()
-        for i in due:
-            realized_time = self._acc_stats[i, self._time_row, _MEAN]
-            realized_cost = self._acc_cost[i] / self._acc_counts[i]
-            prev_time = self._eval_prev_time_ms[i]
-            prev_cost = self._eval_prev_cost_usd[i]
-            self._eval_active[i] = False
-            if prev_time <= 0 or prev_cost <= 0:
-                continue
+        realized_time = state.acc_stats[due, self._time_row, _MEAN]
+        realized_cost = state.acc_cost[due] / state.acc_counts[due]
+        prev_time = state.eval_prev_time_ms[due]
+        prev_cost = state.eval_prev_cost_usd[due]
+        scored = ~((prev_time <= 0) | (prev_cost <= 0))
+        with np.errstate(divide="ignore", invalid="ignore"):
             score = t * (realized_cost / prev_cost) + (1.0 - t) * (realized_time / prev_time)
-            if score > 1.0 + self.config.rollback_tolerance:
-                previous = int(self._eval_prev_size[i])
-                self._abandoned.setdefault(int(i), set()).add(int(current[i]))
-                simulator.resize(int(i), previous)
-                self._pinned[i] = True
-                self._reset_observation(np.array([i]))
-                events.append(
-                    ResizeEvent(
-                        window_index=window.index,
-                        function_index=int(i),
-                        function_name=simulator.functions[int(i)].name,
-                        from_memory_mb=int(current[i]),
-                        to_memory_mb=previous,
-                        reason="rollback",
-                    )
+        regressed = scored & (score > 1.0 + self.config.rollback_tolerance)
+        for r in due[regressed]:
+            i = int(state.ids[r])
+            current = int(window.memory_mb[i])
+            previous = int(state.eval_prev_size[r])
+            self._abandoned.setdefault(i, set()).add(current)
+            simulator.resize(i, previous)
+            state.pinned[r] = True
+            self._reset_observation(r)
+            events.append(
+                ResizeEvent(
+                    window_index=window.index,
+                    function_index=i,
+                    function_name=simulator.functions[i].name,
+                    from_memory_mb=current,
+                    to_memory_mb=previous,
+                    reason="rollback",
                 )
+            )
         return events
 
     # ----------------------------------------------------------------- decide
-    def _eligible(self, current: np.ndarray, base: int) -> np.ndarray:
-        """Indices of functions ready for a decision at one base size."""
-        mask = (
-            (current == base)
-            & ~self._pinned
-            & ~self._eval_active
-            & (self._cooldown == 0)
-            & (self._acc_counts >= self.config.min_invocations)
-            & (self._windows_observed >= self.config.min_windows)
-            & (self._acc_stats[:, self._time_row, _MEAN] > 0)
-        )
-        return np.flatnonzero(mask)
+    def _eligible(self, window: FleetWindow, base: int) -> np.ndarray:
+        """Return the rows ready for a decision at one base size, in function order.
 
-    def _stats_table(self, simulator: FleetSimulator, indices: np.ndarray, base: int):
+        The invocation count is checked over every row first; the other
+        guardrails only on the (few) rows that pass it.  A function's
+        current size is the one it ran at in ``window``.
+        """
+        state = self._rows
+        rows = np.flatnonzero(state.acc_counts[: state.size] >= self.config.min_invocations)
+        ids = state.ids[rows]
+        ready = (
+            (window.memory_mb[ids] == base)
+            & ~state.pinned[rows]
+            & ~state.eval_active[rows]
+            & (state.cooldown[rows] == 0)
+            & (state.windows_observed[rows] >= self.config.min_windows)
+            & (state.acc_stats[rows, self._time_row, _MEAN] > 0)
+        )
+        rows, ids = rows[ready], ids[ready]
+        return rows[np.argsort(ids)]
+
+    def _stats_table(self, simulator: FleetSimulator, rows: np.ndarray, base: int):
         """Wrap accumulated stats of a cohort into a single-size table.
 
         The table keeps the Table-1 metric axis: the carried rows are
         scattered into a zero block, and the metrics no window carries stay
         zero (the predictor never reads them).
         """
-        values = np.zeros((indices.shape[0], 1, len(METRIC_NAMES), len(STAT_NAMES)))
-        values[:, 0, self._table_rows] = self._acc_stats[indices]
+        state = self._rows
+        functions = [simulator.functions[i] for i in state.ids[rows]]
+        values = np.zeros((rows.shape[0], 1, len(METRIC_NAMES), len(STAT_NAMES)))
+        values[:, 0, self._table_rows] = state.acc_stats[rows]
         return MeasurementTable(
-            function_names=tuple(simulator.functions[i].name for i in indices),
-            applications=tuple(simulator.functions[i].application for i in indices),
-            segments=tuple(simulator.functions[i].segments for i in indices),
+            function_names=tuple(function.name for function in functions),
+            applications=tuple(function.application for function in functions),
+            segments=tuple(function.segments for function in functions),
             memory_sizes_mb=(int(base),),
             values=values,
-            n_invocations=self._acc_counts[indices][:, None],
+            n_invocations=state.acc_counts[rows][:, None],
             description="fleet monitoring accumulator",
         )
 
@@ -311,44 +391,39 @@ class RightsizingController:
     ) -> list[ResizeEvent]:
         """Batch-predict eligible cohorts and apply guarded resizes."""
         events: list[ResizeEvent] = []
-        current = simulator.current_memory_mb()
+        state = self._rows
         fleet_sizes = set(int(s) for s in simulator.config.memory_sizes_mb)
         for base in self.predictor.base_memory_sizes_mb:
-            indices = self._eligible(current, base)
-            if indices.size == 0:
+            rows = self._eligible(window, base)
+            if rows.size == 0:
                 continue
-            table = self._stats_table(simulator, indices, base)
+            table = self._stats_table(simulator, rows, base)
             _, recommendation = self.predictor.recommend_table(
                 table, base_memory_mb=base, tradeoff=self.config.tradeoff
             )
             sizes = recommendation.memory_sizes_mb
             base_column = sizes.index(int(base))
-            rows = np.arange(indices.size)
-            current_scores = recommendation.total_scores[rows, base_column]
+            cohort = np.arange(rows.size)
+            current_scores = recommendation.total_scores[cohort, base_column]
             selected_scores = recommendation.total_scores[
-                rows, recommendation.selected_index
+                cohort, recommendation.selected_index
             ]
             improvement = (current_scores - selected_scores) / current_scores
             chosen = np.flatnonzero(
                 (recommendation.selected_memory_mb != base)
                 & (improvement >= self.config.hysteresis_margin)
             )
-            for row in chosen:
-                i = int(indices[row])
-                target = int(recommendation.selected_memory_mb[row])
+            applied = []
+            for k in chosen:
+                i = int(state.ids[rows[k]])
+                target = int(recommendation.selected_memory_mb[k])
                 if target not in fleet_sizes:
                     continue  # model predicts sizes the fleet cannot deploy
                 if target in self._abandoned.get(i, ()):
                     continue  # never flip back to an abandoned size
-                self._eval_prev_size[i] = base
-                self._eval_prev_time_ms[i] = self._acc_stats[i, self._time_row, _MEAN]
-                self._eval_prev_cost_usd[i] = self._acc_cost[i] / self._acc_counts[i]
                 self._abandoned.setdefault(i, set()).add(int(base))
                 simulator.resize(i, target)
-                self._eval_active[i] = True
-                self._eval_windows_left[i] = self.config.evaluation_windows
-                self._cooldown[i] = self.config.cooldown_windows
-                self._reset_observation(np.array([i]))
+                applied.append(k)
                 events.append(
                     ResizeEvent(
                         window_index=window.index,
@@ -357,10 +432,26 @@ class RightsizingController:
                         from_memory_mb=int(base),
                         to_memory_mb=target,
                         reason="recommendation",
-                        predicted_improvement=float(improvement[row]),
+                        predicted_improvement=float(improvement[k]),
                     )
                 )
+            if applied:
+                self._start_evaluation(rows[applied], base)
         return events
+
+    def _start_evaluation(self, rows: np.ndarray, base: int) -> None:
+        """Record the size the rows left, then watch them and cool them down."""
+        state = self._rows
+        state.eval_prev_size[rows] = base
+        state.eval_prev_time_ms[rows] = state.acc_stats[rows, self._time_row, _MEAN]
+        state.eval_prev_cost_usd[rows] = state.acc_cost[rows] / state.acc_counts[rows]
+        state.eval_active[rows] = True
+        state.eval_windows_left[rows] = self.config.evaluation_windows
+        state.cooldown[rows] = self.config.cooldown_windows
+        self._reset_observation(rows)
+        self._evaluating = np.concatenate([self._evaluating, rows])
+        if self.config.cooldown_windows:
+            self._cooling = np.concatenate([self._cooling, rows])
 
     # ------------------------------------------------------------------- step
     def step(

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigurationError
-from repro.fleet.controller import ResizeEvent
+from repro.errors import ConfigurationError, require_count
+from repro.fleet.controller import FunctionRows, ResizeEvent
 from repro.fleet.simulator import FleetWindow
 
 
@@ -66,7 +66,13 @@ class WindowAccount:
 
 
 class SavingsLedger:
-    """Accounts realized fleet cost and latency against the default deployment."""
+    """Accounts realized fleet cost and latency against the default deployment.
+
+    Baselines are kept in :class:`~repro.fleet.controller.FunctionRows`,
+    one row per function that has appeared in some window's ``active``, as
+    in the controller: a function without traffic has no baseline to
+    refine or bill.
+    """
 
     def __init__(self, default_memory_mb: int = 256) -> None:
         """Create an empty ledger.
@@ -75,17 +81,16 @@ class SavingsLedger:
         ----------
         default_memory_mb:
             The default deployment size savings are measured against (the
-            size every fleet function starts at).
+            size every fleet function starts at), an integer number of MB.
         """
-        if default_memory_mb <= 0:
-            raise ConfigurationError("default_memory_mb must be positive")
+        require_count(default_memory_mb, "default_memory_mb", 1)
         self.default_memory_mb = int(default_memory_mb)
         self.windows: list[WindowAccount] = []
         self.events: list[ResizeEvent] = []
         self._n: int | None = None
 
     def _ensure_state(self, n_functions: int) -> None:
-        """Allocate per-function baseline state on the first window."""
+        """Allocate the row map on the first window."""
         if self._n is not None:
             if n_functions != self._n:
                 raise ConfigurationError(
@@ -95,12 +100,15 @@ class SavingsLedger:
         self._n = n_functions
         # Running default-size observation, used to freeze the baseline when
         # a function first leaves the default size.
-        self._default_cost = np.zeros(n_functions, dtype=float)
-        self._default_time_weighted = np.zeros(n_functions, dtype=float)
-        self._default_count = np.zeros(n_functions, dtype=np.int64)
-        self._frozen = np.zeros(n_functions, dtype=bool)
-        self._baseline_cost_per_inv = np.zeros(n_functions, dtype=float)
-        self._baseline_time_ms = np.zeros(n_functions, dtype=float)
+        self._rows = FunctionRows(
+            n_functions,
+            default_cost=(float, ()),
+            default_time_weighted=(float, ()),
+            default_count=(np.int64, ()),
+            frozen=(bool, ()),
+            baseline_cost_per_inv=(float, ()),
+            baseline_time_ms=(float, ()),
+        )
 
     # ---------------------------------------------------------------- observe
     def observe(self, window: FleetWindow, events: list[ResizeEvent]) -> WindowAccount:
@@ -108,49 +116,51 @@ class SavingsLedger:
 
         Only the window's active rows are touched: idle functions have no
         row, so they refine no baseline and add nothing to any windowed
-        sum.  ``functions_resized`` still scans the dense ``memory_mb``
-        (deployment state is a fleet-wide fact, one comparison per
-        function).  The only loop is over the (few) resize events, which
+        sum.  ``functions_resized`` still scans the window's dense
+        ``memory_mb`` (deployment state is a fleet-wide fact, one comparison
+        per function).  The only loop is over the (few) resize events, which
         freeze baselines.
         """
         self._ensure_state(window.n_functions)
-        rows = window.active
+        state = self._rows
+        rows = state.rows_of(window.active)
         counts = window.n_invocations.astype(float)
         mean_time = window.mean_execution_time_ms()
-        at_default = window.memory_mb[rows] == self.default_memory_mb
+        at_default = window.memory_mb[window.active] == self.default_memory_mb
 
         # Keep refining the baseline while a function still runs (and has
         # always run) at the default size.
-        refine = at_default & ~self._frozen[rows]
+        refine = at_default & ~state.frozen[rows]
         r = rows[refine]
-        self._default_cost[r] += window.cost_usd[refine]
-        self._default_time_weighted[r] += (mean_time * counts)[refine]
-        self._default_count[r] += window.n_invocations[refine]
+        state.default_cost[r] += window.cost_usd[refine]
+        state.default_time_weighted[r] += (mean_time * counts)[refine]
+        state.default_count[r] += window.n_invocations[refine]
 
-        # Freeze baselines for functions resized away for the first time.
+        # Freeze baselines for functions resized away for the first time; a
+        # function without a row never ran at the default size.
         for event in events:
-            i = event.function_index
-            if self._frozen[i] or self._default_count[i] == 0:
+            row = state.row[event.function_index]
+            if row < 0 or state.frozen[row] or state.default_count[row] == 0:
                 continue
-            self._baseline_cost_per_inv[i] = (
-                self._default_cost[i] / self._default_count[i]
+            state.baseline_cost_per_inv[row] = (
+                state.default_cost[row] / state.default_count[row]
             )
-            self._baseline_time_ms[i] = (
-                self._default_time_weighted[i] / self._default_count[i]
+            state.baseline_time_ms[row] = (
+                state.default_time_weighted[row] / state.default_count[row]
             )
-            self._frozen[i] = True
+            state.frozen[row] = True
 
         # Baseline view of this window: functions deployed AWAY from the
         # default are billed at their frozen per-invocation baseline;
         # everything running at the default size (including functions rolled
         # back to it) is billed at realized numbers — their deployment is
         # the baseline, so their delta is zero by construction.
-        use_baseline = self._frozen[rows] & ~at_default
+        use_baseline = state.frozen[rows] & ~at_default
         baseline_cost = np.where(
-            use_baseline, self._baseline_cost_per_inv[rows] * counts, window.cost_usd
+            use_baseline, state.baseline_cost_per_inv[rows] * counts, window.cost_usd
         )
         baseline_time_weighted = np.where(
-            use_baseline, self._baseline_time_ms[rows] * counts, mean_time * counts
+            use_baseline, state.baseline_time_ms[rows] * counts, mean_time * counts
         )
         account = WindowAccount(
             window_index=window.index,

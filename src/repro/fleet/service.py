@@ -15,12 +15,17 @@ to a whole production fleet::
 Each iteration holds only one window's arrays, so a multi-day run is
 bounded by one window's statistics plus the fleet's deployment state
 (asserted by ``benchmarks/test_bench_fleet.py``).  A window holds rows only
-for its active functions, and the controller's observation merge and the
-ledger touch only those rows, so at fleet scale (10^5–10^6 mostly-idle
-functions) their per-window cost follows the *active* function count.  The
-windows carry only the metrics the predictor reads (7 of 25 with the
-paper's F4 features), so the reductions and the controller's accumulator
-skip the rest.
+for its active functions.  The controller and the ledger keep state rows
+only for functions that have had traffic, found through one int32 row map
+each (4 B per fleet function); they touch the window's active rows, the
+rows with a running cooldown or evaluation, and the rows with enough
+invocations to be eligible.  So at fleet scale (10^5–10^6 mostly-idle
+functions) their memory follows the functions ever active and their
+per-window cost the active count, apart from one invocation-count
+comparison per row and the ledger's one comparison per function of the
+window's dense ``memory_mb``.  The windows carry only the metrics the
+predictor reads (7 of 25 with the paper's F4 features), so the reductions
+and the controller's accumulator skip the rest.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import require_count
 from repro.core.predictor import SizelessPredictor
 from repro.fleet.controller import ControllerConfig, ResizeEvent, RightsizingController
 from repro.fleet.ledger import SavingsLedger
@@ -141,13 +146,12 @@ class FleetRightsizingService:
         Parameters
         ----------
         n_windows:
-            Number of windows to simulate.
+            Number of windows to simulate (an integer >= 1).
         progress_callback:
             Optional ``callback(done, total, window_account)`` invoked after
             each window.
         """
-        if n_windows < 1:
-            raise ConfigurationError("n_windows must be at least 1")
+        require_count(n_windows, "n_windows", 1)
         all_events: list[ResizeEvent] = []
         for done in range(n_windows):
             events, account = self.run_window()

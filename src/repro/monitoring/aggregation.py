@@ -346,31 +346,27 @@ def merge_stat_blocks(
     cv_col = STAT_NAMES.index("cv")
     counts_a = np.asarray(counts_a, dtype=np.int64)
     counts_b = np.asarray(counts_b, dtype=np.int64)
-    ca = counts_a.astype(float)[:, None, None]
-    cb = counts_b.astype(float)[:, None, None]
-    total = ca + cb
-    safe_total = np.where(total > 0, total, 1.0)
-
-    mean_a, mean_b = stats_a[..., mean_col], stats_b[..., mean_col]
-    std_a, std_b = stats_a[..., std_col], stats_b[..., std_col]
-    ca2, cb2, total2 = ca[..., 0], cb[..., 0], safe_total[..., 0]
-    mean = (ca2 * mean_a + cb2 * mean_b) / total2
-    second_moment = ca2 * (std_a**2 + mean_a**2) + cb2 * (std_b**2 + mean_b**2)
-    variance = np.maximum(second_moment / total2 - mean**2, 0.0)
-    std = np.sqrt(variance)
-    safe = np.abs(mean) > 1e-12
-    cv = np.divide(std, mean, out=np.zeros_like(std), where=safe)
-
-    merged = np.zeros_like(stats_a)
-    merged[..., mean_col] = mean
-    merged[..., std_col] = std
-    merged[..., cv_col] = cv
     # One-sided merges pass the populated side through untouched, so merging
     # a window into an empty accumulator reproduces the window bit for bit
-    # (the pooled formulas would round twice).
-    merged[counts_a == 0] = stats_b[counts_a == 0]
-    merged[counts_b == 0] = stats_a[counts_b == 0]
+    # (the pooled formulas would round twice).  The formulas run only on the
+    # rows populated on both sides.
+    merged = np.where((counts_a == 0)[:, None, None], stats_b, stats_a)
     merged[(counts_a == 0) & (counts_b == 0)] = 0.0
+    both = np.flatnonzero((counts_a > 0) & (counts_b > 0))
+    if both.size:
+        ca = counts_a[both].astype(float)[:, None]
+        cb = counts_b[both].astype(float)[:, None]
+        total = ca + cb
+        mean_a, mean_b = stats_a[both, :, mean_col], stats_b[both, :, mean_col]
+        std_a, std_b = stats_a[both, :, std_col], stats_b[both, :, std_col]
+        mean = (ca * mean_a + cb * mean_b) / total
+        second_moment = ca * (std_a**2 + mean_a**2) + cb * (std_b**2 + mean_b**2)
+        variance = np.maximum(second_moment / total - mean**2, 0.0)
+        std = np.sqrt(variance)
+        safe = np.abs(mean) > 1e-12
+        merged[both, :, mean_col] = mean
+        merged[both, :, std_col] = std
+        merged[both, :, cv_col] = np.divide(std, mean, out=np.zeros_like(std), where=safe)
     return merged, counts_a + counts_b
 
 

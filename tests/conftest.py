@@ -106,13 +106,41 @@ def harness() -> MeasurementHarness:
     )
 
 
+#: The session dataset's generation config (see :func:`tiny_model`).
+SMALL_DATASET = DatasetGenerationConfig(n_functions=30, invocations_per_size=8, seed=5)
+
+#: The very small network the session model trains (see :func:`tiny_model`).
+TINY_NETWORK = NetworkConfig(
+    n_layers=2, n_neurons=24, epochs=120, learning_rate=0.01, loss="mse", l2=0.0001, seed=0
+)
+
+
+def tiny_model(matrices=None) -> SizelessModel:
+    """A Sizeless model with :data:`TINY_NETWORK` trained on ``matrices``.
+
+    ``matrices`` default to the 256 MB training matrices of a fresh
+    :data:`SMALL_DATASET`.  This is the ``trained_model`` fixture's recipe,
+    which ``tools/bench_report.py`` also uses for its service predictor.
+    """
+    if matrices is None:
+        dataset = TrainingDatasetGenerator(SMALL_DATASET).generate()
+        matrices = build_training_matrices(dataset, base_memory_mb=256)
+    model = SizelessModel(
+        SizelessModelConfig(
+            base_memory_mb=matrices.base_memory_mb,
+            target_memory_sizes_mb=matrices.target_memory_sizes_mb,
+            feature_names=matrices.feature_names,
+            network=TINY_NETWORK,
+        )
+    )
+    model.fit(matrices.features, matrices.ratios)
+    return model
+
+
 @pytest.fixture(scope="session")
 def small_dataset():
     """A small synthetic training dataset (measured once per session)."""
-    generator = TrainingDatasetGenerator(
-        DatasetGenerationConfig(n_functions=30, invocations_per_size=8, seed=5)
-    )
-    return generator.generate()
+    return TrainingDatasetGenerator(SMALL_DATASET).generate()
 
 
 @pytest.fixture(scope="session")
@@ -124,24 +152,13 @@ def small_matrices(small_dataset):
 @pytest.fixture(scope="session")
 def tiny_network_config() -> NetworkConfig:
     """A very small network configuration for fast training in tests."""
-    return NetworkConfig(
-        n_layers=2, n_neurons=24, epochs=120, learning_rate=0.01, loss="mse", l2=0.0001, seed=0
-    )
+    return TINY_NETWORK
 
 
 @pytest.fixture(scope="session")
-def trained_model(small_matrices, tiny_network_config) -> SizelessModel:
+def trained_model(small_matrices) -> SizelessModel:
     """A Sizeless model trained on the session dataset (base 256 MB)."""
-    model = SizelessModel(
-        SizelessModelConfig(
-            base_memory_mb=small_matrices.base_memory_mb,
-            target_memory_sizes_mb=small_matrices.target_memory_sizes_mb,
-            feature_names=small_matrices.feature_names,
-            network=tiny_network_config,
-        )
-    )
-    model.fit(small_matrices.features, small_matrices.ratios)
-    return model
+    return tiny_model(small_matrices)
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,9 @@ Covers the window simulator, the pooled-statistics merge, the controller
 guardrails, the savings ledger and — as the acceptance test — a seeded
 500-function fleet over a 24-hour virtual diurnal trace: bounded memory,
 converging resize rate, no flip-flopping, and positive realized speedup at
-the paper's recommended t = 0.75.
+the paper's recommended t = 0.75.  The compact controller and ledger state
+is compared, window by window, with the dense oracle of
+``tests/dense_rightsizing.py``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import dense_rightsizing
+from dense_rightsizing import DenseRightsizingController, DenseSavingsLedger
 from repro.errors import ConfigurationError, SimulationError
 from repro.core.features import EXTENDED_FEATURE_SET
 from repro.core.predictor import SizelessPredictor
@@ -81,6 +87,47 @@ def _window(index, sizes, counts, costs, exec_means, window_s=3600.0) -> FleetWi
     )
 
 
+def _service(functions, traffic, fleet_config, predictor, controller_config, dense=False):
+    """A service over a fresh simulator: the compact classes or the dense pair."""
+    simulator = FleetSimulator(functions, traffic, fleet_config)
+    if not dense:
+        return FleetRightsizingService(
+            simulator, predictor, controller_config=controller_config
+        )
+    service = FleetRightsizingService(
+        simulator,
+        predictor,
+        ledger=DenseSavingsLedger(default_memory_mb=fleet_config.default_memory_mb),
+    )
+    service.controller = DenseRightsizingController(predictor, controller_config)
+    return service
+
+
+def assert_matches_dense_oracle(
+    functions, traffic, fleet_config, predictor, controller_config, n_windows
+) -> list[ResizeEvent]:
+    """Run a compact and a dense service in lockstep; return the events.
+
+    Events, window accounts and deployed sizes must be equal after every
+    window (floats compared exactly).
+    """
+    compact, dense = (
+        _service(functions, traffic, fleet_config, predictor, controller_config, flag)
+        for flag in (False, True)
+    )
+    events = []
+    for _ in range(n_windows):
+        got, account = compact.run_window()
+        want, want_account = dense.run_window()
+        assert got == want
+        assert account == want_account
+        np.testing.assert_array_equal(
+            compact.simulator.current_memory_mb(), dense.simulator.current_memory_mb()
+        )
+        events.extend(got)
+    return events
+
+
 class TestMergeStatBlocks:
     def _random_blocks(self, seed: int):
         rng = np.random.default_rng(seed)
@@ -113,6 +160,23 @@ class TestMergeStatBlocks:
         assert np.array_equal(merged[2], stats_b[2])
         assert np.array_equal(merged[1], np.zeros_like(stats_b[1]))
         assert list(counts) == [5, 0, 9]
+
+    def test_merge_equals_the_every_row_formulas(self):
+        """Rows populated on one side, both or neither: the dense merge's bits."""
+        rng = np.random.default_rng(4)
+        n = 400
+        stats_a = rng.uniform(0.0, 9.0, (n, 7, len(STAT_NAMES)))
+        stats_b = rng.uniform(0.0, 9.0, (n, 7, len(STAT_NAMES)))
+        counts_a = rng.integers(0, 4, n) * rng.integers(0, 50, n)
+        counts_b = rng.integers(0, 4, n) * rng.integers(0, 50, n)
+        stats_b[: n // 8, :, _MEAN] = 0.0  # zero means: cv left at zero
+        got = merge_stat_blocks(stats_a, counts_a, stats_b, counts_b)
+        want = dense_rightsizing.merge_stat_blocks(stats_a, counts_a, stats_b, counts_b)
+        assert {(a > 0, b > 0) for a, b in zip(counts_a, counts_b)} == {
+            (False, False), (False, True), (True, False), (True, True)
+        }
+        np.testing.assert_array_equal(got[0].view(np.uint64), want[0].view(np.uint64))
+        np.testing.assert_array_equal(got[1], want[1])
 
     def test_merge_with_empty_window_keeps_accumulator(self):
         stats_a = np.random.default_rng(2).uniform(0.1, 5.0, (2, len(METRIC_NAMES), 3))
@@ -149,6 +213,32 @@ class TestFleetConfig:
             ControllerConfig(evaluation_windows=0)
         with pytest.raises(ConfigurationError):
             ControllerConfig(rollback_tolerance=-1.0)
+        # NaN compares false with everything: it would switch off every
+        # resize (hysteresis) or every rollback (tolerance).
+        for field in ("hysteresis_margin", "rollback_tolerance", "tradeoff"):
+            with pytest.raises(ConfigurationError):
+                ControllerConfig(**{field: float("nan")})
+        # Counts are integers: floats would be truncated in the int64
+        # state, and a bool is not a count.
+        for field, value in (
+            ("cooldown_windows", 1.5),
+            ("evaluation_windows", 2.5),
+            ("min_invocations", 2.5),
+            ("min_windows", True),
+            ("cooldown_windows", False),
+            ("min_windows", 3.0),
+        ):
+            with pytest.raises(ConfigurationError, match=field):
+                ControllerConfig(**{field: value})
+        counts = ControllerConfig(
+            min_invocations=np.int64(40),
+            min_windows=np.int32(2),
+            cooldown_windows=np.uint8(0),
+            evaluation_windows=np.int64(3),
+        )
+        assert (counts.min_invocations, counts.min_windows) == (40, 2)
+        assert (counts.cooldown_windows, counts.evaluation_windows) == (0, 3)
+        assert ControllerConfig(hysteresis_margin=float("inf")).hysteresis_margin == float("inf")
 
 
 class TestFleetSimulator:
@@ -335,6 +425,10 @@ class TestSavingsLedger:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             SavingsLedger(default_memory_mb=0)
+        for value in (256.7, 256.0, float("nan"), True, "256"):
+            with pytest.raises(ConfigurationError, match="default_memory_mb"):
+                SavingsLedger(default_memory_mb=value)
+        assert SavingsLedger(default_memory_mb=np.int64(512)).default_memory_mb == 512
         ledger = SavingsLedger()
         ledger.observe(_window(0, [256], [1], [0.1], [5.0]), [])
         with pytest.raises(ConfigurationError):
@@ -368,6 +462,11 @@ class TestFleetService:
         service = FleetRightsizingService(simulator, SizelessPredictor(trained_model))
         with pytest.raises(ConfigurationError):
             service.run(0)
+        for value in (2.5, 1.0, True, None):
+            with pytest.raises(ConfigurationError, match="n_windows"):
+                service.run(value)
+        assert simulator.windows_run == 0
+        assert service.run(np.int64(1)).n_windows == 1
 
 
 #: The metrics an F4 predictor reads, in Table-1 order.
@@ -522,6 +621,21 @@ class TestFleetAcceptance:
             tracemalloc.stop()
         return report, peak_bytes
 
+    def test_compact_state_matches_dense_oracle(self, trained_model):
+        """The acceptance fleet decides and accounts as the dense classes."""
+        functions, traffic = _make_fleet(self.N_FUNCTIONS, seed=21)
+        events = assert_matches_dense_oracle(
+            functions,
+            traffic,
+            FleetConfig(window_s=self.WINDOW_S, backend="vectorized", seed=23),
+            SizelessPredictor(trained_model),
+            ControllerConfig(tradeoff=0.75, min_windows=2, min_invocations=50),
+            self.N_WINDOWS,
+        )
+        reasons = [event.reason for event in events]
+        assert reasons.count("recommendation") > 10
+        assert reasons.count("rollback") > 0
+
     def test_covers_a_full_virtual_day(self, acceptance):
         report, _ = acceptance
         assert report.n_windows * self.WINDOW_S >= 24 * 3600
@@ -581,3 +695,91 @@ class TestFleetAcceptance:
         # Cost moves far less than latency at t = 0.75 (Table 8: +- a few
         # percent); guard against pathological cost blow-ups.
         assert report.ledger.cost_savings_percent() > -15.0
+
+
+class TestCompactStateParity:
+    """Sparse fleets: the compact state rows equal the dense oracle.
+
+    Functions replay traces confined to random windows (idle for several
+    windows, first arrivals late in the run, or never active) or serve
+    low-rate diurnal traffic, under random guardrails; a zero rollback
+    tolerance makes rollbacks, and so pinned functions, common.
+    """
+
+    WINDOW_S = 1800.0
+    N_WINDOWS = 8
+
+    @staticmethod
+    def _traffic(kind, windows, per_window, rate_rps, window_s):
+        if kind == "diurnal":
+            return DiurnalTraffic(mean_rate_rps=rate_rps, amplitude=0.6, phase_s=0.0)
+        if not windows:
+            return TraceTraffic(timestamps_s=(1e9,))  # idle for the whole run
+        offsets = (np.arange(per_window) + 0.5) * window_s / per_window
+        return TraceTraffic(
+            timestamps_s=tuple(np.concatenate([w * window_s + offsets for w in sorted(windows)]))
+        )
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(
+        fleet=st.lists(
+            st.tuples(
+                st.sampled_from(("trace", "trace", "diurnal")),
+                st.sets(st.integers(0, N_WINDOWS - 1), max_size=N_WINDOWS),
+                st.integers(3, 40),
+                st.floats(0.001, 0.02),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        n_idle=st.integers(0, 40),
+        min_invocations=st.integers(1, 60),
+        min_windows=st.integers(1, 3),
+        cooldown_windows=st.integers(0, 3),
+        evaluation_windows=st.integers(1, 3),
+        rollback_tolerance=st.sampled_from((0.0, 0.05)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_sparse_fleet_matches_dense_oracle(
+        self,
+        trained_model,
+        fleet,
+        n_idle,
+        min_invocations,
+        min_windows,
+        cooldown_windows,
+        evaluation_windows,
+        rollback_tolerance,
+        seed,
+    ):
+        bases = SyntheticFunctionGenerator(
+            config=GeneratorConfig(seed=seed, name_prefix="parity")
+        ).generate(3)
+        traffic = [
+            self._traffic(kind, windows, per_window, rate, self.WINDOW_S)
+            for kind, windows, per_window, rate in fleet
+        ] + [TraceTraffic(timestamps_s=(1e9,))] * n_idle
+        # Interleave the never-active functions among the others.
+        order = np.random.default_rng(seed).permutation(len(traffic))
+        traffic = [traffic[k] for k in order]
+        functions = [
+            bases[i % len(bases)].with_name(f"parity-{i}") for i in range(len(traffic))
+        ]
+        assert_matches_dense_oracle(
+            functions,
+            traffic,
+            FleetConfig(window_s=self.WINDOW_S, seed=seed),
+            SizelessPredictor(trained_model),
+            ControllerConfig(
+                min_invocations=min_invocations,
+                min_windows=min_windows,
+                cooldown_windows=cooldown_windows,
+                evaluation_windows=evaluation_windows,
+                rollback_tolerance=rollback_tolerance,
+            ),
+            self.N_WINDOWS,
+        )

@@ -14,8 +14,10 @@ hot paths:
   from a separate traced run; ``hot.service`` (the always-active fleet
   through the rightsizing service, with its per-window phases); the
   ``walk_shapes`` section (the grouped kernel on four instance-walk
-  shapes); and the ``fleet_scale`` endurance run (one million functions
-  through 24 virtual hours at ``--scale full``);
+  shapes); the ``fleet_scale`` endurance run (one million functions
+  through 24 virtual hours at ``--scale full``); and ``service_scale``, the
+  same fleet through ``FleetRightsizingService`` (every window phase,
+  ``decide`` and ``ledger`` included);
 - **generation** — training-dataset generation per execution-backend variant
   (invocations/s from the median of 3 untraced runs, tracemalloc peak bytes
   from a separate traced run);
@@ -382,6 +384,78 @@ def bench_fleet_scale(scale: str) -> dict:
     }
 
 
+def bench_service_scale(scale: str) -> dict:
+    """The ``fleet_scale`` fleet through the whole rightsizing loop.
+
+    The same mostly-idle fleet (``FLEET_SCALE[scale]``) runs through
+    ``FleetRightsizingService`` with its default guardrails: simulate,
+    controller step, ledger.  The predictor is the test suite's tiny model
+    (``tests/conftest.py::tiny_model``, the ``trained_model`` recipe),
+    trained here in-process.  ``seconds`` is the median of ``seconds_runs``
+    (``FLEET_REPEATS`` untraced runs, each on a fresh simulator and
+    service, timed from the first window); ``phases_ms`` is the median over
+    those runs of each profiler phase's milliseconds per window.
+    ``peak_bytes`` and ``wall_seconds`` come from one more run traced by
+    tracemalloc from its first window, so the peak covers the windows and
+    the controller's and ledger's state, not the fleet's construction.
+    """
+    bench = _load_benchmark("test_bench_fleet")
+    from conftest import tiny_model
+    from repro.core.predictor import SizelessPredictor
+    from repro.fleet import FleetConfig, FleetRightsizingService, FleetSimulator
+
+    n_functions, n_windows = FLEET_SCALE[scale]
+    predictor = SizelessPredictor(tiny_model())
+    functions, traffic = bench._sparse_scenario(n_functions)
+
+    def service():
+        simulator = FleetSimulator(
+            functions, traffic, FleetConfig(window_s=bench.WINDOW_S, seed=99)
+        )
+        return FleetRightsizingService(simulator, predictor)
+
+    runs = []
+    phases = []
+    for _ in range(FLEET_REPEATS):
+        current = service()
+        gc.collect()
+        start = time.perf_counter()
+        current.run(n_windows)
+        runs.append(time.perf_counter() - start)
+        phases.append(dict(current.simulator.profiler.seconds))
+        del current
+    current = service()
+    gc.collect()
+    report, wall_seconds, peak = _traced(lambda: current.run(n_windows))
+    per_window = 1e3 / n_windows
+    return {
+        "config": {
+            "n_functions": n_functions,
+            "n_windows": n_windows,
+            "window_s": bench.WINDOW_S,
+            "mean_rate_range_rps": list(bench.SPARSE_RATE_RANGE),
+            "predictor": "tests/conftest.py::tiny_model",
+        },
+        "results": {
+            "service": {
+                "windows_per_second": round(n_windows / statistics.median(runs), 3),
+                "seconds": round(statistics.median(runs), 4),
+                "seconds_runs": [round(t, 4) for t in runs],
+                "wall_seconds": round(wall_seconds, 4),
+                "peak_bytes": int(peak),
+                "invocations": report.ledger.total_invocations,
+                "resizes": report.n_resizes,
+                "rollbacks": report.n_rollbacks,
+            }
+        },
+        "phases_ms": {
+            phase: round(statistics.median(run[phase] for run in phases) * per_window, 3)
+            for phase in phases[0]
+        },
+        "host": _host(),
+    }
+
+
 def bench_generation() -> dict:
     """Dataset-generation throughput per execution-backend variant.
 
@@ -461,17 +535,19 @@ def bench_training() -> dict:
     }
 
 
+def _host() -> dict:
+    """The host fingerprint every report carries."""
+    return {
+        "python": platform_module.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+        "processor": platform_module.processor() or platform_module.machine(),
+    }
+
+
 def _report(name: str, scale: str, payload: dict) -> dict:
     payload.update(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "benchmark": name,
-            "scale": scale,
-            "python": platform_module.python_version(),
-            "numpy": np.__version__,
-            "cpu_count": os.cpu_count(),
-            "processor": platform_module.processor() or platform_module.machine(),
-        }
+        {"schema_version": SCHEMA_VERSION, "benchmark": name, "scale": scale, **_host()}
     )
     return payload
 
@@ -490,10 +566,12 @@ def main(argv=None) -> int:
     if args.only in (None, "fleet"):
         payload = bench_fleet()
         payload["fleet_scale"] = bench_fleet_scale(args.scale)
+        payload["service_scale"] = bench_service_scale(args.scale)
         report = _report("fleet", args.scale, payload)
         path = out_dir / "BENCH_fleet.json"
         path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
         scale_row = report["fleet_scale"]["results"]["sparse"]
+        service = report["service_scale"]
         print(
             f"{path}: fused {report['results']['fused']['ops_per_second']:,.0f} inv/s, "
             f"looped {report['results']['looped']['ops_per_second']:,.0f} inv/s "
@@ -503,7 +581,10 @@ def main(argv=None) -> int:
             f"fleet-scale {report['fleet_scale']['config']['n_functions']:,} "
             f"functions x {report['fleet_scale']['config']['n_windows']} windows "
             f"in {scale_row['seconds']:.1f} s "
-            f"(peak {scale_row['peak_bytes'] / 1e6:.1f} MB)"
+            f"(peak {scale_row['peak_bytes'] / 1e6:.1f} MB); through the service "
+            f"in {service['results']['service']['seconds']:.1f} s "
+            f"(decide {service['phases_ms']['decide']:.1f}, "
+            f"ledger {service['phases_ms']['ledger']:.1f} ms/window)"
         )
     if args.only in (None, "generation"):
         report = _report("generation", args.scale, bench_generation())
