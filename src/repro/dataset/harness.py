@@ -99,8 +99,6 @@ class HarnessConfig:
         Simulation-side cap on invocations per memory size (``None`` runs the
         full workload).  The default keeps dataset generation fast while still
         averaging away per-invocation noise.
-    exclude_cold_starts:
-        Drop cold-start invocations from the aggregation window.
     seed:
         Base seed of the per-experiment arrival streams.
     backend:
@@ -114,7 +112,6 @@ class HarnessConfig:
     memory_sizes_mb: tuple[int, ...] = (128, 256, 512, 1024, 2048, 3008)
     workload: Workload = Workload(requests_per_second=30.0, duration_s=600.0, warmup_s=30.0)
     max_invocations_per_size: int | None = 40
-    exclude_cold_starts: bool = True
     seed: int = 0
     backend: str = "serial"
     n_workers: int | None = None
@@ -306,10 +303,9 @@ class MeasurementHarness:
             shape = (0, len(memory_sizes), len(METRIC_NAMES), len(STAT_NAMES))
             return np.zeros(shape), np.zeros((0, len(memory_sizes)), dtype=np.int64)
         batch = self.backend.run_grouped(self.platform, requests)
-        stats, counts = batch.aggregate_stats(
-            warmup_s=load.warmup_s,
-            exclude_cold_starts=self.config.exclude_cold_starts,
-        )
+        # Cold starts are always excluded: the paper's monitoring wrapper
+        # measures warm executions only.
+        stats, counts = batch.aggregate_stats(warmup_s=load.warmup_s)
         n_sizes = len(memory_sizes)
         return (
             stats.reshape(len(functions), n_sizes, len(METRIC_NAMES), len(STAT_NAMES)),

@@ -331,9 +331,7 @@ class FleetSimulator:
                 f"{list(self.config.memory_sizes_mb)}"
             )
         function = self.functions[index]
-        self.platform.set_memory_size(
-            function.name, float(memory_mb), at_time_s=self._clock_s
-        )
+        self.platform.set_memory_size(function.name, float(memory_mb))
         # Redeployment replaced the platform record; refresh the cached row.
         self._deployments[index] = self.platform.get_function(function.name)
         self._memory_mb[index] = memory_mb

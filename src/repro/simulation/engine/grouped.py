@@ -30,16 +30,13 @@ tests in ``tests/test_engine_grouped.py`` and ``tests/test_engine_kernel.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.simulation.engine.base import BatchResult
+from repro.simulation.platform import DeployedFunction, ServerlessPlatform, _WorkerInstance
 from repro.simulation.runtime import METRIC_NAMES
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.simulation.platform import DeployedFunction, ServerlessPlatform
 
 
 @dataclass(frozen=True)
@@ -101,7 +98,6 @@ class GroupRequest:
 def walk_instances(
     platform: "ServerlessPlatform",
     function_name: str,
-    memory_mb: float,
     arrivals: np.ndarray,
     exec_ms: np.ndarray,
     init_base_ms: float,
@@ -115,8 +111,10 @@ def walk_instances(
     pairing differs when cold-start noise is enabled.  The grouped kernel
     runs it for the arrivals :func:`walk_lockstep` hands off and for every
     group whose pool depends on an earlier group of the batch; the looped
-    oracle runs it for every group.  Mutates the pool and advances the
-    platform's id counter, so consecutive batches see warm workers.
+    oracle runs it for every group.  Mutates the pool, so consecutive
+    batches see warm workers, and numbers the workers it cold-starts from
+    the platform's id counter in cold-start order (the kernel renames them
+    after the call).
 
     Parameters
     ----------
@@ -124,8 +122,6 @@ def walk_instances(
         The platform owning the instance pool.
     function_name:
         The deployed function being executed.
-    memory_mb:
-        The memory size the function is deployed at.
     arrivals:
         Sorted arrival timestamps.
     exec_ms:
@@ -151,7 +147,7 @@ def walk_instances(
     exec_list = exec_ms.tolist()
     noise_list = cold_noise.tolist() if cold_noise is not None else None
     for i, at_time_s in enumerate(arrival_list):
-        instance, is_cold = acquire(function_name, memory_mb, at_time_s)
+        instance, is_cold = acquire(function_name, at_time_s)
         init = 0.0
         if is_cold:
             init = init_base_ms * noise_list[i] if noise_list is not None else init_base_ms
@@ -159,8 +155,6 @@ def walk_instances(
             init_ms[i] = init
         start_s = max(at_time_s, instance.busy_until_s)
         instance.busy_until_s = start_s + (exec_list[i] + init) / 1000.0
-        instance.last_used_s = instance.busy_until_s
-        instance.invocations += 1
         instance_ids[i] = instance.instance_id
     return cold_start, init_ms, instance_ids
 
@@ -185,7 +179,6 @@ def walk_lockstep(
     starts: np.ndarray,
     stops: np.ndarray,
     pools: list,
-    memory_mb: list[float],
     keep_alive_s: float,
     max_instances: int,
     cold_out: np.ndarray,
@@ -200,10 +193,10 @@ def walk_lockstep(
     group-major columns from the worker list ``pools[r]`` (its pool in pool
     order; the list is not modified).  Each step advances every still-walking
     row by one arrival with numpy operations over a (pool slots, rows)
-    state of busy-until, last-used and live flags, slots kept in pool
-    order, and applies ``ServerlessPlatform._acquire_instance``'s rule with
-    :func:`walk_instances`' float expressions: reclaim idle workers past the
-    keep-alive, take the first idle worker in pool order, at
+    state of busy-until times, live flags and worker codes, slots kept in
+    pool order, and applies ``ServerlessPlatform._acquire_instance``'s rule
+    with :func:`walk_instances`' float expressions: reclaim workers idle
+    past the keep-alive, take the first idle worker in pool order, at
     ``max_instances`` queue on the earliest-free one, else cold-start a
     worker appended to the pool.  ``init_ms`` holds every position's
     (noisy) cold-start init duration.
@@ -211,11 +204,11 @@ def walk_lockstep(
     The cold flags and init durations of the walked positions are written
     into ``cold_out`` and ``init_out``, which must hold ``False`` and ``0.0``
     there on entry.  ``ids_out`` receives the serving worker's id, or ``~p``
-    for a worker cold-started at position ``p``: ids follow the platform's
-    running count in flat position order, which the caller resolves.  Once
-    the walking rows hold fewer than :data:`LOCKSTEP_HANDOFF` rows plus live
-    slots, the walk stops; the caller steps each row's remaining arrivals
-    through the scalar :func:`walk_instances` from the state returned here.
+    for a worker cold-started at position ``p``: the caller turns these
+    names into ids.  Once the walking rows hold fewer than
+    :data:`LOCKSTEP_HANDOFF` rows plus live slots, the walk stops; the
+    caller steps each row's remaining arrivals through the scalar
+    :func:`walk_instances` from the state returned here.
 
     Returns
     -------
@@ -223,7 +216,7 @@ def walk_lockstep(
         One ``(stop, pool, new)`` per row: the first position not walked,
         the end pool in pool order (existing workers updated in place) and
         the workers cold-started into it, whose ``instance_id`` holds their
-        creating position until the caller assigns the id.
+        name ``~p``.
     """
     n_rows = len(pools)
     lengths = stops - starts
@@ -236,7 +229,7 @@ def walk_lockstep(
     used = np.asarray(held, dtype=np.int64)  # slots each row has used
     top = max(1, max(held))  # slots any walking row has used
     state = _LockstepState(n_rows, 2 * top)
-    busy, last, live, code, served = state.arrays
+    busy, live, code = state.arrays
     existing = [inst for r in order.tolist() for inst in pools[r]]
     if existing:
         # Worker j of a row's pool goes to slot j.
@@ -244,7 +237,6 @@ def walk_lockstep(
         slot_of = np.arange(len(existing)) - np.repeat(np.cumsum(used) - used, held)
         at = slot_of * n_rows + row_of
         state.busy_f[at] = [inst.busy_until_s for inst in existing]
-        state.last_f[at] = [inst.last_used_s for inst in existing]
         state.live_f[at] = True
         state.code_f[at] = [inst.instance_id for inst in existing]
     row_index = np.arange(n_rows)
@@ -269,25 +261,23 @@ def walk_lockstep(
             top = max(1, int(used[:active].max()))
             if top > state.width // 2:
                 state = _LockstepState(n_rows, 2 * top, state)
-            busy, last, live, code, served = state.arrays
+            busy, live, code = state.arrays
         pos = first[:active] + k
         t = arrivals[pos]
         pool_live = live[:top, :active]
-        free = busy[:top, :active] <= t
-        idle = free & pool_live
+        idle = (busy[:top, :active] <= t) & pool_live
         countdown = state.countdown[-top:]
         # top - slot of each row's first idle worker in pool order, 0 if none;
         # a row without one points at slot `top`, which no row has used.
         rank = (idle * countdown).max(axis=0)
         rows = row_index[:active]
         at = np.subtract(top, rank, dtype=np.int64) * n_rows + rows
-        if ((t - state.last_f[at]) > keep_alive_s).any():
-            # Idle workers past the keep-alive are reclaimed when one of them
+        if ((t - state.busy_f[at]) > keep_alive_s).any():
+            # Workers idle past the keep-alive are reclaimed when one of them
             # would be picked (and at the end): until then they cannot be
             # picked, counted at the cap or move a later worker up the pool.
-            reclaim = (t - last[:top, :active]) > keep_alive_s
-            reclaim &= free
-            pool_live &= ~reclaim
+            # A busy worker has been idle for no time, never past it.
+            pool_live &= (t - busy[:top, :active]) <= keep_alive_s
             idle &= pool_live
             rank = (idle * countdown).max(axis=0)
             at = np.subtract(top, rank, dtype=np.int64) * n_rows + rows
@@ -305,6 +295,8 @@ def walk_lockstep(
                 new_slot = used[new]
                 at_new = new_slot * n_rows + new
                 at[new] = at_new
+                # A new worker is free from time 0, as a new _WorkerInstance.
+                state.busy_f[at_new] = 0.0
                 state.live_f[at_new] = True
                 state.code_f[at_new] = ~pos[new]
                 used[new] = new_slot + 1
@@ -318,23 +310,16 @@ def walk_lockstep(
             cold_out[pos] = cold
             init_out[pos] = init
             run_ms = run_ms + init
-        done = start + run_ms / 1000.0
-        state.busy_f[at] = done
-        state.last_f[at] = done
-        state.served_f[at] += 1
+        state.busy_f[at] = start + run_ms / 1000.0
         ids_out[pos] = state.code_f[at]
         k += 1
 
     stop = first + np.minimum(lengths[order], k)
     # The reclaim each row's last walked arrival made.
-    t_last = arrivals[stop - 1]
-    live &= ~(((t_last - last) > keep_alive_s) & (busy <= t_last))
-    worker_cls = _worker_instance_cls()
+    live &= (arrivals[stop - 1] - busy) <= keep_alive_s
     stop_l = stop.tolist()
     used_l = used.tolist()
-    live_l, code_l = live.T.tolist(), code.T.tolist()
-    busy_l, last_l = busy.T.tolist(), last.T.tolist()
-    served_l = served.T.tolist()
+    busy_l, live_l, code_l = busy.T.tolist(), live.T.tolist(), code.T.tolist()
     results: list = [None] * n_rows
     for i, r in enumerate(order.tolist()):
         by_id = {inst.instance_id: inst for inst in pools[r]}
@@ -346,16 +331,8 @@ def walk_lockstep(
             if ident >= 0:
                 instance = by_id[ident]
                 instance.busy_until_s = busy_l[i][c]
-                instance.last_used_s = last_l[i][c]
-                instance.invocations += served_l[i][c]
             else:
-                # Fields in _WorkerInstance declaration order; the id is
-                # the creating position until the caller resolves it.
-                p = ~ident
-                instance = worker_cls(
-                    p, memory_mb[r], float(arrivals[p]),
-                    busy_l[i][c], last_l[i][c], served_l[i][c],
-                )
+                instance = _WorkerInstance(ident, busy_l[i][c])
                 new.append(instance)
             pool.append(instance)
         results[r] = (stop_l[i], pool, new)
@@ -365,27 +342,23 @@ def walk_lockstep(
 class _LockstepState:
     """The (slots, rows) worker state of :func:`walk_lockstep`.
 
-    Per slot: busy-until, last-used, live, code (the worker's id, or ``~p``
-    for a worker cold-started at flat position ``p``) and invocations
-    served.  Slots a row has not used hold busy-until 0 and last-used +inf,
-    so a new worker starts at its arrival and an unused slot never reads as
-    expired.  The ``*_f`` attributes are flat views, indexed at
-    ``slot * n_rows + row``.
+    Per slot: busy-until, live and code (the worker's id, or ``~p`` for a
+    worker cold-started at flat position ``p``).  Slots a row has not used
+    hold busy-until +inf, so they are never free and never read as expired.
+    The ``*_f`` attributes are flat views, indexed at ``slot * n_rows + row``.
     """
 
-    _DTYPES = (np.float64, np.float64, bool, np.int64, np.int64)
+    _DTYPES = (np.float64, bool, np.int64)
 
     def __init__(self, n_rows: int, width: int, old: "_LockstepState | None" = None):
         width = max(8, width)
         self.width = width
         self.arrays = tuple(np.zeros((width, n_rows), dtype=dtype) for dtype in self._DTYPES)
-        self.arrays[1].fill(np.inf)
+        self.arrays[0].fill(np.inf)
         if old is not None:
             for array, previous in zip(self.arrays, old.arrays):
                 array[: old.width] = previous
-        self.busy_f, self.last_f, self.live_f, self.code_f, self.served_f = (
-            array.ravel() for array in self.arrays
-        )
+        self.busy_f, self.live_f, self.code_f = (array.ravel() for array in self.arrays)
         # Descending slot weights: a (slots, rows) max over them finds each
         # row's first flagged slot.
         self.countdown = np.arange(
@@ -397,15 +370,12 @@ class _LockstepState:
 
         Returns the rows' live-slot counts; their other slots are reset.
         """
-        busy, last, live, _, served = self.arrays
+        busy, live, _ = self.arrays
         kept = np.argsort(~live[:, :active], axis=0, kind="stable")
         for array in self.arrays:
             array[:, :active] = np.take_along_axis(array[:, :active], kept, axis=0)
         n_live = np.count_nonzero(live[:, :active], axis=0)
-        unused = np.arange(self.width)[:, None] >= n_live
-        busy[:, :active][unused] = 0.0
-        last[:, :active][unused] = np.inf
-        served[:, :active][unused] = 0
+        busy[:, :active][np.arange(self.width)[:, None] >= n_live] = np.inf
         return n_live
 
 
@@ -439,19 +409,6 @@ def solve_cold_recurrence(
     cum = np.cumsum(flip)
     parity = ((cum - cum[anchor]) & 1).astype(bool)
     return abs_vals[anchor] ^ parity
-
-
-_WORKER_INSTANCE_CLS = None
-
-
-def _worker_instance_cls():
-    """Resolve the platform's worker-instance class once (import-cycle safe)."""
-    global _WORKER_INSTANCE_CLS
-    if _WORKER_INSTANCE_CLS is None:
-        from repro.simulation.platform import _WorkerInstance
-
-        _WORKER_INSTANCE_CLS = _WorkerInstance
-    return _WORKER_INSTANCE_CLS
 
 
 def param_column(profile, memory_mb: float, model, cold_model) -> np.ndarray:

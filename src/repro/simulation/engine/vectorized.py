@@ -26,16 +26,18 @@ makes three flat passes:
    runs, evaluated once over the flat group-major columns (pair
    completion/idle arrays, expiry masks and the cold-chain recurrence
    :func:`~repro.simulation.engine.grouped.solve_cold_recurrence`, with
-   every group head as an absolute anchor) for *all* groups at once;
-   segmented reductions recover cold counts, instance ids and end-pool
-   state.  The groups it cannot prove safe — busy or multi-instance pools,
-   overlapping arrivals — then walk in lockstep
+   every group head as an absolute anchor) for *all* groups at once; a
+   running maximum of the cold positions recovers each run's serving
+   worker and end-pool state.  The groups it cannot prove safe — busy or
+   multi-instance pools, overlapping arrivals — then walk in lockstep
    (:func:`~repro.simulation.engine.grouped.walk_lockstep`): each numpy
    step advances every such group by one arrival over a (pool slots,
    groups) state.  Once few groups remain, their remaining arrivals step
    through ``walk_instances`` in group order, as does every group whose
    pool depends on an earlier group of the batch (a repeated name without
-   ``fresh_pool``).  Instance ids follow the flat position order.
+   ``fresh_pool``).  Every walk names a worker it cold-starts after its
+   flat position, and one rule turns the names into ids in flat position
+   order.
 
 Every group draws its noise from its own request stream, so the kernel is
 bit-identical to executing the groups one batch at a time in group order.
@@ -47,8 +49,6 @@ also agrees invocation for invocation with the serial backend's scalar path
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.errors import SimulationError
@@ -56,16 +56,13 @@ from repro.simulation.engine.base import BatchResult, ExecutionBackend, register
 from repro.simulation.engine.grouped import (
     GroupedBatch,
     GroupRequest,
-    _worker_instance_cls,
     param_column,
     solve_cold_recurrence,
     validate_group_timestamps,
     walk_instances,
     walk_lockstep,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.simulation.platform import ServerlessPlatform
+from repro.simulation.platform import ServerlessPlatform, _WorkerInstance
 
 
 #: Shapes the per-backend shape table holds before it is rebuilt: a fleet
@@ -279,43 +276,30 @@ class VectorizedBackend(ExecutionBackend):
         # arithmetic then runs once per distinct width.
         service_parts: dict[int, list[np.ndarray]] = {}
         # Pool scan for the cross-group walk: the flat pass only handles
-        # groups whose pool is empty or one idle instance; everything else
+        # groups whose pool is empty or one idle worker; everything else
         # walks in lockstep, and duplicate non-fresh names, whose pool state
         # depends on earlier groups in this very batch, step through
         # walk_instances.  The scan keeps flat lists of existing objects and
         # floats: a new tuple per group, alive across the batch, would be
         # promoted by the cyclic GC until it forces full collections over
-        # the whole fleet's objects.
+        # the whole fleet's objects.  An empty pool reads as one worker free
+        # since -inf (expired), a pool of several as one busy until +inf.
         instances_get = platform._instances.get
-        deployments: list = []
-        any_fresh = False
-        singles: list = []  # the pool's single instance, or None
-        pool_empty_l: list[bool] = []
-        single_busy_l: list[float] = []
-        single_last_l: list[float] = []
-        single_ids_l: list[int] = []
+        pools: list = []
+        head_busy_l: list[float] = []
+        head_ids_l: list[int] = []
         for request, n in zip(requests, sizes_l):
             deployment = request.deployment
-            deployments.append(deployment)
             name = deployment.name
             names_l.append(name)
-            if request.fresh_pool:
-                any_fresh = True
-                pool = ()
-            else:
-                pool = instances_get(name, ())
-            pool_empty_l.append(not pool)
+            pool = () if request.fresh_pool else instances_get(name, ())
+            pools.append(pool)
             if len(pool) == 1:
-                single = pool[0]
-                singles.append(single)
-                single_busy_l.append(single.busy_until_s)
-                single_last_l.append(single.last_used_s)
-                single_ids_l.append(single.instance_id)
+                head_busy_l.append(pool[0].busy_until_s)
+                head_ids_l.append(pool[0].instance_id)
             else:
-                singles.append(None)
-                single_busy_l.append(0.0)
-                single_last_l.append(0.0)
-                single_ids_l.append(0)
+                head_busy_l.append(np.inf if pool else -np.inf)
+                head_ids_l.append(0)
             profile = deployment.profile
             entry = entries.get((id(profile), deployment.memory_mb))
             if entry is None or entry[0] is not profile:
@@ -407,8 +391,10 @@ class VectorizedBackend(ExecutionBackend):
         cold_start, init_ms, instance_ids = self._walk_all_groups(
             platform,
             requests,
-            deployments,
             names_l,
+            pools,
+            np.asarray(head_busy_l),
+            head_ids_l,
             offsets,
             sizes,
             gid,
@@ -416,12 +402,6 @@ class VectorizedBackend(ExecutionBackend):
             execution_time_ms,
             columns,
             cold_noise,
-            pool_empty=np.asarray(pool_empty_l, dtype=bool),
-            singles=singles,
-            single_busy=np.asarray(single_busy_l),
-            single_last=np.asarray(single_last_l),
-            single_ids=single_ids_l,
-            any_fresh=any_fresh,
         )
 
         billed_ms = platform.pricing_model.billed_duration_batch_ms(execution_time_ms)
@@ -451,10 +431,12 @@ class VectorizedBackend(ExecutionBackend):
 
     def _walk_all_groups(
         self,
-        platform: "ServerlessPlatform",
-        requests: list["GroupRequest"],
-        deployments: list,
+        platform: ServerlessPlatform,
+        requests: list[GroupRequest],
         names: list[str],
+        pools: list,
+        head_busy: np.ndarray,
+        head_ids: list[int],
         offsets: np.ndarray,
         sizes: np.ndarray,
         gid: np.ndarray,
@@ -462,33 +444,34 @@ class VectorizedBackend(ExecutionBackend):
         exec_ms: np.ndarray,
         columns: np.ndarray,
         cold_noise: np.ndarray | None,
-        pool_empty: np.ndarray,
-        singles: list,
-        single_busy: np.ndarray,
-        single_last: np.ndarray,
-        single_ids: list[int],
-        any_fresh: bool,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One instance walk over all groups' flat columns.
 
-        Safe groups (empty or idle single-instance pool, no overlapping
+        Safe groups (empty or idle single-worker pool, no overlapping
         arrival pairs, name not executed earlier in this batch) are resolved
         entirely from the flat pair masks.  The other groups walk their
         pools in lockstep (:func:`walk_lockstep`), except a group whose pool
         depends on an earlier group of the batch (a repeated name without
         ``fresh_pool``): it steps through the scalar :func:`walk_instances`
         from its first arrival, in group order, and so do the arrivals the
-        lockstep hands off.  Bit-identical to the sequential walk.
+        lockstep hands off.
+
+        Every walk names a worker it cold-starts ``~p``, after the flat
+        position ``p`` that created it.  Once the pools are updated in group
+        order, each name becomes the id the sequential walk gives that
+        worker: the platform's counter plus the cold starts at positions up
+        to ``p``.  Bit-identical to the sequential walk.
         """
         n_groups = len(requests)
         n_total = int(offsets[-1])
-        keep_alive = platform.cold_start_model.keep_alive_s
         instances_map = platform._instances
-        instance_ids = np.zeros(n_total, dtype=np.int64)
+        if not n_total:
+            for request, name in zip(requests, names):
+                if request.fresh_pool:
+                    instances_map[name] = []
+            return np.zeros(0, dtype=bool), np.zeros(0), np.zeros(0, dtype=np.int64)
+        keep_alive = platform.cold_start_model.keep_alive_s
 
-        pool_single = np.fromiter(
-            (s is not None for s in singles), dtype=bool, count=n_groups
-        )
         forced_unsafe = np.zeros(n_groups, dtype=bool)
         if len(set(names)) < n_groups:
             seen: set[str] = set()
@@ -497,229 +480,139 @@ class VectorizedBackend(ExecutionBackend):
                 seen.add(name)
 
         nonempty = sizes > 0
-        starts_ne = offsets[:-1][nonempty]
-        ends_ne = offsets[1:][nonempty] - 1
+        starts = offsets[:-1]
+        starts_ne = starts[nonempty]
+        first_t = t[np.minimum(starts, n_total - 1)]
+        init_worst = np.take(columns[3], gid)
+        if cold_noise is not None:
+            init_worst *= cold_noise
+        warm_expired, cold_expired, unsafe_pair, internal = _classify_pairs(
+            t, exec_ms, init_worst, gid, keep_alive
+        )
+        group_has_unsafe = np.zeros(n_groups, dtype=bool)
+        group_has_unsafe[gid[1:][internal & unsafe_pair]] = True
+        safe = nonempty & (head_busy <= first_t) & ~group_has_unsafe & ~forced_unsafe
+
+        # Resolve every group's cold chain in one pass: group heads are
+        # absolute anchors, so anchors and flip parity never leak across
+        # group boundaries (see solve_cold_recurrence).
+        disagree = (warm_expired != cold_expired) & internal
+        cold_start = np.empty(n_total, dtype=bool)
+        cold_start[1:] = warm_expired
+        cold_start[starts_ne] = ((first_t - head_busy) > keep_alive)[nonempty]
+        if disagree.any():
+            abs_mask = np.empty(n_total, dtype=bool)
+            abs_mask[0] = True
+            abs_mask[1:] = ~disagree
+            abs_mask[starts_ne] = True
+            flip = np.zeros(n_total, dtype=bool)
+            flip[1:] = disagree & warm_expired
+            flip[starts_ne] = False
+            cold_start = solve_cold_recurrence(abs_mask, cold_start, flip)
+        init_ms = np.where(cold_start, init_worst, 0.0)
+        # A single-server run is served by the worker its latest cold start
+        # created, or before its first by the pool's single worker.
+        latest = np.maximum.accumulate(np.where(cold_start, np.arange(n_total), -1))
+        instance_ids = np.where(
+            latest >= np.take(starts, gid), ~latest, np.take(head_ids, gid)
+        )
+        # Per group, for the end pools: the latest cold start and the busy
+        # time of the last arrival (walk_instances' float expression).
+        ends = np.maximum(offsets[1:] - 1, 0)
+        tail_cold_l = latest[ends].tolist()
+        tail_busy_l = (t[ends] + (exec_ms[ends] + init_ms[ends]) / 1000.0).tolist()
+
+        # Lockstep walk of the unsafe groups whose pools do not depend on an
+        # earlier group, into the flat columns (their flat-pass cold flags
+        # and init times cleared first).
         walked: dict[int, tuple] = {}
-        if n_total:
-            first_t = np.where(
-                nonempty, t[np.minimum(offsets[:-1], n_total - 1)], 0.0
+        lockstep = nonempty & ~safe & ~forced_unsafe
+        if lockstep.any():
+            lock_groups = np.flatnonzero(lockstep).tolist()
+            in_lockstep = np.repeat(lockstep, sizes)
+            cold_start[in_lockstep] = False
+            init_ms[in_lockstep] = 0.0
+            del in_lockstep
+            rows = walk_lockstep(
+                t,
+                exec_ms,
+                init_worst,
+                starts[lockstep],
+                offsets[1:][lockstep],
+                [pools[g] for g in lock_groups],
+                keep_alive,
+                platform.config.max_instances_per_function,
+                cold_start,
+                init_ms,
+                instance_ids,
             )
-            if cold_noise is not None:
-                init_worst = np.take(columns[3], gid) * cold_noise
-            else:
-                init_worst = np.take(columns[3], gid)
-            warm_expired, cold_expired, unsafe_pair, internal = _classify_pairs(
-                t, exec_ms, init_worst, gid, keep_alive
-            )
+            walked = dict(zip(lock_groups, rows))
 
-            group_has_unsafe = np.zeros(n_groups, dtype=bool)
-            group_has_unsafe[gid[1:][internal & unsafe_pair]] = True
-            idle_start = pool_empty | (pool_single & (single_busy <= first_t))
-            safe = nonempty & idle_start & ~group_has_unsafe & ~forced_unsafe
-            head_cold = np.where(
-                pool_empty,
-                True,
-                np.maximum(first_t - single_last, 0.0) > keep_alive,
-            )
-
-            # Resolve every group's cold chain in one pass: group heads are
-            # absolute anchors, so anchors and flip parity never leak across
-            # group boundaries (see solve_cold_recurrence).
-            disagree = (warm_expired != cold_expired) & internal
-            cold_start = np.empty(n_total, dtype=bool)
-            cold_start[1:] = warm_expired
-            cold_start[starts_ne] = head_cold[nonempty]
-            if disagree.any():
-                abs_mask = np.empty(n_total, dtype=bool)
-                abs_mask[0] = True
-                abs_mask[1:] = ~disagree
-                abs_mask[starts_ne] = True
-                flip = np.zeros(n_total, dtype=bool)
-                flip[1:] = disagree & warm_expired
-                flip[starts_ne] = False
-                cold_start = solve_cold_recurrence(abs_mask, cold_start, flip)
-            init_ms = np.where(cold_start, init_worst, 0.0)
-
-            # Lockstep walk of the unsafe groups whose pools do not depend on
-            # an earlier group, into the flat columns (their flat-pass cold
-            # flags and init times cleared first).  A worker it cold-starts
-            # at position p serves as ~p until the ids are resolved below.
-            lockstep = nonempty & ~safe & ~forced_unsafe
-            if lockstep.any():
-                lock_groups = np.flatnonzero(lockstep).tolist()
-                in_lockstep = np.repeat(lockstep, sizes)
-                cold_start[in_lockstep] = False
-                init_ms[in_lockstep] = 0.0
-                del in_lockstep
-                rows = walk_lockstep(
-                    t,
-                    exec_ms,
-                    init_worst,
-                    offsets[:-1][lockstep],
-                    offsets[1:][lockstep],
-                    [
-                        () if requests[g].fresh_pool else instances_map.get(names[g], ())
-                        for g in lock_groups
-                    ],
-                    columns[4, lockstep].tolist(),
-                    keep_alive,
-                    platform.config.max_instances_per_function,
-                    cold_start,
-                    init_ms,
-                    instance_ids,
-                )
-                walked = dict(zip(lock_groups, rows))
-
-            # seg[p]: the cold starts of p's group up to and including p.
-            cum = np.cumsum(cold_start)
-            seg_base = np.where(offsets[:-1] > 0, cum[np.maximum(offsets[:-1] - 1, 0)], 0)
-            seg = cum - np.take(seg_base, gid)
-
-            idx = np.arange(n_total)
-            pos_cold = np.where(cold_start, idx, -1)
-            first_pos = np.where(cold_start, idx, n_total)
-            n_cold_g = np.zeros(n_groups, dtype=np.int64)
-            last_cold_g = np.full(n_groups, -1, dtype=np.int64)
-            first_cold_g = np.full(n_groups, n_total, dtype=np.int64)
-            busy_g = np.zeros(n_groups)
-            created_g = np.zeros(n_groups)
-            if starts_ne.shape[0]:
-                n_cold_g[nonempty] = seg[ends_ne]
-                last_cold_g[nonempty] = np.maximum.reduceat(pos_cold, starts_ne)
-                first_cold_g[nonempty] = np.minimum.reduceat(first_pos, starts_ne)
-                # End-pool busy time: same float expression as
-                # walk_instances' busy_until update, over group tails.
-                busy_g[nonempty] = (
-                    t[ends_ne] + (exec_ms[ends_ne] + init_ms[ends_ne]) / 1000.0
-                )
-                created_g[nonempty] = t[np.maximum(last_cold_g[nonempty], 0)]
-        else:
-            cold_start = np.zeros(0, dtype=bool)
-            init_ms = np.zeros(0)
-            safe = np.zeros(n_groups, dtype=bool)
-            seg = np.zeros(0, dtype=np.int64)
-            n_cold_g = last_cold_g = first_cold_g = np.zeros(n_groups, dtype=np.int64)
-            busy_g = created_g = np.zeros(n_groups)
-
-        # ---- sequential per-group bookkeeping (id order, pools, handoff) --
-        worker_cls = _worker_instance_cls()
-        off_l = offsets.tolist()
-        safe_l = safe.tolist()
-        n_cold_l = n_cold_g.tolist()
-        last_cold_l = last_cold_g.tolist()
-        first_cold_l = first_cold_g.tolist()
-        busy_l = busy_g.tolist()
-        created_l = created_g.tolist()
-        mem_l = columns[4].tolist()
+        # ---- end pools in group order; scalar walks for the rest ----------
         next_id = platform._next_instance_id
-        # All-safe fast path (the sparse-fleet steady state): instance ids
-        # are the global running cold count — group g's block starts after
-        # all earlier groups' cold starts, exactly the sequential id order —
-        # so one vectorized select replaces the per-group id writes and the
-        # remaining loop only touches pool objects.
-        all_safe = n_total > 0 and bool(np.all(safe))
-        if all_safe and not any_fresh:
-            instance_ids = np.where(
-                seg > 0,
-                next_id + cum,
-                np.take(np.asarray(single_ids, dtype=np.int64), gid),
-            )
-            # Per group: the last cold start's id and the invocations its
-            # worker serves (the group's tail).
-            tail_ids = (next_id + cum[ends_ne]).tolist()
-            tail_sizes = (offsets[1:] - last_cold_g).tolist()
-            for deployment, instance, n, n_cold, busy, tail_id, tail, memory, created in zip(
-                deployments, singles, sizes.tolist(), n_cold_l, busy_l,
-                tail_ids, tail_sizes, mem_l, created_l,
-            ):
-                if not n_cold:
-                    instance.invocations += n
-                elif instance is None:
-                    # Fields in _WorkerInstance declaration order.
-                    instances_map[deployment.name].append(
-                        worker_cls(tail_id, memory, created, busy, busy, tail)
-                    )
-                    deployment.invocation_count += n
-                    continue
-                else:
-                    # A cold start means the pool's single worker expired:
-                    # the tail's worker takes its place in the pool, so the
-                    # object is reset in place instead of replaced.
-                    instance.instance_id = tail_id
-                    instance.memory_mb = memory
-                    instance.created_at_s = created
-                    instance.invocations = tail
-                instance.busy_until_s = busy
-                instance.last_used_s = busy
-                deployment.invocation_count += n
-            platform._next_instance_id = next_id + int(cum[-1])
-            return cold_start, init_ms, instance_ids
-
-        # Id base of each group: the platform counter after every cold start
-        # at an earlier flat position, the id order of a sequential walk.
-        id_base = np.zeros(n_groups, dtype=np.int64)
-        for g, request in enumerate(requests):
-            a = off_l[g]
-            b = off_l[g + 1]
-            name = request.deployment.name
+        counter = next_id  # the platform's counter, as the scalar walks leave it
+        born: list[_WorkerInstance] = []  # workers cold-started into a pool
+        off_l = offsets.tolist()
+        for g, (request, name, a, b, pool, safe_g, tail_cold) in enumerate(
+            zip(requests, names, off_l, off_l[1:], pools, safe.tolist(), tail_cold_l)
+        ):
             if request.fresh_pool:
                 instances_map[name] = []
             if a == b:
                 continue
-            if safe_l[g]:
-                n_cold = n_cold_l[g]
-                if n_cold:
-                    instance_ids[a:b] = next_id + seg[a:b]
-                    if first_cold_l[g] > a:  # warm head served by the old single
-                        instance_ids[a : first_cold_l[g]] = single_ids[g]
-                    next_id += n_cold
-                    last_cold = last_cold_l[g]
-                    instance = worker_cls(
-                        instance_id=int(next_id),
-                        memory_mb=mem_l[g],
-                        created_at_s=created_l[g],
-                        invocations=(b - 1) - last_cold + 1,
-                    )
-                else:
-                    instance = singles[g]
-                    instance.invocations += b - a
-                    instance_ids[a:b] = instance.instance_id
-                instance.busy_until_s = busy_l[g]
-                instance.last_used_s = busy_l[g]
-                instances_map[name][:] = [instance]
-                request.deployment.invocation_count += b - a
+            request.deployment.invocation_count += b - a
+            if safe_g:
+                # A single-server run ends with one worker: the pool's single
+                # worker, or the one its latest cold start made, which takes
+                # the record of the single worker it replaced (expired).
+                if not pool:
+                    instances_map[name].append(_WorkerInstance(0))
+                worker = instances_map[name][0]
+                if tail_cold >= a:
+                    worker.instance_id = ~tail_cold
+                    born.append(worker)
+                worker.busy_until_s = tail_busy_l[g]
                 continue
             start = a
             if g in walked:
-                # The lockstep's end pool, with ids from this group's base;
-                # arrivals left at the handoff continue from that state.
-                start, pool, new = walked[g]
-                id_base[g] = next_id
-                for instance in new:
-                    instance.instance_id = next_id + int(seg[instance.instance_id])
-                instances_map[name][:] = pool
-                next_id += int(seg[start - 1])
+                # The lockstep's end pool; arrivals left at the handoff
+                # continue from it.
+                start, end_pool, new = walked[g]
+                instances_map[name][:] = end_pool
+                born += new
             if start < b:
-                platform._next_instance_id = next_id
                 cold_g, init_g, ids_g = walk_instances(
                     platform,
                     name,
-                    mem_l[g],
                     request.arrivals[start - a :],
                     exec_ms[start:b],
                     float(columns[3, g]),
                     cold_noise[start:b] if cold_noise is not None else None,
                 )
-                next_id = platform._next_instance_id
                 cold_start[start:b] = cold_g
                 init_ms[start:b] = init_g
+                # The walk numbered its new workers counter + 1, ... in
+                # cold-start order; name them after their positions.
+                created = start + np.flatnonzero(cold_g)
+                if created.shape[0]:
+                    new_ids = ids_g > counter
+                    ids_g[new_ids] = ~created[ids_g[new_ids] - counter - 1]
+                    created_l = created.tolist()
+                    for worker in instances_map[name]:
+                        if worker.instance_id > counter:
+                            worker.instance_id = ~created_l[worker.instance_id - counter - 1]
+                            born.append(worker)
+                    counter += created.shape[0]
                 instance_ids[start:b] = ids_g
-            request.deployment.invocation_count += b - a
-        platform._next_instance_id = next_id
-        if walked:
-            # A lockstep worker cold-started at position p (served as ~p)
-            # has id base(group) + seg[p].
-            new_served = np.flatnonzero(instance_ids < 0)
-            created_at = ~instance_ids[new_served]
-            instance_ids[new_served] = id_base[gid[new_served]] + seg[created_at]
+
+        # The one id rule: the worker named ~p gets the id a sequential walk
+        # gives it, the counter plus the cold starts at positions <= p.
+        cum = np.cumsum(cold_start)
+        named = instance_ids < 0
+        instance_ids[named] = next_id + cum[~instance_ids[named]]
+        if born:
+            ids = (next_id + cum[[~worker.instance_id for worker in born]]).tolist()
+            for worker, ident in zip(born, ids):
+                worker.instance_id = ident
+        platform._next_instance_id = next_id + int(cum[-1])
         return cold_start, init_ms, instance_ids

@@ -83,20 +83,19 @@ class DeployedFunction:
     name: str
     profile: ResourceProfile
     memory_mb: float
-    deployed_at_s: float = 0.0
     invocation_count: int = 0
 
 
 @dataclass(slots=True)
 class _WorkerInstance:
-    """A warm worker instance that can serve one request at a time."""
+    """A warm worker instance that can serve one request at a time.
+
+    Its keep-alive runs from ``busy_until_s``: the worker is idle from then
+    on and is reclaimed once idle longer than the keep-alive.
+    """
 
     instance_id: int
-    memory_mb: float
-    created_at_s: float
     busy_until_s: float = 0.0
-    last_used_s: float = 0.0
-    invocations: int = 0
 
 
 @dataclass(frozen=True)
@@ -164,30 +163,18 @@ class ServerlessPlatform:
             raise ConfigurationError("memory_mb must be positive")
         return float(memory_mb)
 
-    def deploy(
-        self,
-        name: str,
-        profile: ResourceProfile,
-        memory_mb: float,
-        at_time_s: float = 0.0,
-    ) -> DeployedFunction:
+    def deploy(self, name: str, profile: ResourceProfile, memory_mb: float) -> DeployedFunction:
         """Deploy (or redeploy) a function with the given profile and size."""
         if not name:
             raise ConfigurationError("function name must be non-empty")
         memory_mb = self._check_memory(memory_mb)
-        deployment = DeployedFunction(
-            name=name, profile=profile, memory_mb=memory_mb, deployed_at_s=at_time_s
-        )
+        deployment = DeployedFunction(name=name, profile=profile, memory_mb=memory_mb)
         self._functions[name] = deployment
         self._instances[name] = []  # redeployment drops all warm instances
         return deployment
 
     def deploy_many(
-        self,
-        names: list[str],
-        profiles: list[ResourceProfile],
-        memory_mb: float,
-        at_time_s: float = 0.0,
+        self, names: list[str], profiles: list[ResourceProfile], memory_mb: float
     ) -> list[DeployedFunction]:
         """Deploy many functions at one shared memory size, in bulk.
 
@@ -204,16 +191,7 @@ class ServerlessPlatform:
         if any(not name for name in names):
             raise ConfigurationError("function name must be non-empty")
         memory_mb = self._check_memory(memory_mb)
-        at_time_s = float(at_time_s)
-        deployments = list(
-            map(
-                DeployedFunction,
-                names,
-                profiles,
-                repeat(memory_mb),
-                repeat(at_time_s),
-            )
-        )
+        deployments = list(map(DeployedFunction, names, profiles, repeat(memory_mb)))
         # C-level bulk insertion; a repeated name keeps its last record,
         # exactly as sequential deploys would.
         self._functions.update(zip(names, deployments))
@@ -228,10 +206,10 @@ class ServerlessPlatform:
         except KeyError:
             raise SimulationError(f"function {name!r} is not deployed") from None
 
-    def set_memory_size(self, name: str, memory_mb: float, at_time_s: float = 0.0) -> None:
+    def set_memory_size(self, name: str, memory_mb: float) -> None:
         """Change a deployed function's memory size (drops warm instances)."""
         function = self.get_function(name)
-        self.deploy(name, function.profile, memory_mb, at_time_s=at_time_s)
+        self.deploy(name, function.profile, memory_mb)
 
     def remove(self, name: str) -> None:
         """Remove a deployed function and its warm instances."""
@@ -240,26 +218,23 @@ class ServerlessPlatform:
         del self._instances[name]
 
     # ------------------------------------------------------------- invocation
-    def _acquire_instance(
-        self, name: str, memory_mb: float, at_time_s: float
-    ) -> tuple[_WorkerInstance, bool]:
+    def _acquire_instance(self, name: str, at_time_s: float) -> tuple[_WorkerInstance, bool]:
         """Find an idle warm instance or cold-start a new one."""
         instances = self._instances[name]
+        is_expired = self.cold_start_model.is_expired
         if len(instances) == 1:
             # Fast path for the dominant open-loop case: a single warm
             # worker, idle at the arrival and within its keep-alive — the
             # reclaim scan below would keep it and the search would pick it.
             instance = instances[0]
-            if instance.busy_until_s <= at_time_s and not self.cold_start_model.is_expired(
-                max(at_time_s - instance.last_used_s, 0.0)
+            if instance.busy_until_s <= at_time_s and not is_expired(
+                at_time_s - instance.busy_until_s
             ):
                 return instance, False
-        # Reclaim instances that exceeded the keep-alive.
+        # Reclaim instances idle longer than the keep-alive (a busy one has
+        # been idle for no time, and the keep-alive is positive).
         instances[:] = [
-            inst
-            for inst in instances
-            if not self.cold_start_model.is_expired(max(at_time_s - inst.last_used_s, 0.0))
-            or inst.busy_until_s > at_time_s
+            inst for inst in instances if not is_expired(max(at_time_s - inst.busy_until_s, 0.0))
         ]
         for instance in instances:
             if instance.busy_until_s <= at_time_s:
@@ -269,11 +244,7 @@ class ServerlessPlatform:
             instance = min(instances, key=lambda inst: inst.busy_until_s)
             return instance, False
         self._next_instance_id += 1
-        instance = _WorkerInstance(
-            instance_id=self._next_instance_id,
-            memory_mb=memory_mb,
-            created_at_s=at_time_s,
-        )
+        instance = _WorkerInstance(self._next_instance_id)
         instances.append(instance)
         return instance, True
 
@@ -287,7 +258,7 @@ class ServerlessPlatform:
         if at_time_s < 0 or not math.isfinite(at_time_s):
             raise SimulationError("at_time_s must be finite and non-negative")
         function = self.get_function(name)
-        instance, is_cold = self._acquire_instance(name, function.memory_mb, at_time_s)
+        instance, is_cold = self._acquire_instance(name, at_time_s)
 
         init_ms = 0.0
         if is_cold:
@@ -310,8 +281,6 @@ class ServerlessPlatform:
 
         start_s = max(at_time_s, instance.busy_until_s)
         instance.busy_until_s = start_s + result.total_latency_ms / 1000.0
-        instance.last_used_s = instance.busy_until_s
-        instance.invocations += 1
         function.invocation_count += 1
 
         billed_ms = self.pricing_model.billed_duration_ms(result.execution_time_ms)

@@ -6,6 +6,8 @@ per session; everything else is cheap enough to construct per test.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -242,12 +244,9 @@ def looped_backend():
 
 
 def _pool_state(platform, names):
-    """Every pool's instances as comparable tuples, plus the id counter."""
+    """Every pool's workers as tuples of all their fields, plus the id counter."""
     pools = {
-        name: [
-            (i.instance_id, i.created_at_s, i.busy_until_s, i.last_used_s, i.invocations)
-            for i in platform._instances.get(name, [])
-        ]
+        name: [dataclasses.astuple(worker) for worker in platform._instances.get(name, [])]
         for name in names
     }
     return pools, platform._next_instance_id

@@ -86,7 +86,7 @@ class LoopedBackend(ExecutionBackend):
         )
         init_base_ms = cold_model.duration_ms(memory_mb, profile.code_size_kb, cpu_share)
         cold_start, init_ms, instance_ids = walk_instances(
-            platform, function_name, memory_mb, t, exec_ms, init_base_ms, cold_noise
+            platform, function_name, t, exec_ms, init_base_ms, cold_noise
         )
         function.invocation_count += n
         pricing = platform.pricing_model

@@ -260,7 +260,7 @@ class TestDisagreementPath:
         platform = self._platform()
         platform.deploy("dis-fn", profile, 512)
         cold, init, ids = grouped_mod.walk_instances(
-            platform, "dis-fn", 512.0, arrivals, serial.execution_time_ms,
+            platform, "dis-fn", arrivals, serial.execution_time_ms,
             float(serial.init_duration_ms[0]), None,
         )
         np.testing.assert_array_equal(serial.cold_start, cold)
@@ -315,9 +315,9 @@ def _record_scalar_walks(monkeypatch):
     handed = []
     walk = vectorized_mod.walk_instances
 
-    def recording_walk(platform, name, memory_mb, arrivals, *rest):
+    def recording_walk(platform, name, arrivals, *rest):
         handed.append((name, arrivals.shape[0]))
-        return walk(platform, name, memory_mb, arrivals, *rest)
+        return walk(platform, name, arrivals, *rest)
 
     monkeypatch.setattr(vectorized_mod, "walk_instances", recording_walk)
     return handed
@@ -445,12 +445,12 @@ class TestLockstepWalk:
     ):
         """An idle gap of exactly the keep-alive keeps the worker; one float more does not."""
         _, _, (_, spare) = self._tie_platform_state(600.0)
-        # The keep-alive is the exact float gap from the spare's last use to
-        # a later arrival, so that arrival sees idle == keep_alive: the head
-        # (idle longer) is reclaimed and the spare serves warm.  The next
-        # float after it sees both past the keep-alive: a cold start.
-        tie_s = spare.last_used_s + 900.0
-        keep_alive_s = tie_s - spare.last_used_s
+        # The keep-alive is the exact float gap from the spare's busy-until
+        # to a later arrival, so that arrival sees idle == keep_alive: the
+        # head (idle longer) is reclaimed and the spare serves warm.  The
+        # next float after it sees both past the keep-alive: a cold start.
+        tie_s = spare.busy_until_s + 900.0
+        keep_alive_s = tie_s - spare.busy_until_s
         function, first, (_, spare) = self._tie_platform_state(keep_alive_s)
         at_s = np.nextafter(tie_s, np.inf) if past_keep_alive else tie_s
         second = [(0, np.array([at_s, at_s + 1.0]), False)]

@@ -235,7 +235,7 @@ PRIVATE_PLATFORM_REACHES = {
     ("simulation/engine/base.py", "_instances"): 1,
     ("simulation/engine/vectorized.py", "_instances"): 2,
     ("simulation/engine/vectorized.py", "_note_cost"): 1,
-    ("simulation/engine/vectorized.py", "_next_instance_id"): 5,
+    ("simulation/engine/vectorized.py", "_next_instance_id"): 2,
     ("simulation/engine/grouped.py", "_acquire_instance"): 1,
     ("simulation/engine/parallel.py", "_note_cost"): 1,
     ("simulation/engine/serial.py", "_rng"): 3,
