@@ -58,7 +58,8 @@ scenarios, and ``REPRO_BENCH_FLEET_MEM_FACTOR`` loosens the memory ceilings
 on noisy interpreters (a multiplier, default 1).
 
 The instance-walk shapes of ``walk_shape_seconds`` (uniform, heavy-hitter,
-one-long, few-dense) are timed by ``tools/bench_report.py``, not asserted.
+one-long, few-dense, ten-long, month-sparse) are timed by
+``tools/bench_report.py``, not asserted.
 """
 
 from __future__ import annotations
@@ -411,6 +412,10 @@ WALK_SHAPES = {
     "one-long": ([(1, 1.0, 3600.0)], False),
     # The uncapped harness: the paper's 10-minute, 30 req/s experiment.
     "few-dense": ([(6, 30.0, 600.0)], True),
+    # A few long, rarely overlapping groups: below the lockstep handoff,
+    # almost every arrival steps through the scalar acquire.
+    "ten-long": ([(10, 1.0, 3600.0)], False),
+    "month-sparse": ([(8, 0.005, 30 * 86_400.0)], False),
 }
 
 
@@ -440,17 +445,17 @@ def walk_shape_requests(shape, seed=103):
     return platform, requests
 
 
-def walk_shape_seconds(shape, n_runs=3):
-    """Untraced ``run_grouped`` seconds of one walk shape, one fresh platform a run."""
-    runs = []
-    for _ in range(n_runs):
-        platform, requests = walk_shape_requests(shape)
-        backend = get_backend("vectorized")
-        gc.collect()
-        start = time.perf_counter()
-        batch = backend.run_grouped(platform, requests)
-        runs.append(time.perf_counter() - start)
-    return runs, batch.n_invocations, len(requests)
+def walk_shape_seconds(shape):
+    """Untraced ``run_grouped`` seconds of one walk shape on a fresh platform.
+
+    Returns the seconds, the invocations and the groups of the batch.
+    """
+    platform, requests = walk_shape_requests(shape)
+    backend = get_backend("vectorized")
+    gc.collect()
+    start = time.perf_counter()
+    batch = backend.run_grouped(platform, requests)
+    return time.perf_counter() - start, batch.n_invocations, len(requests)
 
 
 def _sparse_scenario(n_functions=None):

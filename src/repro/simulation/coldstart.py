@@ -91,9 +91,3 @@ class ColdStartModel:
         """
         sigma = float(np.sqrt(np.log(1.0 + self.noise_cv**2)))
         return -0.5 * sigma * sigma, sigma
-
-    def is_expired(self, idle_time_s: float) -> bool:
-        """Whether a warm instance idle for ``idle_time_s`` has been reclaimed."""
-        if idle_time_s < 0:
-            raise ConfigurationError("idle_time_s must be non-negative")
-        return idle_time_s > self.keep_alive_s

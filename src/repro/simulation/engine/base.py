@@ -59,8 +59,6 @@ class BatchResult:
         Cold-start duration per invocation (0 for warm invocations).
     cold_start:
         Boolean mask of cold-started invocations.
-    instance_ids:
-        Worker instance that served each invocation.
     cost_usd / billed_duration_ms:
         Billing columns under the platform's pricing model.
     metrics:
@@ -73,7 +71,6 @@ class BatchResult:
     execution_time_ms: np.ndarray
     init_duration_ms: np.ndarray
     cold_start: np.ndarray
-    instance_ids: np.ndarray
     cost_usd: np.ndarray
     billed_duration_ms: np.ndarray
     metrics: dict[str, np.ndarray] = field(default_factory=dict)
@@ -173,7 +170,6 @@ class BatchResult:
                     result=result,
                     cost_usd=float(self.cost_usd[i]),
                     billed_duration_ms=float(self.billed_duration_ms[i]),
-                    instance_id=int(self.instance_ids[i]),
                 )
             )
         return records
@@ -196,7 +192,6 @@ class BatchResult:
                 [r.result.init_duration_ms for r in records], dtype=float
             ),
             cold_start=np.array([r.result.cold_start for r in records], dtype=bool),
-            instance_ids=np.array([r.instance_id for r in records], dtype=int),
             cost_usd=np.array([r.cost_usd for r in records], dtype=float),
             billed_duration_ms=np.array(
                 [r.billed_duration_ms for r in records], dtype=float
@@ -307,7 +302,6 @@ class ExecutionBackend(abc.ABC):
             execution_time_ms=column("execution_time_ms", none),
             init_duration_ms=column("init_duration_ms", none),
             cold_start=column("cold_start", np.empty(0, dtype=bool)),
-            instance_ids=column("instance_ids", np.empty(0, dtype=np.int64)),
             cost_usd=column("cost_usd", none),
             billed_duration_ms=column("billed_duration_ms", none),
             metrics={

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.simulation.engine.base import BatchResult
-from repro.simulation.platform import DeployedFunction, ServerlessPlatform, _WorkerInstance
+from repro.simulation.platform import DeployedFunction, ServerlessPlatform
 from repro.simulation.runtime import METRIC_NAMES
 
 
@@ -102,7 +102,7 @@ def walk_instances(
     exec_ms: np.ndarray,
     init_base_ms: float,
     cold_noise: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Walk one group's sorted arrivals through the platform's instance pool.
 
     The scalar walk: one ``ServerlessPlatform._acquire_instance`` call per
@@ -112,9 +112,7 @@ def walk_instances(
     runs it for the arrivals :func:`walk_lockstep` hands off and for every
     group whose pool depends on an earlier group of the batch; the looped
     oracle runs it for every group.  Mutates the pool, so consecutive
-    batches see warm workers, and numbers the workers it cold-starts from
-    the platform's id counter in cold-start order (the kernel renames them
-    after the call).
+    batches see warm workers.
 
     Parameters
     ----------
@@ -134,36 +132,31 @@ def walk_instances(
 
     Returns
     -------
-    tuple[numpy.ndarray, numpy.ndarray, numpy.ndarray]
-        Cold-start mask, init durations and serving instance ids.
+    tuple[numpy.ndarray, numpy.ndarray]
+        Cold-start mask and init durations.
     """
     n = int(arrivals.shape[0])
     cold_start = np.zeros(n, dtype=bool)
     init_ms = np.zeros(n)
-    instance_ids = np.empty(n, dtype=np.int64)
 
     acquire = platform._acquire_instance
-    arrival_list = arrivals.tolist()
-    exec_list = exec_ms.tolist()
     noise_list = cold_noise.tolist() if cold_noise is not None else None
-    for i, at_time_s in enumerate(arrival_list):
-        instance, is_cold = acquire(function_name, at_time_s)
-        init = 0.0
+    for i, (at_time_s, run_ms) in enumerate(zip(arrivals.tolist(), exec_ms.tolist())):
+        pool, slot, is_cold = acquire(function_name, at_time_s)
         if is_cold:
             init = init_base_ms * noise_list[i] if noise_list is not None else init_base_ms
             cold_start[i] = True
             init_ms[i] = init
-        start_s = max(at_time_s, instance.busy_until_s)
-        instance.busy_until_s = start_s + (exec_list[i] + init) / 1000.0
-        instance_ids[i] = instance.instance_id
-    return cold_start, init_ms, instance_ids
+            run_ms += init
+        pool[slot] = max(at_time_s, pool[slot]) + run_ms / 1000.0
+    return cold_start, init_ms
 
 
 #: The lockstep walk hands its still-walking groups to :func:`walk_instances`
-#: once they hold fewer than this many groups plus live pool slots: one
-#: numpy step then costs more than stepping their next arrivals one by one.
-#: Counting slots keeps a few groups with large pools in lockstep, where the
-#: scalar acquire scans the whole pool on every arrival.
+#: once they hold fewer than this many groups plus warm workers: one numpy
+#: step then costs more than stepping their next arrivals one by one.
+#: Counting workers keeps a few groups with large pools in lockstep, where
+#: the scalar acquire scans the whole pool on every arrival.
 LOCKSTEP_HANDOFF = 48
 
 #: Steps before the lockstep walk first weighs a handoff (a fresh window or
@@ -183,40 +176,35 @@ def walk_lockstep(
     max_instances: int,
     cold_out: np.ndarray,
     init_out: np.ndarray,
-    ids_out: np.ndarray,
-) -> list[tuple[int, list, list]]:
+) -> list[tuple[int, list[float]]]:
     """Walk many groups through their instance pools, one arrival per group a step.
 
     The array form of :func:`walk_instances`, bit-identical to it.
 
     Row ``r`` walks the flat positions ``[starts[r], stops[r])`` of the
-    group-major columns from the worker list ``pools[r]`` (its pool in pool
-    order; the list is not modified).  Each step advances every still-walking
-    row by one arrival with numpy operations over a (pool slots, rows)
-    state of busy-until times, live flags and worker codes, slots kept in
-    pool order, and applies ``ServerlessPlatform._acquire_instance``'s rule
-    with :func:`walk_instances`' float expressions: reclaim workers idle
-    past the keep-alive, take the first idle worker in pool order, at
+    group-major columns from the pool ``pools[r]`` (its workers' busy-until
+    times in pool order; the list is not modified).  Each step advances
+    every still-walking row by one arrival with numpy operations over a
+    (pool slots, rows) busy-until array, slots kept in pool order, and
+    applies ``ServerlessPlatform._acquire_instance``'s rule with
+    :func:`walk_instances`' float expressions: reclaim workers idle past
+    the keep-alive, take the first idle worker in pool order, at
     ``max_instances`` queue on the earliest-free one, else cold-start a
     worker appended to the pool.  ``init_ms`` holds every position's
     (noisy) cold-start init duration.
 
     The cold flags and init durations of the walked positions are written
     into ``cold_out`` and ``init_out``, which must hold ``False`` and ``0.0``
-    there on entry.  ``ids_out`` receives the serving worker's id, or ``~p``
-    for a worker cold-started at position ``p``: the caller turns these
-    names into ids.  Once the walking rows hold fewer than
-    :data:`LOCKSTEP_HANDOFF` rows plus live slots, the walk stops; the
-    caller steps each row's remaining arrivals through the scalar
-    :func:`walk_instances` from the state returned here.
+    there on entry.  Once the walking rows hold fewer than
+    :data:`LOCKSTEP_HANDOFF` rows plus workers, the walk stops; the caller
+    steps each row's remaining arrivals through the scalar
+    :func:`walk_instances` from the pools returned here.
 
     Returns
     -------
     list of tuple
-        One ``(stop, pool, new)`` per row: the first position not walked,
-        the end pool in pool order (existing workers updated in place) and
-        the workers cold-started into it, whose ``instance_id`` holds their
-        name ``~p``.
+        One ``(stop, pool)`` per row: the first position not walked and the
+        end pool, busy-until times in pool order.
     """
     n_rows = len(pools)
     lengths = stops - starts
@@ -229,16 +217,13 @@ def walk_lockstep(
     used = np.asarray(held, dtype=np.int64)  # slots each row has used
     top = max(1, max(held))  # slots any walking row has used
     state = _LockstepState(n_rows, 2 * top)
-    busy, live, code = state.arrays
-    existing = [inst for r in order.tolist() for inst in pools[r]]
+    busy = state.busy
+    existing = [worker for r in order.tolist() for worker in pools[r]]
     if existing:
         # Worker j of a row's pool goes to slot j.
         row_of = np.repeat(np.arange(n_rows), held)
         slot_of = np.arange(len(existing)) - np.repeat(np.cumsum(used) - used, held)
-        at = slot_of * n_rows + row_of
-        state.busy_f[at] = [inst.busy_until_s for inst in existing]
-        state.live_f[at] = True
-        state.code_f[at] = [inst.instance_id for inst in existing]
+        state.busy_f[slot_of * n_rows + row_of] = existing
     row_index = np.arange(n_rows)
     active = n_rows
     checked = n_rows
@@ -252,7 +237,7 @@ def walk_lockstep(
             active < checked or not k % _HANDOFF_CHECK_STEPS
         ):
             checked = active
-            if active + np.count_nonzero(live[:top, :active]) < LOCKSTEP_HANDOFF:
+            if active + np.count_nonzero(busy[:top, :active] < np.inf) < LOCKSTEP_HANDOFF:
                 break
         if top == state.width:
             # A row may need a new slot: drop reclaimed slots (keeping pool
@@ -261,11 +246,11 @@ def walk_lockstep(
             top = max(1, int(used[:active].max()))
             if top > state.width // 2:
                 state = _LockstepState(n_rows, 2 * top, state)
-            busy, live, code = state.arrays
+            busy = state.busy
         pos = first[:active] + k
         t = arrivals[pos]
-        pool_live = live[:top, :active]
-        idle = (busy[:top, :active] <= t) & pool_live
+        pool = busy[:top, :active]
+        idle = pool <= t
         countdown = state.countdown[-top:]
         # top - slot of each row's first idle worker in pool order, 0 if none;
         # a row without one points at slot `top`, which no row has used.
@@ -277,28 +262,25 @@ def walk_lockstep(
             # would be picked (and at the end): until then they cannot be
             # picked, counted at the cap or move a later worker up the pool.
             # A busy worker has been idle for no time, never past it.
-            pool_live &= (t - busy[:top, :active]) <= keep_alive_s
-            idle &= pool_live
+            pool[(t - pool) > keep_alive_s] = np.inf
+            idle = pool <= t
             rank = (idle * countdown).max(axis=0)
             at = np.subtract(top, rank, dtype=np.int64) * n_rows + rows
         cold = None
         if not rank.all():
             cold = rank == 0
             if max_instances <= top:
-                at_cap = cold & (np.count_nonzero(pool_live, axis=0) >= max_instances)
+                at_cap = cold & (np.count_nonzero(pool < np.inf, axis=0) >= max_instances)
                 if at_cap.any():
-                    queue = np.where(pool_live, busy[:top, :active], np.inf).argmin(axis=0)
-                    at = np.where(at_cap, queue * n_rows + rows, at)
+                    at = np.where(at_cap, pool.argmin(axis=0) * n_rows + rows, at)
                     cold &= ~at_cap
             new = np.flatnonzero(cold)
             if new.shape[0]:
                 new_slot = used[new]
                 at_new = new_slot * n_rows + new
                 at[new] = at_new
-                # A new worker is free from time 0, as a new _WorkerInstance.
+                # A new worker is free from time 0, as in the platform's pool.
                 state.busy_f[at_new] = 0.0
-                state.live_f[at_new] = True
-                state.code_f[at_new] = ~pos[new]
                 used[new] = new_slot + 1
                 top = max(top, int(new_slot.max()) + 1)
             else:
@@ -311,54 +293,34 @@ def walk_lockstep(
             init_out[pos] = init
             run_ms = run_ms + init
         state.busy_f[at] = start + run_ms / 1000.0
-        ids_out[pos] = state.code_f[at]
         k += 1
 
     stop = first + np.minimum(lengths[order], k)
     # The reclaim each row's last walked arrival made.
-    live &= (arrivals[stop - 1] - busy) <= keep_alive_s
+    busy[(arrivals[stop - 1] - busy) > keep_alive_s] = np.inf
     stop_l = stop.tolist()
-    used_l = used.tolist()
-    busy_l, live_l, code_l = busy.T.tolist(), live.T.tolist(), code.T.tolist()
+    busy_l = busy.T.tolist()
     results: list = [None] * n_rows
     for i, r in enumerate(order.tolist()):
-        by_id = {inst.instance_id: inst for inst in pools[r]}
-        pool, new = [], []
-        for c in range(used_l[i]):
-            if not live_l[i][c]:
-                continue
-            ident = code_l[i][c]
-            if ident >= 0:
-                instance = by_id[ident]
-                instance.busy_until_s = busy_l[i][c]
-            else:
-                instance = _WorkerInstance(ident, busy_l[i][c])
-                new.append(instance)
-            pool.append(instance)
-        results[r] = (stop_l[i], pool, new)
+        results[r] = (stop_l[i], [worker for worker in busy_l[i] if worker < np.inf])
     return results
 
 
 class _LockstepState:
-    """The (slots, rows) worker state of :func:`walk_lockstep`.
+    """The (slots, rows) busy-until array of :func:`walk_lockstep`.
 
-    Per slot: busy-until, live and code (the worker's id, or ``~p`` for a
-    worker cold-started at flat position ``p``).  Slots a row has not used
-    hold busy-until +inf, so they are never free and never read as expired.
-    The ``*_f`` attributes are flat views, indexed at ``slot * n_rows + row``.
+    Slots are kept in pool order.  +inf marks a slot with no worker (unused
+    or reclaimed): it is never free and never expired.  ``busy_f`` is a
+    flat view, indexed at ``slot * n_rows + row``.
     """
-
-    _DTYPES = (np.float64, bool, np.int64)
 
     def __init__(self, n_rows: int, width: int, old: "_LockstepState | None" = None):
         width = max(8, width)
         self.width = width
-        self.arrays = tuple(np.zeros((width, n_rows), dtype=dtype) for dtype in self._DTYPES)
-        self.arrays[0].fill(np.inf)
+        self.busy = np.full((width, n_rows), np.inf)
         if old is not None:
-            for array, previous in zip(self.arrays, old.arrays):
-                array[: old.width] = previous
-        self.busy_f, self.live_f, self.code_f = (array.ravel() for array in self.arrays)
+            self.busy[: old.width] = old.busy
+        self.busy_f = self.busy.ravel()
         # Descending slot weights: a (slots, rows) max over them finds each
         # row's first flagged slot.
         self.countdown = np.arange(
@@ -366,17 +328,14 @@ class _LockstepState:
         )[:, None]
 
     def compact(self, active: int) -> np.ndarray:
-        """Move the live slots of rows ``[0, active)`` to the front, in order.
+        """Move the workers of rows ``[0, active)`` to their first slots, in order.
 
-        Returns the rows' live-slot counts; their other slots are reset.
+        Returns the rows' worker counts.
         """
-        busy, live, _ = self.arrays
-        kept = np.argsort(~live[:, :active], axis=0, kind="stable")
-        for array in self.arrays:
-            array[:, :active] = np.take_along_axis(array[:, :active], kept, axis=0)
-        n_live = np.count_nonzero(live[:, :active], axis=0)
-        busy[:, :active][np.arange(self.width)[:, None] >= n_live] = np.inf
-        return n_live
+        busy = self.busy[:, :active]
+        empty = busy == np.inf
+        busy[:] = np.take_along_axis(busy, np.argsort(empty, axis=0, kind="stable"), axis=0)
+        return self.width - np.count_nonzero(empty, axis=0)
 
 
 def solve_cold_recurrence(
@@ -487,7 +446,7 @@ class GroupedBatch:
         ``(n_groups + 1,)`` boundaries: group ``g`` owns the column slice
         ``[offsets[g], offsets[g + 1])``.
     timestamps_s / execution_time_ms / init_duration_ms / cold_start /
-    instance_ids / cost_usd / billed_duration_ms:
+    cost_usd / billed_duration_ms:
         Flat per-invocation columns (same meaning as on ``BatchResult``).
     metrics:
         One flat ``(n,)`` array per Table-1 metric name.
@@ -500,7 +459,6 @@ class GroupedBatch:
     execution_time_ms: np.ndarray
     init_duration_ms: np.ndarray
     cold_start: np.ndarray
-    instance_ids: np.ndarray
     cost_usd: np.ndarray
     billed_duration_ms: np.ndarray
     metrics: dict[str, np.ndarray]
@@ -599,7 +557,6 @@ class GroupedBatch:
             execution_time_ms=self.execution_time_ms[a:b],
             init_duration_ms=self.init_duration_ms[a:b],
             cold_start=self.cold_start[a:b],
-            instance_ids=self.instance_ids[a:b],
             cost_usd=self.cost_usd[a:b],
             billed_duration_ms=self.billed_duration_ms[a:b],
             metrics={name: values[a:b] for name, values in self.metrics.items()},

@@ -35,9 +35,8 @@ makes three flat passes:
    groups) state.  Once few groups remain, their remaining arrivals step
    through ``walk_instances`` in group order, as does every group whose
    pool depends on an earlier group of the batch (a repeated name without
-   ``fresh_pool``).  Every walk names a worker it cold-starts after its
-   flat position, and one rule turns the names into ids in flat position
-   order.
+   ``fresh_pool``).  A warm worker is the time it is busy until, so every
+   walk leaves each pool as a list of those times in pool order.
 
 Every group draws its noise from its own request stream, so the kernel is
 bit-identical to executing the groups one batch at a time in group order.
@@ -62,7 +61,7 @@ from repro.simulation.engine.grouped import (
     walk_instances,
     walk_lockstep,
 )
-from repro.simulation.platform import ServerlessPlatform, _WorkerInstance
+from repro.simulation.platform import ServerlessPlatform
 
 
 #: Shapes the per-backend shape table holds before it is rebuilt: a fleet
@@ -287,7 +286,6 @@ class VectorizedBackend(ExecutionBackend):
         instances_get = platform._instances.get
         pools: list = []
         head_busy_l: list[float] = []
-        head_ids_l: list[int] = []
         for request, n in zip(requests, sizes_l):
             deployment = request.deployment
             name = deployment.name
@@ -295,11 +293,9 @@ class VectorizedBackend(ExecutionBackend):
             pool = () if request.fresh_pool else instances_get(name, ())
             pools.append(pool)
             if len(pool) == 1:
-                head_busy_l.append(pool[0].busy_until_s)
-                head_ids_l.append(pool[0].instance_id)
+                head_busy_l.append(pool[0])
             else:
                 head_busy_l.append(np.inf if pool else -np.inf)
-                head_ids_l.append(0)
             profile = deployment.profile
             entry = entries.get((id(profile), deployment.memory_mb))
             if entry is None or entry[0] is not profile:
@@ -388,13 +384,12 @@ class VectorizedBackend(ExecutionBackend):
             scratch=(self._buffer("metric1", n_total), self._buffer("metric2", n_total)),
         )
 
-        cold_start, init_ms, instance_ids = self._walk_all_groups(
+        cold_start, init_ms = self._walk_all_groups(
             platform,
             requests,
             names_l,
             pools,
             np.asarray(head_busy_l),
-            head_ids_l,
             offsets,
             sizes,
             gid,
@@ -416,7 +411,6 @@ class VectorizedBackend(ExecutionBackend):
             execution_time_ms=execution_time_ms,
             init_duration_ms=init_ms,
             cold_start=cold_start,
-            instance_ids=instance_ids,
             cost_usd=cost_usd,
             billed_duration_ms=billed_ms,
             metrics=metrics,
@@ -436,7 +430,6 @@ class VectorizedBackend(ExecutionBackend):
         names: list[str],
         pools: list,
         head_busy: np.ndarray,
-        head_ids: list[int],
         offsets: np.ndarray,
         sizes: np.ndarray,
         gid: np.ndarray,
@@ -444,7 +437,7 @@ class VectorizedBackend(ExecutionBackend):
         exec_ms: np.ndarray,
         columns: np.ndarray,
         cold_noise: np.ndarray | None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """One instance walk over all groups' flat columns.
 
         Safe groups (empty or idle single-worker pool, no overlapping
@@ -454,13 +447,7 @@ class VectorizedBackend(ExecutionBackend):
         depends on an earlier group of the batch (a repeated name without
         ``fresh_pool``): it steps through the scalar :func:`walk_instances`
         from its first arrival, in group order, and so do the arrivals the
-        lockstep hands off.
-
-        Every walk names a worker it cold-starts ``~p``, after the flat
-        position ``p`` that created it.  Once the pools are updated in group
-        order, each name becomes the id the sequential walk gives that
-        worker: the platform's counter plus the cold starts at positions up
-        to ``p``.  Bit-identical to the sequential walk.
+        lockstep hands off.  Returns the cold-start flags and init durations.
         """
         n_groups = len(requests)
         n_total = int(offsets[-1])
@@ -469,7 +456,7 @@ class VectorizedBackend(ExecutionBackend):
             for request, name in zip(requests, names):
                 if request.fresh_pool:
                     instances_map[name] = []
-            return np.zeros(0, dtype=bool), np.zeros(0), np.zeros(0, dtype=np.int64)
+            return np.zeros(0, dtype=bool), np.zeros(0)
         keep_alive = platform.cold_start_model.keep_alive_s
 
         forced_unsafe = np.zeros(n_groups, dtype=bool)
@@ -510,16 +497,9 @@ class VectorizedBackend(ExecutionBackend):
             flip[starts_ne] = False
             cold_start = solve_cold_recurrence(abs_mask, cold_start, flip)
         init_ms = np.where(cold_start, init_worst, 0.0)
-        # A single-server run is served by the worker its latest cold start
-        # created, or before its first by the pool's single worker.
-        latest = np.maximum.accumulate(np.where(cold_start, np.arange(n_total), -1))
-        instance_ids = np.where(
-            latest >= np.take(starts, gid), ~latest, np.take(head_ids, gid)
-        )
-        # Per group, for the end pools: the latest cold start and the busy
-        # time of the last arrival (walk_instances' float expression).
+        # A single-server run ends with one worker, busy until its last
+        # arrival's completion (walk_instances' float expression).
         ends = np.maximum(offsets[1:] - 1, 0)
-        tail_cold_l = latest[ends].tolist()
         tail_busy_l = (t[ends] + (exec_ms[ends] + init_ms[ends]) / 1000.0).tolist()
 
         # Lockstep walk of the unsafe groups whose pools do not depend on an
@@ -544,17 +524,13 @@ class VectorizedBackend(ExecutionBackend):
                 platform.config.max_instances_per_function,
                 cold_start,
                 init_ms,
-                instance_ids,
             )
             walked = dict(zip(lock_groups, rows))
 
         # ---- end pools in group order; scalar walks for the rest ----------
-        next_id = platform._next_instance_id
-        counter = next_id  # the platform's counter, as the scalar walks leave it
-        born: list[_WorkerInstance] = []  # workers cold-started into a pool
         off_l = offsets.tolist()
-        for g, (request, name, a, b, pool, safe_g, tail_cold) in enumerate(
-            zip(requests, names, off_l, off_l[1:], pools, safe.tolist(), tail_cold_l)
+        for g, (request, name, a, b, safe_g, tail_busy) in enumerate(
+            zip(requests, names, off_l, off_l[1:], safe.tolist(), tail_busy_l)
         ):
             if request.fresh_pool:
                 instances_map[name] = []
@@ -562,26 +538,16 @@ class VectorizedBackend(ExecutionBackend):
                 continue
             request.deployment.invocation_count += b - a
             if safe_g:
-                # A single-server run ends with one worker: the pool's single
-                # worker, or the one its latest cold start made, which takes
-                # the record of the single worker it replaced (expired).
-                if not pool:
-                    instances_map[name].append(_WorkerInstance(0))
-                worker = instances_map[name][0]
-                if tail_cold >= a:
-                    worker.instance_id = ~tail_cold
-                    born.append(worker)
-                worker.busy_until_s = tail_busy_l[g]
+                instances_map[name] = [tail_busy]
                 continue
             start = a
             if g in walked:
                 # The lockstep's end pool; arrivals left at the handoff
                 # continue from it.
-                start, end_pool, new = walked[g]
-                instances_map[name][:] = end_pool
-                born += new
+                start, end_pool = walked[g]
+                instances_map[name] = end_pool
             if start < b:
-                cold_g, init_g, ids_g = walk_instances(
+                cold_start[start:b], init_ms[start:b] = walk_instances(
                     platform,
                     name,
                     request.arrivals[start - a :],
@@ -589,30 +555,4 @@ class VectorizedBackend(ExecutionBackend):
                     float(columns[3, g]),
                     cold_noise[start:b] if cold_noise is not None else None,
                 )
-                cold_start[start:b] = cold_g
-                init_ms[start:b] = init_g
-                # The walk numbered its new workers counter + 1, ... in
-                # cold-start order; name them after their positions.
-                created = start + np.flatnonzero(cold_g)
-                if created.shape[0]:
-                    new_ids = ids_g > counter
-                    ids_g[new_ids] = ~created[ids_g[new_ids] - counter - 1]
-                    created_l = created.tolist()
-                    for worker in instances_map[name]:
-                        if worker.instance_id > counter:
-                            worker.instance_id = ~created_l[worker.instance_id - counter - 1]
-                            born.append(worker)
-                    counter += created.shape[0]
-                instance_ids[start:b] = ids_g
-
-        # The one id rule: the worker named ~p gets the id a sequential walk
-        # gives it, the counter plus the cold starts at positions <= p.
-        cum = np.cumsum(cold_start)
-        named = instance_ids < 0
-        instance_ids[named] = next_id + cum[~instance_ids[named]]
-        if born:
-            ids = (next_id + cum[[~worker.instance_id for worker in born]]).tolist()
-            for worker, ident in zip(born, ids):
-                worker.instance_id = ident
-        platform._next_instance_id = next_id + int(cum[-1])
-        return cold_start, init_ms, instance_ids
+        return cold_start, init_ms

@@ -86,18 +86,6 @@ class DeployedFunction:
     invocation_count: int = 0
 
 
-@dataclass(slots=True)
-class _WorkerInstance:
-    """A warm worker instance that can serve one request at a time.
-
-    Its keep-alive runs from ``busy_until_s``: the worker is idle from then
-    on and is reclaimed once idle longer than the keep-alive.
-    """
-
-    instance_id: int
-    busy_until_s: float = 0.0
-
-
 @dataclass(frozen=True)
 class InvocationRecord:
     """One entry of the platform's invocation log."""
@@ -108,7 +96,23 @@ class InvocationRecord:
     result: ExecutionResult
     cost_usd: float
     billed_duration_ms: float
-    instance_id: int
+
+
+def _sorted_arrivals(timestamps_s) -> np.ndarray:
+    """Timestamps as one sorted 1-D float array, checked before any runs.
+
+    A negative or non-finite timestamp, or an array that is not 1-D, raises
+    :class:`~repro.errors.SimulationError`.
+    """
+    arrivals = np.asarray(timestamps_s, dtype=float)
+    if arrivals.ndim != 1:
+        raise SimulationError(f"timestamps_s must be a 1-D array, not of shape {arrivals.shape}")
+    arrivals = np.sort(arrivals)
+    # Sorting puts the minimum first and +inf and NaN last, so the two ends
+    # decide.
+    if arrivals.shape[0] and not (arrivals[0] >= 0 and math.isfinite(arrivals[-1])):
+        raise SimulationError("at_time_s must be finite and non-negative")
+    return arrivals
 
 
 class ServerlessPlatform:
@@ -135,8 +139,10 @@ class ServerlessPlatform:
         )
         self._rng = np.random.default_rng(self.config.seed)
         self._functions: dict[str, DeployedFunction] = {}
-        self._instances: dict[str, list[_WorkerInstance]] = {}
-        self._next_instance_id = 0
+        # Each function's warm workers in pool order, a worker being the time
+        # it is busy until: it can serve one request at a time, is idle from
+        # then on and is reclaimed once idle longer than the keep-alive.
+        self._instances: dict[str, list[float]] = {}
         self.invocation_log: list[InvocationRecord] = []
         self._records_by_function: dict[str, list[InvocationRecord]] = {}
         self._cost_by_function: dict[str, float] = {}
@@ -218,35 +224,30 @@ class ServerlessPlatform:
         del self._instances[name]
 
     # ------------------------------------------------------------- invocation
-    def _acquire_instance(self, name: str, at_time_s: float) -> tuple[_WorkerInstance, bool]:
-        """Find an idle warm instance or cold-start a new one."""
-        instances = self._instances[name]
-        is_expired = self.cold_start_model.is_expired
-        if len(instances) == 1:
+    def _acquire_instance(self, name: str, at_time_s: float) -> tuple[list[float], int, bool]:
+        """Find an idle warm worker or cold-start a new one.
+
+        Returns the function's pool, the serving worker's slot in it and
+        whether that worker was cold-started; the caller sets its busy-until.
+        """
+        pool = self._instances[name]
+        keep_alive_s = self.cold_start_model.keep_alive_s
+        if len(pool) == 1 and pool[0] <= at_time_s and at_time_s - pool[0] <= keep_alive_s:
             # Fast path for the dominant open-loop case: a single warm
             # worker, idle at the arrival and within its keep-alive — the
-            # reclaim scan below would keep it and the search would pick it.
-            instance = instances[0]
-            if instance.busy_until_s <= at_time_s and not is_expired(
-                at_time_s - instance.busy_until_s
-            ):
-                return instance, False
-        # Reclaim instances idle longer than the keep-alive (a busy one has
+            # reclaim below would keep it and the search would pick it.
+            return pool, 0, False
+        # Reclaim workers idle longer than the keep-alive (a busy one has
         # been idle for no time, and the keep-alive is positive).
-        instances[:] = [
-            inst for inst in instances if not is_expired(max(at_time_s - inst.busy_until_s, 0.0))
-        ]
-        for instance in instances:
-            if instance.busy_until_s <= at_time_s:
-                return instance, False
-        if len(instances) >= self.config.max_instances_per_function:
-            # Concurrency limit reached: queue on the earliest-free instance.
-            instance = min(instances, key=lambda inst: inst.busy_until_s)
-            return instance, False
-        self._next_instance_id += 1
-        instance = _WorkerInstance(self._next_instance_id)
-        instances.append(instance)
-        return instance, True
+        pool[:] = [busy for busy in pool if at_time_s - busy <= keep_alive_s]
+        for slot, busy in enumerate(pool):
+            if busy <= at_time_s:
+                return pool, slot, False
+        if len(pool) >= self.config.max_instances_per_function:
+            # Concurrency limit reached: queue on the earliest-free worker.
+            return pool, pool.index(min(pool)), False
+        pool.append(0.0)
+        return pool, len(pool) - 1, True
 
     def invoke(self, name: str, at_time_s: float = 0.0) -> InvocationRecord:
         """Invoke a deployed function at virtual time ``at_time_s``.
@@ -258,7 +259,7 @@ class ServerlessPlatform:
         if at_time_s < 0 or not math.isfinite(at_time_s):
             raise SimulationError("at_time_s must be finite and non-negative")
         function = self.get_function(name)
-        instance, is_cold = self._acquire_instance(name, at_time_s)
+        pool, slot, is_cold = self._acquire_instance(name, at_time_s)
 
         init_ms = 0.0
         if is_cold:
@@ -279,8 +280,7 @@ class ServerlessPlatform:
             init_duration_ms=init_ms,
         )
 
-        start_s = max(at_time_s, instance.busy_until_s)
-        instance.busy_until_s = start_s + result.total_latency_ms / 1000.0
+        pool[slot] = max(at_time_s, pool[slot]) + result.total_latency_ms / 1000.0
         function.invocation_count += 1
 
         billed_ms = self.pricing_model.billed_duration_ms(result.execution_time_ms)
@@ -292,7 +292,6 @@ class ServerlessPlatform:
             result=result,
             cost_usd=cost,
             billed_duration_ms=billed_ms,
-            instance_id=instance.instance_id,
         )
         self.invocation_log.append(record)
         self._records_by_function.setdefault(name, []).append(record)
@@ -300,8 +299,12 @@ class ServerlessPlatform:
         return record
 
     def invoke_many(self, name: str, timestamps_s: list[float]) -> list[InvocationRecord]:
-        """Invoke a function once per timestamp (timestamps need not be sorted)."""
-        return [self.invoke(name, at_time_s=t) for t in sorted(timestamps_s)]
+        """Invoke a function once per timestamp (timestamps need not be sorted).
+
+        Checked as :meth:`invoke_batch` checks its timestamps, before the
+        first invocation runs.
+        """
+        return [self.invoke(name, at_time_s=t) for t in _sorted_arrivals(timestamps_s).tolist()]
 
     def invoke_batch(self, name: str, timestamps_s, backend=None, rng=None):
         """Invoke a function once per timestamp through an execution backend.
@@ -333,18 +336,7 @@ class ServerlessPlatform:
         from repro.simulation.engine import get_backend
 
         resolved = get_backend(backend if backend is not None else "serial")
-        arrivals = np.asarray(timestamps_s, dtype=float)
-        if arrivals.ndim != 1:
-            raise SimulationError(
-                f"timestamps_s must be a 1-D array, not of shape {arrivals.shape}"
-            )
-        arrivals = np.sort(arrivals)
-        # The whole batch is checked before any arrival runs, so a serial
-        # batch fails before its first invoke.  Sorting puts the minimum
-        # first and +inf and NaN last, so the two ends decide.
-        if arrivals.shape[0] and not (arrivals[0] >= 0 and math.isfinite(arrivals[-1])):
-            raise SimulationError("at_time_s must be finite and non-negative")
-        return resolved.run_batch(self, name, arrivals, rng=rng)
+        return resolved.run_batch(self, name, _sorted_arrivals(timestamps_s), rng=rng)
 
     # ---------------------------------------------------------------- billing
     def _note_cost(self, name: str, cost_usd: float) -> None:

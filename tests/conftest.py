@@ -6,8 +6,6 @@ per session; everything else is cheap enough to construct per test.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -244,12 +242,8 @@ def looped_backend():
 
 
 def _pool_state(platform, names):
-    """Every pool's workers as tuples of all their fields, plus the id counter."""
-    pools = {
-        name: [dataclasses.astuple(worker) for worker in platform._instances.get(name, [])]
-        for name in names
-    }
-    return pools, platform._next_instance_id
+    """Every pool's workers, their busy-until times in pool order, by name."""
+    return {name: list(platform._instances.get(name, [])) for name in names}
 
 
 @pytest.fixture()

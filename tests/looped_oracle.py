@@ -85,7 +85,7 @@ class LoopedBackend(ExecutionBackend):
             cpu_ms, fs_ms, network_ms, service_ms, exec_ms, jitters,
         )
         init_base_ms = cold_model.duration_ms(memory_mb, profile.code_size_kb, cpu_share)
-        cold_start, init_ms, instance_ids = walk_instances(
+        cold_start, init_ms = walk_instances(
             platform, function_name, t, exec_ms, init_base_ms, cold_noise
         )
         function.invocation_count += n
@@ -97,7 +97,6 @@ class LoopedBackend(ExecutionBackend):
             execution_time_ms=exec_ms,
             init_duration_ms=init_ms,
             cold_start=cold_start,
-            instance_ids=instance_ids,
             cost_usd=pricing.execution_cost_batch(exec_ms, memory_mb),
             billed_duration_ms=pricing.billed_duration_batch_ms(exec_ms),
             metrics=metrics,

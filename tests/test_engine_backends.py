@@ -139,14 +139,17 @@ class TestExactParity:
     def test_noise_free_batches_identical(self, profile_name):
         profile = PROFILES[profile_name]
         arrivals = _arrivals(400)
-        serial, _ = _run("serial", profile, arrivals, noise_free=True)
-        vectorized, _ = _run("vectorized", profile, arrivals, noise_free=True)
+        serial, serial_platform = _run("serial", profile, arrivals, noise_free=True)
+        vectorized, vectorized_platform = _run("vectorized", profile, arrivals, noise_free=True)
 
         np.testing.assert_allclose(
             serial.execution_time_ms, vectorized.execution_time_ms, rtol=1e-9
         )
         np.testing.assert_array_equal(serial.cold_start, vectorized.cold_start)
-        np.testing.assert_array_equal(serial.instance_ids, vectorized.instance_ids)
+        # The same workers end busy until the same times.
+        np.testing.assert_allclose(
+            serial_platform._instances["f"], vectorized_platform._instances["f"], rtol=1e-9
+        )
         np.testing.assert_allclose(
             serial.init_duration_ms, vectorized.init_duration_ms, rtol=1e-9
         )
@@ -422,8 +425,8 @@ class TestOneBatchPath:
     def test_batch_paths_bit_identical(self, noise, stream, pool_state):
         """``run_batch`` on both vectorized backends and one-group
         ``run_grouped`` equal the oracle over three consecutive batches:
-        every column and metric, the pool, the id counter, the invocation
-        count, billing and the shared generator's state."""
+        every column and metric, the pool, the invocation count, billing
+        and the shared generator's state."""
 
         def run(execute, profile, size, kind, limits):
             keep_alive_s, max_instances = limits
@@ -496,10 +499,10 @@ class TestOneBatchPath:
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_arrivals_change_nothing(self, bad, backend, pool_state):
         """NaN and +inf pass a sign check, so without a finiteness check they
-        are billed as NaN (or leave a worker busy until NaN).  Both
-        ``invoke_batch`` (the whole batch, before its first arrival runs) and
-        ``invoke`` refuse them before any pool, counter, bill or log entry
-        changes."""
+        are billed as NaN (or leave a worker busy until NaN).  ``invoke_batch``
+        and ``invoke_many`` (the whole list, before its first arrival runs)
+        and ``invoke`` refuse them before any pool, counter, bill or log
+        entry changes."""
         platform = _platform()
         platform.deploy("f", PROFILES["api_call"], 512)
         platform.invoke_batch("f", [1.0, 2.0], backend="serial")
@@ -519,6 +522,9 @@ class TestOneBatchPath:
         assert state() == before
         with pytest.raises(SimulationError, match="finite"):
             platform.invoke("f", at_time_s=bad)
+        assert state() == before
+        with pytest.raises(SimulationError, match="finite"):
+            platform.invoke_many("f", [2.0, bad])
         assert state() == before
 
     @pytest.mark.parametrize("backend", ["vectorized", "parallel", "serial"])

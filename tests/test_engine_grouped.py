@@ -239,7 +239,6 @@ class TestGroupedBatchErrors:
             execution_time_ms=np.ones(n),
             init_duration_ms=np.zeros(n),
             cold_start=np.zeros(n, dtype=bool),
-            instance_ids=np.ones(n, dtype=np.int64),
             cost_usd=np.zeros(n),
             billed_duration_ms=np.ones(n),
             metrics={m: np.ones(n) for m in METRIC_NAMES},

@@ -2,8 +2,8 @@
 
 The kernel is the body of
 :meth:`~repro.simulation.engine.vectorized.VectorizedBackend.run_grouped`.
-It is bit-exact: every stat, cold-start flag, instance id, billed cost and
-the platform pool state must match the looped per-batch oracle —
+It is bit-exact: every stat, cold-start flag, billed cost and the
+platform pool state must match the looped per-batch oracle —
 ``LoopedBackend`` of ``tests/looped_oracle.py``, the base
 :meth:`~repro.simulation.engine.base.ExecutionBackend.run_grouped` over a
 per-batch implementation of its own (the ``looped_backend`` fixture of
@@ -213,7 +213,7 @@ class TestDisagreementPath:
             blocking_fraction=0.9,
         )
 
-    def test_disagreement_pairs_resolve_identically(self, looped_backend):
+    def test_disagreement_pairs_resolve_identically(self, looped_backend, pool_state):
         profile = self._profile()
 
         # probe the deterministic per-invocation execution and cold-init
@@ -240,11 +240,11 @@ class TestDisagreementPath:
             request = GroupRequest.for_deployed(
                 platform, "dis-fn", arrivals, child_rng(0, STREAM_EXECUTION, 0, 0)
             )
-            return execute(platform, [request])
+            return execute(platform, [request]), pool_state(platform, ["dis-fn"])
 
-        serial = run(get_backend("serial").run_grouped)
-        looped = run(looped_backend.run_grouped)
-        kernel = run(get_backend("vectorized").run_grouped)
+        serial, serial_pool = run(get_backend("serial").run_grouped)
+        looped, looped_pool = run(looped_backend.run_grouped)
+        kernel, kernel_pool = run(get_backend("vectorized").run_grouped)
         # the disagreement branch must actually fire: runs re-warm behind
         # cold starts, so the chain is neither all-cold nor all-warm
         np.testing.assert_array_equal(
@@ -252,20 +252,21 @@ class TestDisagreementPath:
         )
         for other in (looped, kernel):
             np.testing.assert_array_equal(serial.cold_start, other.cold_start)
-            np.testing.assert_array_equal(serial.instance_ids, other.instance_ids)
             np.testing.assert_array_equal(
                 serial.init_duration_ms, other.init_duration_ms
             )
         # the scalar walk resolves the same chain on a fresh platform
         platform = self._platform()
         platform.deploy("dis-fn", profile, 512)
-        cold, init, ids = grouped_mod.walk_instances(
+        cold, init = grouped_mod.walk_instances(
             platform, "dis-fn", arrivals, serial.execution_time_ms,
             float(serial.init_duration_ms[0]), None,
         )
         np.testing.assert_array_equal(serial.cold_start, cold)
-        np.testing.assert_array_equal(serial.instance_ids, ids)
         np.testing.assert_array_equal(serial.init_duration_ms, init)
+        # and all four runs leave the same worker, busy until the same time
+        walk_pool = pool_state(platform, ["dis-fn"])
+        assert serial_pool == looped_pool == kernel_pool == walk_pool
 
     def test_solve_cold_recurrence_matches_scalar_loop(self):
         rng = np.random.default_rng(5)
@@ -330,8 +331,8 @@ class TestLockstepWalk:
     lockstep (``walk_lockstep``), handing the arrivals left once few groups
     remain, and every group whose pool depends on an earlier group of the
     batch, to the scalar ``walk_instances`` in group order.  Every
-    ``GroupedBatch`` field, the warm pools and the platform's id counter
-    must equal the looped oracle's, bit for bit.
+    ``GroupedBatch`` field and the warm pools after every batch must equal
+    the looped oracle's, bit for bit.
     """
 
     @staticmethod
@@ -355,25 +356,37 @@ class TestLockstepWalk:
 
     def _assert_matches_looped(self, looped_backend, pool_state, functions, batches,
                                max_instances=1000, keep_alive_s=600.0, noise_free=False):
-        runs = [
-            self._run_batches(
-                execute, functions, batches, max_instances, keep_alive_s,
+        """Compare kernel and oracle; return the kernel's batches and pools after each."""
+        names = [f.name for f in functions]
+
+        def run(execute):
+            pools = []
+
+            def execute_and_snapshot(platform, requests):
+                batch = execute(platform, requests)
+                pools.append(pool_state(platform, names))
+                return batch
+
+            platform, results = self._run_batches(
+                execute_and_snapshot, functions, batches, max_instances, keep_alive_s,
                 noise_free=noise_free,
             )
-            for execute in (get_backend("vectorized").run_grouped, looped_backend.run_grouped)
-        ]
-        (kernel, kernel_batches), (looped, looped_batches) = runs
-        for got, expected in zip(kernel_batches, looped_batches):
+            return platform, results, pools
+
+        kernel, kernel_batches, kernel_pools = run(get_backend("vectorized").run_grouped)
+        looped, looped_batches, looped_pools = run(looped_backend.run_grouped)
+        for got, expected, got_pools, expected_pools in zip(
+            kernel_batches, looped_batches, kernel_pools, looped_pools
+        ):
             assert_identical(got, expected)
-        names = [f.name for f in functions]
-        assert pool_state(kernel, names) == pool_state(looped, names)
+            assert got_pools == expected_pools
         for name in names:
             assert kernel.total_cost_usd(name) == looped.total_cost_usd(name)
             assert (
                 kernel.get_function(name).invocation_count
                 == looped.get_function(name).invocation_count
             )
-        return kernel, kernel_batches
+        return kernel_batches, kernel_pools
 
     @settings(
         max_examples=40,
@@ -432,12 +445,14 @@ class TestLockstepWalk:
     def test_arrival_exactly_at_busy_until_equals_looped(self, looped_backend, pool_state):
         """A worker free exactly at the arrival serves it warm."""
         function, first, (head, spare) = self._tie_platform_state(600.0)
-        assert head.busy_until_s < spare.busy_until_s
-        second = [(0, np.array([head.busy_until_s]), False)]
-        _, (_, batch) = self._assert_matches_looped(
+        assert head < spare
+        second = [(0, np.array([head]), False)]
+        (_, batch), (_, pools) = self._assert_matches_looped(
             looped_backend, pool_state, [function], [first, second], noise_free=True
         )
-        assert not batch.cold_start[0] and batch.instance_ids[0] == head.instance_id
+        # The head's slot served it: only its busy-until moved.
+        assert not batch.cold_start[0]
+        assert pools[function.name] == [head + batch.execution_time_ms[0] / 1000.0, spare]
 
     @pytest.mark.parametrize("past_keep_alive", [False, True])
     def test_idle_gap_exactly_keep_alive_equals_looped(
@@ -449,18 +464,22 @@ class TestLockstepWalk:
         # to a later arrival, so that arrival sees idle == keep_alive: the
         # head (idle longer) is reclaimed and the spare serves warm.  The
         # next float after it sees both past the keep-alive: a cold start.
-        tie_s = spare.busy_until_s + 900.0
-        keep_alive_s = tie_s - spare.busy_until_s
-        function, first, (_, spare) = self._tie_platform_state(keep_alive_s)
+        tie_s = spare + 900.0
+        keep_alive_s = tie_s - spare
+        function, first, _ = self._tie_platform_state(keep_alive_s)
         at_s = np.nextafter(tie_s, np.inf) if past_keep_alive else tie_s
-        second = [(0, np.array([at_s, at_s + 1.0]), False)]
-        _, (_, batch) = self._assert_matches_looped(
-            looped_backend, pool_state, [function], [first, second],
+        # The arrival after the tie comes in a batch of its own, so the pool
+        # the tie leaves is compared too.
+        second = [(0, np.array([at_s]), False)]
+        third = [(0, np.array([at_s + 1.0]), False)]
+        (_, batch, _), (_, pools, _) = self._assert_matches_looped(
+            looped_backend, pool_state, [function], [first, second, third],
             keep_alive_s=keep_alive_s, noise_free=True,
         )
         assert batch.cold_start[0] == past_keep_alive
         if not past_keep_alive:
-            assert batch.instance_ids[0] == spare.instance_id
+            # The head's slot is reclaimed and the spare's busy-until moved.
+            assert pools[function.name] == [at_s + batch.execution_time_ms[0] / 1000.0]
 
     def test_heavy_hitter_hands_off_mid_walk(self, looped_backend, pool_state, monkeypatch):
         """Short groups finish, and the long one's rest goes to walk_instances."""

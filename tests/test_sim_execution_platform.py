@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -235,7 +238,6 @@ PRIVATE_PLATFORM_REACHES = {
     ("simulation/engine/base.py", "_instances"): 1,
     ("simulation/engine/vectorized.py", "_instances"): 2,
     ("simulation/engine/vectorized.py", "_note_cost"): 1,
-    ("simulation/engine/vectorized.py", "_next_instance_id"): 2,
     ("simulation/engine/grouped.py", "_acquire_instance"): 1,
     ("simulation/engine/parallel.py", "_note_cost"): 1,
     ("simulation/engine/serial.py", "_rng"): 3,
@@ -252,3 +254,25 @@ def test_private_platform_reaches_match_the_allowlist():
         for attribute in re.findall(r"\bplatform\.(_\w+)", path.read_text()):
             reaches[module, attribute] += 1
     assert dict(reaches) == PRIVATE_PLATFORM_REACHES
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        "repro.simulation.platform",
+        "repro.simulation.engine.grouped",
+        "repro.simulation.engine.vectorized",
+        "repro.fleet",
+        "repro.dataset.harness",
+    ],
+)
+def test_module_imports_first_in_a_fresh_interpreter(module):
+    """An import cycle between the platform and the engine shows only when the
+    cycle's modules are imported first, so each runs in a fresh interpreter."""
+    src = str(Path(repro.__file__).parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    result = subprocess.run(
+        [sys.executable, "-c", f"import {module}"], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr

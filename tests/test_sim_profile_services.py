@@ -168,19 +168,12 @@ class TestColdStartModel:
         large = model.duration_ms(512, 10_000.0, cpu_share=0.3)
         assert large > small
 
-    def test_keep_alive_expiry(self):
-        model = ColdStartModel(keep_alive_s=600.0)
-        assert not model.is_expired(599.0)
-        assert model.is_expired(601.0)
-
     def test_invalid_arguments(self):
         model = ColdStartModel()
         with pytest.raises(ConfigurationError):
             model.duration_ms(0, 100.0, 0.5)
         with pytest.raises(ConfigurationError):
             model.duration_ms(128, -1.0, 0.5)
-        with pytest.raises(ConfigurationError):
-            model.is_expired(-1.0)
         # A NaN keep-alive would never expire a worker, and a NaN init or
         # noise would reach every cold start.
         for name in (

@@ -13,9 +13,10 @@ hot paths:
   as the median of 3 untraced interleaved runs with tracemalloc peak bytes
   from a separate traced run; ``hot.service`` (the always-active fleet
   through the rightsizing service, with its per-window phases); the
-  ``walk_shapes`` section (the grouped kernel on four instance-walk
-  shapes); the ``fleet_scale`` endurance run (one million functions
-  through 24 virtual hours at ``--scale full``); and ``service_scale``, the
+  ``walk_shapes`` section (the grouped kernel on six instance-walk
+  shapes, each run after a host-speed probe); the ``fleet_scale``
+  endurance run (one million functions through 24 virtual hours at
+  ``--scale full``); and ``service_scale``, the
   same fleet through ``FleetRightsizingService`` (every window phase,
   ``decide`` and ``ledger`` included);
 - **generation** — training-dataset generation per execution-backend variant
@@ -58,11 +59,18 @@ import time
 import tracemalloc
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread before NumPy loads, as perfbench and CI run: the walk
+# shapes' host-speed probes time a matrix product, and with two threads a
+# process's first probes read up to ten times slower than its later ones.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import numpy as np  # noqa: E402
 
 SCHEMA_VERSION = 1
 
 _BENCHMARKS_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
+_PERFBENCH_DIR = _BENCHMARKS_DIR.parent / "perfbench"
 # The benchmark modules import the looped oracle from tests/looped_oracle.py.
 sys.path.insert(0, str(_BENCHMARKS_DIR.parent / "tests"))
 
@@ -93,9 +101,9 @@ FLEET_SCALE = {
 }
 
 
-def _load_benchmark(name: str):
-    """Import a benchmark module by file path (benchmarks/ is not a package)."""
-    spec = importlib.util.spec_from_file_location(name, _BENCHMARKS_DIR / f"{name}.py")
+def _load_benchmark(name: str, directory: Path = _BENCHMARKS_DIR):
+    """Import a benchmark module by file path (benchmarks/ and perfbench/ are not packages)."""
+    spec = importlib.util.spec_from_file_location(name, directory / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -245,15 +253,30 @@ def bench_hot_service(bench) -> dict:
     }
 
 
+#: Untraced runs per walk shape (their median is reported).
+WALK_SHAPE_REPEATS = 5
+
+
 def bench_walk_shapes(bench) -> dict:
     """The grouped kernel on the instance-walk shapes of ``WALK_SHAPES``.
 
     Each row is one ``run_grouped`` call on a fresh platform: ``seconds`` is
-    the median of ``seconds_runs`` (3 untraced runs).
+    the median of ``seconds_runs`` (``WALK_SHAPE_REPEATS`` untraced runs).
+    Before each run perfbench's reference kernel is timed
+    (``perfbench/hostspeed.py``'s ``HostSpeed.probe``, in ``probe_ms``), and
+    ``normalised_seconds`` is ``seconds`` scaled by the row's probes to the
+    reference host, so rows recorded at different times can be compared.
     """
+    hostspeed = _load_benchmark("hostspeed", _PERFBENCH_DIR)
     rows = {}
     for shape, (parts, harness) in bench.WALK_SHAPES.items():
-        runs, invocations, n_groups = bench.walk_shape_seconds(shape)
+        host = hostspeed.HostSpeed()
+        runs = []
+        for _ in range(WALK_SHAPE_REPEATS):
+            host.probe()
+            seconds, invocations, n_groups = bench.walk_shape_seconds(shape)
+            runs.append(seconds)
+        seconds = statistics.median(runs)
         rows[shape] = {
             "groups": [
                 {"count": count, "rate_rps": rate, "duration_s": duration}
@@ -262,8 +285,10 @@ def bench_walk_shapes(bench) -> dict:
             "harness": harness,
             "n_groups": n_groups,
             "invocations": invocations,
-            "seconds": round(statistics.median(runs), 4),
+            "seconds": round(seconds, 4),
             "seconds_runs": [round(t, 4) for t in runs],
+            "probe_ms": [round(1e3 * t, 3) for t in host.seconds],
+            "normalised_seconds": round(seconds * host.scale(), 4),
         }
     return rows
 
