@@ -41,7 +41,13 @@ These contracts of the online subsystem are asserted here:
    overlap and walk their multi-instance pools in lockstep; the fused
    window is at least ``REPRO_BENCH_FLEET_HOT_MIN_SPEEDUP`` (default 2)
    times faster than the looped path, with bit-identical stats.
-9. **Hot window orchestration** — the same always-active fleet run through
+9. **No object per function** — on the fleet-scale scenario,
+   ``FleetSimulator(...)`` adds fewer than ``HELD_OBJECTS`` GC-tracked
+   objects, the platform holds at most ``PLATFORM_BYTES_PER_FUNCTION`` per
+   deployed function, and one window's kernel call starts with fewer than
+   ``HELD_OBJECTS`` tracked objects alive beyond those alive before the
+   window: the fleet's state is columns, not objects.
+10. **Hot window orchestration** — the same always-active fleet run through
    ``FleetRightsizingService``: the work around the engine call (traffic,
    seeding, group-build, reduce) stays within ``HOT_ORCHESTRATION_BOUND``
    (0.6) times the execute phase.  It holds because windows reduce only
@@ -73,11 +79,12 @@ import numpy as np
 
 import repro.fleet.controller
 import repro.fleet.ledger
+import repro.simulation.platform
 from repro.core.predictor import SizelessPredictor
 from repro.fleet import ControllerConfig, FleetConfig, FleetRightsizingService, FleetSimulator
 from repro.monitoring.aggregation import STAT_NAMES
 from repro.monitoring.metrics import METRIC_NAMES
-from repro.simulation.engine import GroupRequest, get_backend
+from repro.simulation.engine import GroupBlock, get_backend
 from repro.simulation.platform import ServerlessPlatform
 from repro.simulation.seeding import (
     STREAM_EXECUTION,
@@ -257,12 +264,11 @@ def execute_windows(functions, traffic, fused, n_windows=SPEEDUP_WINDOWS):
         arrivals = _window_arrivals(traffic, window_index)
         rngs = spawn_child_rngs(94, STREAM_EXECUTION, window_index, n=len(functions))
         if fused:
-            requests = [
-                GroupRequest.for_deployed(simulator.platform, fn.name, arr, rng)
-                for fn, arr, rng in zip(functions, arrivals, rngs)
-            ]
+            block = GroupBlock.for_deployed(
+                simulator.platform, [fn.name for fn in functions], arrivals, rngs
+            )
             start = time.perf_counter()
-            batch = simulator.backend.run_grouped(simulator.platform, requests)
+            batch = simulator.backend.run_grouped(simulator.platform, block)
             stats, _ = batch.aggregate_stats(0.0, True)
             seconds += time.perf_counter() - start
             invocations += batch.n_invocations
@@ -419,8 +425,8 @@ WALK_SHAPES = {
 }
 
 
-def walk_shape_requests(shape, seed=103):
-    """A fresh platform and the Poisson-arrival group requests of one walk shape."""
+def walk_shape_block(shape, seed=103):
+    """A fresh platform and the Poisson-arrival group block of one walk shape."""
     parts, harness = WALK_SHAPES[shape]
     n_groups = sum(count for count, _, _ in parts)
     platform = ServerlessPlatform.with_default_noise(seed=seed)
@@ -429,20 +435,25 @@ def walk_shape_requests(shape, seed=103):
         config=GeneratorConfig(seed=seed, name_prefix=f"walk-{shape}")
     ).generate(1 if harness else n_groups)
     rng = np.random.default_rng(seed)
-    requests = []
+    deployed, arrivals = [], []
     for count, rate, duration in parts:
         for _ in range(count):
-            g = len(requests)
+            g = len(deployed)
             function = functions[0 if harness else g]
-            platform.deploy(function.name, function.profile, sizes[g] if harness else 256)
-            arrivals = np.sort(rng.uniform(0.0, duration, rng.poisson(rate * duration)))
-            requests.append(
-                GroupRequest.for_deployed(
-                    platform, function.name, arrivals,
-                    child_rng(seed, STREAM_EXECUTION, 0, g), fresh_pool=harness,
-                )
+            deployed.append(
+                platform.deploy(function.name, function.profile, sizes[g] if harness else 256)
             )
-    return platform, requests
+            arrivals.append(np.sort(rng.uniform(0.0, duration, rng.poisson(rate * duration))))
+    block = GroupBlock.of_groups(
+        [d.name for d in deployed],
+        [d.profile for d in deployed],
+        [d.memory_mb for d in deployed],
+        [d.serial for d in deployed],
+        arrivals,
+        [child_rng(seed, STREAM_EXECUTION, 0, g) for g in range(n_groups)],
+        fresh_pool=harness,
+    )
+    return platform, block
 
 
 def walk_shape_seconds(shape):
@@ -450,12 +461,12 @@ def walk_shape_seconds(shape):
 
     Returns the seconds, the invocations and the groups of the batch.
     """
-    platform, requests = walk_shape_requests(shape)
+    platform, block = walk_shape_block(shape)
     backend = get_backend("vectorized")
     gc.collect()
     start = time.perf_counter()
-    batch = backend.run_grouped(platform, requests)
-    return time.perf_counter() - start, batch.n_invocations, len(requests)
+    batch = backend.run_grouped(platform, block)
+    return time.perf_counter() - start, batch.n_invocations, block.n_groups
 
 
 def _sparse_scenario(n_functions=None):
@@ -529,13 +540,10 @@ def execute_dense_reference_windows(
                 for model, rng in zip(traffic, traffic_rngs)
             ]
         execution_rngs = spawn_child_rngs(seed, STREAM_EXECUTION, window_index, n=n)
-        requests = [
-            GroupRequest.for_deployed(
-                simulator.platform, fn.name, arrivals[i], execution_rngs[i]
-            )
-            for i, fn in enumerate(functions)
-        ]
-        batch = simulator.backend.run_grouped(simulator.platform, requests)
+        block = GroupBlock.for_deployed(
+            simulator.platform, [fn.name for fn in functions], arrivals, execution_rngs
+        )
+        batch = simulator.backend.run_grouped(simulator.platform, block)
         stats, _ = batch.aggregate_stats(0.0, True)
         seconds += time.perf_counter() - start
         invocations += batch.n_invocations
@@ -637,8 +645,8 @@ def _sparse_active_arrivals(functions, traffic, n_windows=SPARSE_WINDOWS, seed=9
     return windows
 
 
-def _active_requests(simulator, functions, window_arrivals, seed=99):
-    """Per-window group requests of the active sparse groups on ``simulator``.
+def _active_blocks(simulator, functions, window_arrivals, seed=99):
+    """Per-window group blocks of the active sparse groups on ``simulator``.
 
     Execution streams are keyed by function index (bit-identical to
     spawning the full fleet and indexing), so the kernel and the looped
@@ -653,12 +661,12 @@ def _active_requests(simulator, functions, window_arrivals, seed=99):
             indices=np.array([i for i, _ in active], dtype=np.int64),
         )
         windows.append(
-            [
-                GroupRequest.for_deployed(
-                    simulator.platform, functions[i].name, arrivals, rng
-                )
-                for (i, arrivals), rng in zip(active, rngs)
-            ]
+            GroupBlock.for_deployed(
+                simulator.platform,
+                [functions[i].name for i, _ in active],
+                [arrivals for _, arrivals in active],
+                rngs,
+            )
         )
     return windows
 
@@ -685,7 +693,7 @@ def test_bench_sparse_kernel_matches_oracle_and_memory():
     On the fleet-scale scenario's active groups the grouped kernel
     (``VectorizedBackend.run_grouped``) reproduces the looped per-batch
     oracle (``tests/looped_oracle.py``, one batch per group) bit for bit,
-    window after window.  In a separate pass over pre-built requests, the
+    window after window.  In a separate pass over pre-built blocks, the
     kernel's peak traced memory stays within the fused column budget of the
     ACTIVE invocations plus the platform's O(1)-per-function bookkeeping
     allowance.
@@ -701,17 +709,17 @@ def test_bench_sparse_kernel_matches_oracle_and_memory():
         sim = simulator()
         execute = sim.backend.run_grouped if label == "kernel" else LoopedBackend().run_grouped
         stats[label] = [
-            execute(sim.platform, requests).aggregate_stats(0.0, True)[0]
-            for requests in _active_requests(sim, functions, window_arrivals)
+            execute(sim.platform, block).aggregate_stats(0.0, True)[0]
+            for block in _active_blocks(sim, functions, window_arrivals)
         ]
     for looped_window, kernel_window in zip(stats["looped"], stats["kernel"]):
         np.testing.assert_array_equal(looped_window, kernel_window)
 
     sim = simulator()
-    prebuilt = _active_requests(sim, functions, window_arrivals)
+    prebuilt = _active_blocks(sim, functions, window_arrivals)
     tracemalloc.start()
-    for requests in prebuilt:
-        batch = sim.backend.run_grouped(sim.platform, requests)
+    for block in prebuilt:
+        batch = sim.backend.run_grouped(sim.platform, block)
         batch.aggregate_stats(0.0, True)
     _, peak_bytes = tracemalloc.get_traced_memory()
     tracemalloc.stop()
@@ -886,3 +894,74 @@ def test_bench_service_state_bounded_by_ever_active(warm_context):
     assert n_events > 0
     assert n_ever_active < 0.1 * len(functions)
     assert state_bytes <= bound
+
+
+#: Tracked objects ``FleetSimulator(...)`` may add, and tracked objects one
+#: window may hold alive at its kernel call beyond those alive before it:
+#: neither may grow with the fleet or the window's active groups.  A record
+#: and an empty pool list per deployed function, and a request, a generator,
+#: its bit generator and that one's lock per active group, broke both.
+HELD_OBJECTS = 100
+
+#: Bytes per fleet function the platform may hold after deploying the fleet:
+#: a name-map entry and its row number, the profile reference and four
+#: 8-byte columns (size, serial, invocations, cost).  A slotted record and an
+#: empty pool list per function held ~172 B.
+PLATFORM_BYTES_PER_FUNCTION = 128
+
+
+def _tracked_objects() -> int:
+    gc.collect()
+    return len(gc.get_objects())
+
+
+def test_bench_fleet_holds_no_object_per_function():
+    """The fleet's platform state and window loop hold no object per function.
+
+    ``_sparse_scenario``'s fleet is deployed with tracemalloc on and the GC
+    collected around it.  CPython's cyclic GC walks every tracked object in
+    a full collection, and it starts one once the objects promoted since the
+    last exceed a quarter of the long-lived ones, so per-function objects
+    cost set-up time and per-group objects alive across the kernel call cost
+    window time.  A warm-up window fills the kernel's shape table first.
+    """
+    functions, traffic = _sparse_scenario()
+    before = _tracked_objects()
+    tracemalloc.start()
+    simulator = FleetSimulator(functions, traffic, FleetConfig(window_s=WINDOW_S, seed=98))
+    added = _tracked_objects() - before
+    snapshot = tracemalloc.take_snapshot()
+    tracemalloc.stop()
+    platform_bytes = sum(
+        trace.size
+        for trace in snapshot.filter_traces(
+            [tracemalloc.Filter(True, repro.simulation.platform.__file__)]
+        ).traces
+    )
+    del snapshot
+
+    simulator.run_window()
+    at_kernel = []
+    run_grouped = simulator.backend.run_grouped
+
+    def counting(platform, block):
+        at_kernel.append((_tracked_objects(), block.n_groups))
+        return run_grouped(platform, block)
+
+    simulator.backend.run_grouped = counting
+    pre_window = _tracked_objects()
+    simulator.run_window()
+    (held, n_groups), = at_kernel
+    per_function = platform_bytes / len(functions)
+    print()
+    print(
+        f"fleet state: {len(functions):,} functions -> FleetSimulator(...) adds "
+        f"{added} tracked objects, the platform holds {per_function:.1f} B per "
+        f"function (bound {PLATFORM_BYTES_PER_FUNCTION}); the kernel call of a "
+        f"{n_groups}-group window starts with {held - pre_window} tracked objects "
+        f"beyond the pre-window count (bound {HELD_OBJECTS})"
+    )
+    assert n_groups > 0
+    assert added < HELD_OBJECTS
+    assert per_function <= PLATFORM_BYTES_PER_FUNCTION * _mem_factor()
+    assert held - pre_window < HELD_OBJECTS

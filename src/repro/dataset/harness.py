@@ -47,7 +47,7 @@ from repro.dataset.schema import FunctionMeasurement
 from repro.dataset.table import MeasurementTableBuilder
 from repro.simulation.engine import (
     ExecutionBackend,
-    GroupRequest,
+    GroupBlock,
     available_backends,
     get_backend,
 )
@@ -285,24 +285,26 @@ class MeasurementHarness:
         """
         memory_sizes = self._memory_sizes(memory_sizes_mb)
         load = workload if workload is not None else self.config.workload
-        requests = []
+        names, profiles, sizes, serials, arrivals, streams = [], [], [], [], [], []
         for k, function in enumerate(functions):
             index = index_offset + k
             for j, memory_mb in enumerate(memory_sizes):
-                self.platform.deploy(function.name, function.profile, memory_mb)
-                requests.append(
-                    GroupRequest.for_deployed(
-                        self.platform,
-                        function.name,
-                        self._arrivals_for(load, index, j),
-                        self._execution_rng(index, j),
-                        fresh_pool=True,
-                    )
-                )
-        if not requests:
+                # Each group runs at the deployment made for it; only the
+                # last size's deployment stays current.
+                deployed = self.platform.deploy(function.name, function.profile, memory_mb)
+                names.append(function.name)
+                profiles.append(function.profile)
+                sizes.append(deployed.memory_mb)
+                serials.append(deployed.serial)
+                arrivals.append(self._arrivals_for(load, index, j))
+                streams.append(self._execution_rng(index, j))
+        if not names:
             shape = (0, len(memory_sizes), len(METRIC_NAMES), len(STAT_NAMES))
             return np.zeros(shape), np.zeros((0, len(memory_sizes)), dtype=np.int64)
-        batch = self.backend.run_grouped(self.platform, requests)
+        block = GroupBlock.of_groups(
+            names, profiles, sizes, serials, arrivals, streams, fresh_pool=True
+        )
+        batch = self.backend.run_grouped(self.platform, block)
         # Cold starts are always excluded: the paper's monitoring wrapper
         # measures warm executions only.
         stats, counts = batch.aggregate_stats(warmup_s=load.warmup_s)

@@ -18,13 +18,21 @@ class ConfigurationError(ReproError):
     """A configuration object contains invalid or inconsistent values."""
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer (bools are not).
+
+    Floats with an integral value are not either: storing them would
+    silently truncate or reinterpret them.
+    """
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral)
+
+
 def require_count(value, name: str, least: int) -> None:
     """Raise :class:`ConfigurationError` unless ``value`` is an integer >= ``least``.
 
-    Python and numpy integers pass; bools and floats with an integral value
-    do not, since storing them would silently truncate or reinterpret them.
+    Integers in the sense of :func:`is_integer`.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+    if not is_integer(value) or value < least:
         raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
 
 

@@ -20,8 +20,8 @@ from __future__ import annotations
 #: FleetSimulator.run_window`), the service the last two.
 WINDOW_PHASES = (
     "traffic",      # fleet arrival sampling (one fused draw per window)
-    "seeding",      # per-group execution-noise stream derivation
-    "group-build",  # GroupRequest construction for the active groups
+    "seeding",      # execution-noise seed words (generators are built when drawn)
+    "group-build",  # the active groups' block: deployments by row, flat arrivals
     "execute",      # engine run_grouped over the active groups
     "reduce",       # stat reductions, window assembly
     "decide",       # controller step: predict, guardrails, resizes

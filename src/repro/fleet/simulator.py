@@ -41,19 +41,19 @@ only on the seed, the window and the function's own arrivals and state.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, SimulationError, is_integer
 from repro.fleet.profiling import WindowPhaseProfiler
 from repro.monitoring.aggregation import STAT_NAMES
 from repro.monitoring.metrics import METRIC_NAMES
 from repro.simulation.engine import (
     ExecutionBackend,
-    GroupRequest,
+    GroupBlock,
     available_backends,
     get_backend,
 )
@@ -255,10 +255,10 @@ class FleetSimulator:
         )
         self._schedule = FleetTrafficSchedule(self.traffic)
         self._metric_names: tuple[str, ...] = METRIC_NAMES
-        # Deployment rows indexed by function, maintained across resizes, so
-        # window request construction never round-trips through the
-        # platform's name registry.
-        self._deployments = self.platform.deploy_many(
+        self._names = names
+        # The platform rows of the fleet's functions, by function index: a
+        # window reads its active functions' deployments by row.
+        self._rows = self.platform.deploy_many(
             names,
             [function.profile for function in self.functions],
             float(self.config.default_memory_mb),
@@ -287,7 +287,7 @@ class FleetSimulator:
 
     def function_names(self) -> tuple[str, ...]:
         """Fleet function names in index order."""
-        return tuple(function.name for function in self.functions)
+        return tuple(self._names)
 
     @property
     def metric_names(self) -> tuple[str, ...]:
@@ -315,35 +315,35 @@ class FleetSimulator:
     def resize(self, function_index: int, memory_mb: int) -> None:
         """Redeploy one function at a new memory size (drops warm instances).
 
-        ``function_index`` must lie in ``[0, n_functions)``: a negative index
-        would wrap to another function.  Bad indices and sizes raise
+        ``function_index`` must be an integer in ``[0, n_functions)`` (a
+        negative index would wrap to another function) and ``memory_mb`` an
+        integer among the fleet's sizes; Python and numpy integers pass,
+        bools and floats do not.  Anything else raises
         :class:`~repro.errors.SimulationError` before any state changes.
         """
-        index = int(function_index)
-        if not 0 <= index < self.n_functions:
+        if not is_integer(function_index) or not 0 <= function_index < self.n_functions:
             raise SimulationError(
-                f"function index {index} out of range for {self.n_functions} functions"
+                f"function index {function_index!r} out of range for "
+                f"{self.n_functions} functions"
             )
-        memory_mb = int(memory_mb)
-        if memory_mb not in tuple(int(s) for s in self.config.memory_sizes_mb):
+        if not is_integer(memory_mb) or memory_mb not in self.config.memory_sizes_mb:
             raise SimulationError(
-                f"memory size {memory_mb} MB not among fleet sizes "
+                f"memory size {memory_mb!r} MB not among fleet sizes "
                 f"{list(self.config.memory_sizes_mb)}"
             )
-        function = self.functions[index]
-        self.platform.set_memory_size(function.name, float(memory_mb))
-        # Redeployment replaced the platform record; refresh the cached row.
-        self._deployments[index] = self.platform.get_function(function.name)
+        index = int(function_index)
+        self.platform.set_memory_size(self._names[index], float(memory_mb))
         self._memory_mb[index] = memory_mb
 
     # ----------------------------------------------------------------- window
-    def _execution_rngs(self, indices: np.ndarray) -> list[np.random.Generator]:
-        """Derive the private noise streams of the given function indices.
+    def _execution_rngs(self, indices: np.ndarray) -> Sequence[np.random.Generator]:
+        """The private noise streams of the given function indices.
 
         Keyed derivation (:func:`~repro.simulation.seeding.keyed_child_rngs`)
-        constructs exactly the requested streams in one vectorized batch —
+        derives exactly the requested streams in one vectorized batch —
         bit-identical to spawning the full fleet and indexing, but O(active)
-        regardless of fleet size, so idle functions never cost a stream.
+        regardless of fleet size, so idle functions never cost a stream —
+        and builds each generator only when the engine draws from it.
         """
         return keyed_child_rngs(
             self.platform.config.seed,
@@ -360,7 +360,7 @@ class FleetSimulator:
         Returns ``(active, stats, n_invocations, n_cold_starts, cost_usd)``
         where every column after ``active`` is parallel to it (one row per
         active function).  Zero-arrival functions never reach the engine:
-        no group request is built for them, they cost O(1) here.
+        they have no group in the block and cost O(1) here.
         """
         active = arrivals.active()
         if not active.shape[0]:
@@ -374,25 +374,27 @@ class FleetSimulator:
         tick = perf_counter()
         exec_rngs = self._execution_rngs(active)
         self.profiler.add("seeding", perf_counter() - tick)
-        # Build group requests straight from the cached deployment rows and
-        # the columnar arrival buffers: no platform name-registry lookups, no
-        # per-group array re-validation — each request holds a view into the
-        # window's flat ``times_s``.
+        # The active functions' group block: their current deployments read
+        # from the platform by row, and the window's flat arrivals as they
+        # are (idle functions own no arrivals, so the active groups tile
+        # ``times_s``).  No object is built per group.
         tick = perf_counter()
-        times_s = arrivals.times_s
+        profiles, memory_mb, serials = self.platform.deployments(self._rows[active])
         offsets = arrivals.offsets
-        deployments = self._deployments
-        requests = [
-            GroupRequest(
-                deployment=deployments[i],
-                arrivals=times_s[offsets[i] : offsets[i + 1]],
-                rng=exec_rngs[j],
-            )
-            for j, i in enumerate(active.tolist())
-        ]
+        names = self._names
+        block = GroupBlock(
+            names=[names[i] for i in active.tolist()],
+            profiles=profiles,
+            memory_mb=memory_mb,
+            serials=serials,
+            arrivals=arrivals.times_s,
+            offsets=np.append(offsets[active], offsets[-1]),
+            streams=exec_rngs,
+            fresh_pool=np.zeros(active.shape[0], dtype=bool),
+        )
         self.profiler.add("group-build", perf_counter() - tick)
         tick = perf_counter()
-        batch = self.backend.run_grouped(self.platform, requests)
+        batch = self.backend.run_grouped(self.platform, block)
         self.profiler.add("execute", perf_counter() - tick)
         tick = perf_counter()
         # Cold starts are always excluded: the paper's monitoring wrapper

@@ -14,7 +14,7 @@ from repro.simulation.engine.base import (
     get_backend,
     register_backend,
 )
-from repro.simulation.engine.grouped import GroupedBatch, GroupRequest
+from repro.simulation.engine.grouped import GroupBlock, GroupedBatch
 from repro.simulation.engine.parallel import ParallelBackend
 from repro.simulation.engine.serial import SerialBackend
 from repro.simulation.engine.vectorized import VectorizedBackend
@@ -22,7 +22,7 @@ from repro.simulation.engine.vectorized import VectorizedBackend
 __all__ = [
     "BatchResult",
     "ExecutionBackend",
-    "GroupRequest",
+    "GroupBlock",
     "GroupedBatch",
     "SerialBackend",
     "VectorizedBackend",

@@ -33,6 +33,7 @@ from repro.errors import ConfigurationError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.monitoring.aggregation import MonitoringSummary
+    from repro.simulation.engine.grouped import GroupBlock
     from repro.simulation.platform import InvocationRecord, ServerlessPlatform
     from repro.workloads.function import FunctionSpec
     from repro.workloads.loadgen import Workload
@@ -237,8 +238,8 @@ class ExecutionBackend(abc.ABC):
         ``None`` keeps the platform's shared generator.
         """
 
-    def run_grouped(self, platform: "ServerlessPlatform", requests):
-        """Execute many (function, size) groups into one grouped result.
+    def run_grouped(self, platform: "ServerlessPlatform", block: "GroupBlock"):
+        """Execute a block's (function, size) groups into one grouped result.
 
         The default schedules one :meth:`run_batch` call per group — the
         *looped* path the serial backend runs, and the schedule of the test
@@ -247,44 +248,43 @@ class ExecutionBackend(abc.ABC):
         :class:`~repro.simulation.engine.grouped.GroupedBatch`.  The
         vectorized backend overrides this with the grouped kernel; the
         kernel and the oracle produce bit-identical numbers because every
-        group draws its noise from its own request stream.  Records a
-        group's :meth:`run_batch` logged (only the serial backend's scalar
-        path logs any) are dropped once its columns are taken, so no grouped
-        run leaves records behind; billing totals are kept.
+        group draws its noise from its own stream.  Records a group's
+        :meth:`run_batch` logged (only the serial backend's scalar path logs
+        any) are dropped once its columns are taken, so no grouped run leaves
+        records behind; billing totals are kept.
         """
         from repro.monitoring.metrics import METRIC_NAMES
-        from repro.simulation.engine.grouped import GroupedBatch, validate_group_timestamps
+        from repro.simulation.engine.grouped import GroupedBatch
 
-        if not requests:
-            raise SimulationError("run_grouped needs at least one group request")
-        # Every group is validated before the first redeploy or batch runs, so
-        # a refused call changes nothing and says what the kernel says.
-        _, offsets = validate_group_timestamps(requests)
+        offsets = block.offsets
+        off_l = offsets.tolist()
+        rows = platform.rows_for(block.names)
         batches = []
-        for request in requests:
-            # Execute against the deployment captured at request-build time:
-            # a multi-size group list (the harness measuring one function at
-            # several sizes) holds requests whose deployment is no longer
-            # the platform's current one, so redeploy it before the batch
+        for g, (name, profile, memory_mb, serial, fresh) in enumerate(
+            zip(
+                block.names,
+                block.profiles,
+                block.memory_mb.tolist(),
+                block.serials.tolist(),
+                block.fresh_pool.tolist(),
+            )
+        ):
+            # Execute against the deployment the block captured: a
+            # multi-size block (the harness measuring one function at
+            # several sizes) holds groups whose deployment is no longer the
+            # platform's current one, so redeploy it before the batch
             # (redeploying also drops warm instances, like the kernel's
             # fresh_pool reset does).
-            if platform._functions.get(request.function_name) is not request.deployment:
-                platform.deploy(
-                    request.function_name,
-                    request.deployment.profile,
-                    request.deployment.memory_mb,
-                )
-            elif request.fresh_pool:
-                platform._instances[request.function_name] = []
-            if request.arrivals.shape[0] == 0:
+            if platform.deployments(rows[g : g + 1])[2][0] != serial:
+                platform.deploy(name, profile, memory_mb)
+            elif fresh:
+                platform.store_pools(rows[g : g + 1].tolist(), [[]])
+            arrivals = block.arrivals[off_l[g] : off_l[g + 1]]
+            if arrivals.shape[0] == 0:
                 batches.append(None)
                 continue
-            batches.append(
-                self.run_batch(
-                    platform, request.function_name, request.arrivals, rng=request.rng
-                )
-            )
-            platform.discard_function_records(request.function_name)
+            batches.append(self.run_batch(platform, name, arrivals, rng=block.streams[g]))
+            platform.discard_function_records(name)
 
         def column(attribute, empty):
             parts = [
@@ -295,8 +295,8 @@ class ExecutionBackend(abc.ABC):
 
         none = np.empty(0)
         return GroupedBatch(
-            function_names=tuple(r.function_name for r in requests),
-            memory_mb=np.array([r.memory_mb for r in requests], dtype=float),
+            function_names=tuple(block.names),
+            memory_mb=block.memory_mb.copy(),
             offsets=offsets,
             timestamps_s=column("timestamps_s", none),
             execution_time_ms=column("execution_time_ms", none),

@@ -1,4 +1,4 @@
-"""Grouped execution: request/result containers and the instance walks.
+"""Grouped execution: the group block, the result container and the instance walks.
 
 The offline sweep measures every function at six memory sizes and the online
 fleet re-monitors hundreds of deployed functions every window — both are
@@ -11,8 +11,8 @@ them in one pass and reduces them straight to per-group
 (:func:`repro.monitoring.aggregation.grouped_stat_blocks`) — no per-group
 :class:`~repro.simulation.engine.base.BatchResult` objects on the hot path.
 
-This module holds the pieces every grouped executor shares: the
-:class:`GroupRequest` input and :class:`GroupedBatch` output containers, the
+This module holds the pieces every grouped executor shares: the columnar
+:class:`GroupBlock` input and the :class:`GroupedBatch` output, the
 per-group parameter column, and the exact warm/cold instance walks: the
 scalar :func:`walk_instances`, its array form :func:`walk_lockstep` and the
 closed-form cold-chain solver.  The kernel itself is
@@ -29,69 +29,180 @@ tests in ``tests/test_engine_grouped.py`` and ``tests/test_engine_kernel.py``).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.simulation.engine.base import BatchResult
-from repro.simulation.platform import DeployedFunction, ServerlessPlatform
+from repro.simulation.platform import ServerlessPlatform
 from repro.simulation.runtime import METRIC_NAMES
 
 
 @dataclass(frozen=True)
-class GroupRequest:
-    """One (function, size) group of a fused cross-function batch.
+class GroupBlock:
+    """The groups of one grouped run, as columns.
+
+    Group ``g`` invokes ``names[g]`` at the deployment captured when the
+    block was built — ``profiles[g]`` at ``memory_mb[g]``, deployment serial
+    ``serials[g]`` — on the arrivals ``arrivals[offsets[g]:offsets[g + 1]]``,
+    and draws its noise from ``streams[g]``.  A block builds no object per
+    group: a fleet window passes its flat arrivals and its active
+    functions' columns as they are.  The columns and arrivals are checked
+    when the block is built, so an invalid block cannot be built.
 
     Attributes
     ----------
-    deployment:
-        The platform deployment record the group executes against, captured
-        at request-build time (the harness redeploys the same function at
-        several sizes within one fused batch, so the record cannot be
-        resolved later).
+    names:
+        Function name of each group.
+    profiles:
+        Resource profile each group executes.
+    memory_mb:
+        ``(n_groups,)`` size each group executes at.
+    serials:
+        ``(n_groups,)`` deployment serials
+        (:attr:`~repro.simulation.platform.DeployedFunction.serial`): a
+        group's invocations count towards its function only while that
+        deployment is current.  The measurement harness redeploys one
+        function at several sizes within one block, so only its last group's
+        deployment is current.
     arrivals:
-        Sorted non-negative arrival timestamps of the group (may be empty).
-    rng:
-        The group's noise stream, private (see :mod:`repro.simulation.seeding`)
-        or, for a single batch run without one, the platform's shared
-        generator; every schedule draws the group's noise from it.
+        Flat group-major arrival times: finite, non-negative and sorted
+        within every group.
+    offsets:
+        ``(n_groups + 1,)`` boundaries into ``arrivals``.
+    streams:
+        Noise streams indexed by group: private ones
+        (:mod:`repro.simulation.seeding`) or, for a single batch run without
+        one, the platform's shared generator.  Every schedule takes a
+        group's item once, when it draws the group's noise, so a sequence
+        that builds its generators on demand
+        (:func:`~repro.simulation.seeding.keyed_child_rngs`) builds each
+        one only then.
     fresh_pool:
-        Reset the function's warm-instance pool before walking this group's
-        arrivals — set by callers whose groups each represent a fresh
-        deployment (the measurement harness).  Fleet windows keep pools warm
-        across windows and leave this ``False``.
+        ``(n_groups,)`` whether to drop the function's warm pool before the
+        group's arrivals — set by callers whose groups each stand for a
+        fresh deployment (the measurement harness).  Fleet windows keep
+        pools warm across windows.
     """
 
-    deployment: "DeployedFunction"
+    names: Sequence[str]
+    profiles: Sequence
+    memory_mb: np.ndarray
+    serials: np.ndarray
     arrivals: np.ndarray
-    rng: np.random.Generator
-    fresh_pool: bool = False
+    offsets: np.ndarray
+    streams: Sequence[np.random.Generator]
+    fresh_pool: np.ndarray
+
+    def __post_init__(self) -> None:
+        """Check the columns' lengths and every group's arrivals."""
+        from repro.monitoring.aggregation import validate_group_offsets
+
+        n_groups = len(self.names)
+        if not n_groups:
+            raise SimulationError("a group block needs at least one group")
+        for label, column in (
+            ("profiles", self.profiles),
+            ("memory_mb", self.memory_mb),
+            ("serials", self.serials),
+            ("streams", self.streams),
+            ("fresh_pool", self.fresh_pool),
+        ):
+            if len(column) != n_groups:
+                raise SimulationError(
+                    f"{label} has {len(column)} entries for {n_groups} groups"
+                )
+        t = self.arrivals
+        if t.ndim != 1:
+            raise SimulationError(f"arrivals must be a 1-D array, not of shape {t.shape}")
+        try:
+            offsets = validate_group_offsets(self.offsets, int(t.shape[0]))
+        except Exception as error:
+            raise SimulationError(f"malformed group offsets: {error}") from error
+        if offsets.shape[0] - 1 != n_groups:
+            raise SimulationError(
+                f"{n_groups} groups but {offsets.shape[0] - 1} offset segments"
+            )
+        if not t.shape[0]:
+            return
+        # Decreases across group boundaries are fine.  NaN compares false
+        # both ways, so only the finiteness check catches it.
+        decreasing = np.diff(t) < 0
+        boundaries = offsets[1:-1] - 1
+        boundaries = boundaries[(boundaries >= 0) & (boundaries < decreasing.shape[0])]
+        decreasing[boundaries] = False
+        valid = np.isfinite(t) & (t >= 0)
+        if not np.all(valid) or np.any(decreasing):
+            bad = np.flatnonzero(decreasing)
+            first = int(bad[0]) if bad.size else int(np.argmin(valid))
+            g = int(np.searchsorted(offsets, first, side="right") - 1)
+            raise SimulationError(
+                f"group {g} ({self.names[g]!r}): arrivals must be "
+                "finite, sorted and non-negative"
+            )
 
     @property
-    def function_name(self) -> str:
-        """Name of the deployed function the group invokes."""
-        return self.deployment.name
+    def n_groups(self) -> int:
+        """Number of groups in the block."""
+        return len(self.names)
 
-    @property
-    def memory_mb(self) -> float:
-        """Memory size the group executes at."""
-        return float(self.deployment.memory_mb)
+    @staticmethod
+    def of_groups(
+        names: Sequence[str],
+        profiles: Sequence,
+        memory_mb,
+        serials,
+        arrivals: Sequence,
+        streams: Sequence[np.random.Generator],
+        fresh_pool=False,
+    ) -> "GroupBlock":
+        """A block from one arrival array per group.
+
+        Each group's arrivals must be one 1-D array, checked before they are
+        joined; ``fresh_pool`` is one flag for every group or one per group.
+        """
+        parts = [np.asarray(group, dtype=float) for group in arrivals]
+        for g, part in enumerate(parts):
+            if part.ndim != 1:
+                raise SimulationError(
+                    f"group {g} ({names[g]!r}): arrivals must be a 1-D "
+                    f"array, not of shape {part.shape}"
+                )
+        offsets = np.zeros(len(parts) + 1, dtype=np.int64)
+        np.cumsum([part.shape[0] for part in parts], out=offsets[1:])
+        return GroupBlock(
+            names=names,
+            profiles=profiles,
+            memory_mb=np.asarray(memory_mb, dtype=float),
+            serials=np.asarray(serials, dtype=np.int64),
+            arrivals=np.concatenate(parts) if parts else np.empty(0),
+            offsets=offsets,
+            streams=streams,
+            fresh_pool=np.full(len(parts), fresh_pool, dtype=bool)
+            if np.ndim(fresh_pool) == 0
+            else np.asarray(fresh_pool, dtype=bool),
+        )
 
     @staticmethod
     def for_deployed(
         platform: "ServerlessPlatform",
-        function_name: str,
-        arrivals: np.ndarray,
-        rng: np.random.Generator,
-        fresh_pool: bool = False,
-    ) -> "GroupRequest":
-        """Build a request against a function's *current* deployment."""
-        return GroupRequest(
-            deployment=platform.get_function(function_name),
-            arrivals=np.asarray(arrivals, dtype=float),
-            rng=rng,
-            fresh_pool=fresh_pool,
+        names: Sequence[str],
+        arrivals: Sequence,
+        streams: Sequence[np.random.Generator],
+        fresh_pool=False,
+    ) -> "GroupBlock":
+        """A block of groups against the named functions' *current* deployments."""
+        deployed = [platform.get_function(name) for name in names]
+        return GroupBlock.of_groups(
+            names,
+            [d.profile for d in deployed],
+            [d.memory_mb for d in deployed],
+            [d.serial for d in deployed],
+            arrivals,
+            streams,
+            fresh_pool,
         )
 
 
@@ -561,40 +672,3 @@ class GroupedBatch:
             billed_duration_ms=self.billed_duration_ms[a:b],
             metrics={name: values[a:b] for name, values in self.metrics.items()},
         )
-
-
-def validate_group_timestamps(requests: list[GroupRequest]) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate all groups' arrivals, validating them in one batched pass.
-
-    Every group's arrivals must be one 1-D array, checked before they are
-    concatenated; the timestamps must be finite, non-negative and
-    non-decreasing inside every group (decreases across group boundaries are
-    fine).  NaN compares false both ways, so only the finiteness check
-    catches it.  Returns the group-major timestamps and the
-    ``(n_groups + 1,)`` group offsets.
-    """
-    for g, request in enumerate(requests):
-        if request.arrivals.ndim != 1:
-            raise SimulationError(
-                f"group {g} ({request.function_name!r}): arrivals must be a 1-D "
-                f"array, not of shape {request.arrivals.shape}"
-            )
-    offsets = np.zeros(len(requests) + 1, dtype=np.int64)
-    np.cumsum([r.arrivals.shape[0] for r in requests], out=offsets[1:])
-    timestamps = np.concatenate([r.arrivals for r in requests])
-    if not timestamps.shape[0]:
-        return timestamps, offsets
-    decreasing = np.diff(timestamps) < 0
-    boundaries = offsets[1:-1] - 1
-    boundaries = boundaries[(boundaries >= 0) & (boundaries < decreasing.shape[0])]
-    decreasing[boundaries] = False
-    valid = np.isfinite(timestamps) & (timestamps >= 0)
-    if not np.all(valid) or np.any(decreasing):
-        bad = np.flatnonzero(decreasing)
-        first = int(bad[0]) if bad.size else int(np.argmin(valid))
-        g = int(np.searchsorted(offsets, first, side="right") - 1)
-        raise SimulationError(
-            f"group {g} ({requests[g].function_name!r}): arrivals must be "
-            "finite, sorted and non-negative"
-        )
-    return timestamps, offsets

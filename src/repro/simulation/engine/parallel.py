@@ -26,6 +26,8 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
+import numpy as np
+
 from repro.simulation.engine.base import register_backend
 from repro.simulation.engine.vectorized import VectorizedBackend
 
@@ -136,8 +138,10 @@ class ParallelBackend(VectorizedBackend):
         def flush(start, result):
             chunk = functions[start : start + step]
             stats, counts, costs = result
-            for function, cost in zip(chunk, costs):
-                harness.platform._note_cost(function.name, cost)
+            platform = harness.platform
+            platform.book_costs(
+                platform.rows_for([function.name for function in chunk]), np.asarray(costs)
+            )
             if on_chunk is not None:
                 on_chunk(start, chunk, stats, counts)
             if progress_callback is not None:

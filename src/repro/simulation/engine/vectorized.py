@@ -34,11 +34,11 @@ makes three flat passes:
    step advances every such group by one arrival over a (pool slots,
    groups) state.  Once few groups remain, their remaining arrivals step
    through ``walk_instances`` in group order, as does every group whose
-   pool depends on an earlier group of the batch (a repeated name without
-   ``fresh_pool``).  A warm worker is the time it is busy until, so every
-   walk leaves each pool as a list of those times in pool order.
+   pool depends on an earlier group of the batch (a repeated function
+   without ``fresh_pool``).  A warm worker is the time it is busy until,
+   so every walk leaves each pool as a list of those times in pool order.
 
-Every group draws its noise from its own request stream, so the kernel is
+Every group draws its noise from its own stream, so the kernel is
 bit-identical to executing the groups one batch at a time in group order.
 The test suite keeps that per-batch schedule as an independent oracle
 (``tests/looped_oracle.py``).  With every noise source disabled the kernel
@@ -50,14 +50,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import SimulationError
 from repro.simulation.engine.base import BatchResult, ExecutionBackend, register_backend
 from repro.simulation.engine.grouped import (
+    GroupBlock,
     GroupedBatch,
-    GroupRequest,
     param_column,
     solve_cold_recurrence,
-    validate_group_timestamps,
     walk_instances,
     walk_lockstep,
 )
@@ -194,10 +192,10 @@ class VectorizedBackend(ExecutionBackend):
             (:mod:`repro.simulation.seeding`); defaults to the platform's
             shared generator.
         """
-        request = GroupRequest.for_deployed(
-            platform, function_name, arrivals, rng if rng is not None else platform.rng
+        block = GroupBlock.for_deployed(
+            platform, [function_name], [arrivals], [rng if rng is not None else platform.rng]
         )
-        return self.run_grouped(platform, [request]).group(0)
+        return self.run_grouped(platform, block).group(0)
 
     def _buffer(self, key: str, n: int) -> np.ndarray:
         """A reusable float64 scratch buffer of at least ``n`` elements (view)."""
@@ -220,21 +218,17 @@ class VectorizedBackend(ExecutionBackend):
             shapes = self._shapes = _ShapeTable(model, cold_model)
         return shapes
 
-    def run_grouped(
-        self, platform: "ServerlessPlatform", requests: list["GroupRequest"]
-    ) -> GroupedBatch:
-        """Execute many groups as one columnar mega-batch (see module doc).
+    def run_grouped(self, platform: "ServerlessPlatform", block: GroupBlock) -> GroupedBatch:
+        """Execute a block's groups as one columnar mega-batch (see module doc).
 
         Bit-identical to executing the groups one batch at a time in group
-        order: each group's noise is drawn from its own request stream, and
-        billing totals, invocation counters and instance pools end in the
-        same state.
+        order: each group's noise is drawn from its own stream, and billing
+        totals, invocation counters and instance pools end in the same
+        state.
         """
         from repro.simulation.execution import _HANDLER_OVERHEAD_MS
         from repro.simulation.runtime import RuntimeBatchInputs
 
-        if not requests:
-            raise SimulationError("run_grouped needs at least one group request")
         model = platform.execution_model
         variability = model.variability
         cold_model = platform.cold_start_model
@@ -257,16 +251,18 @@ class VectorizedBackend(ExecutionBackend):
         draw_cold = cold_model.noise_cv > 0
         cold_mu, cold_sigma = cold_model.noise_params()
 
-        # Validate every group's arrivals before the scan draws any noise: a
-        # refused batch leaves the generators, pools and bill untouched.
-        n_groups = len(requests)
-        timestamps, offsets = validate_group_timestamps(requests)
+        # The block's arrivals were checked when it was built.
+        n_groups = block.n_groups
+        timestamps = block.arrivals
+        offsets = block.offsets
         sizes = np.diff(offsets)
         sizes_l = sizes.tolist()
         n_total = int(offsets[-1])
+        rows = platform.rows_for(block.names)
+        rows_l = rows.tolist()
+        fresh_l = block.fresh_pool.tolist()
 
-        names_l: list[str] = []
-        rows_l: list[int] = []
+        table_rows: list[int] = []
         cpu_parts: list[np.ndarray] = []
         tail_parts: list[np.ndarray] = []
         jitter_parts: list[np.ndarray] = []
@@ -276,32 +272,38 @@ class VectorizedBackend(ExecutionBackend):
         service_parts: dict[int, list[np.ndarray]] = {}
         # Pool scan for the cross-group walk: the flat pass only handles
         # groups whose pool is empty or one idle worker; everything else
-        # walks in lockstep, and duplicate non-fresh names, whose pool state
-        # depends on earlier groups in this very batch, step through
+        # walks in lockstep, and repeated non-fresh functions, whose pool
+        # state depends on earlier groups in this very batch, step through
         # walk_instances.  The scan keeps flat lists of existing objects and
-        # floats: a new tuple per group, alive across the batch, would be
-        # promoted by the cyclic GC until it forces full collections over
-        # the whole fleet's objects.  An empty pool reads as one worker free
-        # since -inf (expired), a pool of several as one busy until +inf.
-        instances_get = platform._instances.get
+        # floats, and each group's stream is taken only for its draws: an
+        # object per group alive across the batch would be promoted by the
+        # cyclic GC until it forces full collections over the whole fleet's
+        # objects.  An empty pool reads as one worker free since -inf
+        # (expired), a pool of several as one busy until +inf.
         pools: list = []
         head_busy_l: list[float] = []
-        for request, n in zip(requests, sizes_l):
-            deployment = request.deployment
-            name = deployment.name
-            names_l.append(name)
-            pool = () if request.fresh_pool else instances_get(name, ())
+        streams = block.streams
+        for g, (profile, memory_mb, n, fresh, pool) in enumerate(
+            zip(
+                block.profiles,
+                block.memory_mb.tolist(),
+                sizes_l,
+                fresh_l,
+                platform.pools(rows_l),
+            )
+        ):
+            if fresh:
+                pool = ()
             pools.append(pool)
             if len(pool) == 1:
                 head_busy_l.append(pool[0])
             else:
                 head_busy_l.append(np.inf if pool else -np.inf)
-            profile = deployment.profile
-            entry = entries.get((id(profile), deployment.memory_mb))
+            entry = entries.get((id(profile), memory_mb))
             if entry is None or entry[0] is not profile:
-                entry = shapes.add(profile, deployment.memory_mb)
-            rows_l.append(entry[1])
-            rng = request.rng
+                entry = shapes.add(profile, memory_mb)
+            table_rows.append(entry[1])
+            rng = streams[g]
             if cpu_cv > 0:
                 cpu_parts.append(rng.lognormal(cpu_mu, cpu_sigma, n))
             width = entry[2]
@@ -315,7 +317,7 @@ class VectorizedBackend(ExecutionBackend):
                 cold_parts.append(rng.lognormal(cold_mu, cold_sigma, n))
 
         # (table columns, n_groups): one column of shape inputs per group.
-        columns = shapes.table[np.asarray(rows_l, dtype=np.intp)].T
+        columns = shapes.table[np.asarray(table_rows, dtype=np.intp)].T
         gid = np.repeat(np.arange(n_groups), sizes)
 
         # ---- batched noise post-processing --------------------------------
@@ -386,14 +388,13 @@ class VectorizedBackend(ExecutionBackend):
 
         cold_start, init_ms = self._walk_all_groups(
             platform,
-            requests,
-            names_l,
+            block,
+            rows_l,
+            fresh_l,
             pools,
             np.asarray(head_busy_l),
-            offsets,
             sizes,
             gid,
-            timestamps,
             execution_time_ms,
             columns,
             cold_noise,
@@ -404,7 +405,7 @@ class VectorizedBackend(ExecutionBackend):
         cost_usd = platform.pricing_model.execution_cost_batch(execution_time_ms, sg)
 
         batch = GroupedBatch(
-            function_names=tuple(names_l),
+            function_names=tuple(block.names),
             memory_mb=columns[4].copy(),
             offsets=offsets,
             timestamps_s=timestamps,
@@ -415,25 +416,23 @@ class VectorizedBackend(ExecutionBackend):
             billed_duration_ms=billed_ms,
             metrics=metrics,
         )
-        # Billing in group order, one amount per non-empty group: the amounts
-        # a batch-at-a-time schedule books.
-        note_cost = platform._note_cost
-        for name, n, cost in zip(names_l, sizes_l, batch.cost_per_group().tolist()):
-            if n:
-                note_cost(name, cost)
+        # Billing and counts in group order, one amount per non-empty group:
+        # what a batch-at-a-time schedule books.
+        ran = sizes > 0
+        platform.book_costs(rows[ran], batch.cost_per_group()[ran])
+        platform.book_invocations(rows[ran], block.serials[ran], sizes[ran])
         return batch
 
     def _walk_all_groups(
         self,
         platform: ServerlessPlatform,
-        requests: list[GroupRequest],
-        names: list[str],
+        block: GroupBlock,
+        rows: list[int],
+        fresh: list[bool],
         pools: list,
         head_busy: np.ndarray,
-        offsets: np.ndarray,
         sizes: np.ndarray,
         gid: np.ndarray,
-        t: np.ndarray,
         exec_ms: np.ndarray,
         columns: np.ndarray,
         cold_noise: np.ndarray | None,
@@ -441,30 +440,33 @@ class VectorizedBackend(ExecutionBackend):
         """One instance walk over all groups' flat columns.
 
         Safe groups (empty or idle single-worker pool, no overlapping
-        arrival pairs, name not executed earlier in this batch) are resolved
-        entirely from the flat pair masks.  The other groups walk their
-        pools in lockstep (:func:`walk_lockstep`), except a group whose pool
-        depends on an earlier group of the batch (a repeated name without
-        ``fresh_pool``): it steps through the scalar :func:`walk_instances`
-        from its first arrival, in group order, and so do the arrivals the
-        lockstep hands off.  Returns the cold-start flags and init durations.
+        arrival pairs, function not executed earlier in this batch) are
+        resolved entirely from the flat pair masks.  The other groups walk
+        their pools in lockstep (:func:`walk_lockstep`), except a group whose
+        pool depends on an earlier group of the batch (a repeated function
+        without ``fresh_pool``): it steps through the scalar
+        :func:`walk_instances` from its first arrival, in group order, and so
+        do the arrivals the lockstep hands off.  ``pools`` are the platform's
+        pools before the batch, empty where a group is fresh; the end pools
+        are stored on the platform.  Returns the cold-start flags and init
+        durations.
         """
-        n_groups = len(requests)
+        n_groups = len(rows)
+        offsets = block.offsets
+        t = block.arrivals
         n_total = int(offsets[-1])
-        instances_map = platform._instances
         if not n_total:
-            for request, name in zip(requests, names):
-                if request.fresh_pool:
-                    instances_map[name] = []
+            resets = [row for row, fresh_g in zip(rows, fresh) if fresh_g]
+            platform.store_pools(resets, [[] for _ in resets])
             return np.zeros(0, dtype=bool), np.zeros(0)
         keep_alive = platform.cold_start_model.keep_alive_s
 
         forced_unsafe = np.zeros(n_groups, dtype=bool)
-        if len(set(names)) < n_groups:
-            seen: set[str] = set()
-            for g, (name, request) in enumerate(zip(names, requests)):
-                forced_unsafe[g] = name in seen and not request.fresh_pool
-                seen.add(name)
+        if len(set(rows)) < n_groups:
+            seen: set[int] = set()
+            for g, (row, fresh_g) in enumerate(zip(rows, fresh)):
+                forced_unsafe[g] = row in seen and not fresh_g
+                seen.add(row)
 
         nonempty = sizes > 0
         starts = offsets[:-1]
@@ -513,7 +515,7 @@ class VectorizedBackend(ExecutionBackend):
             cold_start[in_lockstep] = False
             init_ms[in_lockstep] = 0.0
             del in_lockstep
-            rows = walk_lockstep(
+            lock_rows = walk_lockstep(
                 t,
                 exec_ms,
                 init_worst,
@@ -525,34 +527,44 @@ class VectorizedBackend(ExecutionBackend):
                 cold_start,
                 init_ms,
             )
-            walked = dict(zip(lock_groups, rows))
+            walked = dict(zip(lock_groups, lock_rows))
 
         # ---- end pools in group order; scalar walks for the rest ----------
+        # A later group of a repeated function replaces its earlier end pool,
+        # as storing them one by one would.
+        end_pools: dict[int, list[float]] = {}
         off_l = offsets.tolist()
-        for g, (request, name, a, b, safe_g, tail_busy) in enumerate(
-            zip(requests, names, off_l, off_l[1:], safe.tolist(), tail_busy_l)
+        for g, (row, fresh_g, a, b, safe_g, tail_busy) in enumerate(
+            zip(rows, fresh, off_l, off_l[1:], safe.tolist(), tail_busy_l)
         ):
-            if request.fresh_pool:
-                instances_map[name] = []
+            if fresh_g:
+                end_pools[row] = []
             if a == b:
                 continue
-            request.deployment.invocation_count += b - a
             if safe_g:
-                instances_map[name] = [tail_busy]
+                end_pools[row] = [tail_busy]
                 continue
-            start = a
             if g in walked:
                 # The lockstep's end pool; arrivals left at the handoff
                 # continue from it.
-                start, end_pool = walked[g]
-                instances_map[name] = end_pool
+                start, pool = walked[g]
+            else:
+                # A repeated function continues from its pool as the batch
+                # has left it so far (not being fresh, pools[g] is the
+                # platform's pool before the batch).
+                start = a
+                pool = end_pools[row] if row in end_pools else list(pools[g])
+            end_pools[row] = pool
             if start < b:
+                # The scalar walk steps through the platform's pool, in place.
+                platform.store_pools([row], [pool])
                 cold_start[start:b], init_ms[start:b] = walk_instances(
                     platform,
-                    name,
-                    request.arrivals[start - a :],
+                    block.names[g],
+                    t[start:b],
                     exec_ms[start:b],
                     float(columns[3, g]),
                     cold_noise[start:b] if cold_noise is not None else None,
                 )
+        platform.store_pools(end_pools.keys(), end_pools.values())
         return cold_start, init_ms

@@ -72,18 +72,30 @@ class PlatformConfig:
                 raise ConfigurationError("memory sizes must be positive")
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True)
 class DeployedFunction:
-    """Deployment record of one serverless function.
+    """A function's deployment, read from the platform's rows as a value.
 
-    Slotted: a million-function fleet holds one record per function, so the
-    per-instance dict would dominate the platform's deployment memory.
+    It does not follow later deploys or invocations: read the function
+    again for the current state.
+
+    Attributes
+    ----------
+    name / profile / memory_mb:
+        The deployed function, its resource profile and its size.
+    invocation_count:
+        Invocations since this deployment (a redeploy restarts it).
+    serial:
+        The deployment's serial, unique on its platform: grouped runs count
+        a group's invocations only while the deployment it captured is
+        current.
     """
 
     name: str
     profile: ResourceProfile
     memory_mb: float
     invocation_count: int = 0
+    serial: int = 0
 
 
 @dataclass(frozen=True)
@@ -116,7 +128,18 @@ def _sorted_arrivals(timestamps_s) -> np.ndarray:
 
 
 class ServerlessPlatform:
-    """A simulated FaaS provider (deploy / configure / invoke / billing)."""
+    """A simulated FaaS provider (deploy / configure / invoke / billing).
+
+    The platform keeps one row per function it has deployed or billed: a
+    name-to-row map plus columns of the row's profile, size, deployment
+    serial (0 while not deployed), invocation count and billed cost.  A
+    function's warm pool is created when the function first runs.  Engine
+    modules read deployments and pools and book invocation counts, costs
+    and end pools through the batch methods (:meth:`rows_for`,
+    :meth:`deployments`, :meth:`pools`, :meth:`store_pools`,
+    :meth:`book_invocations`, :meth:`book_costs`), so a large fleet holds no
+    Python object per function.
+    """
 
     def __init__(
         self,
@@ -138,14 +161,21 @@ class ServerlessPlatform:
             else PricingModel.for_provider(self.config.provider)
         )
         self._rng = np.random.default_rng(self.config.seed)
-        self._functions: dict[str, DeployedFunction] = {}
-        # Each function's warm workers in pool order, a worker being the time
-        # it is busy until: it can serve one request at a time, is idle from
-        # then on and is reclaimed once idle longer than the keep-alive.
-        self._instances: dict[str, list[float]] = {}
+        self._rows: dict[str, int] = {}
+        self._n_rows = 0
+        self._profiles: list[ResourceProfile | None] = []
+        self._memory_mb = np.zeros(0)
+        self._serial = np.zeros(0, dtype=np.int64)
+        self._invocations = np.zeros(0, dtype=np.int64)
+        self._cost = np.zeros(0)
+        self._last_serial = 0
+        # Each running function's warm workers in pool order, a worker being
+        # the time it is busy until: it can serve one request at a time, is
+        # idle from then on and is reclaimed once idle longer than the
+        # keep-alive.
+        self._pools: dict[int, list[float]] = {}
         self.invocation_log: list[InvocationRecord] = []
         self._records_by_function: dict[str, list[InvocationRecord]] = {}
-        self._cost_by_function: dict[str, float] = {}
         self._cost_total = 0.0
 
     @property
@@ -157,7 +187,8 @@ class ServerlessPlatform:
     @property
     def function_names(self) -> list[str]:
         """Names of all deployed functions (sorted)."""
-        return sorted(self._functions)
+        deployed = (self._serial[: self._n_rows] > 0).tolist()
+        return sorted(name for name, row in self._rows.items() if deployed[row])
 
     def _check_memory(self, memory_mb: float) -> float:
         allowed = self.config.allowed_memory_sizes_mb
@@ -165,63 +196,186 @@ class ServerlessPlatform:
             raise ConfigurationError(
                 f"memory size {memory_mb} MB not in allowed sizes {sorted(allowed)}"
             )
-        if memory_mb <= 0:
-            raise ConfigurationError("memory_mb must be positive")
+        if (
+            not isinstance(memory_mb, numbers.Real)
+            or not math.isfinite(memory_mb)
+            or memory_mb <= 0
+        ):
+            raise ConfigurationError(
+                f"memory_mb must be a positive finite number, got {memory_mb!r}"
+            )
         return float(memory_mb)
 
+    def _add_rows(self, n: int) -> int:
+        """Append ``n`` rows to the numeric columns; return the first.
+
+        The columns grow by doubling; callers extend ``_profiles`` and the
+        name map themselves.
+        """
+        start = self._n_rows
+        need = start + n
+        capacity = self._serial.shape[0]
+        if need > capacity:
+            capacity = max(need, 2 * capacity)
+            for column in ("_memory_mb", "_serial", "_invocations", "_cost"):
+                old = getattr(self, column)
+                grown = np.zeros(capacity, dtype=old.dtype)
+                grown[:start] = old[:start]
+                setattr(self, column, grown)
+        self._n_rows = need
+        return start
+
+    def _deploy_row(self, name: str, profile: ResourceProfile, memory_mb: float) -> int:
+        """(Re)deploy one checked function: a new serial, no invocations, no pool."""
+        row = self._rows.get(name)
+        if row is None:
+            row = self._rows[name] = self._add_rows(1)
+            self._profiles.append(profile)
+        else:
+            self._profiles[row] = profile
+            self._pools.pop(row, None)  # redeployment drops all warm instances
+        self._last_serial += 1
+        self._memory_mb[row] = memory_mb
+        self._serial[row] = self._last_serial
+        self._invocations[row] = 0
+        return row
+
+    def _deployed_row(self, name: str) -> int:
+        row = self._rows.get(name)
+        if row is None or not self._serial[row]:
+            raise SimulationError(f"function {name!r} is not deployed")
+        return row
+
     def deploy(self, name: str, profile: ResourceProfile, memory_mb: float) -> DeployedFunction:
-        """Deploy (or redeploy) a function with the given profile and size."""
+        """Deploy (or redeploy) a function with the given profile and size.
+
+        A size that is not allowed, not finite or not positive raises
+        :class:`~repro.errors.ConfigurationError` before anything changes.
+        """
         if not name:
             raise ConfigurationError("function name must be non-empty")
         memory_mb = self._check_memory(memory_mb)
-        deployment = DeployedFunction(name=name, profile=profile, memory_mb=memory_mb)
-        self._functions[name] = deployment
-        self._instances[name] = []  # redeployment drops all warm instances
-        return deployment
+        row = self._deploy_row(name, profile, memory_mb)
+        return DeployedFunction(name, profile, memory_mb, 0, int(self._serial[row]))
 
     def deploy_many(
         self, names: list[str], profiles: list[ResourceProfile], memory_mb: float
-    ) -> list[DeployedFunction]:
+    ) -> np.ndarray:
         """Deploy many functions at one shared memory size, in bulk.
 
-        Semantically one :meth:`deploy` call per (name, profile) pair — same
-        records, same redeployment semantics — but the size is validated once
-        and the per-call overhead is amortized, which matters when a
-        million-function fleet is brought up in one constructor.  Returns
-        the deployment records in input order.
+        Semantically one :meth:`deploy` call per (name, profile) pair, in
+        order — a repeated name keeps its last profile — but the size is
+        checked once and, when every name is new and unique, the rows are
+        filled with whole-column writes.  Returns the functions' rows in
+        input order.
         """
         if len(names) != len(profiles):
             raise ConfigurationError(
                 f"got {len(profiles)} profiles for {len(names)} function names"
             )
-        if any(not name for name in names):
-            raise ConfigurationError("function name must be non-empty")
         memory_mb = self._check_memory(memory_mb)
-        deployments = list(map(DeployedFunction, names, profiles, repeat(memory_mb)))
-        # C-level bulk insertion; a repeated name keeps its last record,
-        # exactly as sequential deploys would.
-        self._functions.update(zip(names, deployments))
-        # Fresh warm-instance lists: redeployment drops warm instances.
-        self._instances.update({name: [] for name in names})
-        return deployments
+        n = len(names)
+        start = self._n_rows
+        fresh = dict(zip(names, range(start, start + n)))
+        if "" in fresh or None in fresh:
+            raise ConfigurationError("function name must be non-empty")
+        if len(fresh) < n or not fresh.keys().isdisjoint(self._rows):
+            return np.array(
+                [self._deploy_row(name, p, memory_mb) for name, p in zip(names, profiles)],
+                dtype=np.int64,
+            )
+        self._add_rows(n)
+        self._profiles.extend(profiles)
+        if self._rows:
+            self._rows.update(fresh)
+        else:
+            self._rows = fresh
+        self._memory_mb[start : start + n] = memory_mb
+        self._serial[start : start + n] = np.arange(
+            self._last_serial + 1, self._last_serial + 1 + n
+        )
+        self._last_serial += n
+        return np.arange(start, start + n)
 
     def get_function(self, name: str) -> DeployedFunction:
-        """Return the deployment record for ``name``."""
-        try:
-            return self._functions[name]
-        except KeyError:
-            raise SimulationError(f"function {name!r} is not deployed") from None
+        """Return the current deployment of ``name`` as a value."""
+        row = self._deployed_row(name)
+        return DeployedFunction(
+            name,
+            self._profiles[row],
+            float(self._memory_mb[row]),
+            int(self._invocations[row]),
+            int(self._serial[row]),
+        )
 
     def set_memory_size(self, name: str, memory_mb: float) -> None:
         """Change a deployed function's memory size (drops warm instances)."""
-        function = self.get_function(name)
-        self.deploy(name, function.profile, memory_mb)
+        row = self._deployed_row(name)
+        self._deploy_row(name, self._profiles[row], self._check_memory(memory_mb))
 
     def remove(self, name: str) -> None:
-        """Remove a deployed function and its warm instances."""
-        self.get_function(name)
-        del self._functions[name]
-        del self._instances[name]
+        """Remove a deployed function and its warm instances (its bill stays)."""
+        row = self._deployed_row(name)
+        self._serial[row] = 0
+        self._profiles[row] = None
+        self._pools.pop(row, None)
+
+    # ------------------------------------------------------------ batch rows
+    def rows_for(self, names) -> np.ndarray:
+        """The row of each name, in order, as an int64 array.
+
+        A name the platform has neither deployed nor billed gets a row that
+        is not deployed, so its costs can be booked.
+        """
+        rows = self._rows
+        for name in names:
+            if name not in rows:
+                rows[name] = self._add_rows(1)
+                self._profiles.append(None)
+        return np.fromiter(map(rows.__getitem__, names), dtype=np.int64, count=len(names))
+
+    def deployments(self, rows: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+        """Profiles, sizes and serials of the rows' current deployments.
+
+        A row that is not deployed reads serial 0 and profile ``None``.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        profiles = list(map(self._profiles.__getitem__, rows.tolist()))
+        return profiles, self._memory_mb[rows], self._serial[rows]
+
+    def pools(self, rows: list[int]) -> list:
+        """The warm pools of the given rows, in order.
+
+        Each is the platform's list of busy-until times in pool order, or an
+        empty tuple for a function that has not run since its deployment.
+        Read only: :meth:`store_pools` replaces pools.
+        """
+        return list(map(self._pools.get, rows, repeat(())))
+
+    def store_pools(self, rows, pools) -> None:
+        """Set the warm pools of the given rows, in order (a repeated row keeps its last)."""
+        self._pools.update(zip(rows, pools))
+
+    def book_invocations(self, rows: np.ndarray, serials: np.ndarray, counts: np.ndarray) -> None:
+        """Add invocation counts to the rows whose current deployment has the given serial.
+
+        A count booked against a superseded deployment is dropped: the
+        invocation count covers the current deployment only.
+        """
+        current = self._serial[rows] == serials
+        np.add.at(self._invocations, rows[current], counts[current])
+
+    def book_costs(self, rows: np.ndarray, costs: np.ndarray) -> None:
+        """Add billed amounts, in order, to the rows' and the platform's totals.
+
+        Each total is summed in the order given, so booking a grouped run's
+        group costs equals booking them one at a time.
+        """
+        np.add.at(self._cost, rows, costs)
+        total = self._cost_total
+        for cost in costs.tolist():
+            total += cost
+        self._cost_total = total
 
     # ------------------------------------------------------------- invocation
     def _acquire_instance(self, name: str, at_time_s: float) -> tuple[list[float], int, bool]:
@@ -230,7 +384,10 @@ class ServerlessPlatform:
         Returns the function's pool, the serving worker's slot in it and
         whether that worker was cold-started; the caller sets its busy-until.
         """
-        pool = self._instances[name]
+        row = self._rows[name]
+        pool = self._pools.get(row)
+        if pool is None:
+            pool = self._pools[row] = []
         keep_alive_s = self.cold_start_model.keep_alive_s
         if len(pool) == 1 and pool[0] <= at_time_s and at_time_s - pool[0] <= keep_alive_s:
             # Fast path for the dominant open-loop case: a single warm
@@ -258,22 +415,24 @@ class ServerlessPlatform:
         """
         if at_time_s < 0 or not math.isfinite(at_time_s):
             raise SimulationError("at_time_s must be finite and non-negative")
-        function = self.get_function(name)
+        row = self._deployed_row(name)
+        profile = self._profiles[row]
+        memory_mb = float(self._memory_mb[row])
         pool, slot, is_cold = self._acquire_instance(name, at_time_s)
 
         init_ms = 0.0
         if is_cold:
-            cpu_share = self.execution_model.scaling.cpu_share(function.memory_mb)
+            cpu_share = self.execution_model.scaling.cpu_share(memory_mb)
             init_ms = self.cold_start_model.duration_ms(
-                function.memory_mb,
-                function.profile.code_size_kb,
+                memory_mb,
+                profile.code_size_kb,
                 cpu_share,
                 rng=self._rng,
             )
 
         result = self.execution_model.execute(
-            function.profile,
-            function.memory_mb,
+            profile,
+            memory_mb,
             rng=self._rng,
             timestamp_s=at_time_s,
             cold_start=is_cold,
@@ -281,13 +440,13 @@ class ServerlessPlatform:
         )
 
         pool[slot] = max(at_time_s, pool[slot]) + result.total_latency_ms / 1000.0
-        function.invocation_count += 1
+        self._invocations[row] += 1
 
         billed_ms = self.pricing_model.billed_duration_ms(result.execution_time_ms)
-        cost = self.pricing_model.execution_cost(result.execution_time_ms, function.memory_mb)
+        cost = self.pricing_model.execution_cost(result.execution_time_ms, memory_mb)
         record = InvocationRecord(
             function_name=name,
-            memory_mb=function.memory_mb,
+            memory_mb=memory_mb,
             timestamp_s=at_time_s,
             result=result,
             cost_usd=cost,
@@ -295,7 +454,8 @@ class ServerlessPlatform:
         )
         self.invocation_log.append(record)
         self._records_by_function.setdefault(name, []).append(record)
-        self._note_cost(name, cost)
+        self._cost[row] += cost
+        self._cost_total += cost
         return record
 
     def invoke_many(self, name: str, timestamps_s: list[float]) -> list[InvocationRecord]:
@@ -339,11 +499,6 @@ class ServerlessPlatform:
         return resolved.run_batch(self, name, _sorted_arrivals(timestamps_s), rng=rng)
 
     # ---------------------------------------------------------------- billing
-    def _note_cost(self, name: str, cost_usd: float) -> None:
-        """Add an amount to the per-function and global billing totals."""
-        self._cost_by_function[name] = self._cost_by_function.get(name, 0.0) + cost_usd
-        self._cost_total += cost_usd
-
     def total_cost_usd(self, name: str | None = None) -> float:
         """Total billed cost, optionally restricted to one function.
 
@@ -353,7 +508,8 @@ class ServerlessPlatform:
         """
         if name is None:
             return float(self._cost_total)
-        return float(self._cost_by_function.get(name, 0.0))
+        row = self._rows.get(name)
+        return 0.0 if row is None else float(self._cost[row])
 
     def records_for(self, name: str) -> list[InvocationRecord]:
         """All retained invocation records of one function."""
@@ -361,14 +517,17 @@ class ServerlessPlatform:
 
     def warm_instance_count(self, name: str) -> int:
         """Number of currently provisioned worker instances for ``name``."""
-        self.get_function(name)
-        return len(self._instances[name])
+        return len(self.busy_until(name))
+
+    def busy_until(self, name: str) -> list[float]:
+        """The times ``name``'s warm workers are busy until, in pool order (a copy)."""
+        return list(self._pools.get(self._deployed_row(name), ()))
 
     def reset_log(self) -> None:
         """Clear the invocation log and billing totals (keeps deployments)."""
         self.invocation_log.clear()
         self._records_by_function.clear()
-        self._cost_by_function.clear()
+        self._cost[: self._n_rows] = 0.0
         self._cost_total = 0.0
 
     def discard_function_records(self, name: str) -> int:

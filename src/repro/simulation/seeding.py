@@ -25,6 +25,8 @@ stream even when the underlying base seeds collide.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 #: Stream role of open-loop / traffic arrival sampling.
@@ -311,18 +313,45 @@ def _make_precomputed(words: np.ndarray) -> _PrecomputedSeedSequence:
 _KEYED_FAST_PATH: bool | None = None
 
 
+class KeyedStreams(Sequence):
+    """Group streams of an index subset, each built only when taken.
+
+    Item ``j`` is a new generator at the initial state of ``child_rng(seed,
+    stream, *prefix, indices[j])``, built from seed words derived for the
+    whole subset in one batch (:func:`keyed_state_words`).  Nothing per
+    group is kept between items, so a grouped run that takes each group's
+    stream when it draws the group's noise holds one generator at a time.
+    Taking an item twice gives two generators at the same initial state.
+    """
+
+    __slots__ = ("_words", "_holder")
+
+    def __init__(self, words: np.ndarray) -> None:
+        self._words = words
+        self._holder = _PrecomputedSeedSequence()
+
+    def __len__(self) -> int:
+        return int(self._words.shape[0])
+
+    def __getitem__(self, j: int) -> np.random.Generator:
+        # PCG64 reads the holder's words once, while it is constructed.
+        self._holder.words = self._words[j]
+        return np.random.Generator(np.random.PCG64(self._holder))
+
+
 def keyed_child_rngs(
     base_seed: int, stream: int, *prefix: int, indices
-) -> list[np.random.Generator]:
+) -> Sequence[np.random.Generator]:
     """Create group streams for an arbitrary index subset, in one batch.
 
     ``keyed_child_rngs(seed, stream, *prefix, indices=idx)[j]`` has exactly
     the same state as ``child_rng(seed, stream, *prefix, idx[j])`` and as
     ``spawn_child_rngs(seed, stream, *prefix, n=n)[idx[j]]`` — but the cost
     is O(len(indices)), independent of how many sibling streams exist, so a
-    sparse fleet window pays only for its *active* functions.
+    sparse fleet window pays only for its *active* functions.  The result is
+    a :class:`KeyedStreams` sequence, whose items are built when taken.
 
-    Falls back to :func:`child_rng` per index when the vectorized
+    Falls back to a list of :func:`child_rng` streams when the vectorized
     derivation's one-time self-check against numpy fails or an index does
     not fit one 32-bit spawn-key word.
     """
@@ -338,12 +367,4 @@ def keyed_child_rngs(
         return [
             child_rng(base_seed, stream, *prefix, int(i)) for i in idx
         ]
-    words = keyed_state_words(base_seed, stream, *prefix, indices=idx)
-    holder = _PrecomputedSeedSequence()
-    generator = np.random.Generator
-    pcg64 = np.random.PCG64
-    rngs = []
-    for row in words:
-        holder.words = row
-        rngs.append(generator(pcg64(holder)))
-    return rngs
+    return KeyedStreams(keyed_state_words(base_seed, stream, *prefix, indices=idx))

@@ -243,7 +243,7 @@ def looped_backend():
 
 def _pool_state(platform, names):
     """Every pool's workers, their busy-until times in pool order, by name."""
-    return {name: list(platform._instances.get(name, [])) for name in names}
+    return {name: platform.busy_until(name) for name in names}
 
 
 @pytest.fixture()

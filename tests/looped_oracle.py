@@ -88,7 +88,8 @@ class LoopedBackend(ExecutionBackend):
         cold_start, init_ms = walk_instances(
             platform, function_name, t, exec_ms, init_base_ms, cold_noise
         )
-        function.invocation_count += n
+        row = platform.rows_for([function_name])
+        platform.book_invocations(row, np.array([function.serial]), np.array([n]))
         pricing = platform.pricing_model
         batch = BatchResult(
             function_name=function_name,
@@ -101,7 +102,7 @@ class LoopedBackend(ExecutionBackend):
             billed_duration_ms=pricing.billed_duration_batch_ms(exec_ms),
             metrics=metrics,
         )
-        platform._note_cost(function_name, batch.total_cost_usd)
+        platform.book_costs(row, np.array([batch.total_cost_usd]))
         return batch
 
 

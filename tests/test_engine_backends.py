@@ -28,7 +28,7 @@ from repro.monitoring.metrics import METRIC_NAMES
 from repro.simulation.coldstart import ColdStartModel
 from repro.simulation.engine import (
     ExecutionBackend,
-    GroupRequest,
+    GroupBlock,
     ParallelBackend,
     SerialBackend,
     VectorizedBackend,
@@ -148,7 +148,7 @@ class TestExactParity:
         np.testing.assert_array_equal(serial.cold_start, vectorized.cold_start)
         # The same workers end busy until the same times.
         np.testing.assert_allclose(
-            serial_platform._instances["f"], vectorized_platform._instances["f"], rtol=1e-9
+            serial_platform.busy_until("f"), vectorized_platform.busy_until("f"), rtol=1e-9
         )
         np.testing.assert_allclose(
             serial.init_duration_ms, vectorized.init_duration_ms, rtol=1e-9
@@ -403,10 +403,10 @@ class TestBatchBookkeeping:
 
 def _one_group(platform, name, arrivals, rng):
     """One-group ``run_grouped`` on the platform's stream when ``rng`` is None."""
-    request = GroupRequest.for_deployed(
-        platform, name, arrivals, rng if rng is not None else platform.rng
+    block = GroupBlock.for_deployed(
+        platform, [name], [arrivals], [rng if rng is not None else platform.rng]
     )
-    return VectorizedBackend().run_grouped(platform, [request]).group(0)
+    return VectorizedBackend().run_grouped(platform, block).group(0)
 
 
 class TestOneBatchPath:
@@ -475,12 +475,11 @@ class TestOneBatchPath:
         platform = _platform()
         platform.deploy("f", PROFILES["api_call"], 512)
         platform.invoke_batch("f", [1.0, 2.0], backend=backend)
-        function = platform.get_function("f")
 
         def state():
             return (
                 pool_state(platform, ["f"]),
-                function.invocation_count,
+                platform.get_function("f").invocation_count,
                 platform.total_cost_usd(),
                 platform.rng.bit_generator.state,
             )
@@ -491,7 +490,7 @@ class TestOneBatchPath:
         assert state() == before
         # invoke_batch keeps sorting its input and refusing negative arrivals.
         platform.invoke_batch("f", [9.0, 4.0, 6.0], backend=backend)
-        assert function.invocation_count == before[1] + 3
+        assert platform.get_function("f").invocation_count == before[1] + 3
         with pytest.raises(SimulationError):
             platform.invoke_batch("f", [12.0, -1.0], backend=backend)
 
@@ -506,12 +505,11 @@ class TestOneBatchPath:
         platform = _platform()
         platform.deploy("f", PROFILES["api_call"], 512)
         platform.invoke_batch("f", [1.0, 2.0], backend="serial")
-        function = platform.get_function("f")
 
         def state():
             return (
                 pool_state(platform, ["f"]),
-                function.invocation_count,
+                platform.get_function("f").invocation_count,
                 platform.total_cost_usd(),
                 len(platform.invocation_log),
             )
@@ -554,9 +552,9 @@ class TestOneBatchPath:
     @pytest.mark.parametrize("stream", ["group", "shared"])
     def test_refused_run_grouped_changes_nothing(self, stream, bad, message, pool_state):
         """A ``run_grouped`` with one bad group is refused before any group
-        runs: on every backend no pool, counter, bill or stream moves (the
-        looped path would otherwise have billed group 0), and all three
-        raise the same message."""
+        runs: its block cannot be built, so on every backend no pool,
+        counter, bill or stream moves (the looped path would otherwise have
+        billed group 0), and all three raise the same message."""
         messages = set()
         for backend in ("serial", "vectorized", "parallel"):
             platform = _platform()
@@ -566,10 +564,6 @@ class TestOneBatchPath:
             rngs = [
                 np.random.default_rng([3, g]) if stream == "group" else platform.rng
                 for g in range(2)
-            ]
-            requests = [
-                GroupRequest.for_deployed(platform, "f", [0.5, 1.0], rngs[0]),
-                GroupRequest.for_deployed(platform, "g", bad, rngs[1]),
             ]
 
             def state():
@@ -584,7 +578,10 @@ class TestOneBatchPath:
 
             before = state()
             with pytest.raises(SimulationError) as refused:
-                get_backend(backend).run_grouped(platform, requests)
+                get_backend(backend).run_grouped(
+                    platform,
+                    GroupBlock.for_deployed(platform, ["f", "g"], [[0.5, 1.0], bad], rngs),
+                )
             assert state() == before, backend
             messages.add(str(refused.value))
         assert messages == {f"group 1 ('g'): arrivals must be {message}"}
@@ -593,9 +590,9 @@ class TestOneBatchPath:
         calls = []
         run_grouped = VectorizedBackend.run_grouped
 
-        def spy(self, platform, requests):
-            calls.append((self.name, len(requests)))
-            return run_grouped(self, platform, requests)
+        def spy(self, platform, block):
+            calls.append((self.name, block.n_groups))
+            return run_grouped(self, platform, block)
 
         monkeypatch.setattr(VectorizedBackend, "run_grouped", spy)
         for backend in ("vectorized", "parallel"):
@@ -614,12 +611,12 @@ class TestOneBatchPath:
         monkeypatch.setattr(VectorizedBackend, "run_grouped", forbidden)
         monkeypatch.setattr(NodeRuntimeModel, "metrics_batch_grouped", forbidden)
         platform = _platform()
-        requests = []
-        for i, (name, profile) in enumerate(PROFILES.items()):
+        for name, profile in PROFILES.items():
             platform.deploy(name, profile, 512)
-            requests.append(
-                GroupRequest.for_deployed(
-                    platform, name, _arrivals(40, seed=i), np.random.default_rng(i)
-                )
-            )
-        assert looped_backend.run_grouped(platform, requests).n_invocations == 120
+        block = GroupBlock.for_deployed(
+            platform,
+            list(PROFILES),
+            [_arrivals(40, seed=i) for i in range(len(PROFILES))],
+            [np.random.default_rng(i) for i in range(len(PROFILES))],
+        )
+        assert looped_backend.run_grouped(platform, block).n_invocations == 120

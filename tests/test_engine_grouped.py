@@ -31,8 +31,8 @@ from repro.monitoring.aggregation import (
 from repro.monitoring.metrics import METRIC_NAMES
 from repro.simulation.coldstart import ColdStartModel
 from repro.simulation.engine import (
+    GroupBlock,
     GroupedBatch,
-    GroupRequest,
     VectorizedBackend,
     get_backend,
 )
@@ -272,20 +272,40 @@ class TestGroupedBatchErrors:
 
     def test_run_grouped_rejects_empty_and_malformed(self, cpu_function):
         platform = ServerlessPlatform.noise_free(seed=0)
-        run_grouped = get_backend("vectorized").run_grouped
+        with pytest.raises(SimulationError, match="at least one group"):
+            GroupBlock.for_deployed(platform, [], [], [])
         with pytest.raises(SimulationError):
-            run_grouped(platform, [])
-        with pytest.raises(SimulationError):
-            GroupRequest.for_deployed(
-                platform, "missing", np.array([1.0]), np.random.default_rng(0)
+            GroupBlock.for_deployed(
+                platform, ["missing"], [np.array([1.0])], [np.random.default_rng(0)]
             )
         platform.deploy(cpu_function.name, cpu_function.profile, 256)
         for bad in ([3.0, 1.0], [-1.0, 2.0]):
-            request = GroupRequest.for_deployed(
-                platform, cpu_function.name, np.array(bad), np.random.default_rng(0)
-            )
             with pytest.raises(SimulationError):
-                run_grouped(platform, [request])
+                GroupBlock.for_deployed(
+                    platform, [cpu_function.name], [np.array(bad)], [np.random.default_rng(0)]
+                )
+        deployed = platform.get_function(cpu_function.name)
+        good = dict(
+            names=[cpu_function.name],
+            profiles=[deployed.profile],
+            memory_mb=np.array([256.0]),
+            serials=np.array([deployed.serial]),
+            arrivals=np.array([1.0, 2.0]),
+            offsets=np.array([0, 2]),
+            streams=[np.random.default_rng(0)],
+            fresh_pool=np.zeros(1, dtype=bool),
+        )
+        GroupBlock(**good)
+        for column, bad in (
+            ("offsets", np.array([0, 1])),
+            ("offsets", np.array([0, 1, 2])),
+            ("serials", np.array([1, 2])),
+            ("streams", []),
+            ("fresh_pool", np.zeros(2, dtype=bool)),
+            ("arrivals", np.array([[1.0, 2.0]])),
+        ):
+            with pytest.raises(SimulationError):
+                GroupBlock(**{**good, column: bad})
 
 
 class TestFusedVersusLooped:
@@ -305,11 +325,10 @@ class TestFusedVersusLooped:
             batches = []
             for round_index, arrivals in enumerate(arrival_sets):
                 rngs = spawn_child_rngs(seed, STREAM_EXECUTION, round_index, n=len(functions))
-                requests = [
-                    GroupRequest.for_deployed(platform, fn.name, arr, rng)
-                    for fn, arr, rng in zip(functions, arrivals, rngs)
-                ]
-                batches.append(backend.run_grouped(platform, requests))
+                block = GroupBlock.for_deployed(
+                    platform, [fn.name for fn in functions], arrivals, rngs
+                )
+                batches.append(backend.run_grouped(platform, block))
             return batches
 
         for fused, looped in zip(run(get_backend("vectorized")), run(LoopedBackend())):
@@ -364,11 +383,10 @@ class TestFusedVersusLooped:
             for fn in functions:
                 platform.deploy(fn.name, fn.profile, 512)
             rngs = spawn_child_rngs(0, STREAM_EXECUTION, 0, n=len(functions))
-            requests = [
-                GroupRequest.for_deployed(platform, fn.name, arr, rng)
-                for fn, arr, rng in zip(functions, arrivals, rngs)
-            ]
-            return get_backend(backend_name).run_grouped(platform, requests)
+            block = GroupBlock.for_deployed(
+                platform, [fn.name for fn in functions], arrivals, rngs
+            )
+            return get_backend(backend_name).run_grouped(platform, block)
 
         serial_stats, serial_counts = run("serial").aggregate_stats()
         fused_stats, fused_counts = run("vectorized").aggregate_stats()
@@ -377,8 +395,8 @@ class TestFusedVersusLooped:
 
     def test_looped_default_honours_multi_size_deployments(self):
         """The looped run_grouped default must execute every group at the
-        deployment captured in its request, not the function's latest one —
-        a harness-style group list deploys one function at several sizes."""
+        deployment captured in its block, not the function's latest one —
+        a harness-style block deploys one function at several sizes."""
         function = _functions(1, seed=14)[0]
         sizes = (128, 512, 3008)
         arrivals = np.sort(np.random.default_rng(0).uniform(0.0, 600.0, 40))
@@ -387,15 +405,19 @@ class TestFusedVersusLooped:
             platform = ServerlessPlatform.noise_free(seed=0)
             platform.cold_start_model = ColdStartModel(noise_cv=0.0)
             rngs = spawn_child_rngs(0, STREAM_EXECUTION, 0, n=len(sizes))
-            requests = []
-            for j, size in enumerate(sizes):
-                platform.deploy(function.name, function.profile, size)
-                requests.append(
-                    GroupRequest.for_deployed(
-                        platform, function.name, arrivals, rngs[j], fresh_pool=True
-                    )
-                )
-            return get_backend(backend_name).run_grouped(platform, requests)
+            deployed = [
+                platform.deploy(function.name, function.profile, size) for size in sizes
+            ]
+            block = GroupBlock.of_groups(
+                [function.name] * len(sizes),
+                [d.profile for d in deployed],
+                [d.memory_mb for d in deployed],
+                [d.serial for d in deployed],
+                [arrivals] * len(sizes),
+                rngs,
+                fresh_pool=True,
+            )
+            return get_backend(backend_name).run_grouped(platform, block)
 
         fused = run("vectorized")
         looped = run("serial")

@@ -14,8 +14,6 @@ duplicate-name batches, fresh pools and overlapping (unsafe) arrivals.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -24,7 +22,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.fleet import FleetConfig
 from repro.simulation.coldstart import ColdStartModel
-from repro.simulation.engine import GroupRequest, available_backends, get_backend
+from repro.simulation.engine import GroupBlock, available_backends, get_backend
 from repro.simulation.engine import grouped as grouped_mod
 from repro.simulation.engine import vectorized as vectorized_mod
 from repro.simulation.execution import ExecutionModel
@@ -90,72 +88,62 @@ class TestFleetWindowParity:
 class TestGroupedEdgeParity:
     """Kernel vs looped ``run_grouped`` on the walk's fallback-triggering shapes."""
 
-    def _build_requests(self, platform, funcs, seed=23):
-        reqs = [
+    def _build_groups(self, platform, funcs, seed=23):
+        """``(names, profiles, sizes, serials, arrivals, streams, fresh)`` columns."""
+        current = platform.get_function
+        groups = [
             # empty group
-            GroupRequest.for_deployed(
-                platform, funcs[0].name, np.array([]),
-                child_rng(seed, STREAM_EXECUTION, 0, 0),
-            ),
+            (funcs[0].name, np.array([]), False),
             # dense overlapping arrivals: unsafe, walks in lockstep
-            GroupRequest.for_deployed(
-                platform, funcs[1].name,
-                np.sort(np.random.default_rng(1).uniform(0.0, 2.0, 40)),
-                child_rng(seed, STREAM_EXECUTION, 0, 1),
-            ),
+            (funcs[1].name, np.sort(np.random.default_rng(1).uniform(0.0, 2.0, 40)), False),
             # sparse idle arrivals: the safe single-server-run regime
-            GroupRequest.for_deployed(
-                platform, funcs[2].name, np.arange(10) * 900.0,
-                child_rng(seed, STREAM_EXECUTION, 0, 2),
-            ),
+            (funcs[2].name, np.arange(10) * 900.0, False),
             # duplicate name later in the batch: forced unsafe (its pool
             # state depends on the earlier group in this very batch)
-            GroupRequest.for_deployed(
-                platform, funcs[1].name,
+            (
+                funcs[1].name,
                 3.0 + np.sort(np.random.default_rng(2).uniform(0.0, 2.0, 15)),
-                child_rng(seed, STREAM_EXECUTION, 0, 3),
+                False,
             ),
             # fresh pool: prior instances must be dropped before the walk
-            replace(
-                GroupRequest.for_deployed(
-                    platform, funcs[3].name, np.arange(5) * 700.0,
-                    child_rng(seed, STREAM_EXECUTION, 0, 4),
-                ),
-                fresh_pool=True,
-            ),
+            (funcs[3].name, np.arange(5) * 700.0, True),
             # single arrival
-            GroupRequest.for_deployed(
-                platform, funcs[4].name, np.array([42.0]),
-                child_rng(seed, STREAM_EXECUTION, 0, 5),
-            ),
+            (funcs[4].name, np.array([42.0]), False),
         ]
+        deployed = [current(name) for name, _, _ in groups]
         # one function at two sizes with fresh pools (the harness shape):
-        # each request keeps the deployment captured when it was built
+        # each group keeps the deployment captured when it was built
         for j, size in enumerate((128, 1024)):
             platform.deploy(funcs[5].name, funcs[5].profile, size)
-            reqs.append(
-                GroupRequest.for_deployed(
-                    platform, funcs[5].name, 500.0 * np.arange(4) + j,
-                    child_rng(seed, STREAM_EXECUTION, 0, 6 + j), fresh_pool=True,
-                )
-            )
-        return reqs
+            groups.append((funcs[5].name, 500.0 * np.arange(4) + j, True))
+            deployed.append(current(funcs[5].name))
+        return (
+            [name for name, _, _ in groups],
+            [d.profile for d in deployed],
+            [d.memory_mb for d in deployed],
+            [d.serial for d in deployed],
+            [arrivals for _, arrivals, _ in groups],
+            [child_rng(seed, STREAM_EXECUTION, 0, g) for g in range(len(groups))],
+            [fresh for _, _, fresh in groups],
+        )
 
     def _run(self, execute):
         funcs = _functions(6, seed=7, prefix="edge")
         platform = ServerlessPlatform(PlatformConfig(seed=23))
         for f in funcs:
             platform.deploy(f.name, f.profile, 512)
-        first = execute(platform, self._build_requests(platform, funcs))
+        first = execute(platform, GroupBlock.of_groups(*self._build_groups(platform, funcs)))
         # second window: warm pools carried over, same names again
-        shifted = [
-            GroupRequest.for_deployed(
-                platform, r.function_name, np.asarray(r.arrivals) + 3600.0,
-                child_rng(23, STREAM_EXECUTION, 1, i),
-            )
-            for i, r in enumerate(self._build_requests(platform, funcs))
-        ]
-        second = execute(platform, shifted)
+        names, _, _, _, arrivals, _, _ = self._build_groups(platform, funcs)
+        second = execute(
+            platform,
+            GroupBlock.for_deployed(
+                platform,
+                names,
+                [np.asarray(a) + 3600.0 for a in arrivals],
+                [child_rng(23, STREAM_EXECUTION, 1, i) for i in range(len(names))],
+            ),
+        )
         return platform, funcs, first, second
 
     def test_batches_and_pool_state_bit_identical(self, looped_backend, pool_state):
@@ -167,8 +155,8 @@ class TestGroupedEdgeParity:
         assert pool_state(pa, names) == pool_state(pb, names)
         for name in names:
             assert (
-                pa._functions[name].invocation_count
-                == pb._functions[name].invocation_count
+                pa.get_function(name).invocation_count
+                == pb.get_function(name).invocation_count
             )
             assert pa.total_cost_usd(name) == pb.total_cost_usd(name)
         assert pa.total_cost_usd() == pb.total_cost_usd()
@@ -237,10 +225,10 @@ class TestDisagreementPath:
         def run(execute):
             platform = self._platform()
             platform.deploy("dis-fn", profile, 512)
-            request = GroupRequest.for_deployed(
-                platform, "dis-fn", arrivals, child_rng(0, STREAM_EXECUTION, 0, 0)
+            block = GroupBlock.for_deployed(
+                platform, ["dis-fn"], [arrivals], [child_rng(0, STREAM_EXECUTION, 0, 0)]
             )
-            return execute(platform, [request]), pool_state(platform, ["dis-fn"])
+            return execute(platform, block), pool_state(platform, ["dis-fn"])
 
         serial, serial_pool = run(get_backend("serial").run_grouped)
         looped, looped_pool = run(looped_backend.run_grouped)
@@ -344,14 +332,14 @@ class TestLockstepWalk:
             platform.deploy(function.name, function.profile, 512)
         results = []
         for b, groups in enumerate(batches):
-            requests = [
-                GroupRequest.for_deployed(
-                    platform, functions[i].name, arrivals,
-                    child_rng(seed, STREAM_EXECUTION, b, g), fresh_pool=fresh,
-                )
-                for g, (i, arrivals, fresh) in enumerate(groups)
-            ]
-            results.append(execute(platform, requests))
+            block = GroupBlock.for_deployed(
+                platform,
+                [functions[i].name for i, _, _ in groups],
+                [arrivals for _, arrivals, _ in groups],
+                [child_rng(seed, STREAM_EXECUTION, b, g) for g in range(len(groups))],
+                fresh_pool=[fresh for _, _, fresh in groups],
+            )
+            results.append(execute(platform, block))
         return platform, results
 
     def _assert_matches_looped(self, looped_backend, pool_state, functions, batches,
@@ -362,8 +350,8 @@ class TestLockstepWalk:
         def run(execute):
             pools = []
 
-            def execute_and_snapshot(platform, requests):
-                batch = execute(platform, requests)
+            def execute_and_snapshot(platform, block):
+                batch = execute(platform, block)
                 pools.append(pool_state(platform, names))
                 return batch
 
@@ -440,7 +428,7 @@ class TestLockstepWalk:
             LoopedBackend().run_grouped, [function], [first], 1000, keep_alive_s,
             noise_free=True,
         )
-        return function, first, platform._instances["tie-fn"]
+        return function, first, platform.busy_until("tie-fn")
 
     def test_arrival_exactly_at_busy_until_equals_looped(self, looped_backend, pool_state):
         """A worker free exactly at the arrival serves it warm."""

@@ -305,6 +305,17 @@ class TestFleetSimulator:
         for index in (-1, 3):
             with pytest.raises(SimulationError, match="out of range"):
                 simulator.resize(index, 512)
+        # Only integers, not bools: int() would deploy 512.7 at 512, accept
+        # "512", leak a ValueError for NaN and resize function 1 for 1.5 or
+        # True.
+        for size in (512.7, 512.0, "512", float("nan"), True):
+            with pytest.raises(SimulationError, match="not among fleet sizes"):
+                simulator.resize(0, size)
+        for index in (1.5, 1.0, True, "1"):
+            with pytest.raises(SimulationError, match="out of range"):
+                simulator.resize(index, 512)
+        simulator.resize(np.int64(2), np.int32(512))
+        simulator.resize(np.int64(2), 256)
         assert simulator.current_memory_mb().tolist() == [256, 256, 256]
         for function in functions:
             assert simulator.platform.get_function(function.name).memory_mb == 256.0

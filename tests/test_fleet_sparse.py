@@ -4,8 +4,8 @@ Contracts of the fleet-scale window body:
 
 - a window holds rows only for its active functions, across mid-run
   resizes;
-- zero-arrival functions never reach the execution engine (no group request
-  is built for them) and never cost an execution stream.
+- zero-arrival functions never reach the execution engine (they have no
+  group in the window's block) and never cost an execution stream.
 
 The kernel-vs-looped window parity lives in ``tests/test_engine_kernel.py``.
 """
@@ -77,9 +77,9 @@ class TestZeroArrivalFunctionsSkipEngine:
         seen: list[list[str]] = []
         original = type(simulator.backend).run_grouped
 
-        def spy(backend_self, platform, requests):
-            seen.append([request.function_name for request in requests])
-            return original(backend_self, platform, requests)
+        def spy(backend_self, platform, block):
+            seen.append(list(block.names))
+            return original(backend_self, platform, block)
 
         monkeypatch.setattr(type(simulator.backend), "run_grouped", spy)
         window = simulator.run_window()

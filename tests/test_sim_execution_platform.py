@@ -151,14 +151,59 @@ class TestServerlessPlatform:
     def test_deploy_many_matches_individual_deploys(self, platform, cpu_function, service_function):
         names = [cpu_function.name, service_function.name]
         profiles = [cpu_function.profile, service_function.profile]
-        deployments = platform.deploy_many(names, profiles, 512)
-        assert [d.name for d in deployments] == names
-        for deployment, profile in zip(deployments, profiles):
-            assert platform.get_function(deployment.name) is deployment
+        rows = platform.deploy_many(names, profiles, 512)
+        assert rows.tolist() == platform.rows_for(names).tolist()
+        for name, profile in zip(names, profiles):
+            deployment = platform.get_function(name)
+            assert deployment.name == name
             assert deployment.profile is profile
             assert deployment.memory_mb == 512.0
+            assert deployment.invocation_count == 0
+        assert platform.function_names == sorted(names)
         record = platform.invoke(cpu_function.name, at_time_s=0.0)
         assert record.result.cold_start is True
+
+    def test_deploy_many_repeated_and_existing_names_deploy_in_order(
+        self, platform, cpu_function, service_function
+    ):
+        """A repeated name keeps its last profile and an existing one is
+        redeployed (new serial, counter restarted, pool dropped), as one
+        ``deploy`` per name would leave them."""
+        platform.deploy(cpu_function.name, cpu_function.profile, 256)
+        platform.invoke(cpu_function.name, at_time_s=0.0)
+        before = platform.get_function(cpu_function.name)
+        names = [cpu_function.name, service_function.name, service_function.name]
+        profiles = [cpu_function.profile, cpu_function.profile, service_function.profile]
+        rows = platform.deploy_many(names, profiles, 512)
+        assert rows[1] == rows[2] != rows[0]
+        redeployed = platform.get_function(cpu_function.name)
+        assert redeployed.serial > before.serial
+        assert redeployed.invocation_count == 0
+        assert redeployed.memory_mb == 512.0
+        assert platform.warm_instance_count(cpu_function.name) == 0
+        assert platform.get_function(service_function.name).profile is service_function.profile
+        # The bill survives the redeploy.
+        assert platform.total_cost_usd(cpu_function.name) > 0.0
+
+    @pytest.mark.parametrize("size", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_sizes_are_refused(self, cpu_function, size):
+        """Without an allowed-size list any positive size deploys, but a NaN
+        size failed only at the next invocation and an infinite one billed
+        every invocation ``inf``; each is refused before any row changes."""
+        platform = ServerlessPlatform(
+            config=PlatformConfig(allowed_memory_sizes_mb=None, seed=0)
+        )
+        profile = cpu_function.profile
+        with pytest.raises(ConfigurationError, match="finite"):
+            platform.deploy(cpu_function.name, profile, size)
+        with pytest.raises(ConfigurationError, match="finite"):
+            platform.deploy_many([cpu_function.name], [profile], size)
+        assert platform.function_names == []
+        platform.deploy(cpu_function.name, profile, 512)
+        with pytest.raises(ConfigurationError, match="finite"):
+            platform.set_memory_size(cpu_function.name, size)
+        assert platform.get_function(cpu_function.name).memory_mb == 512.0
+        assert np.isfinite(platform.invoke(cpu_function.name, 0.0).cost_usd)
 
     def test_deploy_many_validates_inputs(self, platform, cpu_function):
         with pytest.raises(ConfigurationError):
@@ -234,12 +279,7 @@ class TestServerlessPlatform:
 #: counted per (module, attribute).  Platform state should change only
 #: through its API, so this list may shrink but never grow.
 PRIVATE_PLATFORM_REACHES = {
-    ("simulation/engine/base.py", "_functions"): 1,
-    ("simulation/engine/base.py", "_instances"): 1,
-    ("simulation/engine/vectorized.py", "_instances"): 2,
-    ("simulation/engine/vectorized.py", "_note_cost"): 1,
     ("simulation/engine/grouped.py", "_acquire_instance"): 1,
-    ("simulation/engine/parallel.py", "_note_cost"): 1,
     ("simulation/engine/serial.py", "_rng"): 3,
 }
 

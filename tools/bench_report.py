@@ -124,6 +124,34 @@ def _traced(fn):
 FLEET_REPEATS = 3
 
 
+class _GcTimer:
+    """Wall seconds and count of the cyclic GC's collections while installed.
+
+    Installed in ``gc.callbacks`` by this report only, around the section it
+    times; the program never installs one.
+    """
+
+    def __init__(self) -> None:
+        self.seconds = 0.0
+        self.collections = 0
+        self._start = None
+
+    def _callback(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._start = time.perf_counter()
+        elif self._start is not None:
+            self.seconds += time.perf_counter() - self._start
+            self.collections += 1
+            self._start = None
+
+    def __enter__(self) -> "_GcTimer":
+        gc.callbacks.append(self._callback)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        gc.callbacks.remove(self._callback)
+
+
 def _fleet_rows(variants: dict, n_windows: int) -> tuple[dict, dict]:
     """Time fleet variants untraced, then trace each once for its peak.
 
@@ -332,9 +360,14 @@ def bench_fleet_scale(scale: str) -> dict:
     functions under diurnal traffic completing 24 virtual hours of sparse
     windows — recorded here so successive PRs track its wall clock and peak
     window memory.  Setup (spec replication, eager deployment) is reported
-    separately from the windowed phase; ``seconds`` comes from an untraced
-    run of the window sequence while ``peak_bytes``/``wall_seconds`` come
-    from a separately traced second virtual day, and the simulator's always-on
+    separately from the windowed phase: ``setup_seconds`` builds the
+    scenario and the first simulator, ``simulator_setup_seconds`` is the
+    median of ``FLEET_REPEATS`` ``FleetSimulator`` constructions alone, and
+    ``tracked_objects`` counts the GC-tracked objects set-up leaves
+    (``simulator_tracked_objects`` of them the simulator's).  ``seconds``
+    comes from an untraced run of the window sequence, with ``gc_seconds``
+    the cyclic GC's share of it; ``peak_bytes``/``wall_seconds`` come from a
+    separately traced second virtual day, and the simulator's always-on
     :class:`~repro.fleet.profiling.WindowPhaseProfiler` breakdown is
     attached as the ``phases`` section (where the per-window wall time
     goes: traffic sampling, seeding, group build, execute, reduce).
@@ -343,23 +376,32 @@ def bench_fleet_scale(scale: str) -> dict:
     from repro.fleet import FleetConfig, FleetSimulator
 
     n_functions, n_windows = FLEET_SCALE[scale]
+    config = FleetConfig(window_s=bench.WINDOW_S, seed=99)
     # Building a million-function fleet allocates millions of objects and
     # triggers full GC collections; freeze the earlier benchmark sections'
     # surviving objects so those collections scan only what THIS section
-    # allocates — the standalone setup cost, not the report's residue.
+    # allocates — the standalone setup cost, not the report's residue.  The
+    # tracked-object counts cover this section's objects only: frozen ones
+    # are not listed.
     gc.collect()
     gc.freeze()
     try:
         setup_start = time.perf_counter()
         functions, traffic = bench._sparse_scenario(n_functions)
-        simulator = FleetSimulator(
-            functions,
-            traffic,
-            FleetConfig(window_s=bench.WINDOW_S, seed=99),
-        )
-        setup_seconds = time.perf_counter() - setup_start
+        scenario_seconds = time.perf_counter() - setup_start
+        gc.collect()
+        scenario_objects = len(gc.get_objects())
+        simulator_runs = []
+        for _ in range(FLEET_REPEATS):
+            simulator = None  # the previous run's simulator goes first
+            start = time.perf_counter()
+            simulator = FleetSimulator(functions, traffic, config)
+            simulator_runs.append(time.perf_counter() - start)
+        gc.collect()
+        tracked_objects = len(gc.get_objects())
     finally:
         gc.unfreeze()
+    setup_seconds = scenario_seconds + simulator_runs[0]
 
     # Timed phase: untraced — tracemalloc multiplies the cost of the
     # window loop's allocations, so `seconds` (and the profiler phases)
@@ -367,10 +409,11 @@ def bench_fleet_scale(scale: str) -> dict:
     start = time.perf_counter()
     invocations = 0
     active = 0
-    for _ in range(n_windows):
-        window = simulator.run_window()
-        invocations += int(np.sum(window.n_arrivals))
-        active += window.n_active
+    with _GcTimer() as collections:
+        for _ in range(n_windows):
+            window = simulator.run_window()
+            invocations += int(np.sum(window.n_arrivals))
+            active += window.n_active
     seconds = time.perf_counter() - start
     phases = simulator.profiler.snapshot()
 
@@ -399,6 +442,12 @@ def bench_fleet_scale(scale: str) -> dict:
                 "windows_per_second": round(n_windows / seconds, 3),
                 "seconds": round(seconds, 4),
                 "setup_seconds": round(setup_seconds, 4),
+                "simulator_setup_seconds": round(statistics.median(simulator_runs), 4),
+                "simulator_setup_seconds_runs": [round(t, 4) for t in simulator_runs],
+                "tracked_objects": tracked_objects,
+                "simulator_tracked_objects": tracked_objects - scenario_objects,
+                "gc_seconds": round(collections.seconds, 4),
+                "gc_collections": collections.collections,
                 "wall_seconds": round(wall_seconds, 4),
                 "invocations": invocations,
                 "active_per_window": active // n_windows,
@@ -418,7 +467,8 @@ def bench_service_scale(scale: str) -> dict:
     (``tests/conftest.py::tiny_model``, the ``trained_model`` recipe),
     trained here in-process.  ``seconds`` is the median of ``seconds_runs``
     (``FLEET_REPEATS`` untraced runs, each on a fresh simulator and
-    service, timed from the first window); ``phases_ms`` is the median over
+    service, timed from the first window), ``gc_seconds`` the median of the
+    cyclic GC's share of each run; ``phases_ms`` is the median over
     those runs of each profiler phase's milliseconds per window.
     ``peak_bytes`` and ``wall_seconds`` come from one more run traced by
     tracemalloc from its first window, so the peak covers the windows and
@@ -440,13 +490,16 @@ def bench_service_scale(scale: str) -> dict:
         return FleetRightsizingService(simulator, predictor)
 
     runs = []
+    gc_runs = []
     phases = []
     for _ in range(FLEET_REPEATS):
         current = service()
         gc.collect()
         start = time.perf_counter()
-        current.run(n_windows)
+        with _GcTimer() as collections:
+            current.run(n_windows)
         runs.append(time.perf_counter() - start)
+        gc_runs.append(collections.seconds)
         phases.append(dict(current.simulator.profiler.seconds))
         del current
     current = service()
@@ -466,6 +519,8 @@ def bench_service_scale(scale: str) -> dict:
                 "windows_per_second": round(n_windows / statistics.median(runs), 3),
                 "seconds": round(statistics.median(runs), 4),
                 "seconds_runs": [round(t, 4) for t in runs],
+                "gc_seconds": round(statistics.median(gc_runs), 4),
+                "gc_seconds_runs": [round(t, 4) for t in gc_runs],
                 "wall_seconds": round(wall_seconds, 4),
                 "peak_bytes": int(peak),
                 "invocations": report.ledger.total_invocations,
@@ -606,7 +661,10 @@ def main(argv=None) -> int:
             f"fleet-scale {report['fleet_scale']['config']['n_functions']:,} "
             f"functions x {report['fleet_scale']['config']['n_windows']} windows "
             f"in {scale_row['seconds']:.1f} s "
-            f"(peak {scale_row['peak_bytes'] / 1e6:.1f} MB); through the service "
+            f"(peak {scale_row['peak_bytes'] / 1e6:.1f} MB, GC "
+            f"{scale_row['gc_seconds']:.2f} s; simulator set-up "
+            f"{scale_row['simulator_setup_seconds']:.2f} s, "
+            f"{scale_row['simulator_tracked_objects']:,} tracked objects); through the service "
             f"in {service['results']['service']['seconds']:.1f} s "
             f"(decide {service['phases_ms']['decide']:.1f}, "
             f"ledger {service['phases_ms']['ledger']:.1f} ms/window)"
