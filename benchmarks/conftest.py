@@ -37,12 +37,12 @@ def context() -> ExperimentContext:
 
 @pytest.fixture(scope="session")
 def warm_context(context) -> ExperimentContext:
-    """The context with dataset, default model and case measurements prebuilt.
+    """The context with training table, default model and case measurements prebuilt.
 
     Benchmarked functions should measure the *analysis* step, not the shared
     setup, so the expensive artefacts are materialised here.
     """
-    context.training_dataset()
+    context.training_table()
     context.model(context.scale.default_base_size_mb)
     context.case_measurements()
     return context

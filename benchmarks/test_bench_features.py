@@ -1,12 +1,14 @@
 """Benchmark: feature-matrix assembly and Figure-4 selection, table vs object path.
 
-Assembles the training matrices of the default 200-function dataset through
-both dataflows — the columnar :class:`~repro.dataset.table.MeasurementTable`
-(vectorized slicing) and the object path (per-summary ``FeatureExtractor``
-loops) — and runs one Figure-4-style forward-selection round on each.  The
-final test asserts the acceptance criterion of the columnar refactor: table
-assembly at least 5x faster than object assembly on the default dataset
-(override the floor via ``REPRO_BENCH_MIN_FEATURE_SPEEDUP``).
+Assembles the training matrices of the default 200-function dataset two
+ways — ``build_training_matrices`` on the columnar
+:class:`~repro.dataset.table.MeasurementTable` (vectorized slicing), and the
+per-summary oracle of ``tests/reference_matrices.py`` on the object view
+(one feature of one summary at a time) — and runs one Figure-4-style
+forward-selection round on each.  The final test asserts the acceptance
+criterion of the columnar refactor: table assembly at least 5x faster than
+the per-summary loop on the default dataset (override the floor via
+``REPRO_BENCH_MIN_FEATURE_SPEEDUP``).
 
 Like ``test_bench_generation`` this ignores ``REPRO_BENCH_SCALE`` — the
 comparison is defined on the default generation configuration.
@@ -22,6 +24,8 @@ from repro.core.features import feature_superset
 from repro.core.training import build_training_matrices
 from repro.dataset.generation import DatasetGenerationConfig, TrainingDatasetGenerator
 from repro.ml.linear import LinearRegression
+
+from reference_matrices import reference_matrices
 
 _ARTIFACTS: dict[str, object] = {}
 
@@ -46,7 +50,7 @@ def _assemble_table():
 
 def _assemble_object():
     _, dataset = _artifacts()
-    return build_training_matrices(dataset, base_memory_mb=256, feature_names=_SUPERSET)
+    return reference_matrices(dataset, base_memory_mb=256, feature_names=_SUPERSET)
 
 
 def _best_seconds(fn, repeats: int = 5) -> float:
@@ -79,7 +83,7 @@ def test_bench_feature_matrix_table(benchmark):
 
 
 def test_bench_feature_matrix_object(benchmark):
-    """Object path: per-summary FeatureExtractor loops (the reference)."""
+    """Object path: the per-summary oracle of ``tests/reference_matrices.py``."""
     _artifacts()
     matrices = benchmark(_assemble_object)
     assert matrices.features.shape == (200, len(_SUPERSET))

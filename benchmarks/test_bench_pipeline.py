@@ -15,12 +15,12 @@ from repro.workloads.function import FunctionSpec
 
 
 def test_bench_offline_training(benchmark, warm_context):
-    """Model training time on the shared dataset (excludes dataset generation)."""
-    dataset = warm_context.training_dataset()
+    """Model training time on the shared training table (excludes its generation)."""
+    table = warm_context.training_table()
 
     def train():
         return train_model(
-            dataset,
+            table,
             base_memory_mb=256,
             network_config=default_network_config(),
             feature_names=warm_context.scale.feature_names,
@@ -35,8 +35,8 @@ def test_bench_online_recommendation(benchmark, warm_context):
     model = warm_context.model(256)
     predictor = SizelessPredictor(model)
     application = warm_context.applications()[0]
-    measurement = warm_context.case_measurements()[application.name][0][0]
-    summary = measurement.summary_at(256)
+    table = warm_context.case_measurements()[application.name][0]
+    summary = table.summary(table.function_names[0], 256)
 
     recommendation = benchmark(lambda: predictor.recommend(summary, tradeoff=0.75))
     assert recommendation.selected_memory_mb in warm_context.scale.memory_sizes_mb

@@ -15,7 +15,8 @@ Feature names follow a small grammar over the Table-1 metric names::
     <metric>_cv            coefficient of variation over the window
     <metric>_per_second    mean divided by the mean execution time in seconds
 
-:class:`FeatureExtractor` resolves any such name against a
+:class:`FeatureExtractor` resolves any such name against the stat rows of a
+measurement table, or of one
 :class:`~repro.monitoring.aggregation.MonitoringSummary`.
 """
 
@@ -31,6 +32,9 @@ _SUFFIXES = ("_per_second", "_mean", "_std", "_cv")
 
 #: Stat-axis column of each direct-statistic feature suffix.
 _STAT_COLUMN = {f"_{stat}": index for index, stat in enumerate(STAT_NAMES)}
+
+_MEAN_COLUMN = _STAT_COLUMN["_mean"]
+_TIME_ROW = METRIC_NAMES.index("execution_time")
 
 
 def _split_feature_name(name: str) -> tuple[str, str]:
@@ -117,7 +121,12 @@ EXTENDED_FEATURE_SET: tuple[str, ...] = DEFAULT_FEATURE_SET + (
 
 
 class FeatureExtractor:
-    """Computes a feature vector from a monitoring summary.
+    """Computes feature vectors from monitoring statistics.
+
+    One arithmetic serves every caller: :meth:`extract_table` applies it to
+    the stat rows of a measurement table, :meth:`extract` to the stat rows of
+    one :class:`~repro.monitoring.aggregation.MonitoringSummary` (a one-row
+    call).
 
     Parameters
     ----------
@@ -133,8 +142,16 @@ class FeatureExtractor:
         if len(set(names)) != len(names):
             raise ConfigurationError("feature_names contains duplicates")
         # Validate eagerly so configuration errors surface at construction.
-        self._parsed = [(_split_feature_name(name), name) for name in names]
+        parsed = [_split_feature_name(name) for name in names]
         self.feature_names: tuple[str, ...] = names
+        self._metrics = {metric for metric, _suffix in parsed}
+        # Where each feature sits in a (n_metrics, n_stats) stat cell: a
+        # per-second feature reads the mean and is then divided.
+        self._metric_rows = np.array([METRIC_NAMES.index(metric) for metric, _ in parsed])
+        self._stat_columns = np.array(
+            [_STAT_COLUMN.get(suffix, _MEAN_COLUMN) for _, suffix in parsed]
+        )
+        self._per_second = np.array([suffix == "_per_second" for _, suffix in parsed])
 
     @property
     def n_features(self) -> int:
@@ -143,39 +160,24 @@ class FeatureExtractor:
 
     def required_metrics(self) -> list[str]:
         """Metrics that must be monitored to compute this feature set."""
-        metrics = {metric for (metric, _suffix), _name in self._parsed}
         # Per-second features additionally need the execution time.
-        if any(suffix == "_per_second" for (_m, suffix), _n in self._parsed):
-            metrics.add("execution_time")
-        return sorted(metrics)
+        if self._per_second.any():
+            return sorted(self._metrics | {"execution_time"})
+        return sorted(self._metrics)
 
-    def compute_feature(self, name: str, summary: MonitoringSummary) -> float:
-        """Compute a single feature value from a summary."""
-        metric, suffix = _split_feature_name(name)
-        if suffix == "_mean":
-            return summary.mean(metric)
-        if suffix == "_std":
-            return summary.std(metric)
-        if suffix == "_cv":
-            return summary.cv(metric)
-        # _per_second
-        execution_time_s = summary.mean_execution_time_ms / 1000.0
-        if execution_time_s <= 0:
-            raise MonitoringError("cannot normalise by a non-positive execution time")
-        return summary.mean(metric) / execution_time_s
+    def _from_stat_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Feature matrix of ``(n, n_metrics, n_stats)`` stat rows, one row each."""
+        features = rows[:, self._metric_rows, self._stat_columns]
+        if self._per_second.any():
+            execution_time_s = rows[:, _TIME_ROW, _MEAN_COLUMN, None] / 1000.0
+            if (execution_time_s <= 0).any():
+                raise MonitoringError("cannot normalise by a non-positive execution time")
+            np.divide(features, execution_time_s, out=features, where=self._per_second)
+        return features
 
     def extract(self, summary: MonitoringSummary) -> np.ndarray:
         """Return the feature vector of one summary (1-D array)."""
-        return np.array(
-            [self.compute_feature(name, summary) for name in self.feature_names],
-            dtype=float,
-        )
-
-    def extract_matrix(self, summaries: list[MonitoringSummary]) -> np.ndarray:
-        """Return the feature matrix of several summaries (rows = summaries)."""
-        if not summaries:
-            raise ConfigurationError("extract_matrix needs at least one summary")
-        return np.vstack([self.extract(summary) for summary in summaries])
+        return self._from_stat_rows(summary.stat_rows()[None])[0]
 
     def extract_table(
         self,
@@ -209,50 +211,28 @@ class FeatureExtractor:
         allocation is the returned feature matrix.
 
         Every cell that contributes must be measured with a positive mean
-        execution time if per-second features are requested (matching the
-        scalar :meth:`compute_feature` semantics); callers filter rows
-        beforehand (as :func:`~repro.core.training.build_training_matrices`
+        execution time if per-second features are requested; callers filter
+        rows beforehand (as :func:`~repro.core.training.build_training_matrices`
         does).
         """
-        size_column = table.size_index(memory_mb) if memory_mb is not None else None
         if function_indices is not None:
-            function_indices = np.asarray(function_indices, dtype=int)
+            function_indices = table.row_indices(function_indices)
             n_selected = function_indices.shape[0]
         else:
             n_selected = table.n_functions
-        sizes_per_function = 1 if memory_mb is not None else table.n_sizes
-
-        mean_column = _STAT_COLUMN["_mean"]
-        needs_per_second = any(suffix == "_per_second" for (_m, suffix), _n in self._parsed)
-        time_index = table.metric_index("execution_time") if needs_per_second else None
-        columns = [
-            (table.metric_index(metric), suffix) for (metric, suffix), _name in self._parsed
-        ]
-
-        out = np.empty((n_selected * sizes_per_function, self.n_features), dtype=float)
+        if memory_mb is not None:
+            size_column = table.size_index(memory_mb)
+            n_rows = n_selected
+        else:
+            n_rows = n_selected * table.n_sizes
+        out = np.empty((n_rows, self.n_features), dtype=float)
         row_start = 0
         for block in table.iter_value_blocks(function_indices):
-            if size_column is not None:
-                block = block[:, size_column : size_column + 1]
-            rows = block.reshape(
-                block.shape[0] * block.shape[1], block.shape[2], block.shape[3]
-            )
-            execution_time_s = None
-            if needs_per_second:
-                execution_time_s = rows[:, time_index, mean_column] / 1000.0
-                if np.any(execution_time_s <= 0):
-                    raise MonitoringError(
-                        "cannot normalise by a non-positive execution time"
-                    )
-            row_stop = row_start + rows.shape[0]
-            for k, (metric_index, suffix) in enumerate(columns):
-                if suffix == "_per_second":
-                    out[row_start:row_stop, k] = (
-                        rows[:, metric_index, mean_column] / execution_time_s
-                    )
-                else:
-                    out[row_start:row_stop, k] = rows[:, metric_index, _STAT_COLUMN[suffix]]
-            row_start = row_stop
+            if memory_mb is not None:
+                block = block[:, size_column]
+            rows = block.reshape(-1, *block.shape[-2:])
+            out[row_start : row_start + rows.shape[0]] = self._from_stat_rows(rows)
+            row_start += rows.shape[0]
         return out
 
     def subset(self, feature_names: list[str] | tuple[str, ...]) -> "FeatureExtractor":

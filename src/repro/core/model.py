@@ -105,6 +105,11 @@ class SizelessModel:
         self.extractor = FeatureExtractor(self.config.feature_names)
         self.network = NeuralNetwork(self.config.network)
         self._fitted = False
+        # Prediction columns (ascending sizes) of the base and target sizes.
+        base, targets = int(self.config.base_memory_mb), self.config.target_memory_sizes_mb
+        self._sizes = tuple(sorted((base, *(int(size) for size in targets))))
+        self._base_column = self._sizes.index(base)
+        self._target_columns = [self._sizes.index(int(size)) for size in targets]
 
     # ------------------------------------------------------------------ props
     @property
@@ -169,45 +174,36 @@ class SizelessModel:
     def predict_execution_times(self, summary: MonitoringSummary) -> dict[int, float]:
         """Predict the execution time (ms) of every memory size for one function.
 
-        The monitored base size keeps its *observed* execution time (paper
-        Section 3.5: "for monitored memory sizes the observed values can be
-        used").
+        The one-row case of :meth:`predict_times_matrix`.  The monitored base
+        size keeps its *observed* execution time (paper Section 3.5: "for
+        monitored memory sizes the observed values can be used").
         """
         if float(summary.memory_mb) != float(self.config.base_memory_mb):
             raise ModelError(
                 f"summary was monitored at {summary.memory_mb} MB but the model "
                 f"expects base size {self.config.base_memory_mb} MB"
             )
-        features = self.extractor.extract(summary)
-        ratios = self.predict_ratios(features)
-        base_time = summary.mean_execution_time_ms
-        times = {int(self.config.base_memory_mb): float(base_time)}
-        for target_size, ratio in zip(self.config.target_memory_sizes_mb, ratios):
-            times[int(target_size)] = float(base_time * ratio)
-        return dict(sorted(times.items()))
+        times = self.predict_times_matrix(
+            self.extractor.extract(summary)[None], np.array([summary.mean_execution_time_ms])
+        )
+        return dict(zip(self.all_memory_sizes_mb, times[0].tolist()))
 
     @property
     def all_memory_sizes_mb(self) -> tuple[int, ...]:
         """Base and target sizes sorted ascending (prediction column order)."""
-        return tuple(
-            sorted((int(self.config.base_memory_mb), *self.config.target_memory_sizes_mb))
-        )
+        return self._sizes
 
     def predict_times_matrix(
         self, features: np.ndarray, base_times_ms: np.ndarray
     ) -> np.ndarray:
         """Predict execution times for a whole feature matrix in one pass.
 
-        The batch counterpart of :meth:`predict_execution_times`: one network
-        forward pass over all rows, one broadcast multiply against the
-        monitored base execution times — no per-function Python loop.
-        Returns a ``(n_functions, n_sizes)`` matrix with columns ordered as
-        :attr:`all_memory_sizes_mb`; the base-size column carries the
-        *observed* base times unchanged (paper Section 3.5), exactly like the
-        scalar path.  Numbers are bit-identical to the scalar path row by row
-        (asserted by the test suite): the network evaluates the same
-        elementwise pipeline and the time reconstruction performs the same
-        ``base_time * ratio`` multiply.
+        One network forward pass over all rows, one broadcast multiply
+        against the monitored base execution times — no per-function Python
+        loop.  Returns a ``(n_functions, n_sizes)`` matrix with columns
+        ordered as :attr:`all_memory_sizes_mb`; the base-size column carries
+        the *observed* base times unchanged (paper Section 3.5).
+        :meth:`predict_execution_times` is its one-row case.
         """
         features = np.asarray(features, dtype=float)
         if features.ndim != 2:
@@ -215,15 +211,12 @@ class SizelessModel:
         base_times = np.asarray(base_times_ms, dtype=float)
         if base_times.shape != (features.shape[0],):
             raise ModelError("base_times_ms must have one entry per feature row")
-        if np.any(~np.isfinite(base_times)) or np.any(base_times <= 0):
+        if not (np.isfinite(base_times).all() and (base_times > 0).all()):
             raise ModelError("base execution times must be positive and finite")
         ratios = self.predict_ratios(features)
-        sizes = self.all_memory_sizes_mb
-        column = {size: j for j, size in enumerate(sizes)}
-        times = np.empty((features.shape[0], len(sizes)), dtype=float)
-        times[:, column[int(self.config.base_memory_mb)]] = base_times
-        for j, target_size in enumerate(self.config.target_memory_sizes_mb):
-            times[:, column[int(target_size)]] = base_times * ratios[:, j]
+        times = np.empty((features.shape[0], len(self._target_columns) + 1), dtype=float)
+        times[:, self._base_column] = base_times
+        times[:, self._target_columns] = base_times[:, None] * ratios
         return times
 
     # ----------------------------------------------------------- persistence

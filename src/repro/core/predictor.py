@@ -10,7 +10,8 @@ Two call surfaces expose the same numbers:
 
 - the *scalar* path (:meth:`SizelessPredictor.predict` /
   :meth:`SizelessPredictor.recommend`) consumes one
-  :class:`~repro.monitoring.aggregation.MonitoringSummary` at a time;
+  :class:`~repro.monitoring.aggregation.MonitoringSummary` at a time, as a
+  one-row call into the batch path's feature and time arithmetic;
 - the *batch* path (:meth:`SizelessPredictor.predict_table` /
   :meth:`SizelessPredictor.recommend_table`) consumes a whole columnar
   measurement table and predicts every function in one matrix pass — the
@@ -229,9 +230,9 @@ class SizelessPredictor:
             selected_names = tuple(table.function_names)
             counts = np.asarray(table.n_invocations[:, size_column])
         else:
-            indices = np.asarray(function_indices, dtype=int)
-            selected_names = tuple(table.function_names[i] for i in indices)
-            counts = np.asarray(table.n_invocations[indices, size_column])
+            function_indices = table.row_indices(function_indices)
+            selected_names = tuple(table.function_names[i] for i in function_indices)
+            counts = np.asarray(table.n_invocations[function_indices, size_column])
         if not selected_names:
             raise ModelError("predict_table needs at least one function row")
         if np.any(counts <= 0):

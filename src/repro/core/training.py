@@ -2,20 +2,17 @@
 
 This module turns measurements into the numpy matrices the regression model
 consumes, runs the repeated k-fold cross-validation the paper uses to compare
-base memory sizes, and trains the final per-base-size models.  Matrices can
-be assembled from either representation of a measurement campaign:
+base memory sizes, and trains the final per-base-size models.  Matrices are
+assembled from a columnar :class:`~repro.dataset.table.MeasurementTable` by
+array indexing and slicing, or from its out-of-core sibling, the
+:class:`~repro.dataset.sharding.ShardedMeasurementTable`, by the same
+assembly streamed one shard at a time so the dense stat arrays never fully
+reside in memory.  An object-API
+:class:`~repro.dataset.schema.MeasurementDataset` is columnarized once first.
 
-- a columnar :class:`~repro.dataset.table.MeasurementTable` — the fast path,
-  pure array indexing and slicing;
-- its out-of-core sibling, the
-  :class:`~repro.dataset.sharding.ShardedMeasurementTable` — same assembly,
-  streamed one shard at a time so the dense stat arrays never fully reside
-  in memory;
-- the object-API :class:`~repro.dataset.schema.MeasurementDataset` — the
-  original per-summary extraction loop, kept as the reference path.
-
-All paths produce bit-identical matrices (asserted by the parity tests in
-``tests/test_dataset_table.py`` and ``tests/test_dataset_sharding.py``).
+The per-summary loop that assembled matrices from objects lives on in
+``tests/reference_matrices.py`` as the parity oracle the table path must
+equal bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from repro.core.features import FeatureExtractor
 from repro.core.model import SizelessModel, SizelessModelConfig, default_network_config
 from repro.dataset.schema import MeasurementDataset
 from repro.dataset.sharding import ShardedMeasurementTable
-from repro.dataset.table import MeasurementTable
+from repro.dataset.table import MeasurementAxes, MeasurementTable
 from repro.ml.network import NetworkConfig
 from repro.ml.validation import RepeatedKFold, cross_validate
 
@@ -82,74 +79,13 @@ def build_training_matrices(
 ) -> TrainingMatrices:
     """Build the feature/target matrices for one base memory size.
 
-    Accepts a columnar :class:`MeasurementTable` (vectorized assembly by
-    array indexing), a :class:`ShardedMeasurementTable` (same assembly,
-    streamed shard by shard), or an object-API :class:`MeasurementDataset`
-    (the per-summary reference loop).  Functions missing a measurement at
-    the base or any target size are skipped; an empty result raises
-    :class:`~repro.errors.DatasetError`.
+    Accepts a columnar :class:`MeasurementTable`, a
+    :class:`ShardedMeasurementTable` (the same assembly, streamed shard by
+    shard) or an object-API :class:`MeasurementDataset` (columnarized once).
+    Functions missing a measurement at the base or any target size are
+    skipped; an empty result raises :class:`~repro.errors.DatasetError`.
     """
-    if isinstance(dataset, (MeasurementTable, ShardedMeasurementTable)):
-        return _build_matrices_from_table(
-            dataset,
-            base_memory_mb=base_memory_mb,
-            target_memory_sizes_mb=target_memory_sizes_mb,
-            feature_names=feature_names,
-        )
-    if len(dataset) == 0:
-        raise DatasetError("cannot build training matrices from an empty dataset")
-    available_sizes = dataset.common_memory_sizes()
-    if target_memory_sizes_mb is None:
-        target_memory_sizes_mb = tuple(
-            size for size in available_sizes if size != base_memory_mb
-        )
-    if not target_memory_sizes_mb:
-        raise DatasetError("no target memory sizes available")
-    extractor = FeatureExtractor(feature_names) if feature_names else FeatureExtractor()
-
-    rows = []
-    targets = []
-    base_times = []
-    names = []
-    required = (base_memory_mb, *target_memory_sizes_mb)
-    for measurement in dataset:
-        if not measurement.has_all_sizes(required):
-            continue
-        base_summary = measurement.summary_at(base_memory_mb)
-        base_time = base_summary.mean_execution_time_ms
-        if base_time <= 0:
-            continue
-        rows.append(extractor.extract(base_summary))
-        targets.append(
-            [
-                measurement.execution_time_ms(target) / base_time
-                for target in target_memory_sizes_mb
-            ]
-        )
-        base_times.append(base_time)
-        names.append(measurement.function_name)
-    if not rows:
-        raise DatasetError(
-            f"no function in the dataset has measurements at all of {list(required)}"
-        )
-    return TrainingMatrices(
-        base_memory_mb=int(base_memory_mb),
-        target_memory_sizes_mb=tuple(int(size) for size in target_memory_sizes_mb),
-        feature_names=extractor.feature_names,
-        features=np.vstack(rows),
-        ratios=np.array(targets, dtype=float),
-        base_execution_times_ms=np.array(base_times, dtype=float),
-        function_names=tuple(names),
-    )
-
-
-def _build_matrices_from_table(
-    table: AnyMeasurementTable,
-    base_memory_mb: int,
-    target_memory_sizes_mb: tuple[int, ...] | None,
-    feature_names: tuple[str, ...] | None,
-) -> TrainingMatrices:
-    """Assemble training matrices by indexing the columnar table directly."""
+    table = dataset if isinstance(dataset, MeasurementAxes) else dataset.to_table()
     if table.n_functions == 0:
         raise DatasetError("cannot build training matrices from an empty dataset")
     if target_memory_sizes_mb is None:

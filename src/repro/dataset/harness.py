@@ -15,13 +15,13 @@ as one grouped batch (:meth:`MeasurementHarness.measure_chunk_stats` →
 :meth:`~repro.simulation.engine.ExecutionBackend.run_grouped`), reduced
 straight to dense stat blocks with segmented reductions — no per-invocation
 metric dictionaries and no per-invocation records are left behind.
-:meth:`~MeasurementHarness.measure_function` is a one-function chunk;
-:meth:`~MeasurementHarness.measure_many` and
-:meth:`~MeasurementHarness.measure_table` run their lists through
+:meth:`~MeasurementHarness.measure_table` runs a list of functions through
 :meth:`~repro.simulation.engine.ExecutionBackend.measure_stat_chunks`, which
-the ``"parallel"`` backend fans out over worker processes.  A chunk holds at
-most 64 functions and, for long measurement windows, fewer, so peak memory
-stays at one chunk's metric columns even at paper scale.  The backend
+the ``"parallel"`` backend fans out over worker processes, into a columnar
+table.  :meth:`~MeasurementHarness.measure_function` is a one-function chunk
+wrapped in the object view, for the online phase's one monitoring summary.
+A chunk holds at most 64 functions and, for long measurement windows, fewer,
+so peak memory stays at one chunk's metric columns even at paper scale.  The backend
 decides only how a chunk executes: ``"serial"`` runs one scalar batch per
 group (the reference path), ``"vectorized"`` and ``"parallel"`` run the
 grouped kernel.
@@ -30,8 +30,8 @@ Every (function, size) experiment owns two private random streams — one for
 its arrival trace, one for its execution noise — spawned from the base seeds
 and the function's absolute index (:mod:`repro.simulation.seeding`).  The
 numbers therefore depend neither on chunking nor on worker count, and
-``measure_function(f, index=k)`` equals row ``k`` of ``measure_table`` and
-``measure_many()[k]`` bit for bit.
+``measure_function(f, index=k)`` equals row ``k`` of ``measure_table`` bit
+for bit.
 """
 
 from __future__ import annotations
@@ -64,25 +64,6 @@ _CHUNK_FUNCTIONS = 64
 #: windows (18 000 invocations per size) would otherwise put ~7 GB of metric
 #: columns into one 64-function chunk.
 _CHUNK_INVOCATIONS = 64 * 6 * 120
-
-
-def _function_measurement(
-    function: FunctionSpec,
-    memory_sizes: tuple[int, ...],
-    stats: np.ndarray,
-    counts: np.ndarray,
-) -> FunctionMeasurement:
-    """Wrap one function's stat block into a measurement, in ``memory_sizes`` order."""
-    measurement = FunctionMeasurement(
-        function_name=function.name,
-        application=function.application,
-        segments=function.segments,
-    )
-    for j, memory_mb in enumerate(memory_sizes):
-        measurement.add_summary(
-            memory_mb, summary_from_stats(function.name, memory_mb, stats[j], counts[j])
-        )
-    return measurement
 
 
 @dataclass(frozen=True)
@@ -174,10 +155,10 @@ class MeasurementHarness:
     def _next_index(self, index: int | None) -> int:
         """Resolve a measurement's absolute index (auto-advancing default).
 
-        Explicit indices come from schedulers (``measure_many`` /
-        ``measure_table`` enumerate their function lists) and leave the
-        auto-counter untouched; ``None`` takes the next counter value so
-        repeated standalone calls never replay one another's streams.
+        Explicit indices come from schedulers (``measure_table`` enumerates
+        its function list) and leave the auto-counter untouched; ``None``
+        takes the next counter value so repeated standalone calls never
+        replay one another's streams.
         """
         if index is not None:
             return int(index)
@@ -223,43 +204,15 @@ class MeasurementHarness:
         stats, counts = self.measure_chunk_stats(
             [function], index_offset=index, memory_sizes_mb=memory_sizes, workload=workload
         )
-        return _function_measurement(function, memory_sizes, stats[0], counts[0])
-
-    def measure_many(
-        self,
-        functions: list[FunctionSpec],
-        memory_sizes_mb: tuple[int, ...] | None = None,
-        workload: Workload | None = None,
-        progress_callback=None,
-    ) -> list[FunctionMeasurement]:
-        """Measure a list of functions through the configured backend.
-
-        The functions run chunk by chunk (the parallel backend fans the
-        chunks out over worker processes); function ``k`` draws from the
-        streams of index ``k``, so the result equals calling
-        ``measure_function(functions[k], index=k)`` for every ``k``.
-        ``progress_callback(done, total, name)`` is invoked after each
-        completed function.
-        """
-        memory_sizes = self._memory_sizes(memory_sizes_mb)
-        measurements: list[FunctionMeasurement] = []
-
-        def on_chunk(chunk_start, chunk, stats, counts):
-            measurements.extend(
-                _function_measurement(function, memory_sizes, stats[k], counts[k])
-                for k, function in enumerate(chunk)
-            )
-
-        self.backend.measure_stat_chunks(
-            self,
-            functions,
-            memory_sizes_mb=memory_sizes,
-            workload=workload,
-            chunk_size=self._chunk_size(len(memory_sizes), workload),
-            on_chunk=on_chunk,
-            progress_callback=progress_callback,
+        return FunctionMeasurement(
+            function_name=function.name,
+            application=function.application,
+            segments=function.segments,
+            summaries={
+                memory_mb: summary_from_stats(function.name, memory_mb, stats[0, j], counts[0, j])
+                for j, memory_mb in enumerate(memory_sizes)
+            },
         )
-        return measurements
 
     # ----------------------------------------------------------- columnar path
     def measure_chunk_stats(
@@ -326,9 +279,11 @@ class MeasurementHarness:
     ):
         """Measure a list of functions into a columnar measurement table.
 
-        The array-first counterpart of :meth:`measure_many`, with the same
-        chunks and the same numbers: each chunk's stat blocks go straight
-        into the sink.  A chunk never exceeds a sharded sink's shard size.
+        Function ``k`` draws from the streams of index ``k``, so row ``k``
+        equals ``measure_function(functions[k], index=k)``.  Each chunk's
+        stat blocks go straight into the sink; a chunk never exceeds a
+        sharded sink's shard size.  ``progress_callback(done, total, name)``
+        is invoked after each completed function.
 
         ``sink`` selects where the stat blocks land.  By default a fresh
         :class:`~repro.dataset.table.MeasurementTableBuilder` collects them

@@ -11,6 +11,10 @@ measurement table:
   metadata, human-inspectable.
 - **CSV**: one row per (function, size), for spreadsheets and pandas;
   drops segment composition and dataset metadata.
+
+  Both text codecs write the measured cells of a table, with the statistics
+  of a cell flattened in :data:`FLAT_STAT_COLUMNS` order, and read a file
+  back into a table; their loaders return the object view of that table.
 - **NPZ**: the columnar :class:`~repro.dataset.table.MeasurementTable` arrays
   saved directly via :func:`numpy.savez_compressed` — the fast path for
   paper-scale datasets that still fit in memory.
@@ -36,8 +40,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import DatasetError
-from repro.dataset.schema import FunctionMeasurement, MeasurementDataset, summary_from_flat
-from repro.dataset.table import MeasurementTable
+from repro.dataset.schema import MeasurementDataset
+from repro.dataset.table import MeasurementTable, MeasurementTableBuilder
+from repro.monitoring.aggregation import STAT_NAMES
 from repro.monitoring.metrics import METRIC_NAMES
 
 _FORMAT_VERSION = 1
@@ -97,6 +102,14 @@ SHARD_DTYPES = {"values": "float64", "n_invocations": "int64"}
 
 _GZIP_MAGIC = b"\x1f\x8b"
 
+#: The flat statistic columns of one (function, size) cell, ``<metric>_<stat>``
+#: in Table-1 metric order and :data:`~repro.monitoring.aggregation.STAT_NAMES`
+#: order: the JSON ``values`` keys and the CSV statistic columns.
+FLAT_STAT_COLUMNS = tuple(f"{metric}_{stat}" for metric in METRIC_NAMES for stat in STAT_NAMES)
+
+#: The CSV columns ahead of the statistics.
+_CSV_ID_COLUMNS = ("function_name", "application", "memory_mb", "n_invocations")
+
 
 def _wants_gzip(path: Path, compress: bool | None) -> bool:
     return path.suffix == ".gz" if compress is None else bool(compress)
@@ -109,13 +122,59 @@ def _require_npz_keys(archive, required: tuple[str, ...], path: Path) -> None:
         raise DatasetError(f"corrupt dataset file {path}: missing keys {missing}")
 
 
+def _as_table(dataset: MeasurementDataset | MeasurementTable) -> MeasurementTable:
+    return dataset if isinstance(dataset, MeasurementTable) else dataset.to_table()
+
+
+def _measured_cells(table: MeasurementTable):
+    """Yield ``(function row, memory_mb, n_invocations, flat stats)`` per measured cell.
+
+    Cells come function-major; the flat stats follow
+    :data:`FLAT_STAT_COLUMNS` as Python floats, written like any float.
+    """
+    shape = (table.n_functions, table.n_sizes, len(FLAT_STAT_COLUMNS))
+    values = table.values.reshape(shape).tolist()
+    for (i, j), count in np.ndenumerate(table.n_invocations):
+        if count:
+            yield i, table.memory_sizes_mb[j], int(count), values[i][j]
+
+
+def _table_from_cells(functions, description="", metadata=None) -> MeasurementTable:
+    """Build a table from ``(name, application, segments, cells)`` per function.
+
+    ``cells`` maps a memory size to ``(n_invocations, flat)``, where ``flat``
+    maps every :data:`FLAT_STAT_COLUMNS` key to a number.
+    """
+    sizes = sorted({memory_mb for *_, cells in functions for memory_mb in cells})
+    if any(memory_mb <= 0 for memory_mb in sizes):
+        raise DatasetError("memory sizes must be positive")
+    builder = MeasurementTableBuilder(
+        memory_sizes_mb=tuple(sizes), description=description, metadata=metadata
+    )
+    for name, application, segments, cells in functions:
+        stats = np.zeros((len(sizes), len(FLAT_STAT_COLUMNS)))
+        counts = np.zeros(len(sizes), dtype=np.int64)
+        for j, memory_mb in enumerate(sizes):
+            if memory_mb in cells:
+                counts[j], flat = cells[memory_mb]
+                stats[j] = [float(flat[key]) for key in FLAT_STAT_COLUMNS]
+        builder.add_function(
+            name,
+            application=application,
+            segments=segments,
+            stats=stats.reshape(len(sizes), len(METRIC_NAMES), len(STAT_NAMES)),
+            counts=counts,
+        )
+    return builder.build()
+
+
 def save_dataset_json(
-    dataset: MeasurementDataset,
+    dataset: MeasurementDataset | MeasurementTable,
     path: str | Path,
     compress: bool | None = None,
     indent: int | None = None,
 ) -> Path:
-    """Serialise a dataset to a JSON file and return the written path.
+    """Serialise measurements to a JSON file and return the written path.
 
     Parameters
     ----------
@@ -128,24 +187,27 @@ def save_dataset_json(
         times larger and slower to write.
     """
     path = Path(path)
+    table = _as_table(dataset)
+    summaries: list[dict] = [{} for _ in table.function_names]
+    for i, memory_mb, count, flat in _measured_cells(table):
+        summaries[i][str(memory_mb)] = {
+            "n_invocations": count,
+            "values": dict(zip(FLAT_STAT_COLUMNS, flat)),
+        }
     payload = {
         "format_version": _FORMAT_VERSION,
-        "description": dataset.description,
-        "metadata": dataset.metadata,
+        "description": table.description,
+        "metadata": table.metadata,
         "measurements": [
             {
-                "function_name": measurement.function_name,
-                "application": measurement.application,
-                "segments": [list(pair) for pair in measurement.segments],
-                "summaries": {
-                    str(memory_mb): {
-                        "n_invocations": summary.n_invocations,
-                        "values": summary.as_flat_dict(),
-                    }
-                    for memory_mb, summary in sorted(measurement.summaries.items())
-                },
+                "function_name": name,
+                "application": application,
+                "segments": [list(pair) for pair in segments],
+                "summaries": cells,
             }
-            for measurement in dataset.measurements
+            for name, application, segments, cells in zip(
+                table.function_names, table.applications, table.segments, summaries
+            )
         ],
     }
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -185,56 +247,44 @@ def load_dataset_json(path: str | Path) -> MeasurementDataset:
         raise DatasetError(
             f"unsupported dataset format version {payload.get('format_version')!r}"
         )
-    dataset = MeasurementDataset(
-        description=payload.get("description", ""), metadata=payload.get("metadata", {})
-    )
     try:
-        for entry in payload.get("measurements", []):
-            measurement = FunctionMeasurement(
-                function_name=entry["function_name"],
-                application=entry.get("application", "synthetic"),
-                segments=tuple((name, float(value)) for name, value in entry.get("segments", [])),
+        functions = [
+            (
+                entry["function_name"],
+                entry.get("application", "synthetic"),
+                entry.get("segments", []),
+                {
+                    int(memory_mb): (int(cell["n_invocations"]), cell["values"])
+                    for memory_mb, cell in entry.get("summaries", {}).items()
+                },
             )
-            for memory_str, summary_entry in entry.get("summaries", {}).items():
-                summary = summary_from_flat(
-                    function_name=entry["function_name"],
-                    memory_mb=float(memory_str),
-                    flat=summary_entry["values"],
-                    n_invocations=int(summary_entry["n_invocations"]),
-                )
-                measurement.add_summary(int(memory_str), summary)
-            dataset.add(measurement)
+            for entry in payload.get("measurements", [])
+        ]
+        table = _table_from_cells(
+            functions, payload.get("description", ""), payload.get("metadata", {})
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetError(f"corrupt dataset file {path}: {exc!r}") from None
-    return dataset
+    return table.to_dataset()
 
 
-def save_dataset_csv(dataset: MeasurementDataset, path: str | Path) -> Path:
-    """Export a dataset to a flat CSV (one row per function and memory size).
+def save_dataset_csv(dataset: MeasurementDataset | MeasurementTable, path: str | Path) -> Path:
+    """Export measurements to a flat CSV (one row per function and memory size).
 
     Segment composition and dataset-level metadata are not representable in
     the flat layout and are dropped; statistics round-trip exactly through
     :func:`load_dataset_csv`.
     """
     path = Path(path)
+    table = _as_table(dataset)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fieldnames = ["function_name", "application", "memory_mb", "n_invocations"]
-    for metric in METRIC_NAMES:
-        fieldnames.extend([f"{metric}_mean", f"{metric}_std", f"{metric}_cv"])
     with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fieldnames)
-        writer.writeheader()
-        for measurement in dataset.measurements:
-            for memory_mb in measurement.memory_sizes:
-                summary = measurement.summary_at(memory_mb)
-                row: dict[str, object] = {
-                    "function_name": measurement.function_name,
-                    "application": measurement.application,
-                    "memory_mb": memory_mb,
-                    "n_invocations": summary.n_invocations,
-                }
-                row.update(summary.as_flat_dict())
-                writer.writerow(row)
+        writer = csv.writer(handle)
+        writer.writerow([*_CSV_ID_COLUMNS, *FLAT_STAT_COLUMNS])
+        for i, memory_mb, count, flat in _measured_cells(table):
+            writer.writerow(
+                [table.function_names[i], table.applications[i], memory_mb, count, *flat]
+            )
     return path
 
 
@@ -248,45 +298,29 @@ def load_dataset_csv(path: str | Path) -> MeasurementDataset:
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"dataset file {path} does not exist")
-    dataset = MeasurementDataset()
-    measurements: dict[str, FunctionMeasurement] = {}
-    required_columns = {"function_name", "application", "memory_mb", "n_invocations"}
+    functions: dict[str, tuple[str, dict]] = {}
     try:
         with path.open("r", encoding="utf-8", newline="") as handle:
             reader = csv.DictReader(handle)
             header = set(reader.fieldnames or ())
-            if not required_columns <= header:
+            if not set(_CSV_ID_COLUMNS) <= header:
                 raise DatasetError(
                     f"corrupt dataset file {path}: "
-                    f"missing columns {sorted(required_columns - header)}"
+                    f"missing columns {sorted(set(_CSV_ID_COLUMNS) - header)}"
                 )
             for row in reader:
-                name = row["function_name"]
-                measurement = measurements.get(name)
-                if measurement is None:
-                    measurement = FunctionMeasurement(
-                        function_name=name, application=row.get("application", "synthetic")
-                    )
-                    measurements[name] = measurement
-                    dataset.add(measurement)
-                memory_mb = int(float(row["memory_mb"]))
-                flat = {
-                    key: float(value)
-                    for key, value in row.items()
-                    if key not in ("function_name", "application", "memory_mb", "n_invocations")
-                }
-                summary = summary_from_flat(
-                    function_name=name,
-                    memory_mb=float(memory_mb),
-                    flat=flat,
-                    n_invocations=int(row["n_invocations"]),
-                )
-                measurement.add_summary(memory_mb, summary)
+                cells = functions.setdefault(
+                    row["function_name"], (row.get("application", "synthetic"), {})
+                )[1]
+                cells[int(float(row["memory_mb"]))] = (int(row["n_invocations"]), row)
+        table = _table_from_cells(
+            [(name, application, (), cells) for name, (application, cells) in functions.items()]
+        )
     except DatasetError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetError(f"corrupt dataset file {path}: {exc!r}") from None
-    return dataset
+    return table.to_dataset()
 
 
 def save_table_npz(table: MeasurementTable, path: str | Path) -> Path:
@@ -351,8 +385,7 @@ def load_table_npz(path: str | Path) -> MeasurementTable:
 
 def save_dataset_npz(dataset: MeasurementDataset | MeasurementTable, path: str | Path) -> Path:
     """Save measurements as NPZ (columnarizing an object-API dataset first)."""
-    table = dataset if isinstance(dataset, MeasurementTable) else dataset.to_table()
-    return save_table_npz(table, path)
+    return save_table_npz(_as_table(dataset), path)
 
 
 def load_dataset_npz(path: str | Path) -> MeasurementDataset:
@@ -606,8 +639,7 @@ def save_table_sharded(
     """
     from repro.dataset.sharding import shard_table
 
-    table = dataset if isinstance(dataset, MeasurementTable) else dataset.to_table()
-    shard_table(table, directory, shard_size=shard_size, overwrite=overwrite)
+    shard_table(_as_table(dataset), directory, shard_size=shard_size, overwrite=overwrite)
     return Path(directory)
 
 

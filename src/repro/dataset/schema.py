@@ -1,10 +1,16 @@
-"""Dataset schema: measurements of functions across memory sizes.
+"""Dataset schema: the object view of measurements across memory sizes.
 
-A :class:`FunctionMeasurement` is the unit of the training dataset: one
-function, measured at several memory sizes, each yielding an aggregated
+A :class:`FunctionMeasurement` is one function, measured at several memory
+sizes, each yielding an aggregated
 :class:`~repro.monitoring.aggregation.MonitoringSummary`.  A
 :class:`MeasurementDataset` is a collection of such measurements together
 with dataset-level metadata.
+
+Both are views: the offline pipeline computes on the columnar
+:class:`~repro.dataset.table.MeasurementTable`, and builds these objects only
+for the public calls that return them
+(:meth:`~repro.dataset.table.MeasurementTable.to_dataset` and
+:meth:`~repro.dataset.harness.MeasurementHarness.measure_function`).
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import DatasetError
-from repro.monitoring.aggregation import MetricAggregate, MonitoringSummary
+from repro.monitoring.aggregation import MonitoringSummary
 
 
 @dataclass
@@ -141,7 +147,9 @@ class MeasurementDataset:
         """
         from repro.dataset.table import MeasurementTable
 
-        return MeasurementTable.from_dataset(self)
+        return MeasurementTable.from_measurements(
+            self.measurements, description=self.description, metadata=dict(self.metadata)
+        )
 
     def split(self, n_first: int) -> tuple["MeasurementDataset", "MeasurementDataset"]:
         """Split into the first ``n_first`` measurements and the rest."""
@@ -157,31 +165,3 @@ class MeasurementDataset:
         )
         return first, second
 
-
-def summary_from_flat(
-    function_name: str, memory_mb: float, flat: dict[str, float], n_invocations: int
-) -> MonitoringSummary:
-    """Rebuild a :class:`MonitoringSummary` from its flattened representation.
-
-    Inverse of :meth:`MonitoringSummary.as_flat_dict`, used by the dataset
-    loaders.
-    """
-    from repro.monitoring.metrics import METRIC_NAMES
-
-    aggregates: dict[str, MetricAggregate] = {}
-    for metric in METRIC_NAMES:
-        try:
-            mean = float(flat[f"{metric}_mean"])
-            std = float(flat[f"{metric}_std"])
-            cv = float(flat[f"{metric}_cv"])
-        except KeyError as exc:
-            raise DatasetError(f"flat summary is missing entry {exc.args[0]!r}") from None
-        aggregates[metric] = MetricAggregate(
-            name=metric, mean=mean, std=std, cv=cv, n_samples=n_invocations
-        )
-    return MonitoringSummary(
-        function_name=function_name,
-        memory_mb=float(memory_mb),
-        aggregates=aggregates,
-        n_invocations=n_invocations,
-    )

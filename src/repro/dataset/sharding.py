@@ -278,20 +278,14 @@ class ShardedMeasurementTable(MeasurementAxes):
         array restricted to ``function_indices`` (all rows when ``None``).
         Rows are served in the requested order, chunked into consecutive runs
         that fall into the same shard, so at most one shard's array is
-        resident at any point.  Negative or out-of-range indices raise
-        :class:`~repro.errors.DatasetError`.
+        resident at any point.  The indices are checked with
+        :meth:`~repro.dataset.table.MeasurementAxes.row_indices`.
         """
         if function_indices is None:
             for info in self.shards:
                 yield self._shard_values(info)
             return
-        indices = np.asarray(function_indices, dtype=int)
-        if indices.size == 0:
-            return
-        if np.any((indices < 0) | (indices >= self.n_functions)):
-            raise DatasetError(
-                f"function indices out of range for {self.n_functions} functions"
-            )
+        indices = self.row_indices(function_indices)
         position = 0
         while position < indices.size:
             info = self._shard_of_row(int(indices[position]))
@@ -386,7 +380,7 @@ class ShardedMeasurementTable(MeasurementAxes):
         Sub-tables are assumed small (selections, case studies), so the
         result is a regular resident :class:`MeasurementTable`.
         """
-        indices = np.asarray(function_indices, dtype=int)
+        indices = self.row_indices(function_indices)
         blocks = list(self.iter_value_blocks(indices))
         values = (
             np.concatenate(blocks, axis=0)

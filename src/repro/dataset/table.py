@@ -12,11 +12,11 @@ The table is the canonical dataflow between the measurement harness and the
 learning pipeline: the harness fills it straight from engine batch columns
 (no per-invocation or per-summary dictionaries), feature extraction slices
 it into whole feature matrices, and training/selection/grid-search index it
-without re-extraction.  The pre-existing object API
-(:class:`~repro.dataset.schema.MeasurementDataset` /
-:class:`~repro.monitoring.aggregation.MonitoringSummary`) remains available
-as a view materialized from the table (:meth:`MeasurementTable.to_dataset`),
-so object-path and table-path numbers are bit-identical.
+without re-extraction.  The table is the only data the offline pipeline
+computes on.  The object API (:class:`~repro.dataset.schema.MeasurementDataset`
+/ :class:`~repro.monitoring.aggregation.MonitoringSummary`) is a view
+materialized from it (:meth:`MeasurementTable.to_dataset`) for the public
+calls that take or return objects; it carries the table's numbers unchanged.
 
 Two table implementations share one read surface (:class:`MeasurementAxes`):
 this module's in-memory table, and the sharded out-of-core sibling in
@@ -89,12 +89,9 @@ def measurement_stat_block(
     counts = np.zeros(n_sizes, dtype=np.int64)
     for j, memory_mb in enumerate(memory_sizes_mb):
         summary = measurement.summaries.get(int(memory_mb))
-        if summary is None:
-            continue
-        for k, metric in enumerate(METRIC_NAMES):
-            aggregate = summary.aggregates[metric]
-            stats[j, k] = (aggregate.mean, aggregate.std, aggregate.cv)
-        counts[j] = summary.n_invocations
+        if summary is not None:
+            stats[j] = summary.stat_rows()
+            counts[j] = summary.n_invocations
     return stats, counts
 
 
@@ -133,6 +130,20 @@ class MeasurementAxes:
         return self.n_functions
 
     # ---------------------------------------------------------------- lookups
+    def row_indices(self, function_indices) -> np.ndarray:
+        """Check function row indices and return them as an integer array.
+
+        The one row check of both table implementations: a negative or
+        out-of-range index raises :class:`~repro.errors.DatasetError` (no
+        numpy wraparound, no bare ``IndexError``) before any work is done.
+        """
+        indices = np.asarray(function_indices, dtype=int)
+        if indices.size and (indices.min() < 0 or indices.max() >= self.n_functions):
+            raise DatasetError(
+                f"function indices out of range for {self.n_functions} functions"
+            )
+        return indices
+
     def function_index(self, function_name: str) -> int:
         """Row index of one function."""
         try:
@@ -277,19 +288,13 @@ class MeasurementTable(MeasurementAxes):
         block per traversed shard so that consumers iterating blocks never
         hold more than one shard's dense array at a time.
 
-        Both implementations reject negative or out-of-range indices with
-        :class:`~repro.errors.DatasetError` (no numpy wraparound), so code
-        written against one table behaves identically on the other.
+        Both implementations check the indices with :meth:`row_indices`, so
+        code written against one table behaves identically on the other.
         """
         if function_indices is None:
             yield self.values
             return
-        indices = np.asarray(function_indices, dtype=int)
-        if indices.size and np.any((indices < 0) | (indices >= self.n_functions)):
-            raise DatasetError(
-                f"function indices out of range for {self.n_functions} functions"
-            )
-        yield self.values[indices]
+        yield self.values[self.row_indices(function_indices)]
 
     def _stat_cell(self, function_index: int, size_index: int) -> np.ndarray:
         """Return the ``(n_metrics, n_stats)`` stat cell of one table entry."""
@@ -297,7 +302,7 @@ class MeasurementTable(MeasurementAxes):
 
     def take(self, function_indices) -> "MeasurementTable":
         """Return a sub-table restricted to the given function rows."""
-        indices = np.asarray(function_indices, dtype=int)
+        indices = self.row_indices(function_indices)
         return MeasurementTable(
             function_names=tuple(self.function_names[i] for i in indices),
             applications=tuple(self.applications[i] for i in indices),
@@ -317,42 +322,33 @@ class MeasurementTable(MeasurementAxes):
 
         Returns a :class:`~repro.dataset.schema.MeasurementDataset` whose
         summaries are built from the table's stat rows — the same numbers,
-        packaged for the pre-table object API.
+        packaged for the public calls that take or return objects.
         """
         from repro.dataset.schema import FunctionMeasurement, MeasurementDataset
 
-        dataset = MeasurementDataset(
-            description=self.description, metadata=dict(self.metadata)
-        )
-        for i, name in enumerate(self.function_names):
-            measurement = FunctionMeasurement(
+        counts = self.n_invocations.tolist()
+        measurements = [
+            FunctionMeasurement(
                 function_name=name,
                 application=self.applications[i],
                 segments=self.segments[i],
+                summaries={
+                    int(memory_mb): summary_from_stats(
+                        name, float(memory_mb), self.values[i, j], count
+                    )
+                    for j, (memory_mb, count) in enumerate(zip(self.memory_sizes_mb, counts[i]))
+                    if count
+                },
             )
-            for j, memory_mb in enumerate(self.memory_sizes_mb):
-                count = int(self.n_invocations[i, j])
-                if not count:
-                    continue
-                measurement.summaries[int(memory_mb)] = summary_from_stats(
-                    function_name=name,
-                    memory_mb=float(memory_mb),
-                    stats=self.values[i, j],
-                    n_invocations=count,
-                )
-            dataset.add(measurement)
-        return dataset
-
-    # ----------------------------------------------------------- constructors
-    @staticmethod
-    def from_dataset(dataset) -> "MeasurementTable":
-        """Columnarize a :class:`~repro.dataset.schema.MeasurementDataset`."""
-        return MeasurementTable.from_measurements(
-            list(dataset),
-            description=dataset.description,
-            metadata=dict(dataset.metadata),
+            for i, name in enumerate(self.function_names)
+        ]
+        return MeasurementDataset(
+            measurements=measurements,
+            description=self.description,
+            metadata=dict(self.metadata),
         )
 
+    # ----------------------------------------------------------- constructors
     @staticmethod
     def from_measurements(
         measurements,

@@ -21,7 +21,6 @@ import numpy as np
 from repro.baselines import BatchPolynomialBaseline, CoseBaseline, PowerTuningBaseline
 from repro.core.features import DEFAULT_FEATURE_SET, EXTENDED_FEATURE_SET, feature_set_f0
 from repro.core.training import cross_validate_base_size
-from repro.dataset.schema import MeasurementDataset
 from repro.experiments.context import ExperimentContext
 
 
@@ -122,14 +121,11 @@ def run_dataset_size_sensitivity(
 ) -> dict[int, dict[str, float]]:
     """Cross-validated accuracy as a function of training-set size."""
     context = context if context is not None else ExperimentContext()
-    dataset = context.training_dataset()
+    table = context.training_table()
     curve: dict[int, dict[str, float]] = {}
     for fraction in fractions:
-        n_functions = max(10, int(round(len(dataset) * fraction)))
-        subset = MeasurementDataset(
-            measurements=dataset.measurements[:n_functions],
-            description=f"subset of {n_functions} functions",
-        )
+        n_functions = max(10, int(round(len(table) * fraction)))
+        subset = table if n_functions >= len(table) else table.take(np.arange(n_functions))
         curve[n_functions] = cross_validate_base_size(
             subset,
             base_memory_mb=base_memory_mb,
@@ -148,7 +144,7 @@ def run_feature_set_ablation(
 ) -> dict[str, dict[str, float]]:
     """Compare the F0 / F4 / extended feature sets by cross-validated accuracy."""
     context = context if context is not None else ExperimentContext()
-    dataset = context.training_dataset()
+    table = context.training_table()
     feature_sets = {
         "f0_all_means": tuple(feature_set_f0()),
         "f4_default": DEFAULT_FEATURE_SET,
@@ -157,7 +153,7 @@ def run_feature_set_ablation(
     comparison = {}
     for name, features in feature_sets.items():
         comparison[name] = cross_validate_base_size(
-            dataset,
+            table,
             base_memory_mb=base_memory_mb,
             network_config=context.scale.network,
             n_splits=3,

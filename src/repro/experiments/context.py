@@ -8,7 +8,9 @@ Reproducing the paper's evaluation needs three expensive artefacts:
    (with repetitions, like the paper's ten repeated trials).
 
 :class:`ExperimentContext` builds each artefact lazily and caches it so that
-all experiment modules and benchmarks can share one instance.
+all experiment modules and benchmarks can share one instance.  The training
+data and the case studies are both columnar measurement tables; no
+experiment builds the per-summary object view.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from repro.core.optimizer import MemorySizeOptimizer, TradeoffConfig
 from repro.core.training import build_training_matrices, train_model
 from repro.dataset.generation import DatasetGenerationConfig, TrainingDatasetGenerator
 from repro.dataset.harness import HarnessConfig, MeasurementHarness
-from repro.dataset.schema import FunctionMeasurement, MeasurementDataset
 from repro.dataset.sharding import ShardedMeasurementTable, validate_sharding_options
 from repro.dataset.table import MeasurementTable
 from repro.ml.network import NetworkConfig
@@ -107,21 +108,19 @@ class ExperimentContext:
         self.scale = scale if scale is not None else ExperimentScale.standard()
         self.pricing = PricingModel()
         self._table: MeasurementTable | ShardedMeasurementTable | None = None
-        self._dataset: MeasurementDataset | None = None
         self._models: dict[int, SizelessModel] = {}
-        self._case_measurements: dict[str, list[list[FunctionMeasurement]]] | None = None
+        self._case_measurements: dict[str, list[MeasurementTable]] | None = None
         self._applications: list[CaseStudyApplication] | None = None
 
     # --------------------------------------------------------------- dataset
     def training_table(self) -> MeasurementTable | ShardedMeasurementTable:
         """The synthetic training measurements as a columnar table.
 
-        Generated once (straight from engine batch columns) and cached; the
-        object-API :meth:`training_dataset` view and all training matrices
-        derive from this one artefact.  When the scale sets ``shard_size``,
-        the table is generated out of core and every downstream consumer
-        (training matrices, Figure-4 selection, Table-2 grid search) streams
-        it shard by shard.
+        Generated once (straight from engine batch columns) and cached; all
+        training matrices derive from this one artefact.  When the scale sets
+        ``shard_size``, the table is generated out of core and every
+        downstream consumer (training matrices, Table 3, the ablations,
+        Figure-4 selection, Table-2 grid search) streams it shard by shard.
         """
         if self._table is None:
             generator = TrainingDatasetGenerator(
@@ -138,12 +137,6 @@ class ExperimentContext:
             )
             self._table = generator.generate_table()
         return self._table
-
-    def training_dataset(self) -> MeasurementDataset:
-        """The synthetic training dataset (object-API view of the table)."""
-        if self._dataset is None:
-            self._dataset = self.training_table().to_dataset()
-        return self._dataset
 
     def training_matrices(self, base_memory_mb: int | None = None):
         """Training matrices for one base size (defaults to the paper's 256 MB)."""
@@ -178,51 +171,56 @@ class ExperimentContext:
             self._applications = all_case_studies()
         return self._applications
 
-    def case_measurements(self) -> dict[str, list[list[FunctionMeasurement]]]:
+    def case_measurements(self) -> dict[str, list[MeasurementTable]]:
         """Ground-truth measurements of every case-study function.
 
-        Returns ``{application name: [repetition][function index]}`` where each
-        entry is a :class:`~repro.dataset.schema.FunctionMeasurement` covering
-        all six memory sizes.  Repetitions use different platform seeds, like
-        the paper's randomized multiple interleaved trials.
+        Returns ``{application name: [one table per repetition]}``; each
+        table holds the application's functions (rows, in application order)
+        at all six memory sizes.  Repetitions use different platform seeds,
+        like the paper's randomized multiple interleaved trials.
         """
         if self._case_measurements is None:
-            measurements: dict[str, list[list[FunctionMeasurement]]] = {}
-            for app_index, application in enumerate(self.applications()):
-                repetitions = []
-                for repetition in range(self.scale.case_repetitions):
-                    seed = self.scale.seed + 10_000 + 97 * app_index + repetition
-                    platform = ServerlessPlatform(
-                        config=PlatformConfig(allowed_memory_sizes_mb=None, seed=seed)
+            self._case_measurements = {
+                application.name: [
+                    self._case_harness(app_index, repetition).measure_table(
+                        application.functions
                     )
-                    harness = MeasurementHarness(
-                        platform=platform,
-                        config=HarnessConfig(
-                            memory_sizes_mb=self.scale.memory_sizes_mb,
-                            max_invocations_per_size=self.scale.case_invocations_per_size,
-                            seed=seed + 1,
-                            backend=self.scale.backend,
-                            n_workers=self.scale.n_workers,
-                        ),
-                    )
-                    repetitions.append(
-                        [harness.measure_function(function) for function in application.functions]
-                    )
-                measurements[application.name] = repetitions
-            self._case_measurements = measurements
+                    for repetition in range(self.scale.case_repetitions)
+                ]
+                for app_index, application in enumerate(self.applications())
+            }
         return self._case_measurements
 
+    def _case_harness(self, app_index: int, repetition: int) -> MeasurementHarness:
+        """The harness of one (application, repetition), on its own platform seed."""
+        seed = self.scale.seed + 10_000 + 97 * app_index + repetition
+        return MeasurementHarness(
+            platform=ServerlessPlatform(
+                config=PlatformConfig(allowed_memory_sizes_mb=None, seed=seed)
+            ),
+            config=HarnessConfig(
+                memory_sizes_mb=self.scale.memory_sizes_mb,
+                max_invocations_per_size=self.scale.case_invocations_per_size,
+                seed=seed + 1,
+                backend=self.scale.backend,
+                n_workers=self.scale.n_workers,
+            ),
+        )
+
     def true_execution_times(self, application_name: str, function_name: str) -> dict[int, float]:
-        """Mean measured execution time per size, averaged over repetitions."""
-        repetitions = self.case_measurements()[application_name]
-        times: dict[int, list[float]] = {}
-        for repetition in repetitions:
-            for measurement in repetition:
-                if measurement.function_name != function_name:
-                    continue
-                for size, value in measurement.execution_times().items():
-                    times.setdefault(size, []).append(value)
-        return {size: float(np.mean(values)) for size, values in sorted(times.items())}
+        """Mean measured execution time per size, averaged over repetitions.
+
+        Each size averages its repetitions with a one-dimensional ``np.mean``;
+        a mean over the repetition axis of a 2-D array sums in another order
+        and can differ in the last bit.
+        """
+        tables = self.case_measurements()[application_name]
+        row = tables[0].function_index(function_name)
+        repetitions = [table.execution_time_ms()[row].tolist() for table in tables]
+        return {
+            int(size): float(np.mean([times[j] for times in repetitions]))
+            for j, size in enumerate(tables[0].memory_sizes_mb)
+        }
 
     def predicted_execution_times(
         self, application_name: str, function_name: str, base_memory_mb: int | None = None
@@ -235,14 +233,8 @@ class ExperimentContext:
         base = int(
             base_memory_mb if base_memory_mb is not None else self.scale.default_base_size_mb
         )
-        repetitions = self.case_measurements()[application_name]
-        for measurement in repetitions[0]:
-            if measurement.function_name == function_name:
-                summary = measurement.summary_at(base)
-                return self.model(base).predict_execution_times(summary)
-        raise ConfigurationError(
-            f"function {function_name!r} not found in application {application_name!r}"
-        )
+        summary = self.case_measurements()[application_name][0].summary(function_name, base)
+        return self.model(base).predict_execution_times(summary)
 
     # -------------------------------------------------------------- optimizer
     def optimizer(self, tradeoff: float = 0.75) -> MemorySizeOptimizer:

@@ -56,11 +56,11 @@ def run(
     """
     context = context if context is not None else ExperimentContext()
     sizes = base_sizes_mb if base_sizes_mb is not None else context.scale.memory_sizes_mb
-    dataset = context.training_dataset()
+    table = context.training_table()
     result = Table3Result()
     for base_size in sizes:
         result.measured[int(base_size)] = cross_validate_base_size(
-            dataset,
+            table,
             base_memory_mb=int(base_size),
             network_config=context.scale.network,
             n_splits=n_splits,

@@ -79,6 +79,16 @@ class MonitoringSummary:
         except KeyError:
             raise MonitoringError(f"metric {metric!r} not present in summary") from None
 
+    def stat_rows(self) -> np.ndarray:
+        """The ``(n_metrics, n_stats)`` stat rows: the inverse of :func:`summary_from_stats`.
+
+        Rows follow the Table-1 metric order, columns :data:`STAT_NAMES`
+        (mean, std, cv), as in one cell of a measurement table.
+        """
+        rows = [self._get(metric) for metric in METRIC_NAMES]
+        columns = ([row.mean for row in rows], [row.std for row in rows], [row.cv for row in rows])
+        return np.array(columns).T
+
     def as_flat_dict(self) -> dict[str, float]:
         """Flatten to ``{"<metric>_mean": ..., "<metric>_std": ..., "<metric>_cv": ...}``."""
         flat: dict[str, float] = {}

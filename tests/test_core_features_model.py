@@ -59,11 +59,6 @@ class TestFeatureExtractor:
         )
         assert extractor.extract(sample_summary)[0] == pytest.approx(expected)
 
-    def test_extract_matrix(self, small_dataset):
-        summaries = [m.summary_at(256) for m in small_dataset.measurements[:5]]
-        matrix = FeatureExtractor().extract_matrix(summaries)
-        assert matrix.shape == (5, len(DEFAULT_FEATURE_SET))
-
     def test_unknown_metric_rejected(self):
         with pytest.raises(ConfigurationError):
             FeatureExtractor(("bogus_metric_mean",))

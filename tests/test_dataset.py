@@ -74,8 +74,8 @@ class TestHarness:
         assert times[128] > times[1024] > times[3008]
 
     def test_measure_many(self, harness, cpu_function, service_function):
-        measurements = harness.measure_many([cpu_function, service_function], memory_sizes_mb=(256,))
-        assert [m.function_name for m in measurements] == [cpu_function.name, service_function.name]
+        table = harness.measure_table([cpu_function, service_function], memory_sizes_mb=(256,))
+        assert table.function_names == (cpu_function.name, service_function.name)
 
     def test_custom_workload(self, cpu_function):
         harness = MeasurementHarness(

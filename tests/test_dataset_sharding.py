@@ -179,6 +179,32 @@ class TestParity:
             with pytest.raises(DatasetError, match="out of range"):
                 FeatureExtractor().extract_table(table, memory_mb=256, function_indices=[-1])
 
+    @pytest.mark.parametrize("bad", [-1, 11], ids=["negative", "past-the-end"])
+    @pytest.mark.parametrize("kind", ["in-memory", "sharded"])
+    def test_take_and_predict_table_check_rows_alike(
+        self, inmem_table, sharded_table, trained_model, kind, bad, monkeypatch
+    ):
+        # One row check on both tables: take, iter_value_blocks and
+        # predict_table raise DatasetError before any work, never a bare
+        # IndexError and never a silent wraparound to the last function.
+        from repro.core.predictor import SizelessPredictor
+
+        table = inmem_table if kind == "in-memory" else sharded_table
+        assert table.n_functions == 11
+        for rows in ([bad], [0, bad]):
+            with pytest.raises(DatasetError, match="out of range"):
+                table.take(rows)
+            with pytest.raises(DatasetError, match="out of range"):
+                list(table.iter_value_blocks(rows))
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("predict_table extracted features for a bad row")
+
+        predictor = SizelessPredictor(trained_model)
+        monkeypatch.setattr(FeatureExtractor, "extract_table", no_work)
+        with pytest.raises(DatasetError, match="out of range"):
+            predictor.predict_table(table, base_memory_mb=256, function_indices=[bad])
+
     def test_metadata_records_sharding(self, sharded_table, sharded_dir):
         assert sharded_table.metadata["shard_size"] == _SHARD_SIZE
         assert sharded_table.metadata["shard_directory"] == str(sharded_dir)
@@ -440,6 +466,33 @@ class TestIntegration:
         assert table.n_shards == 2
         matrices = context.training_matrices()
         assert matrices.features.shape[0] == 6
+
+    def test_table3_and_ablations_stay_out_of_core(self, tmp_path, monkeypatch):
+        # Table 3 and both training-data ablations stream the sharded table
+        # (or take a row subset of it); none materializes the whole table.
+        from repro.experiments import ablations, table3_basesize
+
+        scale = ExperimentScale(
+            name="sharded-tiny",
+            n_training_functions=12,
+            train_invocations_per_size=6,
+            network=NetworkConfig(n_layers=1, n_neurons=8, epochs=5, seed=0),
+            shard_size=5,
+            shard_directory=str(tmp_path),
+        )
+        context = ExperimentContext(scale)
+        assert isinstance(context.training_table(), ShardedMeasurementTable)
+
+        def forbidden(self):
+            raise AssertionError("the whole sharded table was materialized")
+
+        monkeypatch.setattr(ShardedMeasurementTable, "to_table", forbidden)
+        result = table3_basesize.run(context, base_sizes_mb=(256, 512), n_repeats=1)
+        assert set(result.measured) == {256, 512}
+        curve = ablations.run_dataset_size_sensitivity(context, fractions=(0.5, 1.0))
+        assert sorted(curve) == [10, 12]
+        comparison = ablations.run_feature_set_ablation(context)
+        assert set(comparison) == {"f0_all_means", "f4_default", "extended"}
 
     def test_scale_validates_shard_knobs(self, tmp_path):
         with pytest.raises(ConfigurationError):

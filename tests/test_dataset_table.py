@@ -3,8 +3,9 @@
 Covers the three contracts of the array-first dataflow:
 
 1. **Parity** — feature/target matrices assembled from the columnar table
-   match the object-path (per-summary) assembly bit for bit, and the
-   harness's dict-free table path matches ``measure_many``.
+   equal the per-summary oracle of ``tests/reference_matrices.py`` bit for
+   bit, and each row of the harness's table equals measuring its function
+   alone.
 2. **Views** — the object API (`MeasurementDataset`/`MonitoringSummary`)
    materialized from a table carries the same numbers.
 3. **Persistence** — JSON (plain and gzipped), NPZ and CSV round-trips
@@ -39,6 +40,8 @@ from repro.dataset.table import MeasurementTable, MeasurementTableBuilder
 from repro.ml.linear import LinearRegression
 from repro.ml.validation import KFold, cross_validate
 from repro.monitoring.metrics import METRIC_NAMES
+
+from reference_matrices import reference_features, reference_matrices
 
 
 @pytest.fixture(scope="module")
@@ -162,13 +165,14 @@ class TestObjectViewParity:
         assert small_table_dataset.metadata["n_functions"] == 12
 
     def test_harness_table_matches_measure_many(self, cpu_function, service_function):
+        """Measuring many functions into a table equals measuring each alone."""
         config = HarnessConfig(memory_sizes_mb=(128, 512), max_invocations_per_size=6, seed=3)
-        measurements = MeasurementHarness(config=config).measure_many(
-            [cpu_function, service_function]
-        )
-        table = MeasurementHarness(config=config).measure_table(
-            [cpu_function, service_function]
-        )
+        functions = [cpu_function, service_function]
+        single = MeasurementHarness(config=config)
+        measurements = [
+            single.measure_function(function, index=k) for k, function in enumerate(functions)
+        ]
+        table = MeasurementHarness(config=config).measure_table(functions)
         assert_tables_equal(
             table,
             MeasurementTable.from_measurements(measurements, memory_sizes_mb=(128, 512)),
@@ -192,32 +196,45 @@ class TestMatrixParity:
             from_table = build_training_matrices(
                 small_table, base_memory_mb=256, feature_names=feature_names
             )
-            from_objects = build_training_matrices(
+            oracle = reference_matrices(
                 small_table_dataset, base_memory_mb=256, feature_names=feature_names
             )
-            assert from_table.function_names == from_objects.function_names
-            assert from_table.feature_names == from_objects.feature_names
-            np.testing.assert_allclose(
-                from_table.features, from_objects.features, rtol=1e-12, atol=0
+            # An object dataset is columnarized once and takes the table path.
+            from_dataset = build_training_matrices(
+                small_table_dataset, base_memory_mb=256, feature_names=feature_names
             )
-            np.testing.assert_allclose(
-                from_table.ratios, from_objects.ratios, rtol=1e-12, atol=0
-            )
-            np.testing.assert_allclose(
-                from_table.base_execution_times_ms,
-                from_objects.base_execution_times_ms,
-                rtol=1e-12,
-                atol=0,
-            )
+            for matrices in (oracle, from_dataset):
+                assert from_table.function_names == matrices.function_names
+                assert from_table.feature_names == matrices.feature_names
+                assert from_table.target_memory_sizes_mb == matrices.target_memory_sizes_mb
+                np.testing.assert_array_equal(from_table.features, matrices.features)
+                np.testing.assert_array_equal(from_table.ratios, matrices.ratios)
+                np.testing.assert_array_equal(
+                    from_table.base_execution_times_ms, matrices.base_execution_times_ms
+                )
 
     def test_extract_table_matches_per_summary_extraction(
         self, small_table, small_table_dataset
     ):
-        extractor = FeatureExtractor()
+        extractor = FeatureExtractor(tuple(feature_superset()))
         summaries = [m.summary_at(512) for m in small_table_dataset]
-        object_matrix = extractor.extract_matrix(summaries)
+        oracle = np.vstack(
+            [reference_features(extractor.feature_names, summary) for summary in summaries]
+        )
         table_matrix = extractor.extract_table(small_table, memory_mb=512)
-        np.testing.assert_allclose(table_matrix, object_matrix, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(table_matrix, oracle)
+        # One summary is a one-row call into the same arithmetic.
+        np.testing.assert_array_equal(
+            np.vstack([extractor.extract(summary) for summary in summaries]), oracle
+        )
+
+    def test_summary_stat_rows_invert_the_table_cell(self, small_table):
+        name = small_table.function_names[2]
+        summary = small_table.summary(name, 1024)
+        np.testing.assert_array_equal(
+            summary.stat_rows(),
+            small_table.values[2, small_table.size_index(1024)],
+        )
 
     def test_extract_table_flattens_all_sizes(self, small_table):
         extractor = FeatureExtractor(("execution_time_mean", "heap_used_cv"))

@@ -257,16 +257,15 @@ class TestStatisticalParity:
                     n_workers=n_workers,
                 )
             )
-            return harness.measure_many(functions)
+            return harness.measure_table(functions)
 
         reference = measure("vectorized")
         parallel = measure("parallel", n_workers=2)
-        assert [m.function_name for m in parallel] == [m.function_name for m in reference]
-        for ref, par in zip(reference, parallel):
-            for size in sizes:
-                assert par.execution_time_ms(size) == pytest.approx(
-                    ref.execution_time_ms(size), rel=0.10
-                )
+        assert parallel.function_names == reference.function_names
+        assert parallel.memory_sizes_mb == sizes
+        np.testing.assert_allclose(
+            parallel.execution_time_ms(), reference.execution_time_ms(), rtol=0.10
+        )
 
     def test_parallel_reproducible_across_worker_counts(self):
         functions = [
@@ -284,14 +283,14 @@ class TestStatisticalParity:
                     n_workers=n_workers,
                 )
             )
-            return harness.measure_many(functions)
+            return harness.measure_table(functions)
 
         single = measure(1)
         pooled = measure(2)
-        for one, two in zip(single, pooled):
-            assert one.execution_time_ms(256) == pytest.approx(
-                two.execution_time_ms(256), rel=1e-12
-            )
+        assert single.function_names == pooled.function_names
+        np.testing.assert_allclose(
+            single.execution_time_ms(), pooled.execution_time_ms(), rtol=1e-12
+        )
 
     def test_parallel_progress_callback(self):
         functions = [
@@ -308,7 +307,7 @@ class TestStatisticalParity:
             )
         )
         calls = []
-        harness.measure_many(
+        harness.measure_table(
             functions, progress_callback=lambda i, n, name: calls.append((i, n, name))
         )
         assert len(calls) == len(functions)
@@ -378,7 +377,7 @@ class TestBatchBookkeeping:
                 n_workers=2,
             )
         )
-        harness.measure_many(functions)
+        harness.measure_table(functions)
         for function in functions:
             assert harness.platform.total_cost_usd(function.name) > 0.0
         assert harness.platform.total_cost_usd() == pytest.approx(

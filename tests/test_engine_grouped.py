@@ -535,7 +535,9 @@ class TestMeasureTableParity:
         )
         from repro.dataset.table import MeasurementTable
 
-        measured = harness.measure_many(functions)
+        measured = [
+            harness.measure_function(function, index=k) for k, function in enumerate(functions)
+        ]
         table = self._table(functions, "vectorized")
         from_objects = MeasurementTable.from_measurements(
             measured, memory_sizes_mb=self.SIZES
@@ -592,8 +594,8 @@ class TestMeasureTableParity:
                 memory_sizes_mb=(256,), max_invocations_per_size=20, seed=9
             )
         )
-        listed = fresh.measure_many([cpu_function])[0]
-        assert listed.execution_time_ms(256) == first.execution_time_ms(256)
+        listed = fresh.measure_table([cpu_function])
+        assert listed.execution_time_ms()[0, 0] == first.execution_time_ms(256)
 
     def test_sink_size_order_still_validated(self, cpu_function):
         from repro.dataset.sharding import ShardedTableWriter
@@ -623,9 +625,10 @@ class TestOneMeasurementPath:
     )
     @pytest.mark.parametrize("backend", ["serial", "vectorized", "parallel"])
     def test_function_many_and_table_rows_agree(self, backend, sizes, monkeypatch):
-        """``measure_function(f, index=k)`` is row ``k`` of ``measure_table``
-        and ``measure_many()[k]``: same stats, counts, size order and billing;
-        no per-size ``run_batch`` and no records left in the platform log."""
+        """``measure_function(f, index=k)`` is row ``k`` of ``measure_table``:
+        same stats, counts and billing, the requested size order on the
+        object view, no per-size ``run_batch`` and no records left in the
+        platform log."""
         batch_calls = []
         run_batch = VectorizedBackend.run_batch
 
@@ -647,28 +650,21 @@ class TestOneMeasurementPath:
                 )
             )
 
-        table_harness, many_harness = harness(), harness()
+        table_harness = harness()
         table = table_harness.measure_table(functions)
-        many = many_harness.measure_many(functions)
-        harnesses = [table_harness, many_harness]
+        harnesses = [table_harness]
         for k, function in enumerate(functions):
             single_harness = harness()
             harnesses.append(single_harness)
             single = single_harness.measure_function(function, index=k)
             assert list(single.summaries) == list(sizes)
-            assert list(many[k].summaries) == list(sizes)
             # The table keeps its columns in ascending size order.
             stats, counts = measurement_stat_block(single, table.memory_sizes_mb)
             np.testing.assert_array_equal(table.values[k], stats)
             np.testing.assert_array_equal(table.n_invocations[k], counts)
-            for got, expected in zip(
-                measurement_stat_block(many[k], sizes), measurement_stat_block(single, sizes)
-            ):
-                np.testing.assert_array_equal(got, expected)
             billed = single_harness.platform.total_cost_usd(function.name)
             assert billed > 0.0
             assert table_harness.platform.total_cost_usd(function.name) == billed
-            assert many_harness.platform.total_cost_usd(function.name) == billed
         assert batch_calls == []
         for measured in harnesses:
             assert measured.platform.invocation_log == []

@@ -8,8 +8,10 @@ in EXPERIMENTS.md.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.errors import DatasetError
 from repro.experiments import (
     ablations,
     figure1_motivation,
@@ -215,6 +217,41 @@ class TestAblations:
     def test_dataset_size_sensitivity(self, context):
         curve = ablations.run_dataset_size_sensitivity(context, fractions=(0.5, 1.0))
         assert len(curve) == 2
+
+
+class TestCaseStudies:
+    def test_true_times_average_repetitions_per_size(self):
+        """Ten repetitions (the paper's count) of table-measured case studies
+        average to the per-function, per-size 1-D means bit for bit."""
+        repetitions = 10
+        scale = ExperimentScale(
+            name="case-repetitions",
+            n_training_functions=5,
+            case_invocations_per_size=4,
+            case_repetitions=repetitions,
+            seed=3,
+        )
+        context = ExperimentContext(scale)
+        tables = context.case_measurements()
+        for app_index, application in enumerate(context.applications()):
+            assert len(tables[application.name]) == repetitions
+            # The reference: each function measured alone, one harness per
+            # repetition, each size averaged over a list of repetitions.
+            measured = [
+                [harness.measure_function(function) for function in application.functions]
+                for harness in (
+                    context._case_harness(app_index, repetition)
+                    for repetition in range(repetitions)
+                )
+            ]
+            for k, spec in enumerate(application.functions):
+                expected = {
+                    size: float(np.mean([rep[k].execution_time_ms(size) for rep in measured]))
+                    for size in scale.memory_sizes_mb
+                }
+                assert context.true_execution_times(application.name, spec.name) == expected
+        with pytest.raises(DatasetError, match="not in table"):
+            context.true_execution_times(context.applications()[0].name, "no-such-function")
 
 
 class TestRunnerFormatting:
