@@ -85,7 +85,7 @@ from repro.fleet import ControllerConfig, FleetConfig, FleetRightsizingService, 
 from repro.monitoring.aggregation import STAT_NAMES
 from repro.monitoring.metrics import METRIC_NAMES
 from repro.simulation.engine import GroupBlock, get_backend
-from repro.simulation.platform import ServerlessPlatform
+from repro.simulation.platform import PlatformConfig, ServerlessPlatform
 from repro.simulation.seeding import (
     STREAM_EXECUTION,
     STREAM_TRAFFIC,
@@ -175,7 +175,7 @@ def _build_service(context) -> FleetRightsizingService:
     simulator = FleetSimulator(
         functions,
         traffic,
-        FleetConfig(window_s=WINDOW_S, backend="vectorized", seed=79),
+        FleetConfig(window_s=WINDOW_S, seed=79),
     )
     return FleetRightsizingService(
         simulator,
@@ -429,7 +429,7 @@ def walk_shape_block(shape, seed=103):
     """A fresh platform and the Poisson-arrival group block of one walk shape."""
     parts, harness = WALK_SHAPES[shape]
     n_groups = sum(count for count, _, _ in parts)
-    platform = ServerlessPlatform.with_default_noise(seed=seed)
+    platform = ServerlessPlatform(PlatformConfig(seed=seed))
     sizes = platform.config.allowed_memory_sizes_mb
     functions = SyntheticFunctionGenerator(
         config=GeneratorConfig(seed=seed, name_prefix=f"walk-{shape}")

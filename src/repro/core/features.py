@@ -123,9 +123,10 @@ EXTENDED_FEATURE_SET: tuple[str, ...] = DEFAULT_FEATURE_SET + (
 class FeatureExtractor:
     """Computes feature vectors from monitoring statistics.
 
-    One arithmetic serves every caller: :meth:`extract_table` applies it to
-    the stat rows of a measurement table, :meth:`extract` to the stat rows of
-    one :class:`~repro.monitoring.aggregation.MonitoringSummary` (a one-row
+    One arithmetic, :meth:`from_stat_rows`, serves every caller:
+    :meth:`extract_table` applies it to the stat rows of a measurement table,
+    :meth:`extract` to the stat rows of one
+    :class:`~repro.monitoring.aggregation.MonitoringSummary` (a one-row
     call).
 
     Parameters
@@ -165,7 +166,7 @@ class FeatureExtractor:
             return sorted(self._metrics | {"execution_time"})
         return sorted(self._metrics)
 
-    def _from_stat_rows(self, rows: np.ndarray) -> np.ndarray:
+    def from_stat_rows(self, rows: np.ndarray) -> np.ndarray:
         """Feature matrix of ``(n, n_metrics, n_stats)`` stat rows, one row each."""
         features = rows[:, self._metric_rows, self._stat_columns]
         if self._per_second.any():
@@ -177,7 +178,7 @@ class FeatureExtractor:
 
     def extract(self, summary: MonitoringSummary) -> np.ndarray:
         """Return the feature vector of one summary (1-D array)."""
-        return self._from_stat_rows(summary.stat_rows()[None])[0]
+        return self.from_stat_rows(summary.stat_rows()[None])[0]
 
     def extract_table(
         self,
@@ -231,7 +232,7 @@ class FeatureExtractor:
             if memory_mb is not None:
                 block = block[:, size_column]
             rows = block.reshape(-1, *block.shape[-2:])
-            out[row_start : row_start + rows.shape[0]] = self._from_stat_rows(rows)
+            out[row_start : row_start + rows.shape[0]] = self.from_stat_rows(rows)
             row_start += rows.shape[0]
         return out
 

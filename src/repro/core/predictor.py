@@ -203,12 +203,13 @@ class SizelessPredictor:
     ) -> BatchPrediction:
         """Predict execution times for every function of a measurement table.
 
-        The whole-fleet batch path: features are extracted from the table's
-        stat arrays in one vectorized pass
-        (:meth:`~repro.core.features.FeatureExtractor.extract_table`), the
-        network predicts all rows in one forward pass, and the observed base
-        execution times are read off the same stat blocks — no per-function
-        Python loop anywhere.  Row ``i`` of the result is bit-identical to
+        The whole-fleet batch path: one walk of the table's stat blocks
+        yields the features
+        (:meth:`~repro.core.features.FeatureExtractor.from_stat_rows`, the
+        arithmetic of ``extract_table``) and the observed base execution
+        times, so a sharded table decodes each shard once; the network
+        predicts all rows in one forward pass — no per-function Python loop
+        anywhere.  Row ``i`` of the result is bit-identical to
         :meth:`predict` on the corresponding
         :class:`~repro.monitoring.aggregation.MonitoringSummary`.
 
@@ -240,18 +241,14 @@ class SizelessPredictor:
             raise ModelError(
                 f"functions {missing} have no monitoring data at {base} MB"
             )
-        features = model.extractor.extract_table(
-            table, memory_mb=base, function_indices=function_indices
-        )
         time_index = table.metric_index("execution_time")
         mean_column = table.stat_names.index("mean")
-        base_times = np.concatenate(
-            [
-                block[:, size_column, time_index, mean_column]
-                for block in table.iter_value_blocks(function_indices)
-            ]
-        )
-        times = model.predict_times_matrix(features, base_times)
+        features, base_times = [], []
+        for block in table.iter_value_blocks(function_indices):
+            cells = block[:, size_column]
+            features.append(model.extractor.from_stat_rows(cells))
+            base_times.append(cells[:, time_index, mean_column])
+        times = model.predict_times_matrix(np.concatenate(features), np.concatenate(base_times))
         return BatchPrediction(
             function_names=selected_names,
             base_memory_mb=base,

@@ -414,6 +414,7 @@ class MeasurementTableBuilder:
         self.description = description
         self.metadata = dict(metadata) if metadata is not None else {}
         self._names: list[str] = []
+        self._seen_names: set[str] = set()
         self._applications: list[str] = []
         self._segments: list[SegmentTuple] = []
         self._stats: list[np.ndarray] = []
@@ -431,7 +432,7 @@ class MeasurementTableBuilder:
 
         Rows follow the builder's ``memory_sizes_mb`` argument order.
         """
-        if function_name in self._names:
+        if function_name in self._seen_names:
             raise DatasetError(f"function {function_name!r} is already in the table")
         stats = np.asarray(stats, dtype=float)
         counts = np.asarray(counts, dtype=np.int64)
@@ -443,6 +444,7 @@ class MeasurementTableBuilder:
         if tuple(counts.shape) != expected[:1]:
             raise DatasetError("counts must have one entry per memory size")
         self._names.append(function_name)
+        self._seen_names.add(function_name)
         self._applications.append(application)
         self._segments.append(tuple((str(n), float(v)) for n, v in segments))
         self._stats.append(stats[self._source_rows])

@@ -119,7 +119,6 @@ def run(
             window_s=window_s,
             default_memory_mb=base_size,
             memory_sizes_mb=context.scale.memory_sizes_mb,
-            backend=context.scale.backend,
             seed=seed + 2,
         ),
     )

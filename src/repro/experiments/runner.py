@@ -3,9 +3,10 @@
 ``python -m repro.experiments.runner [quick|standard|paper] [backend]``
 regenerates every table and figure of the paper's evaluation (as text tables)
 and is also used by ``examples/reproduce_evaluation.py``.  The optional second
-argument selects the simulation execution backend (``serial``, ``vectorized``
-or ``parallel``); each scale has a sensible default (``vectorized``, and
-``parallel`` at paper scale).
+argument selects the measurement harness's execution backend (``serial``,
+``vectorized`` or ``parallel``); each scale has a sensible default
+(``vectorized``, and ``parallel`` at paper scale).  Fleet windows always run
+the grouped kernel.
 """
 
 from __future__ import annotations

@@ -21,7 +21,8 @@ fleet size (10^5–10^6 functions, mostly idle under diurnal traffic):
    (function, window) pair draws private noise and idle functions cost
    O(1) bookkeeping.
 3. **Execute** — the active groups run as one cross-function mega-batch
-   (:meth:`~repro.simulation.engine.ExecutionBackend.run_grouped`).
+   through the grouped kernel
+   (:meth:`~repro.simulation.engine.VectorizedBackend.run_grouped`).
 4. **Reduce** — segmented reductions turn the batch into one stat block
    per active function, over the metrics the simulator carries: all 25
    Table-1 metrics by default, or only those a predictor reads once
@@ -33,10 +34,10 @@ The result is one :class:`FleetWindow`, holding rows only for the window's
 active functions, which the rightsizing controller
 (:mod:`repro.fleet.controller`) and the savings ledger
 (:mod:`repro.fleet.ledger`) consume.  Memory stays bounded by one window:
-batch columns are transient, a grouped run leaves no per-invocation records
-in the platform log, and the simulator retains only the fleet's deployment
-state.  Every window runs this one exact path, so a function's row depends
-only on the seed, the window and the function's own arrivals and state.
+batch columns are transient, and the simulator retains only the fleet's
+deployment state.  Every window runs this one exact path, so a function's
+row depends only on the seed, the window and the function's own arrivals
+and state.
 """
 
 from __future__ import annotations
@@ -51,12 +52,7 @@ from repro.errors import ConfigurationError, SimulationError, is_integer
 from repro.fleet.profiling import WindowPhaseProfiler
 from repro.monitoring.aggregation import STAT_NAMES
 from repro.monitoring.metrics import METRIC_NAMES
-from repro.simulation.engine import (
-    ExecutionBackend,
-    GroupBlock,
-    available_backends,
-    get_backend,
-)
+from repro.simulation.engine import ExecutionBackend, GroupBlock, VectorizedBackend
 from repro.simulation.platform import PlatformConfig, ServerlessPlatform
 from repro.simulation.seeding import (
     STREAM_EXECUTION,
@@ -92,10 +88,6 @@ class FleetConfig:
     memory_sizes_mb:
         Sizes the fleet may be resized to (the platform is configured to
         allow exactly these).
-    backend:
-        Execution backend for the window batches (``"serial"``,
-        ``"vectorized"``, ``"parallel"``; the parallel backend runs a
-        window's single mega-batch in-process).
     seed:
         Base seed of the per-window traffic streams and the
         per-(function, window) noise streams.
@@ -104,11 +96,10 @@ class FleetConfig:
     window_s: float = 3600.0
     default_memory_mb: int = 256
     memory_sizes_mb: tuple[int, ...] = (128, 256, 512, 1024, 2048, 3008)
-    backend: str = "vectorized"
     seed: int = 0
 
     def __post_init__(self) -> None:
-        """Validate window geometry, sizes and backend."""
+        """Validate window geometry and sizes."""
         if not np.isfinite(self.window_s) or self.window_s <= 0:
             raise ConfigurationError("window_s must be a positive finite number")
         if not self.memory_sizes_mb:
@@ -117,10 +108,6 @@ class FleetConfig:
             raise ConfigurationError("memory sizes must be positive")
         if int(self.default_memory_mb) not in tuple(int(s) for s in self.memory_sizes_mb):
             raise ConfigurationError("default_memory_mb must be one of memory_sizes_mb")
-        if self.backend not in available_backends():
-            raise ConfigurationError(
-                f"unknown backend {self.backend!r}; available: {available_backends()}"
-            )
 
 
 @dataclass(frozen=True)
@@ -247,7 +234,8 @@ class FleetSimulator:
                 )
             )
         self.platform = platform
-        self.backend: ExecutionBackend = get_backend(self.config.backend)
+        # The grouped kernel; parity tests assign a reference backend here.
+        self.backend: ExecutionBackend = VectorizedBackend()
         self._clock_s = 0.0
         self._window_index = 0
         self._memory_mb = np.full(

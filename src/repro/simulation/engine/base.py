@@ -144,37 +144,6 @@ class BatchResult:
             window=self.timestamps_s >= warmup_s,
         )
 
-    def to_records(self) -> list["InvocationRecord"]:
-        """Materialize scalar :class:`InvocationRecord` objects (compat path).
-
-        Expensive for large batches — intended for debugging and for callers
-        that still need per-invocation record objects.
-        """
-        from repro.simulation.execution import ExecutionResult
-        from repro.simulation.platform import InvocationRecord
-
-        records = []
-        for i in range(self.n_invocations):
-            result = ExecutionResult(
-                execution_time_ms=float(self.execution_time_ms[i]),
-                memory_mb=float(self.memory_mb),
-                metrics={name: float(values[i]) for name, values in self.metrics.items()},
-                breakdown=None,
-                cold_start=bool(self.cold_start[i]),
-                init_duration_ms=float(self.init_duration_ms[i]),
-            )
-            records.append(
-                InvocationRecord(
-                    function_name=self.function_name,
-                    memory_mb=float(self.memory_mb),
-                    timestamp_s=float(self.timestamps_s[i]),
-                    result=result,
-                    cost_usd=float(self.cost_usd[i]),
-                    billed_duration_ms=float(self.billed_duration_ms[i]),
-                )
-            )
-        return records
-
     @staticmethod
     def from_records(
         function_name: str, memory_mb: float, records: list["InvocationRecord"]
@@ -248,10 +217,7 @@ class ExecutionBackend(abc.ABC):
         :class:`~repro.simulation.engine.grouped.GroupedBatch`.  The
         vectorized backend overrides this with the grouped kernel; the
         kernel and the oracle produce bit-identical numbers because every
-        group draws its noise from its own stream.  Records a group's
-        :meth:`run_batch` logged (only the serial backend's scalar path logs
-        any) are dropped once its columns are taken, so no grouped run leaves
-        records behind; billing totals are kept.
+        group draws its noise from its own stream.
         """
         from repro.monitoring.metrics import METRIC_NAMES
         from repro.simulation.engine.grouped import GroupedBatch
@@ -284,7 +250,6 @@ class ExecutionBackend(abc.ABC):
                 batches.append(None)
                 continue
             batches.append(self.run_batch(platform, name, arrivals, rng=block.streams[g]))
-            platform.discard_function_records(name)
 
         def column(attribute, empty):
             parts = [

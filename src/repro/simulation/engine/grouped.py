@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.simulation.engine.base import BatchResult
-from repro.simulation.platform import ServerlessPlatform
+from repro.simulation.platform import ServerlessPlatform, acquire_worker
 from repro.simulation.runtime import METRIC_NAMES
 
 
@@ -207,30 +207,26 @@ class GroupBlock:
 
 
 def walk_instances(
-    platform: "ServerlessPlatform",
-    function_name: str,
     arrivals: np.ndarray,
     exec_ms: np.ndarray,
     init_base_ms: float,
     cold_noise: np.ndarray | None,
+    pool: list[float],
+    keep_alive_s: float,
+    max_instances: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Walk one group's sorted arrivals through the platform's instance pool.
+    """Walk one group's sorted arrivals through a warm pool.
 
-    The scalar walk: one ``ServerlessPlatform._acquire_instance`` call per
-    arrival (keep-alive reclaim, warm reuse, concurrency limit), so
+    The scalar walk: one :func:`~repro.simulation.platform.acquire_worker`
+    call per arrival (keep-alive reclaim, warm reuse, concurrency limit), so
     warm/cold decisions are identical to the serial path's; only the noise
     pairing differs when cold-start noise is enabled.  The grouped kernel
     runs it for the arrivals :func:`walk_lockstep` hands off and for every
     group whose pool depends on an earlier group of the batch; the looped
-    oracle runs it for every group.  Mutates the pool, so consecutive
-    batches see warm workers.
+    oracle runs it for every group.
 
     Parameters
     ----------
-    platform:
-        The platform owning the instance pool.
-    function_name:
-        The deployed function being executed.
     arrivals:
         Sorted arrival timestamps.
     exec_ms:
@@ -240,6 +236,11 @@ def walk_instances(
     cold_noise:
         Optional per-invocation cold-start noise factors (``None`` when the
         cold-start model is noise-free).
+    pool:
+        The function's warm workers, busy-until times in pool order; the
+        walk leaves its end pool in this list.
+    keep_alive_s / max_instances:
+        The platform's keep-alive and per-function concurrency limit.
 
     Returns
     -------
@@ -250,10 +251,9 @@ def walk_instances(
     cold_start = np.zeros(n, dtype=bool)
     init_ms = np.zeros(n)
 
-    acquire = platform._acquire_instance
     noise_list = cold_noise.tolist() if cold_noise is not None else None
     for i, (at_time_s, run_ms) in enumerate(zip(arrivals.tolist(), exec_ms.tolist())):
-        pool, slot, is_cold = acquire(function_name, at_time_s)
+        slot, is_cold = acquire_worker(pool, at_time_s, keep_alive_s, max_instances)
         if is_cold:
             init = init_base_ms * noise_list[i] if noise_list is not None else init_base_ms
             cold_start[i] = True
@@ -297,7 +297,7 @@ def walk_lockstep(
     times in pool order; the list is not modified).  Each step advances
     every still-walking row by one arrival with numpy operations over a
     (pool slots, rows) busy-until array, slots kept in pool order, and
-    applies ``ServerlessPlatform._acquire_instance``'s rule with
+    applies :func:`~repro.simulation.platform.acquire_worker`'s rule with
     :func:`walk_instances`' float expressions: reclaim workers idle past
     the keep-alive, take the first idle worker in pool order, at
     ``max_instances`` queue on the earliest-free one, else cold-start a

@@ -1,9 +1,9 @@
 """The scalar execution backend (the platform's original invocation path).
 
 Kept as the reference implementation: it drives
-:meth:`~repro.simulation.platform.ServerlessPlatform.invoke` once per arrival,
-so per-invocation records land in the platform log exactly as before.  The
-parity tests compare the vectorized and parallel backends against it.
+:meth:`~repro.simulation.platform.ServerlessPlatform.invoke` once per arrival
+and columnarizes the records it gets back.  The parity tests compare the
+vectorized and parallel backends against it.
 """
 
 from __future__ import annotations
@@ -27,18 +27,5 @@ class SerialBackend(ExecutionBackend):
         rng: np.random.Generator | None = None,
     ) -> BatchResult:
         function = platform.get_function(function_name)
-        if rng is None:
-            records = [platform.invoke(function_name, at_time_s=float(t)) for t in arrivals]
-        else:
-            # Group-private stream: the scalar path draws through the
-            # platform's generator, so swap it in for the duration of the
-            # batch (the simulation is single-threaded).
-            shared = platform._rng
-            platform._rng = rng
-            try:
-                records = [
-                    platform.invoke(function_name, at_time_s=float(t)) for t in arrivals
-                ]
-            finally:
-                platform._rng = shared
+        records = [platform.invoke(function_name, t, rng) for t in arrivals.tolist()]
         return BatchResult.from_records(function_name, function.memory_mb, records)

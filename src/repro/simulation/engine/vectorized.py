@@ -460,6 +460,7 @@ class VectorizedBackend(ExecutionBackend):
             platform.store_pools(resets, [[] for _ in resets])
             return np.zeros(0, dtype=bool), np.zeros(0)
         keep_alive = platform.cold_start_model.keep_alive_s
+        max_instances = platform.config.max_instances_per_function
 
         forced_unsafe = np.zeros(n_groups, dtype=bool)
         if len(set(rows)) < n_groups:
@@ -523,7 +524,7 @@ class VectorizedBackend(ExecutionBackend):
                 offsets[1:][lockstep],
                 [pools[g] for g in lock_groups],
                 keep_alive,
-                platform.config.max_instances_per_function,
+                max_instances,
                 cold_start,
                 init_ms,
             )
@@ -556,15 +557,15 @@ class VectorizedBackend(ExecutionBackend):
                 pool = end_pools[row] if row in end_pools else list(pools[g])
             end_pools[row] = pool
             if start < b:
-                # The scalar walk steps through the platform's pool, in place.
-                platform.store_pools([row], [pool])
+                # The scalar walk steps through the end pool, in place.
                 cold_start[start:b], init_ms[start:b] = walk_instances(
-                    platform,
-                    block.names[g],
                     t[start:b],
                     exec_ms[start:b],
                     float(columns[3, g]),
                     cold_noise[start:b] if cold_noise is not None else None,
+                    pool,
+                    keep_alive,
+                    max_instances,
                 )
         platform.store_pools(end_pools.keys(), end_pools.values())
         return cold_start, init_ms

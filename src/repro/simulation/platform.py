@@ -9,9 +9,9 @@ measurement harness interacts with:
   otherwise a new instance is cold-started (per-instance keep-alive follows
   the :class:`~repro.simulation.coldstart.ColdStartModel`),
 - every invocation is billed with the configured
-  :class:`~repro.simulation.pricing.PricingModel`,
-- the platform keeps an invocation log so harnesses can aggregate
-  measurements exactly like the paper's Go harness did.
+  :class:`~repro.simulation.pricing.PricingModel`; the platform keeps
+  running totals of counts and costs, and returns each invocation's
+  outcome to its caller rather than logging it.
 
 The platform is a single-threaded simulation: callers drive virtual time by
 passing invocation timestamps (the open-loop load generator in
@@ -32,8 +32,6 @@ from repro.simulation.coldstart import ColdStartModel
 from repro.simulation.execution import ExecutionModel, ExecutionResult
 from repro.simulation.pricing import PricingModel
 from repro.simulation.profile import ResourceProfile
-from repro.simulation.scaling import ResourceScalingModel
-from repro.simulation.services import ServiceCatalog
 from repro.simulation.variability import VariabilityModel
 
 
@@ -100,7 +98,7 @@ class DeployedFunction:
 
 @dataclass(frozen=True)
 class InvocationRecord:
-    """One entry of the platform's invocation log."""
+    """The outcome and bill of one scalar invocation."""
 
     function_name: str
     memory_mb: float
@@ -125,6 +123,34 @@ def _sorted_arrivals(timestamps_s) -> np.ndarray:
     if arrivals.shape[0] and not (arrivals[0] >= 0 and math.isfinite(arrivals[-1])):
         raise SimulationError("at_time_s must be finite and non-negative")
     return arrivals
+
+
+def acquire_worker(
+    pool: list[float], at_time_s: float, keep_alive_s: float, max_instances: int
+) -> tuple[int, bool]:
+    """Find an idle warm worker in ``pool`` or cold-start a new one.
+
+    ``pool`` holds a function's warm workers in pool order, a worker being
+    the time it is busy until; it is changed in place.  Returns the serving
+    worker's slot and whether that worker was cold-started; the caller sets
+    its busy-until.
+    """
+    if len(pool) == 1 and pool[0] <= at_time_s and at_time_s - pool[0] <= keep_alive_s:
+        # Fast path for the dominant open-loop case: a single warm worker,
+        # idle at the arrival and within its keep-alive — the reclaim below
+        # would keep it and the search would pick it.
+        return 0, False
+    # Reclaim workers idle longer than the keep-alive (a busy one has been
+    # idle for no time, and the keep-alive is positive).
+    pool[:] = [busy for busy in pool if at_time_s - busy <= keep_alive_s]
+    for slot, busy in enumerate(pool):
+        if busy <= at_time_s:
+            return slot, False
+    if len(pool) >= max_instances:
+        # Concurrency limit reached: queue on the earliest-free worker.
+        return pool.index(min(pool)), False
+    pool.append(0.0)
+    return len(pool) - 1, True
 
 
 class ServerlessPlatform:
@@ -174,8 +200,6 @@ class ServerlessPlatform:
         # idle from then on and is reclaimed once idle longer than the
         # keep-alive.
         self._pools: dict[int, list[float]] = {}
-        self.invocation_log: list[InvocationRecord] = []
-        self._records_by_function: dict[str, list[InvocationRecord]] = {}
         self._cost_total = 0.0
 
     @property
@@ -378,47 +402,29 @@ class ServerlessPlatform:
         self._cost_total = total
 
     # ------------------------------------------------------------- invocation
-    def _acquire_instance(self, name: str, at_time_s: float) -> tuple[list[float], int, bool]:
-        """Find an idle warm worker or cold-start a new one.
-
-        Returns the function's pool, the serving worker's slot in it and
-        whether that worker was cold-started; the caller sets its busy-until.
-        """
-        row = self._rows[name]
-        pool = self._pools.get(row)
-        if pool is None:
-            pool = self._pools[row] = []
-        keep_alive_s = self.cold_start_model.keep_alive_s
-        if len(pool) == 1 and pool[0] <= at_time_s and at_time_s - pool[0] <= keep_alive_s:
-            # Fast path for the dominant open-loop case: a single warm
-            # worker, idle at the arrival and within its keep-alive — the
-            # reclaim below would keep it and the search would pick it.
-            return pool, 0, False
-        # Reclaim workers idle longer than the keep-alive (a busy one has
-        # been idle for no time, and the keep-alive is positive).
-        pool[:] = [busy for busy in pool if at_time_s - busy <= keep_alive_s]
-        for slot, busy in enumerate(pool):
-            if busy <= at_time_s:
-                return pool, slot, False
-        if len(pool) >= self.config.max_instances_per_function:
-            # Concurrency limit reached: queue on the earliest-free worker.
-            return pool, pool.index(min(pool)), False
-        pool.append(0.0)
-        return pool, len(pool) - 1, True
-
-    def invoke(self, name: str, at_time_s: float = 0.0) -> InvocationRecord:
+    def invoke(
+        self, name: str, at_time_s: float = 0.0, rng: np.random.Generator | None = None
+    ) -> InvocationRecord:
         """Invoke a deployed function at virtual time ``at_time_s``.
 
-        A negative or non-finite time raises
+        The noise is drawn from ``rng``, by default the platform's shared
+        generator.  A negative or non-finite time raises
         :class:`~repro.errors.SimulationError` before any pool, counter or
         bill changes.
         """
         if at_time_s < 0 or not math.isfinite(at_time_s):
             raise SimulationError("at_time_s must be finite and non-negative")
+        rng = rng if rng is not None else self._rng
         row = self._deployed_row(name)
         profile = self._profiles[row]
         memory_mb = float(self._memory_mb[row])
-        pool, slot, is_cold = self._acquire_instance(name, at_time_s)
+        pool = self._pools.setdefault(row, [])
+        slot, is_cold = acquire_worker(
+            pool,
+            at_time_s,
+            self.cold_start_model.keep_alive_s,
+            self.config.max_instances_per_function,
+        )
 
         init_ms = 0.0
         if is_cold:
@@ -427,13 +433,13 @@ class ServerlessPlatform:
                 memory_mb,
                 profile.code_size_kb,
                 cpu_share,
-                rng=self._rng,
+                rng=rng,
             )
 
         result = self.execution_model.execute(
             profile,
             memory_mb,
-            rng=self._rng,
+            rng=rng,
             timestamp_s=at_time_s,
             cold_start=is_cold,
             init_duration_ms=init_ms,
@@ -444,7 +450,9 @@ class ServerlessPlatform:
 
         billed_ms = self.pricing_model.billed_duration_ms(result.execution_time_ms)
         cost = self.pricing_model.execution_cost(result.execution_time_ms, memory_mb)
-        record = InvocationRecord(
+        self._cost[row] += cost
+        self._cost_total += cost
+        return InvocationRecord(
             function_name=name,
             memory_mb=memory_mb,
             timestamp_s=at_time_s,
@@ -452,11 +460,6 @@ class ServerlessPlatform:
             cost_usd=cost,
             billed_duration_ms=billed_ms,
         )
-        self.invocation_log.append(record)
-        self._records_by_function.setdefault(name, []).append(record)
-        self._cost[row] += cost
-        self._cost_total += cost
-        return record
 
     def invoke_many(self, name: str, timestamps_s: list[float]) -> list[InvocationRecord]:
         """Invoke a function once per timestamp (timestamps need not be sorted).
@@ -488,10 +491,8 @@ class ServerlessPlatform:
 
         Returns a :class:`~repro.simulation.engine.BatchResult` with one column
         per invocation attribute.  The serial backend calls :meth:`invoke`
-        once per arrival, so it also appends every invocation to the log; the
-        vectorized and parallel backends run the batch as one group of the
-        grouped kernel and only update billing totals and instance state,
-        keeping memory bounded during large runs.
+        once per arrival; the vectorized and parallel backends run the batch
+        as one group of the grouped kernel.
         """
         from repro.simulation.engine import get_backend
 
@@ -500,20 +501,11 @@ class ServerlessPlatform:
 
     # ---------------------------------------------------------------- billing
     def total_cost_usd(self, name: str | None = None) -> float:
-        """Total billed cost, optionally restricted to one function.
-
-        Totals are running counters and therefore include batch invocations
-        whose per-invocation records were never materialized, as well as
-        records already discarded via :meth:`discard_function_records`.
-        """
+        """Total billed cost, optionally restricted to one function (running totals)."""
         if name is None:
             return float(self._cost_total)
         row = self._rows.get(name)
         return 0.0 if row is None else float(self._cost[row])
-
-    def records_for(self, name: str) -> list[InvocationRecord]:
-        """All retained invocation records of one function."""
-        return list(self._records_by_function.get(name, ()))
 
     def warm_instance_count(self, name: str) -> int:
         """Number of currently provisioned worker instances for ``name``."""
@@ -523,46 +515,7 @@ class ServerlessPlatform:
         """The times ``name``'s warm workers are busy until, in pool order (a copy)."""
         return list(self._pools.get(self._deployed_row(name), ()))
 
-    def reset_log(self) -> None:
-        """Clear the invocation log and billing totals (keeps deployments)."""
-        self.invocation_log.clear()
-        self._records_by_function.clear()
-        self._cost[: self._n_rows] = 0.0
-        self._cost_total = 0.0
-
-    def discard_function_records(self, name: str) -> int:
-        """Drop one function's retained records, keeping its billing totals.
-
-        The looped grouped path
-        (:meth:`~repro.simulation.engine.ExecutionBackend.run_grouped`) calls
-        this once it has taken a group's columns, so the log stays bounded
-        during large measurement runs and fleet simulations.  Returns the
-        number of records discarded.
-        """
-        dropped = self._records_by_function.pop(name, None)
-        if not dropped:
-            return 0
-        if len(dropped) == len(self.invocation_log):
-            self.invocation_log.clear()
-        else:
-            self.invocation_log = [
-                record for record in self.invocation_log if record.function_name != name
-            ]
-        return len(dropped)
-
     # ------------------------------------------------------------------ misc
-    @staticmethod
-    def with_default_noise(seed: int = 0, provider: str = "aws") -> "ServerlessPlatform":
-        """Platform with default noise models and the given seed/provider."""
-        return ServerlessPlatform(
-            config=PlatformConfig(provider=provider, seed=seed),
-            execution_model=ExecutionModel(
-                scaling=ResourceScalingModel(),
-                services=ServiceCatalog.default(),
-                variability=VariabilityModel(),
-            ),
-        )
-
     @staticmethod
     def noise_free(seed: int = 0, provider: str = "aws") -> "ServerlessPlatform":
         """Platform whose execution model has :meth:`VariabilityModel.none`.

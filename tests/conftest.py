@@ -226,12 +226,6 @@ def mixed_fleet():
 
 
 @pytest.fixture()
-def assert_windows_equal():
-    """The exact fleet-window comparison (every field), shared by the parity tests."""
-    return assert_identical
-
-
-@pytest.fixture()
 def looped_backend():
     """A fresh looped per-batch oracle backend (``tests/looped_oracle.py``).
 

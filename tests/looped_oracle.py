@@ -85,10 +85,13 @@ class LoopedBackend(ExecutionBackend):
             cpu_ms, fs_ms, network_ms, service_ms, exec_ms, jitters,
         )
         init_base_ms = cold_model.duration_ms(memory_mb, profile.code_size_kb, cpu_share)
-        cold_start, init_ms = walk_instances(
-            platform, function_name, t, exec_ms, init_base_ms, cold_noise
-        )
         row = platform.rows_for([function_name])
+        pool = list(platform.pools(row.tolist())[0])
+        cold_start, init_ms = walk_instances(
+            t, exec_ms, init_base_ms, cold_noise, pool,
+            cold_model.keep_alive_s, platform.config.max_instances_per_function,
+        )
+        platform.store_pools(row.tolist(), [pool])
         platform.book_invocations(row, np.array([function.serial]), np.array([n]))
         pricing = platform.pricing_model
         batch = BatchResult(

@@ -201,9 +201,35 @@ class TestParity:
             raise AssertionError("predict_table extracted features for a bad row")
 
         predictor = SizelessPredictor(trained_model)
-        monkeypatch.setattr(FeatureExtractor, "extract_table", no_work)
+        monkeypatch.setattr(FeatureExtractor, "from_stat_rows", no_work)
         with pytest.raises(DatasetError, match="out of range"):
             predictor.predict_table(table, base_memory_mb=256, function_indices=[bad])
+
+    def test_predict_table_decodes_each_shard_once(self, tmp_path, trained_model, monkeypatch):
+        """The features and the base times come from one walk of the stat
+        blocks: predicting a 3-shard table loads each shard once, with the
+        in-memory table's numbers."""
+        from repro.core.predictor import SizelessPredictor
+
+        config = DatasetGenerationConfig(**{**_GENERATION, "n_functions": 12})
+        table = TrainingDatasetGenerator(config).generate_table()
+        sharded = shard_table(table, tmp_path / "shards", shard_size=4)
+        assert sharded.n_shards == 3
+        loads = []
+        shard_values = ShardedMeasurementTable._shard_values
+
+        def spy(self, info):
+            loads.append(info.file)
+            return shard_values(self, info)
+
+        monkeypatch.setattr(ShardedMeasurementTable, "_shard_values", spy)
+        predictor = SizelessPredictor(trained_model)
+        prediction = predictor.predict_table(sharded, base_memory_mb=256)
+        assert sorted(loads) == sorted(info.file for info in sharded.shards)
+        expected = predictor.predict_table(table, base_memory_mb=256)
+        np.testing.assert_array_equal(
+            prediction.execution_times_ms, expected.execution_times_ms
+        )
 
     def test_metadata_records_sharding(self, sharded_table, sharded_dir):
         assert sharded_table.metadata["shard_size"] == _SHARD_SIZE

@@ -121,6 +121,23 @@ class TestTableShape:
                 "f", "synthetic", (), np.zeros((2, len(METRIC_NAMES), 3)), np.zeros(2)
             )
 
+    def test_builder_refuses_a_duplicate_name(self):
+        """A repeated name raises and leaves the builder as it was; a block
+        refused for its shape does not take its name."""
+        builder = MeasurementTableBuilder(memory_sizes_mb=(128, 256))
+        block = np.zeros((2, len(METRIC_NAMES), 3))
+        builder.add_function("f", "synthetic", (), block + 1.0, np.ones(2))
+        builder.add_function("g", "synthetic", (), block, np.ones(2))
+        with pytest.raises(DatasetError, match="already in the table"):
+            builder.add_function("f", "synthetic", (), block + 2.0, np.ones(2))
+        assert len(builder) == 2
+        with pytest.raises(DatasetError, match="shape"):
+            builder.add_function("h", "synthetic", (), np.zeros((3, 25, 3)), np.ones(3))
+        builder.add_function("h", "synthetic", (), block, np.ones(2))
+        table = builder.build()
+        assert table.function_names == ("f", "g", "h")
+        assert (table.values[0] == 1.0).all()
+
     def test_empty_builder_builds_empty_table(self):
         table = MeasurementTableBuilder(memory_sizes_mb=(128,)).build()
         assert table.n_functions == 0

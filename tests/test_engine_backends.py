@@ -315,33 +315,31 @@ class TestStatisticalParity:
 
 
 class TestBatchBookkeeping:
-    """Billing totals, record streaming and compat materialization."""
+    """Billing totals, streams and batch aggregation."""
 
     def test_vectorized_updates_costs_without_records(self):
         arrivals = _arrivals(200)
         batch, platform = _run("vectorized", PROFILES["cpu_bound"], arrivals)
-        assert platform.records_for("f") == []
-        assert platform.invocation_log == []
         assert platform.total_cost_usd("f") == pytest.approx(batch.total_cost_usd)
         assert platform.get_function("f").invocation_count == len(arrivals)
         assert platform.warm_instance_count("f") > 0
 
-    def test_serial_batch_keeps_log_and_index(self):
-        arrivals = _arrivals(50)
-        batch, platform = _run("serial", PROFILES["cpu_bound"], arrivals)
-        assert len(platform.records_for("f")) == 50
-        assert platform.total_cost_usd() == pytest.approx(batch.total_cost_usd)
-        platform.discard_function_records("f")
-        assert platform.records_for("f") == []
-        assert platform.invocation_log == []
-        # billing totals survive record streaming
-        assert platform.total_cost_usd("f") == pytest.approx(batch.total_cost_usd)
+    def test_serial_batch_draws_only_from_its_stream(self):
+        """A serial batch given a stream leaves the platform's shared
+        generator as it was, and equals the batch of a twin platform whose
+        shared generator is seeded like the stream."""
+        arrivals = _arrivals(30)
+        platform = _platform(seed=0)
+        platform.deploy("f", PROFILES["service_bound"], 512)
+        shared = platform.rng.bit_generator.state
+        batch = SerialBackend().run_batch(platform, "f", arrivals, rng=np.random.default_rng(5))
+        assert platform.rng.bit_generator.state == shared
+        twin, _ = _run("serial", PROFILES["service_bound"], arrivals, seed=5)
+        assert_identical(batch, twin)
 
     def test_to_records_round_trip(self):
         arrivals = _arrivals(40)
         batch, _ = _run("vectorized", PROFILES["service_bound"], arrivals)
-        records = batch.to_records()
-        assert len(records) == batch.n_invocations
         monitor = ResourceConsumptionMonitor()
         monitor.observe_batch(batch)
         summary = aggregate_records(monitor.records, exclude_cold_starts=True)
@@ -359,8 +357,6 @@ class TestBatchBookkeeping:
         )
         function = FunctionSpec(name="streamed", profile=PROFILES["cpu_bound"])
         harness.measure_function(function)
-        # the serial backend logs records; the looped run_grouped drops them
-        assert harness.platform.records_for("streamed") == []
         assert harness.platform.total_cost_usd("streamed") > 0.0
 
     def test_parallel_measure_many_propagates_billing(self):
@@ -499,8 +495,8 @@ class TestOneBatchPath:
         """NaN and +inf pass a sign check, so without a finiteness check they
         are billed as NaN (or leave a worker busy until NaN).  ``invoke_batch``
         and ``invoke_many`` (the whole list, before its first arrival runs)
-        and ``invoke`` refuse them before any pool, counter, bill or log
-        entry changes."""
+        and ``invoke`` refuse them before any pool, counter or bill
+        changes."""
         platform = _platform()
         platform.deploy("f", PROFILES["api_call"], 512)
         platform.invoke_batch("f", [1.0, 2.0], backend="serial")
@@ -510,7 +506,6 @@ class TestOneBatchPath:
                 pool_state(platform, ["f"]),
                 platform.get_function("f").invocation_count,
                 platform.total_cost_usd(),
-                len(platform.invocation_log),
             )
 
         before = state()
@@ -536,7 +531,6 @@ class TestOneBatchPath:
         assert pool_state(platform, ["f"]) == before
         assert platform.get_function("f").invocation_count == 0
         assert platform.total_cost_usd() == 0.0
-        assert platform.invocation_log == []
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -571,7 +565,6 @@ class TestOneBatchPath:
                     [platform.get_function(n).invocation_count for n in ("f", "g")],
                     [platform.total_cost_usd(n) for n in ("f", "g")],
                     platform.total_cost_usd(),
-                    len(platform.invocation_log),
                     [r.bit_generator.state for r in rngs],
                 )
 

@@ -243,18 +243,18 @@ class TestDisagreementPath:
             np.testing.assert_array_equal(
                 serial.init_duration_ms, other.init_duration_ms
             )
-        # the scalar walk resolves the same chain on a fresh platform
+        # the scalar walk resolves the same chain from an empty pool
         platform = self._platform()
-        platform.deploy("dis-fn", profile, 512)
+        walk_pool = []
         cold, init = grouped_mod.walk_instances(
-            platform, "dis-fn", arrivals, serial.execution_time_ms,
-            float(serial.init_duration_ms[0]), None,
+            arrivals, serial.execution_time_ms, float(serial.init_duration_ms[0]), None,
+            walk_pool, platform.cold_start_model.keep_alive_s,
+            platform.config.max_instances_per_function,
         )
         np.testing.assert_array_equal(serial.cold_start, cold)
         np.testing.assert_array_equal(serial.init_duration_ms, init)
         # and all four runs leave the same worker, busy until the same time
-        walk_pool = pool_state(platform, ["dis-fn"])
-        assert serial_pool == looped_pool == kernel_pool == walk_pool
+        assert serial_pool == looped_pool == kernel_pool == {"dis-fn": walk_pool}
 
     def test_solve_cold_recurrence_matches_scalar_loop(self):
         rng = np.random.default_rng(5)
@@ -300,13 +300,13 @@ def _lockstep_platform(seed, max_instances, keep_alive_s, noise_free=False):
 
 
 def _record_scalar_walks(monkeypatch):
-    """Record ``(name, arrivals)`` of every kernel call of ``walk_instances``."""
+    """Record the arrivals of every kernel call of ``walk_instances``."""
     handed = []
     walk = vectorized_mod.walk_instances
 
-    def recording_walk(platform, name, arrivals, *rest):
-        handed.append((name, arrivals.shape[0]))
-        return walk(platform, name, arrivals, *rest)
+    def recording_walk(arrivals, *rest):
+        handed.append(arrivals.copy())
+        return walk(arrivals, *rest)
 
     monkeypatch.setattr(vectorized_mod, "walk_instances", recording_walk)
     return handed
@@ -480,10 +480,11 @@ class TestLockstepWalk:
         self._assert_matches_looped(
             looped_backend, pool_state, functions, [batch, batch[::-1]]
         )
-        heavy_name = functions[30].name
+        # A handoff of the heavy group walks a proper suffix of its arrivals.
         assert any(
-            name == heavy_name and 0 < n < heavy.shape[0] for name, n in handed
-        ), handed
+            0 < len(arrivals) < len(heavy) and np.array_equal(arrivals, heavy[-len(arrivals):])
+            for arrivals in handed
+        ), [len(arrivals) for arrivals in handed]
 
     def test_repeated_name_between_group_and_fresh_group(
         self, looped_backend, pool_state, monkeypatch
@@ -509,9 +510,11 @@ class TestLockstepWalk:
         # Every non-fresh repeat steps through the scalar walk whole: groups 2
         # and 5 of the first batch, and groups 2, 4 and 5 of the second, where
         # group 4 is no longer fresh.  The lockstep's handoffs carry fewer.
-        whole = [name for name, n in handed if n == 30]
-        first, second = functions[0].name, functions[1].name
-        assert whole == [first, second, first, first, second], handed
+        whole = [arrivals for arrivals in handed if len(arrivals) == 30]
+        expected = [batch[2], batch[5], later[2], later[4], later[5]]
+        assert len(whole) == len(expected), [len(arrivals) for arrivals in handed]
+        for arrivals, (_, group_arrivals, _) in zip(whole, expected):
+            np.testing.assert_array_equal(arrivals, group_arrivals)
 
 
 class TestRegistryErrorPaths:

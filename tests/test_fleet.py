@@ -197,8 +197,6 @@ class TestFleetConfig:
             FleetConfig(memory_sizes_mb=())
         with pytest.raises(ConfigurationError):
             FleetConfig(default_memory_mb=384)
-        with pytest.raises(ConfigurationError):
-            FleetConfig(backend="gpu")
 
     def test_controller_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -615,7 +613,7 @@ class TestFleetAcceptance:
         simulator = FleetSimulator(
             functions,
             traffic,
-            FleetConfig(window_s=self.WINDOW_S, backend="vectorized", seed=23),
+            FleetConfig(window_s=self.WINDOW_S, seed=23),
         )
         service = FleetRightsizingService(
             simulator,
@@ -638,7 +636,7 @@ class TestFleetAcceptance:
         events = assert_matches_dense_oracle(
             functions,
             traffic,
-            FleetConfig(window_s=self.WINDOW_S, backend="vectorized", seed=23),
+            FleetConfig(window_s=self.WINDOW_S, seed=23),
             SizelessPredictor(trained_model),
             ControllerConfig(tradeoff=0.75, min_windows=2, min_invocations=50),
             self.N_WINDOWS,

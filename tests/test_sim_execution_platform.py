@@ -254,18 +254,24 @@ class TestServerlessPlatform:
         timestamps = [record.timestamp_s for record in records]
         assert timestamps == sorted(timestamps)
 
-    def test_records_for_filters_by_function(self, platform, cpu_function, service_function):
-        platform.deploy(cpu_function.name, cpu_function.profile, 512)
-        platform.deploy(service_function.name, service_function.profile, 512)
-        platform.invoke(cpu_function.name, 0.0)
-        platform.invoke(service_function.name, 0.0)
-        assert len(platform.records_for(cpu_function.name)) == 1
-
-    def test_reset_log(self, platform, cpu_function):
-        platform.deploy(cpu_function.name, cpu_function.profile, 512)
-        platform.invoke(cpu_function.name, 0.0)
-        platform.reset_log()
-        assert platform.invocation_log == []
+    def test_invoke_draws_only_from_the_given_stream(self, cpu_function):
+        """``invoke(..., rng=g)`` draws its noise from ``g`` alone: the
+        platform's shared generator does not move, and the records equal
+        those of a twin platform whose shared generator is seeded like ``g``."""
+        platform = ServerlessPlatform(PlatformConfig(seed=0))
+        twin = ServerlessPlatform(PlatformConfig(seed=7))
+        for each in (platform, twin):
+            each.deploy(cpu_function.name, cpu_function.profile, 512)
+        shared = platform.rng.bit_generator.state
+        stream = np.random.default_rng(7)
+        # A cold start, a warm reuse and a second worker for an overlap.
+        for at_time_s in (0.0, 30.0, 30.001):
+            record = platform.invoke(cpu_function.name, at_time_s, rng=stream)
+            assert record == twin.invoke(cpu_function.name, at_time_s)
+        assert platform.rng.bit_generator.state == shared
+        assert stream.bit_generator.state == twin.rng.bit_generator.state
+        assert platform.busy_until(cpu_function.name) == twin.busy_until(cpu_function.name)
+        assert platform.total_cost_usd() == twin.total_cost_usd()
 
     def test_noise_free_platform_factory(self, cpu_function):
         platform = ServerlessPlatform.noise_free(seed=3)
@@ -275,16 +281,10 @@ class TestServerlessPlatform:
         assert a == pytest.approx(b)
 
 
-#: Every ``platform._<attribute>`` reach outside ``simulation/platform.py``,
-#: counted per (module, attribute).  Platform state should change only
-#: through its API, so this list may shrink but never grow.
-PRIVATE_PLATFORM_REACHES = {
-    ("simulation/engine/grouped.py", "_acquire_instance"): 1,
-    ("simulation/engine/serial.py", "_rng"): 3,
-}
-
-
 def test_private_platform_reaches_match_the_allowlist():
+    """No module but ``simulation/platform.py`` reaches a ``platform._``
+    attribute: platform state changes only through its API, and the
+    allowlist of such reaches is empty."""
     root = Path(repro.__file__).parent
     reaches = Counter()
     for path in sorted(root.rglob("*.py")):
@@ -293,7 +293,7 @@ def test_private_platform_reaches_match_the_allowlist():
             continue
         for attribute in re.findall(r"\bplatform\.(_\w+)", path.read_text()):
             reaches[module, attribute] += 1
-    assert dict(reaches) == PRIVATE_PLATFORM_REACHES
+    assert dict(reaches) == {}
 
 
 @pytest.mark.parametrize(
