@@ -11,7 +11,7 @@ These contracts of the online subsystem are asserted here:
    the per-function-batch path at 500 functions.  The scenario is the
    production-shaped sparse regime (a few requests per hour per function)
    where per-function engine dispatch dominates the looped path.  Both paths
-   consume identical pre-built arrivals and per-group noise streams and
+   consume identical pre-built arrivals and per-group noise keys and
    produce bit-identical stats (asserted).
 3. **Memory bound** — peak traced memory of a multi-window service run stays
    within a small multiple of ONE window's fused columns, independent of the
@@ -90,7 +90,8 @@ from repro.simulation.seeding import (
     STREAM_EXECUTION,
     STREAM_TRAFFIC,
     child_rng,
-    keyed_child_rngs,
+    child_seed_sequence,
+    noise_keys,
     spawn_child_rngs,
 )
 from repro.workloads.generator import GeneratorConfig, SyntheticFunctionGenerator
@@ -243,7 +244,7 @@ def _window_arrivals(traffic, window_index):
 def execute_windows(functions, traffic, fused, n_windows=SPEEDUP_WINDOWS):
     """Execute the speedup scenario's windows, timing only the execution.
 
-    Traffic sampling and stream spawning (identical for both paths) happen
+    Traffic sampling and key derivation (identical for both paths) happen
     outside the timer; the timed region is exactly the contested work — the
     fused mega-batch + one segmented reduction, or one batch of the looped
     per-batch oracle (``tests/looped_oracle.py``) + one stat reduction per
@@ -262,10 +263,10 @@ def execute_windows(functions, traffic, fused, n_windows=SPEEDUP_WINDOWS):
     per_window_stats = []
     for window_index in range(n_windows):
         arrivals = _window_arrivals(traffic, window_index)
-        rngs = spawn_child_rngs(94, STREAM_EXECUTION, window_index, n=len(functions))
+        keys = noise_keys(94, STREAM_EXECUTION, window_index, np.arange(len(functions)))
         if fused:
             block = GroupBlock.for_deployed(
-                simulator.platform, [fn.name for fn in functions], arrivals, rngs
+                simulator.platform, [fn.name for fn in functions], arrivals, keys
             )
             start = time.perf_counter()
             batch = simulator.backend.run_grouped(simulator.platform, block)
@@ -279,7 +280,7 @@ def execute_windows(functions, traffic, fused, n_windows=SPEEDUP_WINDOWS):
                 if arrivals[i].shape[0] == 0:
                     continue
                 batch = simulator.platform.invoke_batch(
-                    function.name, arrivals[i], backend=oracle, rng=rngs[i]
+                    function.name, arrivals[i], backend=oracle, key=int(keys[i])
                 )
                 stats[i], _ = batch.aggregate_stats(0.0, True)
             seconds += time.perf_counter() - start
@@ -450,7 +451,7 @@ def walk_shape_block(shape, seed=103):
         [d.memory_mb for d in deployed],
         [d.serial for d in deployed],
         arrivals,
-        [child_rng(seed, STREAM_EXECUTION, 0, g) for g in range(n_groups)],
+        noise_keys(seed, STREAM_EXECUTION, 0, np.arange(n_groups)),
         fresh_pool=harness,
     )
     return platform, block
@@ -504,7 +505,8 @@ def execute_dense_reference_windows(
     """The pre-sparse window body: O(fleet) work regardless of activity.
 
     One spawned traffic stream and one ``arrivals()`` call per function, one
-    engine group per function (empty or not), one dense stat reduction —
+    engine group (with its noise key) per function, empty or not, one dense
+    stat reduction —
     exactly what ``FleetSimulator.run_window`` did before sparse scheduling.
     Used as the dense baseline of the sparse speedup and by
     ``tools/bench_report.py``.
@@ -539,9 +541,9 @@ def execute_dense_reference_windows(
                 model.arrivals(start_s, start_s + WINDOW_S, rng)
                 for model, rng in zip(traffic, traffic_rngs)
             ]
-        execution_rngs = spawn_child_rngs(seed, STREAM_EXECUTION, window_index, n=n)
+        keys = noise_keys(seed, STREAM_EXECUTION, window_index, np.arange(n))
         block = GroupBlock.for_deployed(
-            simulator.platform, [fn.name for fn in functions], arrivals, execution_rngs
+            simulator.platform, [fn.name for fn in functions], arrivals, keys
         )
         batch = simulator.backend.run_grouped(simulator.platform, block)
         stats, _ = batch.aggregate_stats(0.0, True)
@@ -633,11 +635,11 @@ def _sparse_active_arrivals(functions, traffic, n_windows=SPARSE_WINDOWS, seed=9
     windows = []
     for window_index in range(n_windows):
         start_s = window_index * WINDOW_S
-        rngs = keyed_child_rngs(
-            seed, STREAM_TRAFFIC, window_index, indices=np.arange(len(functions))
-        )
+        # child_rng(seed, STREAM_TRAFFIC, window_index, i), built one at a time.
+        children = child_seed_sequence(seed, STREAM_TRAFFIC, window_index).spawn(len(functions))
         active = []
-        for i, (model, rng) in enumerate(zip(traffic, rngs)):
+        for i, (model, child) in enumerate(zip(traffic, children)):
+            rng = np.random.Generator(np.random.PCG64(child))
             arrivals = model.arrivals(start_s, start_s + WINDOW_S, rng)
             if arrivals.shape[0]:
                 active.append((i, arrivals))
@@ -648,24 +650,24 @@ def _sparse_active_arrivals(functions, traffic, n_windows=SPARSE_WINDOWS, seed=9
 def _active_blocks(simulator, functions, window_arrivals, seed=99):
     """Per-window group blocks of the active sparse groups on ``simulator``.
 
-    Execution streams are keyed by function index (bit-identical to
-    spawning the full fleet and indexing), so the kernel and the looped
-    oracle consume identical streams and must agree bit for bit.
+    Execution-noise keys are derived from the function index, so the
+    kernel and the looped oracle read identical noise and must agree bit
+    for bit.
     """
     windows = []
     for window_index, active in enumerate(window_arrivals):
-        rngs = keyed_child_rngs(
+        keys = noise_keys(
             seed,
             STREAM_EXECUTION,
             window_index,
-            indices=np.array([i for i, _ in active], dtype=np.int64),
+            np.array([i for i, _ in active], dtype=np.int64),
         )
         windows.append(
             GroupBlock.for_deployed(
                 simulator.platform,
                 [functions[i].name for i, _ in active],
                 [arrivals for _, arrivals in active],
-                rngs,
+                keys,
             )
         )
     return windows
@@ -746,19 +748,19 @@ def test_bench_default_orchestration_overhead():
 
     The simulator's own phase profile splits its sparse windows into the
     engine call (``execute``) and the work around it: traffic sampling,
-    keyed O(active) stream derivation, group-request construction and the
+    O(active) noise-key derivation, group-request construction and the
     stat reductions.  That orchestration must stay within
     ``REPRO_BENCH_FLEET_ORCH_FACTOR`` (default 2) times ``execute`` over
     the same windows, so it scales with *active* work, not fleet size:
     spawning every function's execution stream each window reads ~37x at
     5 000 functions and ~113x at 100 000.  One warm-up window (shape
-    table, the seeding self-check) and a ``gc.collect()`` run before the
+    table) and a ``gc.collect()`` run before the
     profile is reset: a full collection over the fleet's objects landing
     in one measured window reads ~2.5x at 100 000 on its own.
 
     Parity is gated first at sub-scale: the window must reproduce the
-    pre-fast-path reference (full-fleet spawned execution streams, one
-    engine group per function) on the same arrivals bit for bit, so the
+    pre-fast-path reference (full-fleet execution keys, one engine group
+    per function) on the same arrivals bit for bit, so the
     measured ratio is pure orchestration cost — identical statistics.
     """
     assert_sparse_window_parity(min(2_000, SPARSE_FUNCTIONS))
@@ -944,9 +946,9 @@ def test_bench_fleet_holds_no_object_per_function():
     at_kernel = []
     run_grouped = simulator.backend.run_grouped
 
-    def counting(platform, block):
+    def counting(platform, block, *args):
         at_kernel.append((_tracked_objects(), block.n_groups))
-        return run_grouped(platform, block)
+        return run_grouped(platform, block, *args)
 
     simulator.backend.run_grouped = counting
     pre_window = _tracked_objects()

@@ -45,16 +45,16 @@ def test_bench_online_recommendation(benchmark, warm_context):
 def test_bench_single_invocation_simulation(benchmark):
     """Throughput of the platform's single-invocation simulation."""
     from repro.simulation.execution import ExecutionModel
-    import numpy as np
+    from repro.simulation.seeding import invocation_uniforms
 
     model = ExecutionModel()
-    rng = np.random.default_rng(0)
+    noise = invocation_uniforms(0)
     profile = ResourceProfile(
         cpu_user_ms=80.0,
         memory_working_set_mb=40.0,
         service_calls=(ServiceCall("dynamodb", "query", 1024, 4096, calls=2),),
     )
-    result = benchmark(lambda: model.execute(profile, 512, rng))
+    result = benchmark(lambda: model.execute(profile, 512, noise))
     assert result.execution_time_ms > 0
 
 

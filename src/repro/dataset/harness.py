@@ -26,9 +26,10 @@ decides only how a chunk executes: ``"serial"`` runs one scalar batch per
 group (the reference path), ``"vectorized"`` and ``"parallel"`` run the
 grouped kernel.
 
-Every (function, size) experiment owns two private random streams — one for
-its arrival trace, one for its execution noise — spawned from the base seeds
-and the function's absolute index (:mod:`repro.simulation.seeding`).  The
+Every (function, size) experiment owns a private arrival stream and a
+private execution-noise key, both derived from the base seeds, the
+function's absolute index and the size's index
+(:mod:`repro.simulation.seeding`; a chunk's keys in one vectorized call).  The
 numbers therefore depend neither on chunking nor on worker count, and
 ``measure_function(f, index=k)`` equals row ``k`` of ``measure_table`` bit
 for bit.
@@ -52,7 +53,7 @@ from repro.simulation.engine import (
     get_backend,
 )
 from repro.simulation.platform import PlatformConfig, ServerlessPlatform
-from repro.simulation.seeding import STREAM_ARRIVALS, STREAM_EXECUTION, child_rng
+from repro.simulation.seeding import STREAM_ARRIVALS, STREAM_EXECUTION, child_rng, noise_keys
 from repro.workloads.function import FunctionSpec
 from repro.workloads.loadgen import LoadGenerator, Workload
 
@@ -146,12 +147,6 @@ class MeasurementHarness:
             arrivals = [workload.warmup_s + 0.001]
         return np.asarray(arrivals, dtype=float)
 
-    def _execution_rng(self, index: int, size_index: int) -> np.random.Generator:
-        """Spawn one (function, size) experiment's private noise stream."""
-        return child_rng(
-            self.platform.config.seed, STREAM_EXECUTION, index, size_index
-        )
-
     def _next_index(self, index: int | None) -> int:
         """Resolve a measurement's absolute index (auto-advancing default).
 
@@ -238,7 +233,7 @@ class MeasurementHarness:
         """
         memory_sizes = self._memory_sizes(memory_sizes_mb)
         load = workload if workload is not None else self.config.workload
-        names, profiles, sizes, serials, arrivals, streams = [], [], [], [], [], []
+        names, profiles, sizes, serials, arrivals = [], [], [], [], []
         for k, function in enumerate(functions):
             index = index_offset + k
             for j, memory_mb in enumerate(memory_sizes):
@@ -250,12 +245,20 @@ class MeasurementHarness:
                 sizes.append(deployed.memory_mb)
                 serials.append(deployed.serial)
                 arrivals.append(self._arrivals_for(load, index, j))
-                streams.append(self._execution_rng(index, j))
         if not names:
             shape = (0, len(memory_sizes), len(METRIC_NAMES), len(STAT_NAMES))
             return np.zeros(shape), np.zeros((0, len(memory_sizes)), dtype=np.int64)
+        # Every (function, size) group's noise key, keyed by the function's
+        # absolute index and the size's index, derived for the chunk at once.
+        n_sizes = len(memory_sizes)
+        keys = noise_keys(
+            self.platform.config.seed,
+            STREAM_EXECUTION,
+            np.repeat(np.arange(index_offset, index_offset + len(functions)), n_sizes),
+            np.tile(np.arange(n_sizes), len(functions)),
+        )
         block = GroupBlock.of_groups(
-            names, profiles, sizes, serials, arrivals, streams, fresh_pool=True
+            names, profiles, sizes, serials, arrivals, keys, fresh_pool=True
         )
         batch = self.backend.run_grouped(self.platform, block)
         # Cold starts are always excluded: the paper's monitoring wrapper

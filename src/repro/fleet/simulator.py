@@ -16,10 +16,11 @@ fleet size (10^5–10^6 functions, mostly idle under diurnal traffic):
 1. **Traffic** — the whole fleet's arrivals are drawn from one window
    stream through :class:`~repro.workloads.traffic.FleetTrafficSchedule`:
    one Poisson draw, one rate-matrix evaluation, one thinning pass.
-2. **Seeding** — only functions with >0 arrivals get an execution noise
-   stream, derived by key (:mod:`repro.simulation.seeding`), so every
-   (function, window) pair draws private noise and idle functions cost
-   O(1) bookkeeping.
+2. **Seeding** — only functions with >0 arrivals get an execution-noise
+   key, all derived in one vectorized call from (seed, window, function
+   index) (:func:`~repro.simulation.seeding.noise_keys`, stream contract
+   v2), so every (function, window) pair reads private noise and idle
+   functions cost O(1) bookkeeping.
 3. **Execute** — the active groups run as one cross-function mega-batch
    through the grouped kernel
    (:meth:`~repro.simulation.engine.VectorizedBackend.run_grouped`).
@@ -27,8 +28,10 @@ fleet size (10^5–10^6 functions, mostly idle under diurnal traffic):
    per active function, over the metrics the simulator carries: all 25
    Table-1 metrics by default, or only those a predictor reads once
    :meth:`FleetSimulator.carry_metrics` narrows them (the rightsizing
-   service does so).  The kernel still computes every metric and draws
-   every jitter, so a carried row is the same whichever set is carried.
+   service does so).  The kernel computes only the carried metrics, each
+   with its full-run expression, and only the jitter rows they read; a
+   noise value does not depend on which others are computed, so a carried
+   row is the same whichever set is carried.
 
 The result is one :class:`FleetWindow`, holding rows only for the window's
 active functions, which the rightsizing controller
@@ -42,7 +45,7 @@ and state.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -58,7 +61,7 @@ from repro.simulation.seeding import (
     STREAM_EXECUTION,
     STREAM_TRAFFIC,
     child_rng,
-    keyed_child_rngs,
+    noise_keys,
 )
 from repro.workloads.function import FunctionSpec
 from repro.workloads.traffic import (
@@ -90,7 +93,7 @@ class FleetConfig:
         allow exactly these).
     seed:
         Base seed of the per-window traffic streams and the
-        per-(function, window) noise streams.
+        per-(function, window) execution-noise keys.
     """
 
     window_s: float = 3600.0
@@ -324,22 +327,6 @@ class FleetSimulator:
         self._memory_mb[index] = memory_mb
 
     # ----------------------------------------------------------------- window
-    def _execution_rngs(self, indices: np.ndarray) -> Sequence[np.random.Generator]:
-        """The private noise streams of the given function indices.
-
-        Keyed derivation (:func:`~repro.simulation.seeding.keyed_child_rngs`)
-        derives exactly the requested streams in one vectorized batch —
-        bit-identical to spawning the full fleet and indexing, but O(active)
-        regardless of fleet size, so idle functions never cost a stream —
-        and builds each generator only when the engine draws from it.
-        """
-        return keyed_child_rngs(
-            self.platform.config.seed,
-            STREAM_EXECUTION,
-            self._window_index,
-            indices=indices,
-        )
-
     def _execute_active(
         self, arrivals: FleetArrivals
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -360,7 +347,9 @@ class FleetSimulator:
                 np.zeros(0, dtype=float),
             )
         tick = perf_counter()
-        exec_rngs = self._execution_rngs(active)
+        # One vectorized derivation of exactly the active functions' keys:
+        # idle functions never cost a key.
+        keys = noise_keys(self.platform.config.seed, STREAM_EXECUTION, self._window_index, active)
         self.profiler.add("seeding", perf_counter() - tick)
         # The active functions' group block: their current deployments read
         # from the platform by row, and the window's flat arrivals as they
@@ -377,12 +366,12 @@ class FleetSimulator:
             serials=serials,
             arrivals=arrivals.times_s,
             offsets=np.append(offsets[active], offsets[-1]),
-            streams=exec_rngs,
+            keys=keys,
             fresh_pool=np.zeros(active.shape[0], dtype=bool),
         )
         self.profiler.add("group-build", perf_counter() - tick)
         tick = perf_counter()
-        batch = self.backend.run_grouped(self.platform, block)
+        batch = self.backend.run_grouped(self.platform, block, self._metric_names)
         self.profiler.add("execute", perf_counter() - tick)
         tick = perf_counter()
         # Cold starts are always excluded: the paper's monitoring wrapper

@@ -62,9 +62,15 @@ class ColdStartModel:
         memory_mb: float,
         code_size_kb: float,
         cpu_share: float,
-        rng: np.random.Generator | None = None,
+        z: float | None = None,
     ) -> float:
-        """Cold-start duration in milliseconds for a worker of the given shape."""
+        """Cold-start duration in milliseconds for a worker of the given shape.
+
+        ``z`` is the standard normal of the invocation's cold-start noise
+        source (stream contract v2, :mod:`repro.simulation.seeding`); the
+        duration is scaled by ``exp(mu + sigma * z)`` when it is given and
+        the model is noisy, and is the noise-free duration otherwise.
+        """
         if memory_mb <= 0:
             raise ConfigurationError("memory_mb must be positive")
         if code_size_kb < 0:
@@ -77,17 +83,16 @@ class ColdStartModel:
             + self.runtime_init_ms / effective_share
             + self.code_load_ms_per_mb * (code_size_kb / 1024.0) / effective_share
         )
-        if rng is not None and self.noise_cv > 0:
+        if z is not None and self.noise_cv > 0:
             mu, sigma = self.noise_params()
-            duration *= float(rng.lognormal(mean=mu, sigma=sigma))
+            duration *= float(np.exp(mu + sigma * z))
         return float(duration)
 
     def noise_params(self) -> tuple[float, float]:
         """``(mu, sigma)`` of the unit-mean log-normal cold-start noise.
 
-        Single source of the parameterization: :meth:`duration_ms` draws
-        with it, and so does the grouped execution kernel, which hoists the
-        parameters out of its per-group loop.
+        Single source of the parameterization: :meth:`duration_ms` and the
+        grouped execution kernel both scale by ``exp(mu + sigma * z)``.
         """
         sigma = float(np.sqrt(np.log(1.0 + self.noise_cv**2)))
         return -0.5 * sigma * sigma, sigma

@@ -198,16 +198,22 @@ class ExecutionBackend(abc.ABC):
         platform: "ServerlessPlatform",
         function_name: str,
         arrivals: np.ndarray,
-        rng: np.random.Generator | None = None,
+        key: int | None = None,
     ) -> BatchResult:
         """Execute one sorted arrival batch of a deployed function.
 
-        ``rng`` optionally overrides the noise stream of this batch (the
-        per-group streams spawned by :mod:`repro.simulation.seeding`);
-        ``None`` keeps the platform's shared generator.
+        ``key`` is the batch's execution-noise key (stream contract v2,
+        :mod:`repro.simulation.seeding`): arrival ``j`` reads the contract's
+        values at position ``j``.  ``None`` draws a key from the platform's
+        shared generator.
         """
 
-    def run_grouped(self, platform: "ServerlessPlatform", block: "GroupBlock"):
+    def run_grouped(
+        self,
+        platform: "ServerlessPlatform",
+        block: "GroupBlock",
+        metric_names: tuple[str, ...] | None = None,
+    ):
         """Execute a block's (function, size) groups into one grouped result.
 
         The default schedules one :meth:`run_batch` call per group — the
@@ -217,10 +223,14 @@ class ExecutionBackend(abc.ABC):
         :class:`~repro.simulation.engine.grouped.GroupedBatch`.  The
         vectorized backend overrides this with the grouped kernel; the
         kernel and the oracle produce bit-identical numbers because every
-        group draws its noise from its own stream.
+        group reads its noise from its own key.  The result carries the
+        ``metric_names`` metrics (all 25 by default).
         """
         from repro.monitoring.metrics import METRIC_NAMES
         from repro.simulation.engine.grouped import GroupedBatch
+
+        if metric_names is None:
+            metric_names = METRIC_NAMES
 
         offsets = block.offsets
         off_l = offsets.tolist()
@@ -249,7 +259,7 @@ class ExecutionBackend(abc.ABC):
             if arrivals.shape[0] == 0:
                 batches.append(None)
                 continue
-            batches.append(self.run_batch(platform, name, arrivals, rng=block.streams[g]))
+            batches.append(self.run_batch(platform, name, arrivals, key=int(block.keys[g])))
 
         def column(attribute, empty):
             parts = [
@@ -276,7 +286,7 @@ class ExecutionBackend(abc.ABC):
                         for batch in batches
                     ]
                 )
-                for name in METRIC_NAMES
+                for name in metric_names
             },
         )
 
@@ -297,7 +307,7 @@ class ExecutionBackend(abc.ABC):
         and hands its dense stat blocks to ``on_chunk(chunk_start, chunk,
         stats, counts)`` in order; the parallel backend overrides this to fan
         chunks out over worker processes.  ``chunk_size`` bounds peak memory
-        (one chunk's metric columns); ``functions[k]`` draws from the streams
+        (one chunk's metric columns); ``functions[k]`` reads the noise keys
         of index ``k`` whatever its chunk, so chunking never changes the
         numbers.
         """

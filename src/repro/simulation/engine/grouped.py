@@ -18,13 +18,14 @@ scalar :func:`walk_instances`, its array form :func:`walk_lockstep` and the
 closed-form cold-chain solver.  The kernel itself is
 :meth:`repro.simulation.engine.vectorized.VectorizedBackend.run_grouped`.
 
-Determinism survives grouping because every group carries its own random
-stream (spawned via :mod:`repro.simulation.seeding`): the kernel draws each
-group's noise from that stream in exactly the order a batch-at-a-time
-schedule would, so grouped and looped execution produce bit-identical
-per-invocation values and therefore bit-identical stats (enforced against
-the test suite's per-batch oracle, ``tests/looped_oracle.py``, by the parity
-tests in ``tests/test_engine_grouped.py`` and ``tests/test_engine_kernel.py``).
+Determinism survives grouping because every group carries its own noise
+key (stream contract v2, :mod:`repro.simulation.seeding`): a noise value is
+a pure function of (key, invocation position, source), so the kernel, which
+computes every group's values in one pass over the flat columns, and a
+batch-at-a-time schedule read the same per-invocation values and therefore
+produce bit-identical stats (enforced against the test suite's per-batch
+oracle, ``tests/looped_oracle.py``, by the parity tests in
+``tests/test_engine_grouped.py`` and ``tests/test_engine_kernel.py``).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class GroupBlock:
     Group ``g`` invokes ``names[g]`` at the deployment captured when the
     block was built — ``profiles[g]`` at ``memory_mb[g]``, deployment serial
     ``serials[g]`` — on the arrivals ``arrivals[offsets[g]:offsets[g + 1]]``,
-    and draws its noise from ``streams[g]``.  A block builds no object per
+    and reads its noise from the key ``keys[g]``.  A block builds no object per
     group: a fleet window passes its flat arrivals and its active
     functions' columns as they are.  The columns and arrivals are checked
     when the block is built, so an invalid block cannot be built.
@@ -72,14 +73,12 @@ class GroupBlock:
         within every group.
     offsets:
         ``(n_groups + 1,)`` boundaries into ``arrivals``.
-    streams:
-        Noise streams indexed by group: private ones
-        (:mod:`repro.simulation.seeding`) or, for a single batch run without
-        one, the platform's shared generator.  Every schedule takes a
-        group's item once, when it draws the group's noise, so a sequence
-        that builds its generators on demand
-        (:func:`~repro.simulation.seeding.keyed_child_rngs`) builds each
-        one only then.
+    keys:
+        ``(n_groups,)`` uint64 execution-noise keys (stream contract v2,
+        :mod:`repro.simulation.seeding`): derived from the group's
+        coordinates (:func:`~repro.simulation.seeding.noise_keys`) or, for a
+        single batch run without one, drawn from the platform's shared
+        generator.
     fresh_pool:
         ``(n_groups,)`` whether to drop the function's warm pool before the
         group's arrivals — set by callers whose groups each stand for a
@@ -93,7 +92,7 @@ class GroupBlock:
     serials: np.ndarray
     arrivals: np.ndarray
     offsets: np.ndarray
-    streams: Sequence[np.random.Generator]
+    keys: np.ndarray
     fresh_pool: np.ndarray
 
     def __post_init__(self) -> None:
@@ -107,13 +106,16 @@ class GroupBlock:
             ("profiles", self.profiles),
             ("memory_mb", self.memory_mb),
             ("serials", self.serials),
-            ("streams", self.streams),
+            ("keys", self.keys),
             ("fresh_pool", self.fresh_pool),
         ):
             if len(column) != n_groups:
                 raise SimulationError(
                     f"{label} has {len(column)} entries for {n_groups} groups"
                 )
+        keys = self.keys
+        if not isinstance(keys, np.ndarray) or keys.dtype != np.uint64 or keys.ndim != 1:
+            raise SimulationError("keys must be a 1-D uint64 array")
         t = self.arrivals
         if t.ndim != 1:
             raise SimulationError(f"arrivals must be a 1-D array, not of shape {t.shape}")
@@ -155,7 +157,7 @@ class GroupBlock:
         memory_mb,
         serials,
         arrivals: Sequence,
-        streams: Sequence[np.random.Generator],
+        keys,
         fresh_pool=False,
     ) -> "GroupBlock":
         """A block from one arrival array per group.
@@ -179,7 +181,7 @@ class GroupBlock:
             serials=np.asarray(serials, dtype=np.int64),
             arrivals=np.concatenate(parts) if parts else np.empty(0),
             offsets=offsets,
-            streams=streams,
+            keys=np.asarray(keys, dtype=np.uint64),
             fresh_pool=np.full(len(parts), fresh_pool, dtype=bool)
             if np.ndim(fresh_pool) == 0
             else np.asarray(fresh_pool, dtype=bool),
@@ -190,7 +192,7 @@ class GroupBlock:
         platform: "ServerlessPlatform",
         names: Sequence[str],
         arrivals: Sequence,
-        streams: Sequence[np.random.Generator],
+        keys,
         fresh_pool=False,
     ) -> "GroupBlock":
         """A block of groups against the named functions' *current* deployments."""
@@ -201,7 +203,7 @@ class GroupBlock:
             [d.memory_mb for d in deployed],
             [d.serial for d in deployed],
             arrivals,
-            streams,
+            keys,
             fresh_pool,
         )
 
@@ -503,7 +505,7 @@ def param_column(profile, memory_mb: float, model, cold_model) -> np.ndarray:
             (profile.cpu_user_ms + profile.cpu_system_ms) / cpu_share * pressure,
             scaling.fs_transfer_ms(profile.total_fs_bytes, memory_mb),
             scaling.network_transfer_ms(network_bytes, memory_mb),
-            cold_model.duration_ms(memory_mb, profile.code_size_kb, cpu_share, rng=None),
+            cold_model.duration_ms(memory_mb, profile.code_size_kb, cpu_share),
             float(memory_mb),
             cpu_share,
             pressure,

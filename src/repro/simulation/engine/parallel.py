@@ -11,8 +11,8 @@ totals.  Everything else — a single batch, a single grouped batch
 (``harness.measure_function``, a fleet window) — shares one platform and
 runs the inherited kernel in-process.
 
-Every (function, size) group draws its noise from a stream spawned from the
-parent's seeds and the function's *absolute* index
+Every (function, size) group reads its arrivals and noise from a stream and
+a key derived from the parent's seeds and the function's *absolute* index
 (:mod:`repro.simulation.seeding`), so results are bit-identical regardless
 of worker count, chunking or scheduling order — and identical to the
 sequential vectorized schedule.
@@ -35,8 +35,8 @@ from repro.simulation.engine.vectorized import VectorizedBackend
 def _worker_configs(harness):
     """Clone the parent's harness/platform configs for a worker process.
 
-    Seeds are left untouched: per-group streams derive from the base seeds
-    and the absolute function index, so a worker reproduces exactly the
+    Seeds are left untouched: per-group streams and keys derive from the
+    base seeds and the absolute function index, so a worker reproduces exactly the
     numbers the sequential schedule would produce for the same functions.
     The worker always executes vectorized (no nested pools).
     """
@@ -115,7 +115,7 @@ class ParallelBackend(VectorizedBackend):
         parent's peak memory — stays bounded by a handful of chunks even when
         an early chunk lands on a slow worker.
         Numbers are bit-identical to the in-process schedule because every
-        group's stream derives from its absolute index.
+        group's arrival stream and noise key derive from its absolute index.
         """
         total = len(functions)
         if total == 0:
@@ -192,7 +192,7 @@ class ParallelBackend(VectorizedBackend):
                 )
         # In-order tail: chunks the pool finished out of order are delivered
         # from the buffer; chunks it never finished run in-process.  Numbers
-        # are identical either way (per-group streams by absolute index).
+        # are identical either way (per-group streams and keys by absolute index).
         for start in starts:
             if start not in remaining:
                 continue

@@ -4,17 +4,21 @@
 simulator: it runs many (function, size) groups — a fleet window, a
 dataset-generation chunk, or a single arrival batch — as one columnar
 mega-batch, computing timing noise, resource scaling, managed service
-latencies, all 25 monitor metrics and billing as numpy array operations.
+latencies, the monitor metrics its caller carries (all 25 by default) and
+billing as numpy array operations.
 :meth:`VectorizedBackend.run_batch` is a one-group call of it.  The kernel
 makes three flat passes:
 
-1. **Raw noise draws** — per group only the raw generator calls remain
-   (``lognormal``/``standard_normal``/``random``/``normal``, in the fixed
-   stream order cpu, service, tail, jitters, cold); all post-draw arithmetic
-   (tail thresholding, jitter clamping, the service latency row math) runs
-   batched over the concatenated draws, which is bit-identical to drawing
-   and post-processing group by group because the ops are elementwise or
-   row-local.
+1. **Counter-based noise** — stream contract v2
+   (:mod:`repro.simulation.seeding`): every group has one uint64 key, and
+   the value of invocation ``j`` and noise source ``s`` is a pure function
+   of ``(key, j, s)``.  One :class:`~repro.simulation.seeding.CounterPass`
+   over the flat columns computes them source by source through two reused
+   uint64 buffers — cpu, tail, the jitter rows the carried metrics read,
+   cold, and the service calls of each draw width — with no generator and
+   no per-group array; the transforms (``exp(mu + sigma z)``, the tail
+   threshold, jitter clamping, the service latency row math) run over the
+   same flat columns.  A source whose noise is off is not computed.
 2. **Gather-by-group metric kernel** — the group-level subexpressions of the
    timing model and the Table-1 formulas are evaluated once per group and
    gathered by group index through scratch buffers held on the backend
@@ -38,12 +42,13 @@ makes three flat passes:
    without ``fresh_pool``).  A warm worker is the time it is busy until,
    so every walk leaves each pool as a list of those times in pool order.
 
-Every group draws its noise from its own stream, so the kernel is
+Every group reads its noise from its own key, so the kernel is
 bit-identical to executing the groups one batch at a time in group order.
-The test suite keeps that per-batch schedule as an independent oracle
-(``tests/looped_oracle.py``).  With every noise source disabled the kernel
-also agrees invocation for invocation with the serial backend's scalar path
-(see ``tests/test_engine_backends.py``).
+The test suite keeps that per-batch schedule as an oracle
+(``tests/looped_oracle.py``).  The serial backend's scalar path reads the
+same noise values, so the kernel also agrees with it invocation for
+invocation, to rounding, with noise on or off (see
+``tests/test_engine_backends.py``).
 """
 
 from __future__ import annotations
@@ -60,6 +65,16 @@ from repro.simulation.engine.grouped import (
     walk_lockstep,
 )
 from repro.simulation.platform import ServerlessPlatform
+from repro.simulation.runtime import METRIC_NAMES, N_JITTER_ROWS, jitter_rows
+from repro.simulation.seeding import (
+    SOURCE_COLD,
+    SOURCE_CPU,
+    SOURCE_JITTER,
+    SOURCE_SERVICE,
+    SOURCE_TAIL,
+    CounterPass,
+    draw_key,
+)
 
 
 #: Shapes the per-backend shape table holds before it is rebuilt: a fleet
@@ -87,7 +102,7 @@ class _ShapeTable:
     def __init__(self, model, cold_model) -> None:
         self.model = model
         self.cold_model = cold_model
-        # (id(profile), memory size) -> (profile, table row, draw width)
+        # (id(profile), memory size) -> (profile, table row)
         self.entries: dict[tuple, tuple] = {}
         self.n_rows = 0
         self.table = np.empty((64, _RANK + 1))
@@ -121,7 +136,7 @@ class _ShapeTable:
         )
         self.table[row, _FIXED_MS:] = service
         self.n_rows = row + 1
-        entry = (profile, row, service[1])
+        entry = (profile, row)
         self.entries[(id(profile), memory_mb)] = entry
         return entry
 
@@ -170,7 +185,7 @@ class VectorizedBackend(ExecutionBackend):
         platform,
         function_name: str,
         arrivals: np.ndarray,
-        rng: np.random.Generator | None = None,
+        key: int | None = None,
     ) -> BatchResult:
         """Execute one sorted arrival batch of a deployed function.
 
@@ -186,23 +201,27 @@ class VectorizedBackend(ExecutionBackend):
         arrivals:
             Sorted, finite, non-negative arrival timestamps (seconds);
             anything else raises :class:`~repro.errors.SimulationError`
-            before any pool, counter or bill changes.
-        rng:
-            Optional group-private noise stream
-            (:mod:`repro.simulation.seeding`); defaults to the platform's
-            shared generator.
+            before any pool, counter, bill or generator changes.
+        key:
+            Optional execution-noise key of the batch
+            (:mod:`repro.simulation.seeding`); drawn from the platform's
+            shared generator when ``None``.
         """
         block = GroupBlock.for_deployed(
-            platform, [function_name], [arrivals], [rng if rng is not None else platform.rng]
+            platform, [function_name], [arrivals], [0 if key is None else key]
         )
+        if key is None:
+            # Drawn once the block's checks passed, so a refused batch
+            # leaves the shared generator where it was.
+            block.keys[0] = draw_key(platform.rng)
         return self.run_grouped(platform, block).group(0)
 
-    def _buffer(self, key: str, n: int) -> np.ndarray:
-        """A reusable float64 scratch buffer of at least ``n`` elements (view)."""
+    def _buffer(self, key: str, n: int, dtype=np.float64) -> np.ndarray:
+        """A reusable scratch buffer of at least ``n`` elements (view)."""
         buf = self._scratch.get(key)
         if buf is None or buf.shape[0] < n:
             capacity = n if buf is None else max(n, 2 * buf.shape[0])
-            buf = np.empty(capacity)
+            buf = np.empty(capacity, dtype=dtype)
             self._scratch[key] = buf
         return buf[:n]
 
@@ -218,13 +237,19 @@ class VectorizedBackend(ExecutionBackend):
             shapes = self._shapes = _ShapeTable(model, cold_model)
         return shapes
 
-    def run_grouped(self, platform: "ServerlessPlatform", block: GroupBlock) -> GroupedBatch:
+    def run_grouped(
+        self,
+        platform: "ServerlessPlatform",
+        block: GroupBlock,
+        metric_names: tuple[str, ...] = METRIC_NAMES,
+    ) -> GroupedBatch:
         """Execute a block's groups as one columnar mega-batch (see module doc).
 
         Bit-identical to executing the groups one batch at a time in group
-        order: each group's noise is drawn from its own stream, and billing
+        order: each group's noise is read from its own key, and billing
         totals, invocation counters and instance pools end in the same
-        state.
+        state.  Only the ``metric_names`` metrics are computed (all 25 by
+        default); each equals the same metric of the full run.
         """
         from repro.simulation.execution import _HANDLER_OVERHEAD_MS
         from repro.simulation.runtime import RuntimeBatchInputs
@@ -239,10 +264,9 @@ class VectorizedBackend(ExecutionBackend):
         shapes = self._shape_table(model, cold_model)
         entries = shapes.entries
 
-        # Hoisted noise-distribution parameters: the per-group loop below
-        # only issues raw generator calls, in the fixed stream order (cpu,
-        # service, tail, jitters, cold), so per-group streams stay bit-exact;
-        # all post-draw arithmetic runs batched.
+        # Noise parameters.  A source is computed only where it is read: no
+        # cpu, tail or cold row without that noise, and only the jitter rows
+        # of the carried metrics.
         cpu_cv = variability.cpu_noise_cv
         cpu_mu, cpu_sigma = variability.lognormal_params(cpu_cv)
         tail_p = float(variability.tail_probability)
@@ -256,41 +280,26 @@ class VectorizedBackend(ExecutionBackend):
         timestamps = block.arrivals
         offsets = block.offsets
         sizes = np.diff(offsets)
-        sizes_l = sizes.tolist()
         n_total = int(offsets[-1])
         rows = platform.rows_for(block.names)
         rows_l = rows.tolist()
         fresh_l = block.fresh_pool.tolist()
 
+        # The one per-group loop: the pool scan for the cross-group walk and
+        # the shape lookup.  The flat pass only handles groups whose pool is
+        # empty or one idle worker; everything else walks in lockstep, and
+        # repeated non-fresh functions, whose pool state depends on earlier
+        # groups in this very batch, step through walk_instances.  The scan
+        # keeps flat lists of existing objects and floats: an object per
+        # group alive across the batch would be promoted by the cyclic GC
+        # until it forces full collections over the whole fleet's objects.
+        # An empty pool reads as one worker free since -inf (expired), a pool
+        # of several as one busy until +inf.
         table_rows: list[int] = []
-        cpu_parts: list[np.ndarray] = []
-        tail_parts: list[np.ndarray] = []
-        jitter_parts: list[np.ndarray] = []
-        cold_parts: list[np.ndarray] = []
-        # Service-call z-draws by draw width, in group order: the row
-        # arithmetic then runs once per distinct width.
-        service_parts: dict[int, list[np.ndarray]] = {}
-        # Pool scan for the cross-group walk: the flat pass only handles
-        # groups whose pool is empty or one idle worker; everything else
-        # walks in lockstep, and repeated non-fresh functions, whose pool
-        # state depends on earlier groups in this very batch, step through
-        # walk_instances.  The scan keeps flat lists of existing objects and
-        # floats, and each group's stream is taken only for its draws: an
-        # object per group alive across the batch would be promoted by the
-        # cyclic GC until it forces full collections over the whole fleet's
-        # objects.  An empty pool reads as one worker free since -inf
-        # (expired), a pool of several as one busy until +inf.
         pools: list = []
         head_busy_l: list[float] = []
-        streams = block.streams
-        for g, (profile, memory_mb, n, fresh, pool) in enumerate(
-            zip(
-                block.profiles,
-                block.memory_mb.tolist(),
-                sizes_l,
-                fresh_l,
-                platform.pools(rows_l),
-            )
+        for profile, memory_mb, fresh, pool in zip(
+            block.profiles, block.memory_mb.tolist(), fresh_l, platform.pools(rows_l)
         ):
             if fresh:
                 pool = ()
@@ -303,53 +312,69 @@ class VectorizedBackend(ExecutionBackend):
             if entry is None or entry[0] is not profile:
                 entry = shapes.add(profile, memory_mb)
             table_rows.append(entry[1])
-            rng = streams[g]
-            if cpu_cv > 0:
-                cpu_parts.append(rng.lognormal(cpu_mu, cpu_sigma, n))
-            width = entry[2]
-            if width:
-                service_parts.setdefault(width, []).append(rng.standard_normal((n, width)))
-            if tail_p > 0:
-                tail_parts.append(rng.random(n))
-            if counter_cv > 0:
-                jitter_parts.append(rng.normal(1.0, counter_cv, (13, n)))
-            if draw_cold:
-                cold_parts.append(rng.lognormal(cold_mu, cold_sigma, n))
 
         # (table columns, n_groups): one column of shape inputs per group.
         columns = shapes.table[np.asarray(table_rows, dtype=np.intp)].T
         gid = np.repeat(np.arange(n_groups), sizes)
 
-        # ---- batched noise post-processing --------------------------------
-        cpu_noise = np.concatenate(cpu_parts) if cpu_cv > 0 else np.ones(n_total)
-        tail_raw = np.concatenate(tail_parts) if tail_p > 0 else None
-        jitters = np.hstack(jitter_parts) if counter_cv > 0 else np.ones((13, n_total))
-        cold_noise = np.concatenate(cold_parts) if draw_cold else None
-        widths = sorted(service_parts)
-        tail = (
-            np.where(tail_raw < tail_p, tail_mult, 1.0)
-            if tail_raw is not None
-            else np.ones(n_total)
+        # ---- noise: one counter pass over the flat columns -----------------
+        # Every value is u(key, j, s) of the group's key, the invocation's
+        # position j in its group and the source s (stream contract v2), so
+        # it does not depend on the block's other groups or sources.
+        noise = CounterPass.for_groups(
+            block.keys,
+            offsets,
+            gid,
+            (self._buffer("counter", n_total, np.uint64), self._buffer("work", n_total, np.uint64)),
         )
+
+        def lognormal(source: int, mu: float, sigma: float, out: np.ndarray) -> np.ndarray:
+            factor = noise.normals(source, out)
+            np.multiply(factor, sigma, out=factor)
+            np.add(factor, mu, out=factor)
+            return np.exp(factor, out=factor)
+
+        if cpu_cv > 0:
+            cpu_noise = lognormal(SOURCE_CPU, cpu_mu, cpu_sigma, self._buffer("cpu_noise", n_total))
+        else:
+            cpu_noise = np.ones(n_total)
+        if tail_p > 0:
+            tail_u = noise.uniforms(SOURCE_TAIL, self._buffer("tail", n_total))
+            tail = np.where(tail_u < tail_p, tail_mult, 1.0)
+        else:
+            tail = np.ones(n_total)
         if counter_cv > 0:
-            np.maximum(jitters, 0.5, out=jitters)
+            jitters = [None] * N_JITTER_ROWS
+            for row in jitter_rows(metric_names):
+                jitter = noise.normals(SOURCE_JITTER + row, self._buffer(f"jitter{row}", n_total))
+                np.multiply(jitter, counter_cv, out=jitter)
+                np.add(jitter, 1.0, out=jitter)
+                jitters[row] = np.maximum(jitter, 0.5, out=jitter)
+        else:
+            jitters = [np.ones(n_total)] * N_JITTER_ROWS
+        cold_noise = (
+            lognormal(SOURCE_COLD, cold_mu, cold_sigma, self._buffer("cold", n_total))
+            if draw_cold
+            else None
+        )
+
+        # Service latencies: the invocations of each drawn-call width read
+        # their calls' sources together, and the row arithmetic runs once
+        # per width.  Elementwise arithmetic and row sums keep every row's
+        # value independent of which other rows share the pass.
         service_ms = np.take(columns[_FIXED_MS], gid)
+        widths = sorted(set(columns[_WIDTH][sizes > 0].tolist()) - {0.0})
         if widths:
             inv_width = np.take(columns[_WIDTH], gid)
             inv_rank = np.take(columns[_RANK], gid).astype(np.intp)
         for width in widths:
-            # The invocations of every group drawing this width, in group
-            # order — the row order of the concatenated draws.  Elementwise
-            # arithmetic and row sums keep every row's value independent of
-            # which other rows share the pass.
-            mask = inv_width == width
-            parts = service_parts[width]
-            z = np.concatenate(parts) if len(parts) > 1 else parts[0]
-            means, sigmas = shapes.width_rows(width)
-            rank = inv_rank[mask]
+            invocations = np.flatnonzero(inv_width == width)
+            means, sigmas = shapes.width_rows(int(width))
+            rank = inv_rank[invocations]
             sigma = sigmas[rank]
+            z = noise.block_normals(invocations, SOURCE_SERVICE, int(width))
             factors = np.exp(-0.5 * sigma * sigma + sigma * z)
-            service_ms[mask] += (means[rank] * factors).sum(axis=1)
+            service_ms[invocations] += (means[rank] * factors).sum(axis=1)
 
         # ---- timing kernel (scratch in, fixed op order) -------------------
         sg = self._buffer("gather", n_total)
@@ -384,6 +409,7 @@ class VectorizedBackend(ExecutionBackend):
             total_ms=execution_time_ms,
             jitters=jitters,
             scratch=(self._buffer("metric1", n_total), self._buffer("metric2", n_total)),
+            names=metric_names,
         )
 
         cold_start, init_ms = self._walk_all_groups(

@@ -24,12 +24,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
+from scipy.special import ndtri
 
 from repro.errors import SimulationError
 from repro.simulation.profile import ResourceProfile
-from repro.simulation.runtime import NodeRuntimeModel, TimingBreakdown
+from repro.simulation.runtime import N_JITTER_ROWS, NodeRuntimeModel, TimingBreakdown
 from repro.simulation.scaling import ResourceScalingModel
+from repro.simulation.seeding import (
+    SOURCE_CPU,
+    SOURCE_JITTER,
+    SOURCE_SERVICE,
+    SOURCE_TAIL,
+    invocation_uniforms,
+)
 from repro.simulation.services import ServiceCatalog
 from repro.simulation.variability import VariabilityModel
 
@@ -90,7 +97,7 @@ class ExecutionModel:
     # ------------------------------------------------------------------ means
     def expected_execution_time_ms(self, profile: ResourceProfile, memory_mb: float) -> float:
         """Noise-free expected execution time (used by tests and baselines)."""
-        timing = self._timing(profile, memory_mb, rng=None)
+        timing = self._timing(profile, memory_mb, None, None)
         return timing.total_ms
 
     # ------------------------------------------------------------------ single
@@ -98,15 +105,24 @@ class ExecutionModel:
         self,
         profile: ResourceProfile,
         memory_mb: float,
-        rng: np.random.Generator,
+        noise,
         timestamp_s: float = 0.0,
         cold_start: bool = False,
         init_duration_ms: float = 0.0,
     ) -> ExecutionResult:
-        """Simulate one invocation and return its :class:`ExecutionResult`."""
+        """Simulate one invocation and return its :class:`ExecutionResult`.
+
+        ``noise`` is the invocation's row of execution-noise uniforms,
+        indexed by source (stream contract v2,
+        :mod:`repro.simulation.seeding`): at least ``SOURCE_SERVICE`` plus
+        the profile's drawn service calls long.  The serial backend hands
+        each arrival of a batch its row; the grouped kernel reads the same
+        values.
+        """
         if memory_mb <= 0:
             raise SimulationError("memory_mb must be positive")
-        timing = self._timing(profile, memory_mb, rng=rng, timestamp_s=timestamp_s)
+        normals = ndtri(noise).tolist()
+        timing = self._timing(profile, memory_mb, noise, normals, timestamp_s)
 
         cpu_share = self.scaling.cpu_share(memory_mb)
         pressure = self.scaling.memory_pressure_factor(
@@ -123,8 +139,9 @@ class ExecutionModel:
             pressure_factor=pressure,
             service_bytes_in=service_bytes_in,
             service_bytes_out=service_bytes_out,
-            rng=rng,
-            counter_noise=self.variability.counter_noise_cv,
+            jitters=self.variability.jitter_factors(
+                normals[SOURCE_JITTER : SOURCE_JITTER + N_JITTER_ROWS]
+            ),
         )
         return ExecutionResult(
             execution_time_ms=timing.total_ms,
@@ -140,17 +157,18 @@ class ExecutionModel:
         self,
         profile: ResourceProfile,
         memory_mb: float,
-        rng: np.random.Generator | None,
+        uniforms,
+        normals: list[float] | None,
         timestamp_s: float = 0.0,
     ) -> TimingBreakdown:
-        """Compute the wall-clock breakdown; ``rng=None`` yields the noise-free mean."""
+        """Compute the wall-clock breakdown; no noise row yields the noise-free mean."""
+        noisy = uniforms is not None
         cpu_share = self.scaling.cpu_share(memory_mb)
         pressure = self.scaling.memory_pressure_factor(
             profile.memory_working_set_mb, memory_mb
         )
 
-        cpu_noise = self.variability.cpu_factor(rng) if rng is not None else 1.0
-        service_noise_rng = rng
+        cpu_noise = self.variability.cpu_factor(normals[SOURCE_CPU]) if noisy else 1.0
 
         # CPU-bound work slows down inversely with the CPU share and pays the
         # memory-pressure penalty (GC churn) on top.
@@ -169,18 +187,21 @@ class ExecutionModel:
         network_ms = self.scaling.network_transfer_ms(network_bytes, memory_mb) * cpu_noise
 
         # Service-side latency is independent of the function's memory size.
+        # The c-th drawn call reads source SOURCE_SERVICE + c.
         service_ms = 0.0
+        source = SOURCE_SERVICE
         for call in profile.service_calls:
-            if service_noise_rng is not None:
-                service_ms += self.services.sample_latency_ms(call, service_noise_rng)
+            if noisy and self.services.draws(call):
+                service_ms += self.services.sample_latency_ms(call, normals[source:])
+                source += call.calls
             else:
                 service_ms += self.services.mean_latency_ms(call)
 
         overhead_ms = _HANDLER_OVERHEAD_MS
 
         total_factor = 1.0
-        if rng is not None:
-            total_factor *= self.variability.tail_factor(rng)
+        if noisy:
+            total_factor *= self.variability.tail_factor(float(uniforms[SOURCE_TAIL]))
             total_factor *= self.variability.drift_factor(timestamp_s)
 
         return TimingBreakdown(
@@ -195,7 +216,7 @@ class ExecutionModel:
 def simulate_execution(
     profile: ResourceProfile,
     memory_mb: float,
-    rng: np.random.Generator | None = None,
+    key: int = 0,
     model: ExecutionModel | None = None,
     timestamp_s: float = 0.0,
 ) -> ExecutionResult:
@@ -207,8 +228,9 @@ def simulate_execution(
         Resource demand of the invocation.
     memory_mb:
         Configured memory size.
-    rng:
-        Random generator; a fresh deterministic one is created when omitted.
+    key:
+        Execution-noise key (:mod:`repro.simulation.seeding`); the
+        invocation reads its position-0 values.
     model:
         Optional pre-configured :class:`ExecutionModel` (reuse it across calls
         to avoid re-building the service catalog).
@@ -217,6 +239,4 @@ def simulate_execution(
     """
     if model is None:
         model = ExecutionModel()
-    if rng is None:
-        rng = np.random.default_rng(0)
-    return model.execute(profile, memory_mb, rng, timestamp_s=timestamp_s)
+    return model.execute(profile, memory_mb, invocation_uniforms(key), timestamp_s=timestamp_s)

@@ -26,12 +26,14 @@ from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
+from scipy.special import ndtri
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.simulation.coldstart import ColdStartModel
 from repro.simulation.execution import ExecutionModel, ExecutionResult
 from repro.simulation.pricing import PricingModel
 from repro.simulation.profile import ResourceProfile
+from repro.simulation.seeding import SOURCE_COLD, draw_key, invocation_uniforms
 from repro.simulation.variability import VariabilityModel
 
 
@@ -204,7 +206,8 @@ class ServerlessPlatform:
 
     @property
     def rng(self) -> np.random.Generator:
-        """The platform-level random generator (shared by all noise sources)."""
+        """The platform's shared generator: batches and invocations called
+        without a noise key draw their key from it."""
         return self._rng
 
     # ------------------------------------------------------------- deployment
@@ -403,19 +406,28 @@ class ServerlessPlatform:
 
     # ------------------------------------------------------------- invocation
     def invoke(
-        self, name: str, at_time_s: float = 0.0, rng: np.random.Generator | None = None
+        self,
+        name: str,
+        at_time_s: float = 0.0,
+        key: int | None = None,
+        noise=None,
     ) -> InvocationRecord:
         """Invoke a deployed function at virtual time ``at_time_s``.
 
-        The noise is drawn from ``rng``, by default the platform's shared
-        generator.  A negative or non-finite time raises
+        The invocation reads its execution noise (stream contract v2,
+        :mod:`repro.simulation.seeding`) from ``noise``, its row of
+        uniforms indexed by source, which the serial backend hands each
+        arrival of a batch; without one, from position 0 of ``key``; without
+        either, from a key drawn from the platform's shared generator, so
+        repeated calls differ.  A negative or non-finite time raises
         :class:`~repro.errors.SimulationError` before any pool, counter or
         bill changes.
         """
         if at_time_s < 0 or not math.isfinite(at_time_s):
             raise SimulationError("at_time_s must be finite and non-negative")
-        rng = rng if rng is not None else self._rng
         row = self._deployed_row(name)
+        if noise is None:
+            noise = invocation_uniforms(draw_key(self._rng) if key is None else key)
         profile = self._profiles[row]
         memory_mb = float(self._memory_mb[row])
         pool = self._pools.setdefault(row, [])
@@ -433,13 +445,13 @@ class ServerlessPlatform:
                 memory_mb,
                 profile.code_size_kb,
                 cpu_share,
-                rng=rng,
+                z=float(ndtri(noise[SOURCE_COLD])),
             )
 
         result = self.execution_model.execute(
             profile,
             memory_mb,
-            rng=rng,
+            noise,
             timestamp_s=at_time_s,
             cold_start=is_cold,
             init_duration_ms=init_ms,
@@ -469,7 +481,7 @@ class ServerlessPlatform:
         """
         return [self.invoke(name, at_time_s=t) for t in _sorted_arrivals(timestamps_s).tolist()]
 
-    def invoke_batch(self, name: str, timestamps_s, backend=None, rng=None):
+    def invoke_batch(self, name: str, timestamps_s, backend=None, key=None):
         """Invoke a function once per timestamp through an execution backend.
 
         Parameters
@@ -484,20 +496,20 @@ class ServerlessPlatform:
             Backend name (``"serial"``, ``"vectorized"``, ``"parallel"``) or an
             :class:`~repro.simulation.engine.ExecutionBackend` instance;
             defaults to the serial (scalar) path.
-        rng:
-            Optional batch-private noise stream (the per-group streams
-            spawned by :mod:`repro.simulation.seeding`); ``None`` keeps the
+        key:
+            Optional execution-noise key of the batch
+            (:mod:`repro.simulation.seeding`); ``None`` draws one from the
             platform's shared generator.
 
         Returns a :class:`~repro.simulation.engine.BatchResult` with one column
         per invocation attribute.  The serial backend calls :meth:`invoke`
         once per arrival; the vectorized and parallel backends run the batch
-        as one group of the grouped kernel.
+        as one group of the grouped kernel.  Both read the same noise values.
         """
         from repro.simulation.engine import get_backend
 
         resolved = get_backend(backend if backend is not None else "serial")
-        return resolved.run_batch(self, name, _sorted_arrivals(timestamps_s), rng=rng)
+        return resolved.run_batch(self, name, _sorted_arrivals(timestamps_s), key=key)
 
     # ---------------------------------------------------------------- billing
     def total_cost_usd(self, name: str | None = None) -> float:

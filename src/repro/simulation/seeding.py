@@ -1,33 +1,32 @@
-"""Deterministic per-group random stream derivation (one ``SeedSequence`` route).
+"""Deterministic random streams: generator streams and keyed execution noise.
 
-Every hot path that simulates many (function, size) or (function, window)
-groups — the measurement harness, the parallel worker processes, the fleet
-simulator and the fused grouped executor — needs its *own* random stream per
-group, for two reasons:
+Every path that simulates many (function, size) or (function, window) groups
+— the measurement harness, its worker processes, the fleet simulator and the
+grouped kernel — needs randomness that belongs to one group, so that a
+group's numbers do not depend on the groups it is scheduled with, on
+chunking or on worker count.
 
-1. **Structural parity.**  The fused cross-function executor
-   (:mod:`repro.simulation.engine.grouped`) computes many groups in one
-   columnar pass, while the looped path executes one batch per group.  Both
-   produce bit-identical numbers only when every group draws its noise from
-   an independent stream that does not depend on scheduling order.
-2. **Reproducible parallelism.**  Worker processes measuring function ``i``
-   must draw the same noise the sequential schedule would, regardless of
-   worker count or completion order.
+**Generator streams** (:func:`child_rng`): arrival traces and fleet traffic
+draw from a PCG64 generator seeded by ``SeedSequence(base_seed,
+spawn_key=(stream_role, *group_key))``; distinct roles keep e.g. a group's
+arrival stream independent from its traffic stream.
 
-Before this module existed, those seeds were derived ad hoc (a prime stride
-in the parallel backend, a shared sequential stream in the harness and the
-load generator), so parity was coincidental.  All per-group streams are now
-spawned here, from one scheme: ``SeedSequence(base_seed,
-spawn_key=(stream_role, *group_key))``.  Distinct roles keep e.g. the
-arrival stream of group ``(3, 1)`` independent from its execution-noise
-stream even when the underlying base seeds collide.
+**Execution noise** (stream contract version 2, ``docs/FORMATS.md``) is
+counter-based, after Salmon et al., "Parallel Random Numbers: As Easy as 1,
+2, 3" (SC'11): no generator and no state.  A group has one uint64 key
+(:func:`noise_keys`, a whole block's keys in one vectorized pass), and the
+value of invocation ``j`` of the group and noise source ``s`` is a pure
+function ``u(key, j, s)``: the output mix of position ``64 j + s`` of the
+SplitMix64 sequence seeded by the key (Steele, Lea and Flood, OOPSLA 2014),
+read as a double strictly inside (0, 1).  Every schedule that computes a
+value gets the same one, however many other groups, invocations or sources
+it computes beside it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
+from scipy.special import ndtri
 
 #: Stream role of open-loop / traffic arrival sampling.
 STREAM_ARRIVALS = 1
@@ -35,14 +34,41 @@ STREAM_ARRIVALS = 1
 #: Stream role of platform execution noise (timing, counters, cold starts).
 STREAM_EXECUTION = 2
 
-#: Stream role of fleet traffic-model sampling (per function, per window).
+#: Stream role of fleet traffic-model sampling (per window).
 STREAM_TRAFFIC = 3
+
+#: Noise source of the CPU / file-system / network timing factor.
+SOURCE_CPU = 0
+#: Noise source of the straggler (tail-latency) decision.
+SOURCE_TAIL = 1
+#: Noise source of the cold-start duration factor.
+SOURCE_COLD = 2
+#: First of the 13 counter-jitter sources (jitter row ``r`` is source 3 + r).
+SOURCE_JITTER = 3
+#: First service-call source (the ``c``-th drawn call is source 16 + c).
+SOURCE_SERVICE = 16
+#: Sources one invocation owns: ``u(key, j, s)`` is defined for s < 64.
+SOURCES_PER_INVOCATION = 64
+#: Most drawn service calls one invocation can have.
+MAX_SERVICE_DRAWS = SOURCES_PER_INVOCATION - SOURCE_SERVICE
+
+_MASK64 = (1 << 64) - 1
+#: SplitMix64's increment, the golden-ratio constant.
+GAMMA = 0x9E3779B97F4A7C15
+_MIX_A = 0xBF58476D1CE4E5B9
+_MIX_B = 0x94D049BB133111EB
+# Counter steps of one invocation (64 sources) and of one source.
+_STEP_INVOCATION = np.uint64((SOURCES_PER_INVOCATION * GAMMA) & _MASK64)
+_STEP_SOURCE = np.uint64(GAMMA)
+# Exponent bits of 1.0: OR-ing 52 mantissa bits into them gives [1, 2).
+_ONE_BITS = np.uint64(0x3FF0000000000000)
+_ONE_MINUS_HALF_ULP = 1.0 - 2.0**-53
 
 
 def child_seed_sequence(
     base_seed: int, stream: int, *group_key: int
 ) -> np.random.SeedSequence:
-    """Spawn the seed sequence of one group-scoped random stream.
+    """Spawn the seed sequence of one group-scoped generator stream.
 
     Parameters
     ----------
@@ -54,8 +80,8 @@ def child_seed_sequence(
         independent uses of the same base seed.
     *group_key:
         Integer coordinates identifying the group — e.g. ``(function_index,
-        size_index)`` for a harness measurement or ``(function_index,
-        window_index)`` for a fleet window.
+        size_index)`` for a harness arrival trace or ``(window_index,)`` for
+        a fleet traffic window.
 
     Returns
     -------
@@ -68,18 +94,14 @@ def child_seed_sequence(
 
 
 def child_rng(base_seed: int, stream: int, *group_key: int) -> np.random.Generator:
-    """Create the generator of one group-scoped random stream.
+    """Create the generator of one group-scoped stream.
 
     Convenience wrapper around :func:`child_seed_sequence`; see there for the
     parameters.  Two calls with equal arguments return generators with
     identical initial state, so callers never need to share generator objects
-    across groups (which would reintroduce order dependence).
-
-    The generator is constructed as ``Generator(PCG64(seed_sequence))``
-    directly — exactly what :func:`numpy.random.default_rng` does for a
-    ``SeedSequence`` argument (same bit generator, same initial state), minus
-    the wrapper overhead that dominates when a sparse fleet window spawns
-    thousands of streams.
+    across groups (which would reintroduce order dependence).  The generator
+    is ``Generator(PCG64(seed_sequence))``, exactly what
+    :func:`numpy.random.default_rng` builds for a ``SeedSequence``.
     """
     return np.random.Generator(
         np.random.PCG64(child_seed_sequence(base_seed, stream, *group_key))
@@ -94,9 +116,7 @@ def spawn_child_rngs(
     ``spawn_child_rngs(seed, stream, *prefix, n=n)[i]`` has exactly the same
     state as ``child_rng(seed, stream, *prefix, i)`` — ``SeedSequence.spawn``
     numbers its children by appending the child index to the spawn key — but
-    amortizes the entropy-pool setup, which matters on hot paths that need
-    hundreds of streams per call (one fleet window spawns two streams per
-    function).
+    amortizes the entropy-pool setup.
 
     Parameters
     ----------
@@ -120,251 +140,182 @@ def spawn_child_rngs(
 
 
 # --------------------------------------------------------------------------
-# Keyed batch derivation
-#
-# ``spawn_child_rngs`` amortizes entropy-pool setup but still hashes one
-# ``SeedSequence`` per child and — crucially — can only number children
-# ``0..n-1``, so a sparse fleet window that needs streams for 1 000 active
-# functions out of 1 000 000 had to spawn the full fleet.  The keyed
-# constructor below builds the streams for an *arbitrary index subset*
-# directly, by replicating the ``SeedSequence`` entropy-pool hash in
-# vectorized numpy over the one spawn-key word that varies (the child
-# index).  The result is bit-identical to ``child_rng(seed, stream,
-# *prefix, i)`` — asserted by a one-time self-check against numpy's own
-# implementation; if numpy ever changes its hashing, the self-check fails
-# and every call transparently falls back to the reference route.
+# Execution noise, stream contract version 2
 # --------------------------------------------------------------------------
 
-# Hash constants of numpy's SeedSequence (a fixed-entropy-pool seed sequence
-# after O'Neill's seed_seq_fe).  Replicated only for the vectorized batch
-# path; parity with numpy is verified at runtime, not assumed.
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-_XSHIFT = 16
-_POOL_SIZE = 4
-_MASK32 = 0xFFFFFFFF
+
+def _mix64(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """SplitMix64's output mix of a uint64 array, in place (``tmp``: scratch)."""
+    np.right_shift(x, 30, out=tmp)
+    np.bitwise_xor(x, tmp, out=x)
+    np.multiply(x, np.uint64(_MIX_A), out=x)
+    np.right_shift(x, 27, out=tmp)
+    np.bitwise_xor(x, tmp, out=x)
+    np.multiply(x, np.uint64(_MIX_B), out=x)
+    np.right_shift(x, 31, out=tmp)
+    return np.bitwise_xor(x, tmp, out=x)
 
 
-def _uint32_words(value: int) -> list[int]:
-    """Split a non-negative int into little-endian 32-bit words (0 -> [0])."""
-    value = int(value)
-    if value == 0:
-        return [0]
-    words = []
+def _mix64_int(z: int) -> int:
+    """:func:`_mix64` of one Python int in [0, 2**64)."""
+    z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _words(coordinate) -> list[int]:
+    """Little-endian 64-bit words of a non-negative integer (0 -> [0])."""
+    value = int(coordinate)
+    if value < 0:
+        raise ValueError(f"noise key coordinates must be non-negative, got {value}")
+    words = [value & _MASK64]
+    value >>= 64
     while value:
-        words.append(value & _MASK32)
-        value >>= 32
+        words.append(value & _MASK64)
+        value >>= 64
     return words
 
 
-def keyed_state_words(
-    base_seed: int, stream: int, *prefix: int, indices
-) -> np.ndarray:
-    """PCG64 seed words for many sibling streams, derived in one batch.
+def noise_keys(base_seed: int, stream: int, *coordinates) -> np.ndarray:
+    """Keys of execution-noise groups, derived in one vectorized pass.
 
-    Row ``j`` equals ``child_seed_sequence(base_seed, stream, *prefix,
-    indices[j]).generate_state(4, np.uint64)`` bit for bit.  All spawn-key
-    coordinates except the trailing child index are shared, so the entropy
-    pool is hashed once in scalar arithmetic and only the final mixing step
-    — the one that folds in the index — runs vectorized over the batch.
-
-    Parameters
-    ----------
-    base_seed, stream, *prefix:
-        Shared stream coordinates, as in :func:`spawn_child_rngs`.
-    indices:
-        Integer array of trailing child indices, each in ``[0, 2**32)``
-        (one 32-bit spawn-key word; fleet indices always are).
+    Starting from ``h = GAMMA``, every 64-bit word ``w`` of the coordinates
+    ``(base_seed, stream, *coordinates)`` is folded in, in order, as ``h =
+    mix64(h ^ w)`` (a coordinate of 2**64 or more contributes its
+    little-endian words).  A coordinate may be an integer array: the leading
+    scalars are folded once in Python ints and the rest elementwise,
+    broadcast against each other, so a fleet window keys all its active
+    functions — ``noise_keys(seed, STREAM_EXECUTION, window, active)`` — and
+    a harness chunk all its (function, size) groups — ``noise_keys(seed,
+    STREAM_EXECUTION, function_index, size_index)`` — with no Python call
+    per group.  An array coordinate's entries must fit one word.
 
     Returns
     -------
     numpy.ndarray
-        Shape ``(len(indices), 4)`` uint64 seed words.
+        uint64 keys of the array coordinates' broadcast shape (0-d when
+        every coordinate is a scalar).
     """
-    idx = np.ascontiguousarray(indices, dtype=np.uint32)
-    entropy = _uint32_words(base_seed)
-    if len(entropy) < _POOL_SIZE:
-        entropy += [0] * (_POOL_SIZE - len(entropy))
-    entropy.extend(_uint32_words(stream))
-    for coordinate in prefix:
-        entropy.extend(_uint32_words(coordinate))
-
-    # Scalar phase: pool initialisation and every entropy word shared by the
-    # whole batch, in plain-int arithmetic (wrapped mod 2**32 by hand).
-    hash_const = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value = (value ^ hash_const) & _MASK32
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = (value * hash_const) & _MASK32
-        return value ^ (value >> _XSHIFT)
-
-    def mix(x: int, y: int) -> int:
-        result = ((_MIX_MULT_L * x) - (_MIX_MULT_R * y)) & _MASK32
-        return result ^ (result >> _XSHIFT)
-
-    pool = [
-        hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)
-    ]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for i_src in range(_POOL_SIZE, len(entropy)):
-        for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = mix(pool[i_dst], hashmix(entropy[i_src]))
-
-    # Vector phase: fold the per-child index into each pool word.  The hash
-    # constant evolves per hashmix call but never depends on the data, so it
-    # stays scalar; only the hashed value is a batch array.  uint32 array
-    # arithmetic wraps mod 2**32, matching the reference.
-    xshift = np.uint32(_XSHIFT)
-    columns = []
-    for i_dst in range(_POOL_SIZE):
-        hashed = idx ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        hashed = hashed * np.uint32(hash_const)
-        hashed ^= hashed >> xshift
-        mixed = np.uint32((_MIX_MULT_L * pool[i_dst]) & _MASK32) - (
-            np.uint32(_MIX_MULT_R) * hashed
-        )
-        mixed ^= mixed >> xshift
-        columns.append(mixed)
-
-    # generate_state(4, uint64): eight uint32 output words, cycling the pool.
-    hash_const = _INIT_B
-    state = np.empty((idx.shape[0], 2 * _POOL_SIZE), dtype=np.uint32)
-    for word in range(2 * _POOL_SIZE):
-        data = columns[word % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        data = data * np.uint32(hash_const)
-        state[:, word] = data ^ (data >> xshift)
-    return state.view(np.uint64)
+    h = GAMMA
+    rest = [base_seed, stream, *coordinates]
+    while rest and np.ndim(rest[0]) == 0:
+        for word in _words(rest.pop(0)):
+            h = _mix64_int(h ^ word)
+    keys = np.array(h, dtype=np.uint64)
+    for coordinate in rest:
+        if np.ndim(coordinate) == 0:
+            words = [np.uint64(word) for word in _words(coordinate)]
+        else:
+            column = np.asarray(coordinate)
+            if column.dtype.kind not in "iu":
+                raise ValueError("noise key coordinates must be integers")
+            if column.dtype.kind == "i" and column.size and column.min() < 0:
+                raise ValueError("noise key coordinates must be non-negative")
+            words = [column.astype(np.uint64)]
+        for word in words:
+            keys = np.bitwise_xor(keys, word)
+            _mix64(keys, np.empty_like(keys))
+    return keys
 
 
-class _PrecomputedSeedSequence:
-    """Minimal seed-sequence stand-in returning precomputed state words.
+def draw_key(rng: np.random.Generator) -> int:
+    """A fresh noise key from a generator (a platform's shared one)."""
+    return int(rng.integers(1 << 64, dtype=np.uint64))
 
-    Registered with :class:`numpy.random.bit_generator.ISeedSequence` so
-    ``PCG64(instance)`` accepts it and seeds from :meth:`generate_state`
-    directly, skipping the per-child entropy-pool hashing that
-    :func:`keyed_state_words` already performed for the whole batch.
+
+def counter_uniforms(counters: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The uniforms of execution-noise counters ``key + (64 j + s) * GAMMA``.
+
+    ``x = mix64(counter)`` and ``u = ((x >> 12) + 0.5) * 2**-52``: exact in
+    float64, so every ``u`` lies in ``[2**-53, 1 - 2**-53]``, strictly
+    inside (0, 1).  It is formed without an integer-to-float conversion:
+    ``(x >> 12) | bits(1.0)`` read as a double is ``1 + (x >> 12) * 2**-52``,
+    and subtracting ``1 - 2**-53`` from it is exact.  ``counters`` (uint64)
+    is overwritten; ``out`` (float64, same shape) doubles as the mix's
+    scratch space.
     """
-
-    __slots__ = ("words",)
-
-    def __init__(self) -> None:
-        self.words: np.ndarray | None = None
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        words = self.words
-        if np.dtype(dtype) != np.uint64 or int(n_words) != words.shape[0]:
-            raise ValueError(
-                "precomputed seed words cover exactly "
-                f"{words.shape[0]} uint64 words, not {n_words} of {dtype}"
-            )
-        return words
+    if out is None:
+        out = np.empty(counters.shape)
+    _mix64(counters, out.view(np.uint64))
+    np.right_shift(counters, 12, out=counters)
+    np.bitwise_or(counters, _ONE_BITS, out=counters)
+    return np.subtract(counters.view(np.float64), _ONE_MINUS_HALF_ULP, out=out)
 
 
-np.random.bit_generator.ISeedSequence.register(_PrecomputedSeedSequence)
+def noise_uniforms(key: int, positions, sources) -> np.ndarray:
+    """``u(key, j, s)`` for every position ``j`` and source ``s``.
 
-
-def _keyed_fast_path_available() -> bool:
-    """One-time self-check: keyed derivation matches numpy bit for bit.
-
-    Exercises multi-word seeds, multi-coordinate prefixes and boundary
-    indices.  Any numpy-internals drift makes this return ``False`` and the
-    keyed constructors silently take the reference route instead.
+    The reference evaluation of the contract: a ``(len(positions),
+    len(sources))`` float64 array.  The serial backend hands each
+    invocation of its batch one row of it and the looped oracle reads one
+    group's columns; the grouped kernel computes the same values source by
+    source (:class:`CounterPass`).
     """
-    try:
-        probes = [
-            (1234, STREAM_EXECUTION, (17,), [0, 1, 999, 2**32 - 1]),
-            (2**96 + 5, STREAM_TRAFFIC, (0, 3), [2, 2**31]),
-            (0, STREAM_ARRIVALS, (), [5]),
-        ]
-        for seed, stream, prefix, indices in probes:
-            words = keyed_state_words(seed, stream, *prefix, indices=indices)
-            for row, index in enumerate(indices):
-                reference = child_seed_sequence(
-                    seed, stream, *prefix, index
-                ).generate_state(4, np.uint64)
-                if not np.array_equal(words[row], reference):
-                    return False
-        seeded = np.random.PCG64(_make_precomputed(words[0]))
-        reference_bg = np.random.PCG64(
-            child_seed_sequence(0, STREAM_ARRIVALS, 5)
-        )
-        return seeded.state == reference_bg.state
-    except Exception:
-        return False
+    sources = np.asarray(sources, dtype=np.int64).reshape(1, -1)
+    if sources.size and (sources.min() < 0 or sources.max() >= SOURCES_PER_INVOCATION):
+        raise ValueError(f"noise sources must lie in [0, {SOURCES_PER_INVOCATION})")
+    positions = np.asarray(positions, dtype=np.uint64).reshape(-1, 1)
+    counters = positions * _STEP_INVOCATION + sources.astype(np.uint64) * _STEP_SOURCE
+    counters += np.uint64(int(key))
+    return counter_uniforms(counters)
 
 
-def _make_precomputed(words: np.ndarray) -> _PrecomputedSeedSequence:
-    holder = _PrecomputedSeedSequence()
-    holder.words = words
-    return holder
+def invocation_uniforms(key: int, position: int = 0) -> np.ndarray:
+    """Every source's ``u(key, position, s)`` of one invocation, indexed by ``s``."""
+    return noise_uniforms(key, [position], np.arange(SOURCES_PER_INVOCATION))[0]
 
 
-_KEYED_FAST_PATH: bool | None = None
+class CounterPass:
+    """Source-by-source noise of a flat set of invocations: the kernel's pass.
 
-
-class KeyedStreams(Sequence):
-    """Group streams of an index subset, each built only when taken.
-
-    Item ``j`` is a new generator at the initial state of ``child_rng(seed,
-    stream, *prefix, indices[j])``, built from seed words derived for the
-    whole subset in one batch (:func:`keyed_state_words`).  Nothing per
-    group is kept between items, so a grouped run that takes each group's
-    stream when it draws the group's noise holds one generator at a time.
-    Taking an item twice gives two generators at the same initial state.
+    Invocation ``i`` is position ``j_i`` of key ``k_i``; the pass keeps its
+    base counters ``k_i + 64 j_i * GAMMA`` and one work array, both uint64,
+    so each source costs one add, one mix and one conversion over them.
     """
 
-    __slots__ = ("_words", "_holder")
+    def __init__(self, base: np.ndarray, work: np.ndarray) -> None:
+        self.base = base
+        self.work = work
 
-    def __init__(self, words: np.ndarray) -> None:
-        self._words = words
-        self._holder = _PrecomputedSeedSequence()
+    @staticmethod
+    def for_groups(
+        keys: np.ndarray, offsets: np.ndarray, gid: np.ndarray, buffers=None
+    ) -> "CounterPass":
+        """The pass of groups' flat group-major invocations.
 
-    def __len__(self) -> int:
-        return int(self._words.shape[0])
+        ``keys`` are the groups' keys, ``offsets`` their boundaries into the
+        flat columns and ``gid`` each invocation's group; ``buffers`` are two
+        reusable uint64 arrays of the flat length.
+        """
+        n = int(gid.shape[0])
+        if buffers is None:
+            buffers = (np.empty(n, np.uint64), np.empty(n, np.uint64))
+        base, work = buffers
+        # The position of each invocation within its group, then its counter.
+        np.take(offsets.astype(np.uint64), gid, out=work)
+        np.subtract(np.arange(n, dtype=np.uint64), work, out=work)
+        np.multiply(work, _STEP_INVOCATION, out=work)
+        np.take(keys, gid, out=base)
+        np.add(base, work, out=base)
+        return CounterPass(base, work)
 
-    def __getitem__(self, j: int) -> np.random.Generator:
-        # PCG64 reads the holder's words once, while it is constructed.
-        self._holder.words = self._words[j]
-        return np.random.Generator(np.random.PCG64(self._holder))
+    def uniforms(self, source: int, out: np.ndarray) -> np.ndarray:
+        """``u`` of one source for every invocation, into ``out``."""
+        np.add(self.base, np.uint64((source * GAMMA) & _MASK64), out=self.work)
+        return counter_uniforms(self.work, out)
 
+    def normals(self, source: int, out: np.ndarray) -> np.ndarray:
+        """``ndtri(u)`` of one source for every invocation, into ``out``."""
+        return ndtri(self.uniforms(source, out), out=out)
 
-def keyed_child_rngs(
-    base_seed: int, stream: int, *prefix: int, indices
-) -> Sequence[np.random.Generator]:
-    """Create group streams for an arbitrary index subset, in one batch.
+    def block_normals(self, rows: np.ndarray, first_source: int, width: int) -> np.ndarray:
+        """``(len(rows), width)`` normals of consecutive sources, C-ordered.
 
-    ``keyed_child_rngs(seed, stream, *prefix, indices=idx)[j]`` has exactly
-    the same state as ``child_rng(seed, stream, *prefix, idx[j])`` and as
-    ``spawn_child_rngs(seed, stream, *prefix, n=n)[idx[j]]`` — but the cost
-    is O(len(indices)), independent of how many sibling streams exist, so a
-    sparse fleet window pays only for its *active* functions.  The result is
-    a :class:`KeyedStreams` sequence, whose items are built when taken.
-
-    Falls back to a list of :func:`child_rng` streams when the vectorized
-    derivation's one-time self-check against numpy fails or an index does
-    not fit one 32-bit spawn-key word.
-    """
-    global _KEYED_FAST_PATH
-    idx = np.asarray(indices)
-    if idx.shape[0] == 0:
-        return []
-    if _KEYED_FAST_PATH is None:
-        _KEYED_FAST_PATH = _keyed_fast_path_available()
-    if not _KEYED_FAST_PATH or idx.dtype.kind not in "iu" or (
-        idx.dtype.itemsize > 4 and bool((idx >= 2**32).any())
-    ) or (idx.dtype.kind == "i" and bool((idx < 0).any())):
-        return [
-            child_rng(base_seed, stream, *prefix, int(i)) for i in idx
-        ]
-    return KeyedStreams(keyed_state_words(base_seed, stream, *prefix, indices=idx))
+        Row ``r`` holds sources ``first_source .. first_source + width - 1``
+        of invocation ``rows[r]``: the service-call draws of the invocations
+        with ``width`` drawn calls.
+        """
+        sources = np.arange(first_source, first_source + width, dtype=np.uint64)
+        counters = self.base[rows][:, None] + sources * _STEP_SOURCE
+        z = counter_uniforms(counters)
+        return ndtri(z, out=z)

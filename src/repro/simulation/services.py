@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.simulation.profile import ServiceCall
+from repro.simulation.seeding import MAX_SERVICE_DRAWS
 
 
 @dataclass(frozen=True)
@@ -58,13 +59,21 @@ class ServiceModel:
         payload_kb = (call.request_bytes + call.response_bytes) / 1024.0
         return float(factor * self.base_latency_ms + self.per_kb_ms * payload_kb)
 
-    def sample_latency_ms(self, call: ServiceCall, rng: np.random.Generator) -> float:
-        """Sample the service-side latency of one call."""
+    def draws(self, call: ServiceCall) -> bool:
+        """Whether a call's latency is noisy (a positive CV and a positive mean)."""
+        return self.latency_cv > 0 and self.mean_latency_ms(call) > 0
+
+    def sample_latency_ms(self, call: ServiceCall, z: float) -> float:
+        """The service-side latency of one call, ``mean * exp(-sigma**2 / 2 + sigma * z)``.
+
+        ``z`` is the call's standard normal (stream contract v2); a call
+        that does not :meth:`draw <draws>` returns its mean.
+        """
         mean = self.mean_latency_ms(call)
-        if self.latency_cv <= 0 or mean <= 0:
+        if not self.draws(call):
             return mean
         sigma = float(np.sqrt(np.log(1.0 + self.latency_cv**2)))
-        return float(mean * rng.lognormal(mean=-0.5 * sigma * sigma, sigma=sigma))
+        return float(mean * np.exp(-0.5 * sigma * sigma + sigma * z))
 
 
 def _default_services() -> dict[str, ServiceModel]:
@@ -127,10 +136,20 @@ class ServiceCatalog:
         """Expected total service-side latency for all ``call.calls`` calls."""
         return self.get(call.service).mean_latency_ms(call) * call.calls
 
-    def sample_latency_ms(self, call: ServiceCall, rng: np.random.Generator) -> float:
-        """Sample the total service-side latency for all ``call.calls`` calls."""
+    def draws(self, call: ServiceCall) -> bool:
+        """Whether ``call`` draws noise: then each of its ``call.calls`` calls reads one normal."""
+        return self.get(call.service).draws(call)
+
+    def sample_latency_ms(self, call: ServiceCall, normals) -> float:
+        """The total service-side latency of all ``call.calls`` calls.
+
+        ``normals`` holds one standard normal per call (read only when the
+        call :meth:`draws`).
+        """
         model = self.get(call.service)
-        return float(sum(model.sample_latency_ms(call, rng) for _ in range(call.calls)))
+        if not model.draws(call):
+            return model.mean_latency_ms(call) * call.calls
+        return float(sum(model.sample_latency_ms(call, z) for z in normals[: call.calls]))
 
     def batch_rows(
         self, calls: tuple[ServiceCall, ...]
@@ -140,11 +159,13 @@ class ServiceCatalog:
         ``fixed_ms`` sums the calls the scalar sampler never draws for (zero
         CV or zero mean); ``mean_row``/``sigma_row`` hold one entry per drawn
         call, repeated ``call.calls`` times, or ``None`` when every call is
-        fixed.  The grouped execution kernel draws the standard normals
-        itself, invocation-major like the scalar sampler, and adds
+        fixed.  The grouped execution kernel reads the standard normals of
+        the service sources (the ``c``-th drawn call is source ``16 + c`` of
+        stream contract v2, :mod:`repro.simulation.seeding`) and adds
         ``(mean_row * exp(-sigma_row**2 / 2 + sigma_row * z)).sum(axis=1)``
-        to ``fixed_ms`` (``lognormal(mu, sigma) == exp(mu + sigma * z)``).
-        Cached per distinct call tuple.
+        to ``fixed_ms``.  Cached per distinct call tuple; a tuple with more
+        than :data:`~repro.simulation.seeding.MAX_SERVICE_DRAWS` drawn calls
+        raises :class:`~repro.errors.SimulationError`.
         """
         rows = self._batch_rows.get(calls)
         if rows is None:
@@ -154,13 +175,18 @@ class ServiceCatalog:
             for call in calls:
                 model = self.get(call.service)
                 mean = model.mean_latency_ms(call)
-                if model.latency_cv <= 0 or mean <= 0:
+                if not model.draws(call):
                     # The scalar sampler returns the mean without a draw.
                     fixed += mean * call.calls
                     continue
                 sigma = float(np.sqrt(np.log(1.0 + model.latency_cv**2)))
                 means.extend([mean] * call.calls)
                 sigmas.extend([sigma] * call.calls)
+            if len(means) > MAX_SERVICE_DRAWS:
+                raise SimulationError(
+                    f"{len(means)} drawn service calls per invocation; the "
+                    f"noise contract keys at most {MAX_SERVICE_DRAWS}"
+                )
             rows = (
                 fixed,
                 np.asarray(means) if means else None,

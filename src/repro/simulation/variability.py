@@ -64,30 +64,41 @@ class VariabilityModel:
         """``(mu, sigma)`` of a mean-1 log-normal with coefficient of variation ``cv``.
 
         This is the single source of the parameterization: the scalar
-        :meth:`cpu_factor` and the grouped execution kernel, which hoists the
-        parameters out of its per-group loop and draws
-        ``rng.lognormal(mu, sigma, n)`` itself, both use it.
+        :meth:`cpu_factor` and the grouped execution kernel, which computes
+        ``exp(mu + sigma * z)`` over a whole block, both use it.
         """
         sigma = float(np.sqrt(np.log(1.0 + cv * cv)))
         return -0.5 * sigma * sigma, sigma
 
-    @staticmethod
-    def _lognormal_factor(rng: np.random.Generator, cv: float) -> float:
-        """Sample a log-normal multiplicative factor with mean 1 and the given CV."""
-        if cv <= 0:
+    # The scalar noise transforms of stream contract v2
+    # (:mod:`repro.simulation.seeding`): each reads one invocation's value of
+    # its noise source, a uniform ``u`` or its standard normal ``ndtri(u)``.
+    def cpu_factor(self, z: float) -> float:
+        """Noise factor for locally executed (CPU / fs) durations.
+
+        ``exp(mu + sigma * z)`` of the cpu source's normal ``z`` (1.0
+        without CPU noise).
+        """
+        if self.cpu_noise_cv <= 0:
             return 1.0
-        mu, sigma = VariabilityModel.lognormal_params(cv)
-        return float(rng.lognormal(mean=mu, sigma=sigma))
+        mu, sigma = self.lognormal_params(self.cpu_noise_cv)
+        return float(np.exp(mu + sigma * z))
 
-    def cpu_factor(self, rng: np.random.Generator) -> float:
-        """Noise factor for locally executed (CPU / fs) durations."""
-        return self._lognormal_factor(rng, self.cpu_noise_cv)
-
-    def tail_factor(self, rng: np.random.Generator) -> float:
-        """Occasional straggler multiplier (1.0 for non-stragglers)."""
-        if self.tail_probability > 0 and rng.random() < self.tail_probability:
+    def tail_factor(self, u: float) -> float:
+        """Straggler multiplier where the tail source's uniform ``u`` < p, else 1.0."""
+        if self.tail_probability > 0 and u < self.tail_probability:
             return float(self.tail_multiplier)
         return 1.0
+
+    def jitter_factors(self, normals) -> list[float]:
+        """Counter-jitter factors ``max(1 + cv * z, 0.5)`` of the jitter sources' normals.
+
+        All ones without counter noise.
+        """
+        cv = self.counter_noise_cv
+        if cv <= 0:
+            return [1.0] * len(normals)
+        return [max(1.0 + cv * z, 0.5) for z in normals]
 
     def drift_factor(self, timestamp_s: float) -> float:
         """Slow deterministic platform drift at ``timestamp_s`` (period ~1 h)."""

@@ -149,7 +149,8 @@ class TrafficModel(abc.ABC):
         then evaluates ONE :meth:`batch_rate` call per model *class* instead
         of one Python :meth:`rate` call per model.  Returning ``None`` (the default) opts
         out of batching — the per-model :meth:`rate` fallback is used
-        (:class:`BurstyTraffic` needs its per-interval placement loop;
+        (:class:`BurstyTraffic` has a batched path of its own in the
+        schedule, since its burst placement is seeded per interval;
         :class:`TraceTraffic` replay never evaluates a rate).
         """
         return None
@@ -722,6 +723,11 @@ _BATCH_EXTRACT: dict[type, tuple] = {
 }
 
 
+#: Class code of the :class:`BurstyTraffic` models in a
+#: :class:`FleetTrafficSchedule` (kernel classes count from 0, -1 is none).
+_BURSTY = -2
+
+
 class FleetTrafficSchedule:
     """Fused Lewis–Shedler thinning across a whole fleet of traffic models.
 
@@ -731,6 +737,9 @@ class FleetTrafficSchedule:
     models without a kernel (rate evaluated per model on its contiguous
     candidate slice) and deterministic trace replays (spliced in exactly,
     outside the thinning process, with a thinning envelope of zero).
+    :class:`BurstyTraffic` models share one batched pass too, reading their
+    burst starts from a cache keyed by (function, interval) that drops an
+    interval once a window starts after it.
 
     :meth:`sample_window` then draws one window of the whole fleet from ONE
     random stream: one vectorized Poisson draw of per-function candidate
@@ -768,11 +777,27 @@ class FleetTrafficSchedule:
         # (first_index, cls, members, columns) — sorted below so kernel
         # codes follow first occurrence, as the per-model loop produced.
         kernels: list[tuple[int, type, np.ndarray, np.ndarray]] = []
+        self._bursty_columns = np.zeros((4, 0))
+        # (function, interval) -> (burst start offset, interval end)
+        self._burst_starts: dict[tuple[int, int], tuple[float, float]] = {}
         for cls in set(map(type, self.models)):
             members = np.flatnonzero(class_ids == id(cls))
             if cls is TraceTraffic:
                 # peak stays 0.0: replay is exact, never thinned
                 self._trace_indices.extend(members.tolist())
+                continue
+            if cls is BurstyTraffic:
+                selected = [self.models[i] for i in members.tolist()]
+                self._bursty_columns = np.array(
+                    [
+                        (m.base_rate_rps, m.burst_rate_rps, m.burst_every_s, m.burst_duration_s)
+                        for m in selected
+                    ],
+                    dtype=np.float64,
+                ).T
+                peaks[members] = self._bursty_columns[1]
+                self._class_code[members] = _BURSTY
+                self._rank[members] = np.arange(members.shape[0])
                 continue
             extract = _BATCH_EXTRACT.get(cls)
             if extract is not None:
@@ -845,6 +870,10 @@ class FleetTrafficSchedule:
         start_s, end_s = _require_window(start_s, end_s)
         duration = end_s - start_s
         n = self.n_functions
+        if self._burst_starts:
+            self._burst_starts = {
+                key: entry for key, entry in self._burst_starts.items() if entry[1] > start_s
+            }
         counts = rng.poisson(self.thinning_peaks * duration)
         total = int(counts.sum())
         gids = np.repeat(np.arange(n, dtype=np.int64), counts)
@@ -887,6 +916,9 @@ class FleetTrafficSchedule:
                 rates[members] = cls.batch_rate(
                     columns[:, self._rank[gids[members]]], times[members]
                 )
+        bursty = candidate_codes == _BURSTY
+        if np.any(bursty):
+            rates[bursty] = self._bursty_rates(gids[bursty], times[bursty])
         if self._fallback_indices:
             candidate_offsets = np.zeros(counts.shape[0] + 1, dtype=np.int64)
             np.cumsum(counts, out=candidate_offsets[1:])
@@ -895,6 +927,36 @@ class FleetTrafficSchedule:
                 if b > a:
                     rates[a:b] = self.models[i].rate(times[a:b])
         return rates
+
+    def _bursty_rates(self, functions: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """:meth:`BurstyTraffic.rate` of many bursty candidates in one pass.
+
+        The same float expressions as the per-model method, elementwise over
+        the candidates' parameter columns.  Each (function, interval) run of
+        candidates reads its burst start once from the cache, which a miss
+        fills with the model's own ``_burst_start``.
+        """
+        base, burst, every, duration = self._bursty_columns[:, self._rank[functions]]
+        intervals = np.floor_divide(times, every).astype(int)
+        offsets = times - intervals * every
+        n = times.shape[0]
+        new_run = np.ones(n, dtype=bool)
+        new_run[1:] = (functions[1:] != functions[:-1]) | (intervals[1:] != intervals[:-1])
+        heads = np.flatnonzero(new_run)
+        cache = self._burst_starts
+        head_starts = []
+        for function, interval in zip(functions[heads].tolist(), intervals[heads].tolist()):
+            entry = cache.get((function, interval))
+            if entry is None:
+                model = self.models[function]
+                entry = cache[(function, interval)] = (
+                    model._burst_start(interval),
+                    (interval + 1) * model.burst_every_s,
+                )
+            head_starts.append(entry[0])
+        start = np.repeat(head_starts, np.diff(np.append(heads, n)))
+        in_burst = (offsets >= start) & (offsets < start + duration)
+        return np.where(in_burst, burst, base)
 
     def _assemble(
         self,

@@ -1,14 +1,17 @@
 """The looped per-batch oracle of the grouped execution kernel.
 
 :class:`LoopedBackend` runs the base ``ExecutionBackend.run_grouped`` — one
-``run_batch`` per group — over a per-batch implementation of its own: one
-batched draw per noise source in the kernel's stream order (cpu, service,
-tail, jitters, cold), the timing model and the 25 Table-1 formulas as numpy
-arithmetic over the profile's scalars, and the sequential
+``run_batch`` per group — over a per-batch implementation of its own: the
+noise contract's values of the batch's key
+(``repro.simulation.seeding.noise_uniforms``, one call per noise source and
+one for the service block), the timing model and the 25 Table-1 formulas as
+numpy arithmetic over the profile's scalars, and the sequential
 ``walk_instances``.  It shares the model objects, their noise
-parameterizations and that walk with the kernel, not the arithmetic, so the
-parity tests comparing the two (:func:`assert_identical`) catch a slip in
-either.  ``tests/``, ``benchmarks/`` and ``tools/bench_report.py`` all
+parameterizations, the noise function and that walk with the kernel, not the
+arithmetic, so the parity tests comparing the two (:func:`assert_identical`)
+catch a slip in either; the noise function's own known-answer and
+statistical tests (``tests/test_noise_contract.py``) stand for its
+independence.  ``tests/``, ``benchmarks/`` and ``tools/bench_report.py`` all
 import this module.
 """
 
@@ -17,11 +20,21 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+from scipy.special import ndtri
 
 from repro.simulation.engine.base import BatchResult, ExecutionBackend
 from repro.simulation.engine.grouped import walk_instances
 from repro.simulation.execution import _HANDLER_OVERHEAD_MS
 from repro.simulation.runtime import _PACKET_BYTES, _RUNTIME_BASELINE_MB
+from repro.simulation.seeding import (
+    SOURCE_COLD,
+    SOURCE_CPU,
+    SOURCE_JITTER,
+    SOURCE_SERVICE,
+    SOURCE_TAIL,
+    draw_key,
+    noise_uniforms,
+)
 
 
 class LoopedBackend(ExecutionBackend):
@@ -29,37 +42,49 @@ class LoopedBackend(ExecutionBackend):
 
     name = "looped"
 
-    def run_batch(self, platform, function_name, arrivals, rng=None) -> BatchResult:
-        """Execute one sorted arrival batch (``rng`` defaults to the platform's)."""
+    def run_batch(self, platform, function_name, arrivals, key=None) -> BatchResult:
+        """Execute one sorted arrival batch (``key`` is drawn from ``platform.rng`` if None)."""
         function = platform.get_function(function_name)
         profile, memory_mb = function.profile, function.memory_mb
         model = platform.execution_model
         variability = model.variability
         cold_model = platform.cold_start_model
-        rng = rng if rng is not None else platform.rng
+        key = key if key is not None else draw_key(platform.rng)
         t = np.asarray(arrivals, dtype=float)
         n = int(t.shape[0])
+        positions = np.arange(n)
 
-        # One batched draw per noise source, in the kernel's stream order.
+        def uniforms(*sources):
+            return noise_uniforms(key, positions, sources)
+
+        def lognormal(source, mu, sigma):
+            return np.exp(mu + sigma * ndtri(uniforms(source)[:, 0]))
+
+        # The contract's values of every noise source the batch reads.
         cpu_cv = variability.cpu_noise_cv
         cpu_noise = (
-            rng.lognormal(*variability.lognormal_params(cpu_cv), n) if cpu_cv > 0 else np.ones(n)
+            lognormal(SOURCE_CPU, *variability.lognormal_params(cpu_cv))
+            if cpu_cv > 0
+            else np.ones(n)
         )
         fixed_ms, mean_row, sigma_row = model.services.batch_rows(profile.service_calls)
         service_ms = np.full(n, fixed_ms) if fixed_ms else np.zeros(n)
         if mean_row is not None:
-            z = rng.standard_normal((n, mean_row.shape[0]))
+            width = mean_row.shape[0]
+            z = ndtri(uniforms(*range(SOURCE_SERVICE, SOURCE_SERVICE + width)))
             factors = np.exp(-0.5 * sigma_row * sigma_row + sigma_row * z)
             service_ms += (mean_row * factors).sum(axis=1)
         tail_p, counter_cv = variability.tail_probability, variability.counter_noise_cv
         tail = np.ones(n)
         if tail_p > 0:
-            tail = np.where(rng.random(n) < tail_p, float(variability.tail_multiplier), 1.0)
+            tail_u = uniforms(SOURCE_TAIL)[:, 0]
+            tail = np.where(tail_u < tail_p, float(variability.tail_multiplier), 1.0)
         jitters = np.ones((13, n))
         if counter_cv > 0:
-            jitters = np.maximum(rng.normal(1.0, counter_cv, size=(13, n)), 0.5)
+            z = ndtri(uniforms(*range(SOURCE_JITTER, SOURCE_JITTER + 13)).T)
+            jitters = np.maximum(1.0 + counter_cv * z, 0.5)
         cold_noise = (
-            rng.lognormal(*cold_model.noise_params(), n) if cold_model.noise_cv > 0 else None
+            lognormal(SOURCE_COLD, *cold_model.noise_params()) if cold_model.noise_cv > 0 else None
         )
 
         # Timing model: noise-free bases times the noise, then the total factor.

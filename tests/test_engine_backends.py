@@ -3,11 +3,12 @@
 The vectorized and parallel backends must reproduce the serial (scalar)
 backend's behaviour:
 
-- *exactly* when every noise source is disabled (same invocation-major random
-  draw order, same floating-point pipeline), and
+- *invocation for invocation* (to rounding) with noise off or on: both read
+  the same noise values (stream contract v2, ``repro.simulation.seeding``),
+  and
 - *statistically* (aggregates over a measurement window within tight
-  tolerance) when the default noise models are active, for CPU-bound,
-  service-bound and pure API-call profiles, warm and cold.
+  tolerance) for CPU-bound, service-bound and pure API-call profiles, warm
+  and cold.
 
 Their ``run_batch`` is a one-group kernel call (``TestOneBatchPath``), so
 these comparisons exercise the kernel directly.
@@ -39,6 +40,7 @@ from repro.simulation.execution import ExecutionModel
 from repro.simulation.platform import PlatformConfig, ServerlessPlatform
 from repro.simulation.profile import ResourceProfile, ServiceCall
 from repro.simulation.runtime import NodeRuntimeModel
+from repro.simulation.seeding import STREAM_EXECUTION, draw_key, noise_keys
 from repro.simulation.variability import VariabilityModel
 from repro.workloads.function import FunctionSpec
 
@@ -133,7 +135,7 @@ class TestRegistry:
 
 
 class TestExactParity:
-    """With all noise disabled both backends agree invocation for invocation."""
+    """Both backends agree invocation for invocation, with noise off or on."""
 
     @pytest.mark.parametrize("profile_name", sorted(PROFILES))
     def test_noise_free_batches_identical(self, profile_name):
@@ -147,6 +149,51 @@ class TestExactParity:
         )
         np.testing.assert_array_equal(serial.cold_start, vectorized.cold_start)
         # The same workers end busy until the same times.
+        np.testing.assert_allclose(
+            serial_platform.busy_until("f"), vectorized_platform.busy_until("f"), rtol=1e-9
+        )
+        np.testing.assert_allclose(
+            serial.init_duration_ms, vectorized.init_duration_ms, rtol=1e-9
+        )
+        np.testing.assert_allclose(serial.cost_usd, vectorized.cost_usd, rtol=1e-9)
+        for metric in METRIC_NAMES:
+            np.testing.assert_allclose(
+                serial.metrics[metric],
+                vectorized.metrics[metric],
+                rtol=1e-9,
+                atol=1e-12,
+                err_msg=metric,
+            )
+
+    @pytest.mark.parametrize("profile_name", sorted(PROFILES) + ["network_bound"])
+    def test_default_noise_batches_identical(self, profile_name):
+        """With the default noise models on, the serial path reads the
+        kernel's noise values (stream contract v2), so the same assertions
+        hold invocation for invocation."""
+        profile = PROFILES.get(profile_name) or ResourceProfile(
+            cpu_user_ms=30.0,
+            memory_working_set_mb=60.0,
+            heap_allocated_mb=25.0,
+            fs_write_bytes=80_000.0,
+            fs_write_ops=2.0,
+            network_bytes_in=300_000.0,
+            network_bytes_out=20_000.0,
+            service_calls=(
+                ServiceCall("sqs", "send", 512, 256, calls=3),
+                ServiceCall("aurora", "join_query", 2048, 65_536),
+            ),
+            blocking_fraction=0.5,
+        )
+        # Sparse enough for keep-alive expiry, dense enough for overlaps.
+        arrivals = np.concatenate([_arrivals(300), 2000.0 + _arrivals(100, 5.0)])
+        serial, serial_platform = _run("serial", profile, arrivals)
+        vectorized, vectorized_platform = _run("vectorized", profile, arrivals)
+        assert serial.n_cold_starts > 1
+
+        np.testing.assert_allclose(
+            serial.execution_time_ms, vectorized.execution_time_ms, rtol=1e-9
+        )
+        np.testing.assert_array_equal(serial.cold_start, vectorized.cold_start)
         np.testing.assert_allclose(
             serial_platform.busy_until("f"), vectorized_platform.busy_until("f"), rtol=1e-9
         )
@@ -325,14 +372,16 @@ class TestBatchBookkeeping:
         assert platform.warm_instance_count("f") > 0
 
     def test_serial_batch_draws_only_from_its_stream(self):
-        """A serial batch given a stream leaves the platform's shared
+        """A serial batch given a key leaves the platform's shared
         generator as it was, and equals the batch of a twin platform whose
-        shared generator is seeded like the stream."""
+        shared generator is seeded like the generator the key came from."""
         arrivals = _arrivals(30)
         platform = _platform(seed=0)
         platform.deploy("f", PROFILES["service_bound"], 512)
         shared = platform.rng.bit_generator.state
-        batch = SerialBackend().run_batch(platform, "f", arrivals, rng=np.random.default_rng(5))
+        batch = SerialBackend().run_batch(
+            platform, "f", arrivals, key=draw_key(np.random.default_rng(5))
+        )
         assert platform.rng.bit_generator.state == shared
         twin, _ = _run("serial", PROFILES["service_bound"], arrivals, seed=5)
         assert_identical(batch, twin)
@@ -385,9 +434,9 @@ class TestBatchBookkeeping:
             name = "counting"
             calls = 0
 
-            def run_batch(self, platform, function_name, arrivals, rng=None):
+            def run_batch(self, platform, function_name, arrivals, key=None):
                 CountingBackend.calls += 1
-                return super().run_batch(platform, function_name, arrivals, rng=rng)
+                return super().run_batch(platform, function_name, arrivals, key=key)
 
         backend: ExecutionBackend = CountingBackend()
         platform = _platform()
@@ -396,10 +445,10 @@ class TestBatchBookkeeping:
         assert CountingBackend.calls == 1
 
 
-def _one_group(platform, name, arrivals, rng):
-    """One-group ``run_grouped`` on the platform's stream when ``rng`` is None."""
+def _one_group(platform, name, arrivals, key):
+    """One-group ``run_grouped``, on a key from the platform's generator when ``key`` is None."""
     block = GroupBlock.for_deployed(
-        platform, [name], [arrivals], [rng if rng is not None else platform.rng]
+        platform, [name], [arrivals], [key if key is not None else draw_key(platform.rng)]
     )
     return VectorizedBackend().run_grouped(platform, block).group(0)
 
@@ -427,8 +476,11 @@ class TestOneBatchPath:
             keep_alive_s, max_instances = limits
             platform = _platform(5, not noise, keep_alive_s, max_instances=max_instances)
             platform.deploy("f", profile, size)
-            rngs = [np.random.default_rng([7, b]) if stream == "group" else None for b in range(3)]
-            batches = [execute(platform, "f", self.ARRIVALS[kind](b), rngs[b]) for b in range(3)]
+            keys = [
+                int(noise_keys(7, STREAM_EXECUTION, b)) if stream == "group" else None
+                for b in range(3)
+            ]
+            batches = [execute(platform, "f", self.ARRIVALS[kind](b), keys[b]) for b in range(3)]
             return batches, (
                 pool_state(platform, ["f"]),
                 platform.get_function("f").invocation_count,
@@ -554,10 +606,11 @@ class TestOneBatchPath:
             for name in ("f", "g"):
                 platform.deploy(name, PROFILES["api_call"], 512)
                 platform.invoke_batch(name, [1.0, 2.0], backend="serial")
-            rngs = [
-                np.random.default_rng([3, g]) if stream == "group" else platform.rng
-                for g in range(2)
-            ]
+            keys = (
+                noise_keys(3, STREAM_EXECUTION, np.arange(2))
+                if stream == "group"
+                else [draw_key(platform.rng) for _ in range(2)]
+            )
 
             def state():
                 return (
@@ -565,14 +618,14 @@ class TestOneBatchPath:
                     [platform.get_function(n).invocation_count for n in ("f", "g")],
                     [platform.total_cost_usd(n) for n in ("f", "g")],
                     platform.total_cost_usd(),
-                    [r.bit_generator.state for r in rngs],
+                    platform.rng.bit_generator.state,
                 )
 
             before = state()
             with pytest.raises(SimulationError) as refused:
                 get_backend(backend).run_grouped(
                     platform,
-                    GroupBlock.for_deployed(platform, ["f", "g"], [[0.5, 1.0], bad], rngs),
+                    GroupBlock.for_deployed(platform, ["f", "g"], [[0.5, 1.0], bad], keys),
                 )
             assert state() == before, backend
             messages.add(str(refused.value))
@@ -609,6 +662,6 @@ class TestOneBatchPath:
             platform,
             list(PROFILES),
             [_arrivals(40, seed=i) for i in range(len(PROFILES))],
-            [np.random.default_rng(i) for i in range(len(PROFILES))],
+            noise_keys(0, STREAM_EXECUTION, np.arange(len(PROFILES))),
         )
         assert looped_backend.run_grouped(platform, block).n_invocations == 120

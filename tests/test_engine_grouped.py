@@ -2,8 +2,8 @@
 
 The grouped kernel (``VectorizedBackend.run_grouped``) must be
 bit-identical to the looped per-group schedule: every (function, size) or
-(function, window) group owns its own spawned random streams, both paths draw
-each group's noise in the same order, and both reduce through the same
+(function, window) group owns its own noise key, both paths read the same
+noise values, and both reduce through the same
 segmented-summation primitive.  These tests enforce that for
 ``measure_table`` across backends and sinks and for stressed instance-pool
 dynamics (overlaps, keep-alive expiry), check the fleet window's arrival
@@ -42,7 +42,7 @@ from repro.simulation.seeding import (
     STREAM_EXECUTION,
     child_rng,
     child_seed_sequence,
-    keyed_child_rngs,
+    noise_keys,
     spawn_child_rngs,
 )
 from repro.workloads.generator import GeneratorConfig, SyntheticFunctionGenerator
@@ -81,72 +81,6 @@ class TestSeeding:
     def test_seed_sequence_key_structure(self):
         sequence = child_seed_sequence(1, STREAM_ARRIVALS, 2, 3)
         assert sequence.spawn_key == (STREAM_ARRIVALS, 2, 3)
-
-    # ------------------------------------------------- keyed O(active) path
-    @pytest.mark.parametrize(
-        "base_seed, stream, prefix",
-        [
-            (0, STREAM_ARRIVALS, ()),
-            (9, STREAM_EXECUTION, (4,)),
-            (1234, STREAM_EXECUTION, (0, 3)),
-            (2**96 + 5, STREAM_ARRIVALS, (7,)),
-        ],
-    )
-    def test_keyed_bit_identical_to_spawn(self, base_seed, stream, prefix):
-        keyed = keyed_child_rngs(base_seed, stream, *prefix, indices=np.arange(8))
-        spawned = spawn_child_rngs(base_seed, stream, *prefix, n=8)
-        for keyed_rng, spawned_rng in zip(keyed, spawned):
-            np.testing.assert_array_equal(
-                keyed_rng.standard_normal(6), spawned_rng.standard_normal(6)
-            )
-
-    def test_keyed_matches_child_rng_on_arbitrary_subsets(self):
-        indices = np.array([0, 3, 17, 999, 2**31, 2**32 - 1])
-        keyed = keyed_child_rngs(5, STREAM_EXECUTION, 7, indices=indices)
-        for index, keyed_rng in zip(indices, keyed):
-            expected = child_rng(5, STREAM_EXECUTION, 7, int(index))
-            np.testing.assert_array_equal(
-                keyed_rng.standard_normal(4), expected.standard_normal(4)
-            )
-
-    def test_keyed_across_window_prefixes(self):
-        for window_index in range(5):
-            keyed = keyed_child_rngs(
-                3, STREAM_EXECUTION, window_index, indices=np.array([2, 11])
-            )
-            for index, keyed_rng in zip((2, 11), keyed):
-                expected = child_rng(3, STREAM_EXECUTION, window_index, index)
-                np.testing.assert_array_equal(
-                    keyed_rng.uniform(size=3), expected.uniform(size=3)
-                )
-
-    def test_keyed_empty_indices(self):
-        empty = np.array([], dtype=np.int64)
-        assert keyed_child_rngs(1, STREAM_EXECUTION, indices=empty) == []
-
-    def test_keyed_out_of_range_indices_fall_back_and_match(self):
-        # Beyond uint32 the vectorized phase cannot represent the spawn-key
-        # word; the transparent fallback must still be bit-identical.
-        indices = np.array([1, 2**32, 2**40 + 3])
-        keyed = keyed_child_rngs(4, STREAM_ARRIVALS, indices=indices)
-        for index, keyed_rng in zip(indices, keyed):
-            expected = child_rng(4, STREAM_ARRIVALS, int(index))
-            np.testing.assert_array_equal(
-                keyed_rng.standard_normal(3), expected.standard_normal(3)
-            )
-
-    def test_keyed_fallback_path_bit_identical(self, monkeypatch):
-        # Simulate numpy-internals drift: the self-check fails and every call
-        # must route through the reference child_rng loop, same results.
-        import repro.simulation.seeding as seeding
-
-        monkeypatch.setattr(seeding, "_KEYED_FAST_PATH", False)
-        keyed = seeding.keyed_child_rngs(6, STREAM_EXECUTION, 2, indices=np.arange(4))
-        for index, keyed_rng in enumerate(keyed):
-            expected = child_rng(6, STREAM_EXECUTION, 2, index)
-            np.testing.assert_array_equal(
-                keyed_rng.standard_normal(3), expected.standard_normal(3)
-            )
 
 
 class TestGroupedStatBlocks:
@@ -282,7 +216,7 @@ class TestGroupedBatchErrors:
         for bad in ([3.0, 1.0], [-1.0, 2.0]):
             with pytest.raises(SimulationError):
                 GroupBlock.for_deployed(
-                    platform, [cpu_function.name], [np.array(bad)], [np.random.default_rng(0)]
+                    platform, [cpu_function.name], [np.array(bad)], [0]
                 )
         deployed = platform.get_function(cpu_function.name)
         good = dict(
@@ -292,7 +226,7 @@ class TestGroupedBatchErrors:
             serials=np.array([deployed.serial]),
             arrivals=np.array([1.0, 2.0]),
             offsets=np.array([0, 2]),
-            streams=[np.random.default_rng(0)],
+            keys=np.zeros(1, dtype=np.uint64),
             fresh_pool=np.zeros(1, dtype=bool),
         )
         GroupBlock(**good)
@@ -300,7 +234,9 @@ class TestGroupedBatchErrors:
             ("offsets", np.array([0, 1])),
             ("offsets", np.array([0, 1, 2])),
             ("serials", np.array([1, 2])),
-            ("streams", []),
+            ("keys", np.zeros(2, dtype=np.uint64)),
+            ("keys", [0]),
+            ("keys", np.zeros(1)),
             ("fresh_pool", np.zeros(2, dtype=bool)),
             ("arrivals", np.array([[1.0, 2.0]])),
         ):
@@ -309,7 +245,7 @@ class TestGroupedBatchErrors:
 
 
 class TestFusedVersusLooped:
-    """Bit-identical fused-vs-looped execution on shared group streams."""
+    """Bit-identical fused-vs-looped execution on shared group keys."""
 
     def _compare(self, functions, arrival_sets, seed=0, keep_alive_s=600.0):
         """Run the same groups through the kernel and the looped oracle;
@@ -324,9 +260,11 @@ class TestFusedVersusLooped:
                 platform.deploy(fn.name, fn.profile, 512)
             batches = []
             for round_index, arrivals in enumerate(arrival_sets):
-                rngs = spawn_child_rngs(seed, STREAM_EXECUTION, round_index, n=len(functions))
+                keys = noise_keys(
+                    seed, STREAM_EXECUTION, round_index, np.arange(len(functions))
+                )
                 block = GroupBlock.for_deployed(
-                    platform, [fn.name for fn in functions], arrivals, rngs
+                    platform, [fn.name for fn in functions], arrivals, keys
                 )
                 batches.append(backend.run_grouped(platform, block))
             return batches
@@ -382,9 +320,9 @@ class TestFusedVersusLooped:
             platform.cold_start_model = ColdStartModel(noise_cv=0.0)
             for fn in functions:
                 platform.deploy(fn.name, fn.profile, 512)
-            rngs = spawn_child_rngs(0, STREAM_EXECUTION, 0, n=len(functions))
+            keys = noise_keys(0, STREAM_EXECUTION, 0, np.arange(len(functions)))
             block = GroupBlock.for_deployed(
-                platform, [fn.name for fn in functions], arrivals, rngs
+                platform, [fn.name for fn in functions], arrivals, keys
             )
             return get_backend(backend_name).run_grouped(platform, block)
 
@@ -404,7 +342,7 @@ class TestFusedVersusLooped:
         def run(backend_name):
             platform = ServerlessPlatform.noise_free(seed=0)
             platform.cold_start_model = ColdStartModel(noise_cv=0.0)
-            rngs = spawn_child_rngs(0, STREAM_EXECUTION, 0, n=len(sizes))
+            keys = noise_keys(0, STREAM_EXECUTION, 0, np.arange(len(sizes)))
             deployed = [
                 platform.deploy(function.name, function.profile, size) for size in sizes
             ]
@@ -414,7 +352,7 @@ class TestFusedVersusLooped:
                 [d.memory_mb for d in deployed],
                 [d.serial for d in deployed],
                 [arrivals] * len(sizes),
-                rngs,
+                keys,
                 fresh_pool=True,
             )
             return get_backend(backend_name).run_grouped(platform, block)
@@ -615,9 +553,9 @@ class TestOneMeasurementPath:
         batch_calls = []
         run_batch = VectorizedBackend.run_batch
 
-        def spy(self, platform, function_name, arrivals, rng=None):
+        def spy(self, platform, function_name, arrivals, key=None):
             batch_calls.append(function_name)
-            return run_batch(self, platform, function_name, arrivals, rng=rng)
+            return run_batch(self, platform, function_name, arrivals, key=key)
 
         monkeypatch.setattr(VectorizedBackend, "run_batch", spy)
         functions = _functions(3, seed=45)

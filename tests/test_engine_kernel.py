@@ -28,7 +28,7 @@ from repro.simulation.engine import vectorized as vectorized_mod
 from repro.simulation.execution import ExecutionModel
 from repro.simulation.platform import PlatformConfig, ServerlessPlatform
 from repro.simulation.profile import ResourceProfile
-from repro.simulation.seeding import STREAM_EXECUTION, child_rng
+from repro.simulation.seeding import STREAM_EXECUTION, noise_keys
 from repro.simulation.variability import VariabilityModel
 from repro.workloads.function import FunctionSpec
 from repro.workloads.generator import GeneratorConfig, SyntheticFunctionGenerator
@@ -89,7 +89,7 @@ class TestGroupedEdgeParity:
     """Kernel vs looped ``run_grouped`` on the walk's fallback-triggering shapes."""
 
     def _build_groups(self, platform, funcs, seed=23):
-        """``(names, profiles, sizes, serials, arrivals, streams, fresh)`` columns."""
+        """``(names, profiles, sizes, serials, arrivals, keys, fresh)`` columns."""
         current = platform.get_function
         groups = [
             # empty group
@@ -123,7 +123,7 @@ class TestGroupedEdgeParity:
             [d.memory_mb for d in deployed],
             [d.serial for d in deployed],
             [arrivals for _, arrivals, _ in groups],
-            [child_rng(seed, STREAM_EXECUTION, 0, g) for g in range(len(groups))],
+            noise_keys(seed, STREAM_EXECUTION, 0, np.arange(len(groups))),
             [fresh for _, _, fresh in groups],
         )
 
@@ -141,7 +141,7 @@ class TestGroupedEdgeParity:
                 platform,
                 names,
                 [np.asarray(a) + 3600.0 for a in arrivals],
-                [child_rng(23, STREAM_EXECUTION, 1, i) for i in range(len(names))],
+                noise_keys(23, STREAM_EXECUTION, 1, np.arange(len(names))),
             ),
         )
         return platform, funcs, first, second
@@ -160,6 +160,61 @@ class TestGroupedEdgeParity:
             )
             assert pa.total_cost_usd(name) == pb.total_cost_usd(name)
         assert pa.total_cost_usd() == pb.total_cost_usd()
+
+
+class TestCarriedMetrics:
+    """The kernel computes only the carried metrics, each row as in the full run."""
+
+    SUBSETS = (
+        ("execution_time",),
+        # the fleet predictor's seven (jitter rows 0, 1, 2, 5, 6 and 11)
+        (
+            "execution_time", "user_cpu_time", "system_cpu_time",
+            "vol_context_switches", "fs_writes", "heap_used", "bytes_received",
+        ),
+        # metrics derived from an uncarried one
+        ("invol_context_switches", "available_heap", "max_resident_set_size"),
+        ("packages_transmitted", "std_event_loop_lag", "heap_limit", "fs_reads"),
+    )
+
+    def _run(self, backend, metric_names):
+        funcs = _functions(5, seed=3, prefix="carry")
+        platform = ServerlessPlatform(PlatformConfig(seed=4))
+        for f in funcs:
+            platform.deploy(f.name, f.profile, 256)
+        block = GroupBlock.for_deployed(
+            platform,
+            [f.name for f in funcs],
+            [np.sort(np.random.default_rng(g).uniform(0.0, 60.0, 30)) for g in range(5)],
+            noise_keys(4, STREAM_EXECUTION, 0, np.arange(5)),
+        )
+        return backend.run_grouped(platform, block, metric_names)
+
+    @pytest.mark.parametrize("names", SUBSETS)
+    def test_carried_rows_equal_the_full_rows(self, names, looped_backend):
+        from repro.monitoring.metrics import METRIC_NAMES
+        from repro.simulation.runtime import jitter_rows
+
+        full = self._run(get_backend("vectorized"), METRIC_NAMES)
+        carried = self._run(get_backend("vectorized"), names)
+        assert tuple(carried.metrics) == names
+        for name in names:
+            np.testing.assert_array_equal(carried.metrics[name], full.metrics[name], name)
+        # The looped oracle honours the carried names too.
+        assert_identical(carried, self._run(looped_backend, names))
+        assert set(jitter_rows(names)) <= set(range(13))
+
+    def test_fleet_jitter_rows(self):
+        from repro.simulation.runtime import jitter_rows
+
+        assert jitter_rows(self.SUBSETS[1]) == (0, 1, 2, 5, 6, 11)
+        assert jitter_rows(("invol_context_switches",)) == (0, 3)
+
+    def test_unknown_metric_raises(self):
+        from repro.errors import SimulationError
+
+        with pytest.raises(SimulationError, match="unknown metrics"):
+            self._run(get_backend("vectorized"), ("execution_time", "no_such_metric"))
 
 
 class TestDisagreementPath:
@@ -210,7 +265,7 @@ class TestDisagreementPath:
         probe_platform.deploy("dis-fn", profile, 512)
         probe = probe_platform.invoke_batch(
             "dis-fn", np.array([0.0]), backend="serial",
-            rng=child_rng(0, STREAM_EXECUTION, 9, 0),
+            key=int(noise_keys(0, STREAM_EXECUTION, 9, 0)),
         )
         exec_s = float(probe.execution_time_ms[0]) / 1000.0
         init_s = float(probe.init_duration_ms[0]) / 1000.0
@@ -226,7 +281,7 @@ class TestDisagreementPath:
             platform = self._platform()
             platform.deploy("dis-fn", profile, 512)
             block = GroupBlock.for_deployed(
-                platform, ["dis-fn"], [arrivals], [child_rng(0, STREAM_EXECUTION, 0, 0)]
+                platform, ["dis-fn"], [arrivals], noise_keys(0, STREAM_EXECUTION, 0, np.arange(1))
             )
             return execute(platform, block), pool_state(platform, ["dis-fn"])
 
@@ -336,7 +391,7 @@ class TestLockstepWalk:
                 platform,
                 [functions[i].name for i, _, _ in groups],
                 [arrivals for _, arrivals, _ in groups],
-                [child_rng(seed, STREAM_EXECUTION, b, g) for g in range(len(groups))],
+                noise_keys(seed, STREAM_EXECUTION, b, np.arange(len(groups))),
                 fresh_pool=[fresh for _, _, fresh in groups],
             )
             results.append(execute(platform, block))

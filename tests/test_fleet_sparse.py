@@ -77,9 +77,9 @@ class TestZeroArrivalFunctionsSkipEngine:
         seen: list[list[str]] = []
         original = type(simulator.backend).run_grouped
 
-        def spy(backend_self, platform, block):
+        def spy(backend_self, platform, block, *args):
             seen.append(list(block.names))
-            return original(backend_self, platform, block)
+            return original(backend_self, platform, block, *args)
 
         monkeypatch.setattr(type(simulator.backend), "run_grouped", spy)
         window = simulator.run_window()
@@ -106,7 +106,7 @@ class TestZeroArrivalFunctionsSkipEngine:
 
 
 class TestKeyedSeedingCost:
-    """Stream derivation must be O(active): idle functions never cost a stream.
+    """Key derivation must be O(active): idle functions never cost a key.
 
     Regression guard for the former >=25%-active heuristic, which silently
     spawned the whole fleet's execution streams once a quarter of it was
@@ -117,13 +117,14 @@ class TestKeyedSeedingCost:
         import repro.fleet.simulator as simulator_module
 
         calls: list[tuple[int, np.ndarray]] = []
-        real = simulator_module.keyed_child_rngs
+        real = simulator_module.noise_keys
 
-        def wrapper(base_seed, stream, *prefix, indices):
-            calls.append((stream, np.asarray(indices).copy()))
-            return real(base_seed, stream, *prefix, indices=indices)
+        def wrapper(base_seed, stream, *coordinates):
+            # The function indices are the last, array coordinate.
+            calls.append((stream, np.asarray(coordinates[-1]).copy()))
+            return real(base_seed, stream, *coordinates)
 
-        monkeypatch.setattr(simulator_module, "keyed_child_rngs", wrapper)
+        monkeypatch.setattr(simulator_module, "noise_keys", wrapper)
         return calls
 
     def test_execution_seeding_covers_exactly_the_active_set(

@@ -20,6 +20,7 @@ from repro.simulation.execution import ExecutionModel
 from repro.simulation.pricing import PricingModel
 from repro.simulation.profile import ResourceProfile
 from repro.simulation.scaling import ResourceScalingModel
+from repro.simulation.seeding import invocation_uniforms
 from repro.simulation.variability import VariabilityModel
 from repro.workloads.generator import GeneratorConfig, SyntheticFunctionGenerator
 from repro.workloads.traffic import (
@@ -99,7 +100,7 @@ class TestExecutionProperties:
     def test_metrics_always_finite_and_complete(self, cpu, fs):
         model = ExecutionModel(variability=VariabilityModel.none())
         profile = ResourceProfile(cpu_user_ms=cpu, fs_read_bytes=fs)
-        result = model.execute(profile, 512, np.random.default_rng(0))
+        result = model.execute(profile, 512, invocation_uniforms(0))
         assert len(result.metrics) == 25
         assert all(np.isfinite(value) for value in result.metrics.values())
 

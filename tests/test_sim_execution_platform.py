@@ -18,10 +18,16 @@ from repro.monitoring.metrics import METRIC_NAMES
 from repro.simulation.execution import ExecutionModel, simulate_execution
 from repro.simulation.platform import PlatformConfig, ServerlessPlatform
 from repro.simulation.profile import ResourceProfile, ServiceCall
+from repro.simulation.seeding import draw_key, invocation_uniforms
 from repro.simulation.variability import VariabilityModel
 
 MEMORY_SIZES = (128, 256, 512, 1024, 2048, 3008)
 
+
+
+def _noise(rng: np.random.Generator) -> np.ndarray:
+    """One invocation's noise row, at position 0 of a key drawn from ``rng``."""
+    return invocation_uniforms(draw_key(rng))
 
 class TestExecutionModel:
     def test_cpu_bound_scales_with_memory(self, noise_free_model, cpu_profile):
@@ -55,26 +61,26 @@ class TestExecutionModel:
         assert ratio_heavy > ratio_light
 
     def test_execute_produces_all_metrics(self, noise_free_model, cpu_profile, rng):
-        result = noise_free_model.execute(cpu_profile, 512, rng)
+        result = noise_free_model.execute(cpu_profile, 512, _noise(rng))
         assert set(result.metrics) == set(METRIC_NAMES)
         assert all(np.isfinite(value) for value in result.metrics.values())
 
     def test_execution_time_matches_breakdown(self, noise_free_model, cpu_profile, rng):
-        result = noise_free_model.execute(cpu_profile, 512, rng)
+        result = noise_free_model.execute(cpu_profile, 512, _noise(rng))
         assert result.execution_time_ms == pytest.approx(result.breakdown.total_ms)
 
     def test_user_cpu_time_stable_across_sizes(self, noise_free_model, cpu_profile, rng):
         """Consumed CPU seconds stay ~constant while wall time shrinks."""
-        small = noise_free_model.execute(cpu_profile, 256, rng)
-        large = noise_free_model.execute(cpu_profile, 2048, rng)
+        small = noise_free_model.execute(cpu_profile, 256, _noise(rng))
+        large = noise_free_model.execute(cpu_profile, 2048, _noise(rng))
         assert small.metrics["user_cpu_time"] == pytest.approx(
             large.metrics["user_cpu_time"], rel=0.15
         )
         assert small.execution_time_ms > large.execution_time_ms
 
     def test_heap_limit_scales_with_memory(self, noise_free_model, cpu_profile, rng):
-        small = noise_free_model.execute(cpu_profile, 128, rng)
-        large = noise_free_model.execute(cpu_profile, 3008, rng)
+        small = noise_free_model.execute(cpu_profile, 128, _noise(rng))
+        large = noise_free_model.execute(cpu_profile, 3008, _noise(rng))
         assert large.metrics["heap_limit"] > small.metrics["heap_limit"]
 
     def test_network_counters_reflect_service_payloads(self, noise_free_model, rng):
@@ -82,18 +88,18 @@ class TestExecutionModel:
             cpu_user_ms=5.0,
             service_calls=(ServiceCall("s3", request_bytes=1000, response_bytes=50_000),),
         )
-        result = noise_free_model.execute(profile, 512, rng)
+        result = noise_free_model.execute(profile, 512, _noise(rng))
         assert result.metrics["bytes_received"] >= 50_000 * 0.5
         assert result.metrics["bytes_transmitted"] >= 1000 * 0.5
 
     def test_event_loop_lag_higher_at_small_sizes(self, noise_free_model, cpu_profile, rng):
-        small = noise_free_model.execute(cpu_profile, 128, rng)
-        large = noise_free_model.execute(cpu_profile, 3008, rng)
+        small = noise_free_model.execute(cpu_profile, 128, _noise(rng))
+        large = noise_free_model.execute(cpu_profile, 3008, _noise(rng))
         assert small.metrics["mean_event_loop_lag"] > large.metrics["mean_event_loop_lag"]
 
     def test_invalid_memory_raises(self, noise_free_model, cpu_profile, rng):
         with pytest.raises(SimulationError):
-            noise_free_model.execute(cpu_profile, 0, rng)
+            noise_free_model.execute(cpu_profile, 0, _noise(rng))
 
     def test_simulate_execution_convenience(self, cpu_profile):
         result = simulate_execution(cpu_profile, 256)
@@ -102,8 +108,8 @@ class TestExecutionModel:
 
     def test_noise_changes_individual_invocations(self, cpu_profile, rng):
         model = ExecutionModel(variability=VariabilityModel())
-        a = model.execute(cpu_profile, 512, rng).execution_time_ms
-        b = model.execute(cpu_profile, 512, rng).execution_time_ms
+        a = model.execute(cpu_profile, 512, _noise(rng)).execution_time_ms
+        b = model.execute(cpu_profile, 512, _noise(rng)).execution_time_ms
         assert a != b
 
 
@@ -255,9 +261,10 @@ class TestServerlessPlatform:
         assert timestamps == sorted(timestamps)
 
     def test_invoke_draws_only_from_the_given_stream(self, cpu_function):
-        """``invoke(..., rng=g)`` draws its noise from ``g`` alone: the
+        """``invoke(..., key=k)`` reads its noise from ``k`` alone: the
         platform's shared generator does not move, and the records equal
-        those of a twin platform whose shared generator is seeded like ``g``."""
+        those of a twin platform whose shared generator is seeded like the
+        generator ``g`` the keys are drawn from."""
         platform = ServerlessPlatform(PlatformConfig(seed=0))
         twin = ServerlessPlatform(PlatformConfig(seed=7))
         for each in (platform, twin):
@@ -266,7 +273,7 @@ class TestServerlessPlatform:
         stream = np.random.default_rng(7)
         # A cold start, a warm reuse and a second worker for an overlap.
         for at_time_s in (0.0, 30.0, 30.001):
-            record = platform.invoke(cpu_function.name, at_time_s, rng=stream)
+            record = platform.invoke(cpu_function.name, at_time_s, key=draw_key(stream))
             assert record == twin.invoke(cpu_function.name, at_time_s)
         assert platform.rng.bit_generator.state == shared
         assert stream.bit_generator.state == twin.rng.bit_generator.state

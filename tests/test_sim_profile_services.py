@@ -4,13 +4,30 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from repro.errors import ConfigurationError, SimulationError, WorkloadError
 from repro.simulation.coldstart import ColdStartModel
 from repro.simulation.profile import ResourceProfile, ServiceCall
+from repro.simulation.seeding import (
+    SOURCE_CPU,
+    SOURCE_SERVICE,
+    SOURCE_TAIL,
+    draw_key,
+    noise_uniforms,
+)
 from repro.simulation.services import ServiceCatalog, ServiceModel
 from repro.simulation.variability import VariabilityModel
 
+
+
+def _uniforms(rng: np.random.Generator, source: int, n: int) -> np.ndarray:
+    """``n`` invocations' values of one noise source, of a key drawn from ``rng``."""
+    return noise_uniforms(draw_key(rng), np.arange(n), [source])[:, 0]
+
+
+def _normals(rng: np.random.Generator, source: int, n: int) -> np.ndarray:
+    return ndtri(_uniforms(rng, source, n))
 
 class TestServiceCall:
     def test_defaults(self):
@@ -105,7 +122,8 @@ class TestServiceCatalog:
     def test_sampled_latency_positive_and_near_mean(self, rng):
         catalog = ServiceCatalog.default()
         call = ServiceCall("s3", "get_object", response_bytes=1024)
-        samples = [catalog.sample_latency_ms(call, rng) for _ in range(300)]
+        normals = _normals(rng, SOURCE_SERVICE, 300)
+        samples = [catalog.sample_latency_ms(call, [z]) for z in normals]
         assert min(samples) > 0
         assert np.mean(samples) == pytest.approx(catalog.mean_latency_ms(call), rel=0.15)
 
@@ -117,18 +135,18 @@ class TestServiceCatalog:
 class TestVariabilityModel:
     def test_noise_factors_mean_one(self, rng):
         model = VariabilityModel()
-        samples = np.array([model.cpu_factor(rng) for _ in range(4000)])
+        samples = np.array([model.cpu_factor(z) for z in _normals(rng, SOURCE_CPU, 4000)])
         assert np.mean(samples) == pytest.approx(1.0, rel=0.05)
 
     def test_none_model_is_deterministic(self, rng):
         model = VariabilityModel.none()
-        assert model.cpu_factor(rng) == 1.0
-        assert model.tail_factor(rng) == 1.0
+        assert model.cpu_factor(_normals(rng, SOURCE_CPU, 1)[0]) == 1.0
+        assert model.tail_factor(_uniforms(rng, SOURCE_TAIL, 1)[0]) == 1.0
         assert model.drift_factor(12345.0) == 1.0
 
     def test_tail_factor_values(self, rng):
         model = VariabilityModel(tail_probability=0.5, tail_multiplier=3.0)
-        values = {model.tail_factor(rng) for _ in range(200)}
+        values = {model.tail_factor(u) for u in _uniforms(rng, SOURCE_TAIL, 200)}
         assert values <= {1.0, 3.0}
         assert len(values) == 2
 

@@ -477,3 +477,64 @@ class TestDiurnalBatchBuild:
             DiurnalTraffic.batch_build(
                 mean_rate_rps=np.array([0.1]), period_s=np.array([-1.0])
             )
+
+
+class TestBurstyBatchedRates:
+    """The schedule's one-pass bursty rates equal per-model ``rate()`` bit for bit."""
+
+    def _models(self):
+        return [
+            BurstyTraffic(base_rate_rps=0.5, burst_rate_rps=5.0, burst_every_s=3600.0,
+                          burst_duration_s=600.0, burst_seed=3),
+            ConstantTraffic(rate_rps=1.0),
+            BurstyTraffic(base_rate_rps=0.1, burst_rate_rps=2.5, burst_every_s=1800.0,
+                          burst_duration_s=900.0, burst_seed=2**53 + 7),
+            BurstyTraffic(base_rate_rps=0.2, burst_rate_rps=9.0, burst_seed=2**64 + 1),
+        ]
+
+    def test_batched_rates_match_per_model_across_interval_boundaries(self):
+        models = self._models()
+        schedule = FleetTrafficSchedule(models)
+        counts = np.array([400, 50, 400, 400])
+        gids = np.repeat(np.arange(4), counts)
+        rng = np.random.default_rng(0)
+        # Candidates span several burst intervals of every model.
+        times = np.concatenate([np.sort(rng.uniform(0.0, 4 * 7200.0, c)) for c in counts])
+        rates = schedule._candidate_rates(gids, times, counts)
+        for i, model in enumerate(models):
+            np.testing.assert_array_equal(rates[gids == i], model.rate(times[gids == i]))
+        # A second evaluation reads the cached burst starts, with equal rates.
+        np.testing.assert_array_equal(schedule._candidate_rates(gids, times, counts), rates)
+
+    def test_cache_drops_intervals_that_ended_before_the_window(self):
+        models = self._models()
+        schedule = FleetTrafficSchedule(models)
+        for window in range(6):
+            schedule.sample_window(window * 3600.0, (window + 1) * 3600.0,
+                                   np.random.default_rng(window))
+            start = window * 3600.0
+            assert schedule._burst_starts
+            for (function, interval), (_, end) in schedule._burst_starts.items():
+                assert end > start
+                assert end == (interval + 1) * models[function].burst_every_s
+
+    def test_window_arrivals_unchanged_by_the_batched_path(self):
+        models = self._models()
+
+        class Opaque(BurstyTraffic):
+            """A subclass: the schedule evaluates it per model."""
+
+        per_model = [
+            Opaque(**{f: getattr(m, f) for f in ("base_rate_rps", "burst_rate_rps",
+                                                  "burst_every_s", "burst_duration_s",
+                                                  "burst_seed")})
+            if isinstance(m, BurstyTraffic) else m
+            for m in models
+        ]
+        for window in range(3):
+            a = FleetTrafficSchedule(models).sample_window(
+                window * 3600.0, (window + 1) * 3600.0, np.random.default_rng(window))
+            b = FleetTrafficSchedule(per_model).sample_window(
+                window * 3600.0, (window + 1) * 3600.0, np.random.default_rng(window))
+            np.testing.assert_array_equal(a.times_s, b.times_s)
+            np.testing.assert_array_equal(a.offsets, b.offsets)
